@@ -24,14 +24,8 @@ from .lindblad import (
     traceless_representation,
 )
 from .linalg import DEFAULT_TOL, NotUnitaryError, ShapeError, dag, frob
-from .sjed import SjedPartition, build_sjeds
-from .symmetry import (
-    CompletionFailed,
-    SymmetryOperator,
-    blockwise_unitary_completion,
-    check_condition_II,
-    general_unitary_completion,
-)
+from .sjed import SjedPartition
+from .symmetry import CompletionFailed, SymmetryOperator, general_unitary_completion
 
 
 @dataclass(frozen=True)
@@ -290,12 +284,6 @@ def joint_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
     return float(frob(m @ lam @ dag(m) - lam) / max(frob(lam), 1e-300))
 
 
-def _random_unitary(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _permutation_matrices(n):
     for pi in _permutations(range(n)):
         u = np.zeros((n, n), dtype=complex)
@@ -317,7 +305,7 @@ def _block_unitaries(partition: SjedPartition, rng, per_bijection: int = 4):
             for a in range(nsets):
                 rows = partition.sets[a].indices
                 cols = partition.sets[assignment[a]].indices
-                block = _random_unitary(rng, len(rows))
+                block = linalg.random_unitary(rng, len(rows))
                 for i, r_ in enumerate(rows):
                     for j, c_ in enumerate(cols):
                         u[r_, c_] = block[i, j]
@@ -339,7 +327,7 @@ def minimum_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
     candidates = list(_permutation_matrices(nq)) if nq <= 6 else []
     if step.kind == "partial" and partition is not None:
         candidates.extend(_block_unitaries(partition, rng))
-    candidates.extend(_random_unitary(rng, nq) for _ in range(n_random))
+    candidates.extend(linalg.random_unitary(rng, nq) for _ in range(n_random))
     best = np.inf
     for u in candidates:
         r = joint_symmetry_residual(step, u_system, environment_symmetry(u))

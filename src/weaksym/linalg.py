@@ -1,18 +1,18 @@
 """Dense complex linear algebra kernel.
 
-Deterministic, tolerance-aware routines used by every other module:
-cyclic Jacobi eigensolvers, null spaces, matrix exponentials and
-isometry tests.  Everything operates on plain numpy arrays and is pure
-(no global state), so calls are safe from concurrent workers.
+Thin, tolerance-aware wrappers over LAPACK (through numpy and scipy):
+Hermitian and unitary eigendecompositions with a deterministic phase
+convention, the matrix exponential, orthonormal spans and complements,
+and Haar-random unitaries.  Everything operates on plain numpy arrays and
+is pure (no global state), so calls are safe from concurrent workers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 DEFAULT_TOL = 1e-9
-
-_JACOBI_MAX_SWEEPS = 100
 
 
 class LinalgError(Exception):
@@ -45,8 +45,11 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
+def _as_square(a) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected square matrix, got {a.shape}")
+    return a
 
 
 def fix_column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -64,111 +67,34 @@ def fix_column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eigendecomposition(a, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix.
 
-    Returns (eigenvalues ascending, eigenvector columns).  The eigenbasis is
-    deterministic: fixed sweep order and a first-entry-real-positive phase
-    convention.  Raises NotHermitianError if the input fails the Hermiticity
-    precondition and NoConvergenceError if the sweep budget is exhausted.
+    Returns (eigenvalues ascending, eigenvector columns), each column
+    with its first non-negligible entry real positive.  Raises
+    NotHermitianError if the input fails the Hermiticity precondition.
     """
-    a = _as_complex(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeError(f"expected square matrix, got {a.shape}")
+    a = _as_square(a)
     scale = frob(a)
     if scale > 0 and frob(a - dag(a)) > tol * max(scale, 1.0):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-
-    h = (a + dag(a)) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1 or scale == 0.0:
-        w = np.real(np.diag(h)).copy()
-        order = np.argsort(w, kind="stable")
-        return w[order], v[:, order]
-
-    target = 1e-15 * scale * n
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(h) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = h[p, q]
-                m = abs(apq)
-                if m <= 1e-18 * scale:
-                    continue
-                phase = apq / m
-                tau = (h[q, q].real - h[p, p].real) / (2.0 * m)
-                if tau >= 0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # G = diag(1, phase*) @ [[c, -s], [s, c]] on the (p, q) plane
-                gpp, gpq = c, -s
-                gqp, gqq = phase.conjugate() * s, phase.conjugate() * c
-                col_p = h[:, p].copy()
-                col_q = h[:, q].copy()
-                h[:, p] = gpp * col_p + gqp * col_q
-                h[:, q] = gpq * col_p + gqq * col_q
-                row_p = h[p, :].copy()
-                row_q = h[q, :].copy()
-                h[p, :] = np.conj(gpp) * row_p + np.conj(gqp) * row_q
-                h[q, :] = np.conj(gpq) * row_p + np.conj(gqq) * row_q
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = gpp * col_p + gqp * col_q
-                v[:, q] = gpq * col_p + gqq * col_q
-    else:
-        raise NoConvergenceError("Jacobi sweeps exhausted")
-
-    w = np.real(np.diag(h)).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], fix_column_phases(v[:, order])
+    w, v = np.linalg.eigh((a + dag(a)) / 2.0)
+    return w, fix_column_phases(v)
 
 
 def unitary_eigendecomposition(u, tol: float = DEFAULT_TOL):
     """Eigenphases and eigenvectors of a unitary matrix.
 
-    Jointly diagonalizes the commuting Hermitian parts (U + U†)/2 and
-    (U - U†)/(2i); degenerate subspaces of the first are refined by the
-    second.  Phases are returned in [0, 2pi), ascending.
+    The complex Schur form of a normal matrix is diagonal and its Schur
+    vectors are orthonormal, degenerate eigenspaces included.  Phases are
+    returned in [0, 2pi), ascending.
     """
-    u = _as_complex(u)
+    u = _as_square(u)
     n = u.shape[0]
-    if u.shape != (n, n):
-        raise ShapeError(f"expected square matrix, got {u.shape}")
     if frob(dag(u) @ u - np.eye(n)) > tol * max(1.0, np.sqrt(n)):
         raise NotUnitaryError("matrix is not unitary within tolerance")
-
-    k1 = (u + dag(u)) / 2.0
-    k2 = (u - dag(u)) / 2.0j
-    w1, v = hermitian_eigendecomposition(k1, tol)
-
-    # refine within degenerate clusters of k1 using k2
-    cluster_tol = 1e-8 * max(1.0, float(np.max(np.abs(w1))))
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(w1[j] - w1[i]) <= cluster_tol:
-            j += 1
-        if j - i > 1:
-            block = dag(v[:, i:j]) @ k2 @ v[:, i:j]
-            _, vb = hermitian_eigendecomposition(block, tol)
-            v[:, i:j] = v[:, i:j] @ vb
-        i = j
-
-    cos_part = np.real(np.einsum("ij,jk,ki->i", dag(v), k1, v))
-    sin_part = np.real(np.einsum("ij,jk,ki->i", dag(v), k2, v))
-    phases = np.mod(np.arctan2(sin_part, cos_part), 2.0 * np.pi)
+    t, v = scipy.linalg.schur(u, output="complex")
+    phases = np.mod(np.angle(np.diag(t)), 2.0 * np.pi)
     # normalize phases indistinguishable from 2pi back to 0
     phases[np.abs(phases - 2.0 * np.pi) < 1e-12] = 0.0
     order = np.argsort(np.round(phases, 12), kind="stable")
@@ -180,123 +106,33 @@ def unitary_eigendecomposition(u, tol: float = DEFAULT_TOL):
     return phases, v
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values, descending."""
-    return np.linalg.svd(_as_complex(m), compute_uv=False)
-
-
-def null_space(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal column basis of the (numerical) kernel of m.
-
-    Rank is decided by the threshold tol times the largest singular value.
-    """
-    m = _as_complex(m)
-    if m.ndim != 2:
-        raise ShapeError("expected a matrix")
-    cols = m.shape[1]
-    _, sigma, vh = np.linalg.svd(m, full_matrices=True)
-    smax = float(sigma[0]) if sigma.size else 0.0
-    if smax == 0.0:
-        return np.eye(cols, dtype=complex)
-    rank = int(np.sum(sigma > tol * smax))
-    return fix_column_phases(vh[rank:].conj().T)
-
-
-def matrix_rank(m, tol: float = DEFAULT_TOL) -> int:
-    sv = singular_values(m)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
-
-
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
 def matrix_exponential(m) -> np.ndarray:
-    """exp(M) by scaling-and-squaring with a degree-13 Pade approximant."""
-    a = _as_complex(m)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeError(f"expected square matrix, got {a.shape}")
-    if n == 0:
-        return a.copy()
-    norm1 = float(np.max(np.sum(np.abs(a), axis=0))) if n else 0.0
-    s = 0
-    if norm1 > _THETA13:
-        s = int(np.ceil(np.log2(norm1 / _THETA13)))
-        a = a / (2.0 ** s)
-    b = _PADE13
-    eye = np.eye(n, dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
-def is_isometry(v, tol: float = DEFAULT_TOL) -> bool:
-    """True iff V†V is the identity within tol (requires rows >= cols)."""
-    v = _as_complex(v)
-    if v.ndim != 2:
-        raise ShapeError("expected a matrix")
-    rows, cols = v.shape
-    if rows < cols:
-        raise ShapeError(f"isometry test needs rows >= cols, got {v.shape}")
-    return frob(dag(v) @ v - np.eye(cols)) <= tol * max(1.0, np.sqrt(cols))
+    """exp(M) by scipy's scaling-and-squaring Pade method."""
+    return scipy.linalg.expm(_as_square(m))
 
 
 def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column span by modified Gram-Schmidt.
+    """Orthonormal basis of the column span from a thin SVD.
 
-    Columns contributing less than tol times the largest column norm are
-    dropped.  Deterministic in the input order.
+    Directions with singular value at most tol times the largest one are
+    dropped.
     """
-    v = _as_complex(vectors)
+    v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2:
         raise ShapeError("expected a matrix")
-    norms = [np.linalg.norm(v[:, j]) for j in range(v.shape[1])]
-    scale = max(norms) if norms else 0.0
-    basis = []
-    for j in range(v.shape[1]):
-        w = v[:, j].copy()
-        for b in basis:
-            w = w - b * (np.vdot(b, w))
-        for b in basis:  # second pass for numerical orthogonality
-            w = w - b * (np.vdot(b, w))
-        nrm = np.linalg.norm(w)
-        if scale > 0 and nrm > tol * scale:
-            basis.append(w / nrm)
-    if not basis:
-        return np.zeros((v.shape[0], 0), dtype=complex)
-    return np.column_stack(basis)
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    return u[:, :rank]
 
 
-def orthonormal_complement(basis: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Deterministic orthonormal basis of the orthogonal complement in C^dim."""
-    cols = [basis[:, j] for j in range(basis.shape[1])]
-    out = []
-    for i in range(dim):
-        w = np.zeros(dim, dtype=complex)
-        w[i] = 1.0
-        for b in cols + out:
-            w = w - b * np.vdot(b, w)
-        for b in cols + out:
-            w = w - b * np.vdot(b, w)
-        nrm = np.linalg.norm(w)
-        if nrm > max(tol, 1e-12):
-            out.append(w / nrm)
-    if not out:
-        return np.zeros((dim, 0), dtype=complex)
-    return np.column_stack(out)
+def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of an orthonormal column set."""
+    q, _ = np.linalg.qr(np.asarray(basis, dtype=complex), mode="complete")
+    return q[:, basis.shape[1]:]
+
+
+def random_unitary(rng, n: int) -> np.ndarray:
+    """Haar-random n x n unitary from QR of a complex Gaussian matrix."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))

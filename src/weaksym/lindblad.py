@@ -10,7 +10,7 @@ master operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,13 +122,6 @@ def apply_adjoint_master_operator(rep: Representation, f) -> np.ndarray:
     return out
 
 
-def kraus_term_liouville(a, b=None) -> np.ndarray:
-    """Liouville matrix of rho -> A rho B† (row stacking); B defaults to A."""
-    a = np.asarray(a, dtype=complex)
-    b = a if b is None else np.asarray(b, dtype=complex)
-    return np.kron(a, b.conj())
-
-
 def liouville_matrix(op, dim: int | None = None) -> np.ndarray:
     """Liouville (row-stacking) matrix of a superoperator.
 
@@ -177,12 +170,8 @@ def jump_part_choi(jumps) -> np.ndarray:
     return liouville_to_choi(sum(np.kron(j, j.conj()) for j in jumps))
 
 
-def traceless_representation(rep: Representation) -> Representation:
-    """Equivalent representation whose jumps are all traceless.
-
-    H' = H + (i/2d) sum_j [J_j Tr(J_j†) - J_j† Tr(J_j)],
-    J_j' = J_j - Tr(J_j)/d.  Generates the identical master operator.
-    """
+def _traceless_parts(rep: Representation):
+    """(H', traceless jumps); a jump proportional to the identity gives zero."""
     d = rep.dim
     h = rep.hamiltonian.astype(complex)
     shift = np.zeros_like(h)
@@ -191,7 +180,16 @@ def traceless_representation(rep: Representation) -> Representation:
         tr = np.trace(j)
         shift += j * np.conj(tr) - dag(j) * tr
         jumps.append(j - (tr / d) * np.eye(d))
-    hp = h + (1j / (2.0 * d)) * shift
+    return h + (1j / (2.0 * d)) * shift, jumps
+
+
+def traceless_representation(rep: Representation) -> Representation:
+    """Equivalent representation whose jumps are all traceless.
+
+    H' = H + (i/2d) sum_j [J_j Tr(J_j†) - J_j† Tr(J_j)],
+    J_j' = J_j - Tr(J_j)/d.  Generates the identical master operator.
+    """
+    hp, jumps = _traceless_parts(rep)
     return Representation(hp, tuple(jumps), rep.labels)
 
 
@@ -218,35 +216,33 @@ def evolve_density(rep: Representation, rho0, t: float) -> np.ndarray:
     return vec.reshape(d, d)
 
 
+def _flat(ops, d):
+    """Operators as the columns of a d^2 x len(ops) matrix."""
+    return np.column_stack([o.reshape(-1) for o in ops]) \
+        if ops else np.zeros((d * d, 0), dtype=complex)
+
+
 def representations_equal(rep_a: Representation, rep_b: Representation,
                           tol: float = DEFAULT_TOL) -> bool:
     """Whether two representations generate the same master operator.
 
-    Small systems compare Liouville matrices in Frobenius distance; for
-    larger ones the equivalent structural test runs instead (equal
-    traceless Hamiltonians and equal jump-frame operators, compared in
-    the union span), which avoids d^2 x d^2 matrices.
+    Structural test without d^2 x d^2 matrices: the traceless-jump
+    Hamiltonians must agree up to a multiple of the identity, and the
+    traceless jumps must share their frame operator, compared in the
+    union span.
     """
     if rep_a.dim != rep_b.dim:
         raise ShapeError("dimension mismatch")
-    if rep_a.dim <= 12:
-        la = liouville_matrix(rep_a)
-        lb = liouville_matrix(rep_b)
-        scale = max(frob(la), frob(lb), 1e-300)
-        return frob(la - lb) <= tol * scale
-    ta = traceless_representation(rep_a)
-    tb = traceless_representation(rep_b)
-    h_scale = max(frob(ta.hamiltonian), frob(tb.hamiltonian), 1.0)
-    if frob(ta.hamiltonian - tb.hamiltonian) > tol * h_scale:
+    d = rep_a.dim
+    ha, ja = _traceless_parts(rep_a)
+    hb, jb = _traceless_parts(rep_b)
+    ha = ha - (np.trace(ha) / d) * np.eye(d)
+    hb = hb - (np.trace(hb) / d) * np.eye(d)
+    if frob(ha - hb) > tol * max(frob(ha), frob(hb), 1.0):
         return False
-    sa = np.column_stack([j.reshape(-1) for j in ta.jumps]) \
-        if ta.jumps else np.zeros((rep_a.dim ** 2, 0), dtype=complex)
-    sb = np.column_stack([j.reshape(-1) for j in tb.jumps]) \
-        if tb.jumps else np.zeros((rep_b.dim ** 2, 0), dtype=complex)
-    union = np.hstack([sa, sb])
-    if union.shape[1] == 0:
-        return True
-    basis = linalg.orthonormal_columns(union, tol)
+    sa = _flat(ja, d)
+    sb = _flat(jb, d)
+    basis = linalg.orthonormal_columns(np.hstack([sa, sb]), tol)
     ca = dag(basis) @ sa
     cb = dag(basis) @ sb
     fa = ca @ dag(ca)
@@ -255,12 +251,28 @@ def representations_equal(rep_a: Representation, rep_b: Representation,
     return frob(fa - fb) <= tol * scale
 
 
-def _jump_coefficients(jumps, tol):
-    """Orthonormal span basis (as flattened operators) and coefficient matrix."""
-    stack = np.column_stack([j.reshape(-1) for j in jumps])
+def frame_isometry(jumps, targets, tol: float = DEFAULT_TOL):
+    """Isometries relating two jump families through their shared frame.
+
+    With M = Q R the coefficients of the jumps in an orthonormal basis of
+    their span (Q isometric) and N those of the targets, N R^-1 is
+    isometric exactly when both families have the same frame operator.
+    Returns (Q, N R^-1 or None when it is not isometric, largest norm of
+    a target outside the jump span).
+    """
+    d = jumps[0].shape[0]
+    stack = _flat(jumps, d)
+    flat_targets = _flat(targets, d)
     basis = linalg.orthonormal_columns(stack, tol)
-    coeff = dag(basis) @ stack  # J_k = sum_a basis_a * coeff[a, k]
-    return basis, coeff.T  # rows index jumps
+    m = (dag(basis) @ stack).T  # rows index jumps
+    n = (dag(basis) @ flat_targets).T
+    escape = float(np.max(np.linalg.norm(flat_targets - basis @ n.T, axis=0)))
+    q, rr = np.linalg.qr(m)
+    qb = n @ np.linalg.inv(rr)
+    r = q.shape[1]
+    if frob(dag(qb) @ qb - np.eye(r)) > 1e3 * tol * max(1.0, r):
+        qb = None
+    return q, qb, escape
 
 
 def relate_representations(rep_a: Representation, rep_b: Representation,
@@ -270,37 +282,23 @@ def relate_representations(rep_a: Representation, rep_b: Representation,
     rep_b must have at least as many jumps as rep_a.  Returns (V, unique)
     where unique is False when the jumps of rep_a are linearly dependent
     (the isometry then carries documented freedom).  Raises
-    NotSameMasterOperator when the Liouville matrices differ.
+    NotSameMasterOperator when the master operators differ.
     """
     if rep_b.njumps < rep_a.njumps:
         raise ShapeError("order the call so the second representation has >= jumps")
     if not representations_equal(rep_a, rep_b, tol):
         raise NotSameMasterOperator("representations generate different master operators")
-    ta = traceless_representation(rep_a)
-    tb = traceless_representation(rep_b)
-    basis, m = _jump_coefficients(ta.jumps, tol)
-    d, r = m.shape
-    dt = rep_b.njumps
-    n = np.column_stack([dag(basis) @ j.reshape(-1) for j in tb.jumps]).T
-    resid = max(
-        frob(j.reshape(-1) - basis @ (dag(basis) @ j.reshape(-1)))
-        for j in tb.jumps
-    )
-    scale = max(frob(j) for j in tb.jumps)
-    if resid > tol * max(scale, 1.0):
+    _, ja = _traceless_parts(rep_a)
+    _, jb = _traceless_parts(rep_b)
+    q, qb, escape = frame_isometry(ja, jb, tol)
+    if escape > tol * max(max(frob(j) for j in jb), 1.0):
         raise NotSameMasterOperator("target jumps leave the source jump span")
-    # M = Q R with isometric Q; the shared frame operator makes N R^-1 isometric
-    q, rr = np.linalg.qr(m)
-    qb = n @ np.linalg.inv(rr)
-    if frob(dag(qb) @ qb - np.eye(r)) > 1e3 * tol * max(1.0, r):
+    if qb is None:
         raise NotSameMasterOperator("jump frames differ; no isometry exists")
-    pa = linalg.orthonormal_complement(q, d, tol)
-    if pa.shape[1]:
-        pb = linalg.orthonormal_complement(qb, dt, tol)[:, : pa.shape[1]]
-        v = qb @ dag(q) + pb @ dag(pa)
-    else:
-        v = qb @ dag(q)
-    unique = r == d
+    pa = linalg.orthonormal_complement(q)
+    pb = linalg.orthonormal_complement(qb)[:, : pa.shape[1]]
+    v = qb @ dag(q) + pb @ dag(pa)
+    unique = q.shape[1] == q.shape[0]
     return v, unique
 
 
@@ -312,7 +310,6 @@ __all__ = [
     "effective_hamiltonian",
     "evolve_density",
     "jump_part_choi",
-    "kraus_term_liouville",
     "liouville_matrix",
     "liouville_to_choi",
     "pure_state",

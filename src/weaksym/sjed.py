@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lindblad import Representation, jump_part_choi, liouville_to_choi
+from .lindblad import Representation, jump_part_choi
 from .linalg import DEFAULT_TOL, dag, frob
 
 
@@ -51,12 +51,6 @@ class SjedPartition:
     def nsets(self) -> int:
         return len(self.sets)
 
-    def set_of_jump(self, j: int) -> int:
-        for a, s in enumerate(self.sets):
-            if j in s.indices:
-                return a
-        raise IndexError(f"jump index {j} not in partition")
-
     def coarse_labels(self) -> np.ndarray:
         """Array mapping jump index -> SJED index."""
         out = np.empty(len(self.jumps), dtype=int)
@@ -66,19 +60,12 @@ class SjedPartition:
         return out
 
 
-def _fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    nrm = np.abs(v)
-    i = int(np.argmax(nrm > tol * np.max(nrm)))
-    ph = v[i] / abs(v[i])
-    return v * ph.conjugate()
-
-
 def _rank_one_split(j: np.ndarray, tol: float):
     """(destination, source) with J = |dest><source| exactly, or None."""
     u, s, vh = np.linalg.svd(j)
     if s.size > 1 and s[1] > tol * s[0]:
         return None
-    dest = _fix_phase(u[:, 0])
+    dest = linalg.fix_column_phases(u[:, :1])[:, 0]
     source = s[0] * vh[0].conj()  # rate absorbed into the source vector
     # compensate the phase moved into dest
     ph = np.vdot(dest, u[:, 0])
@@ -138,7 +125,8 @@ def build_sjeds(rep: Representation, tol: float = DEFAULT_TOL) -> SjedPartition:
     for k in full_rank:
         if k in used:
             continue
-        base = _fix_phase(jumps[k].reshape(-1)).reshape(jumps[k].shape) / frob(jumps[k])
+        base = linalg.fix_column_phases(jumps[k].reshape(-1, 1)).reshape(
+            jumps[k].shape) / frob(jumps[k])
         members = [k]
         coeffs = [_proportionality_coefficient(base, jumps[k], tol)]
         for m in full_rank:
@@ -289,6 +277,17 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
     return True, pi, float(r.real)
 
 
+def gamma_modes(gamma: np.ndarray, tol: float = DEFAULT_TOL):
+    """Eigenpairs of a reset SJED's gamma matrix, weights descending.
+
+    Modes with weight at most tol times the largest are dropped.
+    """
+    w, vecs = linalg.hermitian_eigendecomposition(gamma, tol)
+    w, vecs = w[::-1], vecs[:, ::-1]
+    keep = w > tol * max(w[0], 1e-300)
+    return w[keep], vecs[:, keep]
+
+
 def canonical_sets_with_isometries(partition: SjedPartition,
                                    tol: float = DEFAULT_TOL):
     """Canonical jumps per SJED plus member isometries.
@@ -309,11 +308,7 @@ def canonical_sets_with_isometries(partition: SjedPartition,
             isoms.append(np.array([[c / scale] for c in s.coefficients],
                                   dtype=complex))
         else:
-            w, vecs = linalg.hermitian_eigendecomposition(s.gamma, tol)
-            order = np.argsort(w, kind="stable")[::-1]
-            w, vecs = w[order], vecs[:, order]
-            keep = w > tol * max(w[0], 1e-300)
-            w, vecs = w[keep], vecs[:, keep]
+            w, vecs = gamma_modes(s.gamma, tol)
             for i in range(len(w)):
                 canon.append(np.sqrt(w[i]) * np.outer(s.destination,
                                                       vecs[:, i].conj()))
@@ -352,9 +347,7 @@ def remix_within_sets(partition: SjedPartition, rng) -> tuple:
         n = s.size
         if n == 1:
             continue
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(a)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        q = linalg.random_unitary(rng, n)
         old = [jumps[j] for j in s.indices]
         for row, j in enumerate(s.indices):
             jumps[j] = sum(q[row, k] * old[k] for k in range(n))

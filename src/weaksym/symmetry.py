@@ -16,7 +16,7 @@ Each check returns a verdict plus the certificate that witnesses it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .lindblad import (
     Representation,
     apply_adjoint_master_operator,
     apply_master_operator,
-    liouville_matrix,
-    representations_equal,
+    frame_isometry,
     traceless_representation,
 )
 from .linalg import DEFAULT_TOL, dag, frob
@@ -36,6 +35,7 @@ from .sjed import (
     canonical_sets_with_isometries,
     composite_choi,
     composite_signature,
+    gamma_modes,
     signature_conjugate,
     signature_distance,
 )
@@ -97,9 +97,6 @@ class SymmetryOperator:
         """U A U† for an operator on the system."""
         return self.matrix @ np.asarray(a, dtype=complex) @ dag(self.matrix)
 
-    def conjugate_state(self, psi) -> np.ndarray:
-        return self.conjugate(psi)
-
     def liouville(self) -> np.ndarray:
         """Row-stacking matrix of the conjugation superoperator: U kron U*."""
         return np.kron(self.matrix, self.matrix.conj())
@@ -147,10 +144,7 @@ def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
         raise linalg.ShapeError("need equally many jumps and targets")
     d = len(jumps)
     gram = np.array([[np.vdot(jk, jm) for jm in jumps] for jk in jumps])
-    w, v = linalg.hermitian_eigendecomposition(gram, tol=1.0)
-    wmax = max(float(np.max(w)), 1e-300)
-    inv = np.where(w > tol * wmax, 1.0 / np.where(w > tol * wmax, w, 1.0), 0.0)
-    gpinv = (v * inv) @ dag(v)
+    gpinv = np.linalg.pinv(gram, rcond=tol, hermitian=True)
     b = np.array([[np.vdot(jm, tj) for jm in jumps] for tj in targets])
     x = b @ gpinv.T
     resid_sq = 0.0
@@ -161,13 +155,6 @@ def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
         scale_sq += frob(t) ** 2
     residual = np.sqrt(resid_sq) / max(np.sqrt(scale_sq), 1e-300)
     return x, float(residual)
-
-
-def _span_data(jumps, tol):
-    stack = np.column_stack([j.reshape(-1) for j in jumps])
-    basis = linalg.orthonormal_columns(stack, tol)
-    m = (dag(basis) @ stack).T  # rows index jumps
-    return basis, m
 
 
 def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
@@ -181,17 +168,10 @@ def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
     jumps = [np.asarray(j, dtype=complex) for j in jumps]
     targets = [np.asarray(t, dtype=complex) for t in targets]
     d = len(jumps)
-    basis, m = _span_data(jumps, tol)
-    r = basis.shape[1]
-    scale = max(max(frob(j) for j in jumps), 1e-300)
-    n = np.column_stack([dag(basis) @ t.reshape(-1) for t in targets]).T
-    for t in targets:
-        out = t.reshape(-1) - basis @ (dag(basis) @ t.reshape(-1))
-        if np.linalg.norm(out) > tol * scale:
-            raise CompletionFailed("targets leave the jump span")
-    q, rr = np.linalg.qr(m)
-    qb = n @ np.linalg.inv(rr)
-    if frob(dag(qb) @ qb - np.eye(r)) > 1e3 * tol * max(1.0, r):
+    q, qb, escape = frame_isometry(jumps, targets, tol)
+    if escape > tol * max(max(frob(j) for j in jumps), 1e-300):
+        raise CompletionFailed("targets leave the jump span")
+    if qb is None:
         raise CompletionFailed("induced map is not compatible with the jump frame")
     u = qb @ dag(q) + (np.eye(d, dtype=complex) - q @ dag(q))
     _verify_completion(u, jumps, targets, tol)
@@ -248,23 +228,6 @@ def _verify_completion(u, jumps, targets, tol):
         mix = sum(u[j, k] * jumps[k] for k in range(d))
         if frob(t - mix) > 1e3 * tol * scale:
             raise CompletionFailed("completed matrix does not reproduce the targets")
-
-
-def unitary_completion(rep: Representation, sym: SymmetryOperator,
-                       partition: SjedPartition | None = None,
-                       pi_c=None, tol: float = DEFAULT_TOL,
-                       traceless: bool = False):
-    """Unitary mixing-matrix certificate for the symmetry action on jumps.
-
-    With a partition and matching pi_c the blockwise canonical construction
-    is used (trajectory-level certificate); otherwise the general span
-    completion runs on the (optionally traceless) jumps.
-    """
-    if partition is not None and pi_c is not None:
-        return blockwise_unitary_completion(rep, sym, partition, pi_c, tol)
-    source = traceless_representation(rep) if traceless else rep
-    targets = [sym.conjugate(j) for j in source.jumps]
-    return general_unitary_completion(source.jumps, targets, tol)
 
 
 def check_condition_I(rep: Representation, sym: SymmetryOperator,
@@ -445,11 +408,7 @@ def lift_II_to_III(rep: Representation, sym: SymmetryOperator,
             ref = [scale * s.base]
         else:
             un = np.linalg.matrix_power(sym.matrix, n)
-            w, vecs = linalg.hermitian_eigendecomposition(s.gamma, tol)
-            order = np.argsort(w, kind="stable")[::-1]
-            w, vecs = w[order], vecs[:, order]
-            keep = w > tol * max(w[0], 1e-300)
-            w, vecs = w[keep], vecs[:, keep]
+            w, vecs = gamma_modes(s.gamma, tol)
             # refine degenerate gamma eigenspaces so the cycle-closing
             # unitary acts diagonally on the canonical sources
             i = 0
@@ -688,6 +647,5 @@ __all__ = [
     "permutation_unitary",
     "solve_mixing_matrix",
     "transformed_choi",
-    "unitary_completion",
     "wave_operators",
 ]

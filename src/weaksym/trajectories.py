@@ -12,7 +12,7 @@ index), so ensembles are reproducible independent of batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats

@@ -194,6 +194,14 @@ def test_representations_equal_traceless():
     assert representations_equal(rep, traceless_representation(rep), 1e-9)
 
 
+def test_representations_equal_identity_jump():
+    rep = Representation(0.3 * SZ, (np.eye(2), SX))
+    assert representations_equal(rep, Representation(0.3 * SZ, (SX,)), 1e-9)
+    v, unique = relate_representations(rep, rep)
+    assert not unique
+    assert frob(dag(v) @ v - np.eye(2)) < 1e-12
+
+
 def test_representations_equal_rejects_scaled():
     a = qubit_weak(1.0, 1.0, 1.0)
     b = qubit_weak(1.0, 1.0, 2.0)
@@ -229,6 +237,25 @@ def test_relate_duplicated_jump():
     assert v.shape == (2, 1)
     assert frob(dag(v) @ v - np.eye(1)) < 1e-12
     assert frob(v - np.array([[1], [1]]) / np.sqrt(2)) < 1e-9
+
+
+@pytest.mark.parametrize("d", [4, 13])
+def test_identity_shift_is_same_master_operator(d):
+    rng = np.random.default_rng(d)
+    jumps = tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                  for _ in range(3))
+    rep = Representation(random_hermitian(rng, d), jumps)
+    shifted = Representation(rep.hamiltonian + 0.7 * np.eye(d), jumps)
+    assert representations_equal(rep, shifted)
+    v, unique = relate_representations(rep, shifted)
+    assert unique
+    assert frob(v - np.eye(3)) < 1e-9
+    # a large common shift must not loosen the traceless comparison
+    delta = random_hermitian(rng, d)
+    delta -= (np.trace(delta) / d) * np.eye(d)
+    delta *= 1e-6 * frob(rep.hamiltonian) / frob(delta)
+    nudged = Representation(rep.hamiltonian + 1e4 * np.eye(d) + delta, jumps)
+    assert not representations_equal(rep, nudged)
 
 
 def test_relate_rejects_different_operator():

@@ -33,7 +33,6 @@ from weaksym.symmetry import (
     permutation_unitary,
     solve_mixing_matrix,
     transformed_choi,
-    unitary_completion,
     wave_operators,
 )
 
