@@ -19,13 +19,18 @@ import numpy as np
 from . import linalg
 from .lindblad import (
     Representation,
+    _traceless_parts,
     apply_master_operator,
     effective_hamiltonian,
-    traceless_representation,
 )
 from .linalg import DEFAULT_TOL, NotUnitaryError, ShapeError, dag, frob
 from .sjed import SjedPartition
-from .symmetry import CompletionFailed, SymmetryOperator, general_unitary_completion
+from .symmetry import (
+    CompletionFailed,
+    SymmetryOperator,
+    general_unitary_completion,
+    permutation_unitary,
+)
 
 
 @dataclass(frozen=True)
@@ -97,24 +102,29 @@ def _embed(system_op: np.ndarray, bin_op: np.ndarray) -> np.ndarray:
     return np.kron(system_op, bin_op)
 
 
-def stochastic_hamiltonian_step(rep: Representation, dt: float = 1.0) -> JointSuperStep:
-    """Joint Hamiltonian step H x 1 dt + i sum_j (J_j x dB_j† - h.c.)."""
+def _stochastic_step(hamiltonian: np.ndarray, jumps, dt: float) -> JointSuperStep:
     if dt <= 0:
         raise ValueError("dt must be positive")
-    bin_ = TimeBin(rep.njumps)
+    d = hamiltonian.shape[0]
+    bin_ = TimeBin(len(jumps))
     eye_e = np.eye(bin_.dim, dtype=complex)
-    ham_dt = _embed(rep.hamiltonian, eye_e)
-    ham_sqrt = np.zeros((rep.dim * bin_.dim,) * 2, dtype=complex)
-    for j, jm in enumerate(rep.jumps):
+    ham_dt = _embed(hamiltonian, eye_e)
+    ham_sqrt = np.zeros((d * bin_.dim,) * 2, dtype=complex)
+    for j, jm in enumerate(jumps):
         b = bin_.creation(j)
         ham_sqrt += 1j * (_embed(jm, b) - _embed(dag(jm), dag(b)))
-    return JointSuperStep("unitary", rep.dim, bin_.dim,
+    return JointSuperStep("unitary", d, bin_.dim,
                           ham_dt=ham_dt, ham_sqrt=ham_sqrt)
 
 
+def stochastic_hamiltonian_step(rep: Representation, dt: float = 1.0) -> JointSuperStep:
+    """Joint Hamiltonian step H x 1 dt + i sum_j (J_j x dB_j† - h.c.)."""
+    return _stochastic_step(rep.hamiltonian, rep.jumps, dt)
+
+
 def rotating_frame_step(rep: Representation, dt: float = 1.0) -> JointSuperStep:
-    """Stochastic Hamiltonian of the traceless representation."""
-    return stochastic_hamiltonian_step(traceless_representation(rep), dt)
+    """Stochastic Hamiltonian of the traceless jumps (zero ones included)."""
+    return _stochastic_step(*_traceless_parts(rep), dt)
 
 
 def displacement_step(rep: Representation, dt: float) -> np.ndarray:
@@ -284,14 +294,6 @@ def joint_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
     return float(frob(m @ lam @ dag(m) - lam) / max(frob(lam), 1e-300))
 
 
-def _permutation_matrices(n):
-    for pi in _permutations(range(n)):
-        u = np.zeros((n, n), dtype=complex)
-        for j, k in enumerate(pi):
-            u[j, k] = 1.0
-        yield u
-
-
 def _block_unitaries(partition: SjedPartition, rng, per_bijection: int = 4):
     """Unitaries supported on SJED-to-SJED blocks for matching set sizes."""
     sizes = [s.size for s in partition.sets]
@@ -305,34 +307,45 @@ def _block_unitaries(partition: SjedPartition, rng, per_bijection: int = 4):
             for a in range(nsets):
                 rows = partition.sets[a].indices
                 cols = partition.sets[assignment[a]].indices
-                block = linalg.random_unitary(rng, len(rows))
-                for i, r_ in enumerate(rows):
-                    for j, c_ in enumerate(cols):
-                        u[r_, c_] = block[i, j]
+                u[np.ix_(rows, cols)] = linalg.random_unitary(rng, len(rows))
             yield u
 
 
 def minimum_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
                               partition: SjedPartition | None = None,
                               n_random: int = 200, seed: int = 5):
-    """Smallest residual over the structured family plus random unitaries.
+    """Smallest joint residual over environment unitaries u.
 
-    Dephased and coarse steps scan environment permutations (phases drop
-    out of the generator conjugation); partial steps additionally scan
-    SJED-block unitaries.  Used to certify that a failing condition is not
-    an artifact of one particular environment operator.
+    Dephased and coarse steps give the exact minimum.  Their drift and
+    jump superoperators stay Frobenius orthogonal under every u, so only
+    the jump overlap sum_ab w[a, b] |u[a, b]|^2 depends on u, with
+    w[a, b] = sum |<U J_j U†, J_k>|^2 over jumps j of label a and k of
+    label b.  |u|^2 is doubly stochastic, so a permutation maximizes the
+    overlap (Birkhoff); one assignment finds it.  Partial and unitary
+    steps give an upper bound: the least residual over label permutations
+    (up to 6 labels), SJED-block unitaries (partial steps with a
+    partition) and n_random Haar-random unitaries.
     """
+    if step.kind in ("dephased", "coarse"):
+        ds, de = step.system_dim, step.bin_dim
+        lam = step.jump.reshape((ds, de) * 4)
+        # system superoperator attached to creating a quantum of each label
+        blocks = [lam[:, k, :, k, :, 0, :, 0].reshape(ds * ds, ds * ds)
+                  for k in range(1, de)]
+        m = np.kron(u_system, np.conj(u_system))
+        w = np.array([[np.vdot(b_k, m @ b_j @ dag(m)).real for b_k in blocks]
+                      for b_j in blocks])
+        u_env = environment_symmetry(permutation_unitary(linalg.assign(-w, np.inf)))
+        return joint_symmetry_residual(step, u_system, u_env)
     nq = step.bin_dim - 1
     rng = np.random.default_rng(seed)
-    candidates = list(_permutation_matrices(nq)) if nq <= 6 else []
+    candidates = [permutation_unitary(pi) for pi in _permutations(range(nq))] \
+        if nq <= 6 else []
     if step.kind == "partial" and partition is not None:
         candidates.extend(_block_unitaries(partition, rng))
     candidates.extend(linalg.random_unitary(rng, nq) for _ in range(n_random))
-    best = np.inf
-    for u in candidates:
-        r = joint_symmetry_residual(step, u_system, environment_symmetry(u))
-        best = min(best, r)
-    return float(best)
+    return float(min(joint_symmetry_residual(step, u_system, environment_symmetry(u))
+                     for u in candidates))
 
 
 def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,
@@ -349,16 +362,16 @@ def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,
     v = np.asarray(v, dtype=complex)
     u_a = np.asarray(u_matrix_a, dtype=complex)
     candidate = v @ u_a @ dag(v)
-    tb = traceless_representation(rep_b)
-    targets = [sym.conjugate(j) for j in tb.jumps]
+    _, tb_jumps = _traceless_parts(rep_b)
+    targets = [sym.conjugate(j) for j in tb_jumps]
     if v.shape[0] == v.shape[1]:
         u_b = candidate
     else:
-        u_b = general_unitary_completion(tb.jumps, targets, tol)
+        u_b = general_unitary_completion(tb_jumps, targets, tol)
         # the completion differs from the transported matrix only within
         # the jump kernel; verify it still acts like the candidate
         for j, t in enumerate(targets):
-            mix = sum(candidate[j, k] * tb.jumps[k] for k in range(len(tb.jumps)))
+            mix = sum(candidate[j, k] * tb_jumps[k] for k in range(len(tb_jumps)))
             if frob(t - mix) > 1e3 * tol * max(frob(t), 1.0):
                 raise CompletionFailed("transported matrix does not act correctly")
     step = rotating_frame_step(rep_b)

@@ -3,14 +3,16 @@
 Thin, tolerance-aware wrappers over LAPACK (through numpy and scipy):
 Hermitian and unitary eigendecompositions with a deterministic phase
 convention, the matrix exponential, orthonormal spans and complements,
-and Haar-random unitaries.  Everything operates on plain numpy arrays and
-is pure (no global state), so calls are safe from concurrent workers.
+Haar-random unitaries and the linear assignment problem.  Everything
+operates on plain numpy arrays and is pure (no global state), so calls
+are safe from concurrent workers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 DEFAULT_TOL = 1e-9
 
@@ -136,3 +138,26 @@ def random_unitary(rng, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def assign(cost, tol: float):
+    """Least-cost bijection that uses only entries of cost at most tol.
+
+    Returns pi with pi[i] the column matched to row i of the square cost
+    matrix, or None when every bijection uses an entry above tol.  Solved
+    as a linear assignment problem (Kuhn-Munkres, through scipy).
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.size == 0:
+        return ()
+    allowed = np.isfinite(cost) & (cost <= tol)
+    # one forbidden constant above any all-allowed total keeps scipy away
+    # from forbidden entries whenever an allowed bijection exists
+    low = np.min(cost, where=allowed, initial=0.0)
+    shifted = np.where(allowed, cost - low, 0.0)
+    big = cost.shape[0] * np.max(shifted) + 1.0
+    rows, cols = scipy.optimize.linear_sum_assignment(
+        np.where(allowed, shifted, big))
+    if not np.all(allowed[rows, cols]):
+        return None
+    return tuple(int(c) for c in cols)

@@ -231,19 +231,15 @@ def signature_distance(sig_a, sig_b) -> float:
 
 
 def match_signatures(sigs_a, sigs_b, tol):
-    """Unique bijection beta -> alpha with sigs_b[beta] = sigs_a[alpha], or None."""
+    """Bijection beta -> alpha with sigs_b[beta] = sigs_a[alpha], or None.
+
+    The least total distance among bijections with every distance <= tol.
+    """
     if len(sigs_a) != len(sigs_b):
         return None
-    pi = []
-    used = set()
-    for sb in sigs_b:
-        hits = [a for a, sa in enumerate(sigs_a)
-                if a not in used and signature_distance(sa, sb) <= tol]
-        if len(hits) != 1:
-            return None
-        used.add(hits[0])
-        pi.append(hits[0])
-    return tuple(pi)
+    cost = np.array([[signature_distance(sa, sb) for sa in sigs_a]
+                     for sb in sigs_b])
+    return linalg.assign(cost, tol)
 
 
 def same_unravelled_generator(rep_a: Representation, rep_b: Representation,

@@ -23,10 +23,10 @@ import numpy as np
 from . import linalg
 from .lindblad import (
     Representation,
+    _traceless_parts,
     apply_adjoint_master_operator,
     apply_master_operator,
     frame_isometry,
-    traceless_representation,
 )
 from .linalg import DEFAULT_TOL, dag, frob
 from .sjed import (
@@ -36,6 +36,7 @@ from .sjed import (
     composite_choi,
     composite_signature,
     gamma_modes,
+    match_signatures,
     signature_conjugate,
     signature_distance,
 )
@@ -111,7 +112,6 @@ class ConditionResult:
     unitary: np.ndarray | None = None
     permutation: tuple | None = None
     phases: tuple | None = None
-    ties: tuple = ()
     residual: float = 0.0
     reason: str = ""
 
@@ -233,24 +233,23 @@ def _verify_completion(u, jumps, targets, tol):
 def check_condition_I(rep: Representation, sym: SymmetryOperator,
                       tol: float = DEFAULT_TOL) -> ConditionResult:
     """Master-level symmetry: fixed traceless Hamiltonian plus unitary jump mixing."""
-    tl = traceless_representation(rep)
-    hp = tl.hamiltonian
+    hp, jumps = _traceless_parts(rep)
     h_resid = frob(sym.conjugate(hp) - hp)
     h_scale = max(frob(hp), 1.0)
     if h_resid > tol * h_scale:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="traceless Hamiltonian not invariant")
-    if not tl.jumps:
+    if not jumps:
         return ConditionResult(True, hamiltonian_residual=h_resid,
                                mixing=np.zeros((0, 0)), unitary=np.zeros((0, 0)))
-    targets = [sym.conjugate(j) for j in tl.jumps]
-    x, x_resid = solve_mixing_matrix(tl.jumps, targets, tol)
+    targets = [sym.conjugate(j) for j in jumps]
+    x, x_resid = solve_mixing_matrix(jumps, targets, tol)
     if x_resid > tol:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                mixing=x, mixing_residual=x_resid,
                                reason="transformed jumps leave the jump span")
     try:
-        u = general_unitary_completion(tl.jumps, targets, tol)
+        u = general_unitary_completion(jumps, targets, tol)
     except CompletionFailed as exc:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                mixing=x, mixing_residual=x_resid,
@@ -277,79 +276,49 @@ def check_condition_II(rep: Representation, sym: SymmetryOperator,
     if partition is None:
         partition = build_sjeds(rep, tol)
     sigs = [composite_signature(partition, a) for a in range(partition.nsets)]
-    match_tol = max(tol * 100, 1e-8)
-    pi = []
-    used = set()
-    for a, sa in enumerate(sigs):
-        ta = signature_conjugate(sym.matrix, sa)
-        hits = [b for b, sb in enumerate(sigs)
-                if b not in used and signature_distance(ta, sb) <= match_tol]
-        if len(hits) != 1:
-            return ConditionResult(False, hamiltonian_residual=h_resid,
-                                   reason=f"no unique image for SJED {a}")
-        used.add(hits[0])
-        pi.append(hits[0])
-    resid = max(signature_distance(signature_conjugate(sym.matrix, sigs[a]),
-                                   sigs[pi[a]])
-                for a in range(len(sigs))) if sigs else 0.0
+    images = [signature_conjugate(sym.matrix, sa) for sa in sigs]
+    pi = match_signatures(sigs, images, max(tol * 100, 1e-8))
+    if pi is None:
+        return ConditionResult(False, hamiltonian_residual=h_resid,
+                               reason="SJED actions admit no permuting bijection")
+    resid = max((signature_distance(images[a], sigs[pi[a]])
+                 for a in range(len(sigs))), default=0.0)
     return ConditionResult(True, hamiltonian_residual=h_resid,
-                           permutation=tuple(pi), residual=float(resid))
-
-
-def _proportional_phase(target, jump, tol, phase_tol):
-    c = np.vdot(jump.reshape(-1), target.reshape(-1)) / frob(jump) ** 2
-    if frob(target - c * jump) > tol * max(frob(target), 1e-300) * 100:
-        return None
-    if abs(abs(c) - 1.0) > phase_tol:
-        return None
-    return c
+                           permutation=pi, residual=float(resid))
 
 
 def check_condition_III(rep: Representation, sym: SymmetryOperator,
                         tol: float = DEFAULT_TOL,
                         phase_tol: float = PHASE_TOL) -> ConditionResult:
-    """Record-level symmetry: jumps permuted up to unit-modulus phases."""
+    """Record-level symmetry: jumps permuted up to unit-modulus phases.
+
+    U J_j U† = c J_k is allowed when the proportionality residual is
+    within 100 tol and ||c| - 1| within phase_tol; the permutation is the
+    allowed bijection with the least total ||c| - 1|, and the phases are
+    arg c of the matched pairs.
+    """
     h = rep.hamiltonian
     h_resid = frob(sym.conjugate(h) - h)
     if h_resid > tol * max(frob(h), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="Hamiltonian not invariant")
     d = rep.njumps
-    candidates = []
+    coeff = np.zeros((d, d), dtype=complex)
+    cost = np.full((d, d), np.inf)
     for j in range(d):
         target = sym.conjugate(rep.jumps[j])
-        row = {}
-        for k in range(d):
-            c = _proportional_phase(target, rep.jumps[k], tol, phase_tol)
-            if c is not None:
-                row[k] = c
-        if not row:
-            return ConditionResult(False, hamiltonian_residual=h_resid,
-                                   reason=f"jump {j} has no proportional image")
-        candidates.append(row)
-
-    ties = tuple(j for j in range(d) if len(candidates[j]) > 1)
-
-    assignment = [None] * d
-
-    def assign(j, used):
-        if j == d:
-            return True
-        for k in sorted(candidates[j]):
-            if k not in used:
-                assignment[j] = k
-                if assign(j + 1, used | {k}):
-                    return True
-        assignment[j] = None
-        return False
-
-    if not assign(0, frozenset()):
-        return ConditionResult(False, hamiltonian_residual=h_resid, ties=ties,
-                               reason="proportional matches admit no bijection")
-    pi = tuple(assignment)
-    phases = tuple(float(np.angle(candidates[j][pi[j]])) for j in range(d))
+        for k, jump in enumerate(rep.jumps):
+            c = np.vdot(jump.reshape(-1), target.reshape(-1)) / frob(jump) ** 2
+            if frob(target - c * jump) <= tol * max(frob(target), 1e-300) * 100:
+                coeff[j, k] = c
+                cost[j, k] = abs(abs(c) - 1.0) / phase_tol
+    pi = linalg.assign(cost, 1.0)
+    if pi is None:
+        return ConditionResult(False, hamiltonian_residual=h_resid,
+                               reason="jumps admit no phase-permuting bijection")
+    phases = tuple(float(np.angle(coeff[j, pi[j]])) for j in range(d))
     return ConditionResult(True, hamiltonian_residual=h_resid,
-                           permutation=pi, phases=phases, ties=ties)
+                           permutation=pi, phases=phases)
 
 
 def permutation_unitary(pi, phases=None) -> np.ndarray:

@@ -142,6 +142,25 @@ def _segment_propagator(heff: np.ndarray, dt: float) -> np.ndarray:
     return linalg.matrix_exponential(-1j * dt * heff)
 
 
+def _record_weight(rep: Representation, psi0, record: MeasurementRecord,
+                   actions) -> tuple:
+    """phi_T and Tr phi_T with event label l acting as sum_{J in actions[l]} J phi J†."""
+    heff = effective_hamiltonian(rep)
+    phi = np.asarray(psi0, dtype=complex).copy()
+    t_prev = 0.0
+    for t, label in record.events:
+        g = _segment_propagator(heff, t - t_prev)
+        phi = g @ phi @ dag(g)
+        acc = np.zeros_like(phi)
+        for jm in actions[label]:
+            acc += jm @ phi @ dag(jm)
+        phi = acc
+        t_prev = t
+    g = _segment_propagator(heff, record.horizon - t_prev)
+    phi = g @ phi @ dag(g)
+    return phi, float(np.trace(phi).real)
+
+
 def record_weight(rep: Representation, psi0, record: MeasurementRecord):
     """Unnormalized conditional state and probability density of a record.
 
@@ -150,38 +169,15 @@ def record_weight(rep: Representation, psi0, record: MeasurementRecord):
     """
     if record.granularity != "full":
         raise ValueError("record_weight expects a full record")
-    heff = effective_hamiltonian(rep)
-    phi = np.asarray(psi0, dtype=complex).copy()
-    t_prev = 0.0
-    for t, j in record.events:
-        g = _segment_propagator(heff, t - t_prev)
-        phi = g @ phi @ dag(g)
-        jm = rep.jumps[j]
-        phi = jm @ phi @ dag(jm)
-        t_prev = t
-    g = _segment_propagator(heff, record.horizon - t_prev)
-    phi = g @ phi @ dag(g)
-    return phi, float(np.trace(phi).real)
+    return _record_weight(rep, psi0, record, [(jm,) for jm in rep.jumps])
 
 
 def coarse_record_weight(rep: Representation, partition: SjedPartition,
                          psi0, record: MeasurementRecord):
     """Record weight with jump actions replaced by SJED composite actions."""
-    heff = effective_hamiltonian(rep)
-    phi = np.asarray(psi0, dtype=complex).copy()
-    t_prev = 0.0
-    for t, alpha in record.events:
-        g = _segment_propagator(heff, t - t_prev)
-        phi = g @ phi @ dag(g)
-        acc = np.zeros_like(phi)
-        for j in partition.sets[alpha].indices:
-            jm = partition.jumps[j]
-            acc += jm @ phi @ dag(jm)
-        phi = acc
-        t_prev = t
-    g = _segment_propagator(heff, record.horizon - t_prev)
-    phi = g @ phi @ dag(g)
-    return phi, float(np.trace(phi).real)
+    return _record_weight(rep, psi0, record,
+                          [[partition.jumps[j] for j in s.indices]
+                           for s in partition.sets])
 
 
 def transform_record(record: MeasurementRecord, permutation) -> MeasurementRecord:

@@ -150,6 +150,31 @@ def test_verify_joint_qubit_corpus():
     assert entry["scan_minima"]["coarse"] > 1e-3
 
 
+@pytest.mark.parametrize("command", ["check", "verify-joint"])
+def test_identity_jump_model(command, tmp_path, capsys):
+    # the traceless part of the jump 1 is zero
+    doc = {"name": "identity-jump", "dim": 2, "hamiltonian": [[0, 0], [0, 0]],
+           "jumps": [{"name": "one", "matrix": [[1, 0], [0, 1]]},
+                     {"name": "x", "matrix": [[0, 1], [1, 0]]}],
+           "symmetries": [{"name": "parity", "matrix": [[1, 0], [0, -1]]}]}
+    path = tmp_path / "identity-jump.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) in (0, 1)
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    entry = json.loads(out.out)["symmetries"]["parity"]
+    if command == "check":
+        assert [entry["condition_I"], entry["condition_II"],
+                entry["condition_III"]] == [True, True, True]
+        mixing = np.array(entry["mixing_matrix"]) @ [1, 1j]
+        unitary = np.array(entry["unitary_matrix"]) @ [1, 1j]
+        assert np.allclose(mixing, np.diag([0, -1]), atol=1e-12)
+        assert np.allclose(unitary, np.diag([1, -1]), atol=1e-12)
+    else:
+        assert entry["conditions"] == [True, True, True]
+        assert entry["residuals"]["rotating_frame"] < 1e-12
+
+
 def test_verify_joint_rejects_large_models():
     with pytest.raises(ParseError):
         run_verify_joint(models.qutrit_chain())

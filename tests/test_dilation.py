@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from weaksym import models
+from weaksym import dilation, linalg, models
 from weaksym.lindblad import Representation, apply_master_operator, pure_state
 from weaksym.linalg import dag, frob, matrix_exponential
 from weaksym.sjed import build_sjeds
@@ -247,6 +249,47 @@ def test_residuals_qubit_i_only_unitary_level():
         assert minimum_symmetry_residual(step, sym.matrix, partition=p) > 1e-3
     coarse = coarse_grained_generator_step(m.rep, p)
     assert minimum_symmetry_residual(coarse, sym.matrix, partition=p) > 1e-3
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (4, 2)])
+def test_scan_minimum_is_exact(dim, seed, monkeypatch):
+    # jumps: A and noisy images of A under a symmetry of order 3, so the
+    # best relabelling is a 3-cycle; on the qubit also two rank-one jumps
+    # with a shared destination (one SJED of size 2)
+    rng = np.random.default_rng(seed)
+    v = linalg.random_unitary(rng, dim)
+    u = v @ np.diag(np.exp(2j * np.pi * np.arange(dim) / 3)) @ dag(v)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = gaussian(dim, dim)
+    jumps = [a, u @ a @ dag(u) + 0.3 * gaussian(dim, dim),
+             u @ u @ a @ dag(u @ u) + 0.3 * gaussian(dim, dim)]
+    if dim == 2:
+        dest = gaussian(dim)
+        jumps += [np.outer(dest, gaussian(dim).conj()) for _ in range(2)]
+    h = gaussian(dim, dim)
+    rep = Representation(h + dag(h), tuple(jumps))
+    p = build_sjeds(rep)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return joint_symmetry_residual(*args)
+
+    for step in (dephased_generator_step(rep), coarse_grained_generator_step(rep, p)):
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(dilation, "joint_symmetry_residual", counted)
+            best = minimum_symmetry_residual(step, u, p)
+        assert len(calls) == 1
+        nq = step.bin_dim - 1
+        envs = [permutation_unitary(pi) for pi in itertools.permutations(range(nq))]
+        envs += [linalg.random_unitary(rng, nq) for _ in range(50)]
+        for env in envs:
+            r = joint_symmetry_residual(step, u, environment_symmetry(env))
+            assert best <= r + 1e-12
 
 
 def test_stationarity_of_trajectory_certificates():

@@ -155,3 +155,16 @@ def test_orthonormal_complement():
     assert frob(dag(c) @ b) < 1e-12
     assert frob(dag(c) @ c - np.eye(2)) < 1e-12
 
+
+
+@pytest.mark.parametrize("cost, tol, expected", [
+    (np.zeros((0, 0)), 1.0, ()),
+    ([[2.0]], 1.0, None),
+    ([[0.0, 0.0], [5.0, 5.0]], 1.0, None),           # row 1 has no allowed entry
+    ([[0.0, 0.0], [0.0, 5.0]], 1.0, (1, 0)),         # the bijection avoiding 5
+    ([[0.1, 0.0], [0.0, 0.1]], 1.0, (1, 0)),         # least total among allowed
+    ([[0.0, np.inf], [np.inf, 0.0]], 1.0, (0, 1)),
+    ([[-1.0, -3.0], [-2.0, -1.0]], np.inf, (1, 0)),  # negative costs
+])
+def test_assign(cost, tol, expected):
+    assert linalg.assign(cost, tol) == expected

@@ -14,7 +14,7 @@ from weaksym.sjed import (
     same_unravelled_generator,
 )
 
-from conftest import SX, SZ, random_pure_state
+from conftest import SM, SX, SZ, random_pure_state
 
 
 def _rank(m):
@@ -108,6 +108,11 @@ def test_same_generator_reflexive():
     rep = models.qubit_ii().rep
     ok, pi, r = same_unravelled_generator(rep, rep)
     assert ok and pi == (0, 1) and abs(r) < 1e-12
+    # identical jumps grouped apart give coinciding SJED signatures
+    rep = Representation(np.zeros((2, 2)), (SM, SM))
+    p = partition_from_groups(rep, [[0], [1]])
+    assert same_unravelled_generator(rep, rep, partition_a=p,
+                                     partition_b=p) == (True, (0, 1), 0.0)
 
 
 def test_same_generator_qubit_ii_vs_iii():

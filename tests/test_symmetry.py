@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from weaksym.symmetry import (
     wave_operators,
 )
 
-from conftest import SX, SZ, random_pure_state
+from conftest import SM, SX, SZ, random_pure_state
 
 PARITY = SymmetryOperator.from_matrix(SZ)
 
@@ -250,6 +252,14 @@ def test_condition_III_verdicts():
     assert np.allclose(res.phases, 0.0, atol=1e-9)
     assert not check_condition_III(models.qubit_ii().rep, PARITY).holds
     assert not check_condition_III(models.qubit_i().rep, PARITY).holds
+    # 11 copies of SZ and 10 of SX under the Hadamard: the 11 images of SZ
+    # compete for 10 SX slots, and a backtracking search over partial
+    # assignments takes factorial time to find that none is complete
+    hadamard = SymmetryOperator.from_matrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    rep = Representation(np.zeros((2, 2)), (SZ,) * 11 + (SX,) * 10)
+    start = time.perf_counter()
+    assert not check_condition_III(rep, hadamard).holds
+    assert time.perf_counter() - start < 1.0
 
 
 def test_condition_III_weak_rep_phases():
@@ -282,6 +292,12 @@ def test_report_hierarchy_consistency():
             assert report.consistent, (name, uname)
             if uname in m.expect:
                 assert report.verdicts() == tuple(m.expect[uname]), (name, uname)
+    # two identical reset jumps kept apart: the SJED matching has a tie
+    rep = Representation(np.zeros((2, 2)), (SM, SM))
+    part = partition_from_groups(rep, [[0], [1]])
+    report = build_symmetry_report(rep, SymmetryOperator.from_matrix(np.eye(2)),
+                                   partition=part)
+    assert report.verdicts() == (True, True, True) and report.consistent
 
 
 # ---------------------------------------------------------------- qutrit chain
