@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__, models
 from .lindblad import evolve_density, liouville_matrix, pure_state
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, LinalgError
 from .modelfile import ParseError, dump_model, load_model, model_to_doc
 from .sjed import build_sjeds, partition_from_groups
 from .symmetry import (
@@ -61,18 +62,26 @@ def _load(path_or_name) -> models.Model:
 
 
 def _partition(model):
-    if model.sjed_groups is not None:
+    if model.sjed_groups is None:
+        return build_sjeds(model.rep)
+    try:
         return partition_from_groups(model.rep, model.sjed_groups)
-    return build_sjeds(model.rep)
+    except ValueError as exc:
+        raise ParseError(f"sjeds: {exc}") from exc
 
 
-def _selected_symmetries(model, name):
-    if name is None:
-        return dict(model.symmetries)
-    if name not in model.symmetries:
+def _selected_symmetries(model, name, tol):
+    """Symmetry operators of the model by name, or only the one named."""
+    if name is not None and name not in model.symmetries:
         raise ParseError(f"model has no symmetry named {name!r}; "
                          f"known: {sorted(model.symmetries)}")
-    return {name: model.symmetries[name]}
+    out = {}
+    for key in (model.symmetries if name is None else [name]):
+        try:
+            out[key] = SymmetryOperator.from_matrix(model.symmetries[key], tol)
+        except LinalgError as exc:
+            raise ParseError(f"symmetry {key!r}: {exc}") from exc
+    return out
 
 
 def _sjed_summary(partition):
@@ -94,8 +103,7 @@ def run_check(model, sym_name=None, tol=DEFAULT_TOL):
         "symmetries": {},
     }
     ok = True
-    for name, u in _selected_symmetries(model, sym_name).items():
-        sym = SymmetryOperator.from_matrix(u, tol)
+    for name, sym in _selected_symmetries(model, sym_name, tol).items():
         report = build_symmetry_report(model.rep, sym, tol, partition)
         entry = {
             "order": report.symmetry_order,
@@ -151,8 +159,7 @@ def run_verify_joint(model, sym_name=None, tol=DEFAULT_TOL):
         "coarse": dilation.coarse_grained_generator_step(rep, partition),
     }
     result = {"model": model.name, "symmetries": {}}
-    for name, u in _selected_symmetries(model, sym_name).items():
-        sym = SymmetryOperator.from_matrix(u, tol)
+    for name, sym in _selected_symmetries(model, sym_name, tol).items():
         report = build_symmetry_report(rep, sym, tol, partition)
         entry = {"residuals": {}, "scan_minima": {}}
         c1, c2, c3 = (report.condition_I, report.condition_II,
@@ -234,8 +241,7 @@ def run_simulate(model, sym_name, level, n, horizon, seed, alpha, out_dir,
         "alpha": alpha,
         "tests": {},
     }
-    for name, u in _selected_symmetries(model, sym_name).items():
-        sym = SymmetryOperator.from_matrix(u, tol)
+    for name, sym in _selected_symmetries(model, sym_name, tol).items():
         report = build_symmetry_report(rep, sym, tol, partition)
         if level == "full":
             perm = report.condition_III.permutation if report.condition_III.holds \
@@ -276,6 +282,40 @@ def run_simulate(model, sym_name, level, n, horizon, seed, alpha, out_dir,
     return result
 
 
+def _checked(kind, accept, what):
+    """argparse type: kind(text), rejected with a usage error unless accepted."""
+    def parse(text):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names it in "invalid ... value"
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v > 0, "a positive integer")
+_TOL = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
+_TIME = _checked(float, lambda v: 0 <= v < math.inf, "a finite time >= 0")
+
+
+def _param(text):
+    """argparse type for --param KEY=VALUE: (key, finite float)."""
+    key, sep, value = text.partition("=")
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not sep or not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"expected KEY=NUMBER, got {text!r}")
+    return key, number
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors lead with 'error:' like parse errors and exit 2."""
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def _emit(doc, out=None):
     text = json.dumps(doc, indent=2)
     if out:
@@ -286,7 +326,7 @@ def _emit(doc, out=None):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weaksym",
         description="decide and certify weak-symmetry levels of Markovian "
                     "open quantum dynamics")
@@ -296,13 +336,13 @@ def main(argv=None) -> int:
     p_ex = sub.add_parser("examples", help="list or write built-in models")
     p_ex.add_argument("name", nargs="?", help="model name (omit to list)")
     p_ex.add_argument("--out", help="output file (default stdout)")
-    p_ex.add_argument("--param", action="append", default=[],
+    p_ex.add_argument("--param", action="append", default=[], type=_param,
                       metavar="KEY=VALUE", help="override a model parameter")
 
     p_chk = sub.add_parser("check", help="run condition checks")
     p_chk.add_argument("model", help="model file or built-in name")
     p_chk.add_argument("--sym", help="restrict to one named symmetry")
-    p_chk.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_chk.add_argument("--tol", type=_TOL, default=DEFAULT_TOL)
     p_chk.add_argument("--out", help="write the report to a file")
 
     p_sim = sub.add_parser("simulate", help="trajectory ensembles and tests")
@@ -310,8 +350,8 @@ def main(argv=None) -> int:
     p_sim.add_argument("--sym")
     p_sim.add_argument("--level", choices=("full", "coarse", "unlabelled"),
                        default="full")
-    p_sim.add_argument("--n", type=int, default=20000)
-    p_sim.add_argument("--horizon", type=float, default=1.0)
+    p_sim.add_argument("--n", type=_COUNT, default=20000)
+    p_sim.add_argument("--horizon", type=_TIME, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--alpha", type=float, default=0.01)
     p_sim.add_argument("--out", help="directory for ensemble exports")
@@ -321,20 +361,23 @@ def main(argv=None) -> int:
     p_vj = sub.add_parser("verify-joint", help="joint-step residual table")
     p_vj.add_argument("model")
     p_vj.add_argument("--sym")
-    p_vj.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_vj.add_argument("--tol", type=_TOL, default=DEFAULT_TOL)
     p_vj.add_argument("--out")
 
     p_rep = sub.add_parser("report", help="combined report")
     p_rep.add_argument("model")
     p_rep.add_argument("--sym")
-    p_rep.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_rep.add_argument("--n", type=int, default=2000)
-    p_rep.add_argument("--horizon", type=float, default=1.0)
+    p_rep.add_argument("--tol", type=_TOL, default=DEFAULT_TOL)
+    p_rep.add_argument("--n", type=_COUNT, default=2000)
+    p_rep.add_argument("--horizon", type=_TIME, default=1.0)
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--skip-simulation", action="store_true")
     p_rep.add_argument("--out")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # usage errors, --help and --version
+        return exc.code
     try:
         return _dispatch(args)
     except ParseError as exc:
@@ -348,17 +391,11 @@ def _dispatch(args) -> int:
             for name in models.BUILDERS:
                 print(name)
             return 0
-        overrides = {}
-        for item in args.param:
-            if "=" not in item:
-                raise ParseError(f"bad --param {item!r}, expected KEY=VALUE")
-            key, val = item.split("=", 1)
-            overrides[key] = float(val)
         try:
-            model = models.get_model(args.name, **overrides)
+            model = models.get_model(args.name, **dict(args.param))
         except KeyError as exc:
             raise ParseError(str(exc))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad parameter for {args.name}: {exc}")
         if args.out:
             dump_model(model, args.out)

@@ -12,7 +12,6 @@ evaluated exactly, free of any dt discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _permutations
 
 import numpy as np
 
@@ -294,58 +293,57 @@ def joint_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
     return float(frob(m @ lam @ dag(m) - lam) / max(frob(lam), 1e-300))
 
 
-def _block_unitaries(partition: SjedPartition, rng, per_bijection: int = 4):
-    """Unitaries supported on SJED-to-SJED blocks for matching set sizes."""
-    sizes = [s.size for s in partition.sets]
-    n = len(partition.jumps)
-    nsets = len(sizes)
-    for assignment in _permutations(range(nsets)):
-        if any(sizes[a] != sizes[assignment[a]] for a in range(nsets)):
-            continue
-        for _ in range(per_bijection):
-            u = np.zeros((n, n), dtype=complex)
-            for a in range(nsets):
-                rows = partition.sets[a].indices
-                cols = partition.sets[assignment[a]].indices
-                u[np.ix_(rows, cols)] = linalg.random_unitary(rng, len(rows))
-            yield u
+_ASCENT_RTOL = 1e-12      # partial-step ascent stops below this relative gain
+_ASCENT_MAX_ITER = 500
 
 
 def minimum_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
-                              partition: SjedPartition | None = None,
-                              n_random: int = 200, seed: int = 5):
-    """Smallest joint residual over environment unitaries u.
+                              partition: SjedPartition) -> float:
+    """Joint residual at the environment unitary u found to minimize it.
 
-    Dephased and coarse steps give the exact minimum.  Their drift and
-    jump superoperators stay Frobenius orthogonal under every u, so only
-    the jump overlap sum_ab w[a, b] |u[a, b]|^2 depends on u, with
-    w[a, b] = sum |<U J_j U†, J_k>|^2 over jumps j of label a and k of
-    label b.  |u|^2 is doubly stochastic, so a permutation maximizes the
-    overlap (Birkhoff); one assignment finds it.  Partial and unitary
-    steps give an upper bound: the least residual over label permutations
-    (up to 6 labels), SJED-block unitaries (partial steps with a
-    partition) and n_random Haar-random unitaries.
+    Drift and jump superoperators stay Frobenius orthogonal under every u,
+    so only the jump overlap depends on u, through P[j, k] = <J_k, U J_j U†>:
+    it is sum |P|^2 |u|^2 on dephased steps, the same weights summed over
+    SJED pairs on coarse steps, and f(u) = sum_ab |c_ab|^2 on partial steps,
+    c_ab = sum_{j in a, k in b} conj(u[j, k]) P[j, k].  |u|^2 is doubly
+    stochastic, so one assignment gives the exact minimum of the first two
+    (Birkhoff).  f is convex; the partial step starts from the polar factor
+    of the SJED blocks of P an assignment on their squared nuclear norms
+    picks, then ascends by u <- polar(conj(c_ab) P[j, k]), which never
+    lowers f.  That gives an upper bound, 0 whenever condition II holds.
     """
-    if step.kind in ("dephased", "coarse"):
-        ds, de = step.system_dim, step.bin_dim
-        lam = step.jump.reshape((ds, de) * 4)
-        # system superoperator attached to creating a quantum of each label
-        blocks = [lam[:, k, :, k, :, 0, :, 0].reshape(ds * ds, ds * ds)
-                  for k in range(1, de)]
-        m = np.kron(u_system, np.conj(u_system))
-        w = np.array([[np.vdot(b_k, m @ b_j @ dag(m)).real for b_k in blocks]
-                      for b_j in blocks])
-        u_env = environment_symmetry(permutation_unitary(linalg.assign(-w, np.inf)))
-        return joint_symmetry_residual(step, u_system, u_env)
-    nq = step.bin_dim - 1
-    rng = np.random.default_rng(seed)
-    candidates = [permutation_unitary(pi) for pi in _permutations(range(nq))] \
-        if nq <= 6 else []
-    if step.kind == "partial" and partition is not None:
-        candidates.extend(_block_unitaries(partition, rng))
-    candidates.extend(linalg.random_unitary(rng, nq) for _ in range(n_random))
-    return float(min(joint_symmetry_residual(step, u_system, environment_symmetry(u))
-                     for u in candidates))
+    n = len(partition.jumps)
+    images = [u_system @ j @ dag(u_system) for j in partition.jumps]
+    p = np.array([[np.vdot(k, j) for k in partition.jumps]
+                  for j in images]).reshape(n, n)
+    member = np.zeros((n, partition.nsets))
+    member[np.arange(n), partition.coarse_labels()] = 1.0
+    if step.kind == "dephased":
+        u = permutation_unitary(linalg.assign(-np.abs(p) ** 2, np.inf))
+    elif step.kind == "coarse":
+        u = permutation_unitary(
+            linalg.assign(-member.T @ np.abs(p) ** 2 @ member, np.inf))
+    elif step.kind == "partial":
+        nuclear = np.array([[np.linalg.norm(p[np.ix_(a.indices, b.indices)], "nuc")
+                             for b in partition.sets] for a in partition.sets])
+        pairs = permutation_unitary(linalg.assign(-nuclear ** 2, np.inf)).real
+        u, f = _polar(member @ pairs @ member.T * p), -1.0
+        for _ in range(_ASCENT_MAX_ITER):
+            c = member.T @ (u.conj() * p) @ member
+            f_next = np.sum(np.abs(c) ** 2)
+            if f_next <= f * (1.0 + _ASCENT_RTOL):
+                break
+            best, f = u, f_next
+            u = _polar(member @ c.conj() @ member.T * p)
+        u = best
+    else:
+        raise ValueError(f"{step.kind!r} steps have no minimum residual")
+    return joint_symmetry_residual(step, u_system, environment_symmetry(u))
+
+
+def _polar(a: np.ndarray) -> np.ndarray:
+    w, _, vh = np.linalg.svd(a)
+    return w @ vh
 
 
 def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,

@@ -39,6 +39,8 @@ class Representation:
         d = h.shape[0]
         if h.shape != (d, d):
             raise ShapeError(f"hamiltonian must be square, got {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("hamiltonian has non-finite entries")
         hnorm = frob(h)
         if hnorm > 0 and frob(h - dag(h)) > DEFAULT_TOL * max(hnorm, 1.0):
             raise ValueError("hamiltonian is not Hermitian within tolerance")
@@ -46,6 +48,8 @@ class Representation:
         for k, j in enumerate(jumps):
             if j.shape != (d, d):
                 raise ShapeError(f"jump {k} has shape {j.shape}, expected {(d, d)}")
+            if not np.isfinite(j).all():
+                raise ValueError(f"jump {k} has non-finite entries")
             if frob(j) == 0.0:
                 raise ValueError(f"jump {k} is zero")
         labels = tuple(self.labels) if self.labels else tuple(

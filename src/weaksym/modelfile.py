@@ -39,7 +39,7 @@ _BINOPS = {
     ast.Sub: operator.sub,
     ast.Mult: operator.mul,
     ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
+    ast.Pow: math.pow,    # real or ValueError, where operator.pow goes complex
 }
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _FUNCS = {
@@ -56,45 +56,51 @@ _FUNCS = {
 _CONSTS = {"pi": math.pi, "e": math.e}
 
 
+def _walk(node, expr: str, parameters: dict) -> float:
+    if isinstance(node, ast.Expression):
+        return _walk(node.body, expr, parameters)
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, (int, float)):
+            return float(node.value)
+        raise ParseError(f"invalid constant {node.value!r}")
+    if isinstance(node, ast.Name):
+        if node.id in parameters:
+            return float(parameters[node.id])
+        if node.id in _CONSTS:
+            return _CONSTS[node.id]
+        raise ParseError(f"unknown name {node.id!r} in {expr!r}")
+    if isinstance(node, ast.BinOp):
+        if type(node.op) not in _BINOPS:
+            raise ParseError(f"operator not allowed in {expr!r}")
+        return _BINOPS[type(node.op)](_walk(node.left, expr, parameters),
+                                      _walk(node.right, expr, parameters))
+    if isinstance(node, ast.UnaryOp):
+        if type(node.op) not in _UNARY:
+            raise ParseError(f"operator not allowed in {expr!r}")
+        return _UNARY[type(node.op)](_walk(node.operand, expr, parameters))
+    if isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
+            raise ParseError(f"function not allowed in {expr!r}")
+        return _FUNCS[node.func.id](*[_walk(a, expr, parameters) for a in node.args])
+    raise ParseError(f"unsupported syntax in {expr!r}")
+
+
 def eval_scalar(expr, parameters: dict) -> float:
-    """Evaluate a real scalar: a number or a parameter expression string."""
-    if isinstance(expr, (int, float)):
-        return float(expr)
-    if not isinstance(expr, str):
-        raise ParseError(f"scalar entry must be number or string, got {expr!r}")
-
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                return float(node.value)
-            raise ParseError(f"invalid constant {node.value!r}")
-        if isinstance(node, ast.Name):
-            if node.id in parameters:
-                return float(parameters[node.id])
-            if node.id in _CONSTS:
-                return _CONSTS[node.id]
-            raise ParseError(f"unknown name {node.id!r} in {expr!r}")
-        if isinstance(node, ast.BinOp):
-            if type(node.op) not in _BINOPS:
-                raise ParseError(f"operator not allowed in {expr!r}")
-            return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
-        if isinstance(node, ast.UnaryOp):
-            if type(node.op) not in _UNARY:
-                raise ParseError(f"operator not allowed in {expr!r}")
-            return _UNARY[type(node.op)](walk(node.operand))
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
-                raise ParseError(f"function not allowed in {expr!r}")
-            return _FUNCS[node.func.id](*[walk(a) for a in node.args])
-        raise ParseError(f"unsupported syntax in {expr!r}")
-
+    """Evaluate a finite real scalar: a number or a parameter expression."""
     try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ParseError(f"bad expression {expr!r}: {exc}") from exc
-    return walk(tree)
+        if isinstance(expr, (int, float)):
+            value = float(expr)
+        elif isinstance(expr, str):
+            value = _walk(ast.parse(expr, mode="eval"), expr, parameters)
+        else:
+            raise ParseError(f"scalar entry must be number or string, got {expr!r}")
+    except ParseError:
+        raise
+    except (SyntaxError, ArithmeticError, ValueError, TypeError, RecursionError) as exc:
+        raise ParseError(f"cannot evaluate {expr!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{expr!r} is not finite")
+    return value
 
 
 def eval_entry(entry, parameters: dict) -> complex:
@@ -115,8 +121,20 @@ def eval_matrix(rows, parameters: dict, dim: int, what: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{what}: row {i} must have {dim} entries")
         for j, entry in enumerate(row):
-            out[i, j] = eval_entry(entry, parameters)
+            try:
+                out[i, j] = eval_entry(entry, parameters)
+            except ParseError as exc:
+                raise ParseError(f"{what}: entry ({i}, {j}): {exc}") from exc
     return out
+
+
+def _field(doc: dict, key: str, kind: type):
+    """doc[key], empty when absent, which must be a JSON array or object."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        what = "array" if kind is list else "object"
+        raise ParseError(f"'{key}' must be a JSON {what}")
+    return value
 
 
 def parse_model(doc) -> Model:
@@ -128,13 +146,16 @@ def parse_model(doc) -> Model:
             raise ParseError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-    except KeyError:
+    if "dim" not in doc:
         raise ParseError("missing field 'dim'")
-    parameters = dict(doc.get("parameters", {}))
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError(f"'dim' must be a positive integer, got {dim!r}")
+    parameters = dict(_field(doc, "parameters", dict))
     for k, v in parameters.items():
         if not isinstance(v, (int, float)):
             raise ParseError(f"parameter {k!r} must be a real number")
@@ -143,23 +164,28 @@ def parse_model(doc) -> Model:
     h = eval_matrix(doc["hamiltonian"], parameters, dim, "hamiltonian")
     jumps = []
     labels = []
-    for k, item in enumerate(doc.get("jumps", [])):
+    for k, item in enumerate(_field(doc, "jumps", list)):
         if not isinstance(item, dict) or "matrix" not in item:
             raise ParseError(f"jump {k} must be an object with a 'matrix'")
         labels.append(str(item.get("name", f"J{k + 1}")))
         jumps.append(eval_matrix(item["matrix"], parameters, dim, f"jump {labels[-1]}"))
     symmetries = {}
-    for k, item in enumerate(doc.get("symmetries", [])):
+    for k, item in enumerate(_field(doc, "symmetries", list)):
         if not isinstance(item, dict) or "matrix" not in item:
             raise ParseError(f"symmetry {k} must be an object with a 'matrix'")
         name = str(item.get("name", f"U{k + 1}"))
         symmetries[name] = eval_matrix(item["matrix"], parameters, dim,
                                        f"symmetry {name}")
-    groups = None
-    if "sjeds" in doc and doc["sjeds"] is not None:
-        groups = tuple(tuple(int(i) for i in g) for g in doc["sjeds"])
+    groups = doc.get("sjeds")
+    if groups is not None:
+        if not isinstance(groups, list) or not all(
+                isinstance(g, list) and all(type(i) is int for i in g) for g in groups):
+            raise ParseError("'sjeds' must be a list of lists of jump indices")
+        groups = tuple(tuple(g) for g in groups)
     expect = {}
-    for name, verdicts in doc.get("expect", {}).items():
+    for name, verdicts in _field(doc, "expect", dict).items():
+        if not isinstance(verdicts, dict):
+            raise ParseError(f"expect {name!r} must be a JSON object")
         expect[name] = (bool(verdicts.get("condition_I")),
                         bool(verdicts.get("condition_II")),
                         bool(verdicts.get("condition_III")))

@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from weaksym import models
 from weaksym.cli import main, run_check, run_verify_joint
@@ -128,6 +132,82 @@ def test_check_parse_error_exit(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+QUBIT_DOC = {"dim": 2, "parameters": {"g": 1e308},
+             "hamiltonian": [[1, 0], [0, -1]],
+             "jumps": [{"matrix": [[0, 1], [0, 0]]}, {"matrix": [[1, 0], [0, 0]]}],
+             "symmetries": [{"name": "p", "matrix": [[1, 0], [0, -1]]}]}
+
+
+def _qubit_doc(**fields):
+    doc = json.loads(json.dumps(QUBIT_DOC))
+    doc.update(fields)
+    return doc
+
+
+def _entry_doc(entry):
+    return _qubit_doc(hamiltonian=[[entry, 0], [0, -1]])
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["check"], _entry_doc("1/0")),
+    (["check"], _entry_doc("sqrt(-1)")),
+    (["check"], _entry_doc("10**400")),
+    (["check"], _entry_doc("g*g")),          # inf: overflow without an exception
+    (["check"], _entry_doc("(-1)**0.5")),    # complex power of a negative base
+    (["check"], _qubit_doc(dim="two")),
+    (["check"], _qubit_doc(jumps=3)),
+    (["verify-joint"], _qubit_doc(sjeds=[[0], [0]])),
+    (["check"], _qubit_doc(symmetries=[{"name": "p", "matrix": [[2, 0], [0, 1]]}])),
+    (["simulate", "qubit-III", "--n", "0"], None),
+    (["simulate", "qubit-III", "--horizon", "-1"], None),
+    (["check", "qubit-II", "--tol", "-1"], None),
+    (["examples", "qubit-II", "--param", "g=abc"], None),
+], ids=["div-zero", "sqrt-negative", "overflow", "infinite", "complex-power",
+        "dim-string", "jumps-not-array", "sjeds-overlap", "non-unitary", "n-zero",
+        "horizon-negative", "tol-negative", "param-not-number"])
+def test_malformed_input_exits_2(argv, doc, tmp_path, capsys):
+    if doc is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["g", "pi", "e", "x", "0", "1", "-1", "0.5", "400", "1e308"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**", "%"]), inner)
+        .map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(st.sampled_from(["sqrt", "log", "exp", "tan", "atan2", "abs", "f"]),
+                  st.lists(inner, max_size=3))
+        .map(lambda t: f"{t[0]}({', '.join(t[1])})"),
+        inner.map(lambda s: f"-{s}")),
+    max_leaves=6)
+_ENTRIES = st.one_of(_EXPRESSIONS, st.text(max_size=8), st.floats(), st.integers(),
+                     st.lists(_EXPRESSIONS, min_size=1, max_size=3), st.none())
+# half the documents keep the valid dim, so the entries get evaluated
+_DIMS = st.one_of(st.just(2), st.one_of(
+    st.integers(-1, 3), st.floats(), st.text(max_size=3), st.booleans(), st.none(),
+    st.lists(st.integers(0, 3), max_size=2)))
+
+
+@given(entry=_ENTRIES, dim=_DIMS, g=st.floats())
+def test_fuzz_model_scalars_and_dim(entry, dim, g):
+    # the entry lands in the Hamiltonian, a jump and the symmetry
+    doc = _qubit_doc(dim=dim, parameters={"g": g},
+                     hamiltonian=[[entry, 0], [0, -1]],
+                     jumps=[{"matrix": [[0, entry], [0, 0]]},
+                            {"matrix": [[1, 0], [0, 0]]}],
+                     symmetries=[{"name": "p", "matrix": [[1, 0], [0, entry]]}])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["check", path]) in (0, 1, 2)
+
+
 def test_verify_joint_qubit_corpus():
     doc = run_verify_joint(models.qubit_weak())
     entry = doc["symmetries"]["parity"]
@@ -148,6 +228,23 @@ def test_verify_joint_qubit_corpus():
     assert entry["scan_minima"]["dephased"] > 1e-3
     assert entry["scan_minima"]["partial"] > 1e-3
     assert entry["scan_minima"]["coarse"] > 1e-3
+
+
+def test_verify_joint_many_distinct_jumps(tmp_path, capsys):
+    # seven singleton SJEDs: the partial step is the dephased one, and the
+    # minimum must not enumerate the 7! relabellings
+    rng = np.random.default_rng(3)
+    jumps = [{"matrix": rng.standard_normal((2, 2, 2)).tolist()}  # [re, im]
+             for _ in range(7)]
+    doc = {"dim": 2, "hamiltonian": [[1, 0], [0, -1]], "jumps": jumps,
+           "symmetries": [{"name": "parity", "matrix": [[1, 0], [0, -1]]}]}
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["verify-joint", str(path)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    minima = json.loads(capsys.readouterr().out)["symmetries"]["parity"]["scan_minima"]
+    assert minima["partial"] == pytest.approx(minima["dephased"], abs=1e-12)
 
 
 @pytest.mark.parametrize("command", ["check", "verify-joint"])

@@ -278,7 +278,10 @@ def test_scan_minimum_is_exact(dim, seed, monkeypatch):
         calls.append(args)
         return joint_symmetry_residual(*args)
 
-    for step in (dephased_generator_step(rep), coarse_grained_generator_step(rep, p)):
+    # dephased and coarse minima are exact; the partial one is a bound that
+    # still beats every relabelling and every random unitary
+    for step in (dephased_generator_step(rep), coarse_grained_generator_step(rep, p),
+                 partially_dephased_generator_step(rep, p)):
         calls.clear()
         with monkeypatch.context() as mp:
             mp.setattr(dilation, "joint_symmetry_residual", counted)
@@ -290,6 +293,55 @@ def test_scan_minimum_is_exact(dim, seed, monkeypatch):
         for env in envs:
             r = joint_symmetry_residual(step, u, environment_symmetry(env))
             assert best <= r + 1e-12
+
+
+def _condition_ii_model(seed):
+    """Qutrit model symmetric at the SJED level only: an SJED of two reset
+    jumps, its image under an involution U remixed by a random 2x2 unitary,
+    and three resets to a U-fixed destination whose sources have a
+    U-invariant Gram matrix (so U remixes that SJED within itself)."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v = linalg.random_unitary(rng, 3)
+    u = v @ np.diag([1, 1, -1]) @ dag(v)
+    dest = gaussian(3)
+    pair = [np.outer(dest, gaussian(3).conj()) for _ in range(2)]
+    w = linalg.random_unitary(rng, 2)
+    image = [sum(w[i, k] * u @ pair[k] @ dag(u) for k in range(2)) for i in range(2)]
+    fixed = v[:, :2] @ gaussian(2)
+    sources = np.hstack([v[:, :2] @ gaussian(2, 2), v[:, 2:] @ gaussian(1, 1)])
+    sources = sources @ linalg.random_unitary(rng, 3)
+    trio = [np.outer(fixed, sources[:, i].conj()) for i in range(3)]
+    h = gaussian(3, 3)
+    h = h + dag(h)
+    rep = Representation(h + u @ h @ dag(u), tuple(pair + image + trio))
+    return rep, SymmetryOperator.from_matrix(u)
+
+
+@pytest.mark.parametrize("case", ["qubit-II", "twoqubit-II", "seeded"])
+def test_partial_minimum_vanishes_under_condition_II(case):
+    if case == "seeded":
+        rep, sym = _condition_ii_model(0)
+    else:
+        m = models.get_model(case)
+        rep = m.rep
+        sym = SymmetryOperator.from_matrix(next(iter(m.symmetries.values())))
+    p = build_sjeds(rep)
+    c2, c3 = check_condition_II(rep, sym, partition=p), check_condition_III(rep, sym)
+    assert c2.holds and not c3.holds
+    if case == "seeded":
+        assert sorted(s.size for s in p.sets) == [2, 2, 3]
+    step = partially_dephased_generator_step(rep, p)
+    assert minimum_symmetry_residual(step, sym.matrix, p) <= 1e-10
+
+
+def test_minimum_rejects_unitary_steps():
+    m = models.qubit_i()
+    with pytest.raises(ValueError):
+        minimum_symmetry_residual(rotating_frame_step(m.rep), SZ, build_sjeds(m.rep))
 
 
 def test_stationarity_of_trajectory_certificates():
