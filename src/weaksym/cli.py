@@ -15,11 +15,13 @@ expectations (if any), 1 on a mismatch, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from . import __version__, models
 from .lindblad import evolve_density, liouville_matrix, pure_state
 from .linalg import DEFAULT_TOL, LinalgError
 from .modelfile import ParseError, dump_model, load_model, model_to_doc
-from .sjed import build_sjeds, partition_from_groups
+from .sjed import SjedPartition, build_sjeds, partition_from_groups
 from .symmetry import (
     CompletionFailed,
     SymmetryOperator,
@@ -61,27 +63,37 @@ def _load(path_or_name) -> models.Model:
     raise ParseError(f"no such file or built-in model: {path_or_name!r}")
 
 
-def _partition(model):
-    if model.sjed_groups is None:
-        return build_sjeds(model.rep)
-    try:
-        return partition_from_groups(model.rep, model.sjed_groups)
-    except ValueError as exc:
-        raise ParseError(f"sjeds: {exc}") from exc
+@dataclass(frozen=True)
+class Analysis:
+    """What a command derives from a model, built once and passed down."""
+
+    model: models.Model
+    tol: float
+    partition: SjedPartition
+    symmetries: dict      # name -> (SymmetryOperator, SymmetryReport)
 
 
-def _selected_symmetries(model, name, tol):
-    """Symmetry operators of the model by name, or only the one named."""
-    if name is not None and name not in model.symmetries:
-        raise ParseError(f"model has no symmetry named {name!r}; "
+def analyze(model, sym_name=None, tol=DEFAULT_TOL) -> Analysis:
+    """Partition, operators and reports for all symmetries or the one named."""
+    if sym_name is not None and sym_name not in model.symmetries:
+        raise ParseError(f"model has no symmetry named {sym_name!r}; "
                          f"known: {sorted(model.symmetries)}")
-    out = {}
-    for key in (model.symmetries if name is None else [name]):
+    if model.sjed_groups is None:
+        partition = build_sjeds(model.rep, tol)
+    else:
         try:
-            out[key] = SymmetryOperator.from_matrix(model.symmetries[key], tol)
+            partition = partition_from_groups(model.rep, model.sjed_groups, tol)
+        except ValueError as exc:
+            raise ParseError(f"sjeds: {exc}") from exc
+    symmetries = {}
+    for name in (model.symmetries if sym_name is None else [sym_name]):
+        try:
+            sym = SymmetryOperator.from_matrix(model.symmetries[name], tol)
         except LinalgError as exc:
-            raise ParseError(f"symmetry {key!r}: {exc}") from exc
-    return out
+            raise ParseError(f"symmetry {name!r}: {exc}") from exc
+        symmetries[name] = sym, build_symmetry_report(model.rep, sym, tol,
+                                                      partition)
+    return Analysis(model, tol, partition, symmetries)
 
 
 def _sjed_summary(partition):
@@ -95,16 +107,15 @@ def _sjed_summary(partition):
     return out
 
 
-def run_check(model, sym_name=None, tol=DEFAULT_TOL):
-    partition = _partition(model)
+def run_check(analysis):
+    model, partition, tol = analysis.model, analysis.partition, analysis.tol
     result = {
         "model": model.name,
         "sjeds": _sjed_summary(partition),
         "symmetries": {},
     }
     ok = True
-    for name, sym in _selected_symmetries(model, sym_name, tol).items():
-        report = build_symmetry_report(model.rep, sym, tol, partition)
+    for name, (sym, report) in analysis.symmetries.items():
         entry = {
             "order": report.symmetry_order,
             "condition_I": bool(report.condition_I.holds),
@@ -144,13 +155,17 @@ def run_check(model, sym_name=None, tol=DEFAULT_TOL):
     return result, ok
 
 
-def run_verify_joint(model, sym_name=None, tol=DEFAULT_TOL):
+def _require_joint_scale(model):
     joint_dim = model.rep.dim * (model.rep.njumps + 1)
     if joint_dim > MAX_JOINT_DIM:
         raise ParseError(
             f"joint dimension {joint_dim} exceeds the desk-scale cap "
             f"{MAX_JOINT_DIM}; joint verification is meant for small models")
-    partition = _partition(model)
+
+
+def run_verify_joint(analysis):
+    model, partition, tol = analysis.model, analysis.partition, analysis.tol
+    _require_joint_scale(model)
     rep = model.rep
     steps = {
         "rotating_frame": dilation.rotating_frame_step(rep),
@@ -159,8 +174,7 @@ def run_verify_joint(model, sym_name=None, tol=DEFAULT_TOL):
         "coarse": dilation.coarse_grained_generator_step(rep, partition),
     }
     result = {"model": model.name, "symmetries": {}}
-    for name, sym in _selected_symmetries(model, sym_name, tol).items():
-        report = build_symmetry_report(rep, sym, tol, partition)
+    for name, (sym, report) in analysis.symmetries.items():
         entry = {"residuals": {}, "scan_minima": {}}
         c1, c2, c3 = (report.condition_I, report.condition_II,
                       report.condition_III)
@@ -199,6 +213,7 @@ def run_verify_joint(model, sym_name=None, tol=DEFAULT_TOL):
 
 
 def _sample_chunks(rep, psi0, horizon, n, seed, checkpoints, partition, threads):
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or n < 2 * threads:
         return trajectories.sample_ensemble(
             rep, psi0, horizon, n, seed=seed, checkpoint_times=checkpoints,
@@ -206,30 +221,21 @@ def _sample_chunks(rep, psi0, horizon, n, seed, checkpoints, partition, threads)
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = np.linspace(0, n, threads + 1).astype(int)
+    # the positional arguments of sample_ensemble, one tuple per chunk
     jobs = [(rep, psi0, horizon, int(b - a), seed, checkpoints, partition, int(a))
-            for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+            for a, b in zip(bounds[:-1], bounds[1:])]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_sample_chunk, jobs))
-    records = [r for part in parts for r in part.records]
-    states = {}
-    for t in parts[0].states:
-        states[t] = np.vstack([part.states[t] for part in parts])
+        parts = list(pool.map(trajectories.sample_ensemble, *zip(*jobs)))
     return trajectories.TrajectoryEnsemble(
-        records=records, states=states, horizon=horizon, seed=seed,
-        rep_fingerprint=rep.fingerprint(),
+        records=[r for part in parts for r in part.records],
+        states={t: np.vstack([part.states[t] for part in parts])
+                for t in parts[0].states},
+        horizon=horizon, seed=seed, rep_fingerprint=rep.fingerprint(),
         coarse_labels=parts[0].coarse_labels)
 
 
-def _sample_chunk(args):
-    rep, psi0, horizon, n, seed, checkpoints, partition, first = args
-    return trajectories.sample_ensemble(
-        rep, psi0, horizon, n, seed=seed, checkpoint_times=checkpoints,
-        partition=partition, first_index=first)
-
-
-def run_simulate(model, sym_name, level, n, horizon, seed, alpha, out_dir,
-                 threads=1, tol=DEFAULT_TOL):
-    partition = _partition(model)
+def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
+    model, partition = analysis.model, analysis.partition
     rep = model.rep
     psi0 = pure_state(np.ones(rep.dim))
     result = {
@@ -241,8 +247,10 @@ def run_simulate(model, sym_name, level, n, horizon, seed, alpha, out_dir,
         "alpha": alpha,
         "tests": {},
     }
-    for name, sym in _selected_symmetries(model, sym_name, tol).items():
-        report = build_symmetry_report(rep, sym, tol, partition)
+    # A (psi0, seed) serves the average and every test; B is U psi0 U†, seed + 1
+    ens = _sample_chunks(rep, psi0, horizon, n, seed, (horizon,), partition,
+                         threads)
+    for name, (sym, report) in analysis.symmetries.items():
         if level == "full":
             perm = report.condition_III.permutation if report.condition_III.holds \
                 else tuple(range(rep.njumps))
@@ -251,16 +259,16 @@ def run_simulate(model, sym_name, level, n, horizon, seed, alpha, out_dir,
                 else tuple(range(partition.nsets))
         else:
             perm = None
+        ens_b = _sample_chunks(rep, sym.conjugate(psi0), horizon, n, seed + 1,
+                               (horizon,), partition, threads)
         pval, passed = trajectories.ensemble_symmetry_test(
-            rep, sym, level, psi0, horizon, n, seed=seed, alpha_sig=alpha,
-            permutation=perm, partition=partition)
+            rep, sym, level, ens, ens_b, alpha_sig=alpha, permutation=perm,
+            partition=partition)
         result["tests"][name] = {
             "p_value": pval,
             "passed": bool(passed),
             "permutation": _perm_json(perm),
         }
-    ens = _sample_chunks(rep, psi0, horizon, n, seed, (horizon,), partition,
-                         threads)
     mean, err = trajectories.ensemble_average(ens, horizon)
     result["ensemble_average"] = {
         "time": horizon,
@@ -296,6 +304,7 @@ def _checked(kind, accept, what):
 _COUNT = _checked(int, lambda v: v > 0, "a positive integer")
 _TOL = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
 _TIME = _checked(float, lambda v: 0 <= v < math.inf, "a finite time >= 0")
+_ALPHA = _checked(float, lambda v: 0 < v < 1, "a significance level in (0, 1)")
 
 
 def _param(text):
@@ -325,7 +334,9 @@ def _emit(doc, out=None):
         print(text)
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and reused by later ones."""
     parser = _Parser(
         prog="weaksym",
         description="decide and certify weak-symmetry levels of Markovian "
@@ -353,10 +364,11 @@ def main(argv=None) -> int:
     p_sim.add_argument("--n", type=_COUNT, default=20000)
     p_sim.add_argument("--horizon", type=_TIME, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--alpha", type=float, default=0.01)
+    p_sim.add_argument("--alpha", type=_ALPHA, default=0.01)
     p_sim.add_argument("--out", help="directory for ensemble exports")
-    p_sim.add_argument("--threads", type=int,
-                       default=int(os.environ.get("WEAKSYM_THREADS", "1")))
+    p_sim.add_argument("--threads", type=_COUNT,
+                       help="worker processes (default: WEAKSYM_THREADS or 1)")
+    p_sim.set_defaults(tol=DEFAULT_TOL)
 
     p_vj = sub.add_parser("verify-joint", help="joint-step residual table")
     p_vj.add_argument("model")
@@ -373,9 +385,12 @@ def main(argv=None) -> int:
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--skip-simulation", action="store_true")
     p_rep.add_argument("--out")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:   # usage errors, --help and --version
         return exc.code
     try:
@@ -383,6 +398,18 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _threads(args) -> int:
+    """--threads, else WEAKSYM_THREADS as it is when the command runs, else 1."""
+    if args.threads is not None:
+        return args.threads
+    text = os.environ.get("WEAKSYM_THREADS", "1")
+    try:
+        return _COUNT(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ParseError(
+            f"WEAKSYM_THREADS: {text!r} is not a positive integer") from None
 
 
 def _dispatch(args) -> int:
@@ -404,28 +431,30 @@ def _dispatch(args) -> int:
         return 0
 
     model = _load(args.model)
+    t0 = time.time()
+    if args.command == "verify-joint":   # before the analysis, which may be large
+        _require_joint_scale(model)
+    analysis = analyze(model, args.sym, args.tol)
 
     if args.command == "check":
-        result, ok = run_check(model, args.sym, args.tol)
+        result, ok = run_check(analysis)
         _emit(result, args.out)
         return 0 if ok else 1
 
     if args.command == "simulate":
-        result = run_simulate(model, args.sym, args.level, args.n,
-                              args.horizon, args.seed, args.alpha, args.out,
-                              args.threads)
+        result = run_simulate(analysis, args.level, args.n, args.horizon,
+                              args.seed, args.alpha, args.out, _threads(args))
         if not args.out:
             _emit(result)
         return 0
 
     if args.command == "verify-joint":
-        result = run_verify_joint(model, args.sym, args.tol)
+        result = run_verify_joint(analysis)
         _emit(result, args.out)
         return 0
 
     if args.command == "report":
-        t0 = time.time()
-        check, ok = run_check(model, args.sym, args.tol)
+        check, ok = run_check(analysis)
         doc = {
             "tool": "weaksym",
             "version": __version__,
@@ -433,13 +462,12 @@ def _dispatch(args) -> int:
             "seed": args.seed,
             "check": check,
         }
-        joint_dim = model.rep.dim * (model.rep.njumps + 1)
-        if joint_dim <= MAX_JOINT_DIM:
-            doc["joint"] = run_verify_joint(model, args.sym, args.tol)
+        if model.rep.dim * (model.rep.njumps + 1) <= MAX_JOINT_DIM:
+            doc["joint"] = run_verify_joint(analysis)
         if not args.skip_simulation:
             doc["trajectories"] = run_simulate(
-                model, args.sym, "unlabelled", args.n, args.horizon,
-                args.seed, 0.01, None)
+                analysis, "unlabelled", args.n, args.horizon, args.seed, 0.01,
+                None)
         doc["elapsed_seconds"] = time.time() - t0
         _emit(doc, args.out)
         return 0 if ok else 1

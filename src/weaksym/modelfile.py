@@ -56,11 +56,16 @@ _FUNCS = {
 _CONSTS = {"pi": math.pi, "e": math.e}
 
 
+def _is_number(value) -> bool:
+    """A JSON or Python number; booleans are ints to isinstance but not here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _walk(node, expr: str, parameters: dict) -> float:
     if isinstance(node, ast.Expression):
         return _walk(node.body, expr, parameters)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
+        if _is_number(node.value):
             return float(node.value)
         raise ParseError(f"invalid constant {node.value!r}")
     if isinstance(node, ast.Name):
@@ -88,7 +93,7 @@ def _walk(node, expr: str, parameters: dict) -> float:
 def eval_scalar(expr, parameters: dict) -> float:
     """Evaluate a finite real scalar: a number or a parameter expression."""
     try:
-        if isinstance(expr, (int, float)):
+        if _is_number(expr):
             value = float(expr)
         elif isinstance(expr, str):
             value = _walk(ast.parse(expr, mode="eval"), expr, parameters)
@@ -157,7 +162,7 @@ def parse_model(doc) -> Model:
         raise ParseError(f"'dim' must be a positive integer, got {dim!r}")
     parameters = dict(_field(doc, "parameters", dict))
     for k, v in parameters.items():
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ParseError(f"parameter {k!r} must be a real number")
     if "hamiltonian" not in doc:
         raise ParseError("missing field 'hamiltonian'")
@@ -219,7 +224,7 @@ def model_to_doc(model: Model) -> dict:
         "description": model.description,
         "dim": model.rep.dim,
         "parameters": {k: v for k, v in model.parameters.items()
-                       if isinstance(v, (int, float)) and not isinstance(v, bool)},
+                       if _is_number(v)},
         "hamiltonian": _matrix_doc(model.rep.hamiltonian),
         "jumps": [{"name": lbl, "matrix": _matrix_doc(j)}
                   for lbl, j in zip(model.rep.labels, model.rep.jumps)],

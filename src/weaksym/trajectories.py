@@ -437,18 +437,18 @@ def _state_keys(vecs: np.ndarray, nbins: int = 6):
     return list(zip(*cols))
 
 
-def ensemble_symmetry_test(rep: Representation, sym, level: str, psi0,
-                           horizon: float, n: int, seed: int = 0,
+def ensemble_symmetry_test(rep: Representation, sym, level: str,
+                           ens_a: TrajectoryEnsemble, ens_b: TrajectoryEnsemble,
                            alpha_sig: float = 0.01,
                            permutation=None,
                            partition: SjedPartition | None = None):
     """Two-sample test of the symmetry of the trajectory ensemble.
 
-    Samples ensemble A from psi0 and ensemble B from the transformed
-    initial state with independent streams, maps A by the symmetry
-    (records by the permutation, states by conjugation) and compares:
-    level "full" uses final count vectors over jump labels, "coarse"
-    over SJED labels, "unlabelled" binned state coordinates.
+    ens_a is sampled from psi0 and ens_b from U psi0 U† on independent
+    streams, both with their horizon as a checkpoint.  Maps A by the
+    symmetry (records by the permutation, states by conjugation) and
+    compares: level "full" uses final count vectors over jump labels,
+    "coarse" over SJED labels, "unlabelled" binned state coordinates.
     permutation may be an explicit tuple, None (identity after raising
     MissingPermutation is the caller's choice), or "best" to scan all
     label bijections and report the most favorable p-value.
@@ -456,17 +456,8 @@ def ensemble_symmetry_test(rep: Representation, sym, level: str, psi0,
     """
     if partition is None:
         partition = build_sjeds(rep)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim == 1:
-        psi0 = np.outer(psi0, psi0.conj())
-    psi0_b = sym.conjugate(psi0)
-    ens_a = sample_ensemble(rep, psi0, horizon, n, seed=seed,
-                            checkpoint_times=(horizon,), partition=partition)
-    ens_b = sample_ensemble(rep, psi0_b, horizon, n, seed=seed + 1,
-                            checkpoint_times=(horizon,), partition=partition)
-
-    va = ens_a.states[horizon] @ sym.matrix.T  # A final states, transformed
-    vb = ens_b.states[horizon]
+    va = ens_a.states[ens_a.horizon] @ sym.matrix.T  # A final states, transformed
+    vb = ens_b.states[ens_b.horizon]
 
     if level == "unlabelled":
         pval, _, _ = two_sample_chi2(_histogram(_state_keys(va)),

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from weaksym.trajectories import sample_ensemble
+
 # property tests draw the same examples on every run and take no deadline,
 # so a loaded machine changes neither the outcome nor the examples
 settings.register_profile("deterministic", derandomize=True, deadline=None,
@@ -24,6 +26,15 @@ def random_pure_state(rng, dim):
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2
+
+
+def symmetry_ensembles(rep, sym, psi0, horizon, n, seed):
+    """The pair ensemble_symmetry_test compares: A from psi0 at seed and B
+    from U psi0 U† at seed + 1, each with the horizon as a checkpoint."""
+    return (sample_ensemble(rep, psi0, horizon, n, seed=seed,
+                            checkpoint_times=(horizon,)),
+            sample_ensemble(rep, sym.conjugate(psi0), horizon, n, seed=seed + 1,
+                            checkpoint_times=(horizon,)))
 
 
 @pytest.fixture

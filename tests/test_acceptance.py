@@ -44,6 +44,8 @@ from weaksym.trajectories import (
     sample_ensemble,
 )
 
+from conftest import symmetry_ensembles
+
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PLUS = pure_state([1, 1])
 
@@ -215,36 +217,38 @@ def test_criterion_6_statistical_hierarchy():
 
     m3 = models.qubit_iii()
     pi = check_condition_III(m3.rep, sym).permutation
-    p, passed = ensemble_symmetry_test(m3.rep, sym, "full", PLUS, 1.0, n,
-                                       seed=101, alpha_sig=alpha,
-                                       permutation=pi)
+    a, b = symmetry_ensembles(m3.rep, sym, PLUS, 1.0, n, seed=101)
+    p, passed = ensemble_symmetry_test(m3.rep, sym, "full", a, b,
+                                       alpha_sig=alpha, permutation=pi)
     results["III/full"] = (p, passed)
     ok = passed
 
     m2 = models.qubit_ii(c1=0.5, c2=0.5)
-    p, passed = ensemble_symmetry_test(m2.rep, sym, "full", PLUS, 1.0, n,
-                                       seed=103, alpha_sig=alpha,
-                                       permutation="best")
+    a, b = symmetry_ensembles(m2.rep, sym, PLUS, 1.0, n, seed=103)
+    p, passed = ensemble_symmetry_test(m2.rep, sym, "full", a, b,
+                                       alpha_sig=alpha, permutation="best")
     results["II/full"] = (p, passed)
     ok = ok and (not passed) and p < 1e-4
-    p, passed = ensemble_symmetry_test(m2.rep, sym, "coarse", PLUS, 1.0, n,
-                                       seed=105, alpha_sig=alpha,
-                                       permutation=(1, 0))
+    a, b = symmetry_ensembles(m2.rep, sym, PLUS, 1.0, n, seed=105)
+    p, passed = ensemble_symmetry_test(m2.rep, sym, "coarse", a, b,
+                                       alpha_sig=alpha, permutation=(1, 0))
     results["II/coarse"] = (p, passed)
     ok = ok and passed
-    p, passed = ensemble_symmetry_test(m2.rep, sym, "unlabelled", PLUS, 1.0, n,
-                                       seed=107, alpha_sig=alpha)
+    a, b = symmetry_ensembles(m2.rep, sym, PLUS, 1.0, n, seed=107)
+    p, passed = ensemble_symmetry_test(m2.rep, sym, "unlabelled", a, b,
+                                       alpha_sig=alpha)
     results["II/unlabelled"] = (p, passed)
     ok = ok and passed
 
     m1 = models.qubit_i()
-    p, passed = ensemble_symmetry_test(m1.rep, sym, "coarse", PLUS, 1.0, n,
-                                       seed=109, alpha_sig=alpha,
-                                       permutation="best")
+    a, b = symmetry_ensembles(m1.rep, sym, PLUS, 1.0, n, seed=109)
+    p, passed = ensemble_symmetry_test(m1.rep, sym, "coarse", a, b,
+                                       alpha_sig=alpha, permutation="best")
     results["I/coarse"] = (p, passed)
     ok = ok and not passed
-    p, passed = ensemble_symmetry_test(m1.rep, sym, "unlabelled", PLUS, 1.0, n,
-                                       seed=111, alpha_sig=alpha)
+    a, b = symmetry_ensembles(m1.rep, sym, PLUS, 1.0, n, seed=111)
+    p, passed = ensemble_symmetry_test(m1.rep, sym, "unlabelled", a, b,
+                                       alpha_sig=alpha)
     results["I/unlabelled"] = (p, passed)
     ok = ok and not passed
 

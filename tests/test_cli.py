@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import json
 import os
 import tempfile
@@ -7,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weaksym import models
-from weaksym.cli import main, run_check, run_verify_joint
+from weaksym import cli, models, trajectories
+from weaksym.cli import analyze, main, run_check, run_verify_joint
 from weaksym.modelfile import (
     ParseError,
     dump_model,
@@ -80,8 +82,8 @@ def test_builtin_roundtrip(name, tmp_path):
     assert loaded.sjed_groups == model.sjed_groups
     assert loaded.expect == model.expect
     # the parsed model reproduces the in-memory verdicts
-    res_a, ok_a = run_check(model)
-    res_b, ok_b = run_check(loaded)
+    res_a, ok_a = run_check(analyze(model))
+    res_b, ok_b = run_check(analyze(loaded))
     assert ok_a and ok_b
     for sym in res_a["symmetries"]:
         for key in ("condition_I", "condition_II", "condition_III"):
@@ -162,9 +164,17 @@ def _entry_doc(entry):
     (["simulate", "qubit-III", "--horizon", "-1"], None),
     (["check", "qubit-II", "--tol", "-1"], None),
     (["examples", "qubit-II", "--param", "g=abc"], None),
+    (["check"], _qubit_doc(hamiltonian=[[True, 0], [0, False]])),
+    (["check"], _qubit_doc(parameters={"g": True})),
+    (["simulate", "qubit-III", "--threads", "0"], None),
+    (["simulate", "qubit-III", "--threads", "-2"], None),
+    (["simulate", "qubit-III", "--alpha", "nan"], None),
+    (["simulate", "qubit-III", "--alpha", "1"], None),
 ], ids=["div-zero", "sqrt-negative", "overflow", "infinite", "complex-power",
         "dim-string", "jumps-not-array", "sjeds-overlap", "non-unitary", "n-zero",
-        "horizon-negative", "tol-negative", "param-not-number"])
+        "horizon-negative", "tol-negative", "param-not-number", "bool-entry",
+        "bool-parameter", "threads-zero", "threads-negative", "alpha-nan",
+        "alpha-one"])
 def test_malformed_input_exits_2(argv, doc, tmp_path, capsys):
     if doc is not None:
         path = tmp_path / "model.json"
@@ -186,14 +196,15 @@ _EXPRESSIONS = st.recursive(
         inner.map(lambda s: f"-{s}")),
     max_leaves=6)
 _ENTRIES = st.one_of(_EXPRESSIONS, st.text(max_size=8), st.floats(), st.integers(),
-                     st.lists(_EXPRESSIONS, min_size=1, max_size=3), st.none())
+                     st.booleans(), st.lists(_EXPRESSIONS, min_size=1, max_size=3),
+                     st.none())
 # half the documents keep the valid dim, so the entries get evaluated
 _DIMS = st.one_of(st.just(2), st.one_of(
     st.integers(-1, 3), st.floats(), st.text(max_size=3), st.booleans(), st.none(),
     st.lists(st.integers(0, 3), max_size=2)))
 
 
-@given(entry=_ENTRIES, dim=_DIMS, g=st.floats())
+@given(entry=_ENTRIES, dim=_DIMS, g=st.one_of(st.floats(), st.booleans()))
 def test_fuzz_model_scalars_and_dim(entry, dim, g):
     # the entry lands in the Hamiltonian, a jump and the symmetry
     doc = _qubit_doc(dim=dim, parameters={"g": g},
@@ -208,21 +219,64 @@ def test_fuzz_model_scalars_and_dim(entry, dim, g):
         assert main(["check", path]) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_weaksym_threads_checked_when_simulating(value, monkeypatch, capsys):
+    monkeypatch.setenv("WEAKSYM_THREADS", value)
+    assert main(["check", "qubit-II"]) == 0      # starts no process
+    argv = ["simulate", "qubit-III", "--n", "20", "--horizon", "0.2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: WEAKSYM_THREADS") and "Traceback" not in err
+    # the variable is read when the command runs, not when the parser is built
+    monkeypatch.setenv("WEAKSYM_THREADS", "1")
+    assert main(argv) == 0
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    assert main(["check", "qubit-II"]) == 0
+    calls = []
+    original = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["check", "qubit-II"]) == 0
+    assert calls == []
+
+
+def test_check_partition_uses_tol(tmp_path, capsys):
+    # the second jump is the first's rank-one part up to 1e-5, so at
+    # --tol 1e-3 both reset to |0> and form one SJED
+    doc = {"dim": 2, "hamiltonian": [[0, 0], [0, 0]],
+           "jumps": [{"matrix": [[0, 1], [1e-5, 0]]},
+                     {"matrix": [[0, 0.5], [0, 0]]}],
+           "symmetries": [{"name": "identity", "matrix": [[1, 0], [0, 1]]}]}
+    path = tmp_path / "near-reset.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--tol", "1e-3"]) == 0
+    sjeds = json.loads(capsys.readouterr().out)["sjeds"]
+    assert [(s["indices"], s["kind"]) for s in sjeds] == [([0, 1], "reset")]
+    assert main(["check", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sjeds"]) == 2
+
+
 def test_verify_joint_qubit_corpus():
-    doc = run_verify_joint(models.qubit_weak())
+    doc = run_verify_joint(analyze(models.qubit_weak()))
     entry = doc["symmetries"]["parity"]
     assert entry["residuals"]["dephased"] < 1e-10
     assert entry["residuals"]["partial"] < 1e-10
     assert entry["residuals"]["coarse"] < 1e-10
     assert entry["residuals"]["rotating_frame"] < 1e-10
 
-    doc = run_verify_joint(models.qubit_ii())
+    doc = run_verify_joint(analyze(models.qubit_ii()))
     entry = doc["symmetries"]["parity"]
     assert entry["residuals"]["partial"] < 1e-10
     assert entry["residuals"]["coarse"] < 1e-10
     assert entry["scan_minima"]["dephased"] > 1e-3
 
-    doc = run_verify_joint(models.qubit_i())
+    doc = run_verify_joint(analyze(models.qubit_i()))
     entry = doc["symmetries"]["parity"]
     assert entry["residuals"]["rotating_frame"] < 1e-10
     assert entry["scan_minima"]["dephased"] > 1e-3
@@ -274,7 +328,7 @@ def test_identity_jump_model(command, tmp_path, capsys):
 
 def test_verify_joint_rejects_large_models():
     with pytest.raises(ParseError):
-        run_verify_joint(models.qutrit_chain())
+        run_verify_joint(analyze(models.qutrit_chain()))
 
 
 def test_simulate_writes_exports(tmp_path, capsys):
@@ -300,6 +354,93 @@ def test_report_combined(capsys):
     assert doc["check"]["symmetries"]["parity"]["condition_III"]
     assert "joint" in doc
     assert doc["trajectories"]["tests"]["parity"]["passed"]
+
+
+def _chain_file(tmp_path):
+    """A seeded L=3 qutrit chain (dim 27, three symmetries) as a model file."""
+    model = models.qutrit_chain(
+        3, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, 3))
+    path = tmp_path / "chain-L3.json"
+    dump_model(model, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("name, ensembles", [("chain-L3", 4), ("qubit-III", 2)])
+def test_simulate_samples_reference_once(name, ensembles, tmp_path, monkeypatch,
+                                         capsys):
+    # one ensemble A for every test and the average, one B per symmetry
+    monkeypatch.delenv("WEAKSYM_THREADS", raising=False)
+    calls = []
+    original = trajectories.sample_ensemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "sample_ensemble", counting)
+    model = _chain_file(tmp_path) if name == "chain-L3" else name
+    assert main(["simulate", model, "--n", "40", "--horizon", "0.3"]) == 0
+    assert len(calls) == ensembles
+
+
+def test_report_analyses_once(monkeypatch, capsys):
+    partitions, reports = [], []
+    for attr, log in (("build_sjeds", partitions),
+                      ("partition_from_groups", partitions),
+                      ("build_symmetry_report", reports)):
+        def counting(*args, _original=getattr(cli, attr), _log=log, **kwargs):
+            _log.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, attr, counting)
+    assert main(["report", "qubit-III", "--n", "200", "--horizon", "0.5"]) == 0
+    assert len(partitions) == 1
+    assert len(reports) == len(models.qubit_iii().symmetries)
+
+
+def test_simulate_threads_match_serial(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = _chain_file(tmp_path)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        assert main(["simulate", path, "--n", "100", "--horizon", "0.5",
+                     "--seed", "3", "--threads", threads,
+                     "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("summary.json", "ensemble.jsonl"):
+        assert (outs[0] / name).read_text() == (outs[1] / name).read_text()
+
+
+def test_thread_pool_capped_at_cpu_count(monkeypatch):
+    from weaksym.lindblad import pure_state
+    from weaksym.sjed import build_sjeds
+    workers = []
+
+    class Pool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    model = models.qubit_weak()
+    psi0 = pure_state(np.ones(2))
+    part = build_sjeds(model.rep)
+    pooled = cli._sample_chunks(model.rep, psi0, 0.5, 64, 7, (0.5,), part, 10**6)
+    serial = cli._sample_chunks(model.rep, psi0, 0.5, 64, 7, (0.5,), part, 1)
+    assert workers == [3]
+    assert pooled.records == serial.records
+    assert np.array_equal(pooled.states[0.5], serial.states[0.5])
 
 
 def test_threaded_sampling_matches_serial():

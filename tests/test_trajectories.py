@@ -28,7 +28,7 @@ from weaksym.trajectories import (
     transform_record,
 )
 
-from conftest import SX, SZ, random_pure_state
+from conftest import SX, SZ, random_pure_state, symmetry_ensembles
 
 PLUS = pure_state([1, 1])
 
@@ -256,40 +256,43 @@ def test_symmetry_test_full_level_weak_model():
     m = models.qubit_iii()
     sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
     res = check_condition_III(m.rep, sym)
-    pval, passed = ensemble_symmetry_test(
-        m.rep, sym, "full", PLUS, 1.0, 4000, seed=7,
-        permutation=res.permutation)
+    a, b = symmetry_ensembles(m.rep, sym, PLUS, 1.0, 4000, seed=7)
+    pval, passed = ensemble_symmetry_test(m.rep, sym, "full", a, b,
+                                          permutation=res.permutation)
     assert passed, pval
 
 
 def test_symmetry_test_requires_permutation():
     m = models.qubit_iii()
     sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
+    a, b = symmetry_ensembles(m.rep, sym, PLUS, 1.0, 100, seed=7)
     with pytest.raises(MissingPermutation):
-        ensemble_symmetry_test(m.rep, sym, "full", PLUS, 1.0, 100, seed=7)
+        ensemble_symmetry_test(m.rep, sym, "full", a, b)
 
 
 def test_symmetry_test_rejects_qubit_ii_full_level():
     m = models.qubit_ii(c1=0.5, c2=0.5)
     sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
-    pval, passed = ensemble_symmetry_test(
-        m.rep, sym, "full", PLUS, 1.0, 8000, seed=13, permutation="best")
+    a, b = symmetry_ensembles(m.rep, sym, PLUS, 1.0, 8000, seed=13)
+    pval, passed = ensemble_symmetry_test(m.rep, sym, "full", a, b,
+                                          permutation="best")
     assert not passed and pval < 1e-4
 
 
 def test_symmetry_test_coarse_level_qubit_ii():
     m = models.qubit_ii(c1=0.5, c2=0.5)
     sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
-    pval, passed = ensemble_symmetry_test(
-        m.rep, sym, "coarse", PLUS, 1.0, 8000, seed=13, permutation=(1, 0))
+    a, b = symmetry_ensembles(m.rep, sym, PLUS, 1.0, 8000, seed=13)
+    pval, passed = ensemble_symmetry_test(m.rep, sym, "coarse", a, b,
+                                          permutation=(1, 0))
     assert passed, pval
 
 
 def test_symmetry_test_unlabelled_level():
     m = models.qubit_ii(c1=0.5, c2=0.5)
     sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
-    pval, passed = ensemble_symmetry_test(
-        m.rep, sym, "unlabelled", PLUS, 1.0, 8000, seed=17)
+    a, b = symmetry_ensembles(m.rep, sym, PLUS, 1.0, 8000, seed=17)
+    pval, passed = ensemble_symmetry_test(m.rep, sym, "unlabelled", a, b)
     assert passed, pval
 
 
@@ -326,10 +329,10 @@ def test_symmetry_test_two_qubit_full_level():
     res = check_condition_III(m.rep, sym)
     assert res.holds
     psi0 = pure_state(np.ones(4) / 2.0)
-    pval, passed = ensemble_symmetry_test(
-        m.rep, sym, "full", psi0, 1.0, 4000, seed=23,
-        permutation=res.permutation)
+    a, b = symmetry_ensembles(m.rep, sym, psi0, 1.0, 4000, seed=23)
+    pval, passed = ensemble_symmetry_test(m.rep, sym, "full", a, b,
+                                          permutation=res.permutation)
     assert passed, pval
-    pval, passed = ensemble_symmetry_test(
-        m.rep, sym, "unlabelled", psi0, 1.0, 4000, seed=29)
+    a, b = symmetry_ensembles(m.rep, sym, psi0, 1.0, 4000, seed=29)
+    pval, passed = ensemble_symmetry_test(m.rep, sym, "unlabelled", a, b)
     assert passed, pval

@@ -3,10 +3,12 @@
     python3 tools/cli_diff.py BASE_SRC HEAD_SRC [--atol 1e-9]
 
 Runs ``check`` on the nine built-ins and on a seeded L=4 qutrit chain,
-``verify-joint`` on the nine built-ins and ``simulate`` (with exports) on
-qubit-III/II/I at all three levels, once with each tree on PYTHONPATH.
-Exit codes, strings, booleans and integers (verdicts, permutations, event
-labels) must be identical; every other number must agree within atol.
+``verify-joint`` on the nine built-ins, ``simulate`` (with exports) on
+qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
+three levels, and ``report`` on qubit-III and qubit-I, once with each tree
+on PYTHONPATH.  Exit codes, strings, booleans and integers (verdicts,
+permutations, event labels) must be identical; every other number must
+agree within atol.  Only the report's ``elapsed_seconds`` is not compared.
 Prints one line per difference and the largest float deviation, and
 exits 1 if any case differs.
 """
@@ -23,16 +25,18 @@ import tempfile
 BUILTINS = ["qubit-weak", "qubit-III", "qubit-II", "qubit-I", "qubit-nonunique",
             "twoqubit-weak", "twoqubit-III", "twoqubit-II", "twoqubit-I"]
 CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
-         "m = models.qutrit_chain(4, thetas=np.random.default_rng(7)"
-         ".uniform(0.0, 2 * np.pi, 4)); modelfile.dump_model(m, sys.argv[1])")
+         "L = int(sys.argv[2]); m = models.qutrit_chain(L, thetas="
+         "np.random.default_rng(7).uniform(0.0, 2 * np.pi, L)); "
+         "modelfile.dump_model(m, sys.argv[1])")
 
 
-def cases(chain_path):
-    out = [["check", m] for m in BUILTINS + [chain_path]]
+def cases(chain4, chain3):
+    out = [["check", m] for m in BUILTINS + [chain4]]
     out += [["verify-joint", m] for m in BUILTINS]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
-            for m in ("qubit-III", "qubit-II", "qubit-I")
+            for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
+    out += [["report", m] for m in ("qubit-III", "qubit-I")]
     return out
 
 
@@ -52,6 +56,8 @@ def run(src, argv, out_dir):
             doc["counts"] = fh.read()
     else:
         doc["stdout"] = json.loads(proc.stdout)
+        if argv[0] == "report":
+            del doc["stdout"]["elapsed_seconds"]
     return doc
 
 
@@ -85,12 +91,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, head = os.path.abspath(args.base), os.path.abspath(args.head)
     with tempfile.TemporaryDirectory() as tmp:
-        chain = os.path.join(tmp, "chain-L4.json")
-        subprocess.run([sys.executable, "-c", CHAIN, chain], check=True,
-                       env=dict(os.environ, PYTHONPATH=head))
+        chains = [os.path.join(tmp, f"chain-L{L}.json") for L in (4, 3)]
+        for L, path in zip((4, 3), chains):
+            subprocess.run([sys.executable, "-c", CHAIN, path, str(L)],
+                           check=True, env=dict(os.environ, PYTHONPATH=head))
         failures = 0
         deviations = [0.0]
-        for argv_ in cases(chain):
+        for argv_ in cases(*chains):
             a = run(base, argv_, os.path.join(tmp, "base"))
             b = run(head, argv_, os.path.join(tmp, "head"))
             problems = []
@@ -100,7 +107,7 @@ def main(argv=None) -> int:
             for p in problems[:10]:
                 print(f"      {p}")
             failures += bool(problems)
-    print(f"{failures} of {len(cases(chain))} cases differ beyond atol={args.atol:g}; "
+    print(f"{failures} of {len(cases(*chains))} cases differ beyond atol={args.atol:g}; "
           f"largest float deviation {max(deviations):.3g}")
     return 1 if failures else 0
 
