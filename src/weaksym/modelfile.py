@@ -20,6 +20,7 @@ over the parameters, or a [re, im] pair of either.  Example::
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import math
 import operator
@@ -54,6 +55,7 @@ _FUNCS = {
     "abs": abs,
 }
 _CONSTS = {"pi": math.pi, "e": math.e}
+_PLAIN_NUMBERS = frozenset((int, float))   # exact types: bool is not one
 
 
 def _is_number(value) -> bool:
@@ -118,6 +120,25 @@ def eval_entry(entry, parameters: dict) -> complex:
     return complex(eval_scalar(entry, parameters), 0.0)
 
 
+def _numeric_row(row: list):
+    """A row of [re, im] pairs of plain numbers as its flat float parts.
+
+    None when any part is a string, a boolean or anything but an int or a
+    float, or when a value overflows or is not finite: such rows go
+    through eval_entry, which names the offending entry.
+    """
+    if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
+        return None
+    parts = list(itertools.chain.from_iterable(row))
+    if not _PLAIN_NUMBERS.issuperset(map(type, parts)):
+        return None
+    try:
+        values = np.array(parts, dtype=float)
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def eval_matrix(rows, parameters: dict, dim: int, what: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"{what}: expected {dim} rows")
@@ -125,6 +146,11 @@ def eval_matrix(rows, parameters: dict, dim: int, what: str) -> np.ndarray:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{what}: row {i} must have {dim} entries")
+        values = _numeric_row(row)
+        if values is not None:
+            # the parts land bit for bit: re + 1j * im would turn -0.0 into +0.0
+            out.view(float)[i] = values
+            continue
         for j, entry in enumerate(row):
             try:
                 out[i, j] = eval_entry(entry, parameters)

@@ -18,10 +18,6 @@ from .lindblad import Representation, jump_part_choi
 from .linalg import DEFAULT_TOL, dag, frob
 
 
-class ZeroJumpError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SjedSet:
     """One SJED: member indices plus reset or proportional structure."""
@@ -90,10 +86,6 @@ def build_sjeds(rep: Representation, tol: float = DEFAULT_TOL) -> SjedPartition:
     jumps = rep.jumps
     if not jumps:
         return SjedPartition((), ())
-    for k, j in enumerate(jumps):
-        if frob(j) == 0.0:
-            raise ZeroJumpError(f"jump {k} is zero")
-
     rank_one = {}
     full_rank = []
     for k, j in enumerate(jumps):
@@ -353,7 +345,6 @@ def remix_within_sets(partition: SjedPartition, rng) -> tuple:
 __all__ = [
     "SjedPartition",
     "SjedSet",
-    "ZeroJumpError",
     "build_sjeds",
     "canonical_sets_with_isometries",
     "canonical_sjed_representation",

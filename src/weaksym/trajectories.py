@@ -5,7 +5,11 @@ records, record weights, ensemble statistics, and two-sample symmetry
 hypothesis tests.  Between jumps the unnormalized state evolves with the
 (constant) effective Hamiltonian, so deterministic segments use the
 exact propagator; waiting times come from the norm-decay threshold
-method with bisection at the crossing.  Randomness is drawn from
+method (Dalibard, Castin & Molmer, PRL 68, 580, 1992) with bisection at
+the crossing.  The bisection of all trajectories crossing in one grid
+step reads one table of Taylor terms (-i H_eff)^k phi / k!, built once
+per batch, so each trial time costs a contraction with the powers s^k
+rather than a new series expansion.  Randomness is drawn from
 counter-based per-trajectory streams keyed by (master seed, trajectory
 index), so ensembles are reproducible independent of batching.
 """
@@ -191,25 +195,54 @@ def transform_record(record: MeasurementRecord, permutation) -> MeasurementRecor
 
 
 class _MomentPropagator:
-    """Evaluate e^{-i H s} phi for many states and per-state s <= smax.
+    """Evaluate e^{-i H s} phi for many states, each at its own s.
 
-    Uses the truncated series sum_k (-i s)^k H^k phi / k!, exact to machine
-    precision when ||H|| * smax < 1/2.
+    Uses the truncated series sum_k s^k (-i H)^k phi / k!, exact to machine
+    precision when ||H|| * s < 1/2.  The s-free terms (-i H)^k phi / k!
+    of a batch of states form a table, built once with terms - 1 matrix
+    products; evaluating it at any s is then one contraction with the
+    powers s^k.  The bisection of a crossing batch reads one table at
+    every trial time.
     """
 
-    def __init__(self, heff: np.ndarray, smax: float, terms: int = 22):
+    def __init__(self, heff: np.ndarray, terms: int = 22):
         self.a = -1j * heff
-        self.terms = terms
-        self.smax = smax
+        self.powers = np.arange(terms)
+
+    def table(self, phis: np.ndarray) -> np.ndarray:
+        """Series terms (-i H)^k phi / k! of each state, shape (n, terms, d)."""
+        out = np.empty((len(phis), len(self.powers), phis.shape[1]), dtype=complex)
+        out[:, 0] = phis
+        at = self.a.T
+        for k in self.powers[1:]:
+            out[:, k] = (out[:, k - 1] @ at) / k
+        return out
+
+    def evaluate(self, table: np.ndarray, ss: np.ndarray) -> np.ndarray:
+        """e^{-i H s} phi of each tabled state at its own s."""
+        # real powers against the real view of the table: one stacked matmul
+        return (ss[:, None, None] ** self.powers @ table.view(float))[:, 0].view(complex)
 
     def apply(self, phis: np.ndarray, ss: np.ndarray) -> np.ndarray:
-        out = phis.astype(complex).copy()
-        term = phis.astype(complex).copy()
-        at = self.a.T
-        for k in range(1, self.terms):
-            term = (term @ at) * (ss[:, None] / k)
-            out += term
-        return out
+        return self.evaluate(self.table(phis), ss)
+
+
+def _jump(amp: np.ndarray, draws: np.ndarray) -> tuple:
+    """Jump labels and normalized post-jump states of a crossing batch.
+
+    amp[i, j] is J_j phi_i.  Row i takes the first label whose cumulative
+    rate share reaches draws[i] (numpy's searchsorted, side "left").  The
+    last share can round below a draw just under 1 (the total is summed
+    pairwise, the shares in sequence), so labels are clamped to the last.
+    """
+    rates = np.einsum("ija,ija->ij", amp.conj(), amp).real
+    total = rates.sum(axis=1)
+    if np.any(total <= 0):
+        raise StiffnessError("vanishing jump rates at a crossing")
+    shares = np.cumsum(rates, axis=1) / total[:, None]
+    labels = np.minimum((shares < draws[:, None]).sum(axis=1), rates.shape[1] - 1)
+    vecs = amp[np.arange(len(labels)), labels]
+    return labels, vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
 
 def _philox_stream(seed: int, index: int) -> np.random.Generator:
@@ -236,10 +269,16 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     Waiting times use the norm-decay threshold method: the unnormalized
     state evolves with the exact segment propagator, and each threshold
     crossing is refined by bisection to a time tolerance of 1e-9 times
-    the horizon.  Trajectory i draws from the Philox stream keyed by
-    (seed, first_index + i).
+    the horizon.  The trajectories that cross within one grid step form a
+    batch: its Taylor table (see _MomentPropagator) is built once, and
+    every bisection trial and the crossing state read it, so a trial
+    costs one contraction instead of a series expansion.  The batch then
+    jumps at once: labels by cumulative rate share, one state
+    normalization, and the rest of the step on a fresh table; the
+    trajectories that cross again form the next batch.  Trajectory i
+    draws from the Philox stream keyed by (seed, first_index + i): one
+    threshold to start, then a (label, threshold) pair per jump.
     """
-    d = rep.dim
     heff = effective_hamiltonian(rep)
     hnorm = frob(heff)
     if not np.isfinite(hnorm) or hnorm > 1e8:
@@ -258,6 +297,7 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     states: dict = {}
     want = {round(float(t), 12) for t in checkpoint_times}
     time_tol = TIME_TOL_FACTOR * max(horizon, 1e-12)
+    moments = _MomentPropagator(heff)
 
     if round(0.0, 12) in want:
         states[0.0] = phis.copy()
@@ -272,38 +312,31 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
         crossing = np.where(norms < thresholds)[0] if jump_mats is not None \
             else np.array([], dtype=int)
         if crossing.size:
-            moments = _MomentPropagator(heff, dt)
             offsets = np.zeros(crossing.size)      # jump-segment start within step
             seg_start = start[crossing]
             idxs = crossing
             while idxs.size:
                 # bisection for the crossing time of each remaining trajectory
+                table = moments.table(seg_start)
                 lo = offsets.copy()
                 hi = np.full(idxs.size, dt)
                 for _ in range(int(np.ceil(np.log2(max(2.0, dt / time_tol))))):
                     mid = (lo + hi) / 2.0
-                    trial = moments.apply(seg_start, mid - offsets)
+                    trial = moments.evaluate(table, mid - offsets)
                     tn = np.einsum("ij,ij->i", trial.conj(), trial).real
                     above = tn >= thresholds[idxs]
                     lo = np.where(above, mid, lo)
                     hi = np.where(above, hi, mid)
                 tstar = (lo + hi) / 2.0
-                phi_star = moments.apply(seg_start, tstar - offsets)
-                # jump: label by rates, reset state, new threshold
-                amp = np.einsum("jab,ib->ija", jump_mats, phi_star)
-                rates = np.einsum("ija,ija->ij", amp.conj(), amp).real
-                new_states = np.empty_like(phi_star)
-                for row, i in enumerate(idxs):
-                    g = gens[i]
-                    w = rates[row]
-                    total = w.sum()
-                    if total <= 0:
-                        raise StiffnessError("vanishing jump rates at a crossing")
-                    label = int(np.searchsorted(np.cumsum(w) / total, g.random()))
-                    records[i].append((float(t0 + tstar[row]), label))
-                    vec = amp[row, label]
-                    new_states[row] = vec / np.linalg.norm(vec)
-                    thresholds[i] = g.random()
+                phi_star = moments.evaluate(table, tstar - offsets)
+                # jump: label by rates with the first draw, reset state, and
+                # take the second draw as the new threshold
+                draws = np.array([gens[i].random(2) for i in idxs])
+                labels, new_states = _jump(
+                    np.einsum("jab,ib->ija", jump_mats, phi_star), draws[:, 0])
+                for i, t, label in zip(idxs, (t0 + tstar).tolist(), labels.tolist()):
+                    records[i].append((t, label))
+                thresholds[idxs] = draws[:, 1]
                 # propagate the remainder of the step and look again
                 rest = moments.apply(new_states, dt - tstar)
                 nr = np.einsum("ij,ij->i", rest.conj(), rest).real

@@ -14,6 +14,8 @@ from weaksym.cli import analyze, main, run_check, run_verify_joint
 from weaksym.modelfile import (
     ParseError,
     dump_model,
+    eval_entry,
+    eval_matrix,
     eval_scalar,
     load_model,
     model_to_doc,
@@ -33,6 +35,23 @@ def test_eval_scalar_expressions():
         eval_scalar("__import__('os')", params)
     with pytest.raises(ParseError):
         eval_scalar("unknown", params)
+
+
+def test_eval_matrix_numeric_rows_match_entries():
+    # rows of plain [re, im] numbers take one array conversion; they must
+    # give the same bits as the per-entry walker, signed zeros included
+    rows = [[[1, -0.0], [-0.0, 2.5], [3, 1e-300]],
+            [[-0.0, -0.0], ["omega", -0.0], [0, 7]],
+            [[2 ** 60, 0.1], [-1e300, 0], [0.0, -4]]]
+    got = eval_matrix(rows, {"omega": 2.0}, 3, "m")
+    want = np.array([[eval_entry(e, {"omega": 2.0}) for e in row] for row in rows])
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got.imag[0, 0]) and np.signbit(got.real[1, 0])
+    # a boolean, an infinite or NaN part and an int beyond float range each
+    # send the row to the walker, whose message names the entry
+    for bad in (True, float("inf"), float("nan"), 10 ** 400):
+        with pytest.raises(ParseError, match=r"entry \(1, 0\)"):
+            eval_matrix([[[0, 0], [0, 0]], [[0, bad], [0, 0]]], {}, 2, "m")
 
 
 def test_parse_model_with_parameters():

@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weaksym import models
 from weaksym.lindblad import (
@@ -12,9 +16,11 @@ from weaksym.linalg import dag, frob, matrix_exponential
 from weaksym.sjed import build_sjeds
 from weaksym.symmetry import SymmetryOperator, check_condition_III
 from weaksym.trajectories import (
+    TIME_TOL_FACTOR,
     MeasurementRecord,
     MissingPermutation,
     SizeMismatch,
+    StiffnessError,
     coarse_record,
     coarse_record_weight,
     drift,
@@ -27,6 +33,7 @@ from weaksym.trajectories import (
     state_vector,
     transform_record,
 )
+from weaksym.trajectories import _jump, _MomentPropagator
 
 from conftest import SX, SZ, random_pure_state, symmetry_ensembles
 
@@ -197,6 +204,78 @@ def test_single_trajectory_matches_ensemble_slot():
                                  checkpoint_times=(1.0,))
         assert [tuple(e) for e in traj.record.events] == \
             [tuple(e) for e in ens.records[i]]
+
+
+@pytest.mark.parametrize("d", [2, 3, 27])
+def test_moment_table_matches_expm(d):
+    rng = np.random.default_rng(40 + d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    heff = (a + dag(a)) / 2 - 0.5j * (b @ dag(b))     # decaying, non-Hermitian
+    smax = 0.45 / frob(heff)                           # the sampler's step bound
+    phis = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    ss = np.concatenate([[0.0, smax], rng.uniform(0.0, smax, 4)])
+    moments = _MomentPropagator(heff)
+    got = moments.evaluate(moments.table(phis), ss)
+    for phi, s, g in zip(phis, ss, got):
+        want = scipy.linalg.expm(-1j * s * heff) @ phi
+        assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "sampler_records.json").read_text())
+
+
+def _pinned_case(name):
+    if name == "qubit-I":
+        return models.qubit_i().rep, pure_state([1, 1]), 2.0
+    chain = models.qutrit_chain(
+        3, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, 3))
+    return chain.rep, pure_state(np.ones(27)), 1.0
+
+
+@pytest.mark.parametrize("name", ["qubit-I", "qutrit-chain-3"])
+def test_sampler_records_pinned(name):
+    # recorded by the sampler that re-expanded the Taylor series at every
+    # bisection step: reading a per-batch table must keep every label and
+    # every event time to the bisection tolerance
+    rep, psi0, horizon = _pinned_case(name)
+    ens = sample_ensemble(rep, psi0, horizon, 200, seed=3)
+    want = PINNED[name]
+    assert [[label for _, label in rec] for rec in ens.records] == \
+        [[label for _, label in rec] for rec in want]
+    got_t = np.array([t for rec in ens.records for t, _ in rec])
+    want_t = np.array([t for rec in want for t, _ in rec])
+    assert np.all(np.abs(got_t - want_t) <= TIME_TOL_FACTOR * horizon)
+
+
+def test_jump_labels_match_searchsorted(rng):
+    amp = rng.standard_normal((40, 5, 3)) + 1j * rng.standard_normal((40, 5, 3))
+    draws = rng.random(40)
+    labels, states = _jump(amp, draws)
+    for i in range(40):
+        rates = np.linalg.norm(amp[i], axis=1) ** 2
+        k = int(np.searchsorted(np.cumsum(rates) / rates.sum(), draws[i]))
+        assert labels[i] == k
+        assert np.allclose(states[i], amp[i, k] / np.linalg.norm(amp[i, k]))
+
+
+def test_jump_label_clamped_when_last_share_rounds_low():
+    # eight jumps: the total sums pairwise to 1 + 2^-52 while the running
+    # sum stays at 1, so the last cumulative share is 1 - 2^-52, below the
+    # largest draw 1 - 2^-53; the row must take the last label
+    amp = np.full((1, 8, 1), 2.0 ** -27, dtype=complex)
+    amp[0, 0, 0] = 1.0
+    draw = np.nextafter(1.0, 0.0)
+    rates = np.abs(amp[:, :, 0]) ** 2
+    assert (np.cumsum(rates, axis=1) / rates.sum(axis=1))[0, -1] < draw
+    labels, states = _jump(amp, np.array([draw]))
+    assert labels.tolist() == [7]
+    assert np.allclose(states, [[1.0]])
+
+
+def test_jump_rejects_vanishing_rates():
+    with pytest.raises(StiffnessError):
+        _jump(np.zeros((2, 3, 2), dtype=complex), np.array([0.5, 0.5]))
 
 
 def test_dephasing_jump_counts_poisson():
