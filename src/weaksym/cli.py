@@ -231,7 +231,8 @@ def _sample_chunks(rep, psi0, horizon, n, seed, checkpoints, partition, threads)
         states={t: np.vstack([part.states[t] for part in parts])
                 for t in parts[0].states},
         horizon=horizon, seed=seed, rep_fingerprint=rep.fingerprint(),
-        coarse_labels=parts[0].coarse_labels)
+        coarse_labels=parts[0].coarse_labels,
+        stats={k: sum(part.stats[k] for part in parts) for k in parts[0].stats})
 
 
 def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):

@@ -5,18 +5,20 @@ records, record weights, ensemble statistics, and two-sample symmetry
 hypothesis tests.  Between jumps the unnormalized state evolves with the
 (constant) effective Hamiltonian, so deterministic segments use the
 exact propagator; waiting times come from the norm-decay threshold
-method (Dalibard, Castin & Molmer, PRL 68, 580, 1992) with bisection at
-the crossing.  The bisection of all trajectories crossing in one grid
-step reads one table of Taylor terms (-i H_eff)^k phi / k!, built once
-per batch, so each trial time costs a contraction with the powers s^k
-rather than a new series expansion.  Randomness is drawn from
-counter-based per-trajectory streams keyed by (master seed, trajectory
-index), so ensembles are reproducible independent of batching.
+method (Dalibard, Castin & Molmer, PRL 68, 580, 1992), whose norm slope
+d||phi||^2/dt = -sum_j ||J_j phi||^2 lets a safeguarded Newton iteration
+find each crossing.  All trajectories crossing in one grid step read one
+table of Taylor terms (-i H_eff)^k phi / k!, built once per batch with
+one matrix product, so each trial time costs a contraction with the
+powers s^k and k s^(k-1) rather than a new series expansion.
+Randomness is drawn from counter-based per-trajectory streams keyed by
+(master seed, trajectory index), so ensembles are reproducible
+independent of batching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -80,6 +82,9 @@ class TrajectoryEnsemble:
     seed: int
     rep_fingerprint: str
     coarse_labels: np.ndarray | None = None
+    # sampler work: grid_steps, crossing_batches, trials (root-finding
+    # evaluations of a batch's table) and jumps
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def size(self) -> int:
@@ -198,33 +203,101 @@ class _MomentPropagator:
     """Evaluate e^{-i H s} phi for many states, each at its own s.
 
     Uses the truncated series sum_k s^k (-i H)^k phi / k!, exact to machine
-    precision when ||H|| * s < 1/2.  The s-free terms (-i H)^k phi / k!
-    of a batch of states form a table, built once with terms - 1 matrix
-    products; evaluating it at any s is then one contraction with the
-    powers s^k.  The bisection of a crossing batch reads one table at
-    every trial time.
+    precision when ||H|| * s < 1/2.  The matrices (-i H)^k / k! are formed
+    once, side by side in one (d, terms * d) matrix, so the s-free terms
+    (-i H)^k phi / k! of a batch of states form a table built with one
+    matrix product; evaluating it at any s is then one contraction with
+    the powers s^k, and its norm slope one more with k s^(k-1).  The
+    root finder of a crossing batch reads one table at every trial time.
     """
 
     def __init__(self, heff: np.ndarray, terms: int = 22):
-        self.a = -1j * heff
+        a = -1j * heff
+        mats = np.empty((terms, len(a), len(a)), dtype=complex)
+        mats[0] = np.eye(len(a))
+        for k in range(1, terms):
+            mats[k] = (mats[k - 1] @ a) / k
+        # column block k maps a row phi to phi (A^k / k!)^T
+        self.mats = mats.transpose(2, 0, 1).reshape(len(a), -1)
         self.powers = np.arange(terms)
 
     def table(self, phis: np.ndarray) -> np.ndarray:
         """Series terms (-i H)^k phi / k! of each state, shape (n, terms, d)."""
-        out = np.empty((len(phis), len(self.powers), phis.shape[1]), dtype=complex)
-        out[:, 0] = phis
-        at = self.a.T
-        for k in self.powers[1:]:
-            out[:, k] = (out[:, k - 1] @ at) / k
-        return out
+        return (phis @ self.mats).reshape(len(phis), len(self.powers), -1)
 
     def evaluate(self, table: np.ndarray, ss: np.ndarray) -> np.ndarray:
         """e^{-i H s} phi of each tabled state at its own s."""
         # real powers against the real view of the table: one stacked matmul
         return (ss[:, None, None] ** self.powers @ table.view(float))[:, 0].view(complex)
 
+    def norms(self, table: np.ndarray, ss: np.ndarray) -> tuple:
+        """||phi(s)||^2 and its derivative in s of each tabled state."""
+        k = self.powers
+        coef = np.zeros((len(ss), 2, len(k)))
+        coef[:, 0] = ss[:, None] ** k
+        coef[:, 1, 1:] = k[1:] * coef[:, 0, :-1]
+        phi, dphi = np.moveaxis((coef @ table.view(float)).view(complex), 1, 0)
+        return (np.einsum("ij,ij->i", phi.conj(), phi).real,
+                2.0 * np.einsum("ij,ij->i", phi.conj(), dphi).real)
+
     def apply(self, phis: np.ndarray, ss: np.ndarray) -> np.ndarray:
         return self.evaluate(self.table(phis), ss)
+
+
+def _crossing_times(moments: _MomentPropagator, table: np.ndarray,
+                    thresholds: np.ndarray, offsets: np.ndarray,
+                    end_norms: np.ndarray, dt: float, time_tol: float) -> tuple:
+    """Times in [offsets, dt] where each tabled norm falls to its threshold.
+
+    [offset, dt] is cut into 2^nbits equal cells, nbits halvings bringing
+    dt to time_tol, and each time is the midpoint of the cell that holds
+    the root of f(s) = ||phi(s)||^2 - threshold: what bisection would
+    give, and independent of the last bits of the batch's arithmetic.
+    The root is found by safeguarded Newton, with value and slope read
+    from the table.  Each row starts at the secant between its start
+    norm (the table's first term) and end_norms, and keeps a bracket
+    lo <= root <= hi with f(lo) >= 0 > f(hi).  A Newton step that leaves
+    the bracket, or is more than half as long as the row's previous step,
+    becomes a bisection step, at the cell boundary nearest the bracket's
+    middle.  A row stops once its bracket lies within one cell or its
+    Newton step is at most time_tol / 64, and is frozen from then on.
+    Returns the times and the number of trials.
+    """
+    nbits = int(np.ceil(np.log2(max(2.0, dt / time_tol))))
+    cell = (dt - offsets) / 2.0 ** nbits
+    # the iteration runs in cells from the offset, so cell boundaries are integers
+    n0 = np.einsum("ij,ij->i", table[:, 0].conj(), table[:, 0]).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.clip((n0 - thresholds) / (n0 - end_norms), 0.0, 1.0) * 2.0 ** nbits
+    lo, hi = np.zeros(len(u)), np.full(len(u), 2.0 ** nbits)
+    last = hi - lo                       # length of each row's previous step
+    found = np.empty(len(u))             # index of the root's cell
+    rows = np.arange(len(u))
+    tab, thr, width = table, thresholds, cell
+    trials = 0
+    while rows.size:
+        trials += 1
+        value, slope = moments.norms(tab, u * width)
+        f = value - thr
+        above = f >= 0
+        lo = np.where(above, u, lo)
+        hi = np.where(above, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / (slope * width)
+        x = u - step
+        first, final = np.floor(lo), np.ceil(hi) - 1.0   # cells the bracket meets
+        one_cell = first == final
+        converged = ~one_cell & (np.abs(step) * width <= time_tol / 64)
+        found[rows[one_cell]] = first[one_cell]
+        found[rows[converged]] = np.clip(np.floor(x), first, final)[converged]
+        newton = (lo < x) & (x < hi) & (np.abs(step) <= last / 2.0)
+        u = np.where(newton, x, np.clip(np.round((lo + hi) / 2.0), first + 1.0, final))
+        last = np.where(newton, np.abs(step), (hi - lo) / 2.0)
+        keep = ~(one_cell | converged)
+        if not keep.all():
+            rows, u, lo, hi, last = rows[keep], u[keep], lo[keep], hi[keep], last[keep]
+            tab, thr, width = table[rows], thresholds[rows], cell[rows]
+    return offsets + (found + 0.5) * cell, trials
 
 
 def _jump(amp: np.ndarray, draws: np.ndarray) -> tuple:
@@ -267,17 +340,20 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     """Sample n trajectories in vectorized lock-step.
 
     Waiting times use the norm-decay threshold method: the unnormalized
-    state evolves with the exact segment propagator, and each threshold
-    crossing is refined by bisection to a time tolerance of 1e-9 times
-    the horizon.  The trajectories that cross within one grid step form a
-    batch: its Taylor table (see _MomentPropagator) is built once, and
-    every bisection trial and the crossing state read it, so a trial
-    costs one contraction instead of a series expansion.  The batch then
+    state evolves with the exact segment propagator (one per distinct
+    step length), and the trajectories whose norm falls below their
+    threshold within one grid step form a batch.  Its Taylor table (see
+    _MomentPropagator) is built once; a safeguarded Newton iteration reads
+    value and slope of the norm from it and snaps each crossing to the
+    middle of a cell no wider than 1e-9 times the horizon (see
+    _crossing_times), and the crossing states read it too.  The batch then
     jumps at once: labels by cumulative rate share, one state
     normalization, and the rest of the step on a fresh table; the
     trajectories that cross again form the next batch.  Trajectory i
     draws from the Philox stream keyed by (seed, first_index + i): one
-    threshold to start, then a (label, threshold) pair per jump.
+    threshold to start, then a (label, threshold) pair per jump.  The
+    ensemble's stats count grid steps, crossing batches, root-finding
+    trials and jumps.
     """
     heff = effective_hamiltonian(rep)
     hnorm = frob(heff)
@@ -298,6 +374,9 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     want = {round(float(t), 12) for t in checkpoint_times}
     time_tol = TIME_TOL_FACTOR * max(horizon, 1e-12)
     moments = _MomentPropagator(heff)
+    props: dict = {}                      # step length -> segment propagator
+    stats = {"grid_steps": len(grid) - 1, "crossing_batches": 0, "trials": 0,
+             "jumps": 0}
 
     if round(0.0, 12) in want:
         states[0.0] = phis.copy()
@@ -305,29 +384,25 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     for k in range(len(grid) - 1):
         t0, t1 = grid[k], grid[k + 1]
         dt = t1 - t0
-        prop = _segment_propagator(heff, dt).T
+        if dt not in props:
+            props[dt] = _segment_propagator(heff, dt).T
         start = phis.copy()
-        phis = phis @ prop
+        phis = phis @ props[dt]
         norms = np.einsum("ij,ij->i", phis.conj(), phis).real
         crossing = np.where(norms < thresholds)[0] if jump_mats is not None \
             else np.array([], dtype=int)
         if crossing.size:
             offsets = np.zeros(crossing.size)      # jump-segment start within step
             seg_start = start[crossing]
+            end_norms = norms[crossing]
             idxs = crossing
             while idxs.size:
-                # bisection for the crossing time of each remaining trajectory
                 table = moments.table(seg_start)
-                lo = offsets.copy()
-                hi = np.full(idxs.size, dt)
-                for _ in range(int(np.ceil(np.log2(max(2.0, dt / time_tol))))):
-                    mid = (lo + hi) / 2.0
-                    trial = moments.evaluate(table, mid - offsets)
-                    tn = np.einsum("ij,ij->i", trial.conj(), trial).real
-                    above = tn >= thresholds[idxs]
-                    lo = np.where(above, mid, lo)
-                    hi = np.where(above, hi, mid)
-                tstar = (lo + hi) / 2.0
+                tstar, trials = _crossing_times(moments, table, thresholds[idxs],
+                                                offsets, end_norms, dt, time_tol)
+                stats["crossing_batches"] += 1
+                stats["trials"] += trials
+                stats["jumps"] += idxs.size
                 phi_star = moments.evaluate(table, tstar - offsets)
                 # jump: label by rates with the first draw, reset state, and
                 # take the second draw as the new threshold
@@ -345,6 +420,7 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
                 idxs = idxs[again]
                 seg_start = new_states[again]
                 offsets = tstar[again]
+                end_norms = nr[again]
         key = round(float(t1), 12)
         if key in want:
             nrm = np.sqrt(np.einsum("ij,ij->i", phis.conj(), phis).real)
@@ -352,7 +428,7 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
 
     return TrajectoryEnsemble(records=records, states=states, horizon=horizon,
                               seed=seed, rep_fingerprint=rep.fingerprint(),
-                              coarse_labels=partition.coarse_labels())
+                              coarse_labels=partition.coarse_labels(), stats=stats)
 
 
 def sample_trajectory(rep: Representation, psi0, horizon: float,

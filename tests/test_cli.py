@@ -430,14 +430,13 @@ def test_simulate_threads_match_serial(tmp_path, monkeypatch, capsys):
         assert (outs[0] / name).read_text() == (outs[1] / name).read_text()
 
 
-def test_thread_pool_capped_at_cpu_count(monkeypatch):
-    from weaksym.lindblad import pure_state
-    from weaksym.sjed import build_sjeds
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A ProcessPoolExecutor stand-in that records its size and maps in
+    this process; returns the list of recorded sizes."""
     workers = []
 
     class Pool:
-        """Records its size and maps in this process."""
-
         def __init__(self, max_workers):
             workers.append(max_workers)
 
@@ -451,6 +450,13 @@ def test_thread_pool_capped_at_cpu_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return workers
+
+
+def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):
+    from weaksym.lindblad import pure_state
+    from weaksym.sjed import build_sjeds
+    workers = in_process_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
@@ -500,3 +506,21 @@ def test_check_single_symmetry_selection(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert list(doc["symmetries"]) == ["combined"]
     assert doc["symmetries"]["combined"]["condition_III"]
+
+
+def test_chunk_stats_summed(monkeypatch, in_process_pool):
+    from weaksym.lindblad import pure_state
+    from weaksym.sjed import build_sjeds
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    model = models.qubit_weak()
+    psi0 = pure_state(np.ones(2))
+    part = build_sjeds(model.rep)
+    pooled = cli._sample_chunks(model.rep, psi0, 0.5, 64, 7, (0.5,), part, 3)
+    chunks = [trajectories.sample_ensemble(model.rep, psi0, 0.5, b - a, seed=7,
+                                           checkpoint_times=(0.5,), partition=part,
+                                           first_index=a)
+              for a, b in ((0, 21), (21, 42), (42, 64))]
+    assert in_process_pool == [3]
+    assert pooled.stats == {k: sum(c.stats[k] for c in chunks) for k in chunks[0].stats}
+    assert pooled.stats["jumps"] == sum(len(rec) for rec in pooled.records)
+    assert pooled.stats["grid_steps"] == 3 * chunks[0].stats["grid_steps"]

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from weaksym import models
 from weaksym.lindblad import (
@@ -33,7 +34,7 @@ from weaksym.trajectories import (
     state_vector,
     transform_record,
 )
-from weaksym.trajectories import _jump, _MomentPropagator
+from weaksym.trajectories import _crossing_times, _jump, _MomentPropagator
 
 from conftest import SX, SZ, random_pure_state, symmetry_ensembles
 
@@ -206,12 +207,16 @@ def test_single_trajectory_matches_ensemble_slot():
             [tuple(e) for e in ens.records[i]]
 
 
+def _decaying_heff(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + dag(a)) / 2 - 0.5j * (b @ dag(b))     # decaying, non-Hermitian
+
+
 @pytest.mark.parametrize("d", [2, 3, 27])
 def test_moment_table_matches_expm(d):
     rng = np.random.default_rng(40 + d)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    heff = (a + dag(a)) / 2 - 0.5j * (b @ dag(b))     # decaying, non-Hermitian
+    heff = _decaying_heff(rng, d)
     smax = 0.45 / frob(heff)                           # the sampler's step bound
     phis = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
     ss = np.concatenate([[0.0, smax], rng.uniform(0.0, smax, 4)])
@@ -246,6 +251,128 @@ def test_sampler_records_pinned(name):
     got_t = np.array([t for rec in ens.records for t, _ in rec])
     want_t = np.array([t for rec in want for t, _ in rec])
     assert np.all(np.abs(got_t - want_t) <= TIME_TOL_FACTOR * horizon)
+
+
+def _exact_norm(heff, phi, s):
+    return np.linalg.norm(scipy.linalg.expm(-1j * s * heff) @ phi) ** 2
+
+
+def _crossing_batch(seed, d, m):
+    """A decaying H_eff, its step bound dt and m rows (start state, offset,
+    threshold between the end norm and the start norm, end norm)."""
+    rng = np.random.default_rng(seed)
+    heff = _decaying_heff(rng, d)
+    dt = 0.45 / frob(heff)
+    phis = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    phis /= np.linalg.norm(phis, axis=1)[:, None]
+    offsets = rng.uniform(0.0, 0.5 * dt, m) * (rng.random(m) < 0.5)
+    ends = np.array([_exact_norm(heff, phi, dt - o) for phi, o in zip(phis, offsets)])
+    thresholds = ends + rng.uniform(0.01, 0.99, m) * (1.0 - ends)
+    return heff, dt, phis, offsets, thresholds, ends
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 5]))
+def test_crossing_time_matches_bisection(seed, d):
+    heff, dt, phis, offsets, thresholds, ends = _crossing_batch(seed, d, 4)
+    time_tol = 1e-9
+    moments = _MomentPropagator(heff)
+    times, _ = _crossing_times(moments, moments.table(phis), thresholds, offsets,
+                               ends, dt, time_tol)
+    for phi, off, thr, t in zip(phis, offsets, thresholds, times):
+        lo, hi = off, dt
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            if _exact_norm(heff, phi, mid - off) >= thr:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(t - (lo + hi) / 2.0) <= time_tol
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 5]))
+def test_crossing_time_independent_of_batch(seed, d):
+    heff, dt, phis, offsets, thresholds, ends = _crossing_batch(seed, d, 7)
+    moments = _MomentPropagator(heff)
+    batch, _ = _crossing_times(moments, moments.table(phis), thresholds, offsets,
+                               ends, dt, 1e-9)
+    for i in range(7):
+        one = slice(i, i + 1)
+        alone, _ = _crossing_times(moments, moments.table(phis[one]), thresholds[one],
+                                   offsets[one], ends[one], dt, 1e-9)
+        assert alone[0] == batch[i]
+
+
+@given(st.floats(0.01, 0.39), st.floats(0.01, 0.2))
+def test_crossing_with_vanishing_slope_ends_within_twice_the_bisection_trials(r, gamma):
+    # a Rabi drive carries the state through |1> at s = r, where the norm
+    # slope -gamma |phi_0|^2 vanishes; the threshold is the norm there
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    heff = sx - 0.5j * gamma * np.diag([1.0, 0.0])
+    dt, time_tol = 0.4, 1e-9
+    phi = scipy.linalg.expm(1j * r * heff) @ np.array([0.0, 1.0], dtype=complex)
+    phi /= np.linalg.norm(phi)
+    thr = _exact_norm(heff, phi, r)
+    moments = _MomentPropagator(heff)
+    table = moments.table(phi[None])
+    assert abs(moments.norms(table, np.array([r]))[1][0]) < 1e-14
+    times, trials = _crossing_times(moments, table, np.array([thr]), np.zeros(1),
+                                    np.array([_exact_norm(heff, phi, dt)]), dt, time_tol)
+    nbits = int(np.ceil(np.log2(dt / time_tol)))
+    assert trials <= 2 * nbits
+    # so flat a crossing is defined only to the rounding of the norm
+    assert abs(_exact_norm(heff, phi, times[0]) - thr) <= 1e-13
+
+
+class _AtanNorm:
+    """Stands in for _MomentPropagator: ||phi(s)||^2 = c - atan(k (s - r)),
+    on which Newton iterates settle into a 2-cycle at |k (s - r)| = 1.3917."""
+
+    def __init__(self, c, k, r):
+        self.c, self.k, self.r = c, k, r
+
+    def norms(self, table, ss):
+        z = self.k * (ss - self.r)
+        return self.c - np.arctan(z), -self.k / (1.0 + z * z)
+
+
+@given(st.floats(1.3, 1.3917))
+def test_newton_cycle_broken_by_bisection(a):
+    k, r, dt, thr, time_tol = 10.0, 0.5, 1.0, 2.0, 1e-9
+    end = thr - np.arctan(k * (dt - r))
+    # a start norm n0 that puts the secant start at r + a / k
+    frac = (r + a / k) / dt
+    n0 = (thr - frac * end) / (1.0 - frac)
+    times, trials = _crossing_times(
+        _AtanNorm(thr, k, r), np.full((1, 1, 1), np.sqrt(n0), dtype=complex),
+        np.array([thr]), np.zeros(1), np.array([end]), dt, time_tol)
+    assert abs(times[0] - r) <= time_tol
+    # without the step-halving rule the cycle decays slowly: up to 15 trials
+    assert trials <= 6
+
+
+def test_norm_slope_is_minus_total_jump_rate(rng):
+    # d||phi||^2/ds = -sum_j ||J_j phi||^2 (Dalibard, Castin & Molmer)
+    rep = models.qutrit_chain(2).rep
+    heff = effective_hamiltonian(rep)
+    moments = _MomentPropagator(heff)
+    phis = rng.standard_normal((5, rep.dim)) + 1j * rng.standard_normal((5, rep.dim))
+    ss = rng.uniform(0.0, 0.45 / frob(heff), 5)
+    value, slope = moments.norms(moments.table(phis), ss)
+    for phi, s, v, ds in zip(phis, ss, value, slope):
+        phi_s = scipy.linalg.expm(-1j * s * heff) @ phi
+        assert np.isclose(v, np.linalg.norm(phi_s) ** 2, rtol=1e-12)
+        want = -sum(np.linalg.norm(j @ phi_s) ** 2 for j in rep.jumps)
+        assert np.isclose(ds, want, rtol=1e-10)
+
+
+def test_sampler_stats_count_few_trials_per_batch():
+    ens = sample_ensemble(models.qubit_iii().rep, PLUS, 1.0, 2000, seed=1)
+    stats = ens.stats
+    assert stats["grid_steps"] == 20
+    assert stats["jumps"] == sum(len(rec) for rec in ens.records)
+    assert stats["crossing_batches"] > 0
+    # bisection to the time tolerance took 26 trials per batch
+    assert stats["trials"] <= 6 * stats["crossing_batches"]
 
 
 def test_jump_labels_match_searchsorted(rng):
