@@ -11,9 +11,16 @@ find each crossing.  All trajectories crossing in one grid step read one
 table of Taylor terms (-i H_eff)^k phi / k!, built once per batch with
 one matrix product, so each trial time costs a contraction with the
 powers s^k and k s^(k-1) rather than a new series expansion.
-Randomness is drawn from counter-based per-trajectory streams keyed by
-(master seed, trajectory index), so ensembles are reproducible
-independent of batching.
+
+Reproducibility contract: trajectory i of an ensemble with master seed
+`seed` and `first_index` draws its k-th uniform as word k mod 4 of
+Philox4x64-10 (Salmon et al., SC'11) at counter (k // 4 + 1, 0, 0, 0)
+under key (seed mod 2^64, first_index + i), mapped to (x >> 11) * 2^-53:
+numpy's layout, so the stream equals
+Generator(Philox(key=(seed mod 2^64, first_index + i))).random().  Draw
+0 is the first threshold and each jump takes the next two (label,
+threshold), so records do not depend on batching or --threads.  The
+rounds run in numpy for every trajectory at once (_philox_uniforms).
 """
 
 from __future__ import annotations
@@ -29,6 +36,10 @@ from .linalg import dag, frob
 from .sjed import SjedPartition, build_sjeds
 
 TIME_TOL_FACTOR = 1e-9
+# most Philox blocks buffered per ensemble (8 MiB of uniforms), and the
+# blocks evaluated together
+_FILL_CAP = 2 ** 18
+_PHILOX_CHUNK = 2 ** 13
 
 
 class StiffnessError(RuntimeError):
@@ -83,27 +94,31 @@ class TrajectoryEnsemble:
     rep_fingerprint: str
     coarse_labels: np.ndarray | None = None
     # sampler work: grid_steps, crossing_batches, trials (root-finding
-    # evaluations of a batch's table) and jumps
+    # evaluations of a batch's table), jumps, draws (uniforms taken) and
+    # philox_calls (bulk evaluations of the streams)
     stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.records)
 
+    def _event_labels(self) -> tuple:
+        """Trajectory index and label of every event, flattened."""
+        rows = np.repeat(np.arange(self.size), [len(rec) for rec in self.records])
+        labels = np.array([j for rec in self.records for _, j in rec], dtype=int)
+        return rows, labels
+
     def count_vectors(self, nlabels: int) -> np.ndarray:
         out = np.zeros((self.size, nlabels), dtype=int)
-        for i, rec in enumerate(self.records):
-            for _, j in rec:
-                out[i, j] += 1
+        np.add.at(out, self._event_labels(), 1)
         return out
 
     def coarse_count_vectors(self, nsets: int) -> np.ndarray:
         if self.coarse_labels is None:
             raise ValueError("ensemble carries no SJED label map")
+        rows, labels = self._event_labels()
         out = np.zeros((self.size, nsets), dtype=int)
-        for i, rec in enumerate(self.records):
-            for _, j in rec:
-                out[i, self.coarse_labels[j]] += 1
+        np.add.at(out, (rows, np.asarray(self.coarse_labels)[labels]), 1)
         return out
 
 
@@ -236,7 +251,8 @@ class _MomentPropagator:
         coef = np.zeros((len(ss), 2, len(k)))
         coef[:, 0] = ss[:, None] ** k
         coef[:, 1, 1:] = k[1:] * coef[:, 0, :-1]
-        phi, dphi = np.moveaxis((coef @ table.view(float)).view(complex), 1, 0)
+        terms = (coef @ table.view(float)).view(complex)
+        phi, dphi = terms[:, 0], terms[:, 1]
         return (np.einsum("ij,ij->i", phi.conj(), phi).real,
                 2.0 * np.einsum("ij,ij->i", phi.conj(), dphi).real)
 
@@ -267,36 +283,40 @@ def _crossing_times(moments: _MomentPropagator, table: np.ndarray,
     cell = (dt - offsets) / 2.0 ** nbits
     # the iteration runs in cells from the offset, so cell boundaries are integers
     n0 = np.einsum("ij,ij->i", table[:, 0].conj(), table[:, 0]).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.clip((n0 - thresholds) / (n0 - end_norms), 0.0, 1.0) * 2.0 ** nbits
-    lo, hi = np.zeros(len(u)), np.full(len(u), 2.0 ** nbits)
+    lo, hi = np.zeros(len(n0)), np.full(len(n0), 2.0 ** nbits)
     last = hi - lo                       # length of each row's previous step
-    found = np.empty(len(u))             # index of the root's cell
-    rows = np.arange(len(u))
+    found = np.empty(len(n0))            # index of the root's cell
+    rows = np.arange(len(n0))
     tab, thr, width = table, thresholds, cell
     trials = 0
-    while rows.size:
-        trials += 1
-        value, slope = moments.norms(tab, u * width)
-        f = value - thr
-        above = f >= 0
-        lo = np.where(above, u, lo)
-        hi = np.where(above, hi, u)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # np.minimum/np.maximum stand for np.clip, which costs more per call
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.minimum(np.maximum((n0 - thresholds) / (n0 - end_norms), 0.0), 1.0) \
+            * 2.0 ** nbits
+        while rows.size:
+            trials += 1
+            value, slope = moments.norms(tab, u * width)
+            f = value - thr
+            above = f >= 0
+            lo = np.where(above, u, lo)
+            hi = np.where(above, hi, u)
             step = f / (slope * width)
-        x = u - step
-        first, final = np.floor(lo), np.ceil(hi) - 1.0   # cells the bracket meets
-        one_cell = first == final
-        converged = ~one_cell & (np.abs(step) * width <= time_tol / 64)
-        found[rows[one_cell]] = first[one_cell]
-        found[rows[converged]] = np.clip(np.floor(x), first, final)[converged]
-        newton = (lo < x) & (x < hi) & (np.abs(step) <= last / 2.0)
-        u = np.where(newton, x, np.clip(np.round((lo + hi) / 2.0), first + 1.0, final))
-        last = np.where(newton, np.abs(step), (hi - lo) / 2.0)
-        keep = ~(one_cell | converged)
-        if not keep.all():
-            rows, u, lo, hi, last = rows[keep], u[keep], lo[keep], hi[keep], last[keep]
-            tab, thr, width = table[rows], thresholds[rows], cell[rows]
+            x = u - step
+            size = np.abs(step)
+            first, final = np.floor(lo), np.ceil(hi) - 1.0   # cells the bracket meets
+            one_cell = first == final
+            done = one_cell | (size * width <= time_tol / 64)
+            newton = (lo < x) & (x < hi) & (size <= last / 2.0)
+            if done.any():
+                snap = np.minimum(np.maximum(np.floor(x), first), final)
+                found[rows[done]] = np.where(one_cell, first, snap)[done]
+                keep = ~done
+                rows, x, lo, hi, last = rows[keep], x[keep], lo[keep], hi[keep], last[keep]
+                first, final, newton, size = first[keep], final[keep], newton[keep], size[keep]
+                tab, thr, width = table[rows], thresholds[rows], cell[rows]
+            u = np.where(newton, x,
+                         np.minimum(np.maximum(np.rint((lo + hi) / 2.0), first + 1.0), final))
+            last = np.where(newton, size, (hi - lo) / 2.0)
     return offsets + (found + 0.5) * cell, trials
 
 
@@ -318,9 +338,96 @@ def _jump(amp: np.ndarray, draws: np.ndarray) -> tuple:
     return labels, vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
 
-def _philox_stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_MASK64 = 2 ** 64 - 1
+# Philox4x64 multipliers (for counter words 0 and 2) and Weyl key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _philox_uniforms(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Uniforms of Philox4x64-10 blocks, shape (len(counters), 4).
+
+    Block b is the generator at counter (counters[b], 0, 0, 0) under key
+    (seed mod 2^64, keys[b]), its words mapped to (x >> 11) * 2^-53 as
+    numpy's Generator.random does.  Blocks are evaluated in chunks small
+    enough for the working arrays to stay in cache.
+    """
+    out = np.empty((len(counters), 4))
+    for a in range(0, len(counters), _PHILOX_CHUNK):
+        chunk = slice(a, a + _PHILOX_CHUNK)
+        out[chunk] = _philox_rounds(seed, keys[chunk], counters[chunk])
+    return out
+
+
+def _philox_rounds(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The ten rounds of _philox_uniforms, in place where numpy allows.
+
+    A round maps (c0, c1, c2, c3) to (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1,
+    lo0), where hi_i:lo_i is the 128-bit product M_i c_2i; its high word
+    is summed from the 32-bit halves' products in uint64 arithmetic.
+    """
+    k0, k1 = seed & _MASK64, keys.astype(np.uint64)
+    c = np.zeros((4, len(counters)), dtype=np.uint64)
+    c[0] = counters
+    m_lo, m_hi = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 += np.uint64(_PHILOX_W[1])
+        x = c[0::2]                                  # a view of words 0 and 2
+        x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
+        p_lh, p_hl = x_lo * m_hi, x_hi * m_lo
+        x_lo *= m_lo
+        x_lo >>= 32
+        x_lo += p_lh & 0xFFFFFFFF
+        x_lo += p_hl & 0xFFFFFFFF                    # bits 32-95 of the product
+        x_hi *= m_hi
+        x_hi += p_lh >> 32
+        x_hi += p_hl >> 32
+        x_hi += x_lo >> 32                           # the high words hi0, hi1
+        x *= _PHILOX_M                               # the low words lo0, lo1
+        c[1] ^= x_hi[1]
+        c[1] ^= np.uint64(k0)
+        c[3] ^= x_hi[0]
+        c[3] ^= k1
+        c = c[[1, 2, 3, 0]]
+    c >>= 11
+    return c.T * 2.0 ** -53
+
+
+class _Streams:
+    """Each trajectory's uniforms, drawn in bulk and handed out in order.
+
+    Row i holds 4 * blocks consecutive draws of its stream (see the module
+    docstring), starting at draw base[i], and used[i] draws are taken.
+    take(rows, k) hands the next k draws of each row; the rows that would
+    run past their buffer are refilled together, from the block holding
+    their next draw, with one Philox evaluation.
+    """
+
+    def __init__(self, seed: int, first_index: int, n: int, blocks: int):
+        self.seed, self.blocks = seed, max(2, blocks)   # 2 blocks hold any pair
+        self.keys = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
+        self.base = np.zeros(n, dtype=np.int64)
+        self.used = np.zeros(n, dtype=np.int64)
+        self.calls = 0
+        self.buf = self._fill(np.arange(n), self.base)
+
+    def _fill(self, rows: np.ndarray, first_draw: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        counters = (first_draw // 4 + 1)[:, None] + np.arange(self.blocks)
+        return _philox_uniforms(self.seed, np.repeat(self.keys[rows], self.blocks),
+                                counters.ravel()).reshape(len(rows), 4 * self.blocks)
+
+    def take(self, rows: np.ndarray, k: int) -> np.ndarray:
+        used = self.used[rows]
+        short = used + k > self.base[rows] + 4 * self.blocks
+        if short.any():
+            refill = rows[short]
+            self.base[refill] = used[short] // 4 * 4
+            self.buf[refill] = self._fill(refill, used[short])
+        self.used[rows] = used + k
+        return self.buf[rows[:, None], (used - self.base[rows])[:, None] + np.arange(k)]
 
 
 def _grid(horizon: float, step: float, checkpoints) -> np.ndarray:
@@ -349,11 +456,17 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     _crossing_times), and the crossing states read it too.  The batch then
     jumps at once: labels by cumulative rate share, one state
     normalization, and the rest of the step on a fresh table; the
-    trajectories that cross again form the next batch.  Trajectory i
-    draws from the Philox stream keyed by (seed, first_index + i): one
-    threshold to start, then a (label, threshold) pair per jump.  The
-    ensemble's stats count grid steps, crossing batches, root-finding
-    trials and jumps.
+    trajectories that cross again form the next batch.
+
+    Draws: the k-th uniform of trajectory i is word k mod 4 of
+    Philox4x64-10 at counter (k // 4 + 1, 0, 0, 0) under key
+    (seed mod 2^64, first_index + i), as (x >> 11) * 2^-53; draw 0 is
+    its first threshold, and each jump takes a (label, threshold) pair.
+    All rows are filled at once with room for the Poisson bound on their
+    jumps, and the rows of a crossing batch that run short are refilled
+    together.  The ensemble's stats count grid steps, crossing batches,
+    root-finding trials, jumps, uniforms drawn (n + 2 jumps) and Philox
+    evaluations.
     """
     heff = effective_hamiltonian(rep)
     hnorm = frob(heff)
@@ -366,10 +479,18 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
 
     v0 = state_vector(psi0)
     phis = np.tile(v0, (n, 1))
-    gens = [_philox_stream(seed, first_index + i) for i in range(n)]
-    thresholds = np.array([g.random() for g in gens])
-    records: list = [[] for _ in range(n)]
     jump_mats = np.stack(rep.jumps) if rep.jumps else None
+    # a normalized state jumps at total rate <= gamma, so few rows outrun
+    # room for gamma*T + 4 sqrt(gamma*T) + 4 jumps; the cap bounds memory.
+    # eigh as in state_vector: a first eigvalsh call maps ~0.3 MB more of
+    # LAPACK into the process
+    gamma = float(np.linalg.eigh(sum(dag(j) @ j for j in rep.jumps))[0][-1]) \
+        if rep.jumps else 0.0
+    jumps = gamma * horizon + 4.0 * np.sqrt(gamma * horizon) + 4.0
+    blocks = min(np.ceil((1.0 + 2.0 * jumps) / 4.0), _FILL_CAP // max(n, 1))
+    streams = _Streams(seed, first_index, n, int(blocks))
+    thresholds = streams.take(np.arange(n), 1)[:, 0]
+    records: list = [[] for _ in range(n)]
     states: dict = {}
     want = {round(float(t), 12) for t in checkpoint_times}
     time_tol = TIME_TOL_FACTOR * max(horizon, 1e-12)
@@ -406,7 +527,7 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
                 phi_star = moments.evaluate(table, tstar - offsets)
                 # jump: label by rates with the first draw, reset state, and
                 # take the second draw as the new threshold
-                draws = np.array([gens[i].random(2) for i in idxs])
+                draws = streams.take(idxs, 2)
                 labels, new_states = _jump(
                     np.einsum("jab,ib->ija", jump_mats, phi_star), draws[:, 0])
                 for i, t, label in zip(idxs, (t0 + tstar).tolist(), labels.tolist()):
@@ -426,6 +547,8 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
             nrm = np.sqrt(np.einsum("ij,ij->i", phis.conj(), phis).real)
             states[float(t1)] = phis / nrm[:, None]
 
+    stats["draws"] = int(streams.used.sum())
+    stats["philox_calls"] = streams.calls
     return TrajectoryEnsemble(records=records, states=states, horizon=horizon,
                               seed=seed, rep_fingerprint=rep.fingerprint(),
                               coarse_labels=partition.coarse_labels(), stats=stats)

@@ -34,7 +34,13 @@ from weaksym.trajectories import (
     state_vector,
     transform_record,
 )
-from weaksym.trajectories import _crossing_times, _jump, _MomentPropagator
+from weaksym.trajectories import (
+    _crossing_times,
+    _jump,
+    _MomentPropagator,
+    _philox_uniforms,
+    _Streams,
+)
 
 from conftest import SX, SZ, random_pure_state, symmetry_ensembles
 
@@ -373,6 +379,84 @@ def test_sampler_stats_count_few_trials_per_batch():
     assert stats["crossing_batches"] > 0
     # bisection to the time tolerance took 26 trials per batch
     assert stats["trials"] <= 6 * stats["crossing_batches"]
+
+
+def test_sampler_draws_every_stream_in_one_philox_evaluation():
+    n = 2000
+    ens = sample_ensemble(models.qubit_iii().rep, PLUS, 1.0, n, seed=1)
+    # one threshold per trajectory and a (label, threshold) pair per jump,
+    # all from the first fill: no evaluation per row or per crossing batch
+    assert ens.stats["draws"] == n + 2 * ens.stats["jumps"]
+    assert ens.stats["philox_calls"] == 1
+
+
+_MASK = 2 ** 64 - 1
+
+
+def _numpy_stream(seed, index):
+    key = np.array([seed & _MASK, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@given(st.one_of(st.just(0), st.integers(-2 ** 63, -1), st.integers(2 ** 63, _MASK)),
+       st.integers(2 ** 63 - 4, 2 ** 63 + 4),
+       st.lists(st.integers(1, 3), min_size=1, max_size=12))
+def test_streams_match_numpy_philox(seed, first_index, sizes):
+    # three rows with 2-block (8-draw) buffers: takes of 1-3 draws cross
+    # block boundaries and run past the first fill, so rows are refilled
+    streams = _Streams(seed, first_index, 3, 2)
+    want = [_numpy_stream(seed, first_index + i) for i in range(3)]
+    for step, k in enumerate(sizes):
+        rows = np.array([0, 2]) if step % 2 else np.arange(3)
+        got = streams.take(rows, k)
+        for row, i in zip(got, rows):
+            assert np.array_equal(row, want[i].random(k))
+    assert streams.calls > 1 or sum(sizes) <= 8
+    assert np.array_equal(_philox_uniforms(seed, np.full(3, first_index, dtype=np.uint64),
+                                           np.arange(1, 4, dtype=np.uint64)).ravel(),
+                          _numpy_stream(seed, first_index).random(12))
+
+
+class _GeneratorStreams:
+    """Stands in for _Streams with one numpy Philox Generator per row."""
+
+    def __init__(self, seed, first_index, n, blocks):
+        self.gens = [_numpy_stream(seed, first_index + i) for i in range(n)]
+        self.used = np.zeros(n, dtype=int)
+        self.calls = 0
+
+    def take(self, rows, k):
+        self.used[rows] += k
+        return np.array([self.gens[i].random(k) for i in rows])
+
+
+def test_sampler_rows_outrunning_first_fill_match_generator_streams(monkeypatch):
+    # qubit-III jumps at rate 2: over T = 4 a 2-block fill (room for 3
+    # jumps) is outrun by most rows, so many batches refill their rows
+    import weaksym.trajectories as traj
+    rep, n = models.qubit_iii().rep, 60
+    monkeypatch.setattr(traj, "_FILL_CAP", 2 * n)
+    got = sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,
+                          checkpoint_times=(4.0,))
+    assert got.stats["philox_calls"] > 5
+    assert got.stats["draws"] == n + 2 * got.stats["jumps"]
+    monkeypatch.setattr(traj, "_Streams", _GeneratorStreams)
+    want = sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,
+                           checkpoint_times=(4.0,))
+    assert got.records == want.records
+    assert np.array_equal(got.states[4.0], want.states[4.0])
+
+
+def test_count_vectors_tally_event_labels():
+    rep = models.twoqubit_iii().rep
+    ens = sample_ensemble(rep, pure_state(np.ones(4)), 1.0, 300, seed=2)
+    full = ens.count_vectors(rep.njumps)
+    coarse = ens.coarse_count_vectors(build_sjeds(rep).nsets)
+    for rec, row, crow in zip(ens.records, full, coarse):
+        assert row.tolist() == [sum(j == k for _, j in rec) for k in range(len(row))]
+        assert crow.tolist() == [sum(ens.coarse_labels[j] == k for _, j in rec)
+                                 for k in range(len(crow))]
+    assert full.dtype == coarse.dtype == np.dtype(int)
 
 
 def test_jump_labels_match_searchsorted(rng):

@@ -5,12 +5,13 @@
 Runs ``check`` on the nine built-ins and on a seeded L=4 qutrit chain,
 ``verify-joint`` on the nine built-ins, ``simulate`` (with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
-three levels, and ``report`` on qubit-III and qubit-I, once with each tree
-on PYTHONPATH.  Exit codes, strings, booleans and integers (verdicts,
-permutations, event labels) must be identical; every other number must
-agree within atol.  Only the report's ``elapsed_seconds`` is not compared.
-Prints one line per difference and the largest float deviation, and
-exits 1 if any case differs.
+three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
+``report`` on qubit-III and qubit-I, once with each tree on PYTHONPATH.
+Exit codes, strings, booleans and integers (verdicts, permutations, event
+labels) must be identical; every other number must agree within atol.
+Only the report's ``elapsed_seconds`` is not compared.  Prints one line
+per difference and the largest float deviation, and exits 1 if any case
+differs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ def cases(chain4, chain3):
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
+    # two pool workers: the second chunk's streams start at first_index > 0
+    out += [["simulate", m, "--level", "full", "--n", "300", "--seed", "7",
+             "--threads", "2"] for m in ("qubit-III", chain3)]
     out += [["report", m] for m in ("qubit-III", "qubit-I")]
     return out
 
