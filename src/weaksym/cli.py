@@ -41,7 +41,6 @@ from .symmetry import (
 from . import dilation, trajectories
 
 MAX_SUPEROP_DIM = 12       # build d^2 x d^2 matrices only below this
-MAX_JOINT_DIM = 32         # joint steps need (d (1+jumps))^2-sized matrices
 
 
 def _matrix_json(m):
@@ -155,17 +154,8 @@ def run_check(analysis):
     return result, ok
 
 
-def _require_joint_scale(model):
-    joint_dim = model.rep.dim * (model.rep.njumps + 1)
-    if joint_dim > MAX_JOINT_DIM:
-        raise ParseError(
-            f"joint dimension {joint_dim} exceeds the desk-scale cap "
-            f"{MAX_JOINT_DIM}; joint verification is meant for small models")
-
-
 def run_verify_joint(analysis):
     model, partition, tol = analysis.model, analysis.partition, analysis.tol
-    _require_joint_scale(model)
     rep = model.rep
     steps = {
         "rotating_frame": dilation.rotating_frame_step(rep),
@@ -175,40 +165,28 @@ def run_verify_joint(analysis):
     }
     result = {"model": model.name, "symmetries": {}}
     for name, (sym, report) in analysis.symmetries.items():
-        entry = {"residuals": {}, "scan_minima": {}}
         c1, c2, c3 = (report.condition_I, report.condition_II,
                       report.condition_III)
+        certificates = {}     # step kind -> certified environment unitary
         if c3.holds:
-            u_rec = permutation_unitary(c3.permutation, c3.phases)
-            ue = dilation.environment_symmetry(u_rec)
-            entry["residuals"]["dephased"] = dilation.joint_symmetry_residual(
-                steps["dephased"], sym.matrix, ue)
-        else:
-            entry["scan_minima"]["dephased"] = dilation.minimum_symmetry_residual(
-                steps["dephased"], sym.matrix, partition)
+            certificates["dephased"] = permutation_unitary(c3.permutation, c3.phases)
         if c2.holds:
             u54 = blockwise_unitary_completion(rep, sym, partition,
                                                c2.permutation, tol)
-            ue = dilation.environment_symmetry(u54)
-            entry["residuals"]["partial"] = dilation.joint_symmetry_residual(
-                steps["partial"], sym.matrix, ue)
-            uc = dilation.environment_symmetry(
-                permutation_unitary(c2.permutation))
-            entry["residuals"]["coarse"] = dilation.joint_symmetry_residual(
-                steps["coarse"], sym.matrix, uc)
-            entry["residuals"]["rotating_frame"] = dilation.joint_symmetry_residual(
-                steps["rotating_frame"], sym.matrix,
-                dilation.environment_symmetry(u54))
-        else:
-            for kind in ("partial", "coarse"):
-                entry["scan_minima"][kind] = dilation.minimum_symmetry_residual(
-                    steps[kind], sym.matrix, partition)
-        if c1.holds and "rotating_frame" not in entry["residuals"]:
-            ue = dilation.environment_symmetry(c1.unitary)
-            entry["residuals"]["rotating_frame"] = dilation.joint_symmetry_residual(
-                steps["rotating_frame"], sym.matrix, ue)
-        entry["conditions"] = list(report.verdicts())
-        result["symmetries"][name] = entry
+            certificates.update(partial=u54, coarse=permutation_unitary(
+                c2.permutation), rotating_frame=u54)
+        elif c1.holds:
+            certificates["rotating_frame"] = c1.unitary
+        result["symmetries"][name] = {
+            "residuals": {kind: dilation.joint_symmetry_residual(
+                steps[kind], sym.matrix, dilation.environment_symmetry(u))
+                for kind, u in certificates.items()},
+            "scan_minima": {kind: dilation.minimum_symmetry_residual(
+                steps[kind], sym.matrix, partition)
+                for kind in ("dephased", "partial", "coarse")
+                if kind not in certificates},
+            "conditions": list(report.verdicts()),
+        }
     return result
 
 
@@ -433,8 +411,6 @@ def _dispatch(args) -> int:
 
     model = _load(args.model)
     t0 = time.time()
-    if args.command == "verify-joint":   # before the analysis, which may be large
-        _require_joint_scale(model)
     analysis = analyze(model, args.sym, args.tol)
 
     if args.command == "check":
@@ -462,9 +438,8 @@ def _dispatch(args) -> int:
             "model": model_to_doc(model),
             "seed": args.seed,
             "check": check,
+            "joint": run_verify_joint(analysis),
         }
-        if model.rep.dim * (model.rep.njumps + 1) <= MAX_JOINT_DIM:
-            doc["joint"] = run_verify_joint(analysis)
         if not args.skip_simulation:
             doc["trajectories"] = run_simulate(
                 analysis, "unlabelled", args.n, args.horizon, args.seed, 0.01,

@@ -4,9 +4,10 @@ The environment is a single bin with basis {vac, 1, .., d}; creation of a
 type-j quantum is sqrt(dt) |j><vac|, which reproduces the quantum-noise
 increment table exactly on the vacuum sector.  The module builds the
 joint unitary step, its rotating-frame form, and the fully dephased,
-partially dephased, and coarse-grained generator steps, all with drift
-and jump parts stored as coefficient matrices so symmetry residuals are
-evaluated exactly, free of any dt discretization.
+partially dephased, and coarse-grained generator steps from system-size
+operators only.  Symmetry residuals are exact in dt and have no size cap:
+they are read from d x d overlaps in the coordinates of one thin QR, each
+difference taken before its norm, so no sqrt(eps) cancellation floor.
 """
 
 from __future__ import annotations
@@ -57,25 +58,49 @@ class TimeBin:
 
 @dataclass(frozen=True)
 class JointSuperStep:
-    """One bin-step of the joint dynamics.
+    """One bin-step of the joint dynamics, held as system-size operators.
 
-    kind "unitary": ham_dt and ham_sqrt are the coefficient operators of
-    dt and sqrt(dt) in the joint Hamiltonian.  Generator kinds
-    ("dephased" | "partial" | "coarse"): drift and jump are superoperator
-    matrices (row stacking) whose sum is the coefficient of dt.
-    """
+    b_m = |m+1><vac| creates a quantum in bin mode m, and jump j emits into
+    mode modes[j].  kind "unitary": the joint Hamiltonian is
+    H x 1 dt + i sum_j (J_j x b_{modes[j]} - h.c.) sqrt(dt), H the
+    system_hamiltonian.  Generator kinds ("dephased" | "partial" |
+    "coarse"): the coefficient of dt is the superoperator (row stacking)
+    D + K with D = A x 1 + 1 x A*, A = -i H_eff x 1, H_eff the
+    system_hamiltonian, and K = sum_g k_g x k_g*, the joint jumps
+    k_g = sum_{j: groups[j] = g} J_j x b_{modes[j]}.  Joint operators are
+    built only on request."""
 
     kind: str
-    system_dim: int
+    system_hamiltonian: np.ndarray
+    jumps: tuple
+    modes: np.ndarray
+    groups: np.ndarray
     bin_dim: int
-    ham_dt: np.ndarray | None = None
-    ham_sqrt: np.ndarray | None = None
-    drift: np.ndarray | None = None
-    jump: np.ndarray | None = None
+
+    @property
+    def system_dim(self) -> int:
+        return self.system_hamiltonian.shape[0]
 
     @property
     def joint_dim(self) -> int:
         return self.system_dim * self.bin_dim
+
+    def _creations(self) -> np.ndarray:
+        """b_{modes[j]} for every jump j, shape (njumps, bin_dim, bin_dim)."""
+        out = np.zeros((len(self.jumps), self.bin_dim, self.bin_dim), dtype=complex)
+        out[np.arange(len(self.jumps)), self.modes + 1, 0] = 1.0
+        return out
+
+    @property
+    def ham_dt(self) -> np.ndarray:
+        return np.kron(self.system_hamiltonian, np.eye(self.bin_dim))
+
+    @property
+    def ham_sqrt(self) -> np.ndarray:
+        out = np.zeros((self.joint_dim,) * 2, dtype=complex)
+        for jm, b in zip(self.jumps, self._creations()):
+            out += 1j * (np.kron(jm, b) - np.kron(dag(jm), dag(b)))
+        return out
 
     def hamiltonian(self, dt: float) -> np.ndarray:
         if self.kind != "unitary":
@@ -85,7 +110,14 @@ class JointSuperStep:
     def generator(self) -> np.ndarray:
         if self.kind == "unitary":
             raise ValueError("unitary steps have no generator matrix")
-        return self.drift + self.jump
+        a = -1j * self.ham_dt
+        joint_eye = np.eye(self.joint_dim, dtype=complex)
+        out = np.kron(a, joint_eye) + np.kron(joint_eye, a.conj())
+        for g in sorted(set(self.groups)):
+            k = sum(np.kron(jm, b) for jm, b, h in
+                    zip(self.jumps, self._creations(), self.groups) if h == g)
+            out += np.kron(k, k.conj())
+        return out
 
     def apply(self, joint_state: np.ndarray, dt: float) -> np.ndarray:
         """Propagate a joint density matrix through one bin of length dt."""
@@ -93,37 +125,28 @@ class JointSuperStep:
             u = linalg.matrix_exponential(-1j * self.hamiltonian(dt))
             return u @ joint_state @ dag(u)
         prop = linalg.matrix_exponential(dt * self.generator())
-        d = self.joint_dim
-        return (prop @ joint_state.reshape(-1)).reshape(d, d)
+        return (prop @ joint_state.reshape(-1)).reshape(joint_state.shape)
 
 
-def _embed(system_op: np.ndarray, bin_op: np.ndarray) -> np.ndarray:
-    return np.kron(system_op, bin_op)
-
-
-def _stochastic_step(hamiltonian: np.ndarray, jumps, dt: float) -> JointSuperStep:
+def _step(kind, hamiltonian, jumps, dt, modes=None, groups=None) -> JointSuperStep:
+    """Jump j emits into bin mode modes[j] and belongs to joint jump
+    groups[j]; both default to j."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    d = hamiltonian.shape[0]
-    bin_ = TimeBin(len(jumps))
-    eye_e = np.eye(bin_.dim, dtype=complex)
-    ham_dt = _embed(hamiltonian, eye_e)
-    ham_sqrt = np.zeros((d * bin_.dim,) * 2, dtype=complex)
-    for j, jm in enumerate(jumps):
-        b = bin_.creation(j)
-        ham_sqrt += 1j * (_embed(jm, b) - _embed(dag(jm), dag(b)))
-    return JointSuperStep("unitary", d, bin_.dim,
-                          ham_dt=ham_dt, ham_sqrt=ham_sqrt)
+    modes, groups = (np.arange(len(jumps)) if x is None else np.asarray(x)
+                     for x in (modes, groups))
+    return JointSuperStep(kind, np.asarray(hamiltonian, dtype=complex),
+                          tuple(jumps), modes, groups, int(modes.max(initial=-1)) + 2)
 
 
 def stochastic_hamiltonian_step(rep: Representation, dt: float = 1.0) -> JointSuperStep:
     """Joint Hamiltonian step H x 1 dt + i sum_j (J_j x dB_j† - h.c.)."""
-    return _stochastic_step(rep.hamiltonian, rep.jumps, dt)
+    return _step("unitary", rep.hamiltonian, rep.jumps, dt)
 
 
 def rotating_frame_step(rep: Representation, dt: float = 1.0) -> JointSuperStep:
     """Stochastic Hamiltonian of the traceless jumps (zero ones included)."""
-    return _stochastic_step(*_traceless_parts(rep), dt)
+    return _step("unitary", *_traceless_parts(rep), dt)
 
 
 def displacement_step(rep: Representation, dt: float) -> np.ndarray:
@@ -157,12 +180,12 @@ def rotating_frame_convergence(rep: Representation, dt_list) -> float:
     bare = stochastic_hamiltonian_step(rep)
     frame = rotating_frame_step(rep)
     eye_s = np.eye(rep.dim, dtype=complex)
-    pvac = _embed(eye_s, TimeBin(rep.njumps).vacuum_projector())
+    pvac = np.kron(eye_s, TimeBin(rep.njumps).vacuum_projector())
     resid = []
     for dt in dts:
         u_bare = linalg.matrix_exponential(-1j * bare.hamiltonian(dt))
         u_frame = linalg.matrix_exponential(-1j * frame.hamiltonian(dt))
-        d_lift = _embed(eye_s, displacement_step(rep, dt))
+        d_lift = np.kron(eye_s, displacement_step(rep, dt))
         resid.append(frob((d_lift @ u_bare - u_frame) @ pvac))
     resid = np.asarray(resid)
     if np.max(resid) < 1e-13:
@@ -189,57 +212,25 @@ def environment_symmetry(u_matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     return out
 
 
-def _drift_superop(rep: Representation, bin_dim: int) -> np.ndarray:
-    heff = effective_hamiltonian(rep)
-    eye_e = np.eye(bin_dim, dtype=complex)
-    a = -1j * _embed(heff, eye_e)
-    joint_eye = np.eye(rep.dim * bin_dim, dtype=complex)
-    return np.kron(a, joint_eye) + np.kron(joint_eye, a.conj())
-
-
 def dephased_generator_step(rep: Representation, dt: float = 1.0) -> JointSuperStep:
     """Counting-measurement generator: separable joint jumps J_j x dB_j†."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    bin_ = TimeBin(rep.njumps)
-    jump = np.zeros(((rep.dim * bin_.dim) ** 2,) * 2, dtype=complex)
-    for j, jm in enumerate(rep.jumps):
-        k = _embed(jm, bin_.creation(j))
-        jump += np.kron(k, k.conj())
-    return JointSuperStep("dephased", rep.dim, bin_.dim,
-                          drift=_drift_superop(rep, bin_.dim), jump=jump)
+    return _step("dephased", effective_hamiltonian(rep), rep.jumps, dt)
 
 
 def partially_dephased_generator_step(rep: Representation,
                                       partition: SjedPartition,
                                       dt: float = 1.0) -> JointSuperStep:
     """Partial-measurement generator: one joint jump per SJED."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    bin_ = TimeBin(rep.njumps)
-    jump = np.zeros(((rep.dim * bin_.dim) ** 2,) * 2, dtype=complex)
-    for s in partition.sets:
-        k = sum(_embed(partition.jumps[j], bin_.creation(j)) for j in s.indices)
-        jump += np.kron(k, k.conj())
-    return JointSuperStep("partial", rep.dim, bin_.dim,
-                          drift=_drift_superop(rep, bin_.dim), jump=jump)
+    return _step("partial", effective_hamiltonian(rep), partition.jumps, dt,
+                 groups=partition.coarse_labels())
 
 
 def coarse_grained_generator_step(rep: Representation,
                                   partition: SjedPartition,
                                   dt: float = 1.0) -> JointSuperStep:
     """Erasure generator: quanta labelled by SJED on a (d_c + 1)-dim bin."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    bin_ = TimeBin(partition.nsets)
-    jump = np.zeros(((rep.dim * bin_.dim) ** 2,) * 2, dtype=complex)
-    for alpha, s in enumerate(partition.sets):
-        c = bin_.creation(alpha)
-        for j in s.indices:
-            k = _embed(partition.jumps[j], c)
-            jump += np.kron(k, k.conj())
-    return JointSuperStep("coarse", rep.dim, bin_.dim,
-                          drift=_drift_superop(rep, bin_.dim), jump=jump)
+    return _step("coarse", effective_hamiltonian(rep), partition.jumps, dt,
+                 modes=partition.coarse_labels())
 
 
 def partial_trace_environment(joint_state: np.ndarray, system_dim: int,
@@ -267,30 +258,66 @@ def environment_trace_slope(step_of_dt, rep: Representation, psi0,
     return float(slope)
 
 
+def _overlaps(step: JointSuperStep, u_system: np.ndarray):
+    """(before, after): coordinates of the operators X_t = [H, J_1, .., J_n]
+    (and the J_j† on unitary steps) and of their images U X_t U† in one
+    orthonormal basis of their span, one column each (a thin QR).  Generator
+    steps drop H_eff's trace part, which every U fixes."""
+    h = step.system_hamiltonian
+    if step.kind != "unitary":
+        h = h - np.trace(h) / step.system_dim * np.eye(step.system_dim)
+    ops = np.array([h, *step.jumps])
+    images = u_system @ ops @ dag(u_system)
+    if step.kind == "unitary":
+        ops, images = (np.concatenate([x, x[1:].conj().transpose(0, 2, 1)])
+                       for x in (ops, images))
+    r = np.linalg.qr(np.concatenate([ops, images]).reshape(2 * len(ops), -1).T,
+                     mode="r")
+    return np.split(r, 2, axis=1)
+
+
 def joint_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
                             u_env: np.ndarray) -> float:
-    """Relative residual of the joint symmetry on the step's coefficients.
+    """Relative residual of the joint symmetry W = U x V (both unitary)
+    on the step's coefficients, exact in dt, from system-size overlaps.
 
-    Unitary steps compare the conjugated Hamiltonian coefficients;
-    generator steps compare the conjugated superoperator matrix.  Both
-    are exact in dt because the coefficients are stored separately.
+    Unitary steps compare W H W† with the joint Hamiltonian H, generator
+    steps M Λ M† with Λ, M = W x W*.  sum_t X_t x B_t has the norm of
+    sum_t c_t vec(B_t)^T, c_t the coordinates of X_t in an orthonormal
+    basis, so each difference is taken on coordinates before its norm.
+    On generator steps D and K stay orthogonal (every k_g is traceless);
+    with N the joint dimension and H_0 = H_eff - tr(H_eff)/d,
+    ||D||^2 = 2 N E ||H_0||^2 + 4 E^2 Im(tr H_eff)^2 and ||MDM† - D||^2 =
+    2 N E ||U H_0 U† - H_0||^2.  K realigned is sum_g |k_g>><<k_g|, so
+    ||MKM† - K|| = ||ÂÂ† - B̂B̂†|| for the coordinates Â, B̂ of the k_g and
+    of their images, read off a thin QR of [Â B̂].
     """
     u_system = np.asarray(u_system, dtype=complex)
     u_env = np.asarray(u_env, dtype=complex)
     if u_system.shape != (step.system_dim, step.system_dim) \
             or u_env.shape != (step.bin_dim, step.bin_dim):
         raise ShapeError("symmetry operator dimensions do not match the step")
-    w = _embed(u_system, u_env)
+    before, after = _overlaps(step, u_system)
+    b, e = step._creations(), step.bin_dim
     if step.kind == "unitary":
-        num = 0.0
-        den = 0.0
-        for part in (step.ham_dt, step.ham_sqrt):
-            num += frob(w @ part @ dag(w) - part) ** 2
-            den += frob(part) ** 2
-        return float(np.sqrt(num / max(den, 1e-300)))
-    m = np.kron(w, w.conj())
-    lam = step.generator()
-    return float(frob(m @ lam @ dag(m) - lam) / max(frob(lam), 1e-300))
+        b = np.concatenate([np.eye(e)[None], b, -b.transpose(0, 2, 1)])
+        old = before @ b.reshape(len(b), -1)
+        new = after @ (u_env @ b @ dag(u_env)).reshape(len(b), -1)
+        return float(frob(new - old) / max(frob(old), 1e-300))
+    n_joint, trace = step.joint_dim, np.trace(step.system_hamiltonian)
+    num = 2 * n_joint * e * frob(after[:, 0] - before[:, 0]) ** 2
+    den = 2 * n_joint * e * frob(before[:, 0]) ** 2 + 4 * e ** 2 * trace.imag ** 2
+    if step.jumps:
+        member = np.eye(step.groups.max() + 1)[step.groups]
+        bins = np.stack([b, u_env @ b @ dag(u_env)]).reshape(2, len(b), -1)
+        coords = np.stack([before, after])[:, :, 1:]
+        g = member.shape[1]
+        r = np.linalg.qr(np.einsum("skj,sje,jg->kesg", coords, bins, member)
+                         .reshape(-1, 2 * g), mode="r")
+        k_old, k_new = r[:, :g] @ dag(r[:, :g]), r[:, g:] @ dag(r[:, g:])
+        num += frob(k_new - k_old) ** 2
+        den += frob(k_old) ** 2
+    return float(np.sqrt(num / max(den, 1e-300)))
 
 
 _ASCENT_RTOL = 1e-12      # partial-step ascent stops below this relative gain
@@ -312,18 +339,17 @@ def minimum_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
     picks, then ascends by u <- polar(conj(c_ab) P[j, k]), which never
     lowers f.  That gives an upper bound, 0 whenever condition II holds.
     """
-    n = len(partition.jumps)
-    images = [u_system @ j @ dag(u_system) for j in partition.jumps]
-    p = np.array([[np.vdot(k, j) for k in partition.jumps]
-                  for j in images]).reshape(n, n)
-    member = np.zeros((n, partition.nsets))
-    member[np.arange(n), partition.coarse_labels()] = 1.0
+    if step.kind == "unitary":
+        raise ValueError("unitary steps have no minimum residual")
+    before, after = _overlaps(step, np.asarray(u_system, dtype=complex))
+    p = after[:, 1:].T @ before[:, 1:].conj()
+    member = np.eye(partition.nsets)[partition.coarse_labels()]
     if step.kind == "dephased":
         u = permutation_unitary(linalg.assign(-np.abs(p) ** 2, np.inf))
     elif step.kind == "coarse":
         u = permutation_unitary(
             linalg.assign(-member.T @ np.abs(p) ** 2 @ member, np.inf))
-    elif step.kind == "partial":
+    else:
         nuclear = np.array([[np.linalg.norm(p[np.ix_(a.indices, b.indices)], "nuc")
                              for b in partition.sets] for a in partition.sets])
         pairs = permutation_unitary(linalg.assign(-nuclear ** 2, np.inf)).real
@@ -336,8 +362,6 @@ def minimum_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
             best, f = u, f_next
             u = _polar(member @ c.conj() @ member.T * p)
         u = best
-    else:
-        raise ValueError(f"{step.kind!r} steps have no minimum residual")
     return joint_symmetry_residual(step, u_system, environment_symmetry(u))
 
 

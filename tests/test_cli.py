@@ -303,6 +303,16 @@ def test_verify_joint_qubit_corpus():
     assert entry["scan_minima"]["coarse"] > 1e-3
 
 
+@pytest.mark.parametrize("name", list(models.BUILDERS))
+def test_certified_joint_residuals_at_rounding(name):
+    # the residuals are differences taken before their norms: a difference
+    # of squared norms would leave a floor near sqrt(eps) here
+    doc = run_verify_joint(analyze(models.get_model(name)))
+    for entry in doc["symmetries"].values():
+        _assert_joint_pattern(entry)
+        assert all(r <= 1e-15 for r in entry["residuals"].values())
+
+
 def test_verify_joint_many_distinct_jumps(tmp_path, capsys):
     # seven singleton SJEDs: the partial step is the dephased one, and the
     # minimum must not enumerate the 7! relabellings
@@ -345,11 +355,6 @@ def test_identity_jump_model(command, tmp_path, capsys):
         assert entry["residuals"]["rotating_frame"] < 1e-12
 
 
-def test_verify_joint_rejects_large_models():
-    with pytest.raises(ParseError):
-        run_verify_joint(analyze(models.qutrit_chain()))
-
-
 def test_simulate_writes_exports(tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(["simulate", "qubit-weak", "--level", "unlabelled",
@@ -375,13 +380,47 @@ def test_report_combined(capsys):
     assert doc["trajectories"]["tests"]["parity"]["passed"]
 
 
-def _chain_file(tmp_path):
-    """A seeded L=3 qutrit chain (dim 27, three symmetries) as a model file."""
+def _chain_file(tmp_path, length=3):
+    """A seeded qutrit chain (dim 3^length, three symmetries) as a model file."""
     model = models.qutrit_chain(
-        3, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, 3))
-    path = tmp_path / "chain-L3.json"
+        length, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, length))
+    path = tmp_path / f"chain-L{length}.json"
     dump_model(model, path)
     return str(path)
+
+
+@pytest.mark.parametrize("length", [3, 4])
+def test_verify_joint_chain(length, tmp_path, capsys):
+    # joint dimensions 189 and 729: no size cap, and no joint-size matrices
+    path = _chain_file(tmp_path, length)
+    t0 = time.perf_counter()
+    assert main(["verify-joint", path]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["symmetries"]) == 3
+    for entry in doc["symmetries"].values():
+        _assert_joint_pattern(entry)
+
+
+def _assert_joint_pattern(entry):
+    """Certified residuals where the verdicts hold, scan minima elsewhere."""
+    c1, c2, c3 = entry["conditions"]
+    assert c1 or not c2
+    certified = {"dephased": c3, "partial": c2, "coarse": c2,
+                 "rotating_frame": c1}
+    assert set(entry["residuals"]) == {k for k, v in certified.items() if v}
+    assert set(entry["scan_minima"]) == {k for k, v in certified.items()
+                                         if not v and k != "rotating_frame"}
+    assert all(r <= 1e-12 for r in entry["residuals"].values())
+    assert all(r > 1e-9 for r in entry["scan_minima"].values())
+
+
+def test_report_chain_includes_joint(tmp_path, capsys):
+    assert main(["report", _chain_file(tmp_path), "--skip-simulation"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "joint" in doc
+    for entry in doc["joint"]["symmetries"].values():
+        _assert_joint_pattern(entry)
 
 
 @pytest.mark.parametrize("name, ensembles", [("chain-L3", 4), ("qubit-III", 2)])

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from weaksym import dilation, linalg, models
 from weaksym.lindblad import Representation, apply_master_operator, pure_state
@@ -293,6 +294,47 @@ def test_scan_minimum_is_exact(dim, seed, monkeypatch):
         for env in envs:
             r = joint_symmetry_residual(step, u, environment_symmetry(env))
             assert best <= r + 1e-12
+
+
+def dense_residual(step, u_system, u_env):
+    """The joint residual read off the joint operators themselves."""
+    w = np.kron(u_system, u_env)
+    if step.kind == "unitary":
+        lam, m = step.hamiltonian(1.0), w
+    else:
+        lam, m = step.generator(), np.kron(w, w.conj())
+    return frob(m @ lam @ dag(m) - lam) / max(frob(lam), 1e-300)
+
+
+@given(dim=st.integers(2, 3), n_full=st.integers(0, 2), n_reset=st.integers(0, 2),
+       identity=st.booleans(), vacuum_fixed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_residual_matches_dense_oracle(dim, n_full, n_reset, identity,
+                                       vacuum_fixed, seed):
+    # traceful jumps, rank-one jumps sharing a destination (one SJED), and
+    # optionally the identity, whose traceless part is zero
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    dest = gaussian(dim)
+    jumps = [gaussian(dim, dim) for _ in range(n_full)]
+    jumps += [np.outer(dest, gaussian(dim).conj()) for _ in range(n_reset)]
+    jumps += [np.eye(dim, dtype=complex)] * identity
+    h = gaussian(dim, dim)
+    rep = Representation(h + dag(h), tuple(jumps))
+    p = build_sjeds(rep)
+    u = linalg.random_unitary(rng, dim)
+    for step in (stochastic_hamiltonian_step(rep), rotating_frame_step(rep),
+                 dephased_generator_step(rep),
+                 partially_dephased_generator_step(rep, p),
+                 coarse_grained_generator_step(rep, p)):
+        nq = step.bin_dim - 1
+        env = (environment_symmetry(linalg.random_unitary(rng, nq)) if vacuum_fixed
+               else linalg.random_unitary(rng, nq + 1))
+        assert abs(joint_symmetry_residual(step, u, env)
+                   - dense_residual(step, u, env)) <= 1e-12
 
 
 def _condition_ii_model(seed):

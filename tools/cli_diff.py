@@ -3,7 +3,8 @@
     python3 tools/cli_diff.py BASE_SRC HEAD_SRC [--atol 1e-9]
 
 Runs ``check`` on the nine built-ins and on a seeded L=4 qutrit chain,
-``verify-joint`` on the nine built-ins, ``simulate`` (with exports) on
+``verify-joint`` on the nine built-ins and on the seeded L=3 and L=4
+chains, ``simulate`` (with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
 ``report`` on qubit-III and qubit-I, once with each tree on PYTHONPATH.
@@ -11,7 +12,8 @@ Exit codes, strings, booleans and integers (verdicts, permutations, event
 labels) must be identical; every other number must agree within atol.
 Only the report's ``elapsed_seconds`` is not compared.  Prints one line
 per difference and the largest float deviation, and exits 1 if any case
-differs.
+differs.  A command that prints nothing (an exit code of 2, say) is
+compared by its exit code and its empty output.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
 
 def cases(chain4, chain3):
     out = [["check", m] for m in BUILTINS + [chain4]]
-    out += [["verify-joint", m] for m in BUILTINS]
+    out += [["verify-joint", m] for m in BUILTINS + [chain3, chain4]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
@@ -59,8 +61,8 @@ def run(src, argv, out_dir):
         with open(os.path.join(out_dir, "counts.csv")) as fh:
             doc["counts"] = fh.read()
     else:
-        doc["stdout"] = json.loads(proc.stdout)
-        if argv[0] == "report":
+        doc["stdout"] = json.loads(proc.stdout) if proc.stdout else None
+        if argv[0] == "report" and doc["stdout"]:
             del doc["stdout"]["elapsed_seconds"]
     return doc
 
