@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class Analysis:
     tol: float
     partition: SjedPartition
     symmetries: dict      # name -> (SymmetryOperator, SymmetryReport)
+    # name -> SJED block certificate or its CompletionFailed, on first use
+    completions: dict = field(default_factory=dict)
 
 
 def analyze(model, sym_name=None, tol=DEFAULT_TOL) -> Analysis:
@@ -95,6 +97,20 @@ def analyze(model, sym_name=None, tol=DEFAULT_TOL) -> Analysis:
     return Analysis(model, tol, partition, symmetries)
 
 
+def _block_unitary(analysis, name):
+    """A condition-II symmetry's SJED block certificate, or the
+    CompletionFailed that stopped it, built once per command."""
+    if name not in analysis.completions:
+        sym, report = analysis.symmetries[name]
+        try:
+            analysis.completions[name] = blockwise_unitary_completion(
+                analysis.model.rep, sym, analysis.partition,
+                report.condition_II.permutation, analysis.tol)
+        except CompletionFailed as exc:
+            analysis.completions[name] = exc
+    return analysis.completions[name]
+
+
 def _sjed_summary(partition):
     out = []
     for s in partition.sets:
@@ -107,7 +123,7 @@ def _sjed_summary(partition):
 
 
 def run_check(analysis):
-    model, partition, tol = analysis.model, analysis.partition, analysis.tol
+    model, partition = analysis.model, analysis.partition
     result = {
         "model": model.name,
         "sjeds": _sjed_summary(partition),
@@ -134,13 +150,12 @@ def run_check(analysis):
             },
         }
         if report.condition_II.holds:
-            try:
-                u54 = blockwise_unitary_completion(
-                    model.rep, sym, partition, report.condition_II.permutation, tol)
-                entry["sjed_block_unitary"] = _matrix_json(u54)
-            except CompletionFailed as exc:
+            u54 = _block_unitary(analysis, name)
+            if isinstance(u54, CompletionFailed):
                 entry["sjed_block_unitary"] = None
-                entry["sjed_block_unitary_error"] = str(exc)
+                entry["sjed_block_unitary_error"] = str(u54)
+            else:
+                entry["sjed_block_unitary"] = _matrix_json(u54)
         if model.rep.dim <= MAX_SUPEROP_DIM:
             entry["off_block_mass"] = off_block_mass(
                 liouville_matrix(model.rep), sym)
@@ -155,7 +170,7 @@ def run_check(analysis):
 
 
 def run_verify_joint(analysis):
-    model, partition, tol = analysis.model, analysis.partition, analysis.tol
+    model, partition = analysis.model, analysis.partition
     rep = model.rep
     steps = {
         "rotating_frame": dilation.rotating_frame_step(rep),
@@ -167,22 +182,25 @@ def run_verify_joint(analysis):
     for name, (sym, report) in analysis.symmetries.items():
         c1, c2, c3 = (report.condition_I, report.condition_II,
                       report.condition_III)
+        images = sym.images(rep)
         certificates = {}     # step kind -> certified environment unitary
         if c3.holds:
             certificates["dephased"] = permutation_unitary(c3.permutation, c3.phases)
         if c2.holds:
-            u54 = blockwise_unitary_completion(rep, sym, partition,
-                                               c2.permutation, tol)
-            certificates.update(partial=u54, coarse=permutation_unitary(
-                c2.permutation), rotating_frame=u54)
-        elif c1.holds:
-            certificates["rotating_frame"] = c1.unitary
+            coarse = permutation_unitary(c2.permutation)
+            u54 = _block_unitary(analysis, name)
+            if isinstance(u54, CompletionFailed):
+                certificates["coarse"] = coarse
+            else:
+                certificates.update(partial=u54, coarse=coarse, rotating_frame=u54)
+        if c1.holds:
+            certificates.setdefault("rotating_frame", c1.unitary)
         result["symmetries"][name] = {
             "residuals": {kind: dilation.joint_symmetry_residual(
-                steps[kind], sym.matrix, dilation.environment_symmetry(u))
+                steps[kind], images, dilation.environment_symmetry(u))
                 for kind, u in certificates.items()},
             "scan_minima": {kind: dilation.minimum_symmetry_residual(
-                steps[kind], sym.matrix, partition)
+                steps[kind], images, partition)
                 for kind in ("dephased", "partial", "coarse")
                 if kind not in certificates},
             "conditions": list(report.verdicts()),

@@ -27,8 +27,10 @@ from .linalg import DEFAULT_TOL, NotUnitaryError, ShapeError, dag, frob
 from .sjed import SjedPartition
 from .symmetry import (
     CompletionFailed,
+    SymmetryImages,
     SymmetryOperator,
     general_unitary_completion,
+    jump_coordinates,
     permutation_unitary,
 )
 
@@ -258,29 +260,36 @@ def environment_trace_slope(step_of_dt, rep: Representation, psi0,
     return float(slope)
 
 
-def _overlaps(step: JointSuperStep, u_system: np.ndarray):
-    """(before, after): coordinates of the operators X_t = [H, J_1, .., J_n]
-    (and the J_j† on unitary steps) and of their images U X_t U† in one
-    orthonormal basis of their span, one column each (a thin QR).  Generator
-    steps drop H_eff's trace part, which every U fixes."""
+def _system_unitary(step: JointSuperStep, u_system) -> np.ndarray:
+    u = u_system.sym.matrix if isinstance(u_system, SymmetryImages) \
+        else np.asarray(u_system, dtype=complex)
+    if u.shape != (step.system_dim, step.system_dim):
+        raise ShapeError("symmetry operator dimensions do not match the step")
+    return u
+
+
+def _generator_images(step: JointSuperStep, u_system) -> tuple:
+    """(H_0, U H_0 U†, A, B) of a generator step, H_0 = H_eff - tr(H_eff)/d
+    (U fixes the trace), A and B the coordinates of the jumps and of their
+    images in one basis: the symmetry's own when u_system is its
+    SymmetryImages of the step's representation."""
+    u = _system_unitary(step, u_system)
     h = step.system_hamiltonian
-    if step.kind != "unitary":
-        h = h - np.trace(h) / step.system_dim * np.eye(step.system_dim)
-    ops = np.array([h, *step.jumps])
-    images = u_system @ ops @ dag(u_system)
-    if step.kind == "unitary":
-        ops, images = (np.concatenate([x, x[1:].conj().transpose(0, 2, 1)])
-                       for x in (ops, images))
-    r = np.linalg.qr(np.concatenate([ops, images]).reshape(2 * len(ops), -1).T,
-                     mode="r")
-    return np.split(r, 2, axis=1)
+    h = h - np.trace(h) / step.system_dim * np.eye(step.system_dim)
+    if not isinstance(u_system, SymmetryImages):
+        return (h, u @ h @ dag(u), *jump_coordinates(u, step.jumps)[1:])
+    if step.jumps is not u_system.rep.jumps:
+        raise ValueError("the images are of another representation's jumps")
+    return h, u @ h @ dag(u), u_system.jumps, u_system.jump_images
 
 
-def joint_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
+def joint_symmetry_residual(step: JointSuperStep, u_system,
                             u_env: np.ndarray) -> float:
     """Relative residual of the joint symmetry W = U x V (both unitary)
     on the step's coefficients, exact in dt, from system-size overlaps.
 
+    u_system is U or its SymmetryImages of the representation the step
+    was built from (generator steps then reuse its jump coordinates).
     Unitary steps compare W H W† with the joint Hamiltonian H, generator
     steps M Λ M† with Λ, M = W x W*.  sum_t X_t x B_t has the norm of
     sum_t c_t vec(B_t)^T, c_t the coordinates of X_t in an orthonormal
@@ -292,28 +301,38 @@ def joint_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
     ||MKM† - K|| = ||ÂÂ† - B̂B̂†|| for the coordinates Â, B̂ of the k_g and
     of their images, read off a thin QR of [Â B̂].
     """
-    u_system = np.asarray(u_system, dtype=complex)
     u_env = np.asarray(u_env, dtype=complex)
-    if u_system.shape != (step.system_dim, step.system_dim) \
-            or u_env.shape != (step.bin_dim, step.bin_dim):
+    e = step.bin_dim
+    if u_env.shape != (e, e):
         raise ShapeError("symmetry operator dimensions do not match the step")
-    before, after = _overlaps(step, u_system)
-    b, e = step._creations(), step.bin_dim
     if step.kind == "unitary":
+        # X_t = [H, J_j, J_j†] and U X_t U† in one stack, for one thin QR
+        u, n, d = _system_unitary(step, u_system), len(step.jumps), step.system_dim
+        stack = np.empty((2, 2 * n + 1, d, d), dtype=complex)
+        stack[0, 0] = step.system_hamiltonian
+        for k, jump in enumerate(step.jumps):
+            stack[0, 1 + k] = jump
+        np.matmul(u @ stack[0, :n + 1], dag(u), out=stack[1, :n + 1])
+        np.conjugate(stack[:, 1:n + 1].transpose(0, 1, 3, 2), out=stack[:, n + 1:])
+        before, after = np.split(linalg.coordinates(stack.reshape(4 * n + 2, -1)), 2,
+                                 axis=1)
+        b = step._creations()
         b = np.concatenate([np.eye(e)[None], b, -b.transpose(0, 2, 1)])
         old = before @ b.reshape(len(b), -1)
         new = after @ (u_env @ b @ dag(u_env)).reshape(len(b), -1)
         return float(frob(new - old) / max(frob(old), 1e-300))
+    h, h_image, before, after = _generator_images(step, u_system)
     n_joint, trace = step.joint_dim, np.trace(step.system_hamiltonian)
-    num = 2 * n_joint * e * frob(after[:, 0] - before[:, 0]) ** 2
-    den = 2 * n_joint * e * frob(before[:, 0]) ** 2 + 4 * e ** 2 * trace.imag ** 2
+    num = 2 * n_joint * e * frob(h_image - h) ** 2
+    den = 2 * n_joint * e * frob(h) ** 2 + 4 * e ** 2 * trace.imag ** 2
     if step.jumps:
+        b = step._creations()
         member = np.eye(step.groups.max() + 1)[step.groups]
         bins = np.stack([b, u_env @ b @ dag(u_env)]).reshape(2, len(b), -1)
-        coords = np.stack([before, after])[:, :, 1:]
+        coords = np.stack([before, after])
         g = member.shape[1]
-        r = np.linalg.qr(np.einsum("skj,sje,jg->kesg", coords, bins, member)
-                         .reshape(-1, 2 * g), mode="r")
+        r = linalg.coordinates(np.einsum("skj,sje,jg->sgke", coords, bins, member)
+                               .reshape(2 * g, -1))
         k_old, k_new = r[:, :g] @ dag(r[:, :g]), r[:, g:] @ dag(r[:, g:])
         num += frob(k_new - k_old) ** 2
         den += frob(k_old) ** 2
@@ -324,9 +343,11 @@ _ASCENT_RTOL = 1e-12      # partial-step ascent stops below this relative gain
 _ASCENT_MAX_ITER = 500
 
 
-def minimum_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
+def minimum_symmetry_residual(step: JointSuperStep, u_system,
                               partition: SjedPartition) -> float:
-    """Joint residual at the environment unitary u found to minimize it.
+    """Joint residual at the environment unitary u found to minimize it
+    (u_system as in joint_symmetry_residual: its SymmetryImages reuse the
+    jump coordinates, a matrix has them formed for each of the two reads).
 
     Drift and jump superoperators stay Frobenius orthogonal under every u,
     so only the jump overlap depends on u, through P[j, k] = <J_k, U J_j U†>:
@@ -341,8 +362,8 @@ def minimum_symmetry_residual(step: JointSuperStep, u_system: np.ndarray,
     """
     if step.kind == "unitary":
         raise ValueError("unitary steps have no minimum residual")
-    before, after = _overlaps(step, np.asarray(u_system, dtype=complex))
-    p = after[:, 1:].T @ before[:, 1:].conj()
+    _, _, a, b = _generator_images(step, u_system)
+    p = b.T @ a.conj()
     member = np.eye(partition.nsets)[partition.coarse_labels()]
     if step.kind == "dephased":
         u = permutation_unitary(linalg.assign(-np.abs(p) ** 2, np.inf))
@@ -384,20 +405,19 @@ def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,
     v = np.asarray(v, dtype=complex)
     u_a = np.asarray(u_matrix_a, dtype=complex)
     candidate = v @ u_a @ dag(v)
-    _, tb_jumps = _traceless_parts(rep_b)
-    targets = [sym.conjugate(j) for j in tb_jumps]
+    images = sym.images(rep_b)
+    jumps, targets = images.frame_jumps.T, images.frame_images.T
     if v.shape[0] == v.shape[1]:
         u_b = candidate
     else:
-        u_b = general_unitary_completion(tb_jumps, targets, tol)
+        u_b = general_unitary_completion(jumps, targets, tol)
         # the completion differs from the transported matrix only within
         # the jump kernel; verify it still acts like the candidate
-        for j, t in enumerate(targets):
-            mix = sum(candidate[j, k] * tb_jumps[k] for k in range(len(tb_jumps)))
-            if frob(t - mix) > 1e3 * tol * max(frob(t), 1.0):
-                raise CompletionFailed("transported matrix does not act correctly")
-    step = rotating_frame_step(rep_b)
-    resid = joint_symmetry_residual(step, sym.matrix, environment_symmetry(u_b))
+        if np.any(np.linalg.norm(targets - candidate @ jumps, axis=1)
+                  > 1e3 * tol * np.maximum(np.linalg.norm(targets, axis=1), 1.0)):
+            raise CompletionFailed("transported matrix does not act correctly")
+    resid = joint_symmetry_residual(rotating_frame_step(rep_b), sym.matrix,
+                                    environment_symmetry(u_b))
     return u_b, float(resid)
 
 

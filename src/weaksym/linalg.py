@@ -2,10 +2,10 @@
 
 Thin, tolerance-aware wrappers over LAPACK (through numpy and scipy):
 Hermitian and unitary eigendecompositions with a deterministic phase
-convention, the matrix exponential, orthonormal spans and complements,
-Haar-random unitaries and the linear assignment problem.  Everything
-operates on plain numpy arrays and is pure (no global state), so calls
-are safe from concurrent workers.
+convention, the matrix exponential, orthonormal spans, complements and
+thin-QR coordinates, Haar-random unitaries and the linear assignment
+problem.  Everything operates on plain numpy arrays and keeps no global
+state, so calls are safe from concurrent workers.
 """
 
 from __future__ import annotations
@@ -56,17 +56,10 @@ def _as_square(a) -> np.ndarray:
 
 def fix_column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rescale each column so its first non-negligible entry is real positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nrm = np.abs(col)
-        big = np.max(nrm)
-        if big == 0.0:
-            continue
-        i = int(np.argmax(nrm > tol * big))
-        ph = col[i] / abs(col[i])
-        v[:, j] = col * ph.conjugate()
-    return v
+    nrm = np.abs(v)
+    first = v[np.argmax(nrm > tol * nrm.max(axis=0), axis=0), np.arange(v.shape[1])]
+    r = np.abs(first)   # zero only for an all-zero column, which stays as it is
+    return v * np.where(r > 0, first / np.where(r > 0, r, 1.0), 1.0).conj()
 
 
 def hermitian_eigendecomposition(a, tol: float = DEFAULT_TOL):
@@ -125,6 +118,17 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
     u, s, _ = np.linalg.svd(v, full_matrices=False)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
     return u[:, :rank]
+
+
+def coordinates(rows: np.ndarray) -> np.ndarray:
+    """Coordinates of vectors (the rows, overwritten) in one orthonormal
+    basis of their span: R of a thin Householder QR run in place on the
+    transpose.  Inner products and norms of combinations are read from R."""
+    geqrf, = scipy.linalg.lapack.get_lapack_funcs(("geqrf",), (rows,))
+    qr, _, _, info = geqrf(rows.T, overwrite_a=True)
+    if info != 0:
+        raise LinalgError(f"geqrf failed with info {info}")
+    return np.triu(qr[:min(qr.shape)])
 
 
 def orthonormal_complement(basis: np.ndarray) -> np.ndarray:

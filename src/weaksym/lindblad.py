@@ -255,18 +255,16 @@ def representations_equal(rep_a: Representation, rep_b: Representation,
     return frob(fa - fb) <= tol * scale
 
 
-def frame_isometry(jumps, targets, tol: float = DEFAULT_TOL):
+def frame_isometry(stack, flat_targets, tol: float = DEFAULT_TOL):
     """Isometries relating two jump families through their shared frame.
 
-    With M = Q R the coefficients of the jumps in an orthonormal basis of
-    their span (Q isometric) and N those of the targets, N R^-1 is
-    isometric exactly when both families have the same frame operator.
-    Returns (Q, N R^-1 or None when it is not isometric, largest norm of
-    a target outside the jump span).
+    stack and flat_targets hold one flattened jump (or its coordinates)
+    per column.  With M = Q R the coefficients of the jumps in an
+    orthonormal basis of their span (Q isometric) and N those of the
+    targets, N R^-1 is isometric exactly when both families have the same
+    frame operator.  Returns (Q, N R^-1 or None when it is not isometric,
+    largest norm of a target outside the jump span).
     """
-    d = jumps[0].shape[0]
-    stack = _flat(jumps, d)
-    flat_targets = _flat(targets, d)
     basis = linalg.orthonormal_columns(stack, tol)
     m = (dag(basis) @ stack).T  # rows index jumps
     n = (dag(basis) @ flat_targets).T
@@ -294,7 +292,8 @@ def relate_representations(rep_a: Representation, rep_b: Representation,
         raise NotSameMasterOperator("representations generate different master operators")
     _, ja = _traceless_parts(rep_a)
     _, jb = _traceless_parts(rep_b)
-    q, qb, escape = frame_isometry(ja, jb, tol)
+    d = rep_a.dim
+    q, qb, escape = frame_isometry(_flat(ja, d), _flat(jb, d), tol)
     if escape > tol * max(max(frob(j) for j in jb), 1.0):
         raise NotSameMasterOperator("target jumps leave the source jump span")
     if qb is None:

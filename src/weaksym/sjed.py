@@ -10,6 +10,7 @@ object that matters for the unravelled dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,12 @@ class SjedPartition:
 
     sets: tuple
     jumps: tuple
+    tol: float = DEFAULT_TOL      # the tolerance the sets were built with
+
+    @cached_property
+    def canonical(self) -> tuple:
+        """canonical_sets_with_isometries at tol, formed on first use."""
+        return canonical_sets_with_isometries(self, self.tol)
 
     @property
     def nsets(self) -> int:
@@ -57,7 +64,34 @@ class SjedPartition:
 
 
 def _rank_one_split(j: np.ndarray, tol: float):
-    """(destination, source) with J = |dest><source| exactly, or None."""
+    """(destination, source) with J = |dest><source|, or None when the
+    singular values have s_1 > tol s_0.
+
+    Bounds settle most jumps in O(d^2): with c the column of largest norm
+    and dest = c / ||c||, R = ||J - dest dest† J|| >= s_1 and ||J† dest||
+    <= s_0 accept when R <= tol ||J† dest||; the second singular value of
+    [c, c'], c' the column R leaves largest, is <= s_1 and ||J|| >= s_0
+    reject when it exceeds tol ||J||.  A full SVD decides the band between.
+    An accepted dest is refined to the top singular vector by power steps.
+    """
+    col = j[:, np.argmax(np.linalg.norm(j, axis=0))]
+    if np.linalg.norm(col) > 0.0:
+        dest = col / np.linalg.norm(col)
+        source = dag(j) @ dest
+        rest = j - np.outer(dest, source.conj())
+        if frob(rest) <= tol * np.linalg.norm(source):
+            for _ in range(64):
+                step = j @ source
+                step /= np.linalg.norm(step)
+                done = np.linalg.norm(step - dest) <= 1e-14
+                dest, source = step, dag(j) @ step
+                if done:
+                    break
+            dest = linalg.fix_column_phases(dest[:, None])[:, 0]
+            return dest, dag(j) @ dest
+        pair = np.column_stack([col, j[:, np.argmax(np.linalg.norm(rest, axis=0))]])
+        if np.linalg.svd(pair, compute_uv=False)[1] > tol * frob(j):
+            return None
     u, s, vh = np.linalg.svd(j)
     if s.size > 1 and s[1] > tol * s[0]:
         return None
@@ -81,59 +115,30 @@ def build_sjeds(rep: Representation, tol: float = DEFAULT_TOL) -> SjedPartition:
 
     Rank-one jumps are grouped by shared destination (up to phase),
     remaining jumps by pairwise proportionality; leftovers are singletons.
-    Sets are ordered by their smallest member index.
+    Each set starts at its smallest member, so sets come in that order.
     """
     jumps = rep.jumps
-    if not jumps:
-        return SjedPartition((), ())
-    rank_one = {}
-    full_rank = []
+    splits = [_rank_one_split(j, tol) for j in jumps]
+    sets, used = [], set()
     for k, j in enumerate(jumps):
-        split = _rank_one_split(j, tol)
-        if split is None:
-            full_rank.append(k)
+        if k in used:
+            continue
+        later = [m for m in range(k, len(jumps))
+                 if m not in used and (splits[m] is None) == (splits[k] is None)]
+        if splits[k] is not None:
+            dest = splits[k][0]
+            members = [m for m in later if abs(np.vdot(dest, splits[m][0])) >= 1.0 - tol]
+            gamma = sum(np.outer(splits[m][1], splits[m][1].conj()) for m in members)
+            sets.append(SjedSet(tuple(members), "reset", destination=dest, gamma=gamma))
         else:
-            rank_one[k] = split
-
-    sets = []
-    used = set()
-    for k in sorted(rank_one):
-        if k in used:
-            continue
-        dest_k, _ = rank_one[k]
-        members = [k]
-        for m in sorted(rank_one):
-            if m <= k or m in used:
-                continue
-            dest_m, _ = rank_one[m]
-            if abs(np.vdot(dest_k, dest_m)) >= 1.0 - tol:
-                members.append(m)
+            base = linalg.fix_column_phases(j.reshape(-1, 1)).reshape(j.shape) / frob(j)
+            coeffs = {m: _proportionality_coefficient(base, jumps[m], tol)
+                      for m in later}
+            members = [m for m in later if coeffs[m] is not None]
+            sets.append(SjedSet(tuple(members), "proportional", base=base,
+                                coefficients=tuple(coeffs[m] for m in members)))
         used.update(members)
-        sources = [rank_one[m][1] for m in members]
-        gamma = sum(np.outer(s, s.conj()) for s in sources)
-        sets.append(SjedSet(tuple(members), "reset",
-                            destination=dest_k, gamma=gamma))
-
-    for k in full_rank:
-        if k in used:
-            continue
-        base = linalg.fix_column_phases(jumps[k].reshape(-1, 1)).reshape(
-            jumps[k].shape) / frob(jumps[k])
-        members = [k]
-        coeffs = [_proportionality_coefficient(base, jumps[k], tol)]
-        for m in full_rank:
-            if m <= k or m in used:
-                continue
-            c = _proportionality_coefficient(base, jumps[m], tol)
-            if c is not None:
-                members.append(m)
-                coeffs.append(c)
-        used.update(members)
-        sets.append(SjedSet(tuple(members), "proportional",
-                            base=base, coefficients=tuple(coeffs)))
-
-    sets.sort(key=lambda s: s.indices[0])
-    return SjedPartition(tuple(sets), jumps)
+    return SjedPartition(tuple(sets), jumps, tol)
 
 
 def partition_from_groups(rep: Representation, groups,
@@ -160,7 +165,7 @@ def partition_from_groups(rep: Representation, groups,
                             gamma=s.gamma, base=s.base,
                             coefficients=s.coefficients))
     sets = sorted(sets, key=lambda s: s.indices[0])
-    return SjedPartition(tuple(sets), jumps)
+    return SjedPartition(tuple(sets), jumps, tol)
 
 
 def composite_action(partition: SjedPartition, alpha: int, psi) -> np.ndarray:
@@ -192,14 +197,6 @@ def composite_signature(partition: SjedPartition, alpha: int):
         return ("reset", s.destination, s.gamma)
     weight = float(sum(abs(c) ** 2 for c in s.coefficients))
     return ("prop", s.base, weight)
-
-
-def signature_conjugate(u: np.ndarray, sig):
-    """Signature of the composite action conjugated by a unitary."""
-    kind = sig[0]
-    if kind == "reset":
-        return ("reset", u @ sig[1], u @ sig[2] @ dag(u))
-    return ("prop", u @ sig[1] @ dag(u), sig[2])
 
 
 def _aligned_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -293,18 +290,13 @@ def canonical_sets_with_isometries(partition: SjedPartition,
         if s.kind == "proportional":
             scale = np.sqrt(sum(abs(c) ** 2 for c in s.coefficients))
             canon.append(scale * s.base)
-            isoms.append(np.array([[c / scale] for c in s.coefficients],
-                                  dtype=complex))
+            isoms.append(np.array(s.coefficients, dtype=complex)[:, None] / scale)
         else:
             w, vecs = gamma_modes(s.gamma, tol)
-            for i in range(len(w)):
-                canon.append(np.sqrt(w[i]) * np.outer(s.destination,
-                                                      vecs[:, i].conj()))
-            v = np.zeros((s.size, len(w)), dtype=complex)
-            for row, j in enumerate(s.indices):
-                zeta = dag(partition.jumps[j]) @ s.destination
-                v[row] = (dag(vecs) @ zeta).conj() / np.sqrt(w)
-            isoms.append(v)
+            canon += [np.sqrt(x) * np.outer(s.destination, v.conj())
+                      for x, v in zip(w, vecs.T)]
+            zeta = np.array([dag(partition.jumps[j]) @ s.destination for j in s.indices])
+            isoms.append((zeta @ vecs.conj()).conj() / np.sqrt(w))
     return canon, isoms, offsets
 
 
@@ -355,6 +347,5 @@ __all__ = [
     "partition_from_groups",
     "remix_within_sets",
     "same_unravelled_generator",
-    "signature_conjugate",
     "signature_distance",
 ]

@@ -12,11 +12,13 @@ the master operator to the representation:
 
 Each check returns a verdict plus the certificate that witnesses it
 (mixing matrix, completed unitary, permutations, phases, residuals).
+All of them read the symmetry's images of the representation's
+operators (`SymmetryOperator.images`), formed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,10 +36,8 @@ from .sjed import (
     build_sjeds,
     canonical_sets_with_isometries,
     composite_choi,
-    composite_signature,
     gamma_modes,
     match_signatures,
-    signature_conjugate,
     signature_distance,
 )
 
@@ -72,23 +72,14 @@ class SymmetryOperator:
     phases: np.ndarray
     eigenbasis: np.ndarray
     order: int | None  # None when not resolved within the cap
+    _images: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
 
     @classmethod
     def from_matrix(cls, u, tol: float = DEFAULT_TOL, order_cap: int = 64):
         u = np.asarray(u, dtype=complex)
         phases, basis = linalg.unitary_eigendecomposition(u, tol)
-        order = None
-        d = u.shape[0]
-        p = np.eye(d, dtype=complex)
-        for n in range(1, order_cap + 1):
-            p = p @ u
-            tr = np.trace(p) / d
-            if abs(abs(tr) - 1.0) < 1e-9:
-                theta = tr / abs(tr)
-                if frob(p - theta * np.eye(d)) < 1e-9 * np.sqrt(d):
-                    order = n
-                    break
-        return cls(u, phases, basis, order)
+        return cls(u, phases, basis, _order(phases, order_cap))
 
     @property
     def dim(self) -> int:
@@ -98,9 +89,64 @@ class SymmetryOperator:
         """U A U† for an operator on the system."""
         return self.matrix @ np.asarray(a, dtype=complex) @ dag(self.matrix)
 
+    def images(self, rep: Representation) -> SymmetryImages:
+        """The images of rep's operators, kept for the last rep asked for."""
+        if not self._images or self._images[0] is not rep:
+            self._images[:] = [rep, SymmetryImages(rep, self)]
+        return self._images[1]
+
     def liouville(self) -> np.ndarray:
         """Row-stacking matrix of the conjugation superoperator: U kron U*."""
         return np.kron(self.matrix, self.matrix.conj())
+
+
+def _order(phases: np.ndarray, cap: int) -> int | None:
+    """Least n <= cap with U^n = theta 1, from the eigenvalues exp(i n phi)
+    of U^n: |tr U^n / d| = 1 and ||U^n - theta 1|| < 1e-9 sqrt(d)."""
+    n = np.arange(1, cap + 1)
+    powers = np.exp(1j * np.outer(n, phases))
+    tr = powers.mean(axis=1)
+    gap = np.linalg.norm(powers - (tr / np.maximum(abs(tr), 1e-300))[:, None], axis=1)
+    ok = (abs(abs(tr) - 1.0) < 1e-9) & (gap < 1e-9 * np.sqrt(len(phases)))
+    return int(n[ok][0]) if ok.any() else None
+
+
+def jump_coordinates(u, jumps) -> tuple:
+    """Coordinates (columns) of 1, the jumps J_j and their images U J_j U†
+    in one orthonormal basis of their span, so every difference is taken
+    before its norm: one stacked product and one thin QR, the d^2-sized
+    stack living only inside this call."""
+    u = np.asarray(u, dtype=complex)
+    d, n = u.shape[0], len(jumps)
+    stack = np.empty((2 * n + 1, d, d), dtype=complex)
+    stack[0] = np.eye(d)
+    for k, jump in enumerate(jumps):
+        stack[1 + k] = jump
+    np.matmul(u @ stack[1:n + 1], dag(u), out=stack[n + 1:])
+    r = linalg.coordinates(stack.reshape(2 * n + 1, -1))
+    return r[:, 0], r[:, 1:n + 1], r[:, n + 1:]
+
+
+class SymmetryImages:
+    """One symmetry's images of a representation's operators: U H U†, U H'
+    U† (H' the traceless frame's Hamiltonian) and the coordinates of one
+    QR of the traceless jumps J'_j and their images (`frame_jumps`,
+    `frame_images`), shifted to those of J_j = J'_j + tr(J_j)/d 1 (`jumps`,
+    `jump_images`; J'_j is orthogonal to 1, so the shift loses nothing)."""
+
+    def __init__(self, rep: Representation, sym: SymmetryOperator):
+        self.rep, self.sym = rep, sym
+        self.frame_hamiltonian, traceless = _traceless_parts(rep)
+        self.frame_hamiltonian_image = sym.conjugate(self.frame_hamiltonian)
+        self.hamiltonian_image = sym.conjugate(rep.hamiltonian)
+        one, self.frame_jumps, self.frame_images = jump_coordinates(sym.matrix, traceless)
+        shift = np.outer(one, [np.trace(j) / rep.dim for j in rep.jumps])
+        self.jumps, self.jump_images = self.frame_jumps + shift, self.frame_images + shift
+
+    @property
+    def overlaps(self) -> np.ndarray:
+        """P[j, k] = <J_k, U J_j U†>."""
+        return self.jump_images.T @ self.jumps.conj()
 
 
 @dataclass
@@ -132,28 +178,26 @@ class SymmetryReport:
                 self.condition_III.holds)
 
 
+def _rows(vectors) -> np.ndarray:
+    """Operators (or their coordinates) as the rows of a matrix."""
+    vectors = np.asarray(vectors, dtype=complex)
+    return vectors.reshape(len(vectors), int(np.prod(vectors.shape[1:])))
+
+
 def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
     """Least-norm X with targets_j ~ sum_k X[j, k] jumps_k.
 
     Solved through the pseudo-inverse of the jump Gram matrix; returns
-    (X, residual) with the residual relative to the target norms.
+    (X, residual) with the residual relative to the target norms.  Jumps
+    and targets may be coordinates in one orthonormal basis.
     """
-    jumps = [np.asarray(j, dtype=complex) for j in jumps]
-    targets = [np.asarray(t, dtype=complex) for t in targets]
+    jumps, targets = _rows(jumps), _rows(targets)
     if len(jumps) != len(targets):
         raise linalg.ShapeError("need equally many jumps and targets")
-    d = len(jumps)
-    gram = np.array([[np.vdot(jk, jm) for jm in jumps] for jk in jumps])
+    gram = jumps.conj() @ jumps.T
     gpinv = np.linalg.pinv(gram, rcond=tol, hermitian=True)
-    b = np.array([[np.vdot(jm, tj) for jm in jumps] for tj in targets])
-    x = b @ gpinv.T
-    resid_sq = 0.0
-    scale_sq = 0.0
-    for j, t in enumerate(targets):
-        mix = sum(x[j, k] * jumps[k] for k in range(d))
-        resid_sq += frob(t - mix) ** 2
-        scale_sq += frob(t) ** 2
-    residual = np.sqrt(resid_sq) / max(np.sqrt(scale_sq), 1e-300)
+    x = (targets @ dag(jumps)) @ gpinv.T
+    residual = frob(targets - x @ jumps) / max(frob(targets), 1e-300)
     return x, float(residual)
 
 
@@ -163,17 +207,16 @@ def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
     Works on the span of the jumps: the map induced on the span must be
     unitary and compatible with the jump frame; the action on the
     orthogonal complement of the coefficient range is completed by the
-    identity.  Raises CompletionFailed otherwise.
+    identity.  Raises CompletionFailed otherwise.  Jumps and targets may be
+    coordinates in one orthonormal basis.
     """
-    jumps = [np.asarray(j, dtype=complex) for j in jumps]
-    targets = [np.asarray(t, dtype=complex) for t in targets]
-    d = len(jumps)
-    q, qb, escape = frame_isometry(jumps, targets, tol)
-    if escape > tol * max(max(frob(j) for j in jumps), 1e-300):
+    jumps, targets = _rows(jumps), _rows(targets)
+    q, qb, escape = frame_isometry(jumps.T, targets.T, tol)
+    if escape > tol * max(np.max(np.linalg.norm(jumps, axis=1)), 1e-300):
         raise CompletionFailed("targets leave the jump span")
     if qb is None:
         raise CompletionFailed("induced map is not compatible with the jump frame")
-    u = qb @ dag(q) + (np.eye(d, dtype=complex) - q @ dag(q))
+    u = qb @ dag(q) + (np.eye(len(jumps), dtype=complex) - q @ dag(q))
     _verify_completion(u, jumps, targets, tol)
     return u
 
@@ -188,34 +231,31 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
     orthogonal complement.  The result U satisfies
     sum_k U[j, k] J_k = U J_j U† together with the SJED block-sum property:
     summing U*[j, k] U(J_j) over j in S_a reproduces J_k for
-    k in S_{pi_c(a)} and zero otherwise.
+    k in S_{pi_c(a)} and zero otherwise.  A reset set's canonical jumps
+    |dest><z| map to |U dest><U z| in O(d^2).
     """
-    canon, isoms, offsets = canonical_sets_with_isometries(partition, tol)
-    d = len(partition.jumps)
-    dd = len(canon)
-    v = np.zeros((d, dd), dtype=complex)
-    for a, s in enumerate(partition.sets):
-        for row, j in enumerate(s.indices):
-            v[j, offsets[a]:offsets[a] + isoms[a].shape[1]] = isoms[a][row]
-    sizes = [isoms[a].shape[1] for a in range(len(partition.sets))]
-    xt = np.zeros((dd, dd), dtype=complex)
-    for a in range(len(partition.sets)):
-        b = pi_c[a]
+    canon, isoms, offsets = partition.canonical if tol == partition.tol \
+        else canonical_sets_with_isometries(partition, tol)
+    u_sys, sizes, rows = sym.matrix, [iso.shape[1] for iso in isoms], _rows(canon)
+    v = np.zeros((len(partition.jumps), len(canon)), dtype=complex)
+    xt = np.zeros((len(canon),) * 2, dtype=complex)
+    for a, (s, iso, b) in enumerate(zip(partition.sets, isoms, pi_c)):
+        v[list(s.indices), offsets[a]:offsets[a] + sizes[a]] = iso
         if sizes[a] != sizes[b]:
             raise CompletionFailed("matched SJEDs have different canonical ranks")
-        for i in range(sizes[a]):
-            src = sym.conjugate(canon[offsets[a] + i]).reshape(-1)
-            for j in range(sizes[b]):
-                tgt = canon[offsets[b] + j].reshape(-1)
-                xt[offsets[a] + i, offsets[b] + j] = np.vdot(tgt, src) / np.vdot(tgt, tgt)
-            mix = sum(xt[offsets[a] + i, offsets[b] + j] * canon[offsets[b] + j].reshape(-1)
-                      for j in range(sizes[b]))
-            if np.linalg.norm(src - mix) > tol * max(np.linalg.norm(src), 1e-300) * 100:
-                raise CompletionFailed(
-                    "symmetry does not map canonical jumps onto the matched SJED")
-    u = v @ xt @ dag(v) + (np.eye(d, dtype=complex) - v @ dag(v))
-    targets = [sym.conjugate(j) for j in partition.jumps]
-    _verify_completion(u, partition.jumps, targets, tol)
+        block = canon[offsets[a]:offsets[a] + sizes[a]]
+        src = _rows([np.outer(u_sys @ s.destination, (u_sys @ (dag(c) @ s.destination)).conj())
+                     for c in block] if s.kind == "reset" else [sym.conjugate(c) for c in block])
+        tgt = rows[offsets[b]:offsets[b] + sizes[b]]
+        x = (src @ dag(tgt)) / np.sum(np.abs(tgt) ** 2, axis=1)
+        if np.any(np.linalg.norm(src - x @ tgt, axis=1)
+                  > tol * np.maximum(np.linalg.norm(src, axis=1), 1e-300) * 100):
+            raise CompletionFailed(
+                "symmetry does not map canonical jumps onto the matched SJED")
+        xt[offsets[a]:offsets[a] + sizes[a], offsets[b]:offsets[b] + sizes[b]] = x
+    u = v @ xt @ dag(v) + (np.eye(len(v), dtype=complex) - v @ dag(v))
+    images = sym.images(rep)
+    _verify_completion(u, images.jumps.T, images.jump_images.T, tol)
     return u
 
 
@@ -223,26 +263,23 @@ def _verify_completion(u, jumps, targets, tol):
     d = len(jumps)
     if frob(dag(u) @ u - np.eye(d)) > 1e3 * tol * max(1.0, d):
         raise CompletionFailed("completed matrix is not unitary")
-    scale = max(max(frob(j) for j in jumps), 1e-300)
-    for j, t in enumerate(targets):
-        mix = sum(u[j, k] * jumps[k] for k in range(d))
-        if frob(t - mix) > 1e3 * tol * scale:
-            raise CompletionFailed("completed matrix does not reproduce the targets")
+    scale = max(np.max(np.linalg.norm(jumps, axis=1), initial=0.0), 1e-300)
+    if np.any(np.linalg.norm(targets - u @ jumps, axis=1) > 1e3 * tol * scale):
+        raise CompletionFailed("completed matrix does not reproduce the targets")
 
 
 def check_condition_I(rep: Representation, sym: SymmetryOperator,
                       tol: float = DEFAULT_TOL) -> ConditionResult:
     """Master-level symmetry: fixed traceless Hamiltonian plus unitary jump mixing."""
-    hp, jumps = _traceless_parts(rep)
-    h_resid = frob(sym.conjugate(hp) - hp)
-    h_scale = max(frob(hp), 1.0)
-    if h_resid > tol * h_scale:
+    images = sym.images(rep)
+    h_resid = frob(images.frame_hamiltonian_image - images.frame_hamiltonian)
+    if h_resid > tol * max(frob(images.frame_hamiltonian), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="traceless Hamiltonian not invariant")
-    if not jumps:
+    if not rep.jumps:
         return ConditionResult(True, hamiltonian_residual=h_resid,
                                mixing=np.zeros((0, 0)), unitary=np.zeros((0, 0)))
-    targets = [sym.conjugate(j) for j in jumps]
+    jumps, targets = images.frame_jumps.T, images.frame_images.T
     x, x_resid = solve_mixing_matrix(jumps, targets, tol)
     if x_resid > tol:
         return ConditionResult(False, hamiltonian_residual=h_resid,
@@ -267,21 +304,35 @@ def transformed_choi(sym: SymmetryOperator, choi: np.ndarray) -> np.ndarray:
 def check_condition_II(rep: Representation, sym: SymmetryOperator,
                        tol: float = DEFAULT_TOL,
                        partition: SjedPartition | None = None) -> ConditionResult:
-    """Trajectory-level symmetry: fixed Hamiltonian, permuted SJED actions."""
-    h = rep.hamiltonian
-    h_resid = frob(sym.conjugate(h) - h)
+    """Trajectory-level symmetry: fixed Hamiltonian, permuted SJED actions.
+
+    A reset set's sources J_j† dest are carried by U in O(d^2); a
+    proportional set's base and its image are compared in jump coordinates.
+    """
+    images, u, h = sym.images(rep), sym.matrix, rep.hamiltonian
+    h_resid = frob(images.hamiltonian_image - h)
     if h_resid > tol * max(frob(h), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="Hamiltonian not invariant")
     if partition is None:
         partition = build_sjeds(rep, tol)
-    sigs = [composite_signature(partition, a) for a in range(partition.nsets)]
-    images = [signature_conjugate(sym.matrix, sa) for sa in sigs]
-    pi = match_signatures(sigs, images, max(tol * 100, 1e-8))
+    sigs, image_sigs = [], []
+    for s in partition.sets:
+        if s.kind == "reset":
+            w = u @ np.column_stack([dag(partition.jumps[j]) @ s.destination
+                                     for j in s.indices])
+            sigs.append(("reset", s.destination, s.gamma))
+            image_sigs.append(("reset", u @ s.destination, w @ dag(w)))
+        else:
+            k, c = s.indices[0], s.coefficients[0]
+            weight = float(sum(abs(x) ** 2 for x in s.coefficients))
+            sigs.append(("prop", images.jumps[:, k] / c, weight))
+            image_sigs.append(("prop", images.jump_images[:, k] / c, weight))
+    pi = match_signatures(sigs, image_sigs, max(tol * 100, 1e-8))
     if pi is None:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="SJED actions admit no permuting bijection")
-    resid = max((signature_distance(images[a], sigs[pi[a]])
+    resid = max((signature_distance(image_sigs[a], sigs[pi[a]])
                  for a in range(len(sigs))), default=0.0)
     return ConditionResult(True, hamiltonian_residual=h_resid,
                            permutation=pi, residual=float(resid))
@@ -295,28 +346,24 @@ def check_condition_III(rep: Representation, sym: SymmetryOperator,
     U J_j U† = c J_k is allowed when the proportionality residual is
     within 100 tol and ||c| - 1| within phase_tol; the permutation is the
     allowed bijection with the least total ||c| - 1|, and the phases are
-    arg c of the matched pairs.
+    arg c of the matched pairs; c = P[j, k] / ||J_k||^2.
     """
-    h = rep.hamiltonian
-    h_resid = frob(sym.conjugate(h) - h)
+    images, h = sym.images(rep), rep.hamiltonian
+    h_resid = frob(images.hamiltonian_image - h)
     if h_resid > tol * max(frob(h), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="Hamiltonian not invariant")
-    d = rep.njumps
-    coeff = np.zeros((d, d), dtype=complex)
-    cost = np.full((d, d), np.inf)
-    for j in range(d):
-        target = sym.conjugate(rep.jumps[j])
-        for k, jump in enumerate(rep.jumps):
-            c = np.vdot(jump.reshape(-1), target.reshape(-1)) / frob(jump) ** 2
-            if frob(target - c * jump) <= tol * max(frob(target), 1e-300) * 100:
-                coeff[j, k] = c
-                cost[j, k] = abs(abs(c) - 1.0) / phase_tol
+    a, b = images.jumps, images.jump_images
+    coeff = images.overlaps / np.sum(np.abs(a) ** 2, axis=0)
+    gaps = np.linalg.norm(b[:, :, None] - coeff * a[:, None, :], axis=0)
+    scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    cost = np.where(gaps <= tol * scale[:, None] * 100,
+                    np.abs(np.abs(coeff) - 1.0) / phase_tol, np.inf)
     pi = linalg.assign(cost, 1.0)
     if pi is None:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="jumps admit no phase-permuting bijection")
-    phases = tuple(float(np.angle(coeff[j, pi[j]])) for j in range(d))
+    phases = tuple(float(np.angle(coeff[j, pi[j]])) for j in range(rep.njumps))
     return ConditionResult(True, hamiltonian_residual=h_resid,
                            permutation=pi, phases=phases)
 
@@ -332,6 +379,7 @@ def permutation_unitary(pi, phases=None) -> np.ndarray:
 
 
 def _cycles(pi) -> list:
+    """The cycles of a permutation, each walked in its direction."""
     seen = set()
     cycles = []
     for start in range(len(pi)):
@@ -425,11 +473,7 @@ def fourier_symmetrize(rep: Representation, sym: SymmetryOperator,
         raise NotConditionIII(cond.reason)
     pi, phases = cond.permutation, cond.phases
     jumps = []
-    for cyc in _cycles(pi):
-        # walk the cycle in the direction of the permutation
-        order = [cyc[0]]
-        while len(order) < len(cyc):
-            order.append(pi[order[-1]])
+    for order in _cycles(pi):
         n = len(order)
         deltas = np.array([phases[k] for k in order])
         # gauge the accumulated phases so the cycle closes; the leftover
@@ -459,10 +503,7 @@ def wave_operators(partition: SjedPartition, pi_c, tol: float = DEFAULT_TOL):
     cycles = _cycles(pi_c)
     if len(cycles) != 1:
         raise NotSingleCycle(f"permutation has {len(cycles)} cycles")
-    order = [0]
-    while len(order) < d_c:
-        order.append(pi_c[order[-1]])
-    chois = [composite_choi(partition, a) for a in order]
+    chois = [composite_choi(partition, a) for a in cycles[0]]
     waves = []
     for k in range(d_c):
         waves.append(sum(np.exp(-2j * np.pi * k * j / d_c) * chois[j]
@@ -597,6 +638,7 @@ __all__ = [
     "NotConditionIII",
     "NotSingleCycle",
     "PhaseSumNotInteger",
+    "SymmetryImages",
     "SymmetryOperator",
     "SymmetryReport",
     "block_support",
@@ -607,6 +649,7 @@ __all__ = [
     "check_condition_III",
     "check_linear_eigenfunction",
     "evaluate_monomial",
+    "jump_coordinates",
     "fourier_symmetrize",
     "general_unitary_completion",
     "lift_II_to_III",

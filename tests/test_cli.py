@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weaksym import cli, models, trajectories
+from weaksym import cli, linalg, models, trajectories
 from weaksym.cli import analyze, main, run_check, run_verify_joint
 from weaksym.modelfile import (
     ParseError,
@@ -453,6 +453,91 @@ def test_report_analyses_once(monkeypatch, capsys):
     assert main(["report", "qubit-III", "--n", "200", "--horizon", "0.5"]) == 0
     assert len(partitions) == 1
     assert len(reports) == len(models.qubit_iii().symmetries)
+
+
+def test_block_completion_built_once_per_symmetry(tmp_path, monkeypatch, capsys):
+    # check and verify-joint share the certificate within one command
+    calls = []
+    original = cli.blockwise_unitary_completion
+
+    def counting(rep, sym, *args, **kwargs):
+        calls.append(sym)
+        return original(rep, sym, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "blockwise_unitary_completion", counting)
+    path = _chain_file(tmp_path)
+    for argv in (["report", path, "--skip-simulation"], ["verify-joint", path]):
+        calls.clear()
+        assert main(argv) == 0
+        assert 0 < len(calls) == len({id(sym) for sym in calls}) <= 3
+
+
+def test_verify_joint_forms_two_thin_qrs_per_symmetry(tmp_path, monkeypatch, capsys):
+    # two d^2-sized QRs per symmetry: the checks' one, whose jump
+    # coordinates every generator step reuses, and the rotating frame's;
+    # the other QRs are of k_g coordinates only
+    shapes = []
+    original = linalg.coordinates
+
+    def counting(rows):
+        shapes.append(rows.shape)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "coordinates", counting)
+    assert main(["verify-joint", _chain_file(tmp_path)]) == 0
+    assert sum(width == 27 ** 2 for _, width in shapes) <= 2 * 3
+
+
+def test_verify_joint_reports_a_failed_block_completion(monkeypatch, capsys):
+    # condition II holds but its block certificate cannot be completed: the
+    # coarse relabelling is still certified, the partial step falls back
+    # to its scan minimum and the rotating frame to condition I's unitary
+    def failing(*args):
+        raise cli.CompletionFailed("forced failure")
+
+    monkeypatch.setattr(cli, "blockwise_unitary_completion", failing)
+    assert main(["verify-joint", "qubit-II"]) == 0
+    out = json.loads(capsys.readouterr().out)["symmetries"]
+    for entry in out.values():
+        c1, c2, _ = entry["conditions"]
+        if c2:
+            assert "coarse" in entry["residuals"] and "partial" in entry["scan_minima"]
+            assert "partial" not in entry["residuals"]
+        assert ("rotating_frame" in entry["residuals"]) == c1
+    assert any(entry["conditions"][1] for entry in out.values())
+    assert main(["check", "qubit-II"]) in (0, 1)
+    check = json.loads(capsys.readouterr().out)["symmetries"]
+    failed = [e for e in check.values() if e["condition_II"]]
+    assert failed and all(e["sjed_block_unitary"] is None
+                          and e["sjed_block_unitary_error"] == "forced failure"
+                          for e in failed)
+
+
+SZ_DOC = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+JUMP_FREE = {"name": "jump-free", "dim": 2, "hamiltonian": SZ_DOC, "jumps": [],
+             "symmetries": [{"name": "parity", "matrix": SZ_DOC},
+                            {"name": "flip",
+                             "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}],
+             "expect": {"parity": {"condition_I": True, "condition_II": True,
+                                   "condition_III": True}}}
+
+
+@pytest.mark.parametrize("command", ["check", "verify-joint", "report"])
+def test_jump_free_model_gives_verdicts(command, tmp_path, capsys):
+    # no jumps: the block certificate is 0 x 0, and no command fails
+    path = tmp_path / "jump-free.json"
+    path.write_text(json.dumps(JUMP_FREE))
+    assert main([command, str(path)]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    check = doc if command == "check" else doc.get("check")
+    if check is not None:
+        parity, flip = check["symmetries"]["parity"], check["symmetries"]["flip"]
+        assert parity["sjed_block_unitary"] == [] and parity["matches_expectation"]
+        assert [flip[f"condition_{c}"] for c in ("I", "II", "III")] == [False] * 3
+    joint = doc if command == "verify-joint" else doc.get("joint")
+    if joint is not None:
+        assert joint["symmetries"]["parity"]["conditions"] == [True, True, True]
+        assert max(joint["symmetries"]["parity"]["residuals"].values()) <= 1e-12
 
 
 def test_simulate_threads_match_serial(tmp_path, monkeypatch, capsys):

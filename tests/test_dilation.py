@@ -431,3 +431,24 @@ def test_change_of_basis_tall():
     u_b, resid = change_of_basis_symmetry(m.rep, rep_b, v, c1.unitary, sym)
     assert resid < 1e-9
     assert frob(dag(u_b) @ u_b - np.eye(3)) < 1e-10
+
+
+def test_symmetry_images_are_read_for_their_own_representation():
+    # generator steps reuse the jump coordinates of the symmetry's images,
+    # which must be of the same representation: equal to the matrix route
+    # there, refused for another one
+    model = models.qubit_ii()
+    rep = model.rep
+    sym = SymmetryOperator.from_matrix(next(iter(model.symmetries.values())))
+    p = build_sjeds(rep)
+    rng = np.random.default_rng(3)
+    for step in (dephased_generator_step(rep), partially_dephased_generator_step(rep, p),
+                 coarse_grained_generator_step(rep, p), rotating_frame_step(rep)):
+        env = environment_symmetry(linalg.random_unitary(rng, step.bin_dim - 1))
+        assert joint_symmetry_residual(step, sym.images(rep), env) == pytest.approx(
+            joint_symmetry_residual(step, sym.matrix, env), abs=1e-12)
+    other = rep.with_jumps([2 * j for j in rep.jumps])
+    with pytest.raises(ValueError):
+        joint_symmetry_residual(dephased_generator_step(other), sym.images(rep), env)
+    with pytest.raises(ValueError):
+        minimum_symmetry_residual(dephased_generator_step(other), sym.images(rep), p)

@@ -2,9 +2,9 @@
 
     python3 tools/cli_diff.py BASE_SRC HEAD_SRC [--atol 1e-9]
 
-Runs ``check`` on the nine built-ins and on a seeded L=4 qutrit chain,
-``verify-joint`` on the nine built-ins and on the seeded L=3 and L=4
-chains, ``simulate`` (with exports) on
+Runs ``check`` on the nine built-ins and on seeded L=4 and L=5 qutrit
+chains, ``verify-joint`` on the nine built-ins and on the seeded L=3, L=4
+and L=5 chains, ``simulate`` (with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
 ``report`` on qubit-III and qubit-I, once with each tree on PYTHONPATH.
@@ -33,9 +33,9 @@ CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
          "modelfile.dump_model(m, sys.argv[1])")
 
 
-def cases(chain4, chain3):
-    out = [["check", m] for m in BUILTINS + [chain4]]
-    out += [["verify-joint", m] for m in BUILTINS + [chain3, chain4]]
+def cases(chain4, chain3, chain5):
+    out = [["check", m] for m in BUILTINS + [chain4, chain5]]
+    out += [["verify-joint", m] for m in BUILTINS + [chain3, chain4, chain5]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
@@ -97,8 +97,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, head = os.path.abspath(args.base), os.path.abspath(args.head)
     with tempfile.TemporaryDirectory() as tmp:
-        chains = [os.path.join(tmp, f"chain-L{L}.json") for L in (4, 3)]
-        for L, path in zip((4, 3), chains):
+        lengths = (4, 3, 5)
+        chains = [os.path.join(tmp, f"chain-L{L}.json") for L in lengths]
+        for L, path in zip(lengths, chains):
             subprocess.run([sys.executable, "-c", CHAIN, path, str(L)],
                            check=True, env=dict(os.environ, PYTHONPATH=head))
         failures = 0
