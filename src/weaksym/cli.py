@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, models
 from .lindblad import evolve_density, liouville_matrix, pure_state
 from .linalg import DEFAULT_TOL, LinalgError
-from .modelfile import ParseError, dump_model, load_model, model_to_doc
+from .modelfile import ParseError, _matrix_doc, dump_model, load_model, model_to_doc
 from .sjed import SjedPartition, build_sjeds, partition_from_groups
 from .symmetry import (
     CompletionFailed,
@@ -41,13 +41,6 @@ from .symmetry import (
 from . import dilation, trajectories
 
 MAX_SUPEROP_DIM = 12       # build d^2 x d^2 matrices only below this
-
-
-def _matrix_json(m):
-    if m is None:
-        return None
-    return [[[float(c.real), float(c.imag)] for c in row]
-            for row in np.asarray(m, dtype=complex)]
 
 
 def _perm_json(pi):
@@ -105,7 +98,7 @@ def _block_unitary(analysis, name):
         try:
             analysis.completions[name] = blockwise_unitary_completion(
                 analysis.model.rep, sym, analysis.partition,
-                report.condition_II.permutation, analysis.tol)
+                report.condition_II.permutation)
         except CompletionFailed as exc:
             analysis.completions[name] = exc
     return analysis.completions[name]
@@ -116,8 +109,7 @@ def _sjed_summary(partition):
     for s in partition.sets:
         entry = {"indices": [int(i) for i in s.indices], "kind": s.kind}
         if s.kind == "reset":
-            entry["destination"] = [[float(c.real), float(c.imag)]
-                                    for c in s.destination]
+            entry["destination"] = _matrix_doc(s.destination)
         out.append(entry)
     return out
 
@@ -137,8 +129,8 @@ def run_check(analysis):
             "condition_II": bool(report.condition_II.holds),
             "condition_III": bool(report.condition_III.holds),
             "hierarchy_consistent": bool(report.consistent),
-            "mixing_matrix": _matrix_json(report.condition_I.mixing),
-            "unitary_matrix": _matrix_json(report.condition_I.unitary),
+            "mixing_matrix": _matrix_doc(report.condition_I.mixing),
+            "unitary_matrix": _matrix_doc(report.condition_I.unitary),
             "pi_c": _perm_json(report.condition_II.permutation),
             "pi": _perm_json(report.condition_III.permutation),
             "phases": None if report.condition_III.phases is None
@@ -155,7 +147,7 @@ def run_check(analysis):
                 entry["sjed_block_unitary"] = None
                 entry["sjed_block_unitary_error"] = str(u54)
             else:
-                entry["sjed_block_unitary"] = _matrix_json(u54)
+                entry["sjed_block_unitary"] = _matrix_doc(u54)
         if model.rep.dim <= MAX_SUPEROP_DIM:
             entry["off_block_mass"] = off_block_mass(
                 liouville_matrix(model.rep), sym)
@@ -196,9 +188,8 @@ def run_verify_joint(analysis):
         if c1.holds:
             certificates.setdefault("rotating_frame", c1.unitary)
         result["symmetries"][name] = {
-            "residuals": {kind: dilation.joint_symmetry_residual(
-                steps[kind], images, dilation.environment_symmetry(u))
-                for kind, u in certificates.items()},
+            "residuals": {kind: dilation.joint_symmetry_residual(steps[kind], images, u)
+                          for kind, u in certificates.items()},
             "scan_minima": {kind: dilation.minimum_symmetry_residual(
                 steps[kind], images, partition)
                 for kind in ("dephased", "partial", "coarse")
@@ -269,12 +260,12 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
     mean, err = trajectories.ensemble_average(ens, horizon)
     result["ensemble_average"] = {
         "time": horizon,
-        "mean": _matrix_json(mean),
-        "stderr": _matrix_json(err),
+        "mean": _matrix_doc(mean),
+        "stderr": _matrix_doc(err),
     }
     if rep.dim <= MAX_SUPEROP_DIM:
         exact = evolve_density(rep, psi0, horizon)
-        result["ensemble_average"]["master_solution"] = _matrix_json(exact)
+        result["ensemble_average"]["master_solution"] = _matrix_doc(exact)
         result["ensemble_average"]["within_3_sigma"] = bool(
             np.all(np.abs(mean - exact) <= 3 * err + 1e-12))
     if out_dir:

@@ -5,8 +5,11 @@ type-j quantum is sqrt(dt) |j><vac|, which reproduces the quantum-noise
 increment table exactly on the vacuum sector.  The module builds the
 joint unitary step, its rotating-frame form, and the fully dephased,
 partially dephased, and coarse-grained generator steps from system-size
-operators only.  Symmetry residuals are exact in dt and have no size cap:
-they are read from d x d overlaps in the coordinates of one thin QR, each
+operators only.  Symmetry residuals take the symmetry's images
+(`SymmetryOperator.images` of the step's representation) and a jump-space
+unitary u, which acts on the bin through the vacuum-fixing Gamma(u) =
+environment_symmetry(u).  They are exact in dt and have no size cap: they
+are read from d x d overlaps in the coordinates of one thin QR, each
 difference taken before its norm, so no sqrt(eps) cancellation floor.
 """
 
@@ -62,10 +65,10 @@ class TimeBin:
 class JointSuperStep:
     """One bin-step of the joint dynamics, held as system-size operators.
 
-    b_m = |m+1><vac| creates a quantum in bin mode m, and jump j emits into
-    mode modes[j].  kind "unitary": the joint Hamiltonian is
-    H x 1 dt + i sum_j (J_j x b_{modes[j]} - h.c.) sqrt(dt), H the
-    system_hamiltonian.  Generator kinds ("dephased" | "partial" |
+    b_m = TimeBin(bin_dim - 1).creation(m) = |m+1><vac| creates a quantum
+    in bin mode m, and jump j emits into mode modes[j].  kind "unitary":
+    the joint Hamiltonian is H x 1 dt + i sum_j (J_j x b_{modes[j]} - h.c.)
+    sqrt(dt), H the system_hamiltonian.  Generator kinds ("dephased" | "partial" |
     "coarse"): the coefficient of dt is the superoperator (row stacking)
     D + K with D = A x 1 + 1 x A*, A = -i H_eff x 1, H_eff the
     system_hamiltonian, and K = sum_g k_g x k_g*, the joint jumps
@@ -87,12 +90,6 @@ class JointSuperStep:
     def joint_dim(self) -> int:
         return self.system_dim * self.bin_dim
 
-    def _creations(self) -> np.ndarray:
-        """b_{modes[j]} for every jump j, shape (njumps, bin_dim, bin_dim)."""
-        out = np.zeros((len(self.jumps), self.bin_dim, self.bin_dim), dtype=complex)
-        out[np.arange(len(self.jumps)), self.modes + 1, 0] = 1.0
-        return out
-
     @property
     def ham_dt(self) -> np.ndarray:
         return np.kron(self.system_hamiltonian, np.eye(self.bin_dim))
@@ -100,7 +97,9 @@ class JointSuperStep:
     @property
     def ham_sqrt(self) -> np.ndarray:
         out = np.zeros((self.joint_dim,) * 2, dtype=complex)
-        for jm, b in zip(self.jumps, self._creations()):
+        bin_ = TimeBin(self.bin_dim - 1)
+        for jm, m in zip(self.jumps, self.modes):
+            b = bin_.creation(m)
             out += 1j * (np.kron(jm, b) - np.kron(dag(jm), dag(b)))
         return out
 
@@ -115,9 +114,10 @@ class JointSuperStep:
         a = -1j * self.ham_dt
         joint_eye = np.eye(self.joint_dim, dtype=complex)
         out = np.kron(a, joint_eye) + np.kron(joint_eye, a.conj())
+        bin_ = TimeBin(self.bin_dim - 1)
         for g in sorted(set(self.groups)):
-            k = sum(np.kron(jm, b) for jm, b, h in
-                    zip(self.jumps, self._creations(), self.groups) if h == g)
+            k = sum(np.kron(jm, bin_.creation(m)) for jm, m, h in
+                    zip(self.jumps, self.modes, self.groups) if h == g)
             out += np.kron(k, k.conj())
         return out
 
@@ -200,7 +200,8 @@ def environment_symmetry(u_matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     """Bin unitary mixing emitted quanta per a d x d unitary matrix.
 
     Fixes the vacuum and maps |j> -> sum_k conj(U[j, k]) |k>, so that
-    conjugation sends dB_j to sum_k U[j, k] dB_k on the vacuum sector.
+    conjugation sends dB_j to sum_k U[j, k] dB_k on the vacuum sector:
+    the Gamma(u) that joint_symmetry_residual applies without forming it.
     """
     u = np.asarray(u_matrix, dtype=complex)
     d = u.shape[0]
@@ -260,76 +261,60 @@ def environment_trace_slope(step_of_dt, rep: Representation, psi0,
     return float(slope)
 
 
-def _system_unitary(step: JointSuperStep, u_system) -> np.ndarray:
-    u = u_system.sym.matrix if isinstance(u_system, SymmetryImages) \
-        else np.asarray(u_system, dtype=complex)
-    if u.shape != (step.system_dim, step.system_dim):
+def _check_images(step: JointSuperStep, images: SymmetryImages) -> None:
+    if images.sym.dim != step.system_dim:
         raise ShapeError("symmetry operator dimensions do not match the step")
-    return u
+    if step.kind != "unitary" and step.jumps is not images.rep.jumps:
+        raise ValueError("the images are of another representation's jumps")
 
 
-def _generator_images(step: JointSuperStep, u_system) -> tuple:
-    """(H_0, U H_0 U†, A, B) of a generator step, H_0 = H_eff - tr(H_eff)/d
-    (U fixes the trace), A and B the coordinates of the jumps and of their
-    images in one basis: the symmetry's own when u_system is its
-    SymmetryImages of the step's representation."""
-    u = _system_unitary(step, u_system)
+def joint_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
+                            u: np.ndarray) -> float:
+    """Relative residual of the joint symmetry W = U x Gamma(u) on the
+    step's coefficients, exact in dt, from system-size overlaps.
+
+    images is sym.images(rep) for the representation the step was built
+    from (generator steps read its jump coordinates); u is the unitary on
+    the step's n_modes = bin_dim - 1 bin modes, and Gamma(u) =
+    environment_symmetry(u) fixes the vacuum and sends b_m to
+    sum_k conj(u[m, k]) b_k.  Unitary steps compare W H W† with the joint
+    Hamiltonian H, generator steps M Λ M† with Λ, M = W x W*.
+    sum_t X_t x B_t has the norm of sum_t c_t vec(B_t)^T, c_t the
+    coordinates of X_t in an orthonormal basis, so each difference is
+    taken on coordinates before its norm.  On unitary steps (mode j = jump
+    j) the 1, b_j and b_j† parts are orthogonal, so with A, B the
+    coordinates of the jumps and of their images, c_H and c_H' those of H
+    and U H U† and E = bin_dim, residual^2 = (E ||c_H' - c_H||^2 +
+    2 ||B conj(u) - A||^2) / (E ||c_H||^2 + 2 ||A||^2).  On generator steps
+    D and K stay orthogonal (every k_g is traceless); with N the joint
+    dimension and H_0 = H_eff - tr(H_eff)/d, ||D||^2 = 2 N E ||H_0||^2 +
+    4 E^2 Im(tr H_eff)^2 and ||MDM† - D||^2 = 2 N E ||U H_0 U† - H_0||^2.
+    K realigned is sum_g |k_g>><<k_g|, so ||MKM† - K|| = ||ÂÂ† - B̂B̂†|| for
+    the coordinates Â, B̂ of the k_g and of their images, read off a thin
+    QR of [Â B̂], bin mode m standing for row m of the identity in k_g and
+    for row m of conj(u) in its image.
+    """
+    u = np.asarray(u, dtype=complex)
+    _check_images(step, images)
+    e, n_modes = step.bin_dim, step.bin_dim - 1
+    if u.shape != (n_modes, n_modes):
+        raise ShapeError("environment unitary does not match the step's bin modes")
+    if step.kind == "unitary":
+        _, before, after = jump_coordinates(images.sym.matrix,
+                                            (step.system_hamiltonian, *step.jumps))
+        a, b = before[:, 1:], after[:, 1:] @ u.conj()
+        num = e * frob(after[:, 0] - before[:, 0]) ** 2 + 2 * frob(b - a) ** 2
+        den = e * frob(before[:, 0]) ** 2 + 2 * frob(a) ** 2
+        return float(np.sqrt(num / max(den, 1e-300)))
     h = step.system_hamiltonian
     h = h - np.trace(h) / step.system_dim * np.eye(step.system_dim)
-    if not isinstance(u_system, SymmetryImages):
-        return (h, u @ h @ dag(u), *jump_coordinates(u, step.jumps)[1:])
-    if step.jumps is not u_system.rep.jumps:
-        raise ValueError("the images are of another representation's jumps")
-    return h, u @ h @ dag(u), u_system.jumps, u_system.jump_images
-
-
-def joint_symmetry_residual(step: JointSuperStep, u_system,
-                            u_env: np.ndarray) -> float:
-    """Relative residual of the joint symmetry W = U x V (both unitary)
-    on the step's coefficients, exact in dt, from system-size overlaps.
-
-    u_system is U or its SymmetryImages of the representation the step
-    was built from (generator steps then reuse its jump coordinates).
-    Unitary steps compare W H W† with the joint Hamiltonian H, generator
-    steps M Λ M† with Λ, M = W x W*.  sum_t X_t x B_t has the norm of
-    sum_t c_t vec(B_t)^T, c_t the coordinates of X_t in an orthonormal
-    basis, so each difference is taken on coordinates before its norm.
-    On generator steps D and K stay orthogonal (every k_g is traceless);
-    with N the joint dimension and H_0 = H_eff - tr(H_eff)/d,
-    ||D||^2 = 2 N E ||H_0||^2 + 4 E^2 Im(tr H_eff)^2 and ||MDM† - D||^2 =
-    2 N E ||U H_0 U† - H_0||^2.  K realigned is sum_g |k_g>><<k_g|, so
-    ||MKM† - K|| = ||ÂÂ† - B̂B̂†|| for the coordinates Â, B̂ of the k_g and
-    of their images, read off a thin QR of [Â B̂].
-    """
-    u_env = np.asarray(u_env, dtype=complex)
-    e = step.bin_dim
-    if u_env.shape != (e, e):
-        raise ShapeError("symmetry operator dimensions do not match the step")
-    if step.kind == "unitary":
-        # X_t = [H, J_j, J_j†] and U X_t U† in one stack, for one thin QR
-        u, n, d = _system_unitary(step, u_system), len(step.jumps), step.system_dim
-        stack = np.empty((2, 2 * n + 1, d, d), dtype=complex)
-        stack[0, 0] = step.system_hamiltonian
-        for k, jump in enumerate(step.jumps):
-            stack[0, 1 + k] = jump
-        np.matmul(u @ stack[0, :n + 1], dag(u), out=stack[1, :n + 1])
-        np.conjugate(stack[:, 1:n + 1].transpose(0, 1, 3, 2), out=stack[:, n + 1:])
-        before, after = np.split(linalg.coordinates(stack.reshape(4 * n + 2, -1)), 2,
-                                 axis=1)
-        b = step._creations()
-        b = np.concatenate([np.eye(e)[None], b, -b.transpose(0, 2, 1)])
-        old = before @ b.reshape(len(b), -1)
-        new = after @ (u_env @ b @ dag(u_env)).reshape(len(b), -1)
-        return float(frob(new - old) / max(frob(old), 1e-300))
-    h, h_image, before, after = _generator_images(step, u_system)
     n_joint, trace = step.joint_dim, np.trace(step.system_hamiltonian)
-    num = 2 * n_joint * e * frob(h_image - h) ** 2
+    num = 2 * n_joint * e * frob(images.sym.conjugate(h) - h) ** 2
     den = 2 * n_joint * e * frob(h) ** 2 + 4 * e ** 2 * trace.imag ** 2
     if step.jumps:
-        b = step._creations()
         member = np.eye(step.groups.max() + 1)[step.groups]
-        bins = np.stack([b, u_env @ b @ dag(u_env)]).reshape(2, len(b), -1)
-        coords = np.stack([before, after])
+        bins = np.stack([np.eye(n_modes)[step.modes], u.conj()[step.modes]])
+        coords = np.stack([images.jumps, images.jump_images])
         g = member.shape[1]
         r = linalg.coordinates(np.einsum("skj,sje,jg->sgke", coords, bins, member)
                                .reshape(2 * g, -1))
@@ -343,11 +328,10 @@ _ASCENT_RTOL = 1e-12      # partial-step ascent stops below this relative gain
 _ASCENT_MAX_ITER = 500
 
 
-def minimum_symmetry_residual(step: JointSuperStep, u_system,
+def minimum_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
                               partition: SjedPartition) -> float:
-    """Joint residual at the environment unitary u found to minimize it
-    (u_system as in joint_symmetry_residual: its SymmetryImages reuse the
-    jump coordinates, a matrix has them formed for each of the two reads).
+    """Joint residual at the jump-space unitary u found to minimize it
+    (images as in joint_symmetry_residual).
 
     Drift and jump superoperators stay Frobenius orthogonal under every u,
     so only the jump overlap depends on u, through P[j, k] = <J_k, U J_j U†>:
@@ -362,8 +346,8 @@ def minimum_symmetry_residual(step: JointSuperStep, u_system,
     """
     if step.kind == "unitary":
         raise ValueError("unitary steps have no minimum residual")
-    _, _, a, b = _generator_images(step, u_system)
-    p = b.T @ a.conj()
+    _check_images(step, images)
+    p = images.overlaps
     member = np.eye(partition.nsets)[partition.coarse_labels()]
     if step.kind == "dephased":
         u = permutation_unitary(linalg.assign(-np.abs(p) ** 2, np.inf))
@@ -383,7 +367,7 @@ def minimum_symmetry_residual(step: JointSuperStep, u_system,
             best, f = u, f_next
             u = _polar(member @ c.conj() @ member.T * p)
         u = best
-    return joint_symmetry_residual(step, u_system, environment_symmetry(u))
+    return joint_symmetry_residual(step, images, u)
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -416,8 +400,7 @@ def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,
         if np.any(np.linalg.norm(targets - candidate @ jumps, axis=1)
                   > 1e3 * tol * np.maximum(np.linalg.norm(targets, axis=1), 1.0)):
             raise CompletionFailed("transported matrix does not act correctly")
-    resid = joint_symmetry_residual(rotating_frame_step(rep_b), sym.matrix,
-                                    environment_symmetry(u_b))
+    resid = joint_symmetry_residual(rotating_frame_step(rep_b), images, u_b)
     return u_b, float(resid)
 
 

@@ -236,11 +236,12 @@ def load_model(path) -> Model:
     return parse_model(text)
 
 
-def _matrix_doc(m: np.ndarray):
-    out = []
-    for row in np.asarray(m, dtype=complex):
-        out.append([[float(c.real), float(c.imag)] for c in row])
-    return out
+def _matrix_doc(m):
+    """A complex array as nested [re, im] pairs; None stays None."""
+    if m is None:
+        return None
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def model_to_doc(model: Model) -> dict:

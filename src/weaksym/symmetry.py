@@ -34,7 +34,6 @@ from .linalg import DEFAULT_TOL, dag, frob
 from .sjed import (
     SjedPartition,
     build_sjeds,
-    canonical_sets_with_isometries,
     composite_choi,
     gamma_modes,
     match_signatures,
@@ -222,8 +221,7 @@ def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
 
 
 def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
-                                 partition: SjedPartition, pi_c,
-                                 tol: float = DEFAULT_TOL):
+                                 partition: SjedPartition, pi_c):
     """Unitary certificate built through canonical SJED representations.
 
     Expresses the jumps through per-SJED canonical families, transports the
@@ -232,10 +230,11 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
     sum_k U[j, k] J_k = U J_j U† together with the SJED block-sum property:
     summing U*[j, k] U(J_j) over j in S_a reproduces J_k for
     k in S_{pi_c(a)} and zero otherwise.  A reset set's canonical jumps
-    |dest><z| map to |U dest><U z| in O(d^2).
+    |dest><z| map to |U dest><U z| in O(d^2).  The tolerance is the one
+    the partition was built with.
     """
-    canon, isoms, offsets = partition.canonical if tol == partition.tol \
-        else canonical_sets_with_isometries(partition, tol)
+    canon, isoms, offsets = partition.canonical
+    tol = partition.tol
     u_sys, sizes, rows = sym.matrix, [iso.shape[1] for iso in isoms], _rows(canon)
     v = np.zeros((len(partition.jumps), len(canon)), dtype=complex)
     xt = np.zeros((len(canon),) * 2, dtype=complex)
@@ -297,7 +296,7 @@ def check_condition_I(rep: Representation, sym: SymmetryOperator,
 
 def transformed_choi(sym: SymmetryOperator, choi: np.ndarray) -> np.ndarray:
     """Choi matrix of the symmetry-conjugated superoperator."""
-    w = np.kron(sym.matrix, sym.matrix.conj())
+    w = sym.liouville()
     return w @ choi @ dag(w)
 
 

@@ -277,32 +277,29 @@ def test_criterion_7_dilation_residual_table():
         coarse = dilation.coarse_grained_generator_step(rep, part)
 
         assert c1.holds  # the whole corpus shares a symmetric master operator
-        ue1 = dilation.environment_symmetry(c1.unitary)
-        r_frame = dilation.joint_symmetry_residual(frame, sym.matrix, ue1)
+        images = sym.images(rep)
+        r_frame = dilation.joint_symmetry_residual(frame, images, c1.unitary)
         ok = ok and r_frame <= 1e-10
 
         if c3.holds:
-            ue3 = dilation.environment_symmetry(
-                permutation_unitary(c3.permutation, c3.phases))
-            r = dilation.joint_symmetry_residual(deph, sym.matrix, ue3)
+            r = dilation.joint_symmetry_residual(
+                deph, images, permutation_unitary(c3.permutation, c3.phases))
             ok = ok and r <= 1e-10
             rows.append(f"{name}: dL={r:.1e}")
         else:
-            r = dilation.minimum_symmetry_residual(deph, sym.matrix, part)
+            r = dilation.minimum_symmetry_residual(deph, images, part)
             ok = ok and r > 1e-3
             rows.append(f"{name}: dL>={r:.1e}")
 
         if c2.holds:
             u54 = blockwise_unitary_completion(rep, sym, part, c2.permutation)
-            uep = dilation.environment_symmetry(u54)
-            r_p = dilation.joint_symmetry_residual(partial, sym.matrix, uep)
-            uec = dilation.environment_symmetry(
-                permutation_unitary(c2.permutation))
-            r_c = dilation.joint_symmetry_residual(coarse, sym.matrix, uec)
+            r_p = dilation.joint_symmetry_residual(partial, images, u54)
+            r_c = dilation.joint_symmetry_residual(
+                coarse, images, permutation_unitary(c2.permutation))
             ok = ok and r_p <= 1e-10 and r_c <= 1e-10
         else:
-            r_p = dilation.minimum_symmetry_residual(partial, sym.matrix, part)
-            r_c = dilation.minimum_symmetry_residual(coarse, sym.matrix, part)
+            r_p = dilation.minimum_symmetry_residual(partial, images, part)
+            r_c = dilation.minimum_symmetry_residual(coarse, images, part)
             ok = ok and r_p > 1e-3 and r_c > 1e-3
     _report(7, bool(ok), "joint residual table matches the condition pattern")
 

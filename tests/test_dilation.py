@@ -209,33 +209,33 @@ def certificates(model, name="parity"):
 def test_residuals_weakly_symmetric_model():
     m = models.qubit_weak()
     sym, p, c1, c2, c3 = certificates(m)
+    images = sym.images(m.rep)
     u_rec = permutation_unitary(c3.permutation, c3.phases)
-    ue = environment_symmetry(u_rec)
-    assert joint_symmetry_residual(rotating_frame_step(m.rep), sym.matrix, ue) < 1e-10
-    assert joint_symmetry_residual(dephased_generator_step(m.rep), sym.matrix, ue) < 1e-10
+    assert joint_symmetry_residual(rotating_frame_step(m.rep), images, u_rec) < 1e-10
+    assert joint_symmetry_residual(dephased_generator_step(m.rep), images, u_rec) < 1e-10
     assert joint_symmetry_residual(
-        partially_dephased_generator_step(m.rep, p), sym.matrix, ue) < 1e-10
-    uc = environment_symmetry(permutation_unitary(c2.permutation))
+        partially_dephased_generator_step(m.rep, p), images, u_rec) < 1e-10
+    uc = permutation_unitary(c2.permutation)
     assert joint_symmetry_residual(
-        coarse_grained_generator_step(m.rep, p), sym.matrix, uc) < 1e-10
+        coarse_grained_generator_step(m.rep, p), images, uc) < 1e-10
 
 
 def test_residuals_qubit_ii_partial_passes_full_fails():
     m = models.qubit_ii()
     sym, p, c1, c2, c3 = certificates(m)
     assert c2.holds and not c3.holds
+    images = sym.images(m.rep)
     u54 = blockwise_unitary_completion(m.rep, sym, p, c2.permutation)
-    ue = environment_symmetry(u54)
     # rotating-frame and partially dephased generators are symmetric
-    assert joint_symmetry_residual(rotating_frame_step(m.rep), sym.matrix, ue) < 1e-10
+    assert joint_symmetry_residual(rotating_frame_step(m.rep), images, u54) < 1e-10
     assert joint_symmetry_residual(
-        partially_dephased_generator_step(m.rep, p), sym.matrix, ue) < 1e-10
-    uc = environment_symmetry(permutation_unitary(c2.permutation))
+        partially_dephased_generator_step(m.rep, p), images, u54) < 1e-10
+    uc = permutation_unitary(c2.permutation)
     assert joint_symmetry_residual(
-        coarse_grained_generator_step(m.rep, p), sym.matrix, uc) < 1e-10
+        coarse_grained_generator_step(m.rep, p), images, uc) < 1e-10
     # the fully dephased generator resists every structured or random choice
     best = minimum_symmetry_residual(dephased_generator_step(m.rep),
-                                     sym.matrix, partition=p)
+                                     images, partition=p)
     assert best > 1e-3
 
 
@@ -243,13 +243,13 @@ def test_residuals_qubit_i_only_unitary_level():
     m = models.qubit_i()
     sym, p, c1, c2, c3 = certificates(m)
     assert c1.holds and not c2.holds
-    ue = environment_symmetry(c1.unitary)
-    assert joint_symmetry_residual(rotating_frame_step(m.rep), sym.matrix, ue) < 1e-10
+    images = sym.images(m.rep)
+    assert joint_symmetry_residual(rotating_frame_step(m.rep), images, c1.unitary) < 1e-10
     for step in (dephased_generator_step(m.rep),
                  partially_dephased_generator_step(m.rep, p)):
-        assert minimum_symmetry_residual(step, sym.matrix, partition=p) > 1e-3
+        assert minimum_symmetry_residual(step, images, partition=p) > 1e-3
     coarse = coarse_grained_generator_step(m.rep, p)
-    assert minimum_symmetry_residual(coarse, sym.matrix, partition=p) > 1e-3
+    assert minimum_symmetry_residual(coarse, images, partition=p) > 1e-3
 
 
 @pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (4, 2)])
@@ -273,6 +273,7 @@ def test_scan_minimum_is_exact(dim, seed, monkeypatch):
     h = gaussian(dim, dim)
     rep = Representation(h + dag(h), tuple(jumps))
     p = build_sjeds(rep)
+    images = SymmetryOperator.from_matrix(u).images(rep)
     calls = []
 
     def counted(*args):
@@ -286,13 +287,13 @@ def test_scan_minimum_is_exact(dim, seed, monkeypatch):
         calls.clear()
         with monkeypatch.context() as mp:
             mp.setattr(dilation, "joint_symmetry_residual", counted)
-            best = minimum_symmetry_residual(step, u, p)
+            best = minimum_symmetry_residual(step, images, p)
         assert len(calls) == 1
         nq = step.bin_dim - 1
         envs = [permutation_unitary(pi) for pi in itertools.permutations(range(nq))]
         envs += [linalg.random_unitary(rng, nq) for _ in range(50)]
         for env in envs:
-            r = joint_symmetry_residual(step, u, environment_symmetry(env))
+            r = joint_symmetry_residual(step, images, env)
             assert best <= r + 1e-12
 
 
@@ -307,10 +308,8 @@ def dense_residual(step, u_system, u_env):
 
 
 @given(dim=st.integers(2, 3), n_full=st.integers(0, 2), n_reset=st.integers(0, 2),
-       identity=st.booleans(), vacuum_fixed=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_residual_matches_dense_oracle(dim, n_full, n_reset, identity,
-                                       vacuum_fixed, seed):
+       identity=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_residual_matches_dense_oracle(dim, n_full, n_reset, identity, seed):
     # traceful jumps, rank-one jumps sharing a destination (one SJED), and
     # optionally the identity, whose traceless part is zero
     rng = np.random.default_rng(seed)
@@ -326,15 +325,14 @@ def test_residual_matches_dense_oracle(dim, n_full, n_reset, identity,
     rep = Representation(h + dag(h), tuple(jumps))
     p = build_sjeds(rep)
     u = linalg.random_unitary(rng, dim)
+    images = SymmetryOperator.from_matrix(u).images(rep)
     for step in (stochastic_hamiltonian_step(rep), rotating_frame_step(rep),
                  dephased_generator_step(rep),
                  partially_dephased_generator_step(rep, p),
                  coarse_grained_generator_step(rep, p)):
-        nq = step.bin_dim - 1
-        env = (environment_symmetry(linalg.random_unitary(rng, nq)) if vacuum_fixed
-               else linalg.random_unitary(rng, nq + 1))
-        assert abs(joint_symmetry_residual(step, u, env)
-                   - dense_residual(step, u, env)) <= 1e-12
+        env = linalg.random_unitary(rng, step.bin_dim - 1)
+        assert abs(joint_symmetry_residual(step, images, env)
+                   - dense_residual(step, u, environment_symmetry(env))) <= 1e-12
 
 
 def _condition_ii_model(seed):
@@ -377,13 +375,14 @@ def test_partial_minimum_vanishes_under_condition_II(case):
     if case == "seeded":
         assert sorted(s.size for s in p.sets) == [2, 2, 3]
     step = partially_dephased_generator_step(rep, p)
-    assert minimum_symmetry_residual(step, sym.matrix, p) <= 1e-10
+    assert minimum_symmetry_residual(step, sym.images(rep), p) <= 1e-10
 
 
 def test_minimum_rejects_unitary_steps():
     m = models.qubit_i()
     with pytest.raises(ValueError):
-        minimum_symmetry_residual(rotating_frame_step(m.rep), SZ, build_sjeds(m.rep))
+        minimum_symmetry_residual(rotating_frame_step(m.rep),
+                                  parity_sym().images(m.rep), build_sjeds(m.rep))
 
 
 def test_stationarity_of_trajectory_certificates():
@@ -434,21 +433,36 @@ def test_change_of_basis_tall():
 
 
 def test_symmetry_images_are_read_for_their_own_representation():
-    # generator steps reuse the jump coordinates of the symmetry's images,
-    # which must be of the same representation: equal to the matrix route
-    # there, refused for another one
+    # generator steps read the jump coordinates of the symmetry's images,
+    # which must be of the step's own representation
     model = models.qubit_ii()
     rep = model.rep
     sym = SymmetryOperator.from_matrix(next(iter(model.symmetries.values())))
     p = build_sjeds(rep)
-    rng = np.random.default_rng(3)
-    for step in (dephased_generator_step(rep), partially_dephased_generator_step(rep, p),
-                 coarse_grained_generator_step(rep, p), rotating_frame_step(rep)):
-        env = environment_symmetry(linalg.random_unitary(rng, step.bin_dim - 1))
-        assert joint_symmetry_residual(step, sym.images(rep), env) == pytest.approx(
-            joint_symmetry_residual(step, sym.matrix, env), abs=1e-12)
     other = rep.with_jumps([2 * j for j in rep.jumps])
+    env = linalg.random_unitary(np.random.default_rng(3), rep.njumps)
     with pytest.raises(ValueError):
         joint_symmetry_residual(dephased_generator_step(other), sym.images(rep), env)
     with pytest.raises(ValueError):
         minimum_symmetry_residual(dephased_generator_step(other), sym.images(rep), p)
+
+
+def test_residual_rejects_mismatched_shapes():
+    # u must act on the step's bin modes, and the symmetry on its system
+    model = models.qubit_ii()
+    rep = model.rep
+    sym = SymmetryOperator.from_matrix(next(iter(model.symmetries.values())))
+    p = build_sjeds(rep)
+    images = sym.images(rep)
+    wide_rep = Representation(np.kron(rep.hamiltonian, np.eye(2)),
+                              tuple(np.kron(j, np.eye(2)) for j in rep.jumps))
+    wide = SymmetryOperator.from_matrix(np.kron(sym.matrix, SZ)).images(wide_rep)
+    for step in (rotating_frame_step(rep), dephased_generator_step(rep),
+                 partially_dephased_generator_step(rep, p),
+                 coarse_grained_generator_step(rep, p)):
+        n_modes = step.bin_dim - 1
+        for size in (n_modes - 1, n_modes + 1):
+            with pytest.raises(linalg.ShapeError):
+                joint_symmetry_residual(step, images, np.eye(size))
+        with pytest.raises(linalg.ShapeError):
+            joint_symmetry_residual(step, wide, np.eye(n_modes))

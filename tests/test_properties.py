@@ -332,7 +332,7 @@ def _assert_matches_oracle(rep, u, tol=1e-9):
     if not report.condition_II.holds:
         return
     try:
-        new = blockwise_unitary_completion(rep, sym, partition, pi_c, tol)
+        new = blockwise_unitary_completion(rep, sym, partition, pi_c)
     except CompletionFailed:
         new = None
     if not rep.jumps:   # the dense completion failed here; 0 x 0 is right
