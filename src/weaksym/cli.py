@@ -9,12 +9,14 @@ Subcommands:
 * ``report``       everything above in one JSON document
 
 Exit codes: 0 when all requested checks are consistent with the model's
-expectations (if any), 1 on a mismatch, 2 on usage or parse errors.
+expectations (if any), 1 on a mismatch, 2 on usage or parse errors and on
+a model file or an --out path that cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -269,12 +271,13 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
         result["ensemble_average"]["within_3_sigma"] = bool(
             np.all(np.abs(mean - exact) <= 3 * err + 1e-12))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        trajectories.export_records(ens, os.path.join(out_dir, "ensemble.jsonl"))
-        trajectories.export_count_histogram(
-            ens, rep.njumps, os.path.join(out_dir, "counts.csv"))
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(result, fh, indent=2)
+        with _writing(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
+            trajectories.export_records(ens, os.path.join(out_dir, "ensemble.jsonl"))
+            trajectories.export_count_histogram(
+                ens, rep.njumps, os.path.join(out_dir, "counts.csv"))
+            with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+                json.dump(result, fh, indent=2)
     return result
 
 
@@ -313,10 +316,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing an --out path becomes a ParseError (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(doc, out=None):
     text = json.dumps(doc, indent=2)
     if out:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -413,7 +425,8 @@ def _dispatch(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad parameter for {args.name}: {exc}")
         if args.out:
-            dump_model(model, args.out)
+            with _writing(args.out):
+                dump_model(model, args.out)
         else:
             print(json.dumps(model_to_doc(model), indent=2))
         return 0

@@ -15,6 +15,17 @@ over the parameters, or a [re, im] pair of either.  Example::
       "expect": {"parity": {"condition_I": true, "condition_II": true,
                             "condition_III": true}}
     }
+
+A matrix is either its dim rows of entries, as above, or the listed
+entries of a sparse form, every other entry being 0::
+
+    "matrix": {"sparse": [[0, 1, "sqrt(gamma)"], [1, 0, [0, -1.5]]]}
+
+Each item is [row, column, entry] with integer indices in [0, dim) and
+no (row, column) listed twice.  `model_to_doc` writes a matrix sparse
+when fewer than half of its entries are stored, that is have a part
+that is nonzero or a negative zero, so the file holds fewer numbers;
+either form reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -121,7 +132,8 @@ def eval_entry(entry, parameters: dict) -> complex:
 
 
 def _numeric_row(row: list):
-    """A row of [re, im] pairs of plain numbers as its flat float parts.
+    """A row (or the sparse entries) of [re, im] pairs of plain numbers as
+    its flat float parts.
 
     None when any part is a string, a boolean or anything but an int or a
     float, or when a value overflows or is not finite: such rows go
@@ -139,9 +151,50 @@ def _numeric_row(row: list):
     return values if np.isfinite(values).all() else None
 
 
+def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str) -> np.ndarray:
+    """A {"sparse": [[i, j, entry], ...]} matrix; unlisted entries are 0."""
+    for key in spec:
+        if key != "sparse":
+            raise ParseError(f"{what}: unexpected key {key!r} beside 'sparse'")
+    items = spec.get("sparse")
+    if not isinstance(items, list):
+        raise ParseError(f"{what}: 'sparse' must be a list of [i, j, entry] items")
+    listed = {}      # i * dim + j -> entry, in item order
+    for k, item in enumerate(items):
+        if not isinstance(item, list) or len(item) != 3:
+            raise ParseError(f"{what}: sparse item {k} must be [i, j, entry], "
+                             f"got {item!r}")
+        i, j, entry = item
+        if type(i) is not int or type(j) is not int or not (
+                0 <= i < dim and 0 <= j < dim):
+            raise ParseError(f"{what}: sparse item {k}: indices must be integers "
+                             f"in [0, {dim}), got {i!r}, {j!r}")
+        if i * dim + j in listed:
+            raise ParseError(f"{what}: sparse item {k}: entry ({i}, {j}) is "
+                             f"listed twice")
+        listed[i * dim + j] = entry
+    values = _numeric_row(list(listed.values()))
+    if values is None:
+        values = []
+        for k, (flat, entry) in enumerate(listed.items()):
+            try:
+                value = eval_entry(entry, parameters)
+            except ParseError as exc:
+                raise ParseError(f"{what}: sparse item {k}, entry "
+                                 f"{divmod(flat, dim)}: {exc}") from exc
+            values += (value.real, value.imag)
+    out = np.zeros((dim, dim), dtype=complex)
+    if listed:
+        # the parts land bit for bit, signed zeros included
+        out.view(float).reshape(-1, 2)[list(listed)] = np.reshape(values, (-1, 2))
+    return out
+
+
 def eval_matrix(rows, parameters: dict, dim: int, what: str) -> np.ndarray:
+    if isinstance(rows, dict):
+        return _sparse_matrix(rows, parameters, dim, what)
     if not isinstance(rows, list) or len(rows) != dim:
-        raise ParseError(f"{what}: expected {dim} rows")
+        raise ParseError(f"{what}: expected {dim} rows or a {{\"sparse\": [...]}} object")
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -231,8 +284,15 @@ def parse_model(doc) -> Model:
 
 
 def load_model(path) -> Model:
-    with open(path) as fh:
-        text = fh.read()
+    """Parse a model file, read as UTF-8 (JSON's encoding)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return parse_model(text)
 
 
@@ -244,18 +304,34 @@ def _matrix_doc(m):
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
+def _model_matrix_doc(m):
+    """A model matrix in its shorter form: sparse [i, j, [re, im]] items
+    when 2·stored < d², dense rows otherwise.  An entry is stored when a
+    part is nonzero or a negative zero, so either form reads back bit for
+    bit."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    stored = (m.view(np.uint64).reshape(*m.shape, 2) != 0).any(axis=-1)
+    rows, cols = np.nonzero(stored)
+    if 2 * rows.size >= m.size:
+        return _matrix_doc(m)
+    values = m[rows, cols]
+    return {"sparse": [[i, j, [re, im]] for i, j, re, im in zip(
+        rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())]}
+
+
 def model_to_doc(model: Model) -> dict:
-    """Serialize a Model to a JSON-ready document (numeric entries)."""
+    """Serialize a Model to a JSON-ready document (numeric entries, each
+    matrix in its shorter form)."""
     doc = {
         "name": model.name,
         "description": model.description,
         "dim": model.rep.dim,
         "parameters": {k: v for k, v in model.parameters.items()
                        if _is_number(v)},
-        "hamiltonian": _matrix_doc(model.rep.hamiltonian),
-        "jumps": [{"name": lbl, "matrix": _matrix_doc(j)}
+        "hamiltonian": _model_matrix_doc(model.rep.hamiltonian),
+        "jumps": [{"name": lbl, "matrix": _model_matrix_doc(j)}
                   for lbl, j in zip(model.rep.labels, model.rep.jumps)],
-        "symmetries": [{"name": n, "matrix": _matrix_doc(u)}
+        "symmetries": [{"name": n, "matrix": _model_matrix_doc(u)}
                        for n, u in model.symmetries.items()],
     }
     if model.sjed_groups is not None:

@@ -2,6 +2,8 @@ import argparse
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -11,8 +13,10 @@ from hypothesis import given, strategies as st
 
 from weaksym import cli, linalg, models, trajectories
 from weaksym.cli import analyze, main, run_check, run_verify_joint
+from weaksym.lindblad import Representation
 from weaksym.modelfile import (
     ParseError,
+    _matrix_doc,
     dump_model,
     eval_entry,
     eval_matrix,
@@ -84,6 +88,19 @@ def test_parse_model_dimension_mismatch():
         parse_model(json.dumps(doc))
 
 
+def _bits(model):
+    """Every matrix of a model as its float parts, symmetries included."""
+    return [np.asarray(m).view(float) for m in
+            (model.rep.hamiltonian, *model.rep.jumps, *model.symmetries.values())]
+
+
+def _assert_same_bits(a, b):
+    assert a.rep.fingerprint() == b.rep.fingerprint()
+    assert list(a.symmetries) == list(b.symmetries)
+    for x, y in zip(_bits(a), _bits(b), strict=True):
+        assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
 @pytest.mark.parametrize("name", sorted(models.BUILDERS))
 def test_builtin_roundtrip(name, tmp_path):
     if name == "qutrit-chain":
@@ -94,10 +111,8 @@ def test_builtin_roundtrip(name, tmp_path):
     path = tmp_path / f"{name}.json"
     dump_model(model, path)
     loaded = load_model(path)
-    assert loaded.rep.dim == model.rep.dim
-    assert loaded.rep.njumps == model.rep.njumps
-    for a, b in zip(loaded.rep.jumps, model.rep.jumps):
-        assert np.allclose(a, b, atol=1e-12)
+    _assert_same_bits(loaded, model)
+    assert loaded.rep.labels == model.rep.labels
     assert loaded.sjed_groups == model.sjed_groups
     assert loaded.expect == model.expect
     # the parsed model reproduces the in-memory verdicts
@@ -107,6 +122,120 @@ def test_builtin_roundtrip(name, tmp_path):
     for sym in res_a["symmetries"]:
         for key in ("condition_I", "condition_II", "condition_III"):
             assert res_a["symmetries"][sym][key] == res_b["symmetries"][sym][key]
+
+
+def test_sparse_matrix_entries():
+    # numbers, expressions and [re, im] pairs of either; unlisted entries are 0
+    spec = {"sparse": [[0, 1, "sqrt(g)"], [1, 0, [-0.0, -1.5]], [2, 2, ["g", 1]]]}
+    got = eval_matrix(spec, {"g": 4.0}, 3, "m")
+    want = np.zeros((3, 3), dtype=complex)
+    want[0, 1], want[1, 0], want[2, 2] = 2.0, complex(-0.0, -1.5), 4 + 1j
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got.real[1, 0])
+    # plain [re, im] numbers take one array conversion, with the same bits
+    numeric = {"sparse": [[1, 2, [-0.0, 2 ** 60]], [0, 0, [1e-300, -0.0]]]}
+    got = eval_matrix(numeric, {}, 3, "m")
+    assert got.view(float)[1, 4:6].tobytes() == np.array([-0.0, 2.0 ** 60]).tobytes()
+    assert got.view(float)[0, 0:2].tobytes() == np.array([1e-300, -0.0]).tobytes()
+    assert eval_matrix({"sparse": []}, {}, 2, "m").tobytes() == bytes(64)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"sparse": [[2, 0, 1]]}, r"sparse item 0: indices .* got 2, 0"),
+    ({"sparse": [[0, 0, 1], [0, -1, 1]]}, r"sparse item 1: indices .* got 0, -1"),
+    ({"sparse": [[0, 1.0, 1]]}, r"sparse item 0: indices .* got 0, 1\.0"),
+    ({"sparse": [[True, 0, 1]]}, r"sparse item 0: indices .* got True, 0"),
+    ({"sparse": [[0, 1, 1], [0, 1, 2]]}, r"sparse item 1: entry \(0, 1\) is listed twice"),
+    ({"sparse": [[0, 1]]}, r"sparse item 0 must be \[i, j, entry\]"),
+    ({"sparse": [[0, 1, 1, 1]]}, r"sparse item 0 must be \[i, j, entry\]"),
+    ({"sparse": [[0, 0, 1], {"i": 0}]}, r"sparse item 1 must be \[i, j, entry\]"),
+    ({"sparse": {"0": 1}}, r"'sparse' must be a list"),
+    ({}, r"'sparse' must be a list"),
+    ({"sparse": [], "dim": 2}, r"unexpected key 'dim' beside 'sparse'"),
+    ({"sparse": [[1, 1, 1], [0, 1, "1/0"]]}, r"sparse item 1, entry \(0, 1\): "),
+    ({"sparse": [[0, 1, [0, "x"]]]}, r"sparse item 0, entry \(0, 1\): unknown name"),
+    ({"sparse": [[0, 1, [0, 1, 2]]]}, r"sparse item 0, entry \(0, 1\): complex entry"),
+])
+def test_sparse_errors_name_the_matrix_and_item(spec, message):
+    with pytest.raises(ParseError, match=r"^jump Jx: " + message):
+        eval_matrix(spec, {}, 2, "jump Jx")
+
+
+def test_writer_picks_the_shorter_form():
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1] = m[2, 3] = 1.0
+    m.view(float)[3, 1] = -0.0                    # stored: a negative zero
+    doc = model_to_doc(models.Model("m", Representation(np.zeros((4, 4)), (m,)),
+                                    {"u": np.eye(4)}))
+    assert doc["jumps"][0]["matrix"] == {
+        "sparse": [[0, 1, [1.0, 0.0]], [2, 3, [1.0, 0.0]], [3, 0, [-0.0, 0.0]]]}
+    assert doc["hamiltonian"] == {"sparse": []}
+    assert "sparse" in doc["symmetries"][0]["matrix"]    # 4 stored of 16
+    doc = model_to_doc(models.get_model("twoqubit-II"))
+    assert isinstance(doc["hamiltonian"], list)          # 8 of 16: not shorter
+    assert all("sparse" in j["matrix"] for j in doc["jumps"])
+    assert "sparse" in doc["symmetries"][0]["matrix"]
+    # the single-qubit built-ins keep every matrix dense
+    doc = model_to_doc(models.get_model("qubit-III"))
+    assert all(isinstance(x["matrix"], list) for x in doc["jumps"] + doc["symmetries"])
+
+
+@st.composite
+def _sparse_models(draw):
+    """Models of random sparsity with some zero parts written as -0.0."""
+    dim = draw(st.integers(2, 5))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    negative_zeros = draw(st.sampled_from([0.02, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def with_negative_zeros(m):
+        parts = m.view(float)
+        parts[(parts == 0) & (rng.random(parts.shape) < negative_zeros)] = -0.0
+        return m
+
+    def matrix():
+        parts = np.where(rng.random((dim, dim, 1)) < density,
+                         rng.standard_normal((dim, dim, 2)), 0.0)
+        return with_negative_zeros(parts.view(complex)[..., 0])
+
+    h = matrix()
+    h = with_negative_zeros(h + h.conj().T)
+    jumps = []
+    for _ in range(draw(st.integers(0, 3))):
+        j = matrix()
+        if not j.any():
+            j[rng.integers(dim), rng.integers(dim)] = 1.0
+        jumps.append(j)
+    symmetries = {f"U{k}": matrix() for k in range(draw(st.integers(0, 2)))}
+    return models.Model("random", Representation(h, tuple(jumps)), symmetries)
+
+
+@given(model=_sparse_models())
+def test_model_doc_roundtrip_is_bit_exact(model):
+    loaded = parse_model(json.dumps(model_to_doc(model)))
+    _assert_same_bits(loaded, model)
+
+
+def test_dense_chain_file_reads_as_its_sparse_copy(tmp_path, capsys):
+    thetas = np.random.default_rng(7).uniform(0, 2 * np.pi, 3)
+    model = models.qutrit_chain(3, thetas=thetas)
+    doc = model_to_doc(model)
+    assert "sparse" in doc["jumps"][0]["matrix"]
+    # the dense form every earlier version wrote: [re, im] rows of every matrix
+    dense = dict(doc, hamiltonian=_matrix_doc(model.rep.hamiltonian))
+    for key, mats in (("jumps", model.rep.jumps),
+                      ("symmetries", model.symmetries.values())):
+        dense[key] = [dict(item, matrix=_matrix_doc(m)) for item, m in zip(doc[key], mats)]
+    paths = {"dense": tmp_path / "dense.json", "sparse": tmp_path / "sparse.json"}
+    paths["dense"].write_text(json.dumps(dense, indent=2))
+    dump_model(model, paths["sparse"])
+    assert paths["sparse"].stat().st_size * 4 < paths["dense"].stat().st_size
+    _assert_same_bits(load_model(paths["dense"]), load_model(paths["sparse"]))
+    out = {}
+    for form, path in paths.items():
+        assert main(["check", str(path)]) == 0
+        out[form] = capsys.readouterr().out
+    assert out["dense"] == out["sparse"]
 
 
 # ---------------------------------------------------------------- commands
@@ -153,6 +282,51 @@ def test_check_parse_error_exit(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+def _exits_2(argv, capsys, *words):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
+def test_check_directory_exits_2(tmp_path, capsys):
+    _exits_2(["check", str(tmp_path)], capsys, str(tmp_path))
+
+
+def test_check_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(QUBIT_DOC).encode("utf-16-le"))
+    _exits_2(["check", str(path)], capsys, "not UTF-8")
+
+
+def test_model_file_read_as_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(json.dumps(_qubit_doc(name="qubit-\u00e9"), ensure_ascii=False)
+                     .encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "weaksym.cli", "check", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["model"] == "qubit-\u00e9"
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "qubit-II"], ["verify-joint", "qubit-II"],
+    ["report", "qubit-II", "--skip-simulation"], ["examples", "qubit-II"]])
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.json")
+    _exits_2(command + ["--out", out], capsys, out)
+
+
+def test_simulate_out_on_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    _exits_2(["simulate", "qubit-III", "--n", "20", "--out", str(path)], capsys,
+             str(path))
+
+
 QUBIT_DOC = {"dim": 2, "parameters": {"g": 1e308},
              "hamiltonian": [[1, 0], [0, -1]],
              "jumps": [{"matrix": [[0, 1], [0, 0]]}, {"matrix": [[1, 0], [0, 0]]}],
@@ -189,11 +363,24 @@ def _entry_doc(entry):
     (["simulate", "qubit-III", "--threads", "-2"], None),
     (["simulate", "qubit-III", "--alpha", "nan"], None),
     (["simulate", "qubit-III", "--alpha", "1"], None),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [[0, 2, 1]]})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [[-1, 0, 1]]})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [[0, 0.0, 1]]})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [[False, 0, 1]]})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [[0, 0, 1], [0, 0, -1]]})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [[0, 0]]})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [[0, 0, 1, 0]]})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": "[[0, 0, 1]]"})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [], "rows": 2})),
+    (["check"], _qubit_doc(hamiltonian={"sparse": [[0, 0, "sqrt(-1)"]]})),
 ], ids=["div-zero", "sqrt-negative", "overflow", "infinite", "complex-power",
         "dim-string", "jumps-not-array", "sjeds-overlap", "non-unitary", "n-zero",
         "horizon-negative", "tol-negative", "param-not-number", "bool-entry",
         "bool-parameter", "threads-zero", "threads-negative", "alpha-nan",
-        "alpha-one"])
+        "alpha-one", "sparse-index-range", "sparse-index-negative",
+        "sparse-index-float", "sparse-index-bool", "sparse-duplicate",
+        "sparse-item-short", "sparse-item-long", "sparse-not-list",
+        "sparse-extra-key", "sparse-bad-entry"])
 def test_malformed_input_exits_2(argv, doc, tmp_path, capsys):
     if doc is not None:
         path = tmp_path / "model.json"
@@ -217,19 +404,26 @@ _EXPRESSIONS = st.recursive(
 _ENTRIES = st.one_of(_EXPRESSIONS, st.text(max_size=8), st.floats(), st.integers(),
                      st.booleans(), st.lists(_EXPRESSIONS, min_size=1, max_size=3),
                      st.none())
+_INDICES = st.one_of(st.integers(-1, 2), st.floats(), st.booleans(), st.text(max_size=2))
+# sparse items: mostly [i, j, entry], sometimes of another length or kind
+_SPARSE_ITEMS = st.one_of(
+    st.tuples(_INDICES, _INDICES, _ENTRIES).map(list),
+    st.lists(st.one_of(_INDICES, _ENTRIES), max_size=4), _ENTRIES)
 # half the documents keep the valid dim, so the entries get evaluated
 _DIMS = st.one_of(st.just(2), st.one_of(
     st.integers(-1, 3), st.floats(), st.text(max_size=3), st.booleans(), st.none(),
     st.lists(st.integers(0, 3), max_size=2)))
 
 
-@given(entry=_ENTRIES, dim=_DIMS, g=st.one_of(st.floats(), st.booleans()))
-def test_fuzz_model_scalars_and_dim(entry, dim, g):
-    # the entry lands in the Hamiltonian, a jump and the symmetry
+@given(entry=_ENTRIES, dim=_DIMS, g=st.one_of(st.floats(), st.booleans()),
+       items=st.lists(_SPARSE_ITEMS, max_size=3))
+def test_fuzz_model_scalars_and_dim(entry, dim, g, items):
+    # the entry lands in the Hamiltonian, a jump and the symmetry; the
+    # sparse items after [0, 0, 1] in the second jump
     doc = _qubit_doc(dim=dim, parameters={"g": g},
                      hamiltonian=[[entry, 0], [0, -1]],
                      jumps=[{"matrix": [[0, entry], [0, 0]]},
-                            {"matrix": [[1, 0], [0, 0]]}],
+                            {"matrix": {"sparse": [[0, 0, 1], *items]}}],
                      symmetries=[{"name": "p", "matrix": [[1, 0], [0, entry]]}])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")

@@ -8,6 +8,11 @@ and L=5 chains, ``simulate`` (with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
 ``report`` on qubit-III and qubit-I, once with each tree on PYTHONPATH.
+BASE's ``dump_model`` writes the chain files, so both trees read the same
+files and HEAD reads the form BASE writes.  Cross-form cases then run HEAD
+on the chain files its own ``dump_model`` wrote, which may use a matrix
+form BASE cannot read, against BASE on BASE's: ``check`` at L=4 and L=5,
+``verify-joint`` at L=3, L=4 and L=5, and ``simulate --level full`` at L=3.
 Exit codes, strings, booleans and integers (verdicts, permutations, event
 labels) must be identical; every other number must agree within atol.
 Only the report's ``elapsed_seconds`` is not compared.  Prints one line
@@ -33,7 +38,9 @@ CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
          "modelfile.dump_model(m, sys.argv[1])")
 
 
-def cases(chain4, chain3, chain5):
+def cases(chain4, chain3, chain5, own):
+    """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
+    the copy HEAD wrote."""
     out = [["check", m] for m in BUILTINS + [chain4, chain5]]
     out += [["verify-joint", m] for m in BUILTINS + [chain3, chain4, chain5]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
@@ -43,7 +50,10 @@ def cases(chain4, chain3, chain5):
     out += [["simulate", m, "--level", "full", "--n", "300", "--seed", "7",
              "--threads", "2"] for m in ("qubit-III", chain3)]
     out += [["report", m] for m in ("qubit-III", "qubit-I")]
-    return out
+    cross = [["check", chain4], ["check", chain5]]
+    cross += [["verify-joint", m] for m in (chain3, chain4, chain5)]
+    cross += [["simulate", chain3, "--level", "full", "--n", "300", "--seed", "7"]]
+    return [(a, a) for a in out] + [(a, [own.get(x, x) for x in a]) for a in cross]
 
 
 def run(src, argv, out_dir):
@@ -98,23 +108,29 @@ def main(argv=None) -> int:
     base, head = os.path.abspath(args.base), os.path.abspath(args.head)
     with tempfile.TemporaryDirectory() as tmp:
         lengths = (4, 3, 5)
-        chains = [os.path.join(tmp, f"chain-L{L}.json") for L in lengths]
-        for L, path in zip(lengths, chains):
-            subprocess.run([sys.executable, "-c", CHAIN, path, str(L)],
-                           check=True, env=dict(os.environ, PYTHONPATH=head))
+        chains, own = [], {}
+        for L in lengths:
+            chains.append(os.path.join(tmp, f"chain-L{L}.json"))
+            own[chains[-1]] = os.path.join(tmp, f"chain-L{L}-own.json")
+            for src, path in ((base, chains[-1]), (head, own[chains[-1]])):
+                subprocess.run([sys.executable, "-c", CHAIN, path, str(L)],
+                               check=True, env=dict(os.environ, PYTHONPATH=src))
         failures = 0
         deviations = [0.0]
-        for argv_ in cases(*chains):
-            a = run(base, argv_, os.path.join(tmp, "base"))
-            b = run(head, argv_, os.path.join(tmp, "head"))
+        pairs = cases(*chains, own)
+        for argv_a, argv_b in pairs:
+            a = run(base, argv_a, os.path.join(tmp, "base"))
+            b = run(head, argv_b, os.path.join(tmp, "head"))
             problems = []
             diff(a, b, args.atol, problems, deviations)
-            name = " ".join(os.path.basename(x) for x in argv_)
+            name = " ".join(os.path.basename(x) for x in argv_a)
+            if argv_b != argv_a:
+                name += "  (HEAD: " + " ".join(os.path.basename(x) for x in argv_b) + ")"
             print(f"{'DIFF' if problems else 'same'}  {name}")
             for p in problems[:10]:
                 print(f"      {p}")
             failures += bool(problems)
-    print(f"{failures} of {len(cases(*chains))} cases differ beyond atol={args.atol:g}; "
+    print(f"{failures} of {len(pairs)} cases differ beyond atol={args.atol:g}; "
           f"largest float deviation {max(deviations):.3g}")
     return 1 if failures else 0
 
