@@ -9,8 +9,9 @@ Subcommands:
 * ``report``       everything above in one JSON document
 
 Exit codes: 0 when all requested checks are consistent with the model's
-expectations (if any), 1 on a mismatch, 2 on usage or parse errors and on
-a model file or an --out path that cannot be read or written.
+expectations (if any), 1 on a mismatch, 2 on usage or parse errors, on
+a model file or an --out path that cannot be read or written, and on a
+model too stiff to sample.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return _dispatch(args)
-    except ParseError as exc:
+    except (ParseError, trajectories.StiffnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,12 +5,12 @@ type-j quantum is sqrt(dt) |j><vac|, which reproduces the quantum-noise
 increment table exactly on the vacuum sector.  The module builds the
 joint unitary step, its rotating-frame form, and the fully dephased,
 partially dephased, and coarse-grained generator steps from system-size
-operators only.  Symmetry residuals take the symmetry's images
-(`SymmetryOperator.images` of the step's representation) and a jump-space
-unitary u, which acts on the bin through the vacuum-fixing Gamma(u) =
-environment_symmetry(u).  They are exact in dt and have no size cap: they
-are read from d x d overlaps in the coordinates of one thin QR, each
-difference taken before its norm, so no sqrt(eps) cancellation floor.
+operators only.  Symmetry residuals of every step kind read the
+symmetry's images (`SymmetryOperator.images` of the step's
+representation) and take a jump-space unitary u, which acts on the bin
+through the vacuum-fixing Gamma(u) = environment_symmetry(u).  They are
+exact in dt, have no size cap and take each difference before its norm,
+so no sqrt(eps) cancellation floor.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lindblad import (
-    Representation,
-    _traceless_parts,
-    apply_master_operator,
-    effective_hamiltonian,
-)
+from .lindblad import Representation, apply_master_operator
 from .linalg import DEFAULT_TOL, NotUnitaryError, ShapeError, dag, frob
 from .sjed import SjedPartition
 from .symmetry import (
@@ -33,7 +28,6 @@ from .symmetry import (
     SymmetryImages,
     SymmetryOperator,
     general_unitary_completion,
-    jump_coordinates,
     permutation_unitary,
 )
 
@@ -148,7 +142,7 @@ def stochastic_hamiltonian_step(rep: Representation, dt: float = 1.0) -> JointSu
 
 def rotating_frame_step(rep: Representation, dt: float = 1.0) -> JointSuperStep:
     """Stochastic Hamiltonian of the traceless jumps (zero ones included)."""
-    return _step("unitary", *_traceless_parts(rep), dt)
+    return _step("unitary", *rep.traceless, dt)
 
 
 def displacement_step(rep: Representation, dt: float) -> np.ndarray:
@@ -217,14 +211,14 @@ def environment_symmetry(u_matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
 
 def dephased_generator_step(rep: Representation, dt: float = 1.0) -> JointSuperStep:
     """Counting-measurement generator: separable joint jumps J_j x dB_j†."""
-    return _step("dephased", effective_hamiltonian(rep), rep.jumps, dt)
+    return _step("dephased", rep.effective_hamiltonian, rep.jumps, dt)
 
 
 def partially_dephased_generator_step(rep: Representation,
                                       partition: SjedPartition,
                                       dt: float = 1.0) -> JointSuperStep:
     """Partial-measurement generator: one joint jump per SJED."""
-    return _step("partial", effective_hamiltonian(rep), partition.jumps, dt,
+    return _step("partial", rep.effective_hamiltonian, partition.jumps, dt,
                  groups=partition.coarse_labels())
 
 
@@ -232,7 +226,7 @@ def coarse_grained_generator_step(rep: Representation,
                                   partition: SjedPartition,
                                   dt: float = 1.0) -> JointSuperStep:
     """Erasure generator: quanta labelled by SJED on a (d_c + 1)-dim bin."""
-    return _step("coarse", effective_hamiltonian(rep), partition.jumps, dt,
+    return _step("coarse", rep.effective_hamiltonian, partition.jumps, dt,
                  modes=partition.coarse_labels())
 
 
@@ -261,56 +255,62 @@ def environment_trace_slope(step_of_dt, rep: Representation, psi0,
     return float(slope)
 
 
-def _check_images(step: JointSuperStep, images: SymmetryImages) -> None:
+def _check_images(step: JointSuperStep, images: SymmetryImages) -> bool:
+    """Whether a unitary step is of the traceless frame; the step must hold
+    images.rep's own H (H', H_eff) and jumps (traceless jumps)."""
+    rep = images.rep
     if images.sym.dim != step.system_dim:
         raise ShapeError("symmetry operator dimensions do not match the step")
-    if step.kind != "unitary" and step.jumps is not images.rep.jumps:
-        raise ValueError("the images are of another representation's jumps")
+    frames = [(rep.hamiltonian, rep.jumps), rep.traceless] if step.kind == "unitary" \
+        else [(rep.effective_hamiltonian, rep.jumps)]
+    for frame, (h, jumps) in enumerate(frames):
+        if step.system_hamiltonian is h and step.jumps is jumps:
+            return frame == 1
+    raise ValueError("the images are of another representation's operators")
 
 
 def joint_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
                             u: np.ndarray) -> float:
     """Relative residual of the joint symmetry W = U x Gamma(u) on the
-    step's coefficients, exact in dt, from system-size overlaps.
+    step's coefficients, exact in dt, read from the images.
 
     images is sym.images(rep) for the representation the step was built
-    from (generator steps read its jump coordinates); u is the unitary on
-    the step's n_modes = bin_dim - 1 bin modes, and Gamma(u) =
-    environment_symmetry(u) fixes the vacuum and sends b_m to
+    from; u acts on the step's n_modes = bin_dim - 1 bin modes, and Gamma(u)
+    = environment_symmetry(u) fixes the vacuum and sends b_m to
     sum_k conj(u[m, k]) b_k.  Unitary steps compare W H W† with the joint
-    Hamiltonian H, generator steps M Λ M† with Λ, M = W x W*.
-    sum_t X_t x B_t has the norm of sum_t c_t vec(B_t)^T, c_t the
-    coordinates of X_t in an orthonormal basis, so each difference is
-    taken on coordinates before its norm.  On unitary steps (mode j = jump
-    j) the 1, b_j and b_j† parts are orthogonal, so with A, B the
-    coordinates of the jumps and of their images, c_H and c_H' those of H
-    and U H U† and E = bin_dim, residual^2 = (E ||c_H' - c_H||^2 +
-    2 ||B conj(u) - A||^2) / (E ||c_H||^2 + 2 ||A||^2).  On generator steps
-    D and K stay orthogonal (every k_g is traceless); with N the joint
-    dimension and H_0 = H_eff - tr(H_eff)/d, ||D||^2 = 2 N E ||H_0||^2 +
-    4 E^2 Im(tr H_eff)^2 and ||MDM† - D||^2 = 2 N E ||U H_0 U† - H_0||^2.
-    K realigned is sum_g |k_g>><<k_g|, so ||MKM† - K|| = ||ÂÂ† - B̂B̂†|| for
-    the coordinates Â, B̂ of the k_g and of their images, read off a thin
-    QR of [Â B̂], bin mode m standing for row m of the identity in k_g and
+    Hamiltonian, generator steps M Λ M† with Λ, M = W x W*.  sum_t X_t x B_t
+    has the norm of sum_t c_t vec(B_t)^T, c_t the coordinates of X_t in an
+    orthonormal basis.  On unitary steps (mode j = jump j) the 1, b_j and
+    b_j† parts are orthogonal, so with A, B the coordinates of the step's
+    jumps and of their images (bare or traceless frame) and E = bin_dim,
+    residual^2 = (E ||U H U† - H||^2 + 2 ||B conj(u) - A||^2) /
+    (E ||H||^2 + 2 ||A||^2).  On generator steps D and K stay orthogonal
+    (every k_g is traceless); with N the joint dimension and H_0 = H_eff -
+    tr(H_eff)/d, ||D||^2 = 2 N E ||H_0||^2 + 4 E^2 Im(tr H_eff)^2 and
+    ||MDM† - D||^2 = 2 N E ||U H_eff U† - H_eff||^2.  K realigned is
+    sum_g |k_g>><<k_g|, so ||MKM† - K|| = ||ÂÂ† - B̂B̂†|| for the
+    coordinates Â, B̂ of the k_g and of their images, read off a thin QR
+    of [Â B̂], bin mode m standing for row m of the identity in k_g and
     for row m of conj(u) in its image.
     """
     u = np.asarray(u, dtype=complex)
-    _check_images(step, images)
+    frame = _check_images(step, images)
     e, n_modes = step.bin_dim, step.bin_dim - 1
     if u.shape != (n_modes, n_modes):
         raise ShapeError("environment unitary does not match the step's bin modes")
-    if step.kind == "unitary":
-        _, before, after = jump_coordinates(images.sym.matrix,
-                                            (step.system_hamiltonian, *step.jumps))
-        a, b = before[:, 1:], after[:, 1:] @ u.conj()
-        num = e * frob(after[:, 0] - before[:, 0]) ** 2 + 2 * frob(b - a) ** 2
-        den = e * frob(before[:, 0]) ** 2 + 2 * frob(a) ** 2
-        return float(np.sqrt(num / max(den, 1e-300)))
     h = step.system_hamiltonian
-    h = h - np.trace(h) / step.system_dim * np.eye(step.system_dim)
-    n_joint, trace = step.joint_dim, np.trace(step.system_hamiltonian)
-    num = 2 * n_joint * e * frob(images.sym.conjugate(h) - h) ** 2
-    den = 2 * n_joint * e * frob(h) ** 2 + 4 * e ** 2 * trace.imag ** 2
+    if step.kind == "unitary":
+        h_image, a, b = ((images.frame_hamiltonian_image, images.frame_jumps,
+                          images.frame_images) if frame else
+                         (images.hamiltonian_image, images.jumps, images.jump_images))
+        b = b @ u.conj()
+        num = e * frob(h_image - h) ** 2 + 2 * frob(b - a) ** 2
+        den = e * frob(h) ** 2 + 2 * frob(a) ** 2
+        return float(np.sqrt(num / max(den, 1e-300)))
+    n_joint, trace = step.joint_dim, np.trace(h)
+    h0 = h - trace / step.system_dim * np.eye(step.system_dim)
+    num = 2 * n_joint * e * frob(images.effective_hamiltonian_image - h) ** 2
+    den = 2 * n_joint * e * frob(h0) ** 2 + 4 * e ** 2 * trace.imag ** 2
     if step.jumps:
         member = np.eye(step.groups.max() + 1)[step.groups]
         bins = np.stack([np.eye(n_modes)[step.modes], u.conj()[step.modes]])

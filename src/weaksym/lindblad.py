@@ -11,8 +11,10 @@ master operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .linalg import DEFAULT_TOL, ShapeError, dag, frob
@@ -24,6 +26,22 @@ class NegativeTimeError(ValueError):
 
 class NotSameMasterOperator(ValueError):
     pass
+
+
+MAX_NORM = 1e50     # keeps J†J and the checks' sums of |P|^2 ~ ||J||^4 finite
+
+
+def _checked(m: np.ndarray, what: str) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
+    norm = scipy.linalg.norm(m.ravel())   # BLAS nrm2 scales: no overflow
+    if norm > MAX_NORM:
+        raise ValueError(f"{what} has Frobenius norm {norm:.3g} > {MAX_NORM:g}")
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -39,8 +57,7 @@ class Representation:
         d = h.shape[0]
         if h.shape != (d, d):
             raise ShapeError(f"hamiltonian must be square, got {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("hamiltonian has non-finite entries")
+        _checked(h, "hamiltonian")
         hnorm = frob(h)
         if hnorm > 0 and frob(h - dag(h)) > DEFAULT_TOL * max(hnorm, 1.0):
             raise ValueError("hamiltonian is not Hermitian within tolerance")
@@ -48,8 +65,7 @@ class Representation:
         for k, j in enumerate(jumps):
             if j.shape != (d, d):
                 raise ShapeError(f"jump {k} has shape {j.shape}, expected {(d, d)}")
-            if not np.isfinite(j).all():
-                raise ValueError(f"jump {k} has non-finite entries")
+            _checked(j, f"jump {k}")
             if frob(j) == 0.0:
                 raise ValueError(f"jump {k} is zero")
         labels = tuple(self.labels) if self.labels else tuple(
@@ -67,6 +83,27 @@ class Representation:
     @property
     def njumps(self) -> int:
         return len(self.jumps)
+
+    @cached_property
+    def traceless(self) -> tuple:
+        """(H', traceless jumps) of traceless_representation, read-only as
+        they are shared; a jump proportional to the identity gives zero."""
+        d = self.dim
+        shift = np.zeros_like(self.hamiltonian)
+        jumps = []
+        for j in self.jumps:
+            tr = np.trace(j)
+            shift += j * np.conj(tr) - dag(j) * tr
+            jumps.append(_frozen(j - (tr / d) * np.eye(d)))
+        return _frozen(self.hamiltonian + (1j / (2.0 * d)) * shift), tuple(jumps)
+
+    @cached_property
+    def effective_hamiltonian(self) -> np.ndarray:
+        """H - (i/2) sum_j J_j† J_j, read-only as it is shared."""
+        out = self.hamiltonian.copy()
+        for j in self.jumps:
+            out -= 0.5j * (dag(j) @ j)
+        return _frozen(out)
 
     def with_jumps(self, jumps, labels=()) -> "Representation":
         return Representation(self.hamiltonian, tuple(jumps), labels)
@@ -174,35 +211,13 @@ def jump_part_choi(jumps) -> np.ndarray:
     return liouville_to_choi(sum(np.kron(j, j.conj()) for j in jumps))
 
 
-def _traceless_parts(rep: Representation):
-    """(H', traceless jumps); a jump proportional to the identity gives zero."""
-    d = rep.dim
-    h = rep.hamiltonian.astype(complex)
-    shift = np.zeros_like(h)
-    jumps = []
-    for j in rep.jumps:
-        tr = np.trace(j)
-        shift += j * np.conj(tr) - dag(j) * tr
-        jumps.append(j - (tr / d) * np.eye(d))
-    return h + (1j / (2.0 * d)) * shift, jumps
-
-
 def traceless_representation(rep: Representation) -> Representation:
     """Equivalent representation whose jumps are all traceless.
 
     H' = H + (i/2d) sum_j [J_j Tr(J_j†) - J_j† Tr(J_j)],
     J_j' = J_j - Tr(J_j)/d.  Generates the identical master operator.
     """
-    hp, jumps = _traceless_parts(rep)
-    return Representation(hp, tuple(jumps), rep.labels)
-
-
-def effective_hamiltonian(rep: Representation) -> np.ndarray:
-    """H - (i/2) sum_j J_j† J_j."""
-    out = rep.hamiltonian.astype(complex).copy()
-    for j in rep.jumps:
-        out -= 0.5j * (dag(j) @ j)
-    return out
+    return Representation(*rep.traceless, rep.labels)
 
 
 def evolve_density(rep: Representation, rho0, t: float) -> np.ndarray:
@@ -238,8 +253,8 @@ def representations_equal(rep_a: Representation, rep_b: Representation,
     if rep_a.dim != rep_b.dim:
         raise ShapeError("dimension mismatch")
     d = rep_a.dim
-    ha, ja = _traceless_parts(rep_a)
-    hb, jb = _traceless_parts(rep_b)
+    ha, ja = rep_a.traceless
+    hb, jb = rep_b.traceless
     ha = ha - (np.trace(ha) / d) * np.eye(d)
     hb = hb - (np.trace(hb) / d) * np.eye(d)
     if frob(ha - hb) > tol * max(frob(ha), frob(hb), 1.0):
@@ -290,8 +305,8 @@ def relate_representations(rep_a: Representation, rep_b: Representation,
         raise ShapeError("order the call so the second representation has >= jumps")
     if not representations_equal(rep_a, rep_b, tol):
         raise NotSameMasterOperator("representations generate different master operators")
-    _, ja = _traceless_parts(rep_a)
-    _, jb = _traceless_parts(rep_b)
+    _, ja = rep_a.traceless
+    _, jb = rep_b.traceless
     d = rep_a.dim
     q, qb, escape = frame_isometry(_flat(ja, d), _flat(jb, d), tol)
     if escape > tol * max(max(frob(j) for j in jb), 1.0):
@@ -310,7 +325,6 @@ __all__ = [
     "apply_master_operator",
     "apply_adjoint_master_operator",
     "choi_matrix",
-    "effective_hamiltonian",
     "evolve_density",
     "jump_part_choi",
     "liouville_matrix",

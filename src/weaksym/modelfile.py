@@ -67,6 +67,7 @@ _FUNCS = {
 }
 _CONSTS = {"pi": math.pi, "e": math.e}
 _PLAIN_NUMBERS = frozenset((int, float))   # exact types: bool is not one
+_CONDITIONS = ("condition_I", "condition_II", "condition_III")
 
 
 def _is_number(value) -> bool:
@@ -221,6 +222,14 @@ def _field(doc: dict, key: str, kind: type):
     return value
 
 
+def _text(doc: dict, key: str, default: str, what: str) -> str:
+    """doc[key], default when absent, which must be a JSON string."""
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
 def parse_model(doc) -> Model:
     """Build a Model from a parsed JSON document."""
     if isinstance(doc, str):
@@ -251,13 +260,15 @@ def parse_model(doc) -> Model:
     for k, item in enumerate(_field(doc, "jumps", list)):
         if not isinstance(item, dict) or "matrix" not in item:
             raise ParseError(f"jump {k} must be an object with a 'matrix'")
-        labels.append(str(item.get("name", f"J{k + 1}")))
+        labels.append(_text(item, "name", f"J{k + 1}", f"jump {k} name"))
         jumps.append(eval_matrix(item["matrix"], parameters, dim, f"jump {labels[-1]}"))
     symmetries = {}
     for k, item in enumerate(_field(doc, "symmetries", list)):
         if not isinstance(item, dict) or "matrix" not in item:
             raise ParseError(f"symmetry {k} must be an object with a 'matrix'")
-        name = str(item.get("name", f"U{k + 1}"))
+        name = _text(item, "name", f"U{k + 1}", f"symmetry {k} name")
+        if name in symmetries:
+            raise ParseError(f"symmetry name {name!r} is given twice")
         symmetries[name] = eval_matrix(item["matrix"], parameters, dim,
                                        f"symmetry {name}")
     groups = doc.get("sjeds")
@@ -268,18 +279,22 @@ def parse_model(doc) -> Model:
         groups = tuple(tuple(g) for g in groups)
     expect = {}
     for name, verdicts in _field(doc, "expect", dict).items():
+        if name not in symmetries:
+            raise ParseError(f"expect {name!r} names no symmetry of the model")
         if not isinstance(verdicts, dict):
             raise ParseError(f"expect {name!r} must be a JSON object")
-        expect[name] = (bool(verdicts.get("condition_I")),
-                        bool(verdicts.get("condition_II")),
-                        bool(verdicts.get("condition_III")))
+        expect[name] = tuple(verdicts.get(c) for c in _CONDITIONS)
+        for c, verdict in zip(_CONDITIONS, expect[name]):
+            if type(verdict) is not bool:
+                raise ParseError(f"expect {name!r}: {c} must be true or false, "
+                                 f"got {verdict!r}")
     try:
         rep = Representation(h, tuple(jumps), tuple(labels))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return Model(str(doc.get("name", "model")), rep, symmetries,
+    return Model(_text(doc, "name", "model", "'name'"), rep, symmetries,
                  sjed_groups=groups, expect=expect,
-                 description=str(doc.get("description", "")),
+                 description=_text(doc, "description", "", "'description'"),
                  parameters=parameters)
 
 
@@ -337,11 +352,8 @@ def model_to_doc(model: Model) -> dict:
     if model.sjed_groups is not None:
         doc["sjeds"] = [list(g) for g in model.sjed_groups]
     if model.expect:
-        doc["expect"] = {
-            name: {"condition_I": v[0], "condition_II": v[1],
-                   "condition_III": v[2]}
-            for name, v in model.expect.items()
-        }
+        doc["expect"] = {name: dict(zip(_CONDITIONS, v))
+                         for name, v in model.expect.items()}
     return doc
 
 

@@ -19,13 +19,13 @@ operators (`SymmetryOperator.images`), formed once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .lindblad import (
     Representation,
-    _traceless_parts,
     apply_adjoint_master_operator,
     apply_master_operator,
     frame_isometry,
@@ -110,37 +110,32 @@ def _order(phases: np.ndarray, cap: int) -> int | None:
     return int(n[ok][0]) if ok.any() else None
 
 
-def jump_coordinates(u, jumps) -> tuple:
-    """Coordinates (columns) of 1, the jumps J_j and their images U J_j U†
-    in one orthonormal basis of their span, so every difference is taken
-    before its norm: one stacked product and one thin QR, the d^2-sized
-    stack living only inside this call."""
-    u = np.asarray(u, dtype=complex)
-    d, n = u.shape[0], len(jumps)
-    stack = np.empty((2 * n + 1, d, d), dtype=complex)
-    stack[0] = np.eye(d)
-    for k, jump in enumerate(jumps):
-        stack[1 + k] = jump
-    np.matmul(u @ stack[1:n + 1], dag(u), out=stack[n + 1:])
-    r = linalg.coordinates(stack.reshape(2 * n + 1, -1))
-    return r[:, 0], r[:, 1:n + 1], r[:, n + 1:]
-
-
 class SymmetryImages:
-    """One symmetry's images of a representation's operators: U H U†, U H'
-    U† (H' the traceless frame's Hamiltonian) and the coordinates of one
-    QR of the traceless jumps J'_j and their images (`frame_jumps`,
-    `frame_images`), shifted to those of J_j = J'_j + tr(J_j)/d 1 (`jumps`,
-    `jump_images`; J'_j is orthogonal to 1, so the shift loses nothing)."""
+    """One symmetry's images of a representation's operators: U H U† with
+    ||U H U† - H||, U H' U† (H' the traceless frame's Hamiltonian), U H_eff
+    U† on first use, and the coordinates of one QR of the traceless jumps
+    J'_j and their images (`frame_jumps`, `frame_images`), shifted to those
+    of J_j = J'_j + tr(J_j)/d 1 (`jumps`, `jump_images`; J'_j is orthogonal
+    to 1, so the shift loses nothing)."""
 
     def __init__(self, rep: Representation, sym: SymmetryOperator):
         self.rep, self.sym = rep, sym
-        self.frame_hamiltonian, traceless = _traceless_parts(rep)
+        self.frame_hamiltonian, traceless = rep.traceless
         self.frame_hamiltonian_image = sym.conjugate(self.frame_hamiltonian)
         self.hamiltonian_image = sym.conjugate(rep.hamiltonian)
-        one, self.frame_jumps, self.frame_images = jump_coordinates(sym.matrix, traceless)
+        self.hamiltonian_residual = frob(self.hamiltonian_image - rep.hamiltonian)
+        # one thin QR of 1, the J'_j and their images (a d^2-sized stack)
+        d, n, u = rep.dim, rep.njumps, sym.matrix
+        stack = np.stack([np.eye(d, dtype=complex), *traceless, *traceless])
+        np.matmul(u @ stack[1:n + 1], dag(u), out=stack[n + 1:])
+        r = linalg.coordinates(stack.reshape(2 * n + 1, -1))
+        one, self.frame_jumps, self.frame_images = r[:, 0], r[:, 1:n + 1], r[:, n + 1:]
         shift = np.outer(one, [np.trace(j) / rep.dim for j in rep.jumps])
         self.jumps, self.jump_images = self.frame_jumps + shift, self.frame_images + shift
+
+    @cached_property
+    def effective_hamiltonian_image(self) -> np.ndarray:
+        return self.sym.conjugate(self.rep.effective_hamiltonian)
 
     @property
     def overlaps(self) -> np.ndarray:
@@ -308,9 +303,9 @@ def check_condition_II(rep: Representation, sym: SymmetryOperator,
     A reset set's sources J_j† dest are carried by U in O(d^2); a
     proportional set's base and its image are compared in jump coordinates.
     """
-    images, u, h = sym.images(rep), sym.matrix, rep.hamiltonian
-    h_resid = frob(images.hamiltonian_image - h)
-    if h_resid > tol * max(frob(h), 1.0):
+    images, u = sym.images(rep), sym.matrix
+    h_resid = images.hamiltonian_residual
+    if h_resid > tol * max(frob(rep.hamiltonian), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="Hamiltonian not invariant")
     if partition is None:
@@ -347,9 +342,9 @@ def check_condition_III(rep: Representation, sym: SymmetryOperator,
     allowed bijection with the least total ||c| - 1|, and the phases are
     arg c of the matched pairs; c = P[j, k] / ||J_k||^2.
     """
-    images, h = sym.images(rep), rep.hamiltonian
-    h_resid = frob(images.hamiltonian_image - h)
-    if h_resid > tol * max(frob(h), 1.0):
+    images = sym.images(rep)
+    h_resid = images.hamiltonian_residual
+    if h_resid > tol * max(frob(rep.hamiltonian), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="Hamiltonian not invariant")
     a, b = images.jumps, images.jump_images
@@ -648,7 +643,6 @@ __all__ = [
     "check_condition_III",
     "check_linear_eigenfunction",
     "evaluate_monomial",
-    "jump_coordinates",
     "fourier_symmetrize",
     "general_unitary_completion",
     "lift_II_to_III",

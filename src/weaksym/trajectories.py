@@ -31,7 +31,7 @@ import numpy as np
 from scipy import stats
 
 from . import linalg
-from .lindblad import Representation, effective_hamiltonian
+from .lindblad import Representation
 from .linalg import dag, frob
 from .sjed import SjedPartition, build_sjeds
 
@@ -140,7 +140,7 @@ def drift(rep: Representation, psi) -> np.ndarray:
     construction.
     """
     psi = np.asarray(psi, dtype=complex)
-    heff = effective_hamiltonian(rep)
+    heff = rep.effective_hamiltonian
     raw = -1j * (heff @ psi) + 1j * (psi @ dag(heff))
     return raw - psi * np.trace(raw)
 
@@ -169,7 +169,7 @@ def _segment_propagator(heff: np.ndarray, dt: float) -> np.ndarray:
 def _record_weight(rep: Representation, psi0, record: MeasurementRecord,
                    actions) -> tuple:
     """phi_T and Tr phi_T with event label l acting as sum_{J in actions[l]} J phi J†."""
-    heff = effective_hamiltonian(rep)
+    heff = rep.effective_hamiltonian
     phi = np.asarray(psi0, dtype=complex).copy()
     t_prev = 0.0
     for t, label in record.events:
@@ -468,7 +468,7 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     root-finding trials, jumps, uniforms drawn (n + 2 jumps) and Philox
     evaluations.
     """
-    heff = effective_hamiltonian(rep)
+    heff = rep.effective_hamiltonian
     hnorm = frob(heff)
     if not np.isfinite(hnorm) or hnorm > 1e8:
         raise StiffnessError("effective Hamiltonian norm too large for stepping")

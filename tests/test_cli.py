@@ -1,5 +1,7 @@
 import argparse
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -25,6 +27,7 @@ from weaksym.modelfile import (
     model_to_doc,
     parse_model,
 )
+from weaksym.symmetry import SymmetryOperator
 
 
 # ---------------------------------------------------------------- model files
@@ -373,6 +376,21 @@ def _entry_doc(entry):
     (["check"], _qubit_doc(hamiltonian={"sparse": "[[0, 0, 1]]"})),
     (["check"], _qubit_doc(hamiltonian={"sparse": [], "rows": 2})),
     (["check"], _qubit_doc(hamiltonian={"sparse": [[0, 0, "sqrt(-1)"]]})),
+    (["check"], _qubit_doc(symmetries=[{"name": "p", "matrix": [[1, 0], [0, -1]]},
+                                       {"name": "p", "matrix": [[0, 1], [1, 0]]}])),
+    (["check"], _qubit_doc(expect={"p": {"condition_I": "false", "condition_II": True,
+                                         "condition_III": True}})),
+    (["check"], _qubit_doc(expect={"p": {"condition_I": True, "condition_II": True}})),
+    (["check"], _qubit_doc(expect={"q": {"condition_I": True, "condition_II": True,
+                                         "condition_III": True}})),
+    (["check"], _qubit_doc(name=["x"])),
+    (["check"], _qubit_doc(description=3)),
+    (["check"], _qubit_doc(jumps=[{"name": ["x"], "matrix": [[0, 1], [0, 0]]}])),
+    (["check"], _qubit_doc(symmetries=[{"name": 1, "matrix": [[1, 0], [0, -1]]}])),
+    (["check"], _qubit_doc(jumps=[{"matrix": [[1e160, 0], [0, 0]]}])),
+    (["check"], _entry_doc(1e51)),
+    (["simulate", "--n", "20"], _qubit_doc(hamiltonian=[[1e9, 0], [0, -1e9]])),
+    (["report", "--n", "20"], _qubit_doc(hamiltonian=[[1e9, 0], [0, -1e9]])),
 ], ids=["div-zero", "sqrt-negative", "overflow", "infinite", "complex-power",
         "dim-string", "jumps-not-array", "sjeds-overlap", "non-unitary", "n-zero",
         "horizon-negative", "tol-negative", "param-not-number", "bool-entry",
@@ -380,7 +398,11 @@ def _entry_doc(entry):
         "alpha-one", "sparse-index-range", "sparse-index-negative",
         "sparse-index-float", "sparse-index-bool", "sparse-duplicate",
         "sparse-item-short", "sparse-item-long", "sparse-not-list",
-        "sparse-extra-key", "sparse-bad-entry"])
+        "sparse-extra-key", "sparse-bad-entry", "symmetry-name-twice",
+        "expect-string-verdict", "expect-missing-verdict", "expect-unknown-symmetry",
+        "name-not-string", "description-not-string", "jump-name-not-string",
+        "symmetry-name-not-string", "jump-norm-too-large", "hamiltonian-norm-too-large",
+        "simulate-stiff", "report-stiff"])
 def test_malformed_input_exits_2(argv, doc, tmp_path, capsys):
     if doc is not None:
         path = tmp_path / "model.json"
@@ -430,6 +452,47 @@ def test_fuzz_model_scalars_and_dim(entry, dim, g, items):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         assert main(["check", path]) in (0, 1, 2)
+
+
+def _main_output(argv):
+    """(exit code, stdout, stderr) of an in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(name=st.sampled_from(["qubit-II", "twoqubit-II", "qubit-weak"]),
+       k=st.integers(0, 300))
+def test_fuzz_scaled_models(name, k):
+    # H and the jumps scaled by 10^k: a model within the norm cap keeps its
+    # verdicts, one beyond it exits 2, and nothing ends in a traceback.
+    # simulate's horizon shrinks as 10^-2k, so the expected jump count per
+    # trajectory (rates grow as 10^2k) stays that of the unscaled model
+    model = models.get_model(name)
+    scale = 10.0 ** k
+    doc = model_to_doc(model)
+    doc["hamiltonian"] = _matrix_doc(scale * model.rep.hamiltonian)
+    for item, jump in zip(doc["jumps"], model.rep.jumps):
+        item["matrix"] = _matrix_doc(scale * jump)
+    too_large = scale * max(map(linalg.frob, (model.rep.hamiltonian, *model.rep.jumps))) \
+        > 1e50
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["check", path], ["verify-joint", path],
+                     ["simulate", path, "--n", "20", "--horizon", repr(10.0 ** (-2 * k))]):
+            code, out, err = _main_output(argv)
+            assert code in (0, 1, 2) and "Traceback" not in err
+            if too_large:
+                assert code == 2 and err.startswith("error:")
+            elif argv[0] == "check":
+                assert code == 0       # the verdicts match the model's expectations
+            elif argv[0] == "verify-joint":
+                assert code == 0
+                for sym, entry in json.loads(out)["symmetries"].items():
+                    assert tuple(entry["conditions"]) == model.expect[sym]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
@@ -666,10 +729,10 @@ def test_block_completion_built_once_per_symmetry(tmp_path, monkeypatch, capsys)
         assert 0 < len(calls) == len({id(sym) for sym in calls}) <= 3
 
 
-def test_verify_joint_forms_two_thin_qrs_per_symmetry(tmp_path, monkeypatch, capsys):
-    # two d^2-sized QRs per symmetry: the checks' one, whose jump
-    # coordinates every generator step reuses, and the rotating frame's;
-    # the other QRs are of k_g coordinates only
+def test_verify_joint_forms_no_d2_qr_after_analyze(tmp_path, monkeypatch):
+    # the checks factor one d^2-sized QR per symmetry; every joint residual
+    # reads its coordinates, and the other QRs are of k_g coordinates only
+    analysis = analyze(load_model(_chain_file(tmp_path)))
     shapes = []
     original = linalg.coordinates
 
@@ -678,8 +741,23 @@ def test_verify_joint_forms_two_thin_qrs_per_symmetry(tmp_path, monkeypatch, cap
         return original(rows)
 
     monkeypatch.setattr(linalg, "coordinates", counting)
-    assert main(["verify-joint", _chain_file(tmp_path)]) == 0
-    assert sum(width == 27 ** 2 for _, width in shapes) <= 2 * 3
+    run_verify_joint(analysis)
+    assert shapes and sum(width == 27 ** 2 for _, width in shapes) == 0
+
+
+def test_verify_joint_conjugates_once_per_symmetry(tmp_path, monkeypatch):
+    # U H_eff U† is the one dense conjugation the images lack after analyze
+    analysis = analyze(load_model(_chain_file(tmp_path)))
+    calls = []
+    original = SymmetryOperator.conjugate
+
+    def counting(self, a):
+        calls.append(self)
+        return original(self, a)
+
+    monkeypatch.setattr(SymmetryOperator, "conjugate", counting)
+    run_verify_joint(analysis)
+    assert len(calls) == len(analysis.symmetries) == 3
 
 
 def test_verify_joint_reports_a_failed_block_completion(monkeypatch, capsys):

@@ -447,6 +447,20 @@ def test_symmetry_images_are_read_for_their_own_representation():
         minimum_symmetry_residual(dephased_generator_step(other), sym.images(rep), p)
 
 
+def test_unitary_steps_of_another_representation_raise():
+    # a bare or rotating-frame step must hold the images' own operators
+    model = models.qubit_ii()
+    images = SymmetryOperator.from_matrix(model.symmetries["parity"]).images(model.rep)
+    other = model.rep.with_jumps([2 * j for j in model.rep.jumps])
+    env = np.eye(model.rep.njumps)
+    for step in (stochastic_hamiltonian_step(other), rotating_frame_step(other)):
+        with pytest.raises(ValueError):
+            joint_symmetry_residual(step, images, env)
+    # the same representation passes, through either frame
+    for step in (stochastic_hamiltonian_step(model.rep), rotating_frame_step(model.rep)):
+        assert joint_symmetry_residual(step, images, env) >= 0.0
+
+
 def test_residual_rejects_mismatched_shapes():
     # u must act on the step's bin modes, and the symmetry on its system
     model = models.qubit_ii()

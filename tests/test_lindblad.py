@@ -8,7 +8,6 @@ from weaksym.lindblad import (
     apply_adjoint_master_operator,
     apply_master_operator,
     choi_matrix,
-    effective_hamiltonian,
     evolve_density,
     jump_part_choi,
     liouville_matrix,
@@ -154,9 +153,33 @@ def test_traceless_idempotent(rng):
     assert representations_equal(rep, t1, 1e-10)
 
 
+def test_derived_operators_are_cached_and_read_only():
+    rep = Representation(0.4 * SZ, (SM, np.eye(2, dtype=complex)))
+    hp, jumps = rep.traceless
+    assert rep.traceless is rep.traceless
+    assert rep.effective_hamiltonian is rep.effective_hamiltonian
+    for m in (hp, *jumps, rep.effective_hamiltonian):
+        with pytest.raises(ValueError):
+            m[0, 0] = 7.0
+    with pytest.raises(AttributeError):
+        rep.traceless = (hp, ())
+    with pytest.raises(AttributeError):
+        rep.effective_hamiltonian = hp
+
+
+def test_model_matrix_norm_is_capped():
+    # larger entries overflow the squared norms the checks sum; the
+    # message names the matrix and its norm, computed without overflow
+    with pytest.raises(ValueError, match=r"jump 0 has Frobenius norm 1e\+160"):
+        Representation(SZ, (np.diag([1e160, 0.0]),))
+    with pytest.raises(ValueError, match="hamiltonian has Frobenius norm"):
+        Representation(1e50 * SZ, ())
+    Representation(1e49 * SZ, (1e49 * SM,))
+
+
 def test_effective_hamiltonian():
     rep = Representation(np.zeros((2, 2)), (SM,))
-    heff = effective_hamiltonian(rep)
+    heff = rep.effective_hamiltonian
     assert np.allclose(heff, -0.5j * np.diag([1.0, 0.0]))
     w, _ = hermitian_eigendecomposition((heff - dag(heff)) / 2j)
     assert np.max(w) <= 1e-14

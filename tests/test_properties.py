@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, sjed
-from weaksym.lindblad import Representation, _flat, _traceless_parts, frame_isometry
+from weaksym.lindblad import Representation, _flat, frame_isometry
 from weaksym.linalg import dag, frob
 from weaksym.sjed import (
     build_sjeds,
@@ -147,7 +147,7 @@ def _oracle_verify(u, jumps, targets, tol):
 
 
 def _oracle_condition_I(rep, sym, tol):
-    hp, jumps = _traceless_parts(rep)
+    hp, jumps = rep.traceless
     h_resid = frob(sym.conjugate(hp) - hp)
     if h_resid > tol * max(frob(hp), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid)
@@ -323,7 +323,7 @@ def _assert_matches_oracle(rep, u, tol=1e-9):
         return frob(a - b) <= 1e-8 * frob(a)
 
     _assert_results_agree(report.condition_I, _oracle_condition_I(rep, sym, tol),
-                          None, _gram_condition(_traceless_parts(rep)[1], tol))
+                          None, _gram_condition(rep.traceless[1], tol))
     _assert_results_agree(report.condition_II,
                           _oracle_condition_II(rep, sym, tol, partition), same_set)
     _assert_results_agree(report.condition_III, _oracle_condition_III(rep, sym, tol),

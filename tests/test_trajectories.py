@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from weaksym import models
 from weaksym.lindblad import (
     Representation,
-    effective_hamiltonian,
     evolve_density,
     pure_state,
 )
@@ -123,7 +122,7 @@ def test_record_weight_density_normalization():
     ts = 0.5 * horizon * (nodes + 1.0)
     ws = 0.5 * horizon * weights
     total = p0
-    heff = effective_hamiltonian(rep)
+    heff = rep.effective_hamiltonian
     for t, w in zip(ts, ws):
         g = matrix_exponential(-1j * t * heff)
         phi = g @ psi0 @ dag(g)
@@ -359,7 +358,7 @@ def test_newton_cycle_broken_by_bisection(a):
 def test_norm_slope_is_minus_total_jump_rate(rng):
     # d||phi||^2/ds = -sum_j ||J_j phi||^2 (Dalibard, Castin & Molmer)
     rep = models.qutrit_chain(2).rep
-    heff = effective_hamiltonian(rep)
+    heff = rep.effective_hamiltonian
     moments = _MomentPropagator(heff)
     phis = rng.standard_normal((5, rep.dim)) + 1j * rng.standard_normal((5, rep.dim))
     ss = rng.uniform(0.0, 0.45 / frob(heff), 5)

@@ -7,7 +7,9 @@ chains, ``verify-joint`` on the nine built-ins and on the seeded L=3, L=4
 and L=5 chains, ``simulate`` (with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
-``report`` on qubit-III and qubit-I, once with each tree on PYTHONPATH.
+``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
+``verify-joint`` and ``simulate`` share one analysis), once with each tree
+on PYTHONPATH.
 BASE's ``dump_model`` writes the chain files, so both trees read the same
 files and HEAD reads the form BASE writes.  Cross-form cases then run HEAD
 on the chain files its own ``dump_model`` wrote, which may use a matrix
@@ -49,7 +51,7 @@ def cases(chain4, chain3, chain5, own):
     # two pool workers: the second chunk's streams start at first_index > 0
     out += [["simulate", m, "--level", "full", "--n", "300", "--seed", "7",
              "--threads", "2"] for m in ("qubit-III", chain3)]
-    out += [["report", m] for m in ("qubit-III", "qubit-I")]
+    out += [["report", m] for m in ("qubit-III", "qubit-I", chain3)]
     cross = [["check", chain4], ["check", chain5]]
     cross += [["verify-joint", m] for m in (chain3, chain4, chain5)]
     cross += [["simulate", chain3, "--level", "full", "--n", "300", "--seed", "7"]]
