@@ -202,27 +202,39 @@ def run_verify_joint(analysis):
     return result
 
 
-def _sample_chunks(rep, psi0, horizon, n, seed, checkpoints, partition, threads):
+@contextlib.contextmanager
+def _sampler(rep, horizon, n, partition, threads):
+    """Yield sample(psi0, seed): the ensemble of n trajectories to horizon.
+
+    With threads > 1 (at most one per CPU, and at least 2 trajectories
+    each) one process pool, shared by every ensemble of the command, samples
+    contiguous chunks of trajectory indices; the joined ensemble equals the
+    serial one."""
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or n < 2 * threads:
-        return trajectories.sample_ensemble(
-            rep, psi0, horizon, n, seed=seed, checkpoint_times=checkpoints,
+        yield lambda psi0, seed: trajectories.sample_ensemble(
+            rep, psi0, horizon, n, seed=seed, checkpoint_times=(horizon,),
             partition=partition)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = np.linspace(0, n, threads + 1).astype(int)
-    # the positional arguments of sample_ensemble, one tuple per chunk
-    jobs = [(rep, psi0, horizon, int(b - a), seed, checkpoints, partition, int(a))
-            for a, b in zip(bounds[:-1], bounds[1:])]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+
+    def sample(psi0, seed):
+        # the positional arguments of sample_ensemble, one tuple per chunk
+        jobs = [(rep, psi0, horizon, int(b - a), seed, (horizon,), partition, int(a))
+                for a, b in zip(bounds[:-1], bounds[1:])]
         parts = list(pool.map(trajectories.sample_ensemble, *zip(*jobs)))
-    return trajectories.TrajectoryEnsemble(
-        records=[r for part in parts for r in part.records],
-        states={t: np.vstack([part.states[t] for part in parts])
-                for t in parts[0].states},
-        horizon=horizon, seed=seed, rep_fingerprint=rep.fingerprint(),
-        coarse_labels=parts[0].coarse_labels,
-        stats={k: sum(part.stats[k] for part in parts) for k in parts[0].stats})
+        return trajectories.TrajectoryEnsemble(
+            records=[r for part in parts for r in part.records],
+            states={t: np.vstack([part.states[t] for part in parts])
+                    for t in parts[0].states},
+            horizon=horizon, seed=seed, rep_fingerprint=rep.fingerprint(),
+            coarse_labels=parts[0].coarse_labels,
+            stats={k: sum(part.stats[k] for part in parts) for k in parts[0].stats})
+
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield sample
 
 
 def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
@@ -239,27 +251,26 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
         "tests": {},
     }
     # A (psi0, seed) serves the average and every test; B is U psi0 U†, seed + 1
-    ens = _sample_chunks(rep, psi0, horizon, n, seed, (horizon,), partition,
-                         threads)
-    for name, (sym, report) in analysis.symmetries.items():
-        if level == "full":
-            perm = report.condition_III.permutation if report.condition_III.holds \
-                else tuple(range(rep.njumps))
-        elif level == "coarse":
-            perm = report.condition_II.permutation if report.condition_II.holds \
-                else tuple(range(partition.nsets))
-        else:
-            perm = None
-        ens_b = _sample_chunks(rep, sym.conjugate(psi0), horizon, n, seed + 1,
-                               (horizon,), partition, threads)
-        pval, passed = trajectories.ensemble_symmetry_test(
-            rep, sym, level, ens, ens_b, alpha_sig=alpha, permutation=perm,
-            partition=partition)
-        result["tests"][name] = {
-            "p_value": pval,
-            "passed": bool(passed),
-            "permutation": _perm_json(perm),
-        }
+    with _sampler(rep, horizon, n, partition, threads) as sample:
+        ens = sample(psi0, seed)
+        for name, (sym, report) in analysis.symmetries.items():
+            if level == "full":
+                perm = report.condition_III.permutation if report.condition_III.holds \
+                    else tuple(range(rep.njumps))
+            elif level == "coarse":
+                perm = report.condition_II.permutation if report.condition_II.holds \
+                    else tuple(range(partition.nsets))
+            else:
+                perm = None
+            ens_b = sample(sym.conjugate(psi0), seed + 1)
+            pval, passed = trajectories.ensemble_symmetry_test(
+                rep, sym, level, ens, ens_b, alpha_sig=alpha, permutation=perm,
+                partition=partition)
+            result["tests"][name] = {
+                "p_value": pval,
+                "passed": bool(passed),
+                "permutation": _perm_json(perm),
+            }
     mean, err = trajectories.ensemble_average(ens, horizon)
     result["ensemble_average"] = {
         "time": horizon,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import linalg
 from .lindblad import Representation
@@ -36,6 +36,9 @@ from .linalg import dag, frob
 from .sjed import SjedPartition, build_sjeds
 
 TIME_TOL_FACTOR = 1e-9
+# grid steps one ensemble may take; a stiffer model or longer horizon is
+# refused before its grid is built
+MAX_GRID_STEPS = 100_000
 # most Philox blocks buffered per ensemble (8 MiB of uniforms), and the
 # blocks evaluated together
 _FILL_CAP = 2 ** 18
@@ -466,13 +469,18 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     jumps, and the rows of a crossing batch that run short are refilled
     together.  The ensemble's stats count grid steps, crossing batches,
     root-finding trials, jumps, uniforms drawn (n + 2 jumps) and Philox
-    evaluations.
+    evaluations.  A grid of more than MAX_GRID_STEPS steps (about
+    2.2 ||H_eff|| horizon) raises StiffnessError before it is built.
     """
     heff = rep.effective_hamiltonian
     hnorm = frob(heff)
     if not np.isfinite(hnorm) or hnorm > 1e8:
         raise StiffnessError("effective Hamiltonian norm too large for stepping")
     step = min(0.05 * max(horizon, 1e-12), 0.45 / max(hnorm, 1e-12))
+    steps = int(np.ceil(horizon / step))
+    if steps > MAX_GRID_STEPS:
+        raise StiffnessError(f"{steps} grid steps to horizon {horizon:g}, above "
+                             f"the cap of {MAX_GRID_STEPS}")
     grid = _grid(horizon, step, checkpoint_times)
     if partition is None:
         partition = build_sjeds(rep)
@@ -631,7 +639,7 @@ def two_sample_chi2(table_a: dict, table_b: dict, min_expected: float = 5.0):
     eb = tot * n_b / (n_a + n_b)
     chi2 = float(np.sum((a - ea) ** 2 / ea) + np.sum((b - eb) ** 2 / eb))
     dof = len(a) - 1
-    return float(stats.chi2.sf(chi2, dof)), chi2, dof
+    return float(special.chdtrc(dof, chi2)), chi2, dof
 
 
 def _histogram(keys) -> dict:

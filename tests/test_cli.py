@@ -849,6 +849,12 @@ def in_process_pool(monkeypatch):
     return workers
 
 
+def _sample(rep, psi0, part, threads):
+    """One ensemble through cli._sampler: 64 trajectories to 0.5, seed 7."""
+    with cli._sampler(rep, 0.5, 64, part, threads) as sample:
+        return sample(psi0, 7)
+
+
 def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):
     from weaksym.lindblad import pure_state
     from weaksym.sjed import build_sjeds
@@ -857,22 +863,21 @@ def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
     part = build_sjeds(model.rep)
-    pooled = cli._sample_chunks(model.rep, psi0, 0.5, 64, 7, (0.5,), part, 10**6)
-    serial = cli._sample_chunks(model.rep, psi0, 0.5, 64, 7, (0.5,), part, 1)
+    pooled = _sample(model.rep, psi0, part, 10**6)
+    serial = _sample(model.rep, psi0, part, 1)
     assert workers == [3]
     assert pooled.records == serial.records
     assert np.array_equal(pooled.states[0.5], serial.states[0.5])
 
 
 def test_threaded_sampling_matches_serial():
-    from weaksym.cli import _sample_chunks
     from weaksym.sjed import build_sjeds
     from weaksym.lindblad import pure_state
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
     part = build_sjeds(model.rep)
-    serial = _sample_chunks(model.rep, psi0, 0.5, 64, 7, (0.5,), part, 1)
-    parallel = _sample_chunks(model.rep, psi0, 0.5, 64, 7, (0.5,), part, 4)
+    serial = _sample(model.rep, psi0, part, 1)
+    parallel = _sample(model.rep, psi0, part, 4)
     assert serial.records == parallel.records
     assert np.array_equal(serial.states[0.5], parallel.states[0.5])
 
@@ -911,7 +916,7 @@ def test_chunk_stats_summed(monkeypatch, in_process_pool):
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
     part = build_sjeds(model.rep)
-    pooled = cli._sample_chunks(model.rep, psi0, 0.5, 64, 7, (0.5,), part, 3)
+    pooled = _sample(model.rep, psi0, part, 3)
     chunks = [trajectories.sample_ensemble(model.rep, psi0, 0.5, b - a, seed=7,
                                            checkpoint_times=(0.5,), partition=part,
                                            first_index=a)
@@ -920,3 +925,34 @@ def test_chunk_stats_summed(monkeypatch, in_process_pool):
     assert pooled.stats == {k: sum(c.stats[k] for c in chunks) for k in chunks[0].stats}
     assert pooled.stats["jumps"] == sum(len(rec) for rec in pooled.records)
     assert pooled.stats["grid_steps"] == 3 * chunks[0].stats["grid_steps"]
+
+
+def test_simulate_opens_one_pool(tmp_path, monkeypatch, capsys, in_process_pool):
+    # the reference ensemble and one per symmetry of the chain share a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["simulate", _chain_file(tmp_path), "--n", "40", "--horizon", "0.5",
+                 "--threads", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["tests"]) == 3
+    assert in_process_pool == [2]
+
+
+def test_simulate_grid_step_cap_exits_2_fast(tmp_path, capsys):
+    # ||H_eff|| ~ 1.4e5 needs about 3.1e5 grid steps to horizon 1
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({"dim": 2, "hamiltonian": [[1e5, 0], [0, -1e5]],
+                                "jumps": [{"matrix": [[0, 0], [1, 0]]}]}))
+    start = time.perf_counter()
+    _exits_2(["simulate", str(path), "--n", "20"], capsys, "grid steps",
+             str(trajectories.MAX_GRID_STEPS))
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("module", ["weaksym", "weaksym.cli"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import {module}, sys; sys.exit('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from hypothesis import given, strategies as st
 
 from weaksym import models
@@ -32,6 +33,7 @@ from weaksym.trajectories import (
     sample_trajectory,
     state_vector,
     transform_record,
+    two_sample_chi2,
 )
 from weaksym.trajectories import (
     _crossing_times,
@@ -595,11 +597,48 @@ def test_transformed_representation_generates_transformed_paths():
     n, horizon = 8000, 1.0
     ens_a = sample_ensemble(m.rep, PLUS, horizon, n, seed=31)
     ens_b = sample_ensemble(rep_t, sym.conjugate(PLUS), horizon, n, seed=32)
-    from weaksym.trajectories import _histogram, two_sample_chi2
+    from weaksym.trajectories import _histogram
     ha = _histogram([tuple(row) for row in ens_a.count_vectors(3)])
     hb = _histogram([tuple(row) for row in ens_b.count_vectors(3)])
     pval, _, _ = two_sample_chi2(ha, hb)
     assert pval > 0.01
+
+
+@st.composite
+def count_tables(draw):
+    """(dof, table_a, table_b): two count tables over shared keys and the
+    dof their test must have; every bin too small (dof 0, the early
+    return), one large bin and small ones (merged down to 2 bins, dof 1), or
+    100-400 bins of at least 5 expected counts each (no merging)."""
+    shape = draw(st.sampled_from(["small", "two", "many"]))
+    if shape == "many":
+        k = draw(st.integers(100, 400))
+        counts = st.integers(30, 60)
+    else:
+        k = draw(st.integers(1, 6))
+        counts = st.integers(0, 2)
+    a = dict(enumerate(draw(st.lists(counts, min_size=k, max_size=k))))
+    b = dict(enumerate(draw(st.lists(counts, min_size=k, max_size=k))))
+    if shape == "many":
+        return None, a, b
+    a[0] = b[0] = 1
+    if shape == "two":
+        a[k], b[k] = draw(st.integers(20, 100)), draw(st.integers(20, 100))
+    return {"small": 0, "two": 1}[shape], a, b
+
+
+@given(count_tables())
+def test_two_sample_chi2_p_value_is_scipy_chi2_sf(tables):
+    want_dof, table_a, table_b = tables
+    pval, chi2, dof = two_sample_chi2(table_a, table_b)
+    if want_dof is None:
+        assert dof == len(table_a) - 1 >= 99
+    else:
+        assert dof == want_dof
+    if dof:
+        assert repr(pval) == repr(float(scipy.stats.chi2.sf(chi2, dof)))
+    else:
+        assert (pval, chi2) == (1.0, 0.0)
 
 
 def test_state_vector_roundtrip(rng):
