@@ -397,6 +397,7 @@ def _parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--skip-simulation", action="store_true")
     p_rep.add_argument("--out")
+    p_rep.set_defaults(threads=None)
     return parser
 
 
@@ -477,7 +478,7 @@ def _dispatch(args) -> int:
         if not args.skip_simulation:
             doc["trajectories"] = run_simulate(
                 analysis, "unlabelled", args.n, args.horizon, args.seed, 0.01,
-                None)
+                None, _threads(args))
         doc["elapsed_seconds"] = time.time() - t0
         _emit(doc, args.out)
         return 0 if ok else 1

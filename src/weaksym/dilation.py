@@ -27,7 +27,6 @@ from .symmetry import (
     CompletionFailed,
     SymmetryImages,
     SymmetryOperator,
-    general_unitary_completion,
     permutation_unitary,
 )
 
@@ -387,18 +386,19 @@ def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,
     step under (system unitary, transported environment unitary).
     """
     v = np.asarray(v, dtype=complex)
-    u_a = np.asarray(u_matrix_a, dtype=complex)
-    candidate = v @ u_a @ dag(v)
+    candidate = v @ np.asarray(u_matrix_a, dtype=complex) @ dag(v)
     images = sym.images(rep_b)
-    jumps, targets = images.frame_jumps.T, images.frame_images.T
     if v.shape[0] == v.shape[1]:
         u_b = candidate
     else:
-        u_b = general_unitary_completion(jumps, targets, tol)
+        span = linalg.SpanMap(images.frame_jumps, images.frame_images)
+        u_b = span.certificate(tol)
+        if u_b is None:
+            raise CompletionFailed("induced map is not compatible with the jump frame")
         # the completion differs from the transported matrix only within
         # the jump kernel; verify it still acts like the candidate
-        if np.any(np.linalg.norm(targets - candidate @ jumps, axis=1)
-                  > 1e3 * tol * np.maximum(np.linalg.norm(targets, axis=1), 1.0)):
+        if np.any(np.linalg.norm(span.b - span.a @ candidate.T, axis=0)
+                  > 1e3 * tol * np.maximum(np.linalg.norm(span.b, axis=0), 1.0)):
             raise CompletionFailed("transported matrix does not act correctly")
     resid = joint_symmetry_residual(rotating_frame_step(rep_b), images, u_b)
     return u_b, float(resid)

@@ -2,10 +2,11 @@
 
 Thin, tolerance-aware wrappers over LAPACK (through numpy and scipy):
 Hermitian and unitary eigendecompositions with a deterministic phase
-convention, the matrix exponential, orthonormal spans, complements and
-thin-QR coordinates, Haar-random unitaries and the linear assignment
-problem.  Everything operates on plain numpy arrays and keeps no global
-state, so calls are safe from concurrent workers.
+convention, the matrix exponential, thin-QR coordinates and the
+least-norm maps between jump spans read from one SVD of them (`SpanMap`),
+Haar-random unitaries and the linear assignment problem.  Everything
+operates on plain numpy arrays and keeps no global state, so calls are
+safe from concurrent workers.
 """
 
 from __future__ import annotations
@@ -106,20 +107,6 @@ def matrix_exponential(m) -> np.ndarray:
     return scipy.linalg.expm(_as_square(m))
 
 
-def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column span from a thin SVD.
-
-    Directions with singular value at most tol times the largest one are
-    dropped.
-    """
-    v = np.asarray(vectors, dtype=complex)
-    if v.ndim != 2:
-        raise ShapeError("expected a matrix")
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return u[:, :rank]
-
-
 def coordinates(rows: np.ndarray) -> np.ndarray:
     """Coordinates of vectors (the rows, overwritten) in one orthonormal
     basis of their span: R of a thin Householder QR run in place on the
@@ -131,10 +118,49 @@ def coordinates(rows: np.ndarray) -> np.ndarray:
     return np.triu(qr[:min(qr.shape)])
 
 
-def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of an orthonormal column set."""
-    q, _ = np.linalg.qr(np.asarray(basis, dtype=complex), mode="complete")
-    return q[:, basis.shape[1]:]
+class SpanMap:
+    """Least-norm maps of targets onto the span of jumps, from one SVD.
+
+    The columns of a are n jumps and those of b targets, as coordinates in
+    one orthonormal basis (see `coordinates`); a = W S Z† is a full SVD.
+    Each method drops the singular values at most cut times the largest.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+        self.w, self.s, self.zh = np.linalg.svd(a)
+
+    def rank(self, cut: float) -> int:
+        return int(np.sum(self.s > cut * self.s[:1]))
+
+    def solve(self, cut: float):
+        """Least-norm X with b ~ a Xᵀ, and ||b - a Xᵀ|| / ||b||."""
+        r = self.rank(cut)
+        x = self.b.T @ self.w[:, :r].conj() / self.s[:r] @ self.zh[:r].conj()
+        return x, frob(self.b - self.a @ x.T) / max(frob(self.b), 1e-300)
+
+    def escape(self, cut: float) -> float:
+        """Largest norm of a target outside the span."""
+        w = self.w[:, :self.rank(cut)]
+        rest = self.b - w @ (dag(w) @ self.b)
+        return float(np.max(np.linalg.norm(rest, axis=0), initial=0.0))
+
+    def isometry(self, cut: float):
+        """X Z̄ = bᵀ W̄ S⁻¹ (a row per target), the map the targets induce on
+        the span, or None when it is not isometric (the frames differ)."""
+        r = self.rank(cut)
+        v = self.b.T @ self.w[:, :r].conj() / self.s[:r]
+        return None if frob(dag(v) @ v - np.eye(r)) > 1e3 * cut * max(1.0, r) else v
+
+    def certificate(self, cut: float):
+        """X + (1 - Z̄Zᵀ), the identity on the jump kernel, or None as for
+        `isometry`; unitary when the targets share the jumps' kernel, as the
+        conjugates of a jump family do."""
+        v = self.isometry(cut)
+        if v is None:
+            return None
+        z = self.zh[:v.shape[1]]
+        return v @ z.conj() + np.eye(len(self.zh)) - z.T @ z.conj()
 
 
 def random_unitary(rng, n: int) -> np.ndarray:

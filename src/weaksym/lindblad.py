@@ -235,10 +235,13 @@ def evolve_density(rep: Representation, rho0, t: float) -> np.ndarray:
     return vec.reshape(d, d)
 
 
-def _flat(ops, d):
-    """Operators as the columns of a d^2 x len(ops) matrix."""
-    return np.column_stack([o.reshape(-1) for o in ops]) \
-        if ops else np.zeros((d * d, 0), dtype=complex)
+def _jump_coordinates(rep_a: Representation, rep_b: Representation):
+    """Coordinates (a column per jump) of both representations' traceless
+    jumps in one orthonormal basis of their joint span, from one thin QR."""
+    ja, jb = rep_a.traceless[1], rep_b.traceless[1]
+    r = linalg.coordinates(np.array([*ja, *jb], dtype=complex)
+                          .reshape(len(ja) + len(jb), rep_a.dim ** 2))
+    return r[:, :len(ja)], r[:, len(ja):]
 
 
 def representations_equal(rep_a: Representation, rep_b: Representation,
@@ -247,49 +250,20 @@ def representations_equal(rep_a: Representation, rep_b: Representation,
 
     Structural test without d^2 x d^2 matrices: the traceless-jump
     Hamiltonians must agree up to a multiple of the identity, and the
-    traceless jumps must share their frame operator, compared in the
-    union span.
+    traceless jumps must share their frame operator A A† = B B†, read from
+    their coordinates in the joint span.
     """
     if rep_a.dim != rep_b.dim:
         raise ShapeError("dimension mismatch")
     d = rep_a.dim
-    ha, ja = rep_a.traceless
-    hb, jb = rep_b.traceless
+    ha, hb = rep_a.traceless[0], rep_b.traceless[0]
     ha = ha - (np.trace(ha) / d) * np.eye(d)
     hb = hb - (np.trace(hb) / d) * np.eye(d)
     if frob(ha - hb) > tol * max(frob(ha), frob(hb), 1.0):
         return False
-    sa = _flat(ja, d)
-    sb = _flat(jb, d)
-    basis = linalg.orthonormal_columns(np.hstack([sa, sb]), tol)
-    ca = dag(basis) @ sa
-    cb = dag(basis) @ sb
-    fa = ca @ dag(ca)
-    fb = cb @ dag(cb)
-    scale = max(frob(fa), frob(fb), 1e-300)
-    return frob(fa - fb) <= tol * scale
-
-
-def frame_isometry(stack, flat_targets, tol: float = DEFAULT_TOL):
-    """Isometries relating two jump families through their shared frame.
-
-    stack and flat_targets hold one flattened jump (or its coordinates)
-    per column.  With M = Q R the coefficients of the jumps in an
-    orthonormal basis of their span (Q isometric) and N those of the
-    targets, N R^-1 is isometric exactly when both families have the same
-    frame operator.  Returns (Q, N R^-1 or None when it is not isometric,
-    largest norm of a target outside the jump span).
-    """
-    basis = linalg.orthonormal_columns(stack, tol)
-    m = (dag(basis) @ stack).T  # rows index jumps
-    n = (dag(basis) @ flat_targets).T
-    escape = float(np.max(np.linalg.norm(flat_targets - basis @ n.T, axis=0)))
-    q, rr = np.linalg.qr(m)
-    qb = n @ np.linalg.inv(rr)
-    r = q.shape[1]
-    if frob(dag(qb) @ qb - np.eye(r)) > 1e3 * tol * max(1.0, r):
-        qb = None
-    return q, qb, escape
+    a, b = _jump_coordinates(rep_a, rep_b)
+    fa, fb = a @ dag(a), b @ dag(b)
+    return frob(fa - fb) <= tol * max(frob(fa), frob(fb), 1e-300)
 
 
 def relate_representations(rep_a: Representation, rep_b: Representation,
@@ -298,26 +272,22 @@ def relate_representations(rep_a: Representation, rep_b: Representation,
 
     rep_b must have at least as many jumps as rep_a.  Returns (V, unique)
     where unique is False when the jumps of rep_a are linearly dependent
-    (the isometry then carries documented freedom).  Raises
-    NotSameMasterOperator when the master operators differ.
+    (V is then fixed only on their span).  Raises NotSameMasterOperator
+    when the master operators differ.
     """
     if rep_b.njumps < rep_a.njumps:
         raise ShapeError("order the call so the second representation has >= jumps")
     if not representations_equal(rep_a, rep_b, tol):
         raise NotSameMasterOperator("representations generate different master operators")
-    _, ja = rep_a.traceless
-    _, jb = rep_b.traceless
-    d = rep_a.dim
-    q, qb, escape = frame_isometry(_flat(ja, d), _flat(jb, d), tol)
-    if escape > tol * max(max(frob(j) for j in jb), 1.0):
+    span = linalg.SpanMap(*_jump_coordinates(rep_a, rep_b))
+    if span.escape(tol) > tol * max(max(frob(j) for j in rep_b.traceless[1]), 1.0):
         raise NotSameMasterOperator("target jumps leave the source jump span")
-    if qb is None:
+    v = span.isometry(tol)
+    if v is None:
         raise NotSameMasterOperator("jump frames differ; no isometry exists")
-    pa = linalg.orthonormal_complement(q)
-    pb = linalg.orthonormal_complement(qb)[:, : pa.shape[1]]
-    v = qb @ dag(q) + pb @ dag(pa)
-    unique = q.shape[1] == q.shape[0]
-    return v, unique
+    # V = X + (a basis of range(X Z̄)^perp)(a basis of the jump kernel)†
+    r, n = v.shape[1], rep_a.njumps
+    return np.hstack([v, np.linalg.svd(v)[0][:, r:n]]) @ span.zh.conj(), r == n
 
 
 __all__ = [

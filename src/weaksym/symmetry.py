@@ -28,7 +28,6 @@ from .lindblad import (
     Representation,
     apply_adjoint_master_operator,
     apply_master_operator,
-    frame_isometry,
 )
 from .linalg import DEFAULT_TOL, dag, frob
 from .sjed import (
@@ -178,21 +177,22 @@ def _rows(vectors) -> np.ndarray:
     return vectors.reshape(len(vectors), int(np.prod(vectors.shape[1:])))
 
 
-def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
-    """Least-norm X with targets_j ~ sum_k X[j, k] jumps_k.
-
-    Solved through the pseudo-inverse of the jump Gram matrix; returns
-    (X, residual) with the residual relative to the target norms.  Jumps
-    and targets may be coordinates in one orthonormal basis.
-    """
+def _span(jumps, targets) -> linalg.SpanMap:
+    """The span map of raw operators, read from one QR of jumps and targets."""
     jumps, targets = _rows(jumps), _rows(targets)
     if len(jumps) != len(targets):
         raise linalg.ShapeError("need equally many jumps and targets")
-    gram = jumps.conj() @ jumps.T
-    gpinv = np.linalg.pinv(gram, rcond=tol, hermitian=True)
-    x = (targets @ dag(jumps)) @ gpinv.T
-    residual = frob(targets - x @ jumps) / max(frob(targets), 1e-300)
-    return x, float(residual)
+    r = linalg.coordinates(np.concatenate([jumps, targets]))
+    return linalg.SpanMap(r[:, :len(jumps)], r[:, len(jumps):])
+
+
+def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
+    """Least-norm X with targets_j ~ sum_k X[j, k] jumps_k.
+
+    The jump Gram matrix is cut at tol (the jumps at sqrt(tol)); returns
+    (X, residual) with the residual relative to the target norms.
+    """
+    return _span(jumps, targets).solve(np.sqrt(tol))
 
 
 def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
@@ -201,17 +201,19 @@ def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
     Works on the span of the jumps: the map induced on the span must be
     unitary and compatible with the jump frame; the action on the
     orthogonal complement of the coefficient range is completed by the
-    identity.  Raises CompletionFailed otherwise.  Jumps and targets may be
-    coordinates in one orthonormal basis.
+    identity.  Raises CompletionFailed otherwise.
     """
-    jumps, targets = _rows(jumps), _rows(targets)
-    q, qb, escape = frame_isometry(jumps.T, targets.T, tol)
-    if escape > tol * max(np.max(np.linalg.norm(jumps, axis=1)), 1e-300):
+    return _completion(_span(jumps, targets), tol)
+
+
+def _completion(span: linalg.SpanMap, tol: float) -> np.ndarray:
+    scale = max(np.max(np.linalg.norm(span.a, axis=0), initial=0.0), 1e-300)
+    if span.escape(tol) > tol * scale:
         raise CompletionFailed("targets leave the jump span")
-    if qb is None:
+    u = span.certificate(tol)
+    if u is None:
         raise CompletionFailed("induced map is not compatible with the jump frame")
-    u = qb @ dag(q) + (np.eye(len(jumps), dtype=complex) - q @ dag(q))
-    _verify_completion(u, jumps, targets, tol)
+    _verify_completion(u, span.a.T, span.b.T, tol)
     return u
 
 
@@ -270,17 +272,14 @@ def check_condition_I(rep: Representation, sym: SymmetryOperator,
     if h_resid > tol * max(frob(images.frame_hamiltonian), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="traceless Hamiltonian not invariant")
-    if not rep.jumps:
-        return ConditionResult(True, hamiltonian_residual=h_resid,
-                               mixing=np.zeros((0, 0)), unitary=np.zeros((0, 0)))
-    jumps, targets = images.frame_jumps.T, images.frame_images.T
-    x, x_resid = solve_mixing_matrix(jumps, targets, tol)
+    span = linalg.SpanMap(images.frame_jumps, images.frame_images)
+    x, x_resid = span.solve(np.sqrt(tol))
     if x_resid > tol:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                mixing=x, mixing_residual=x_resid,
                                reason="transformed jumps leave the jump span")
     try:
-        u = general_unitary_completion(jumps, targets, tol)
+        u = _completion(span, tol)
     except CompletionFailed as exc:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                mixing=x, mixing_residual=x_resid,

@@ -631,6 +631,8 @@ def two_sample_chi2(table_a: dict, table_b: dict, min_expected: float = 5.0):
     """Two-sample chi-squared p-value on pooled histogram bins."""
     n_a = sum(table_a.values())
     n_b = sum(table_b.values())
+    if not (n_a and n_b):   # p = 1 before _merge_bins would divide 0 by 0
+        return 1.0, 0.0, 0
     a, b = _merge_bins(table_a, table_b, n_a, n_b, min_expected)
     if len(a) < 2:
         return 1.0, 0.0, 0

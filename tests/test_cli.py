@@ -870,6 +870,30 @@ def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):
     assert np.array_equal(pooled.states[0.5], serial.states[0.5])
 
 
+def test_report_honours_weaksym_threads(monkeypatch, capsys, in_process_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    docs = []
+    for value in ("1", "2"):
+        monkeypatch.setenv("WEAKSYM_THREADS", value)
+        assert main(["report", "qubit-III", "--n", "60", "--horizon", "0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed_seconds"]
+        docs.append(doc)
+    assert in_process_pool == [2]
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_report_reads_weaksym_threads_only_when_simulating(value, monkeypatch,
+                                                          capsys):
+    monkeypatch.setenv("WEAKSYM_THREADS", value)
+    assert main(["report", "qubit-III", "--skip-simulation"]) == 0
+    capsys.readouterr()
+    assert main(["report", "qubit-III", "--n", "20", "--horizon", "0.2"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: WEAKSYM_THREADS")
+
+
 def test_threaded_sampling_matches_serial():
     from weaksym.sjed import build_sjeds
     from weaksym.lindblad import pure_state

@@ -7,8 +7,6 @@ from weaksym.linalg import (
     frob,
     hermitian_eigendecomposition,
     matrix_exponential,
-    orthonormal_columns,
-    orthonormal_complement,
     unitary_eigendecomposition,
 )
 
@@ -142,19 +140,41 @@ def test_expm_large_norm_accuracy():
     assert frob(matrix_exponential(-1j * h) - exact) < 1e-11 * frob(exact)
 
 
-def test_orthonormal_columns_drops_dependent():
-    v = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]).T
-    basis = orthonormal_columns(v.T)
-    assert basis.shape[1] == 2
+def test_span_map_least_norm_solve():
+    # three jumps of rank 2: the third is twice the first
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    a = np.column_stack([a, 2 * a[:, 0]])
+    b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    span = linalg.SpanMap(a, b)
+    assert span.rank(1e-9) == 2
+    x, resid = span.solve(1e-9)
+    assert frob(x - (np.linalg.pinv(a, rcond=1e-9) @ b).T) < 1e-12
+    assert abs(resid - frob(b - a @ x.T) / frob(b)) < 1e-12
+    assert span.escape(1e-9) > 0.1
 
 
-def test_orthonormal_complement():
-    b = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-    c = orthonormal_complement(b)
-    assert c.shape == (3, 2)
-    assert frob(dag(c) @ b) < 1e-12
-    assert frob(dag(c) @ c - np.eye(2)) < 1e-12
+def test_span_map_certificate_is_identity_on_the_kernel():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    a = np.column_stack([a, a[:, 0] - a[:, 1]])
+    kernel = np.array([1.0, -1.0, -1.0]) / np.sqrt(3)
+    # targets mixed by a unitary that fixes the jump kernel, as the images
+    # of a jump family under a unitary conjugation are
+    q, _ = np.linalg.qr(np.column_stack([kernel, rng.standard_normal((3, 2))]))
+    u = q @ np.block([[np.eye(1), np.zeros((1, 2))],
+                      [np.zeros((2, 1)), random_unitary(rng, 2)]]) @ dag(q)
+    span = linalg.SpanMap(a, a @ u.T)
+    assert span.escape(1e-9) < 1e-12
+    assert frob(span.certificate(1e-9) - u) < 1e-12
+    assert frob(span.certificate(1e-9) @ kernel - kernel) < 1e-12
 
+
+def test_span_map_rejects_a_different_frame():
+    a = np.eye(2, dtype=complex)
+    span = linalg.SpanMap(a, np.diag([1.0, 2.0]).astype(complex))
+    assert span.isometry(1e-9) is None and span.certificate(1e-9) is None
+    assert span.escape(1e-9) < 1e-15
 
 
 @pytest.mark.parametrize("cost, tol, expected", [

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, sjed
-from weaksym.lindblad import Representation, _flat, frame_isometry
+from weaksym.lindblad import Representation
 from weaksym.linalg import dag, frob
 from weaksym.sjed import (
     build_sjeds,
@@ -27,6 +27,7 @@ from weaksym.symmetry import (
     SymmetryOperator,
     blockwise_unitary_completion,
     build_symmetry_report,
+    check_condition_I,
 )
 
 
@@ -108,6 +109,23 @@ def test_relabelling_relabels_the_certificates(model, data):
             assert frob(choi_a - choi_b) < 1e-8 * frob(choi_a)
 
 
+@given(symmetric_models(), st.integers(0, 2 ** 32 - 1))
+def test_change_of_basis_keeps_the_condition_I_certificate(model, seed):
+    # A -> W A W† keeps every Frobenius inner product, so the jumps' span
+    # map, and with it the mixing matrix and the unitary, stay the same
+    rep, sym, _, _ = model
+    w = linalg.random_unitary(np.random.default_rng(seed), rep.dim)
+    moved = Representation(w @ rep.hamiltonian @ dag(w),
+                           tuple(w @ j @ dag(w) for j in rep.jumps))
+    a = check_condition_I(rep, sym)
+    b = check_condition_I(moved, SymmetryOperator.from_matrix(w @ sym.matrix @ dag(w)))
+    assert a.holds == b.holds
+    for x, y in ((a.mixing, b.mixing), (a.unitary, b.unitary)):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert frob(x - y) <= 1e-10 * frob(x)
+
+
 # ------------------------------------------------- dense per-check oracle
 #
 # Reference checks that form every image densely: each check conjugates
@@ -146,6 +164,28 @@ def _oracle_verify(u, jumps, targets, tol):
             raise CompletionFailed("targets not reproduced")
 
 
+def _flat(ops):
+    """Operators as the columns of a d^2 x len(ops) matrix."""
+    return np.column_stack([o.reshape(-1) for o in ops])
+
+
+def _oracle_frame_isometry(stack, flat_targets, tol):
+    """(Q, N R^-1 or None, escape): M = Q R the coefficients of the jumps in
+    an orthonormal basis of their span (an SVD cut at tol), N those of the
+    targets; N R^-1 is isometric exactly when the frames agree."""
+    w, s, _ = np.linalg.svd(stack, full_matrices=False)
+    basis = w[:, :int(np.sum(s > tol * s[0]))]
+    m = (dag(basis) @ stack).T
+    n = (dag(basis) @ flat_targets).T
+    escape = float(np.max(np.linalg.norm(flat_targets - basis @ n.T, axis=0)))
+    q, rr = np.linalg.qr(m)
+    qb = n @ np.linalg.inv(rr)
+    r = q.shape[1]
+    if frob(dag(qb) @ qb - np.eye(r)) > 1e3 * tol * max(1.0, r):
+        qb = None
+    return q, qb, escape
+
+
 def _oracle_condition_I(rep, sym, tol):
     hp, jumps = rep.traceless
     h_resid = frob(sym.conjugate(hp) - hp)
@@ -165,7 +205,7 @@ def _oracle_condition_I(rep, sym, tol):
     if x_resid > tol:
         return ConditionResult(False, hamiltonian_residual=h_resid, mixing=x,
                                mixing_residual=x_resid)
-    q, qb, escape = frame_isometry(_flat(jumps, rep.dim), _flat(targets, rep.dim), tol)
+    q, qb, escape = _oracle_frame_isometry(_flat(jumps), _flat(targets), tol)
     try:
         if escape > tol * max(max(frob(j) for j in jumps), 1e-300) or qb is None:
             raise CompletionFailed("no completion")
@@ -296,7 +336,7 @@ def _assert_results_agree(new, old, same_target, scale=1.0):
 
 def _gram_condition(jumps, tol):
     """Condition number of the Gram matrix of the jumps on their span."""
-    s = np.linalg.svd(_flat(jumps, jumps[0].shape[0]), compute_uv=False) \
+    s = np.linalg.svd(_flat(jumps), compute_uv=False) \
         if jumps else np.ones(1)
     s = s[s > tol * s[0]]
     return (s[0] / s[-1]) ** 2 if s.size else 1.0

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -639,6 +640,18 @@ def test_two_sample_chi2_p_value_is_scipy_chi2_sf(tables):
         assert repr(pval) == repr(float(scipy.stats.chi2.sf(chi2, dof)))
     else:
         assert (pval, chi2) == (1.0, 0.0)
+
+
+@given(st.dictionaries(st.integers(0, 8), st.integers(0, 60), max_size=8),
+       st.dictionaries(st.integers(0, 8), st.integers(0, 60), max_size=8))
+def test_two_sample_chi2_is_warning_free_and_symmetric(table_a, table_b):
+    # empty and all-zero tables included: p = 1 without dividing 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pval, _, _ = two_sample_chi2(table_a, table_b)
+        swapped, _, _ = two_sample_chi2(table_b, table_a)
+    assert 0.0 <= pval <= 1.0
+    assert swapped == pval
 
 
 def test_state_vector_roundtrip(rng):
