@@ -21,6 +21,7 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -203,7 +204,7 @@ def run_verify_joint(analysis):
 
 
 @contextlib.contextmanager
-def _sampler(rep, horizon, n, partition, threads):
+def _sampler(rep, horizon, n, threads):
     """Yield sample(psi0, seed): the ensemble of n trajectories to horizon.
 
     With threads > 1 (at most one per CPU, and at least 2 trajectories
@@ -213,24 +214,22 @@ def _sampler(rep, horizon, n, partition, threads):
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or n < 2 * threads:
         yield lambda psi0, seed: trajectories.sample_ensemble(
-            rep, psi0, horizon, n, seed=seed, checkpoint_times=(horizon,),
-            partition=partition)
+            rep, psi0, horizon, n, seed=seed, checkpoint_times=(horizon,))
         return
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = np.linspace(0, n, threads + 1).astype(int)
 
     def sample(psi0, seed):
-        # the positional arguments of sample_ensemble, one tuple per chunk
-        jobs = [(rep, psi0, horizon, int(b - a), seed, (horizon,), partition, int(a))
+        jobs = [functools.partial(trajectories.sample_ensemble, rep, psi0, horizon,
+                                  int(b - a), seed, (horizon,), first_index=int(a))
                 for a, b in zip(bounds[:-1], bounds[1:])]
-        parts = list(pool.map(trajectories.sample_ensemble, *zip(*jobs)))
+        parts = list(pool.map(operator.call, jobs))
         return trajectories.TrajectoryEnsemble(
             records=[r for part in parts for r in part.records],
             states={t: np.vstack([part.states[t] for part in parts])
                     for t in parts[0].states},
             horizon=horizon, seed=seed, rep_fingerprint=rep.fingerprint(),
-            coarse_labels=parts[0].coarse_labels,
             stats={k: sum(part.stats[k] for part in parts) for k in parts[0].stats})
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -251,7 +250,7 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
         "tests": {},
     }
     # A (psi0, seed) serves the average and every test; B is U psi0 U†, seed + 1
-    with _sampler(rep, horizon, n, partition, threads) as sample:
+    with _sampler(rep, horizon, n, threads) as sample:
         ens = sample(psi0, seed)
         for name, (sym, report) in analysis.symmetries.items():
             if level == "full":

@@ -317,9 +317,9 @@ def joint_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
         g = member.shape[1]
         r = linalg.coordinates(np.einsum("skj,sje,jg->sgke", coords, bins, member)
                                .reshape(2 * g, -1))
-        k_old, k_new = r[:, :g] @ dag(r[:, :g]), r[:, g:] @ dag(r[:, g:])
-        num += frob(k_new - k_old) ** 2
-        den += frob(k_old) ** 2
+        gap, k_norm, _ = linalg.frame_gap(r[:, :g], r[:, g:])
+        num += gap ** 2
+        den += k_norm ** 2
     return float(np.sqrt(num / max(den, 1e-300)))
 
 

@@ -2,8 +2,9 @@
 
 Thin, tolerance-aware wrappers over LAPACK (through numpy and scipy):
 Hermitian and unitary eigendecompositions with a deterministic phase
-convention, the matrix exponential, thin-QR coordinates and the
-least-norm maps between jump spans read from one SVD of them (`SpanMap`),
+convention, the matrix exponential, thin-QR coordinates, the frame gap
+||A A† - B B†|| read from them and the least-norm maps between jump spans
+read from one SVD of them (`SpanMap`),
 Haar-random unitaries and the linear assignment problem.  Everything
 operates on plain numpy arrays and keeps no global state, so calls are
 safe from concurrent workers.
@@ -116,6 +117,14 @@ def coordinates(rows: np.ndarray) -> np.ndarray:
     if info != 0:
         raise LinalgError(f"geqrf failed with info {info}")
     return np.triu(qr[:min(qr.shape)])
+
+
+def frame_gap(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(||A A† - B B†||, ||A A†||, ||B B†||) for two vector families given
+    by their coordinates in one orthonormal basis (the columns of a and b,
+    see `coordinates`), the difference taken before its norm."""
+    fa, fb = a @ dag(a), b @ dag(b)
+    return frob(fa - fb), frob(fa), frob(fb)
 
 
 class SpanMap:

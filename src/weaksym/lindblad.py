@@ -235,13 +235,24 @@ def evolve_density(rep: Representation, rho0, t: float) -> np.ndarray:
     return vec.reshape(d, d)
 
 
-def _jump_coordinates(rep_a: Representation, rep_b: Representation):
+def _master_coordinates(rep_a: Representation, rep_b: Representation, tol: float):
     """Coordinates (a column per jump) of both representations' traceless
-    jumps in one orthonormal basis of their joint span, from one thin QR."""
+    jumps in one orthonormal basis of their joint span, from one thin QR,
+    or None when their master operators differ (see representations_equal)."""
+    if rep_a.dim != rep_b.dim:
+        raise ShapeError("dimension mismatch")
+    d = rep_a.dim
+    ha, hb = rep_a.traceless[0], rep_b.traceless[0]
+    ha = ha - (np.trace(ha) / d) * np.eye(d)
+    hb = hb - (np.trace(hb) / d) * np.eye(d)
+    if frob(ha - hb) > tol * max(frob(ha), frob(hb), 1.0):
+        return None
     ja, jb = rep_a.traceless[1], rep_b.traceless[1]
     r = linalg.coordinates(np.array([*ja, *jb], dtype=complex)
-                          .reshape(len(ja) + len(jb), rep_a.dim ** 2))
-    return r[:, :len(ja)], r[:, len(ja):]
+                          .reshape(len(ja) + len(jb), d * d))
+    a, b = r[:, :len(ja)], r[:, len(ja):]
+    gap, fa, fb = linalg.frame_gap(a, b)
+    return (a, b) if gap <= tol * max(fa, fb, 1e-300) else None
 
 
 def representations_equal(rep_a: Representation, rep_b: Representation,
@@ -253,17 +264,7 @@ def representations_equal(rep_a: Representation, rep_b: Representation,
     traceless jumps must share their frame operator A A† = B B†, read from
     their coordinates in the joint span.
     """
-    if rep_a.dim != rep_b.dim:
-        raise ShapeError("dimension mismatch")
-    d = rep_a.dim
-    ha, hb = rep_a.traceless[0], rep_b.traceless[0]
-    ha = ha - (np.trace(ha) / d) * np.eye(d)
-    hb = hb - (np.trace(hb) / d) * np.eye(d)
-    if frob(ha - hb) > tol * max(frob(ha), frob(hb), 1.0):
-        return False
-    a, b = _jump_coordinates(rep_a, rep_b)
-    fa, fb = a @ dag(a), b @ dag(b)
-    return frob(fa - fb) <= tol * max(frob(fa), frob(fb), 1e-300)
+    return _master_coordinates(rep_a, rep_b, tol) is not None
 
 
 def relate_representations(rep_a: Representation, rep_b: Representation,
@@ -277,9 +278,10 @@ def relate_representations(rep_a: Representation, rep_b: Representation,
     """
     if rep_b.njumps < rep_a.njumps:
         raise ShapeError("order the call so the second representation has >= jumps")
-    if not representations_equal(rep_a, rep_b, tol):
+    coords = _master_coordinates(rep_a, rep_b, tol)
+    if coords is None:
         raise NotSameMasterOperator("representations generate different master operators")
-    span = linalg.SpanMap(*_jump_coordinates(rep_a, rep_b))
+    span = linalg.SpanMap(*coords)
     if span.escape(tol) > tol * max(max(frob(j) for j in rep_b.traceless[1]), 1.0):
         raise NotSameMasterOperator("target jumps leave the source jump span")
     v = span.isometry(tol)

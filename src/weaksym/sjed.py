@@ -4,12 +4,16 @@ Jump operators are grouped into sets whose pure-state actions share a
 destination: rank-one (reset) jumps with a common target state, and
 mutually proportional higher-rank jumps.  The composite action of a set
 is the superoperator sum of its members; it preserves purity and is the
-object that matters for the unravelled dynamics.
+object that matters for the unravelled dynamics.  A reset set is held as
+its destination and its sources s_j = J_j† destination, and acts as
+rho -> |dest><dest| tr(S S† rho); a proportional set as its unit base
+and total weight.  This module alone compares composite actions, and
+their images under a unitary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -21,13 +25,16 @@ from .linalg import DEFAULT_TOL, dag, frob
 
 @dataclass(frozen=True)
 class SjedSet:
-    """One SJED: member indices plus reset or proportional structure."""
+    """One SJED: member indices plus reset or proportional structure.
+
+    A reset set's members are J_j = |destination><s_j|, with the sources
+    s_j = J_j† destination the columns of `sources` in member order."""
 
     indices: tuple
     kind: str  # "reset" | "proportional"
     # reset data
-    destination: np.ndarray | None = None
-    gamma: np.ndarray | None = None          # PSD matrix on the source side
+    destination: np.ndarray | None = None    # unit target state
+    sources: np.ndarray | None = None        # d x |S|
     # proportional data
     base: np.ndarray | None = None           # unit-Frobenius base operator
     coefficients: tuple = ()                 # J_k = coefficients[k] * base
@@ -35,6 +42,14 @@ class SjedSet:
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    def modes(self, tol: float = DEFAULT_TOL):
+        """Weights (descending) and unit vectors of a reset set's frame S S†
+        from a thin SVD of the sources: squared singular values above tol
+        times the largest, each vector's first non-negligible entry > 0."""
+        u, s, _ = np.linalg.svd(self.sources, full_matrices=False)
+        keep = s ** 2 > tol * max(s[0] ** 2, 1e-300)
+        return s[keep] ** 2, linalg.fix_column_phases(u[:, keep])
 
 
 @dataclass(frozen=True)
@@ -128,8 +143,9 @@ def build_sjeds(rep: Representation, tol: float = DEFAULT_TOL) -> SjedPartition:
         if splits[k] is not None:
             dest = splits[k][0]
             members = [m for m in later if abs(np.vdot(dest, splits[m][0])) >= 1.0 - tol]
-            gamma = sum(np.outer(splits[m][1], splits[m][1].conj()) for m in members)
-            sets.append(SjedSet(tuple(members), "reset", destination=dest, gamma=gamma))
+            sources = np.column_stack([dag(jumps[m]) @ dest for m in members])
+            sets.append(SjedSet(tuple(members), "reset", destination=dest,
+                                sources=sources))
         else:
             base = linalg.fix_column_phases(j.reshape(-1, 1)).reshape(j.shape) / frob(j)
             coeffs = {m: _proportionality_coefficient(base, jumps[m], tol)
@@ -160,10 +176,7 @@ def partition_from_groups(rep: Representation, groups,
         sub = build_sjeds(rep.with_jumps([jumps[i] for i in group]), tol)
         if sub.nsets != 1:
             raise ValueError(f"group {group} is not a single equal-destination set")
-        s = sub.sets[0]
-        sets.append(SjedSet(group, s.kind, destination=s.destination,
-                            gamma=s.gamma, base=s.base,
-                            coefficients=s.coefficients))
+        sets.append(replace(sub.sets[0], indices=group))
     sets = sorted(sets, key=lambda s: s.indices[0])
     return SjedPartition(tuple(sets), jumps, tol)
 
@@ -185,18 +198,18 @@ def composite_choi(partition: SjedPartition, alpha: int) -> np.ndarray:
     return jump_part_choi([partition.jumps[j] for j in partition.sets[alpha].indices])
 
 
-def composite_signature(partition: SjedPartition, alpha: int):
-    """Structural data determining the composite action of one SJED.
-
-    Reset sets are the pair (destination, gamma); proportional sets the
-    pair (unit base, total weight).  Equality of signatures is equality
-    of the composite actions, without building superoperator matrices.
-    """
+def composite_signature(partition: SjedPartition, alpha: int, u=None):
+    """Data fixing the composite action of one SJED, or of its image under
+    a unitary u: ("reset", destination, sources), whose image is (u dest,
+    u sources), or ("prop", unit base, total weight), whose image is
+    (u base u†, weight).  Equal signatures are equal composite actions."""
     s = partition.sets[alpha]
     if s.kind == "reset":
-        return ("reset", s.destination, s.gamma)
-    weight = float(sum(abs(c) ** 2 for c in s.coefficients))
-    return ("prop", s.base, weight)
+        if u is None:
+            return ("reset", s.destination, s.sources)
+        return ("reset", u @ s.destination, u @ s.sources)
+    base = s.base if u is None else u @ s.base @ dag(u)
+    return ("prop", base, float(sum(abs(c) ** 2 for c in s.coefficients)))
 
 
 def _aligned_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -206,29 +219,59 @@ def _aligned_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a.reshape(-1) - phase * b.reshape(-1)))
 
 
+def _distances(sigs_a, sigs_b) -> np.ndarray:
+    """cost[beta, alpha] = distance of sigs_b[beta] and sigs_a[alpha], inf
+    across kinds: the larger of the phase-aligned gap of the destinations
+    (bases) and the relative gap of the frames S S† (weights), every frame
+    from one thin QR of all the reset signatures' sources."""
+    sigs = [*sigs_a, *sigs_b]
+    resets = [k for k, sig in enumerate(sigs) if sig[0] == "reset"]
+    frames = {}
+    if resets:
+        r = linalg.coordinates(np.concatenate([sigs[k][2].T for k in resets]))
+        ends = np.cumsum([sigs[k][2].shape[1] for k in resets])
+        frames = dict(zip(resets, np.split(r, ends[:-1], axis=1)))
+    cost = np.full((len(sigs_b), len(sigs_a)), np.inf)
+    for b, sb in enumerate(sigs_b):
+        for a, sa in enumerate(sigs_a):
+            if sa[0] != sb[0]:
+                continue
+            if sa[0] == "reset":
+                gap, fa, fb = linalg.frame_gap(frames[a], frames[len(sigs_a) + b])
+            else:
+                gap, fa, fb = abs(sa[2] - sb[2]), sa[2], sb[2]
+            cost[b, a] = max(_aligned_gap(sa[1], sb[1]), gap / max(fa, fb, 1e-300))
+    return cost
+
+
 def signature_distance(sig_a, sig_b) -> float:
     """Relative distance between two composite-action signatures."""
-    if sig_a[0] != sig_b[0]:
-        return np.inf
-    if sig_a[0] == "reset":
-        g_scale = max(frob(sig_a[2]), frob(sig_b[2]), 1e-300)
-        return max(_aligned_gap(sig_a[1], sig_b[1]),
-                   frob(sig_a[2] - sig_b[2]) / g_scale)
-    w_scale = max(sig_a[2], sig_b[2], 1e-300)
-    return max(_aligned_gap(sig_a[1], sig_b[1]),
-               abs(sig_a[2] - sig_b[2]) / w_scale)
+    return float(_distances([sig_a], [sig_b])[0, 0])
 
 
 def match_signatures(sigs_a, sigs_b, tol):
-    """Bijection beta -> alpha with sigs_b[beta] = sigs_a[alpha], or None.
-
-    The least total distance among bijections with every distance <= tol.
-    """
+    """(pi, residual): the bijection beta -> alpha with sigs_b[beta] =
+    sigs_a[alpha] of least total distance among those with every distance
+    <= tol, and its largest distance; (None, None) when there is none."""
     if len(sigs_a) != len(sigs_b):
-        return None
-    cost = np.array([[signature_distance(sa, sb) for sa in sigs_a]
-                     for sb in sigs_b])
-    return linalg.assign(cost, tol)
+        return None, None
+    cost = _distances(sigs_a, sigs_b)
+    pi = linalg.assign(cost, tol)
+    if pi is None:
+        return None, None
+    return pi, float(max((cost[b, a] for b, a in enumerate(pi)), default=0.0))
+
+
+def match_sets(partition_a: SjedPartition, partition_b: SjedPartition,
+               tol: float = DEFAULT_TOL, u=None):
+    """match_signatures of partition_a's sets and partition_b's (their
+    images under u when given) at max(100 tol, 1e-8): pi[beta] is the set
+    of partition_a with the composite action of partition_b's set beta."""
+    return match_signatures([composite_signature(partition_a, a)
+                             for a in range(partition_a.nsets)],
+                            [composite_signature(partition_b, b, u)
+                             for b in range(partition_b.nsets)],
+                            max(tol * 100, 1e-8))
 
 
 def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
@@ -237,10 +280,9 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
                               partition_b: SjedPartition | None = None):
     """Decide whether two representations share the unravelled generator.
 
-    Requires H_b = H_a + r with real r, equal SJED counts, and a bijection
-    pi_c matching composite-action Choi matrices.  Returns
-    (ok, pi_c or None, r or None) with pi_c[beta] the rep_a set matching
-    rep_b's set beta.
+    Requires H_b = H_a + r with real r and a bijection pi_c matching the
+    SJEDs' composite actions (match_sets).  Returns (ok, pi_c or None,
+    r or None) with pi_c[beta] the rep_a set matching rep_b's set beta.
     """
     if rep_a.dim != rep_b.dim:
         raise linalg.ShapeError("dimension mismatch")
@@ -252,25 +294,10 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
         return False, None, None
     pa = partition_a if partition_a is not None else build_sjeds(rep_a, tol)
     pb = partition_b if partition_b is not None else build_sjeds(rep_b, tol)
-    if pa.nsets != pb.nsets:
-        return False, None, None
-    sigs_a = [composite_signature(pa, a) for a in range(pa.nsets)]
-    sigs_b = [composite_signature(pb, b) for b in range(pb.nsets)]
-    pi = match_signatures(sigs_a, sigs_b, max(tol * 100, 1e-8))
+    pi, _ = match_sets(pa, pb, tol)
     if pi is None:
         return False, None, None
     return True, pi, float(r.real)
-
-
-def gamma_modes(gamma: np.ndarray, tol: float = DEFAULT_TOL):
-    """Eigenpairs of a reset SJED's gamma matrix, weights descending.
-
-    Modes with weight at most tol times the largest are dropped.
-    """
-    w, vecs = linalg.hermitian_eigendecomposition(gamma, tol)
-    w, vecs = w[::-1], vecs[:, ::-1]
-    keep = w > tol * max(w[0], 1e-300)
-    return w[keep], vecs[:, keep]
 
 
 def canonical_sets_with_isometries(partition: SjedPartition,
@@ -282,9 +309,7 @@ def canonical_sets_with_isometries(partition: SjedPartition,
     |S_a| x r_a matrix with J_member = sum_i V[k, i] * canonical, and
     offsets[a] is the starting flat index of set a.
     """
-    canon = []
-    isoms = []
-    offsets = []
+    canon, isoms, offsets = [], [], []
     for s in partition.sets:
         offsets.append(len(canon))
         if s.kind == "proportional":
@@ -292,11 +317,10 @@ def canonical_sets_with_isometries(partition: SjedPartition,
             canon.append(scale * s.base)
             isoms.append(np.array(s.coefficients, dtype=complex)[:, None] / scale)
         else:
-            w, vecs = gamma_modes(s.gamma, tol)
+            w, vecs = s.modes(tol)
             canon += [np.sqrt(x) * np.outer(s.destination, v.conj())
                       for x, v in zip(w, vecs.T)]
-            zeta = np.array([dag(partition.jumps[j]) @ s.destination for j in s.indices])
-            isoms.append((zeta @ vecs.conj()).conj() / np.sqrt(w))
+            isoms.append(dag(s.sources) @ vecs / np.sqrt(w))
     return canon, isoms, offsets
 
 
@@ -306,7 +330,8 @@ def canonical_sjed_representation(rep: Representation,
     """Minimal representation with one orthogonal jump family per SJED.
 
     Proportional sets collapse to a single jump; reset sets are replaced
-    by the eigen-jumps of their gamma matrix (zero modes dropped).  The
+    by the jumps sqrt(w) |dest><v| of their source modes (SjedSet.modes,
+    zero modes dropped).  The
     output generates the same unravelled dynamics with the identity
     SJED matching and zero Hamiltonian shift.
     """
@@ -343,6 +368,7 @@ __all__ = [
     "composite_action",
     "composite_choi",
     "composite_signature",
+    "match_sets",
     "match_signatures",
     "partition_from_groups",
     "remix_within_sets",

@@ -30,14 +30,8 @@ from .lindblad import (
     apply_master_operator,
 )
 from .linalg import DEFAULT_TOL, dag, frob
-from .sjed import (
-    SjedPartition,
-    build_sjeds,
-    composite_choi,
-    gamma_modes,
-    match_signatures,
-    signature_distance,
-)
+from .sjed import (SjedPartition, build_sjeds, composite_choi, composite_signature,
+                   match_sets)
 
 PHASE_TOL = 1e-8
 
@@ -227,8 +221,8 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
     sum_k U[j, k] J_k = U J_j U† together with the SJED block-sum property:
     summing U*[j, k] U(J_j) over j in S_a reproduces J_k for
     k in S_{pi_c(a)} and zero otherwise.  A reset set's canonical jumps
-    |dest><z| map to |U dest><U z| in O(d^2).  The tolerance is the one
-    the partition was built with.
+    |dest><z| (z = sources times the set's isometry) map to |U dest><U z|
+    in O(d^2).  The tolerance is the one the partition was built with.
     """
     canon, isoms, offsets = partition.canonical
     tol = partition.tol
@@ -239,9 +233,10 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
         v[list(s.indices), offsets[a]:offsets[a] + sizes[a]] = iso
         if sizes[a] != sizes[b]:
             raise CompletionFailed("matched SJEDs have different canonical ranks")
-        block = canon[offsets[a]:offsets[a] + sizes[a]]
-        src = _rows([np.outer(u_sys @ s.destination, (u_sys @ (dag(c) @ s.destination)).conj())
-                     for c in block] if s.kind == "reset" else [sym.conjugate(c) for c in block])
+        # the image signature: (U dest, U sources) or (U base U†, weight)
+        kind, image, data = composite_signature(partition, a, u_sys)
+        src = _rows([np.outer(image, z.conj()) for z in (data @ iso).T]
+                    if kind == "reset" else [np.sqrt(data) * image])
         tgt = rows[offsets[b]:offsets[b] + sizes[b]]
         x = (src @ dag(tgt)) / np.sum(np.abs(tgt) ** 2, axis=1)
         if np.any(np.linalg.norm(src - x @ tgt, axis=1)
@@ -299,36 +294,22 @@ def check_condition_II(rep: Representation, sym: SymmetryOperator,
                        partition: SjedPartition | None = None) -> ConditionResult:
     """Trajectory-level symmetry: fixed Hamiltonian, permuted SJED actions.
 
-    A reset set's sources J_j† dest are carried by U in O(d^2); a
-    proportional set's base and its image are compared in jump coordinates.
+    The sets' composite actions are matched with their images under U
+    (sjed.match_sets), as same_unravelled_generator matches two
+    representations' sets.
     """
-    images, u = sym.images(rep), sym.matrix
-    h_resid = images.hamiltonian_residual
+    h_resid = sym.images(rep).hamiltonian_residual
     if h_resid > tol * max(frob(rep.hamiltonian), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="Hamiltonian not invariant")
     if partition is None:
         partition = build_sjeds(rep, tol)
-    sigs, image_sigs = [], []
-    for s in partition.sets:
-        if s.kind == "reset":
-            w = u @ np.column_stack([dag(partition.jumps[j]) @ s.destination
-                                     for j in s.indices])
-            sigs.append(("reset", s.destination, s.gamma))
-            image_sigs.append(("reset", u @ s.destination, w @ dag(w)))
-        else:
-            k, c = s.indices[0], s.coefficients[0]
-            weight = float(sum(abs(x) ** 2 for x in s.coefficients))
-            sigs.append(("prop", images.jumps[:, k] / c, weight))
-            image_sigs.append(("prop", images.jump_images[:, k] / c, weight))
-    pi = match_signatures(sigs, image_sigs, max(tol * 100, 1e-8))
+    pi, resid = match_sets(partition, partition, tol, sym.matrix)
     if pi is None:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="SJED actions admit no permuting bijection")
-    resid = max((signature_distance(image_sigs[a], sigs[pi[a]])
-                 for a in range(len(sigs))), default=0.0)
     return ConditionResult(True, hamiltonian_residual=h_resid,
-                           permutation=pi, residual=float(resid))
+                           permutation=pi, residual=resid)
 
 
 def check_condition_III(rep: Representation, sym: SymmetryOperator,
@@ -418,8 +399,8 @@ def lift_II_to_III(rep: Representation, sym: SymmetryOperator,
             ref = [scale * s.base]
         else:
             un = np.linalg.matrix_power(sym.matrix, n)
-            w, vecs = gamma_modes(s.gamma, tol)
-            # refine degenerate gamma eigenspaces so the cycle-closing
+            w, vecs = s.modes(tol)
+            # refine degenerate source modes so the cycle-closing
             # unitary acts diagonally on the canonical sources
             i = 0
             while i < len(w):
@@ -439,14 +420,11 @@ def lift_II_to_III(rep: Representation, sym: SymmetryOperator,
             prev = [sym.conjugate(j) for j in prev]
             set_jumps[a] = prev
 
-    jumps = []
-    groups = []
+    jumps, groups = [], []
     for a in range(partition.nsets):
-        start = len(jumps)
+        groups.append(tuple(range(len(jumps), len(jumps) + len(set_jumps[a]))))
         jumps.extend(set_jumps[a])
-        groups.append(tuple(range(start, len(jumps))))
-    out = Representation(rep.hamiltonian, tuple(jumps))
-    return out, tuple(groups)
+    return Representation(rep.hamiltonian, tuple(jumps)), tuple(groups)
 
 
 def fourier_symmetrize(rep: Representation, sym: SymmetryOperator,

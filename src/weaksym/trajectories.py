@@ -95,7 +95,6 @@ class TrajectoryEnsemble:
     horizon: float
     seed: int
     rep_fingerprint: str
-    coarse_labels: np.ndarray | None = None
     # sampler work: grid_steps, crossing_batches, trials (root-finding
     # evaluations of a batch's table), jumps, draws (uniforms taken) and
     # philox_calls (bulk evaluations of the streams)
@@ -105,24 +104,16 @@ class TrajectoryEnsemble:
     def size(self) -> int:
         return len(self.records)
 
-    def _event_labels(self) -> tuple:
-        """Trajectory index and label of every event, flattened."""
+    def count_vectors(self, nlabels: int) -> np.ndarray:
         rows = np.repeat(np.arange(self.size), [len(rec) for rec in self.records])
         labels = np.array([j for rec in self.records for _, j in rec], dtype=int)
-        return rows, labels
-
-    def count_vectors(self, nlabels: int) -> np.ndarray:
         out = np.zeros((self.size, nlabels), dtype=int)
-        np.add.at(out, self._event_labels(), 1)
+        np.add.at(out, (rows, labels), 1)
         return out
 
-    def coarse_count_vectors(self, nsets: int) -> np.ndarray:
-        if self.coarse_labels is None:
-            raise ValueError("ensemble carries no SJED label map")
-        rows, labels = self._event_labels()
-        out = np.zeros((self.size, nsets), dtype=int)
-        np.add.at(out, (rows, np.asarray(self.coarse_labels)[labels]), 1)
-        return out
+    def coarse_count_vectors(self, partition: SjedPartition) -> np.ndarray:
+        member = np.eye(partition.nsets, dtype=int)[partition.coarse_labels()]
+        return self.count_vectors(len(partition.jumps)) @ member
 
 
 def state_vector(psi, tol: float = 1e-8) -> np.ndarray:
@@ -445,7 +436,6 @@ def _grid(horizon: float, step: float, checkpoints) -> np.ndarray:
 
 def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
                     seed: int = 0, checkpoint_times=(),
-                    partition: SjedPartition | None = None,
                     first_index: int = 0) -> TrajectoryEnsemble:
     """Sample n trajectories in vectorized lock-step.
 
@@ -482,8 +472,6 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
         raise StiffnessError(f"{steps} grid steps to horizon {horizon:g}, above "
                              f"the cap of {MAX_GRID_STEPS}")
     grid = _grid(horizon, step, checkpoint_times)
-    if partition is None:
-        partition = build_sjeds(rep)
 
     v0 = state_vector(psi0)
     phis = np.tile(v0, (n, 1))
@@ -558,18 +546,16 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     stats["draws"] = int(streams.used.sum())
     stats["philox_calls"] = streams.calls
     return TrajectoryEnsemble(records=records, states=states, horizon=horizon,
-                              seed=seed, rep_fingerprint=rep.fingerprint(),
-                              coarse_labels=partition.coarse_labels(), stats=stats)
+                              seed=seed, rep_fingerprint=rep.fingerprint(), stats=stats)
 
 
 def sample_trajectory(rep: Representation, psi0, horizon: float,
                       seed: int = 0, trajectory_index: int = 0,
-                      checkpoint_times=(),
-                      partition: SjedPartition | None = None) -> Trajectory:
+                      checkpoint_times=()) -> Trajectory:
     """Sample one trajectory (same stream as its slot in an ensemble)."""
     ens = sample_ensemble(rep, psi0, horizon, 1, seed=seed,
                           checkpoint_times=checkpoint_times,
-                          partition=partition, first_index=trajectory_index)
+                          first_index=trajectory_index)
     psi0m = np.asarray(psi0, dtype=complex)
     if psi0m.ndim == 1:
         psi0m = np.outer(psi0m, psi0m.conj())
@@ -696,8 +682,6 @@ def ensemble_symmetry_test(rep: Representation, sym, level: str,
     label bijections and report the most favorable p-value.
     Returns (p_value, passed).
     """
-    if partition is None:
-        partition = build_sjeds(rep)
     va = ens_a.states[ens_a.horizon] @ sym.matrix.T  # A final states, transformed
     vb = ens_b.states[ens_b.horizon]
 
@@ -714,8 +698,9 @@ def ensemble_symmetry_test(rep: Representation, sym, level: str,
         counts_b = ens_b.count_vectors(rep.njumps)
         size = rep.njumps
     elif level == "coarse":
-        counts_a = ens_a.coarse_count_vectors(partition.nsets)
-        counts_b = ens_b.coarse_count_vectors(partition.nsets)
+        partition = partition if partition is not None else build_sjeds(rep)
+        counts_a = ens_a.coarse_count_vectors(partition)
+        counts_b = ens_b.coarse_count_vectors(partition)
         size = partition.nsets
     else:
         raise ValueError(f"unknown level {level!r}")

@@ -659,6 +659,22 @@ def test_verify_joint_chain(length, tmp_path, capsys):
         _assert_joint_pattern(entry)
 
 
+def test_chain_check_makes_no_system_size_hermitian_eigensolve(tmp_path, monkeypatch):
+    # a reset SJED's modes come from a thin SVD of its d x |S| sources
+    sizes, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    model = load_model(_chain_file(tmp_path, 4))
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    analysis = analyze(model)
+    run_check(analysis)
+    assert [s.kind for s in analysis.partition.sets] == ["reset"] * 4
+    assert model.rep.dim not in sizes
+
+
 def _assert_joint_pattern(entry):
     """Certified residuals where the verdicts hold, scan minima elsewhere."""
     c1, c2, c3 = entry["conditions"]
@@ -849,22 +865,20 @@ def in_process_pool(monkeypatch):
     return workers
 
 
-def _sample(rep, psi0, part, threads):
+def _sample(rep, psi0, threads):
     """One ensemble through cli._sampler: 64 trajectories to 0.5, seed 7."""
-    with cli._sampler(rep, 0.5, 64, part, threads) as sample:
+    with cli._sampler(rep, 0.5, 64, threads) as sample:
         return sample(psi0, 7)
 
 
 def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):
     from weaksym.lindblad import pure_state
-    from weaksym.sjed import build_sjeds
     workers = in_process_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
-    part = build_sjeds(model.rep)
-    pooled = _sample(model.rep, psi0, part, 10**6)
-    serial = _sample(model.rep, psi0, part, 1)
+    pooled = _sample(model.rep, psi0, 10**6)
+    serial = _sample(model.rep, psi0, 1)
     assert workers == [3]
     assert pooled.records == serial.records
     assert np.array_equal(pooled.states[0.5], serial.states[0.5])
@@ -895,13 +909,11 @@ def test_report_reads_weaksym_threads_only_when_simulating(value, monkeypatch,
 
 
 def test_threaded_sampling_matches_serial():
-    from weaksym.sjed import build_sjeds
     from weaksym.lindblad import pure_state
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
-    part = build_sjeds(model.rep)
-    serial = _sample(model.rep, psi0, part, 1)
-    parallel = _sample(model.rep, psi0, part, 4)
+    serial = _sample(model.rep, psi0, 1)
+    parallel = _sample(model.rep, psi0, 4)
     assert serial.records == parallel.records
     assert np.array_equal(serial.states[0.5], parallel.states[0.5])
 
@@ -935,15 +947,12 @@ def test_check_single_symmetry_selection(capsys):
 
 def test_chunk_stats_summed(monkeypatch, in_process_pool):
     from weaksym.lindblad import pure_state
-    from weaksym.sjed import build_sjeds
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
-    part = build_sjeds(model.rep)
-    pooled = _sample(model.rep, psi0, part, 3)
+    pooled = _sample(model.rep, psi0, 3)
     chunks = [trajectories.sample_ensemble(model.rep, psi0, 0.5, b - a, seed=7,
-                                           checkpoint_times=(0.5,), partition=part,
-                                           first_index=a)
+                                           checkpoint_times=(0.5,), first_index=a)
               for a, b in ((0, 21), (21, 42), (42, 64))]
     assert in_process_pool == [3]
     assert pooled.stats == {k: sum(c.stats[k] for c in chunks) for k in chunks[0].stats}

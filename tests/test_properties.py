@@ -19,6 +19,7 @@ from weaksym.sjed import (
     match_signatures,
     partition_from_groups,
     remix_within_sets,
+    same_unravelled_generator,
     signature_distance,
 )
 from weaksym.symmetry import (
@@ -28,6 +29,7 @@ from weaksym.symmetry import (
     blockwise_unitary_completion,
     build_symmetry_report,
     check_condition_I,
+    check_condition_II,
 )
 
 
@@ -224,9 +226,9 @@ def _oracle_condition_II(rep, sym, tol, partition):
         return ConditionResult(False, hamiltonian_residual=h_resid)
     u = sym.matrix
     sigs = [composite_signature(partition, a) for a in range(partition.nsets)]
-    images = [("reset", u @ s[1], u @ s[2] @ dag(u)) if s[0] == "reset"
+    images = [("reset", u @ s[1], u @ s[2]) if s[0] == "reset"
               else ("prop", u @ s[1] @ dag(u), s[2]) for s in sigs]
-    pi = match_signatures(sigs, images, max(tol * 100, 1e-8))
+    pi, _ = match_signatures(sigs, images, max(tol * 100, 1e-8))
     if pi is None:
         return ConditionResult(False, hamiltonian_residual=h_resid)
     resid = max((signature_distance(images[a], sigs[pi[a]])
@@ -442,3 +444,33 @@ def test_rank_one_split_keeps_the_singular_value_threshold(dim, tol, ratio, spre
         oracle = build_sjeds(rep, tol)
     assert [(s.indices, s.kind) for s in build_sjeds(rep, tol).sets] \
         == [(s.indices, s.kind) for s in oracle.sets]
+
+
+def _assert_condition_II_is_generator_equality(rep, sym, groups=None):
+    """Condition II holds with pi_c exactly when rep and U rep U† share the
+    unravelled generator with the SJED matching pi_c; where two sets have
+    the same action, rounding may break the tie either way."""
+    moved = Representation(sym.conjugate(rep.hamiltonian),
+                           tuple(sym.conjugate(j) for j in rep.jumps))
+    pa, pb = (build_sjeds(r) if groups is None else partition_from_groups(r, groups)
+              for r in (rep, moved))
+    c2 = check_condition_II(rep, sym, partition=pa)
+    ok, pi, _ = same_unravelled_generator(rep, moved, partition_a=pa, partition_b=pb)
+    assert c2.holds == ok
+    if ok and c2.permutation != pi:
+        sigs = [composite_signature(pa, a) for a in range(pa.nsets)]
+        assert all(signature_distance(sigs[c2.permutation[b]], sigs[pi[b]]) <= 1e-8
+                   for b in range(pa.nsets))
+
+
+@given(symmetric_models())
+def test_condition_II_is_generator_equality_on_symmetric_models(model):
+    rep, sym, _, split = model
+    _assert_condition_II_is_generator_equality(
+        rep, sym, [[k] for k in range(rep.njumps)] if split else None)
+
+
+@given(random_models())
+def test_condition_II_is_generator_equality_on_random_models(model):
+    rep, u = model
+    _assert_condition_II_is_generator_equality(rep, SymmetryOperator.from_matrix(u))

@@ -43,7 +43,7 @@ def test_twoqubit_ii_partition_reset():
     assert abs(np.vdot(p.sets[0].destination, e00)) > 1 - 1e-12
     assert abs(np.vdot(p.sets[1].destination, e11)) > 1 - 1e-12
     for s in p.sets:
-        w, _ = hermitian_eigendecomposition(s.gamma)
+        w, _ = hermitian_eigendecomposition(s.sources @ dag(s.sources))
         assert np.min(w) > -1e-12
 
 
@@ -70,7 +70,7 @@ def test_composite_action_reset_form(rng):
     psi = random_pure_state(rng, 4)
     for a, s in enumerate(p.sets):
         expected = np.outer(s.destination, s.destination.conj()) \
-            * np.trace(s.gamma @ psi)
+            * np.trace(s.sources @ dag(s.sources) @ psi)
         assert frob(composite_action(p, a, psi) - expected) < 1e-12
 
 
@@ -172,7 +172,7 @@ def test_canonical_set_sizes_match_gamma_rank():
     canon = canonical_sjed_representation(m.rep, p)
     p2 = build_sjeds(canon)
     sizes = sorted(s.size for s in p2.sets)
-    ranks = sorted(_rank(s.gamma) for s in p.sets)
+    ranks = sorted(_rank(s.sources @ dag(s.sources)) for s in p.sets)
     assert sizes == ranks
     ok, pi, r = same_unravelled_generator(m.rep, canon, partition_a=p)
     assert ok and pi == tuple(range(p.nsets)) and abs(r) < 1e-12
@@ -202,7 +202,7 @@ def test_reset_composite_choi_rank_matches_gamma():
     for a, s in enumerate(p.sets):
         choi = composite_choi(p, a)
         assert _rank(choi) == 2
-        assert _rank(s.gamma) == 2
+        assert _rank(s.sources @ dag(s.sources)) == 2
 
 
 def test_reset_split_reconstructs_jump(rng):
@@ -214,3 +214,69 @@ def test_reset_split_reconstructs_jump(rng):
         dest, source = _rank_one_split(j, 1e-9)
         assert np.linalg.norm(np.outer(dest, source.conj()) - j) < 1e-12
         assert abs(np.linalg.norm(dest) - 1.0) < 1e-12
+
+
+def _reset_partitions(rng):
+    """Partitions with reset sets: the built-ins, the built-in qutrit chain
+    with its pinned groups, and random reset sets whose sources are
+    independent, dependent (three jumps in a two-dimensional span) or
+    share one direction."""
+    out = [build_sjeds(m.rep) for m in (b() for b in models.BUILDERS.values())]
+    chain = models.qutrit_chain()
+    out.append(partition_from_groups(chain.rep, chain.sjed_groups))
+    for dim, n, span in ((3, 2, 2), (4, 3, 2), (5, 3, 1), (6, 4, 4)):
+        dest = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        basis = rng.standard_normal((dim, span)) + 1j * rng.standard_normal((dim, span))
+        mix = rng.standard_normal((span, n)) + 1j * rng.standard_normal((span, n))
+        jumps = [np.outer(dest, s.conj()) for s in (basis @ mix).T]
+        out.append(build_sjeds(Representation(np.zeros((dim, dim)), tuple(jumps))))
+    return out
+
+
+def _dense_gap(sig_a, sig_b):
+    """Signature distance of two reset sets from their d x d frames."""
+    (_, dest_a, src_a), (_, dest_b, src_b) = sig_a, sig_b
+    ov = np.vdot(dest_b, dest_a)
+    phase = ov / abs(ov) if abs(ov) > 0 else 1.0
+    ga, gb = src_a @ dag(src_a), src_b @ dag(src_b)
+    return max(np.linalg.norm(dest_a - phase * dest_b),
+               frob(ga - gb) / max(frob(ga), frob(gb)))
+
+
+def test_reset_gaps_match_dense_frame_oracle(rng):
+    from weaksym.linalg import random_unitary
+    from weaksym.sjed import _distances, composite_signature, signature_distance
+    for p in _reset_partitions(rng):
+        d = p.jumps[0].shape[0]
+        u = random_unitary(rng, d)
+        # the sets, their images under u and under a unitary fixing them
+        sigs = [composite_signature(p, a) for a in range(p.nsets)
+                if p.sets[a].kind == "reset"]
+        images = [composite_signature(p, a, u) for a in range(p.nsets)
+                  if p.sets[a].kind == "reset"]
+        images += [composite_signature(p, a, np.eye(d)) for a in range(p.nsets)
+                   if p.sets[a].kind == "reset"]
+        cost = _distances(sigs, images)
+        for b, sb in enumerate(images):
+            for a, sa in enumerate(sigs):
+                want = _dense_gap(sa, sb)
+                assert abs(cost[b, a] - want) <= 1e-12
+                assert abs(signature_distance(sa, sb) - want) <= 1e-12
+
+
+def test_source_modes_rebuild_the_frame(rng):
+    tol = 1e-9
+    for p in _reset_partitions(rng):
+        for s in p.sets:
+            if s.kind != "reset":
+                continue
+            frame = s.sources @ dag(s.sources)
+            w, vecs = s.modes(tol)
+            assert np.all(np.diff(w) <= 0)
+            assert frob(vecs * w @ dag(vecs) - frame) <= 1e-12 * frob(frame)
+            ev = np.linalg.eigvalsh(frame)
+            assert len(w) == np.sum(ev > tol * ev[-1])
+            # each vector's first non-negligible entry is real positive
+            for v in vecs.T:
+                first = v[np.argmax(np.abs(v) > 1e-12 * np.abs(v).max())]
+                assert abs(first.imag) <= 1e-15 and first.real > 0

@@ -453,10 +453,11 @@ def test_count_vectors_tally_event_labels():
     rep = models.twoqubit_iii().rep
     ens = sample_ensemble(rep, pure_state(np.ones(4)), 1.0, 300, seed=2)
     full = ens.count_vectors(rep.njumps)
-    coarse = ens.coarse_count_vectors(build_sjeds(rep).nsets)
+    partition = build_sjeds(rep)
+    coarse = ens.coarse_count_vectors(partition)
     for rec, row, crow in zip(ens.records, full, coarse):
         assert row.tolist() == [sum(j == k for _, j in rec) for k in range(len(row))]
-        assert crow.tolist() == [sum(ens.coarse_labels[j] == k for _, j in rec)
+        assert crow.tolist() == [sum(partition.coarse_labels()[j] == k for _, j in rec)
                                  for k in range(len(crow))]
     assert full.dtype == coarse.dtype == np.dtype(int)
 

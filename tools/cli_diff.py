@@ -2,9 +2,11 @@
 
     python3 tools/cli_diff.py BASE_SRC HEAD_SRC [--atol 1e-9]
 
-Runs ``check`` on the nine built-ins and on seeded L=4 and L=5 qutrit
-chains, ``verify-joint`` on the nine built-ins and on the seeded L=3, L=4
-and L=5 chains, ``simulate`` (with exports) on
+Runs ``check`` on the nine built-ins, the built-in ``qutrit-chain`` (four
+reset SJEDs pinned by its ``sjeds``, which translation permutes as a
+4-cycle) and seeded L=4 and L=5 qutrit chains, ``verify-joint`` on the
+same built-ins and on the seeded L=3, L=4 and L=5 chains, ``simulate``
+(with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
@@ -43,8 +45,9 @@ CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
 def cases(chain4, chain3, chain5, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
-    out = [["check", m] for m in BUILTINS + [chain4, chain5]]
-    out += [["verify-joint", m] for m in BUILTINS + [chain3, chain4, chain5]]
+    out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain4, chain5]]
+    out += [["verify-joint", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4,
+                                                     chain5]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
