@@ -7,14 +7,16 @@ is the superoperator sum of its members; it preserves purity and is the
 object that matters for the unravelled dynamics.  A reset set is held as
 its destination and its sources s_j = J_j† destination, and acts as
 rho -> |dest><dest| tr(S S† rho); a proportional set as its unit base
-and total weight.  This module alone compares composite actions, and
-their images under a unitary.
+and total weight.  A composite action is fixed by its Choi matrix, the
+frame sum_j |J_j>><<J_j| of its members, so `match_sets` compares sets
+by the frames of their jumps' coordinates in one orthonormal basis,
+whether the sets come from two representations or are a representation's
+sets and their images under a symmetry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +61,6 @@ class SjedPartition:
     sets: tuple
     jumps: tuple
     tol: float = DEFAULT_TOL      # the tolerance the sets were built with
-
-    @cached_property
-    def canonical(self) -> tuple:
-        """canonical_sets_with_isometries at tol, formed on first use."""
-        return canonical_sets_with_isometries(self, self.tol)
 
     @property
     def nsets(self) -> int:
@@ -198,80 +195,29 @@ def composite_choi(partition: SjedPartition, alpha: int) -> np.ndarray:
     return jump_part_choi([partition.jumps[j] for j in partition.sets[alpha].indices])
 
 
-def composite_signature(partition: SjedPartition, alpha: int, u=None):
-    """Data fixing the composite action of one SJED, or of its image under
-    a unitary u: ("reset", destination, sources), whose image is (u dest,
-    u sources), or ("prop", unit base, total weight), whose image is
-    (u base u†, weight).  Equal signatures are equal composite actions."""
-    s = partition.sets[alpha]
-    if s.kind == "reset":
-        if u is None:
-            return ("reset", s.destination, s.sources)
-        return ("reset", u @ s.destination, u @ s.sources)
-    base = s.base if u is None else u @ s.base @ dag(u)
-    return ("prop", base, float(sum(abs(c) ** 2 for c in s.coefficients)))
+def match_sets(a: np.ndarray, b: np.ndarray, sets_a, sets_b,
+               tol: float = DEFAULT_TOL):
+    """(pi, residual): the bijection beta -> alpha with the composite action
+    of sets_b[beta] equal to that of sets_a[alpha], of least total cost
+    among those with every cost at most max(100 tol, 1e-8), and its largest
+    cost; (None, None) when there is none.
 
-
-def _aligned_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Norm distance of two unit vectors after optimal phase alignment."""
-    ov = np.vdot(b.reshape(-1), a.reshape(-1))
-    phase = ov / abs(ov) if abs(ov) > 0 else 1.0
-    return float(np.linalg.norm(a.reshape(-1) - phase * b.reshape(-1)))
-
-
-def _distances(sigs_a, sigs_b) -> np.ndarray:
-    """cost[beta, alpha] = distance of sigs_b[beta] and sigs_a[alpha], inf
-    across kinds: the larger of the phase-aligned gap of the destinations
-    (bases) and the relative gap of the frames S S† (weights), every frame
-    from one thin QR of all the reset signatures' sources."""
-    sigs = [*sigs_a, *sigs_b]
-    resets = [k for k, sig in enumerate(sigs) if sig[0] == "reset"]
-    frames = {}
-    if resets:
-        r = linalg.coordinates(np.concatenate([sigs[k][2].T for k in resets]))
-        ends = np.cumsum([sigs[k][2].shape[1] for k in resets])
-        frames = dict(zip(resets, np.split(r, ends[:-1], axis=1)))
-    cost = np.full((len(sigs_b), len(sigs_a)), np.inf)
-    for b, sb in enumerate(sigs_b):
-        for a, sa in enumerate(sigs_a):
-            if sa[0] != sb[0]:
-                continue
-            if sa[0] == "reset":
-                gap, fa, fb = linalg.frame_gap(frames[a], frames[len(sigs_a) + b])
-            else:
-                gap, fa, fb = abs(sa[2] - sb[2]), sa[2], sb[2]
-            cost[b, a] = max(_aligned_gap(sa[1], sb[1]), gap / max(fa, fb, 1e-300))
-    return cost
-
-
-def signature_distance(sig_a, sig_b) -> float:
-    """Relative distance between two composite-action signatures."""
-    return float(_distances([sig_a], [sig_b])[0, 0])
-
-
-def match_signatures(sigs_a, sigs_b, tol):
-    """(pi, residual): the bijection beta -> alpha with sigs_b[beta] =
-    sigs_a[alpha] of least total distance among those with every distance
-    <= tol, and its largest distance; (None, None) when there is none."""
-    if len(sigs_a) != len(sigs_b):
+    a and b hold jumps as columns of coordinates in one orthonormal basis
+    (see linalg.coordinates) and each set is a tuple of column indices.  A
+    set's composite action is fixed by its Choi matrix, the frame of its
+    columns, so the cost is their relative linalg.frame_gap."""
+    if len(sets_a) != len(sets_b):
         return None, None
-    cost = _distances(sigs_a, sigs_b)
-    pi = linalg.assign(cost, tol)
+    cost = np.empty((len(sets_b), len(sets_a)))
+    for beta, sb in enumerate(sets_b):
+        for alpha, sa in enumerate(sets_a):
+            gap, fa, fb = linalg.frame_gap(a[:, list(sa)], b[:, list(sb)])
+            cost[beta, alpha] = gap / max(fa, fb, 1e-300)
+    pi = linalg.assign(cost, max(tol * 100, 1e-8))
     if pi is None:
         return None, None
-    return pi, float(max((cost[b, a] for b, a in enumerate(pi)), default=0.0))
-
-
-def match_sets(partition_a: SjedPartition, partition_b: SjedPartition,
-               tol: float = DEFAULT_TOL, u=None):
-    """match_signatures of partition_a's sets and partition_b's (their
-    images under u when given) at max(100 tol, 1e-8): pi[beta] is the set
-    of partition_a with the composite action of partition_b's set beta."""
-    return match_signatures([composite_signature(partition_a, a)
-                             for a in range(partition_a.nsets)],
-                            [composite_signature(partition_b, b, u)
-                             for b in range(partition_b.nsets)],
-                            max(tol * 100, 1e-8))
+    return pi, float(max((cost[beta, alpha] for beta, alpha in enumerate(pi)),
+                         default=0.0))
 
 
 def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
@@ -281,8 +227,9 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
     """Decide whether two representations share the unravelled generator.
 
     Requires H_b = H_a + r with real r and a bijection pi_c matching the
-    SJEDs' composite actions (match_sets).  Returns (ok, pi_c or None,
-    r or None) with pi_c[beta] the rep_a set matching rep_b's set beta.
+    SJEDs' composite actions (match_sets on one thin QR of both jump
+    families).  Returns (ok, pi_c or None, r or None) with pi_c[beta] the
+    rep_a set matching rep_b's set beta.
     """
     if rep_a.dim != rep_b.dim:
         raise linalg.ShapeError("dimension mismatch")
@@ -294,7 +241,11 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
         return False, None, None
     pa = partition_a if partition_a is not None else build_sjeds(rep_a, tol)
     pb = partition_b if partition_b is not None else build_sjeds(rep_b, tol)
-    pi, _ = match_sets(pa, pb, tol)
+    n = rep_a.njumps
+    coords = linalg.coordinates(np.array([*rep_a.jumps, *rep_b.jumps], dtype=complex)
+                               .reshape(n + rep_b.njumps, d * d))
+    pi, _ = match_sets(coords[:, :n], coords[:, n:], [s.indices for s in pa.sets],
+                       [s.indices for s in pb.sets], tol)
     if pi is None:
         return False, None, None
     return True, pi, float(r.real)
@@ -367,11 +318,8 @@ __all__ = [
     "canonical_sjed_representation",
     "composite_action",
     "composite_choi",
-    "composite_signature",
     "match_sets",
-    "match_signatures",
     "partition_from_groups",
     "remix_within_sets",
     "same_unravelled_generator",
-    "signature_distance",
 ]

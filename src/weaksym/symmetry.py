@@ -30,8 +30,7 @@ from .lindblad import (
     apply_master_operator,
 )
 from .linalg import DEFAULT_TOL, dag, frob
-from .sjed import (SjedPartition, build_sjeds, composite_choi, composite_signature,
-                   match_sets)
+from .sjed import SjedPartition, build_sjeds, composite_choi, match_sets
 
 PHASE_TOL = 1e-8
 
@@ -213,39 +212,40 @@ def _completion(span: linalg.SpanMap, tol: float) -> np.ndarray:
 
 def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
                                  partition: SjedPartition, pi_c):
-    """Unitary certificate built through canonical SJED representations.
+    """Unitary certificate built through canonical SJED families.
 
-    Expresses the jumps through per-SJED canonical families, transports the
-    symmetry blockwise along pi_c, and completes with the identity on the
-    orthogonal complement.  The result U satisfies
-    sum_k U[j, k] J_k = U J_j U† together with the SJED block-sum property:
-    summing U*[j, k] U(J_j) over j in S_a reproduces J_k for
-    k in S_{pi_c(a)} and zero otherwise.  A reset set's canonical jumps
-    |dest><z| (z = sources times the set's isometry) map to |U dest><U z|
-    in O(d^2).  The tolerance is the one the partition was built with.
+    A thin SVD C Vᵀ of each set's jump coordinates (the symmetry's images),
+    cut as in SjedSet.modes, gives its canonical family C and isometry V;
+    the images of set a's family must lie in the span of set pi_c[a]'s,
+    which gives the block X.  The result V X V† + (1 - V V†), independent
+    of the basis inside each set, satisfies sum_k U[j, k] J_k = U J_j U†
+    and the SJED block-sum property: summing U*[j, k] U(J_j) over j in S_a
+    gives J_k for k in S_{pi_c(a)} and zero otherwise.  The tolerance is
+    the one the partition was built with.
     """
-    canon, isoms, offsets = partition.canonical
     tol = partition.tol
-    u_sys, sizes, rows = sym.matrix, [iso.shape[1] for iso in isoms], _rows(canon)
-    v = np.zeros((len(partition.jumps), len(canon)), dtype=complex)
-    xt = np.zeros((len(canon),) * 2, dtype=complex)
-    for a, (s, iso, b) in enumerate(zip(partition.sets, isoms, pi_c)):
-        v[list(s.indices), offsets[a]:offsets[a] + sizes[a]] = iso
-        if sizes[a] != sizes[b]:
+    images = sym.images(rep)
+    blocks = []
+    for s in partition.sets:
+        w, sv, zh = np.linalg.svd(images.jumps[:, list(s.indices)], full_matrices=False)
+        r = int(np.sum(sv ** 2 > tol * max(sv[0] ** 2, 1e-300)))
+        blocks.append((w[:, :r] * sv[:r], zh[:r]))
+    offsets = np.cumsum([0, *(zh.shape[0] for _, zh in blocks)])
+    v = np.zeros((rep.njumps, offsets[-1]), dtype=complex)
+    xt = np.zeros((offsets[-1],) * 2, dtype=complex)
+    for a, (s, (_, zh), b) in enumerate(zip(partition.sets, blocks, pi_c)):
+        tgt = blocks[b][0]
+        if zh.shape[0] != tgt.shape[1]:
             raise CompletionFailed("matched SJEDs have different canonical ranks")
-        # the image signature: (U dest, U sources) or (U base U†, weight)
-        kind, image, data = composite_signature(partition, a, u_sys)
-        src = _rows([np.outer(image, z.conj()) for z in (data @ iso).T]
-                    if kind == "reset" else [np.sqrt(data) * image])
-        tgt = rows[offsets[b]:offsets[b] + sizes[b]]
-        x = (src @ dag(tgt)) / np.sum(np.abs(tgt) ** 2, axis=1)
-        if np.any(np.linalg.norm(src - x @ tgt, axis=1)
-                  > tol * np.maximum(np.linalg.norm(src, axis=1), 1e-300) * 100):
+        src = images.jump_images[:, list(s.indices)] @ dag(zh)
+        x = (src.T @ tgt.conj()) / np.sum(np.abs(tgt) ** 2, axis=0)
+        if np.any(np.linalg.norm(src - tgt @ x.T, axis=0)
+                  > tol * np.maximum(np.linalg.norm(src, axis=0), 1e-300) * 100):
             raise CompletionFailed(
                 "symmetry does not map canonical jumps onto the matched SJED")
-        xt[offsets[a]:offsets[a] + sizes[a], offsets[b]:offsets[b] + sizes[b]] = x
+        v[list(s.indices), offsets[a]:offsets[a + 1]] = zh.T
+        xt[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = x
     u = v @ xt @ dag(v) + (np.eye(len(v), dtype=complex) - v @ dag(v))
-    images = sym.images(rep)
     _verify_completion(u, images.jumps.T, images.jump_images.T, tol)
     return u
 
@@ -289,22 +289,33 @@ def transformed_choi(sym: SymmetryOperator, choi: np.ndarray) -> np.ndarray:
     return w @ choi @ dag(w)
 
 
+def _hamiltonian_moved(images: SymmetryImages, tol: float) -> ConditionResult | None:
+    """The failed result of conditions II and III when U H U† != H."""
+    h_resid = images.hamiltonian_residual
+    if h_resid > tol * max(frob(images.rep.hamiltonian), 1.0):
+        return ConditionResult(False, hamiltonian_residual=h_resid,
+                               reason="Hamiltonian not invariant")
+    return None
+
+
 def check_condition_II(rep: Representation, sym: SymmetryOperator,
                        tol: float = DEFAULT_TOL,
                        partition: SjedPartition | None = None) -> ConditionResult:
     """Trajectory-level symmetry: fixed Hamiltonian, permuted SJED actions.
 
-    The sets' composite actions are matched with their images under U
-    (sjed.match_sets), as same_unravelled_generator matches two
-    representations' sets.
+    The sets' composite actions are matched with their images under U by
+    sjed.match_sets on the images' jump coordinates, as
+    same_unravelled_generator matches two representations' sets; the
+    residual is the largest relative Choi-frame gap of the matched sets.
     """
-    h_resid = sym.images(rep).hamiltonian_residual
-    if h_resid > tol * max(frob(rep.hamiltonian), 1.0):
-        return ConditionResult(False, hamiltonian_residual=h_resid,
-                               reason="Hamiltonian not invariant")
+    images = sym.images(rep)
+    if (moved := _hamiltonian_moved(images, tol)) is not None:
+        return moved
+    h_resid = images.hamiltonian_residual
     if partition is None:
         partition = build_sjeds(rep, tol)
-    pi, resid = match_sets(partition, partition, tol, sym.matrix)
+    sets = [s.indices for s in partition.sets]
+    pi, resid = match_sets(images.jumps, images.jump_images, sets, sets, tol)
     if pi is None:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="SJED actions admit no permuting bijection")
@@ -323,10 +334,9 @@ def check_condition_III(rep: Representation, sym: SymmetryOperator,
     arg c of the matched pairs; c = P[j, k] / ||J_k||^2.
     """
     images = sym.images(rep)
+    if (moved := _hamiltonian_moved(images, tol)) is not None:
+        return moved
     h_resid = images.hamiltonian_residual
-    if h_resid > tol * max(frob(rep.hamiltonian), 1.0):
-        return ConditionResult(False, hamiltonian_residual=h_resid,
-                               reason="Hamiltonian not invariant")
     a, b = images.jumps, images.jump_images
     coeff = images.overlaps / np.sum(np.abs(a) ** 2, axis=0)
     gaps = np.linalg.norm(b[:, :, None] - coeff * a[:, None, :], axis=0)

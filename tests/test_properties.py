@@ -15,12 +15,9 @@ from weaksym.sjed import (
     build_sjeds,
     canonical_sets_with_isometries,
     composite_choi,
-    composite_signature,
-    match_signatures,
     partition_from_groups,
     remix_within_sets,
     same_unravelled_generator,
-    signature_distance,
 )
 from weaksym.symmetry import (
     CompletionFailed,
@@ -30,6 +27,7 @@ from weaksym.symmetry import (
     build_symmetry_report,
     check_condition_I,
     check_condition_II,
+    transformed_choi,
 )
 
 
@@ -81,6 +79,40 @@ def test_symmetric_models_keep_the_hierarchy(model):
     assert report.condition_I.holds
     assert report.condition_II.holds or (remixed and split)
     assert report.condition_III.holds or remixed
+
+
+def _block_certificate(rep, sym, partition, pi_c):
+    try:
+        return blockwise_unitary_completion(rep, sym, partition, pi_c)
+    except CompletionFailed:
+        return None
+
+
+@given(symmetric_models(), st.integers(0, 2 ** 32 - 1))
+def test_remixing_inside_sjeds_conjugates_the_block_certificate(model, seed):
+    # J'_j = sum_k Q[j, k] J_k with Q block-diagonal over the SJEDs keeps
+    # every composite action, so condition II does not move; the block
+    # certificate does not depend on the basis inside a set, so it becomes
+    # Q u Q†
+    rep, sym, _, _ = model
+    rng = np.random.default_rng(seed)
+    partition = build_sjeds(rep)
+    q = np.zeros((rep.njumps,) * 2, dtype=complex)
+    for s in partition.sets:
+        q[np.ix_(s.indices, s.indices)] = linalg.random_unitary(rng, s.size)
+    remixed = rep.with_jumps(tuple(np.tensordot(q, np.array(rep.jumps), axes=1)))
+    moved = build_sjeds(remixed)
+    assert [s.indices for s in moved.sets] == [s.indices for s in partition.sets]
+    a = check_condition_II(rep, sym, partition=partition)
+    b = check_condition_II(remixed, sym, partition=moved)
+    assert (a.holds, a.permutation) == (b.holds, b.permutation)
+    assert abs(a.residual - b.residual) <= 1e-12
+    if a.holds:
+        u = _block_certificate(rep, sym, partition, a.permutation)
+        v = _block_certificate(remixed, sym, moved, b.permutation)
+        assert (u is None) == (v is None)
+        if u is not None:
+            assert frob(v - q @ u @ dag(q)) <= 1e-10 * frob(u)
 
 
 @given(symmetric_models(), st.data())
@@ -220,19 +252,25 @@ def _oracle_condition_I(rep, sym, tol):
                            mixing_residual=x_resid, unitary=u)
 
 
+def _choi_gap(partition, sym, a, b):
+    """Relative Frobenius gap of set a's dense Choi matrix and the image of
+    set b's under the symmetry."""
+    x = composite_choi(partition, a)
+    y = transformed_choi(sym, composite_choi(partition, b))
+    return frob(x - y) / max(frob(x), frob(y))
+
+
 def _oracle_condition_II(rep, sym, tol, partition):
     h_resid = frob(sym.conjugate(rep.hamiltonian) - rep.hamiltonian)
     if h_resid > tol * max(frob(rep.hamiltonian), 1.0):
         return ConditionResult(False, hamiltonian_residual=h_resid)
-    u = sym.matrix
-    sigs = [composite_signature(partition, a) for a in range(partition.nsets)]
-    images = [("reset", u @ s[1], u @ s[2]) if s[0] == "reset"
-              else ("prop", u @ s[1] @ dag(u), s[2]) for s in sigs]
-    pi, _ = match_signatures(sigs, images, max(tol * 100, 1e-8))
+    n = partition.nsets
+    cost = np.array([[_choi_gap(partition, sym, a, b) for a in range(n)]
+                     for b in range(n)]).reshape(n, n)
+    pi = linalg.assign(cost, max(tol * 100, 1e-8))
     if pi is None:
         return ConditionResult(False, hamiltonian_residual=h_resid)
-    resid = max((signature_distance(images[a], sigs[pi[a]])
-                 for a in range(len(sigs))), default=0.0)
+    resid = max((cost[b, pi[b]] for b in range(n)), default=0.0)
     return ConditionResult(True, hamiltonian_residual=h_resid, permutation=pi,
                            residual=resid)
 
@@ -353,11 +391,10 @@ def _assert_matches_oracle(rep, u, tol=1e-9):
     sym = SymmetryOperator.from_matrix(u)
     assert sym.order == _oracle_order(u)
     report = build_symmetry_report(rep, sym, tol, partition)
-    sigs = [composite_signature(partition, a) for a in range(partition.nsets)]
 
     def same_set(a, new, old):
-        return signature_distance(sigs[new.permutation[a]],
-                                  sigs[old.permutation[a]]) <= 1e-8
+        return all(_choi_gap(partition, sym, c.permutation[a], a) <= 1e-8
+                   for c in (new, old))
 
     def same_jump(j, new, old):
         a, b = (np.exp(1j * c.phases[j]) * rep.jumps[c.permutation[j]]
@@ -458,9 +495,8 @@ def _assert_condition_II_is_generator_equality(rep, sym, groups=None):
     ok, pi, _ = same_unravelled_generator(rep, moved, partition_a=pa, partition_b=pb)
     assert c2.holds == ok
     if ok and c2.permutation != pi:
-        sigs = [composite_signature(pa, a) for a in range(pa.nsets)]
-        assert all(signature_distance(sigs[c2.permutation[b]], sigs[pi[b]]) <= 1e-8
-                   for b in range(pa.nsets))
+        assert all(_choi_gap(pa, sym, perm[b], b) <= 1e-8
+                   for perm in (c2.permutation, pi) for b in range(pa.nsets))
 
 
 @given(symmetric_models())

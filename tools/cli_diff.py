@@ -4,14 +4,13 @@
 
 Runs ``check`` on the nine built-ins, the built-in ``qutrit-chain`` (four
 reset SJEDs pinned by its ``sjeds``, which translation permutes as a
-4-cycle) and seeded L=4 and L=5 qutrit chains, ``verify-joint`` on the
-same built-ins and on the seeded L=3, L=4 and L=5 chains, ``simulate``
-(with exports) on
-qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
-three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
-``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
-``verify-joint`` and ``simulate`` share one analysis), once with each tree
-on PYTHONPATH.
+4-cycle; once more at ``--tol 1e-6``) and seeded L=3, L=4 and L=5 qutrit
+chains, ``verify-joint`` on the same built-ins and on the seeded L=3, L=4
+and L=5 chains, ``simulate`` (with exports) on qubit-III/II/I and on a
+seeded L=3 qutrit chain (three symmetries) at all three levels,
+``simulate --threads 2`` on qubit-III and the L=3 chain, and ``report`` on
+qubit-III, qubit-I and the L=3 chain (where ``check``, ``verify-joint`` and
+``simulate`` share one analysis), once with each tree on PYTHONPATH.
 BASE's ``dump_model`` writes the chain files, so both trees read the same
 files and HEAD reads the form BASE writes.  Cross-form cases then run HEAD
 on the chain files its own ``dump_model`` wrote, which may use a matrix
@@ -45,7 +44,9 @@ CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
 def cases(chain4, chain3, chain5, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
-    out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain4, chain5]]
+    out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5]]
+    # a second tolerance moves the SJED isometries' rank cut
+    out += [["check", "qutrit-chain", "--tol", "1e-6"]]
     out += [["verify-joint", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4,
                                                      chain5]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
