@@ -128,7 +128,7 @@ def run_check(analysis):
     ok = True
     for name, (sym, report) in analysis.symmetries.items():
         entry = {
-            "order": report.symmetry_order,
+            "order": sym.order,
             "condition_I": bool(report.condition_I.holds),
             "condition_II": bool(report.condition_II.holds),
             "condition_III": bool(report.condition_III.holds),

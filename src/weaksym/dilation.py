@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .lindblad import Representation, apply_master_operator
-from .linalg import DEFAULT_TOL, NotUnitaryError, ShapeError, dag, frob
+from .linalg import DEFAULT_TOL, ShapeError, dag, frob
 from .sjed import SjedPartition
 from .symmetry import (
     CompletionFailed,
@@ -196,12 +196,9 @@ def environment_symmetry(u_matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     conjugation sends dB_j to sum_k U[j, k] dB_k on the vacuum sector:
     the Gamma(u) that joint_symmetry_residual applies without forming it.
     """
-    u = np.asarray(u_matrix, dtype=complex)
-    d = u.shape[0]
-    if u.shape != (d, d):
-        raise ShapeError("u_matrix must be square")
-    if frob(dag(u) @ u - np.eye(d)) > tol * max(1.0, np.sqrt(d)):
-        raise NotUnitaryError("u_matrix is not unitary")
+    u = linalg.square(u_matrix)
+    linalg.check_unitary(dag(u) @ u, tol)
+    d = len(u)
     out = np.zeros((d + 1, d + 1), dtype=complex)
     out[0, 0] = 1.0
     out[1:, 1:] = u.conj().T

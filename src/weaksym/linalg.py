@@ -49,11 +49,19 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _as_square(a) -> np.ndarray:
+def square(a) -> np.ndarray:
+    """a as a complex array; ShapeError unless it is a square matrix."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected square matrix, got {a.shape}")
     return a
+
+
+def check_unitary(gram: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """Raise NotUnitaryError unless gram, U†U or U U† of an n x n U, is
+    within tol max(1, sqrt(n)) of 1 in Frobenius norm; a NaN norm fails."""
+    if not frob(gram - np.eye(len(gram))) <= tol * max(1.0, np.sqrt(len(gram))):
+        raise NotUnitaryError("matrix is not unitary within tolerance")
 
 
 def fix_column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -71,7 +79,7 @@ def hermitian_eigendecomposition(a, tol: float = DEFAULT_TOL):
     with its first non-negligible entry real positive.  Raises
     NotHermitianError if the input fails the Hermiticity precondition.
     """
-    a = _as_square(a)
+    a = square(a)
     scale = frob(a)
     if scale > 0 and frob(a - dag(a)) > tol * max(scale, 1.0):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
@@ -86,10 +94,8 @@ def unitary_eigendecomposition(u, tol: float = DEFAULT_TOL):
     vectors are orthonormal, degenerate eigenspaces included.  Phases are
     returned in [0, 2pi), ascending.
     """
-    u = _as_square(u)
-    n = u.shape[0]
-    if frob(dag(u) @ u - np.eye(n)) > tol * max(1.0, np.sqrt(n)):
-        raise NotUnitaryError("matrix is not unitary within tolerance")
+    u = square(u)
+    check_unitary(dag(u) @ u, tol)
     t, v = scipy.linalg.schur(u, output="complex")
     phases = np.mod(np.angle(np.diag(t)), 2.0 * np.pi)
     # normalize phases indistinguishable from 2pi back to 0
@@ -105,7 +111,7 @@ def unitary_eigendecomposition(u, tol: float = DEFAULT_TOL):
 
 def matrix_exponential(m) -> np.ndarray:
     """exp(M) by scipy's scaling-and-squaring Pade method."""
-    return scipy.linalg.expm(_as_square(m))
+    return scipy.linalg.expm(square(m))
 
 
 def coordinates(rows: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .lindblad import (
@@ -57,28 +58,65 @@ class PhaseSumNotInteger(Exception):
 
 @dataclass(frozen=True)
 class SymmetryOperator:
-    """A unitary with its eigen-decomposition and (finite) group order."""
+    """A unitary U with its CSR form, which forms its images U A U† and its
+    (finite) group order.  The order and the eigen-decomposition (`phases`,
+    `eigenbasis`) are computed on first use."""
 
     matrix: np.ndarray
-    phases: np.ndarray
-    eigenbasis: np.ndarray
-    order: int | None  # None when not resolved within the cap
+    sparse: scipy.sparse.csr_array
+    tol: float = DEFAULT_TOL
+    order_cap: int = 64
     _images: list = field(default_factory=list, init=False, repr=False,
                           compare=False)
 
     @classmethod
     def from_matrix(cls, u, tol: float = DEFAULT_TOL, order_cap: int = 64):
-        u = np.asarray(u, dtype=complex)
-        phases, basis = linalg.unitary_eigendecomposition(u, tol)
-        return cls(u, phases, basis, _order(phases, order_cap))
+        """The operator of u; NotUnitaryError unless ||U U† - 1|| is at most
+        tol max(1, sqrt(d)) (linalg.check_unitary)."""
+        u = linalg.square(u)
+        rows, cols = np.nonzero(u)      # row-major, so rows ascend
+        sparse = scipy.sparse.csr_array(
+            (u[rows, cols], cols, np.searchsorted(rows, np.arange(len(u) + 1))),
+            shape=u.shape)
+        linalg.check_unitary(sparse @ dag(u), tol)
+        return cls(u, sparse, tol, order_cap)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def order(self) -> int | None:
+        """Least n <= order_cap with U^n = theta 1, read from sparse powers:
+        |tr U^n / d| = 1 and ||U^n - theta 1|| < 1e-9 sqrt(d); None when
+        not resolved within the cap."""
+        d, power = self.dim, self.sparse
+        for n in range(1, self.order_cap + 1):
+            if n > 1:
+                power = power @ self.sparse
+            tr = power.diagonal().sum() / d
+            if abs(abs(tr) - 1.0) < 1e-9 and frob(
+                    power.toarray() - tr / abs(tr) * np.eye(d)) < 1e-9 * np.sqrt(d):
+                return n
+        return None
+
+    @cached_property
+    def _eigen(self):
+        return linalg.unitary_eigendecomposition(self.matrix, self.tol)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """Eigenphases in [0, 2pi), ascending (unitary_eigendecomposition)."""
+        return self._eigen[0]
+
+    @property
+    def eigenbasis(self) -> np.ndarray:
+        """Eigenvector columns in the order of `phases`."""
+        return self._eigen[1]
+
     def conjugate(self, a) -> np.ndarray:
-        """U A U† for an operator on the system."""
-        return self.matrix @ np.asarray(a, dtype=complex) @ dag(self.matrix)
+        """U A U† for an operator on the system, as U (U A†)†."""
+        return self.sparse @ dag(self.sparse @ dag(np.asarray(a, dtype=complex)))
 
     def images(self, rep: Representation) -> SymmetryImages:
         """The images of rep's operators, kept for the last rep asked for."""
@@ -91,24 +129,15 @@ class SymmetryOperator:
         return np.kron(self.matrix, self.matrix.conj())
 
 
-def _order(phases: np.ndarray, cap: int) -> int | None:
-    """Least n <= cap with U^n = theta 1, from the eigenvalues exp(i n phi)
-    of U^n: |tr U^n / d| = 1 and ||U^n - theta 1|| < 1e-9 sqrt(d)."""
-    n = np.arange(1, cap + 1)
-    powers = np.exp(1j * np.outer(n, phases))
-    tr = powers.mean(axis=1)
-    gap = np.linalg.norm(powers - (tr / np.maximum(abs(tr), 1e-300))[:, None], axis=1)
-    ok = (abs(abs(tr) - 1.0) < 1e-9) & (gap < 1e-9 * np.sqrt(len(phases)))
-    return int(n[ok][0]) if ok.any() else None
-
-
 class SymmetryImages:
-    """One symmetry's images of a representation's operators: U H U† with
-    ||U H U† - H||, U H' U† (H' the traceless frame's Hamiltonian), U H_eff
-    U† on first use, and the coordinates of one QR of the traceless jumps
-    J'_j and their images (`frame_jumps`, `frame_images`), shifted to those
-    of J_j = J'_j + tr(J_j)/d 1 (`jumps`, `jump_images`; J'_j is orthogonal
-    to 1, so the shift loses nothing)."""
+    """One symmetry's images of a representation's operators, each formed
+    as U (U A†)† through U's CSR form: U H U† with ||U H U† - H||, U H' U†
+    (H' the traceless frame's Hamiltonian), U H_eff U† on first use, and the
+    coordinates of one QR of the traceless jumps J'_j and their images
+    (`frame_jumps`, `frame_images`), taken over the entries where 1, a J'_j
+    or an image is nonzero and shifted to those of J_j = J'_j + tr(J_j)/d 1
+    (`jumps`, `jump_images`; J'_j is orthogonal to 1, so the shift loses
+    nothing)."""
 
     def __init__(self, rep: Representation, sym: SymmetryOperator):
         self.rep, self.sym = rep, sym
@@ -116,13 +145,16 @@ class SymmetryImages:
         self.frame_hamiltonian_image = sym.conjugate(self.frame_hamiltonian)
         self.hamiltonian_image = sym.conjugate(rep.hamiltonian)
         self.hamiltonian_residual = frob(self.hamiltonian_image - rep.hamiltonian)
-        # one thin QR of 1, the J'_j and their images (a d^2-sized stack)
-        d, n, u = rep.dim, rep.njumps, sym.matrix
-        stack = np.stack([np.eye(d, dtype=complex), *traceless, *traceless])
-        np.matmul(u @ stack[1:n + 1], dag(u), out=stack[n + 1:])
-        r = linalg.coordinates(stack.reshape(2 * n + 1, -1))
+        # one thin QR of 1, the J'_j and their images, over the entries where
+        # any of them is nonzero: the zero columns add nothing to the Gram
+        # matrix, so R changes at most by a unitary on its rows
+        d, n = rep.dim, rep.njumps
+        flat = [x.reshape(-1) for x in (np.eye(d, dtype=complex), *traceless,
+                                        *map(sym.conjugate, traceless))]
+        support = np.flatnonzero(np.logical_or.reduce([x != 0 for x in flat]))
+        r = linalg.coordinates(np.stack([x[support] for x in flat]))
         one, self.frame_jumps, self.frame_images = r[:, 0], r[:, 1:n + 1], r[:, n + 1:]
-        shift = np.outer(one, [np.trace(j) / rep.dim for j in rep.jumps])
+        shift = np.outer(one, [np.trace(j) / d for j in rep.jumps])
         self.jumps, self.jump_images = self.frame_jumps + shift, self.frame_images + shift
 
     @cached_property
@@ -153,7 +185,6 @@ class ConditionResult:
 
 @dataclass
 class SymmetryReport:
-    symmetry_order: int | None
     condition_I: ConditionResult
     condition_II: ConditionResult
     condition_III: ConditionResult
@@ -609,7 +640,7 @@ def build_symmetry_report(rep: Representation, sym: SymmetryOperator,
     c2 = check_condition_II(rep, sym, tol, partition)
     c3 = check_condition_III(rep, sym, tol)
     consistent = (not c3.holds or c2.holds) and (not c2.holds or c1.holds)
-    return SymmetryReport(sym.order, c1, c2, c3, consistent)
+    return SymmetryReport(c1, c2, c3, consistent)
 
 
 __all__ = [

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from weaksym import cli, linalg, models, trajectories
@@ -336,6 +337,9 @@ QUBIT_DOC = {"dim": 2, "parameters": {"g": 1e308},
              "symmetries": [{"name": "p", "matrix": [[1, 0], [0, -1]]}]}
 
 
+OVERFLOWING_SYMMETRY = {"name": "p", "matrix": [[1, 0], [0, 1e200]]}
+
+
 def _qubit_doc(**fields):
     doc = json.loads(json.dumps(QUBIT_DOC))
     doc.update(fields)
@@ -391,6 +395,10 @@ def _entry_doc(entry):
     (["check"], _entry_doc(1e51)),
     (["simulate", "--n", "20"], _qubit_doc(hamiltonian=[[1e9, 0], [0, -1e9]])),
     (["report", "--n", "20"], _qubit_doc(hamiltonian=[[1e9, 0], [0, -1e9]])),
+    # U†U overflows to inf and nan, so the unitarity gap is not a number
+    (["check"], _qubit_doc(symmetries=[OVERFLOWING_SYMMETRY])),
+    (["verify-joint"], _qubit_doc(symmetries=[OVERFLOWING_SYMMETRY])),
+    (["simulate", "--n", "20"], _qubit_doc(symmetries=[OVERFLOWING_SYMMETRY])),
 ], ids=["div-zero", "sqrt-negative", "overflow", "infinite", "complex-power",
         "dim-string", "jumps-not-array", "sjeds-overlap", "non-unitary", "n-zero",
         "horizon-negative", "tol-negative", "param-not-number", "bool-entry",
@@ -402,7 +410,8 @@ def _entry_doc(entry):
         "expect-string-verdict", "expect-missing-verdict", "expect-unknown-symmetry",
         "name-not-string", "description-not-string", "jump-name-not-string",
         "symmetry-name-not-string", "jump-norm-too-large", "hamiltonian-norm-too-large",
-        "simulate-stiff", "report-stiff"])
+        "simulate-stiff", "report-stiff", "check-unitarity-nan",
+        "verify-joint-unitarity-nan", "simulate-unitarity-nan"])
 def test_malformed_input_exits_2(argv, doc, tmp_path, capsys):
     if doc is not None:
         path = tmp_path / "model.json"
@@ -673,6 +682,34 @@ def test_chain_check_makes_no_system_size_hermitian_eigensolve(tmp_path, monkeyp
     run_check(analysis)
     assert [s.kind for s in analysis.partition.sets] == ["reset"] * 4
     assert model.rep.dim not in sizes
+
+
+def test_chain_commands_make_no_system_size_schur_or_full_stack_qr(tmp_path, monkeypatch):
+    # the order comes from sparse powers of U and the images' QR from the
+    # support columns; only off_block_mass (d <= 12) and the SJED lift read
+    # an eigenbasis
+    model = load_model(_chain_file(tmp_path, 4))
+    d = model.rep.dim
+    schur_sizes, eig_sizes, widths = [], [], []
+    schur, eig, coordinates = (scipy.linalg.schur, linalg.unitary_eigendecomposition,
+                               linalg.coordinates)
+
+    def recording(log, f):
+        def g(a, *args, **kwargs):
+            log.append(np.shape(a)[-1])
+            return f(a, *args, **kwargs)
+        return g
+
+    monkeypatch.setattr(scipy.linalg, "schur", recording(schur_sizes, schur))
+    monkeypatch.setattr(linalg, "unitary_eigendecomposition",
+                        recording(eig_sizes, eig))
+    monkeypatch.setattr(linalg, "coordinates", recording(widths, coordinates))
+    analysis = analyze(model)
+    doc, _ = run_check(analysis)
+    run_verify_joint(analysis)
+    assert d not in schur_sizes and d not in eig_sizes
+    assert widths and max(widths) < d * d
+    assert [e["order"] for e in doc["symmetries"].values()] == [4, None, 4]
 
 
 def _assert_joint_pattern(entry):

@@ -110,8 +110,11 @@ def test_unitary_eig_reconstruction(case):
 
 
 def test_unitary_eig_rejects_non_unitary():
-    with pytest.raises(linalg.NotUnitaryError):
-        unitary_eigendecomposition(2.0 * np.eye(2))
+    # a NaN unitarity gap (nan entries, or U†U overflowing) fails the gate too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in (2.0 * np.eye(2), np.diag([1.0, np.nan]), np.diag([1.0, 1e200])):
+            with pytest.raises(linalg.NotUnitaryError):
+                unitary_eigendecomposition(u)
 
 
 def test_expm_zero():

@@ -510,3 +510,105 @@ def test_condition_II_is_generator_equality_on_symmetric_models(model):
 def test_condition_II_is_generator_equality_on_random_models(model):
     rep, u = model
     _assert_condition_II_is_generator_equality(rep, SymmetryOperator.from_matrix(u))
+
+
+# ------------------------------------- support-column images, dense oracle
+#
+# SymmetryImages forms U X U† through U's CSR form and takes its thin QR
+# over the columns where 1, a J'_j or an image is nonzero.  The oracle is
+# the full-stack computation: dense U X U† and one QR of the d^2-long rows.
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@st.composite
+def sparse_symmetry_inputs(draw):
+    """(representation, U) with U dense, monomial (a permutation times
+    phases), local (a unitary on one factor of a product space) or a
+    Hadamard factor whose image of a jump cancels to exact zeros; the
+    jumps are sparse, some with a trace and some of rank one."""
+    kind = draw(st.sampled_from(["dense", "monomial", "local", "cancel"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind in ("dense", "monomial"):
+        d = draw(st.integers(2, 6))
+        u = linalg.random_unitary(rng, d) if kind == "dense" else \
+            np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+    else:
+        m = draw(st.integers(1, 3))
+        d = 2 * m
+        u = np.kron(HADAMARD, np.eye(m)) if kind == "cancel" else \
+            np.kron(linalg.random_unitary(rng, 2), np.eye(m))
+    def sparse(n):
+        v = np.zeros(n, dtype=complex)
+        k = rng.integers(1, min(n, d) + 1)
+        v[rng.choice(n, k, replace=False)] = gaussian(k)
+        return v
+
+    jumps = [sparse(d * d).reshape(d, d) for _ in range(draw(st.integers(1, 4)))]
+    jumps.append(np.outer(sparse(d), sparse(d).conj()))
+    if kind == "cancel":
+        # U J U† = kron(H ones H, A): its lower blocks are h*h*a - h*h*a
+        a = np.zeros((d // 2, d // 2), dtype=complex)
+        a.flat[rng.integers(0, a.size)] = 1.0
+        jumps.append(np.kron(np.ones((2, 2)), a + gaussian(*a.shape) * (a != 0)))
+    h = np.zeros((d, d), dtype=complex)
+    h[0, -1] = gaussian(1)[0]
+    return Representation(h + dag(h), tuple(jumps)), u
+
+
+def _oracle_coordinates(rep, u):
+    """(jump coordinates, image coordinates) from one QR of the full
+    d^2-long stack of 1, the J'_j and their dense images."""
+    d, n = rep.dim, rep.njumps
+    _, traceless = rep.traceless
+    stack = [np.eye(d), *traceless, *(u @ j @ dag(u) for j in traceless)]
+    r = np.linalg.qr(_flat(stack), mode="r")
+    shift = np.outer(r[:, 0], [np.trace(j) / d for j in rep.jumps])
+    return r[:, 1:n + 1] + shift, r[:, n + 1:] + shift
+
+
+def _oracle_frame_gaps(a, b, sets):
+    out = np.empty((len(sets), len(sets)))
+    for beta, sb in enumerate(sets):
+        for alpha, sa in enumerate(sets):
+            x, y = a[:, list(sa)], b[:, list(sb)]
+            fa, fb = x @ dag(x), y @ dag(y)
+            out[beta, alpha] = frob(fa - fb) / max(frob(fa), frob(fb), 1e-300)
+    return out
+
+
+@given(sparse_symmetry_inputs())
+def test_support_column_images_match_the_full_stack(inputs):
+    rep, u = inputs
+    tol = 1e-9
+    sym = SymmetryOperator.from_matrix(u)
+    images = sym.images(rep)
+    a, b = _oracle_coordinates(rep, u)
+    # overlaps P[j, k] = <J_k, U J_j U†>, relative to ||J_j|| ||J_k|| (P
+    # may vanish)
+    want = b.T @ a.conj()
+    assert frob(images.overlaps - want) <= 1e-12 * frob(a) * frob(b)
+    # condition I's least-norm mixing matrix and its residual
+    cut = np.sqrt(tol)
+    x, resid = linalg.SpanMap(images.frame_jumps, images.frame_images).solve(cut)
+    _, traceless = rep.traceless
+    fa = _flat(traceless)
+    fb = _flat([u @ j @ dag(u) for j in traceless])
+    xt, *_ = np.linalg.lstsq(fa, fb, rcond=cut)
+    want_resid = frob(fb - fa @ xt) / max(frob(fb), 1e-300)
+    assert frob(x - xt.T) <= 1e-12 * max(frob(xt), 1.0)
+    assert abs(resid - want_resid) <= 1e-12
+    # condition II's frame gaps, every pair of SJEDs
+    sets = [s.indices for s in build_sjeds(rep, tol).sets]
+    with mock.patch.object(linalg, "assign", wraps=linalg.assign) as spy:
+        sjed.match_sets(images.jumps, images.jump_images, sets, sets, tol)
+    got = spy.call_args.args[0]
+    assert np.max(np.abs(got - _oracle_frame_gaps(a, b, sets))) <= 1e-12
+    # the order and the eigen-decomposition, on first use
+    phases, basis = linalg.unitary_eigendecomposition(u)
+    assert np.array_equal(sym.phases, phases) and np.array_equal(sym.eigenbasis, basis)
+    assert sym.order == _oracle_order(u)

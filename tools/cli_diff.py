@@ -4,13 +4,15 @@
 
 Runs ``check`` on the nine built-ins, the built-in ``qutrit-chain`` (four
 reset SJEDs pinned by its ``sjeds``, which translation permutes as a
-4-cycle; once more at ``--tol 1e-6``) and seeded L=3, L=4 and L=5 qutrit
-chains, ``verify-joint`` on the same built-ins and on the seeded L=3, L=4
-and L=5 chains, ``simulate`` (with exports) on qubit-III/II/I and on a
-seeded L=3 qutrit chain (three symmetries) at all three levels,
-``simulate --threads 2`` on qubit-III and the L=3 chain, and ``report`` on
-qubit-III, qubit-I and the L=3 chain (where ``check``, ``verify-joint`` and
-``simulate`` share one analysis), once with each tree on PYTHONPATH.
+4-cycle; once more at ``--tol 1e-6``) and seeded L=3, L=4, L=5 and L=6
+qutrit chains (L=6 is dim 729; a tree that forms dense d x d images takes
+some 20 s and 700 MB there), ``verify-joint`` on the same built-ins and on
+the seeded L=3, L=4 and L=5 chains, ``simulate`` (with exports) on
+qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
+three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
+``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
+``verify-joint`` and ``simulate`` share one analysis), once with each tree
+on PYTHONPATH.
 BASE's ``dump_model`` writes the chain files, so both trees read the same
 files and HEAD reads the form BASE writes.  Cross-form cases then run HEAD
 on the chain files its own ``dump_model`` wrote, which may use a matrix
@@ -41,10 +43,11 @@ CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
          "modelfile.dump_model(m, sys.argv[1])")
 
 
-def cases(chain4, chain3, chain5, own):
+def cases(chain4, chain3, chain5, chain6, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
-    out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5]]
+    out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5,
+                                             chain6]]
     # a second tolerance moves the SJED isometries' rank cut
     out += [["check", "qutrit-chain", "--tol", "1e-6"]]
     out += [["verify-joint", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4,
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, head = os.path.abspath(args.base), os.path.abspath(args.head)
     with tempfile.TemporaryDirectory() as tmp:
-        lengths = (4, 3, 5)
+        lengths = (4, 3, 5, 6)
         chains, own = [], {}
         for L in lengths:
             chains.append(os.path.join(tmp, f"chain-L{L}.json"))
