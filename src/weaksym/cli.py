@@ -25,7 +25,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,7 @@ from .linalg import DEFAULT_TOL, LinalgError
 from .modelfile import ParseError, _matrix_doc, dump_model, load_model, model_to_doc
 from .sjed import SjedPartition, build_sjeds, partition_from_groups
 from .symmetry import (
-    CompletionFailed,
     SymmetryOperator,
-    blockwise_unitary_completion,
     build_symmetry_report,
     off_block_mass,
     permutation_unitary,
@@ -67,8 +65,6 @@ class Analysis:
     tol: float
     partition: SjedPartition
     symmetries: dict      # name -> (SymmetryOperator, SymmetryReport)
-    # name -> SJED block certificate or its CompletionFailed, on first use
-    completions: dict = field(default_factory=dict)
 
 
 def analyze(model, sym_name=None, tol=DEFAULT_TOL) -> Analysis:
@@ -92,20 +88,6 @@ def analyze(model, sym_name=None, tol=DEFAULT_TOL) -> Analysis:
         symmetries[name] = sym, build_symmetry_report(model.rep, sym, tol,
                                                       partition)
     return Analysis(model, tol, partition, symmetries)
-
-
-def _block_unitary(analysis, name):
-    """A condition-II symmetry's SJED block certificate, or the
-    CompletionFailed that stopped it, built once per command."""
-    if name not in analysis.completions:
-        sym, report = analysis.symmetries[name]
-        try:
-            analysis.completions[name] = blockwise_unitary_completion(
-                analysis.model.rep, sym, analysis.partition,
-                report.condition_II.permutation)
-        except CompletionFailed as exc:
-            analysis.completions[name] = exc
-    return analysis.completions[name]
 
 
 def _sjed_summary(partition):
@@ -145,13 +127,11 @@ def run_check(analysis):
                 "condition_II": report.condition_II.residual,
             },
         }
-        if report.condition_II.holds:
-            u54 = _block_unitary(analysis, name)
-            if isinstance(u54, CompletionFailed):
-                entry["sjed_block_unitary"] = None
-                entry["sjed_block_unitary_error"] = str(u54)
-            else:
-                entry["sjed_block_unitary"] = _matrix_doc(u54)
+        c2 = report.condition_II
+        if c2.holds:
+            entry["sjed_block_unitary"] = _matrix_doc(c2.unitary)
+            if c2.unitary is None:
+                entry["sjed_block_unitary_error"] = c2.reason
         if model.rep.dim <= MAX_SUPEROP_DIM:
             entry["off_block_mass"] = off_block_mass(
                 liouville_matrix(model.rep), sym)
@@ -182,15 +162,13 @@ def run_verify_joint(analysis):
         certificates = {}     # step kind -> certified environment unitary
         if c3.holds:
             certificates["dephased"] = permutation_unitary(c3.permutation, c3.phases)
-        if c2.holds:
-            coarse = permutation_unitary(c2.permutation)
-            u54 = _block_unitary(analysis, name)
-            if isinstance(u54, CompletionFailed):
-                certificates["coarse"] = coarse
-            else:
-                certificates.update(partial=u54, coarse=coarse, rotating_frame=u54)
-        if c1.holds:
-            certificates.setdefault("rotating_frame", c1.unitary)
+        if c2.holds:     # c2.unitary is None when its completion failed
+            certificates.update(partial=c2.unitary,
+                                coarse=permutation_unitary(c2.permutation),
+                                rotating_frame=c2.unitary)
+        if c1.holds and certificates.get("rotating_frame") is None:
+            certificates["rotating_frame"] = c1.unitary
+        certificates = {k: u for k, u in certificates.items() if u is not None}
         result["symmetries"][name] = {
             "residuals": {kind: dilation.joint_symmetry_residual(steps[kind], images, u)
                           for kind, u in certificates.items()},

@@ -64,12 +64,18 @@ def check_unitary(gram: np.ndarray, tol: float = DEFAULT_TOL) -> None:
         raise NotUnitaryError("matrix is not unitary within tolerance")
 
 
-def fix_column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rescale each column so its first non-negligible entry is real positive."""
+def column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The unit factors that make each column's first non-negligible entry
+    real positive."""
     nrm = np.abs(v)
     first = v[np.argmax(nrm > tol * nrm.max(axis=0), axis=0), np.arange(v.shape[1])]
     r = np.abs(first)   # zero only for an all-zero column, which stays as it is
-    return v * np.where(r > 0, first / np.where(r > 0, r, 1.0), 1.0).conj()
+    return np.where(r > 0, first / np.where(r > 0, r, 1.0), 1.0).conj()
+
+
+def fix_column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Rescale each column so its first non-negligible entry is real positive."""
+    return v * column_phases(v, tol)
 
 
 def hermitian_eigendecomposition(a, tol: float = DEFAULT_TOL):
@@ -123,6 +129,14 @@ def coordinates(rows: np.ndarray) -> np.ndarray:
     if info != 0:
         raise LinalgError(f"geqrf failed with info {info}")
     return np.triu(qr[:min(qr.shape)])
+
+
+def support_coordinates(vectors) -> np.ndarray:
+    """`coordinates` of 1-D vectors taken over the entries where any of them
+    is nonzero: the others add nothing to the Gram matrix, so R changes at
+    most by a unitary on its rows."""
+    support = np.flatnonzero(np.logical_or.reduce([x != 0 for x in vectors]))
+    return coordinates(np.stack([x[support] for x in vectors]))
 
 
 def frame_gap(a: np.ndarray, b: np.ndarray) -> tuple:

@@ -87,14 +87,18 @@ class Representation:
     @cached_property
     def traceless(self) -> tuple:
         """(H', traceless jumps) of traceless_representation, read-only as
-        they are shared; a jump proportional to the identity gives zero."""
+        they are shared; a jump of trace 0 is a read-only view of itself, and
+        a jump proportional to the identity gives zero."""
         d = self.dim
         shift = np.zeros_like(self.hamiltonian)
         jumps = []
         for j in self.jumps:
             tr = np.trace(j)
-            shift += j * np.conj(tr) - dag(j) * tr
-            jumps.append(_frozen(j - (tr / d) * np.eye(d)))
+            if tr != 0:
+                shift += j * np.conj(tr) - dag(j) * tr
+                j = j.copy()
+                j[np.diag_indices(d)] -= tr / d
+            jumps.append(_frozen(j.view()))
         return _frozen(self.hamiltonian + (1j / (2.0 * d)) * shift), tuple(jumps)
 
     @cached_property

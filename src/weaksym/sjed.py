@@ -4,14 +4,13 @@ Jump operators are grouped into sets whose pure-state actions share a
 destination: rank-one (reset) jumps with a common target state, and
 mutually proportional higher-rank jumps.  The composite action of a set
 is the superoperator sum of its members; it preserves purity and is the
-object that matters for the unravelled dynamics.  A reset set is held as
-its destination and its sources s_j = J_j† destination, and acts as
-rho -> |dest><dest| tr(S S† rho); a proportional set as its unit base
-and total weight.  A composite action is fixed by its Choi matrix, the
-frame sum_j |J_j>><<J_j| of its members, so `match_sets` compares sets
-by the frames of their jumps' coordinates in one orthonormal basis,
-whether the sets come from two representations or are a representation's
-sets and their images under a symmetry.
+object that matters for the unravelled dynamics.  A composite action is
+fixed by its Choi matrix, the frame sum_j |J_j>><<J_j| of its members, so
+`match_sets` compares sets by the frames of their jumps' coordinates in
+one orthonormal basis, whether the sets come from two representations or
+are a representation's sets and their images under a symmetry, and a thin
+SVD of the same coordinates gives a set's canonical family, whatever its
+kind (`canonical_family`).
 """
 
 from __future__ import annotations
@@ -27,31 +26,19 @@ from .linalg import DEFAULT_TOL, dag, frob
 
 @dataclass(frozen=True)
 class SjedSet:
-    """One SJED: member indices plus reset or proportional structure.
+    """One SJED: member indices and kind, "reset" or "proportional".
 
     A reset set's members are J_j = |destination><s_j|, with the sources
     s_j = J_j† destination the columns of `sources` in member order."""
 
     indices: tuple
     kind: str  # "reset" | "proportional"
-    # reset data
-    destination: np.ndarray | None = None    # unit target state
-    sources: np.ndarray | None = None        # d x |S|
-    # proportional data
-    base: np.ndarray | None = None           # unit-Frobenius base operator
-    coefficients: tuple = ()                 # J_k = coefficients[k] * base
+    destination: np.ndarray | None = None    # unit target state (reset)
+    sources: np.ndarray | None = None        # d x |S| (reset)
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    def modes(self, tol: float = DEFAULT_TOL):
-        """Weights (descending) and unit vectors of a reset set's frame S S†
-        from a thin SVD of the sources: squared singular values above tol
-        times the largest, each vector's first non-negligible entry > 0."""
-        u, s, _ = np.linalg.svd(self.sources, full_matrices=False)
-        keep = s ** 2 > tol * max(s[0] ** 2, 1e-300)
-        return s[keep] ** 2, linalg.fix_column_phases(u[:, keep])
 
 
 @dataclass(frozen=True)
@@ -144,12 +131,10 @@ def build_sjeds(rep: Representation, tol: float = DEFAULT_TOL) -> SjedPartition:
             sets.append(SjedSet(tuple(members), "reset", destination=dest,
                                 sources=sources))
         else:
-            base = linalg.fix_column_phases(j.reshape(-1, 1)).reshape(j.shape) / frob(j)
-            coeffs = {m: _proportionality_coefficient(base, jumps[m], tol)
-                      for m in later}
-            members = [m for m in later if coeffs[m] is not None]
-            sets.append(SjedSet(tuple(members), "proportional", base=base,
-                                coefficients=tuple(coeffs[m] for m in members)))
+            base = j / frob(j)
+            members = [m for m in later
+                       if _proportionality_coefficient(base, jumps[m], tol) is not None]
+            sets.append(SjedSet(tuple(members), "proportional"))
         used.update(members)
     return SjedPartition(tuple(sets), jumps, tol)
 
@@ -251,28 +236,23 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
     return True, pi, float(r.real)
 
 
-def canonical_sets_with_isometries(partition: SjedPartition,
-                                   tol: float = DEFAULT_TOL):
-    """Canonical jumps per SJED plus member isometries.
+def canonical_family(a: np.ndarray, tol: float = DEFAULT_TOL):
+    """(s, zh): the singular values with s_i^2 > tol s_0^2 of a thin SVD
+    a = W S Z† of one set's jump coordinates (its columns) and their rows of
+    Z†.  The canonical jumps C_i = sum_k conj(zh[i, k]) J_k are orthogonal,
+    with norms s_i and, up to the cut, the set's frame."""
+    _, s, zh = np.linalg.svd(a, full_matrices=False)
+    r = int(np.sum(s ** 2 > tol * max(s[0] ** 2, 1e-300)))
+    return s[:r], zh[:r]
 
-    Returns (canonical_jumps, block_isometries, offsets) where
-    canonical_jumps is the flat list over sets, block_isometries[a] is the
-    |S_a| x r_a matrix with J_member = sum_i V[k, i] * canonical, and
-    offsets[a] is the starting flat index of set a.
-    """
-    canon, isoms, offsets = [], [], []
-    for s in partition.sets:
-        offsets.append(len(canon))
-        if s.kind == "proportional":
-            scale = np.sqrt(sum(abs(c) ** 2 for c in s.coefficients))
-            canon.append(scale * s.base)
-            isoms.append(np.array(s.coefficients, dtype=complex)[:, None] / scale)
-        else:
-            w, vecs = s.modes(tol)
-            canon += [np.sqrt(x) * np.outer(s.destination, v.conj())
-                      for x, v in zip(w, vecs.T)]
-            isoms.append(dag(s.sources) @ vecs / np.sqrt(w))
-    return canon, isoms, offsets
+
+def phase_fixed_family(jumps, indices, coeffs) -> tuple:
+    """(C, coeffs'): C_i = sum_k coeffs'[i, k] J_{indices[k]}, where each row
+    of coeffs is rescaled by the unit phase that makes C_i's first
+    non-negligible entry, row-major, real positive."""
+    ops = np.tensordot(coeffs, np.array([jumps[k] for k in indices]), axes=1)
+    phases = linalg.column_phases(ops.reshape(len(ops), -1).T)
+    return ops * phases[:, None, None], coeffs * phases[:, None]
 
 
 def canonical_sjed_representation(rep: Representation,
@@ -280,15 +260,19 @@ def canonical_sjed_representation(rep: Representation,
                                   tol: float = DEFAULT_TOL) -> Representation:
     """Minimal representation with one orthogonal jump family per SJED.
 
-    Proportional sets collapse to a single jump; reset sets are replaced
-    by the jumps sqrt(w) |dest><v| of their source modes (SjedSet.modes,
-    zero modes dropped).  The
-    output generates the same unravelled dynamics with the identity
+    Each set's jumps give way to its phase-fixed canonical family, read
+    from one thin QR of all jumps over the entries where any is nonzero.
+    The output generates the same unravelled dynamics with the identity
     SJED matching and zero Hamiltonian shift.
     """
     if partition is None:
         partition = build_sjeds(rep, tol)
-    canon, _, _ = canonical_sets_with_isometries(partition, tol)
+    coords = linalg.support_coordinates([j.reshape(-1) for j in rep.jumps]) \
+        if rep.njumps else None
+    canon = []
+    for s in partition.sets:
+        _, zh = canonical_family(coords[:, list(s.indices)], tol)
+        canon.extend(phase_fixed_family(rep.jumps, s.indices, zh.conj())[0])
     return Representation(rep.hamiltonian, tuple(canon))
 
 
@@ -314,12 +298,13 @@ __all__ = [
     "SjedPartition",
     "SjedSet",
     "build_sjeds",
-    "canonical_sets_with_isometries",
+    "canonical_family",
     "canonical_sjed_representation",
     "composite_action",
     "composite_choi",
     "match_sets",
     "partition_from_groups",
+    "phase_fixed_family",
     "remix_within_sets",
     "same_unravelled_generator",
 ]

@@ -11,9 +11,9 @@ the master operator to the representation:
                  (record-level symmetry).
 
 Each check returns a verdict plus the certificate that witnesses it
-(mixing matrix, completed unitary, permutations, phases, residuals).
-All of them read the symmetry's images of the representation's
-operators (`SymmetryOperator.images`), formed once.
+(mixing matrix, completed unitary, SJED block unitary, permutations,
+phases, residuals).  All of them read the symmetry's images of the
+representation's operators (`SymmetryOperator.images`), formed once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from . import linalg
+from . import linalg, sjed
 from .lindblad import (
     Representation,
     apply_adjoint_master_operator,
@@ -145,14 +145,9 @@ class SymmetryImages:
         self.frame_hamiltonian_image = sym.conjugate(self.frame_hamiltonian)
         self.hamiltonian_image = sym.conjugate(rep.hamiltonian)
         self.hamiltonian_residual = frob(self.hamiltonian_image - rep.hamiltonian)
-        # one thin QR of 1, the J'_j and their images, over the entries where
-        # any of them is nonzero: the zero columns add nothing to the Gram
-        # matrix, so R changes at most by a unitary on its rows
         d, n = rep.dim, rep.njumps
-        flat = [x.reshape(-1) for x in (np.eye(d, dtype=complex), *traceless,
-                                        *map(sym.conjugate, traceless))]
-        support = np.flatnonzero(np.logical_or.reduce([x != 0 for x in flat]))
-        r = linalg.coordinates(np.stack([x[support] for x in flat]))
+        r = linalg.support_coordinates([x.reshape(-1) for x in (
+            np.eye(d, dtype=complex), *traceless, *map(sym.conjugate, traceless))])
         one, self.frame_jumps, self.frame_images = r[:, 0], r[:, 1:n + 1], r[:, n + 1:]
         shift = np.outer(one, [np.trace(j) / d for j in rep.jumps])
         self.jumps, self.jump_images = self.frame_jumps + shift, self.frame_images + shift
@@ -245,10 +240,10 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
                                  partition: SjedPartition, pi_c):
     """Unitary certificate built through canonical SJED families.
 
-    A thin SVD C Vᵀ of each set's jump coordinates (the symmetry's images),
-    cut as in SjedSet.modes, gives its canonical family C and isometry V;
-    the images of set a's family must lie in the span of set pi_c[a]'s,
-    which gives the block X.  The result V X V† + (1 - V V†), independent
+    The canonical family of each set (sjed.canonical_family of its jump
+    coordinates in the symmetry's images) gives its isometry V = zhᵀ; the
+    images of set a's family must lie in the span of set pi_c[a]'s, which
+    gives the block X.  The result V X V† + (1 - V V†), independent
     of the basis inside each set, satisfies sum_k U[j, k] J_k = U J_j U†
     and the SJED block-sum property: summing U*[j, k] U(J_j) over j in S_a
     gives J_k for k in S_{pi_c(a)} and zero otherwise.  The tolerance is
@@ -256,25 +251,22 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
     """
     tol = partition.tol
     images = sym.images(rep)
-    blocks = []
-    for s in partition.sets:
-        w, sv, zh = np.linalg.svd(images.jumps[:, list(s.indices)], full_matrices=False)
-        r = int(np.sum(sv ** 2 > tol * max(sv[0] ** 2, 1e-300)))
-        blocks.append((w[:, :r] * sv[:r], zh[:r]))
-    offsets = np.cumsum([0, *(zh.shape[0] for _, zh in blocks)])
+    cols = [list(s.indices) for s in partition.sets]
+    families = [sjed.canonical_family(images.jumps[:, c], tol)[1] for c in cols]
+    offsets = np.cumsum([0, *(len(zh) for zh in families)])
     v = np.zeros((rep.njumps, offsets[-1]), dtype=complex)
     xt = np.zeros((offsets[-1],) * 2, dtype=complex)
-    for a, (s, (_, zh), b) in enumerate(zip(partition.sets, blocks, pi_c)):
-        tgt = blocks[b][0]
-        if zh.shape[0] != tgt.shape[1]:
+    for a, (zh, b) in enumerate(zip(families, pi_c)):
+        if len(zh) != len(families[b]):
             raise CompletionFailed("matched SJEDs have different canonical ranks")
-        src = images.jump_images[:, list(s.indices)] @ dag(zh)
+        tgt = images.jumps[:, cols[b]] @ dag(families[b])
+        src = images.jump_images[:, cols[a]] @ dag(zh)
         x = (src.T @ tgt.conj()) / np.sum(np.abs(tgt) ** 2, axis=0)
         if np.any(np.linalg.norm(src - tgt @ x.T, axis=0)
                   > tol * np.maximum(np.linalg.norm(src, axis=0), 1e-300) * 100):
             raise CompletionFailed(
                 "symmetry does not map canonical jumps onto the matched SJED")
-        v[list(s.indices), offsets[a]:offsets[a + 1]] = zh.T
+        v[cols[a], offsets[a]:offsets[a + 1]] = zh.T
         xt[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = x
     u = v @ xt @ dag(v) + (np.eye(len(v), dtype=complex) - v @ dag(v))
     _verify_completion(u, images.jumps.T, images.jump_images.T, tol)
@@ -337,7 +329,9 @@ def check_condition_II(rep: Representation, sym: SymmetryOperator,
     The sets' composite actions are matched with their images under U by
     sjed.match_sets on the images' jump coordinates, as
     same_unravelled_generator matches two representations' sets; the
-    residual is the largest relative Choi-frame gap of the matched sets.
+    residual is the largest relative Choi-frame gap of the matched sets,
+    and `unitary` the SJED block certificate (blockwise_unitary_completion),
+    or None with the reason it failed.
     """
     images = sym.images(rep)
     if (moved := _hamiltonian_moved(images, tol)) is not None:
@@ -350,8 +344,13 @@ def check_condition_II(rep: Representation, sym: SymmetryOperator,
     if pi is None:
         return ConditionResult(False, hamiltonian_residual=h_resid,
                                reason="SJED actions admit no permuting bijection")
-    return ConditionResult(True, hamiltonian_residual=h_resid,
-                           permutation=pi, residual=resid)
+    u, reason = None, ""
+    try:
+        u = blockwise_unitary_completion(rep, sym, partition, pi)
+    except CompletionFailed as exc:
+        reason = str(exc)
+    return ConditionResult(True, hamiltonian_residual=h_resid, unitary=u,
+                           permutation=pi, residual=resid, reason=reason)
 
 
 def check_condition_III(rep: Representation, sym: SymmetryOperator,
@@ -416,56 +415,46 @@ def lift_II_to_III(rep: Representation, sym: SymmetryOperator,
                    tol: float = DEFAULT_TOL):
     """Canonical-SJED representation whose jumps are permuted by the symmetry.
 
-    The canonical bases are chosen consistently along each pi_c cycle:
-    the reference SJED's canonical family is refined to diagonalize the
-    cycle-closing power of the symmetry, then transported by conjugation.
-    Returns (representation, groups) with groups the jump-index sets of
-    the output corresponding to the input SJEDs.  Raises NotConditionII
-    when the trajectory-level condition fails.
+    Along each pi_c cycle, the first set's canonical family is refined on
+    degenerate weights to diagonalize the cycle-closing map (the product of
+    condition II's certificate blocks in canonical coordinates) and
+    phase-fixed; each later family is the image of the one before, carried
+    as member coefficients through the certificate.  Returns
+    (representation, groups), groups the output's jump indices per input
+    SJED.  Raises NotConditionII when condition II fails and
+    CompletionFailed when its certificate does.
     """
     if partition is None:
         partition = build_sjeds(rep, tol)
     cond = check_condition_II(rep, sym, tol, partition)
     if not cond.holds:
         raise NotConditionII(cond.reason)
-    pi_c = cond.permutation
+    if cond.unitary is None:
+        raise CompletionFailed(cond.reason)
+    u, coords = cond.unitary, sym.images(rep).jumps
 
-    set_jumps: dict = {}
-    for cyc in _cycles(pi_c):
-        a0 = cyc[0]
-        n = len(cyc)
-        s = partition.sets[a0]
-        if s.kind == "proportional":
-            scale = np.sqrt(sum(abs(c) ** 2 for c in s.coefficients))
-            ref = [scale * s.base]
-        else:
-            un = np.linalg.matrix_power(sym.matrix, n)
-            w, vecs = s.modes(tol)
-            # refine degenerate source modes so the cycle-closing
-            # unitary acts diagonally on the canonical sources
-            i = 0
-            while i < len(w):
-                j = i + 1
-                while j < len(w) and abs(w[j] - w[i]) <= 1e-8 * max(w[0], 1.0):
-                    j += 1
-                if j - i > 1:
-                    block = dag(vecs[:, i:j]) @ un @ vecs[:, i:j]
-                    _, vb = linalg.unitary_eigendecomposition(block, 1e-7)
-                    vecs[:, i:j] = vecs[:, i:j] @ vb
-                i = j
-            ref = [np.sqrt(w[i]) * np.outer(s.destination, vecs[:, i].conj())
-                   for i in range(len(w))]
-        set_jumps[a0] = ref
-        prev = ref
-        for a in cyc[1:]:
-            prev = [sym.conjugate(j) for j in prev]
-            set_jumps[a] = prev
-
-    jumps, groups = [], []
-    for a in range(partition.nsets):
-        groups.append(tuple(range(len(jumps), len(jumps) + len(set_jumps[a]))))
-        jumps.extend(set_jumps[a])
-    return Representation(rep.hamiltonian, tuple(jumps)), tuple(groups)
+    families = [None] * partition.nsets
+    for cyc in _cycles(cond.permutation):
+        members = [list(partition.sets[a].indices) for a in cyc]
+        blocks = [u[np.ix_(m, n)] for m, n in zip(members, members[1:] + members[:1])]
+        s, zh = sjed.canonical_family(coords[:, members[0]], partition.tol)
+        closing = np.linalg.multi_dot([zh.conj(), *blocks, zh.T])
+        w, t = s ** 2, np.eye(len(s), dtype=complex)
+        i = 0
+        while i < len(w):    # w descends: a degenerate group is contiguous
+            j = i + int(np.sum(w[i] - w[i:] <= 1e-8 * max(w[0], 1.0)))
+            if j - i > 1:
+                _, vb = linalg.unitary_eigendecomposition(closing[i:j, i:j].T, 1e-7)
+                t[i:j, i:j] = vb.T
+            i = j
+        ref, coeffs = sjed.phase_fixed_family(rep.jumps, members[0], t @ zh.conj())
+        families[cyc[0]] = ref
+        for a, m, block in zip(cyc[1:], members[1:], blocks):
+            coeffs = coeffs @ block
+            families[a] = np.tensordot(coeffs, np.array([rep.jumps[k] for k in m]), axes=1)
+    ends = np.cumsum([0, *map(len, families)])
+    groups = tuple(tuple(range(a, b)) for a, b in zip(ends[:-1], ends[1:]))
+    return Representation(rep.hamiltonian, tuple(j for f in families for j in f)), groups
 
 
 def fourier_symmetrize(rep: Representation, sym: SymmetryOperator,

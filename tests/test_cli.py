@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from weaksym import cli, linalg, models, trajectories
+from weaksym import cli, linalg, models, symmetry, trajectories
 from weaksym.cli import analyze, main, run_check, run_verify_joint
 from weaksym.lindblad import Representation
 from weaksym.modelfile import (
@@ -28,7 +28,8 @@ from weaksym.modelfile import (
     model_to_doc,
     parse_model,
 )
-from weaksym.symmetry import SymmetryOperator
+from weaksym.sjed import partition_from_groups, same_unravelled_generator
+from weaksym.symmetry import SymmetryOperator, check_condition_III, lift_II_to_III
 
 
 # ---------------------------------------------------------------- model files
@@ -766,20 +767,51 @@ def test_report_analyses_once(monkeypatch, capsys):
 
 
 def test_block_completion_built_once_per_symmetry(tmp_path, monkeypatch, capsys):
-    # check and verify-joint share the certificate within one command
+    # condition II owns the certificate, which every part of a command reads
     calls = []
-    original = cli.blockwise_unitary_completion
+    original = symmetry.blockwise_unitary_completion
 
     def counting(rep, sym, *args, **kwargs):
         calls.append(sym)
         return original(rep, sym, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "blockwise_unitary_completion", counting)
+    monkeypatch.setattr(symmetry, "blockwise_unitary_completion", counting)
+    monkeypatch.delenv("WEAKSYM_THREADS", raising=False)
     path = _chain_file(tmp_path)
-    for argv in (["report", path, "--skip-simulation"], ["verify-joint", path]):
+    sample = ["--n", "40", "--horizon", "0.3"]
+    for argv in (["check", path], ["verify-joint", path],
+                 ["report", path, *sample], ["simulate", path, *sample]):
         calls.clear()
         assert main(argv) == 0
         assert 0 < len(calls) == len({id(sym) for sym in calls}) <= 3
+
+
+def test_lift_reads_the_certificate_and_the_images(tmp_path, monkeypatch):
+    # the lift carries coefficients through condition II's block
+    # certificate: no power of U and no conjugation once the images exist
+    model = load_model(_chain_file(tmp_path, 4))
+    partition = partition_from_groups(model.rep, model.sjed_groups)
+    calls = []
+
+    def forbidden(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(name)
+        return record
+
+    for name in ("translation", "combined"):
+        sym = SymmetryOperator.from_matrix(model.symmetries[name])
+        sym.images(model.rep)
+        monkeypatch.setattr(SymmetryOperator, "conjugate", forbidden("conjugate"))
+        monkeypatch.setattr(np.linalg, "matrix_power", forbidden("matrix_power"))
+        out, groups = lift_II_to_III(model.rep, sym, partition)
+        monkeypatch.undo()
+        assert not calls
+        assert check_condition_III(out, sym).holds
+        ok, _, r = same_unravelled_generator(
+            model.rep, out, partition_a=partition,
+            partition_b=partition_from_groups(out, groups))
+        assert ok and r == 0
 
 
 def test_verify_joint_forms_no_d2_qr_after_analyze(tmp_path, monkeypatch):
@@ -818,9 +850,9 @@ def test_verify_joint_reports_a_failed_block_completion(monkeypatch, capsys):
     # coarse relabelling is still certified, the partial step falls back
     # to its scan minimum and the rotating frame to condition I's unitary
     def failing(*args):
-        raise cli.CompletionFailed("forced failure")
+        raise symmetry.CompletionFailed("forced failure")
 
-    monkeypatch.setattr(cli, "blockwise_unitary_completion", failing)
+    monkeypatch.setattr(symmetry, "blockwise_unitary_completion", failing)
     assert main(["verify-joint", "qubit-II"]) == 0
     out = json.loads(capsys.readouterr().out)["symmetries"]
     for entry in out.values():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weaksym import models
 from weaksym.lindblad import (
     NegativeTimeError,
     NotSameMasterOperator,
@@ -165,6 +166,28 @@ def test_derived_operators_are_cached_and_read_only():
         rep.traceless = (hp, ())
     with pytest.raises(AttributeError):
         rep.effective_hamiltonian = hp
+
+
+def test_traceless_jumps_share_memory_and_keep_the_formula():
+    # a jump of trace 0 is a read-only view of itself, and the caller's
+    # array stays writeable; every other one is J - tr(J)/d on the diagonal
+    chain = models.qutrit_chain(3, thetas=np.random.default_rng(7).uniform(
+        0.0, 2 * np.pi, 3))
+    reps = [b().rep for b in models.BUILDERS.values()] + [chain.rep]
+    reps.append(Representation(0.4 * SZ, (SM, np.eye(2, dtype=complex),
+                                          np.diag([1.0, 0.25]) + SM)))
+    for rep in reps:
+        d = rep.dim
+        shift = sum((j * np.conj(np.trace(j)) - dag(j) * np.trace(j)
+                     for j in rep.jumps), np.zeros((d, d), dtype=complex))
+        hp, jumps = rep.traceless
+        assert np.array_equal(hp, rep.hamiltonian + (1j / (2.0 * d)) * shift)
+        for j, t in zip(rep.jumps, jumps, strict=True):
+            assert np.array_equal(t, j - (np.trace(j) / d) * np.eye(d))
+            assert np.shares_memory(t, j) == (np.trace(j) == 0)
+            assert j.flags.writeable and not t.flags.writeable
+    assert any(np.trace(j) == 0 for j in chain.rep.jumps)
+    assert not any(np.trace(j) == 0 for j in reps[-1].jumps[1:])
 
 
 def test_model_matrix_norm_is_capped():

@@ -13,7 +13,6 @@ from weaksym.lindblad import Representation
 from weaksym.linalg import dag, frob
 from weaksym.sjed import (
     build_sjeds,
-    canonical_sets_with_isometries,
     composite_choi,
     partition_from_groups,
     remix_within_sets,
@@ -23,10 +22,12 @@ from weaksym.symmetry import (
     CompletionFailed,
     ConditionResult,
     SymmetryOperator,
-    blockwise_unitary_completion,
+    _cycles,
     build_symmetry_report,
     check_condition_I,
     check_condition_II,
+    check_condition_III,
+    lift_II_to_III,
     transformed_choi,
 )
 
@@ -81,13 +82,6 @@ def test_symmetric_models_keep_the_hierarchy(model):
     assert report.condition_III.holds or remixed
 
 
-def _block_certificate(rep, sym, partition, pi_c):
-    try:
-        return blockwise_unitary_completion(rep, sym, partition, pi_c)
-    except CompletionFailed:
-        return None
-
-
 @given(symmetric_models(), st.integers(0, 2 ** 32 - 1))
 def test_remixing_inside_sjeds_conjugates_the_block_certificate(model, seed):
     # J'_j = sum_k Q[j, k] J_k with Q block-diagonal over the SJEDs keeps
@@ -108,11 +102,34 @@ def test_remixing_inside_sjeds_conjugates_the_block_certificate(model, seed):
     assert (a.holds, a.permutation) == (b.holds, b.permutation)
     assert abs(a.residual - b.residual) <= 1e-12
     if a.holds:
-        u = _block_certificate(rep, sym, partition, a.permutation)
-        v = _block_certificate(remixed, sym, moved, b.permutation)
+        u, v = a.unitary, b.unitary
         assert (u is None) == (v is None)
         if u is not None:
             assert frob(v - q @ u @ dag(q)) <= 1e-10 * frob(u)
+
+
+@given(symmetric_models())
+def test_lift_permutes_the_jumps_along_each_cycle(model):
+    # wherever condition II holds with a block certificate, the lift gives a
+    # condition-III representation of the same unravelled generator whose
+    # families are carried exactly along each pi_c cycle
+    rep, sym, _, split = model
+    partition = partition_from_groups(rep, [[k] for k in range(rep.njumps)]) \
+        if split else build_sjeds(rep)
+    cond = check_condition_II(rep, sym, partition=partition)
+    if cond.unitary is None:
+        return
+    out, groups = lift_II_to_III(rep, sym, partition)
+    assert check_condition_III(out, sym).holds
+    ok, _, r = same_unravelled_generator(
+        rep, out, partition_a=partition, partition_b=partition_from_groups(out, groups))
+    assert ok and r == 0
+    u = sym.matrix
+    for cyc in _cycles(cond.permutation):
+        for a, b in zip(cyc, cyc[1:]):
+            for j, k in zip(groups[a], groups[b], strict=True):
+                image = u @ out.jumps[j] @ dag(u)
+                assert frob(image - out.jumps[k]) <= 1e-10 * frob(out.jumps[k])
 
 
 @given(symmetric_models(), st.data())
@@ -271,8 +288,15 @@ def _oracle_condition_II(rep, sym, tol, partition):
     if pi is None:
         return ConditionResult(False, hamiltonian_residual=h_resid)
     resid = max((cost[b, pi[b]] for b in range(n)), default=0.0)
+    if not rep.jumps:
+        u = np.zeros((0, 0))
+    else:
+        try:
+            u = _oracle_block_unitary(rep, sym, partition, pi, tol)
+        except CompletionFailed:
+            u = None
     return ConditionResult(True, hamiltonian_residual=h_resid, permutation=pi,
-                           residual=resid)
+                           residual=resid, unitary=u)
 
 
 def _oracle_condition_III(rep, sym, tol, phase_tol=1e-8):
@@ -297,8 +321,26 @@ def _oracle_condition_III(rep, sym, tol, phase_tol=1e-8):
                                         for j in range(d)))
 
 
+def _oracle_canonical_sets(partition, tol):
+    """(canonical jumps, isometries, offsets): per set the dense jumps
+    C_i = sum_k Z[k, i] J_k of the Gram eigenvectors Z with eigenvalues
+    above tol times the largest, and the isometry V = conj(Z) with
+    J_k = sum_i V[k, i] C_i."""
+    canon, isoms, offsets = [], [], []
+    for s in partition.sets:
+        members = [partition.jumps[k] for k in s.indices]
+        gram = np.array([[np.vdot(a, b) for b in members] for a in members])
+        w, z = np.linalg.eigh(gram)
+        z = z[:, w > tol * w[-1]]
+        offsets.append(len(canon))
+        canon += [sum(z[k, i] * j for k, j in enumerate(members))
+                  for i in range(z.shape[1])]
+        isoms.append(z.conj())
+    return canon, isoms, offsets
+
+
 def _oracle_block_unitary(rep, sym, partition, pi_c, tol):
-    canon, isoms, offsets = canonical_sets_with_isometries(partition, tol)
+    canon, isoms, offsets = _oracle_canonical_sets(partition, tol)
     n, dd = len(partition.jumps), len(canon)
     v = np.zeros((n, dd), dtype=complex)
     for a, s in enumerate(partition.sets):
@@ -410,10 +452,7 @@ def _assert_matches_oracle(rep, u, tol=1e-9):
     pi_c = report.condition_II.permutation
     if not report.condition_II.holds:
         return
-    try:
-        new = blockwise_unitary_completion(rep, sym, partition, pi_c)
-    except CompletionFailed:
-        new = None
+    new = report.condition_II.unitary
     if not rep.jumps:   # the dense completion failed here; 0 x 0 is right
         assert new.shape == (0, 0)
         return

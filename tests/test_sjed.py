@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from weaksym import linalg, models
-from weaksym.lindblad import Representation, pure_state
+from weaksym.lindblad import Representation, jump_part_choi, pure_state
 from weaksym.linalg import dag, frob, hermitian_eigendecomposition, random_unitary
 from weaksym.sjed import (
     build_sjeds,
+    canonical_family,
     canonical_sjed_representation,
     composite_action,
     composite_choi,
@@ -259,19 +260,40 @@ def test_match_costs_are_dense_choi_gaps(rng):
                 assert abs(cost[b, a] - want) <= 1e-12
 
 
-def test_source_modes_rebuild_the_frame(rng):
+def test_canonical_family_rebuilds_the_frame(rng):
+    # reset sets (built-ins, the pinned chain, random sources) and the
+    # proportional sets of qubit-II and qubit-nonunique
     tol = 1e-9
-    for p in _reset_partitions(rng):
-        for s in p.sets:
-            if s.kind != "reset":
-                continue
-            frame = s.sources @ dag(s.sources)
-            w, vecs = s.modes(tol)
-            assert np.all(np.diff(w) <= 0)
-            assert frob(vecs * w @ dag(vecs) - frame) <= 1e-12 * frob(frame)
-            ev = np.linalg.eigvalsh(frame)
-            assert len(w) == np.sum(ev > tol * ev[-1])
-            # each vector's first non-negligible entry is real positive
-            for v in vecs.T:
+    partitions = _reset_partitions(rng) + [
+        build_sjeds(m.rep) for m in (models.qubit_ii(), models.qubit_nonunique())]
+    for p in partitions:
+        d = p.jumps[0].shape[0]
+        rep = Representation(np.zeros((d, d)), p.jumps)
+        canon = canonical_sjed_representation(rep, p, tol)
+        coords = linalg.coordinates(np.array(p.jumps).reshape(len(p.jumps), d * d))
+        start = 0
+        for a, s in enumerate(p.sets):
+            sv, zh = canonical_family(coords[:, list(s.indices)], tol)
+            family = canon.jumps[start:start + len(sv)]
+            start += len(sv)
+            members = [p.jumps[k] for k in s.indices]
+            gram = np.array([[np.vdot(x, y) for y in members] for x in members])
+            ev = np.linalg.eigvalsh(gram)
+            assert len(family) == np.sum(ev > tol * ev[-1])
+            # orthogonal, with norms the kept singular values
+            cg = np.array([[np.vdot(x, y) for y in family] for x in family])
+            assert frob(cg - np.diag(sv ** 2)) <= 1e-12 * sv[0] ** 2
+            # the composite action (the d = 81 chain's frame is compared in
+            # coordinates; its Choi matrices take 0.7 GB each)
+            both = linalg.coordinates(np.array([*members, *family]).reshape(-1, d * d))
+            gap, fa, _ = linalg.frame_gap(both[:, :len(members)], both[:, len(members):])
+            assert gap <= 1e-12 * fa
+            if d <= 6:
+                choi = composite_choi(p, a)
+                assert frob(jump_part_choi(family) - choi) <= 1e-12 * frob(choi)
+            # each jump's first non-negligible entry, row-major, is real positive
+            for c in family:
+                v = c.reshape(-1)
                 first = v[np.argmax(np.abs(v) > 1e-12 * np.abs(v).max())]
                 assert abs(first.imag) <= 1e-15 and first.real > 0
+        assert start == canon.njumps

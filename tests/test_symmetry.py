@@ -394,6 +394,26 @@ def test_lift_requires_condition_II():
         lift_II_to_III(models.qubit_i().rep, PARITY)
 
 
+def test_lift_refines_degenerate_source_modes():
+    # U rotates two equal-weight sources into each other: only the
+    # eigen-combinations |0><(1 -+ i 2)/sqrt(2)| are permuted up to phases
+    e = np.eye(3)
+    rep = Representation(np.zeros((3, 3)), (np.outer(e[0], e[1]), np.outer(e[0], e[2])))
+    c, s = np.cos(0.3), np.sin(0.3)
+    sym = SymmetryOperator.from_matrix(np.array([[1, 0, 0], [0, c, -s], [0, s, c]]))
+    assert check_condition_II(rep, sym).holds and not check_condition_III(rep, sym).holds
+    out, _ = lift_II_to_III(rep, sym)
+    assert out.njumps == 2 and check_condition_III(out, sym).holds
+    ok, _, r = same_unravelled_generator(rep, out)
+    assert ok and r == 0
+
+
+def test_lift_jump_free_model():
+    rep = Representation(SZ, ())
+    out, groups = lift_II_to_III(rep, PARITY)
+    assert out.njumps == 0 and groups == () and frob(out.hamiltonian - SZ) == 0
+
+
 def test_lift_qutrit_chain():
     m = models.qutrit_chain()
     sym = sym_of(m, "combined")
