@@ -265,8 +265,9 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
             trajectories.export_records(ens, os.path.join(out_dir, "ensemble.jsonl"))
             trajectories.export_count_histogram(
                 ens, rep.njumps, os.path.join(out_dir, "counts.csv"))
+            # json.dump(result, fh) would stream through the Python encoder
             with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-                json.dump(result, fh, indent=2)
+                fh.write(json.dumps(result))
     return result
 
 
@@ -315,7 +316,8 @@ def _writing(path):
 
 
 def _emit(doc, out=None):
-    text = json.dumps(doc, indent=2)
+    # compact: indent=2 would leave json's C encoder for its Python one
+    text = json.dumps(doc)
     if out:
         with _writing(out), open(out, "w") as fh:
             fh.write(text + "\n")

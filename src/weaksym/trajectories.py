@@ -25,6 +25,7 @@ rounds run in numpy for every trajectory at once (_philox_uniforms).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -589,9 +590,11 @@ def ensemble_average(ensemble: TrajectoryEnsemble, t: float,
     mean = mats.mean(axis=0).reshape(d, d)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, np.full(n, 1.0 / n), size=n_bootstrap)
-    boots = (counts @ mats) / n
-    err = boots.std(axis=0, ddof=1).reshape(d, d)
-    return mean, np.abs(err)
+    # resample the real and imaginary parts in one real GEMM; an entry's
+    # complex standard error is sqrt(var_re + var_im)
+    boots = (counts.astype(float) @ mats.view(float)) / n
+    var = boots.var(axis=0, ddof=1).reshape(d, d, 2).sum(axis=2)
+    return mean, np.sqrt(var)
 
 
 def _merge_bins(table_a: dict, table_b: dict, n_a: int, n_b: int,
@@ -630,39 +633,44 @@ def two_sample_chi2(table_a: dict, table_b: dict, min_expected: float = 5.0):
     return float(special.chdtrc(dof, chi2)), chi2, dof
 
 
-def _histogram(keys) -> dict:
+def _histogram(rows) -> dict:
+    """Occurrences of each row of a 2-D int table, keyed by tuples of
+    Python ints."""
     out: dict = {}
-    for k in keys:
+    for k in map(tuple, np.asarray(rows).tolist()):
         out[k] = out.get(k, 0) + 1
     return out
 
 
-def _bloch_key(vecs: np.ndarray, nbins: int = 6):
-    x = 2 * (vecs[:, 0].conj() * vecs[:, 1]).real
-    y = 2 * (vecs[:, 0].conj() * vecs[:, 1]).imag
-    z = (np.abs(vecs[:, 0]) ** 2 - np.abs(vecs[:, 1]) ** 2)
-    def digit(c):
-        return np.clip(((c + 1.0) / 2.0 * nbins).astype(int), 0, nbins - 1)
-    return list(zip(digit(x), digit(y), digit(z)))
-
-
-def _state_keys(vecs: np.ndarray, nbins: int = 6):
-    n, d = vecs.shape
-    if d == 2:
-        return _bloch_key(vecs, nbins)
-    pops = np.abs(vecs) ** 2
+@functools.lru_cache(maxsize=4)
+def _key_observables(d: int) -> tuple:
+    """Two random Hermitian observables side by side, (d, 2d), and the
+    scale max(||o||_F, 1) of each; the same draws on every call."""
     rng = np.random.default_rng(777)
     obs = []
     for _ in range(2):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         obs.append((a + a.conj().T) / 2)
-    extra = [np.einsum("ia,ab,ib->i", vecs.conj(), o, vecs).real / max(frob(o), 1.0)
-             for o in obs]
-    cols = [np.clip((pops[:, k] * nbins).astype(int), 0, nbins - 1)
-            for k in range(d)]
-    cols += [np.clip(((e + 1.0) / 2.0 * nbins).astype(int), 0, nbins - 1)
-             for e in extra]
-    return list(zip(*cols))
+    both = np.hstack(obs)
+    scale = np.array([max(frob(o), 1.0) for o in obs])
+    both.flags.writeable = scale.flags.writeable = False
+    return both, scale
+
+
+def _state_keys(vecs: np.ndarray, nbins: int = 6) -> np.ndarray:
+    """(n, cols) bin digits of each state: its Bloch vector for d = 2, else
+    its d populations and the expectations of two random observables."""
+    n, d = vecs.shape
+    if d == 2:
+        overlap = vecs[:, 0].conj() * vecs[:, 1]
+        bloch = np.stack([2 * overlap.real, 2 * overlap.imag,
+                          np.abs(vecs[:, 0]) ** 2 - np.abs(vecs[:, 1]) ** 2], axis=1)
+        unit = (bloch + 1.0) / 2.0
+    else:
+        obs, scale = _key_observables(d)
+        extra = ((vecs.conj() @ obs).reshape(n, 2, d) * vecs[:, None, :]).sum(axis=2)
+        unit = np.hstack([np.abs(vecs) ** 2, (extra.real / scale + 1.0) / 2.0])
+    return np.clip((unit * nbins).astype(int), 0, nbins - 1)
 
 
 def ensemble_symmetry_test(rep: Representation, sym, level: str,
@@ -706,15 +714,13 @@ def ensemble_symmetry_test(rep: Representation, sym, level: str,
         raise ValueError(f"unknown level {level!r}")
 
     keys_a = _state_keys(va, nbins=4)
-    keys_b = _state_keys(vb, nbins=4)
-    hb = _histogram([key + tuple(row) for key, row in zip(keys_b, counts_b)])
+    hb = _histogram(np.hstack([_state_keys(vb, nbins=4), counts_b]))
 
     def p_for(perm):
         # records map label j -> perm[j], so the mapped count at k is the
         # original count at the preimage of k
         inv = np.argsort(np.asarray(perm))
-        mapped = counts_a[:, inv]
-        ha = _histogram([key + tuple(row) for key, row in zip(keys_a, mapped)])
+        ha = _histogram(np.hstack([keys_a, counts_a[:, inv]]))
         return two_sample_chi2(ha, hb)[0]
 
     if permutation == "best":
@@ -734,23 +740,24 @@ def export_records(ensemble: TrajectoryEnsemble, path) -> None:
     """Line-delimited export: one record per line with the final state."""
     import json
 
-    tfinal = max(ensemble.states) if ensemble.states else None
+    finals = None
+    if ensemble.states:
+        v = ensemble.states[max(ensemble.states)]
+        finals = np.stack([v.real, v.imag], -1).tolist()
     with open(path, "w") as fh:
         for i, rec in enumerate(ensemble.records):
             entry = {
                 "trajId": i,
                 "events": [[t, int(j)] for t, j in rec],
             }
-            if tfinal is not None:
-                v = ensemble.states[tfinal][i]
-                entry["finalState"] = [[float(c.real), float(c.imag)] for c in v]
+            if finals is not None:
+                entry["finalState"] = finals[i]
             fh.write(json.dumps(entry) + "\n")
 
 
 def export_count_histogram(ensemble: TrajectoryEnsemble, nlabels: int, path) -> None:
     """CSV histogram of final count vectors."""
-    counts = ensemble.count_vectors(nlabels)
-    hist = _histogram([tuple(row) for row in counts])
+    hist = _histogram(ensemble.count_vectors(nlabels))
     with open(path, "w") as fh:
         fh.write(",".join(f"n{j + 1}" for j in range(nlabels)) + ",occurrences\n")
         for key in sorted(hist):

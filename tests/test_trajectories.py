@@ -1,5 +1,6 @@
 import json
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from weaksym.lindblad import (
 )
 from weaksym.linalg import dag, frob, matrix_exponential
 from weaksym.sjed import build_sjeds
-from weaksym.symmetry import SymmetryOperator, check_condition_III
+from weaksym.symmetry import SymmetryOperator, check_condition_II, check_condition_III
 from weaksym.trajectories import (
     TIME_TOL_FACTOR,
     MeasurementRecord,
@@ -41,6 +42,8 @@ from weaksym.trajectories import (
     _jump,
     _MomentPropagator,
     _philox_uniforms,
+    _histogram,
+    _state_keys,
     _Streams,
 )
 
@@ -543,6 +546,113 @@ def test_ensemble_average_matches_master_evolution():
         assert np.all(np.abs(mean - exact) <= 3 * err + 1e-12)
 
 
+def _complex_std_average(ensemble, t, n_bootstrap=200, seed=1):
+    """ensemble_average's reference form: the int64-by-complex bootstrap
+    product and the complex standard deviation of its entries."""
+    vecs = ensemble.states[float(t)]
+    n, d = vecs.shape
+    mats = np.einsum("ia,ib->iab", vecs, vecs.conj()).reshape(n, d * d)
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=n_bootstrap)
+    boots = (counts @ mats) / n
+    return (mats.mean(axis=0).reshape(d, d),
+            np.abs(boots.std(axis=0, ddof=1).reshape(d, d)))
+
+
+def _seeded_case(name):
+    """(rep, psi0, horizon, symmetries) of a d = 2 or d = 27 model."""
+    if name == "qubit-weak":
+        m, psi0 = models.qubit_weak(), PLUS
+    else:
+        m = models.qutrit_chain(
+            3, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, 3))
+        psi0 = pure_state(np.ones(27))
+    syms = {k: SymmetryOperator.from_matrix(u) for k, u in m.symmetries.items()}
+    return m.rep, psi0, 1.0, syms
+
+
+@pytest.mark.parametrize("name, n", [("qubit-weak", 2000), ("qutrit-chain-3", 300)])
+@pytest.mark.parametrize("seed", [1, 5])
+def test_ensemble_average_matches_complex_std_oracle(name, n, seed):
+    rep, psi0, horizon, _ = _seeded_case(name)
+    ens = sample_ensemble(rep, psi0, horizon, n, seed=seed,
+                          checkpoint_times=(horizon,))
+    mean, err = ensemble_average(ens, horizon, seed=seed)
+    want_mean, want_err = _complex_std_average(ens, horizon, seed=seed)
+    assert np.array_equal(mean, want_mean)
+    # the real GEMM sums in another order: rounding level, relative to the
+    # largest entry
+    assert np.max(np.abs(err - want_err)) <= 1e-15 * np.max(want_err)
+
+
+def _einsum_state_keys(vecs, nbins=6):
+    """_state_keys' reference form: per-column digits zipped into tuples,
+    with the two observables' expectations from an unoptimised einsum."""
+    def digit(c):
+        return np.clip(((c + 1.0) / 2.0 * nbins).astype(int), 0, nbins - 1)
+
+    n, d = vecs.shape
+    if d == 2:
+        x = 2 * (vecs[:, 0].conj() * vecs[:, 1]).real
+        y = 2 * (vecs[:, 0].conj() * vecs[:, 1]).imag
+        z = np.abs(vecs[:, 0]) ** 2 - np.abs(vecs[:, 1]) ** 2
+        return list(zip(digit(x), digit(y), digit(z)))
+    pops = np.abs(vecs) ** 2
+    rng = np.random.default_rng(777)
+    obs = []
+    for _ in range(2):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        obs.append((a + a.conj().T) / 2)
+    extra = [np.einsum("ia,ab,ib->i", vecs.conj(), o, vecs).real / max(frob(o), 1.0)
+             for o in obs]
+    cols = [np.clip((pops[:, k] * nbins).astype(int), 0, nbins - 1)
+            for k in range(d)]
+    return list(zip(*cols, *(digit(e) for e in extra)))
+
+
+def _oracle_symmetry_p(rep, sym, level, a, b, perm):
+    """ensemble_symmetry_test's p-value from the reference keys, tallied
+    as key + count-row tuples by a Counter."""
+    va = a.states[a.horizon] @ sym.matrix.T
+    vb = b.states[b.horizon]
+    if level == "unlabelled":
+        return two_sample_chi2(Counter(_einsum_state_keys(va)),
+                               Counter(_einsum_state_keys(vb)))[0]
+    if level == "full":
+        counts_a, counts_b = a.count_vectors(rep.njumps), b.count_vectors(rep.njumps)
+    else:
+        partition = build_sjeds(rep)
+        counts_a = a.coarse_count_vectors(partition)
+        counts_b = b.coarse_count_vectors(partition)
+    mapped = counts_a[:, np.argsort(np.asarray(perm))]
+    ha = Counter(k + tuple(row) for k, row in zip(_einsum_state_keys(va, 4), mapped))
+    hb = Counter(k + tuple(row) for k, row in zip(_einsum_state_keys(vb, 4), counts_b))
+    return two_sample_chi2(ha, hb)[0]
+
+
+@pytest.mark.parametrize("name, n", [("qubit-weak", 2000), ("qutrit-chain-3", 300)])
+def test_state_keys_match_einsum_oracle(name, n):
+    rep, psi0, horizon, syms = _seeded_case(name)
+    for sym_name, sym in syms.items():
+        a, b = symmetry_ensembles(rep, sym, psi0, horizon, n, seed=11)
+        for vecs in (a.states[horizon], b.states[horizon] @ sym.matrix.T):
+            for nbins in (4, 6):
+                keys = _state_keys(vecs, nbins)
+                assert keys.shape == (n, 3 if rep.dim == 2 else rep.dim + 2)
+                assert list(map(tuple, keys.tolist())) == \
+                    _einsum_state_keys(vecs, nbins)
+        # the permutations `simulate` passes: the condition's when it holds
+        full, coarse = check_condition_III(rep, sym), check_condition_II(rep, sym)
+        perms = {"full": full.permutation if full.holds else tuple(range(rep.njumps)),
+                 "coarse": coarse.permutation if coarse.holds
+                 else tuple(range(build_sjeds(rep).nsets)),
+                 "unlabelled": None}
+        for level, perm in perms.items():
+            pval, _ = ensemble_symmetry_test(rep, sym, level, a, b, permutation=perm)
+            want = _oracle_symmetry_p(rep, sym, level, a, b, perm)
+            assert repr(pval) == repr(want), (sym_name, level)
+
+
 # ---------------------------------------------------------------- symmetry tests
 
 def test_symmetry_test_full_level_weak_model():
@@ -599,7 +709,6 @@ def test_transformed_representation_generates_transformed_paths():
     n, horizon = 8000, 1.0
     ens_a = sample_ensemble(m.rep, PLUS, horizon, n, seed=31)
     ens_b = sample_ensemble(rep_t, sym.conjugate(PLUS), horizon, n, seed=32)
-    from weaksym.trajectories import _histogram
     ha = _histogram([tuple(row) for row in ens_a.count_vectors(3)])
     hb = _histogram([tuple(row) for row in ens_b.count_vectors(3)])
     pval, _, _ = two_sample_chi2(ha, hb)

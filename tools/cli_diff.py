@@ -10,7 +10,9 @@ of peak RSS with one BLAS thread on a 2-core x86-64 VM), ``verify-joint``
 on the same built-ins and on the seeded L=3, L=4 and L=5 chains,
 ``simulate`` (with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
-three levels, ``simulate --threads 2`` on qubit-III and the L=3 chain, and
+three levels, ``simulate --level full --n 20000`` on qubit-III (the
+export path at scale), ``simulate --threads 2`` on qubit-III and the L=3
+chain, and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
 ``verify-joint`` and ``simulate`` share one analysis), once with each tree
 on PYTHONPATH.
@@ -56,6 +58,8 @@ def cases(chain4, chain3, chain5, chain6, own):
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
+    # the export path at scale
+    out += [["simulate", "qubit-III", "--level", "full", "--n", "20000"]]
     # two pool workers: the second chunk's streams start at first_index > 0
     out += [["simulate", m, "--level", "full", "--n", "300", "--seed", "7",
              "--threads", "2"] for m in ("qubit-III", chain3)]
