@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lindblad import Representation, apply_master_operator
+from .lindblad import Representation, apply_master_operator, generator_matrix
 from .linalg import DEFAULT_TOL, ShapeError, dag, frob
 from .sjed import SjedPartition
 from .symmetry import (
@@ -65,8 +65,8 @@ class JointSuperStep:
     "coarse"): the coefficient of dt is the superoperator (row stacking)
     D + K with D = A x 1 + 1 x A*, A = -i H_eff x 1, H_eff the
     system_hamiltonian, and K = sum_g k_g x k_g*, the joint jumps
-    k_g = sum_{j: groups[j] = g} J_j x b_{modes[j]}.  Joint operators are
-    built only on request."""
+    k_g = sum_{j: groups[j] = g} J_j x b_{modes[j]} (generator_matrix(A, k_g)).
+    Joint operators are built only on request."""
 
     kind: str
     system_hamiltonian: np.ndarray
@@ -104,15 +104,11 @@ class JointSuperStep:
     def generator(self) -> np.ndarray:
         if self.kind == "unitary":
             raise ValueError("unitary steps have no generator matrix")
-        a = -1j * self.ham_dt
-        joint_eye = np.eye(self.joint_dim, dtype=complex)
-        out = np.kron(a, joint_eye) + np.kron(joint_eye, a.conj())
         bin_ = TimeBin(self.bin_dim - 1)
-        for g in sorted(set(self.groups)):
-            k = sum(np.kron(jm, bin_.creation(m)) for jm, m, h in
-                    zip(self.jumps, self.modes, self.groups) if h == g)
-            out += np.kron(k, k.conj())
-        return out
+        k = [sum(np.kron(jm, bin_.creation(m)) for jm, m, h in
+                 zip(self.jumps, self.modes, self.groups) if h == g)
+             for g in sorted(set(self.groups))]
+        return generator_matrix(-1j * self.ham_dt, k)
 
     def apply(self, joint_state: np.ndarray, dt: float) -> np.ndarray:
         """Propagate a joint density matrix through one bin of length dt."""

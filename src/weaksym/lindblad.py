@@ -2,10 +2,11 @@
 
 A Representation is a Hamiltonian plus an ordered list of jump operators;
 different representations can generate the same master operator.  This
-module provides the Liouville and Choi matrices (row-stacking convention
-throughout: vec(A rho B) = (A kron B^T) vec(rho)), the traceless form,
-time evolution, and the machinery relating two representations of one
-master operator.
+module provides the Liouville and Choi matrices, the traceless form, time
+evolution, and the machinery relating two representations of one master
+operator.  It is the only module that forms superoperator matrices (row
+stacking, vec(A rho B) = (A x B^T) vec(rho)): generator_matrix builds them
+and change_superoperator_basis rotates them, with no Kronecker product.
 """
 
 from __future__ import annotations
@@ -167,6 +168,31 @@ def apply_adjoint_master_operator(rep: Representation, f) -> np.ndarray:
     return out
 
 
+def generator_matrix(g, jumps=()) -> np.ndarray:
+    """G x 1 + 1 x G* + sum_m J_m x J_m*, the matrix of rho -> G rho + rho G†
+    + sum_m J_m rho J_m†: the reshuffled Choi GEMM of the row-stacked jumps,
+    with G added on two diagonal views of its (d, d, d, d) view."""
+    g = np.asarray(g, dtype=complex)
+    d = g.shape[0]
+    vecs = np.asarray(jumps, dtype=complex).reshape(-1, d * d)
+    out = liouville_to_choi(vecs.T @ vecs.conj())   # a fresh C-ordered array
+    blocks = out.reshape(d, d, d, d)
+    np.einsum("ijkj->ikj", blocks)[...] += g[:, :, None]
+    np.einsum("ijil->jli", blocks)[...] += g.conj()[:, :, None]
+    return out
+
+
+def change_superoperator_basis(superop, v) -> np.ndarray:
+    """(V x V*)† S (V x V*) for a row-stacking superoperator matrix S,
+    contracted one index of its (d, d, d, d) view at a time."""
+    v = np.asarray(v, dtype=complex)
+    d = v.shape[0]
+    t = np.asarray(superop, dtype=complex).reshape(d, d, d, d)
+    for m in (v.conj(), v, v, v.conj()):
+        t = np.tensordot(t, m, axes=(0, 0))
+    return t.reshape(d * d, d * d)
+
+
 def liouville_matrix(op, dim: int | None = None) -> np.ndarray:
     """Liouville (row-stacking) matrix of a superoperator.
 
@@ -174,24 +200,11 @@ def liouville_matrix(op, dim: int | None = None) -> np.ndarray:
     callable rho -> superoperator(rho), in which case `dim` is required.
     """
     if isinstance(op, Representation):
-        d = op.dim
-        h = op.hamiltonian
-        eye = np.eye(d, dtype=complex)
-        lam = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for j in op.jumps:
-            jdj = dag(j) @ j
-            lam += np.kron(j, j.conj())
-            lam -= 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
-        return lam
+        return generator_matrix(-1j * op.effective_hamiltonian, op.jumps)
     if dim is None:
         raise ValueError("dim is required for a callback superoperator")
-    lam = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(dim):
-        for l in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[k, l] = 1.0
-            lam[:, k * dim + l] = np.asarray(op(e), dtype=complex).reshape(-1)
-    return lam
+    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+    return np.array([np.asarray(op(e), dtype=complex).reshape(-1) for e in units]).T
 
 
 def liouville_to_choi(lam: np.ndarray) -> np.ndarray:
@@ -210,9 +223,9 @@ def choi_matrix(op, dim: int | None = None) -> np.ndarray:
 
 
 def jump_part_choi(jumps) -> np.ndarray:
-    """Choi matrix of rho -> sum_j J_j rho J_j† (positive semidefinite)."""
-    jumps = [np.asarray(j, dtype=complex) for j in jumps]
-    return liouville_to_choi(sum(np.kron(j, j.conj()) for j in jumps))
+    """Choi matrix of rho -> sum_j J_j rho J_j†, sum_j vec(J_j) vec(J_j)† (PSD)."""
+    vecs = np.asarray(jumps, dtype=complex).reshape(len(jumps), -1)
+    return vecs.T @ vecs.conj()
 
 
 def traceless_representation(rep: Representation) -> Representation:
@@ -300,8 +313,10 @@ __all__ = [
     "Representation",
     "apply_master_operator",
     "apply_adjoint_master_operator",
+    "change_superoperator_basis",
     "choi_matrix",
     "evolve_density",
+    "generator_matrix",
     "jump_part_choi",
     "liouville_matrix",
     "liouville_to_choi",

@@ -29,6 +29,7 @@ from .lindblad import (
     Representation,
     apply_adjoint_master_operator,
     apply_master_operator,
+    change_superoperator_basis,
 )
 from .linalg import DEFAULT_TOL, dag, frob
 from .sjed import SjedPartition, build_sjeds, composite_choi, match_sets
@@ -123,10 +124,6 @@ class SymmetryOperator:
         if not self._images or self._images[0] is not rep:
             self._images[:] = [rep, SymmetryImages(rep, self)]
         return self._images[1]
-
-    def liouville(self) -> np.ndarray:
-        """Row-stacking matrix of the conjugation superoperator: U kron U*."""
-        return np.kron(self.matrix, self.matrix.conj())
 
 
 class SymmetryImages:
@@ -307,9 +304,8 @@ def check_condition_I(rep: Representation, sym: SymmetryOperator,
 
 
 def transformed_choi(sym: SymmetryOperator, choi: np.ndarray) -> np.ndarray:
-    """Choi matrix of the symmetry-conjugated superoperator."""
-    w = sym.liouville()
-    return w @ choi @ dag(w)
+    """Choi matrix of the symmetry-conjugated superoperator (basis U†)."""
+    return change_superoperator_basis(choi, dag(sym.matrix))
 
 
 def _hamiltonian_moved(images: SymmetryImages, tol: float) -> ConditionResult | None:
@@ -498,18 +494,15 @@ def wave_operators(partition: SjedPartition, pi_c, tol: float = DEFAULT_TOL):
     """Choi matrices of the Fourier transforms of the composite actions.
 
     pi_c must be a single cycle; wave k satisfies the eigen-relation
-    (U kron U*) C (U kron U*)† = exp(2 pi i k / d_c) C.
+    transformed_choi(sym, C) = exp(2 pi i k / d_c) C.
     """
     d_c = partition.nsets
     cycles = _cycles(pi_c)
     if len(cycles) != 1:
         raise NotSingleCycle(f"permutation has {len(cycles)} cycles")
     chois = [composite_choi(partition, a) for a in cycles[0]]
-    waves = []
-    for k in range(d_c):
-        waves.append(sum(np.exp(-2j * np.pi * k * j / d_c) * chois[j]
-                         for j in range(d_c)))
-    return waves
+    return [sum(np.exp(-2j * np.pi * k * j / d_c) * chois[j] for j in range(d_c))
+            for k in range(d_c)]
 
 
 def block_support(superop: np.ndarray, sym: SymmetryOperator,
@@ -520,21 +513,15 @@ def block_support(superop: np.ndarray, sym: SymmetryOperator,
     indices (i, j) carry the eigenphase difference delta = phi_i - phi_j,
     and entries are classed by Delta = delta_row - delta_col (mod 2 pi).
     """
-    superop = np.asarray(superop, dtype=complex)
     d = sym.dim
-    if superop.shape != (d * d, d * d):
+    if np.shape(superop) != (d * d, d * d):
         raise linalg.ShapeError("superoperator dimension mismatch")
-    w = np.kron(sym.eigenbasis, sym.eigenbasis.conj())
-    t = dag(w) @ superop @ w
+    t = change_superoperator_basis(superop, sym.eigenbasis)
     deltas = np.subtract.outer(sym.phases, sym.phases).reshape(-1)
     classes = np.mod(np.subtract.outer(deltas, deltas), 2 * np.pi)
     classes[np.abs(classes - 2 * np.pi) < 1e-9] = 0.0
-    out: dict = {}
     keys = np.round(classes, 8)
-    for key in np.unique(keys):
-        mask = keys == key
-        out[float(key)] = float(np.linalg.norm(t[mask]))
-    return out
+    return {float(key): float(np.linalg.norm(t[keys == key])) for key in np.unique(keys)}
 
 
 def off_block_mass(superop: np.ndarray, sym: SymmetryOperator) -> float:

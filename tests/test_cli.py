@@ -814,6 +814,22 @@ def test_lift_reads_the_certificate_and_the_images(tmp_path, monkeypatch):
         assert ok and r == 0
 
 
+def test_check_and_simulate_form_no_kronecker_product(monkeypatch):
+    # superoperator matrices come from lindblad's builder on (d, d, d, d)
+    # views; the two-qubit models build their operators with np.kron, so
+    # every analysis is made before np.kron is refused
+    analyses = {name: analyze(models.get_model(name)) for name in models.BUILDERS}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refused)
+    for analysis in analyses.values():
+        run_check(analysis)
+    doc = cli.run_simulate(analyses["qubit-III"], "full", 50, 1.0, 7, 0.01, None)
+    assert "master_solution" in doc["ensemble_average"]
+
+
 def test_verify_joint_forms_no_d2_qr_after_analyze(tmp_path, monkeypatch):
     # the checks factor one d^2-sized QR per symmetry; every joint residual
     # reads its coordinates, and the other QRs are of k_g coordinates only

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from weaksym import models
+from weaksym import linalg, models
 from weaksym.lindblad import (
     NegativeTimeError,
     NotSameMasterOperator,
     Representation,
     apply_adjoint_master_operator,
     apply_master_operator,
+    change_superoperator_basis,
     choi_matrix,
     evolve_density,
+    generator_matrix,
     jump_part_choi,
     liouville_matrix,
     liouville_to_choi,
@@ -121,6 +124,78 @@ def test_jump_part_choi_psd(rng):
     c = jump_part_choi(jumps)
     w, _ = hermitian_eigendecomposition(c)
     assert np.min(w) > -1e-10
+
+
+# ------------------------------------------- Kronecker oracles of the builders
+
+def _kron_liouville(rep):
+    """The Liouville matrix as Kronecker products, term by term."""
+    d = rep.dim
+    h = rep.hamiltonian
+    eye = np.eye(d, dtype=complex)
+    lam = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for j in rep.jumps:
+        jdj = dag(j) @ j
+        lam += np.kron(j, j.conj())
+        lam -= 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
+    return lam
+
+
+def _kron_generator(g, jumps):
+    """G x 1 + 1 x G* + sum_m J_m x J_m*."""
+    eye = np.eye(len(g), dtype=complex)
+    return np.kron(g, eye) + np.kron(eye, g.conj()) + sum(
+        (np.kron(j, j.conj()) for j in jumps), np.zeros((len(g) ** 2,) * 2))
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _terms_scale(g, jumps):
+    """A bound on the Frobenius norms of the generator's Kronecker terms,
+    the scale of its rounding (at d = 1 the Liouvillian is exactly 0)."""
+    return 2 * np.sqrt(len(g)) * frob(g) + sum(frob(j) ** 2 for j in jumps)
+
+
+@given(dim=st.integers(1, 4), njumps=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_liouville_matrix_matches_kronecker_formula(dim, njumps, seed):
+    rng = np.random.default_rng(seed)
+    h = _gaussian(rng, dim, dim)
+    rep = Representation(h + dag(h), [_gaussian(rng, dim, dim) for _ in range(njumps)])
+    scale = _terms_scale(rep.effective_hamiltonian, rep.jumps)
+    assert frob(liouville_matrix(rep) - _kron_liouville(rep)) <= 1e-14 * scale
+
+
+@given(dim=st.integers(1, 4), njumps=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generator_matrix_matches_kronecker_formula(dim, njumps, seed):
+    # G is not anti-Hermitian here, as -i H_eff x 1 in the joint generator
+    rng = np.random.default_rng(seed)
+    g = _gaussian(rng, dim, dim)
+    jumps = [_gaussian(rng, dim, dim) for _ in range(njumps)]
+    scale = _terms_scale(g, jumps)
+    assert frob(generator_matrix(g, jumps) - _kron_generator(g, jumps)) <= 1e-14 * scale
+
+
+@given(dim=st.integers(1, 4), unitary=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_superoperator_basis_change_matches_explicit_product(dim, unitary, seed):
+    rng = np.random.default_rng(seed)
+    s = _gaussian(rng, dim * dim, dim * dim)
+    v = linalg.random_unitary(rng, dim) if unitary else _gaussian(rng, dim, dim)
+    w = np.kron(v, v.conj())
+    ref = dag(w) @ s @ w
+    assert frob(change_superoperator_basis(s, v) - ref) <= 1e-14 * frob(ref)
+
+
+@given(dim=st.integers(1, 4), njumps=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_jump_part_choi_matches_reshuffled_kronecker_sum(dim, njumps, seed):
+    rng = np.random.default_rng(seed)
+    jumps = [_gaussian(rng, dim, dim) for _ in range(njumps)]
+    ref = liouville_to_choi(sum(np.kron(j, j.conj()) for j in jumps))
+    assert frob(jump_part_choi(jumps) - ref) <= 1e-14 * frob(ref)
 
 
 def test_traceless_noop_for_traceless_jumps():

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, sjed
-from weaksym.lindblad import Representation
+from weaksym.lindblad import Representation, liouville_matrix
 from weaksym.linalg import dag, frob
 from weaksym.sjed import (
     build_sjeds,
@@ -28,6 +28,7 @@ from weaksym.symmetry import (
     check_condition_II,
     check_condition_III,
     lift_II_to_III,
+    off_block_mass,
     transformed_choi,
 )
 
@@ -549,6 +550,57 @@ def test_condition_II_is_generator_equality_on_symmetric_models(model):
 def test_condition_II_is_generator_equality_on_random_models(model):
     rep, u = model
     _assert_condition_II_is_generator_equality(rep, SymmetryOperator.from_matrix(u))
+
+
+# ------------------------------------- off-block mass against condition I
+
+@st.composite
+def weak_symmetry_models(draw):
+    """(representation, symmetry, kind).  "symmetric": U has irrational
+    eigenphases sqrt(2) k (order None; degenerate where the k repeat), H
+    commutes with U (not a multiple of 1), and the jumps are a unitary mix of eigenoperators of
+    the conjugation, so that their images are a unitary mix of the jumps.
+    "moved": such a model with H or one jump shifted by a random matrix of
+    norm 1e-3 to 1.  "random": Haar U, H and jumps unconstrained."""
+    kind = draw(st.sampled_from(["symmetric", "moved", "random"]))
+    dim = draw(st.integers(2, 4))
+    njumps = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v = linalg.random_unitary(rng, dim)
+    if kind == "random":
+        h = gaussian(dim, dim)
+        jumps = [gaussian(dim, dim) for _ in range(njumps)]
+        return Representation(h + dag(h), jumps), SymmetryOperator.from_matrix(v), kind
+    steps = rng.permutation(np.r_[0, 1, rng.integers(0, 3, dim - 2)])
+    u = v @ np.diag(np.exp(np.sqrt(2.0) * 1j * steps)) @ dag(v)
+    h = gaussian(dim, dim) * np.equal.outer(steps, steps)
+    h = v @ (h + dag(h)) @ dag(v)
+    eigen = []
+    for _ in range(njumps):
+        a, b = rng.choice(steps, 2)
+        mask = np.outer(steps == a, steps == b)
+        eigen.append(v @ (gaussian(dim, dim) * mask) @ dag(v))
+    jumps = list(np.einsum("mk,kab->mab", linalg.random_unitary(rng, njumps),
+                           np.reshape(eigen, (njumps, dim, dim))))
+    if kind == "moved":
+        shift = gaussian(dim, dim) * 10.0 ** rng.uniform(-3, 0)
+        if jumps and rng.random() < 0.5:
+            jumps[0] = jumps[0] + shift
+        else:
+            h = h + shift + dag(shift)
+    return Representation(h, jumps), SymmetryOperator.from_matrix(u), kind
+
+
+@given(weak_symmetry_models())
+def test_off_block_mass_vanishes_exactly_when_condition_I_holds(model):
+    rep, sym, kind = model
+    holds = check_condition_I(rep, sym).holds
+    assert (off_block_mass(liouville_matrix(rep), sym) <= 1e-10) == holds
+    assert holds == (kind == "symmetric")
 
 
 # ------------------------------------- support-column images, dense oracle

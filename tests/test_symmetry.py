@@ -2,8 +2,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from weaksym import models
+from weaksym import linalg, models
 from weaksym.lindblad import (
     Representation,
     apply_master_operator,
@@ -521,9 +522,54 @@ def test_block_support_liouville_condition_I():
 
 def test_block_support_of_symmetry_itself():
     sym = sym_of(models.qubit_weak())
-    support = block_support(sym.liouville(), sym)
+    support = block_support(liouville_matrix(sym.conjugate, dim=sym.dim), sym)
     off = sum(v for k, v in support.items() if abs(k) > 1e-7)
     assert off < 1e-12
+
+
+def _kron_block_support(superop, sym):
+    """block_support through W = V x V* and two d^2 x d^2 products."""
+    w = np.kron(sym.eigenbasis, sym.eigenbasis.conj())
+    t = dag(w) @ superop @ w
+    deltas = np.subtract.outer(sym.phases, sym.phases).reshape(-1)
+    classes = np.mod(np.subtract.outer(deltas, deltas), 2 * np.pi)
+    classes[np.abs(classes - 2 * np.pi) < 1e-9] = 0.0
+    out = {}
+    keys = np.round(classes, 8)
+    for key in np.unique(keys):
+        out[float(key)] = float(np.linalg.norm(t[keys == key]))
+    return out
+
+
+def _assert_same_support(superop, sym):
+    new, ref = block_support(superop, sym), _kron_block_support(superop, sym)
+    assert list(new) == list(ref)
+    for key, mass in ref.items():
+        assert abs(new[key] - mass) <= 1e-14 * frob(superop)
+
+
+@pytest.mark.parametrize("name", [n for n in models.BUILDERS if n != "qutrit-chain"])
+def test_block_support_matches_kronecker_path_on_builtins(name):
+    m = models.get_model(name)
+    lam = liouville_matrix(m.rep)
+    for matrix in m.symmetries.values():
+        _assert_same_support(lam, SymmetryOperator.from_matrix(matrix))
+
+
+@given(dim=st.integers(1, 4), order=st.sampled_from([None, 1, 2, 3, 5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_support_matches_kronecker_path_on_random_unitaries(dim, order, seed):
+    # order None draws irrational phases, which no power of U makes scalar
+    rng = np.random.default_rng(seed)
+    v = linalg.random_unitary(rng, dim)
+    steps = rng.integers(0, 5 if order is None else order, dim)
+    phases = np.sqrt(2.0) * steps if order is None else 2 * np.pi * steps / order
+    sym = SymmetryOperator.from_matrix(v @ np.diag(np.exp(1j * phases)) @ dag(v))
+    if order is None and len(set(steps)) > 1:
+        assert sym.order is None
+    superop = (rng.standard_normal((dim * dim,) * 2)
+               + 1j * rng.standard_normal((dim * dim,) * 2))
+    _assert_same_support(superop, sym)
 
 
 # ---------------------------------------------------------------- eigenfunctions

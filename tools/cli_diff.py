@@ -11,7 +11,8 @@ on the same built-ins and on the seeded L=3, L=4 and L=5 chains,
 ``simulate`` (with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --level full --n 20000`` on qubit-III (the
-export path at scale), ``simulate --threads 2`` on qubit-III and the L=3
+export path at scale), ``simulate --level full`` on twoqubit-II (the
+master solution at d = 4), ``simulate --threads 2`` on qubit-III and the L=3
 chain, and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
 ``verify-joint`` and ``simulate`` share one analysis), once with each tree
@@ -60,6 +61,8 @@ def cases(chain4, chain3, chain5, chain6, own):
             for level in ("full", "coarse", "unlabelled")]
     # the export path at scale
     out += [["simulate", "qubit-III", "--level", "full", "--n", "20000"]]
+    # master_solution at d = 4
+    out += [["simulate", "twoqubit-II", "--level", "full", "--n", "300", "--seed", "7"]]
     # two pool workers: the second chunk's streams start at first_index > 0
     out += [["simulate", m, "--level", "full", "--n", "300", "--seed", "7",
              "--threads", "2"] for m in ("qubit-III", chain3)]
