@@ -12,6 +12,8 @@ safe from concurrent workers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.optimize
@@ -45,8 +47,19 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, summed as np.linalg.norm sums it (the squares of the
+    real and the imaginary parts, each in one dot product) without its
+    argument handling."""
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    x = x.astype(float, copy=False)
+    return math.sqrt(x.dot(x))
+
+
+def norms(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """2-norms along one axis, summed as np.linalg.norm sums them."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
 
 
 def square(a) -> np.ndarray:
@@ -131,12 +144,25 @@ def coordinates(rows: np.ndarray) -> np.ndarray:
     return np.triu(qr[:min(qr.shape)])
 
 
-def support_coordinates(vectors) -> np.ndarray:
-    """`coordinates` of 1-D vectors taken over the entries where any of them
-    is nonzero: the others add nothing to the Gram matrix, so R changes at
-    most by a unitary on its rows."""
-    support = np.flatnonzero(np.logical_or.reduce([x != 0 for x in vectors]))
-    return coordinates(np.stack([x[support] for x in vectors]))
+def nonzeros(ops) -> tuple:
+    """(k, flat, values): the nonzero entries of the arrays ops[k], each
+    read row-major, at flat positions in their own array."""
+    flat = [np.flatnonzero(a) for a in ops]
+    return (np.repeat(np.arange(len(flat)), [len(f) for f in flat]),
+            np.concatenate(flat), np.concatenate([a.take(f) for a, f in zip(ops, flat)]))
+
+
+def support_coordinates(rows, cols, values, nrows: int) -> np.ndarray:
+    """`coordinates` of nrows vectors given by their entries: values[e] at
+    position cols[e] of vector rows[e], duplicates summed.  Only the
+    positions some entry names are kept; the others add nothing to the Gram
+    matrix, so R changes at most by a unitary on its rows."""
+    support, inverse = np.unique(cols, return_inverse=True)
+    index, size = rows * len(support) + inverse, nrows * len(support)
+    stack = np.empty(size, dtype=complex)
+    stack.real = np.bincount(index, values.real, size)
+    stack.imag = np.bincount(index, values.imag, size)
+    return coordinates(stack.reshape(nrows, len(support)))
 
 
 def frame_gap(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -172,7 +198,7 @@ class SpanMap:
         """Largest norm of a target outside the span."""
         w = self.w[:, :self.rank(cut)]
         rest = self.b - w @ (dag(w) @ self.b)
-        return float(np.max(np.linalg.norm(rest, axis=0), initial=0.0))
+        return float(np.max(norms(rest), initial=0.0))
 
     def isometry(self, cut: float):
         """X Z̄ = bᵀ W̄ S⁻¹ (a row per target), the map the targets induce on

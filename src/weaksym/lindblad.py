@@ -35,7 +35,8 @@ MAX_NORM = 1e50     # keeps J†J and the checks' sums of |P|^2 ~ ||J||^4 finite
 def _checked(m: np.ndarray, what: str) -> None:
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
-    norm = scipy.linalg.norm(m.ravel())   # BLAS nrm2 scales: no overflow
+    # BLAS nrm2 scales, so no overflow; finiteness is checked above
+    norm = scipy.linalg.norm(m.ravel(), check_finite=False)
     if norm > MAX_NORM:
         raise ValueError(f"{what} has Frobenius norm {norm:.3g} > {MAX_NORM:g}")
 
@@ -101,6 +102,15 @@ class Representation:
                 j[np.diag_indices(d)] -= tr / d
             jumps.append(_frozen(j.view()))
         return _frozen(self.hamiltonian + (1j / (2.0 * d)) * shift), tuple(jumps)
+
+    @cached_property
+    def nonzeros(self) -> tuple:
+        """(k, rows, cols, values): the nonzero entries of H (k = 0), H'
+        (k = 1) and the traceless jumps (k = 2, 3, ...) of `traceless`, in
+        order of k and row-major within each, read-only as they are shared."""
+        frame_hamiltonian, jumps = self.traceless
+        k, flat, values = linalg.nonzeros((self.hamiltonian, frame_hamiltonian, *jumps))
+        return tuple(map(_frozen, (k, *np.divmod(flat, self.dim), values)))
 
     @cached_property
     def effective_hamiltonian(self) -> np.ndarray:
@@ -189,7 +199,8 @@ def change_superoperator_basis(superop, v) -> np.ndarray:
     d = v.shape[0]
     t = np.asarray(superop, dtype=complex).reshape(d, d, d, d)
     for m in (v.conj(), v, v, v.conj()):
-        t = np.tensordot(t, m, axes=(0, 0))
+        # np.tensordot(t, m, axes=(0, 0)), without its argument handling
+        t = np.dot(t.transpose(1, 2, 3, 0).reshape(d ** 3, d), m).reshape(d, d, d, d)
     return t.reshape(d * d, d * d)
 
 

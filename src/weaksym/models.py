@@ -31,6 +31,13 @@ class Model:
     parameters: dict = field(default_factory=dict)
 
 
+def _kron(a, b) -> np.ndarray:
+    """np.kron of two matrices, formed as one broadcast product."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _k_plus(gz, gx):
     return np.sqrt(gz) * SZ + np.sqrt(gx) * SX
 
@@ -132,9 +139,9 @@ def _two_qubit_ops():
     sp = np.array([[0, 1], [0, 0]], dtype=complex)   # |1><0|
     sm = np.array([[0, 0], [1, 0]], dtype=complex)   # |0><1|
     def on1(op):
-        return np.kron(op, eye)
+        return _kron(op, eye)
     def on2(op):
-        return np.kron(eye, op)
+        return _kron(eye, op)
     return {
         "sx1": on1(SX), "sx2": on2(SX),
         "sm1": on1(sm), "sp1": on1(sp),
@@ -157,7 +164,7 @@ def twoqubit_weak(omega1=1.0, omega2=np.sqrt(2.0)) -> Model:
     j3 = o["nbar1"] @ o["sm2"] + o["n1"] @ o["sp2"]
     j4 = o["nbar1"] @ o["sm2"] - o["n1"] @ o["sp2"]
     rep = Representation(_two_qubit_h(omega1, omega2), (j1, j2, j3, j4))
-    u = np.kron(SX, SX)
+    u = _kron(SX, SX)
     return Model(
         "twoqubit-weak", rep, {"flip": u},
         expect={"flip": (True, True, True)},
@@ -175,7 +182,7 @@ def twoqubit_iii(omega1=1.0, omega2=np.sqrt(2.0)) -> Model:
     j4 = o["n1"] @ o["sp2"]
     rep = Representation(_two_qubit_h(omega1, omega2), (j1, j2, j3, j4))
     return Model(
-        "twoqubit-III", rep, {"flip": np.kron(SX, SX)},
+        "twoqubit-III", rep, {"flip": _kron(SX, SX)},
         expect={"flip": (True, True, True)},
         description="reset jumps to |00> and |11>; flip swaps them in two 2-cycles",
         parameters=dict(omega1=omega1, omega2=omega2),
@@ -205,7 +212,7 @@ def twoqubit_ii(omega1=1.0, omega2=np.sqrt(2.0),
     j4 = np.conj(b2) * d1 - np.conj(b1) * d1b
     rep = Representation(_two_qubit_h(omega1, omega2), (j1, j2, j3, j4))
     return Model(
-        "twoqubit-II", rep, {"flip": np.kron(SX, SX)},
+        "twoqubit-II", rep, {"flip": _kron(SX, SX)},
         expect={"flip": (True, True, False)},
         description="two reset SJEDs with destinations |00> and |11>, swapped by the flip",
         parameters=dict(omega1=omega1, omega2=omega2, a1=a1, a2=a2, b1=b1, b2=b2),
@@ -235,7 +242,7 @@ def twoqubit_i(omega1=1.0, omega2=np.sqrt(2.0),
     j4 = np.conj(b2) * d0b - np.conj(a2) * d1b
     rep = Representation(_two_qubit_h(omega1, omega2), (j1, j2, j3, j4))
     return Model(
-        "twoqubit-I", rep, {"flip": np.kron(SX, SX)},
+        "twoqubit-I", rep, {"flip": _kron(SX, SX)},
         expect={"flip": (True, False, False)},
         description="jumps mix the two reset destinations; trajectory symmetry is broken",
         parameters=dict(omega1=omega1, omega2=omega2, a1=a1, b1=b1, a2=a2, b2=b2),
@@ -248,7 +255,7 @@ def _site_op(op, site, length):
     mats[site] = op
     out = mats[0]
     for m in mats[1:]:
-        out = np.kron(out, m)
+        out = _kron(out, m)
     return out
 
 

@@ -73,22 +73,22 @@ def _rank_one_split(j: np.ndarray, tol: float):
     reject when it exceeds tol ||J||.  A full SVD decides the band between.
     An accepted dest is refined to the top singular vector by power steps.
     """
-    col = j[:, np.argmax(np.linalg.norm(j, axis=0))]
-    if np.linalg.norm(col) > 0.0:
-        dest = col / np.linalg.norm(col)
+    col = j[:, np.argmax(linalg.norms(j))]
+    if frob(col) > 0.0:
+        dest = col / frob(col)
         source = dag(j) @ dest
         rest = j - np.outer(dest, source.conj())
-        if frob(rest) <= tol * np.linalg.norm(source):
+        if frob(rest) <= tol * frob(source):
             for _ in range(64):
                 step = j @ source
-                step /= np.linalg.norm(step)
-                done = np.linalg.norm(step - dest) <= 1e-14
+                step /= frob(step)
+                done = frob(step - dest) <= 1e-14
                 dest, source = step, dag(j) @ step
                 if done:
                     break
             dest = linalg.fix_column_phases(dest[:, None])[:, 0]
             return dest, dag(j) @ dest
-        pair = np.column_stack([col, j[:, np.argmax(np.linalg.norm(rest, axis=0))]])
+        pair = np.column_stack([col, j[:, np.argmax(linalg.norms(rest))]])
         if np.linalg.svd(pair, compute_uv=False)[1] > tol * frob(j):
             return None
     u, s, vh = np.linalg.svd(j)
@@ -109,14 +109,8 @@ def _proportionality_coefficient(base: np.ndarray, j: np.ndarray, tol: float):
     return c
 
 
-def build_sjeds(rep: Representation, tol: float = DEFAULT_TOL) -> SjedPartition:
-    """Partition the jumps of a representation into SJEDs.
-
-    Rank-one jumps are grouped by shared destination (up to phase),
-    remaining jumps by pairwise proportionality; leftovers are singletons.
-    Each set starts at its smallest member, so sets come in that order.
-    """
-    jumps = rep.jumps
+def _partition(jumps, tol: float) -> tuple:
+    """The SJEDs of a jump list, as build_sjeds describes them."""
     splits = [_rank_one_split(j, tol) for j in jumps]
     sets, used = [], set()
     for k, j in enumerate(jumps):
@@ -136,7 +130,17 @@ def build_sjeds(rep: Representation, tol: float = DEFAULT_TOL) -> SjedPartition:
                        if _proportionality_coefficient(base, jumps[m], tol) is not None]
             sets.append(SjedSet(tuple(members), "proportional"))
         used.update(members)
-    return SjedPartition(tuple(sets), jumps, tol)
+    return tuple(sets)
+
+
+def build_sjeds(rep: Representation, tol: float = DEFAULT_TOL) -> SjedPartition:
+    """Partition the jumps of a representation into SJEDs.
+
+    Rank-one jumps are grouped by shared destination (up to phase),
+    remaining jumps by pairwise proportionality; leftovers are singletons.
+    Each set starts at its smallest member, so sets come in that order.
+    """
+    return SjedPartition(_partition(rep.jumps, tol), rep.jumps, tol)
 
 
 def partition_from_groups(rep: Representation, groups,
@@ -155,10 +159,10 @@ def partition_from_groups(rep: Representation, groups,
     sets = []
     for group in groups:
         group = tuple(sorted(group))
-        sub = build_sjeds(rep.with_jumps([jumps[i] for i in group]), tol)
-        if sub.nsets != 1:
+        sub = _partition([jumps[i] for i in group], tol)
+        if len(sub) != 1:
             raise ValueError(f"group {group} is not a single equal-destination set")
-        sets.append(replace(sub.sets[0], indices=group))
+        sets.append(replace(sub[0], indices=group))
     sets = sorted(sets, key=lambda s: s.indices[0])
     return SjedPartition(tuple(sets), jumps, tol)
 
@@ -267,7 +271,7 @@ def canonical_sjed_representation(rep: Representation,
     """
     if partition is None:
         partition = build_sjeds(rep, tol)
-    coords = linalg.support_coordinates([j.reshape(-1) for j in rep.jumps]) \
+    coords = linalg.support_coordinates(*linalg.nonzeros(rep.jumps), rep.njumps) \
         if rep.njumps else None
     canon = []
     for s in partition.sets:

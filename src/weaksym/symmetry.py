@@ -90,16 +90,33 @@ class SymmetryOperator:
     def order(self) -> int | None:
         """Least n <= order_cap with U^n = theta 1, read from sparse powers:
         |tr U^n / d| = 1 and ||U^n - theta 1|| < 1e-9 sqrt(d); None when
-        not resolved within the cap."""
-        d, power = self.dim, self.sparse
+        not resolved within the cap.  Only the n with |v† U^n v| >=
+        (1 - 1e-6 d) ||v||^2, for v = (1, 2, ..., d) and U^n v from n
+        matrix-vector products, are tried: a U^n within 1e-9 sqrt(d) of
+        theta 1 passes this screen, whatever v."""
+        d, power, p = self.dim, self.sparse, 1
+        v = np.arange(1.0, d + 1.0)
+        w, floor = v, (1.0 - 1e-6 * d) * v.dot(v)
         for n in range(1, self.order_cap + 1):
-            if n > 1:
-                power = power @ self.sparse
+            w = self.sparse @ w
+            if abs(v.dot(w)) < floor:
+                continue
+            while p < n:
+                power, p = power @ self.sparse, p + 1
             tr = power.diagonal().sum() / d
             if abs(abs(tr) - 1.0) < 1e-9 and frob(
                     power.toarray() - tr / abs(tr) * np.eye(d)) < 1e-9 * np.sqrt(d):
                 return n
         return None
+
+    @cached_property
+    def _adjoint(self) -> scipy.sparse.csr_array:
+        """U† in CSR form: its rows are U's columns, conjugated."""
+        d, u = self.dim, self.matrix
+        cols, rows = np.nonzero(u.T)      # column-major, so cols ascend
+        return scipy.sparse.csr_array(
+            (u[rows, cols].conj(), rows, np.searchsorted(cols, np.arange(d + 1))),
+            shape=(d, d))
 
     @cached_property
     def _eigen(self):
@@ -119,6 +136,28 @@ class SymmetryOperator:
         """U A U† for an operator on the system, as U (U A†)†."""
         return self.sparse @ dag(self.sparse @ dag(np.asarray(a, dtype=complex)))
 
+    def conjugate_nonzeros(self, k, rows, cols, values) -> tuple:
+        """Entries (k, rows, cols, values) of the operators U A_k U† from
+        those of the A_k, given in order of k and row-major within each.
+        Two sparse products form them: the A_k stacked as the blocks of one
+        CSR matrix, times U† (whose rows are U's columns), then
+        1 ⊗ U times that.  Their work and memory follow the nonzero terms,
+        however dense U is.  The entries come in order of k and of rows,
+        each position once."""
+        d, u = self.dim, self.sparse
+        n, nnz = int(k[-1]) + 1 if len(k) else 0, len(u.data)
+        stack = scipy.sparse.csr_array(
+            (values, cols, np.searchsorted(k * d + rows, np.arange(n * d + 1))),
+            shape=(n * d, d))
+        blocks = np.arange(n)[:, None]
+        diagonal = scipy.sparse.csr_array(
+            (np.tile(u.data, n), (blocks * d + u.indices).ravel(),
+             np.append((blocks * nnz + u.indptr[:-1]).ravel(), n * nnz)),
+            shape=(n * d, n * d))
+        out = diagonal @ (stack @ self._adjoint)
+        k, rows = np.divmod(np.repeat(np.arange(n * d), np.diff(out.indptr)), d)
+        return k, rows, out.indices, out.data
+
     def images(self, rep: Representation) -> SymmetryImages:
         """The images of rep's operators, kept for the last rep asked for."""
         if not self._images or self._images[0] is not rep:
@@ -127,24 +166,33 @@ class SymmetryOperator:
 
 
 class SymmetryImages:
-    """One symmetry's images of a representation's operators, each formed
-    as U (U A†)† through U's CSR form: U H U† with ||U H U† - H||, U H' U†
-    (H' the traceless frame's Hamiltonian), U H_eff U† on first use, and the
-    coordinates of one QR of the traceless jumps J'_j and their images
-    (`frame_jumps`, `frame_images`), taken over the entries where 1, a J'_j
-    or an image is nonzero and shifted to those of J_j = J'_j + tr(J_j)/d 1
-    (`jumps`, `jump_images`; J'_j is orthogonal to 1, so the shift loses
-    nothing)."""
+    """One symmetry's images of a representation's operators, formed from
+    the operators' nonzero entries (`SymmetryOperator.conjugate_nonzeros`
+    of `Representation.nonzeros`): U H U† with ||U H U† - H|| and U H' U†
+    (H' the traceless frame's Hamiltonian) as d x d arrays, U H_eff U† on
+    first use, and the coordinates of one QR of the traceless jumps J'_j
+    and their images (`frame_jumps`, `frame_images`), taken over the
+    entries where 1, a J'_j or an image is stored and shifted to those of
+    J_j = J'_j + tr(J_j)/d 1 (`jumps`, `jump_images`; J'_j is orthogonal to
+    1, so the shift loses nothing)."""
 
     def __init__(self, rep: Representation, sym: SymmetryOperator):
         self.rep, self.sym = rep, sym
-        self.frame_hamiltonian, traceless = rep.traceless
-        self.frame_hamiltonian_image = sym.conjugate(self.frame_hamiltonian)
-        self.hamiltonian_image = sym.conjugate(rep.hamiltonian)
-        self.hamiltonian_residual = frob(self.hamiltonian_image - rep.hamiltonian)
+        self.frame_hamiltonian = rep.traceless[0]
         d, n = rep.dim, rep.njumps
-        r = linalg.support_coordinates([x.reshape(-1) for x in (
-            np.eye(d, dtype=complex), *traceless, *map(sym.conjugate, traceless))])
+        k, rows, cols, values = rep.nonzeros
+        ik, irows, icols, ivalues = sym.conjugate_nonzeros(k, rows, cols, values)
+        m, im = np.searchsorted(k, 2), np.searchsorted(ik, 2)   # H and H' first
+        hamiltonians = np.zeros(2 * d * d, dtype=complex)
+        hamiltonians[(ik[:im] * d + irows[:im]) * d + icols[:im]] = ivalues[:im]
+        self.hamiltonian_image, self.frame_hamiltonian_image = hamiltonians.reshape(2, d, d)
+        self.hamiltonian_residual = frob(self.hamiltonian_image - rep.hamiltonian)
+        # rows: 1, then the J'_j (k - 1), then their images (k - 1 + n)
+        r = linalg.support_coordinates(
+            np.concatenate([np.zeros(d, dtype=int), k[m:] - 1, ik[im:] + (n - 1)]),
+            np.concatenate([np.arange(0, d * d, d + 1), rows[m:] * d + cols[m:],
+                            irows[im:] * d + icols[im:]]),
+            np.concatenate([np.ones(d), values[m:], ivalues[im:]]), 2 * n + 1)
         one, self.frame_jumps, self.frame_images = r[:, 0], r[:, 1:n + 1], r[:, n + 1:]
         shift = np.outer(one, [np.trace(j) / d for j in rep.jumps])
         self.jumps, self.jump_images = self.frame_jumps + shift, self.frame_images + shift
@@ -223,7 +271,7 @@ def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
 
 
 def _completion(span: linalg.SpanMap, tol: float) -> np.ndarray:
-    scale = max(np.max(np.linalg.norm(span.a, axis=0), initial=0.0), 1e-300)
+    scale = max(np.max(linalg.norms(span.a), initial=0.0), 1e-300)
     if span.escape(tol) > tol * scale:
         raise CompletionFailed("targets leave the jump span")
     u = span.certificate(tol)
@@ -259,8 +307,8 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
         tgt = images.jumps[:, cols[b]] @ dag(families[b])
         src = images.jump_images[:, cols[a]] @ dag(zh)
         x = (src.T @ tgt.conj()) / np.sum(np.abs(tgt) ** 2, axis=0)
-        if np.any(np.linalg.norm(src - tgt @ x.T, axis=0)
-                  > tol * np.maximum(np.linalg.norm(src, axis=0), 1e-300) * 100):
+        if np.any(linalg.norms(src - tgt @ x.T)
+                  > tol * np.maximum(linalg.norms(src), 1e-300) * 100):
             raise CompletionFailed(
                 "symmetry does not map canonical jumps onto the matched SJED")
         v[cols[a], offsets[a]:offsets[a + 1]] = zh.T
@@ -274,8 +322,8 @@ def _verify_completion(u, jumps, targets, tol):
     d = len(jumps)
     if frob(dag(u) @ u - np.eye(d)) > 1e3 * tol * max(1.0, d):
         raise CompletionFailed("completed matrix is not unitary")
-    scale = max(np.max(np.linalg.norm(jumps, axis=1), initial=0.0), 1e-300)
-    if np.any(np.linalg.norm(targets - u @ jumps, axis=1) > 1e3 * tol * scale):
+    scale = max(np.max(linalg.norms(jumps, axis=1), initial=0.0), 1e-300)
+    if np.any(linalg.norms(targets - u @ jumps, axis=1) > 1e3 * tol * scale):
         raise CompletionFailed("completed matrix does not reproduce the targets")
 
 
@@ -365,8 +413,8 @@ def check_condition_III(rep: Representation, sym: SymmetryOperator,
     h_resid = images.hamiltonian_residual
     a, b = images.jumps, images.jump_images
     coeff = images.overlaps / np.sum(np.abs(a) ** 2, axis=0)
-    gaps = np.linalg.norm(b[:, :, None] - coeff * a[:, None, :], axis=0)
-    scale = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    gaps = linalg.norms(b[:, :, None] - coeff * a[:, None, :])
+    scale = np.maximum(linalg.norms(b), 1e-300)
     cost = np.where(gaps <= tol * scale[:, None] * 100,
                     np.abs(np.abs(coeff) - 1.0) / phase_tol, np.inf)
     pi = linalg.assign(cost, 1.0)
@@ -521,7 +569,7 @@ def block_support(superop: np.ndarray, sym: SymmetryOperator,
     classes = np.mod(np.subtract.outer(deltas, deltas), 2 * np.pi)
     classes[np.abs(classes - 2 * np.pi) < 1e-9] = 0.0
     keys = np.round(classes, 8)
-    return {float(key): float(np.linalg.norm(t[keys == key])) for key in np.unique(keys)}
+    return {float(key): frob(t[keys == key]) for key in np.unique(keys)}
 
 
 def off_block_mass(superop: np.ndarray, sym: SymmetryOperator) -> float:

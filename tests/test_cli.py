@@ -814,10 +814,25 @@ def test_lift_reads_the_certificate_and_the_images(tmp_path, monkeypatch):
         assert ok and r == 0
 
 
+def test_check_forms_images_from_nonzeros(tmp_path, monkeypatch):
+    # the images come from the operators' nonzero entries, with no dense
+    # conjugation, and the pinned SJEDs are read from the loaded
+    # representation's jumps, with no representation built per group
+    path = _chain_file(tmp_path, 4)
+    conjugations, validations = [], []
+    conjugate, post_init = SymmetryOperator.conjugate, Representation.__post_init__
+    monkeypatch.setattr(SymmetryOperator, "conjugate",
+                        lambda self, a: conjugations.append(a) or conjugate(self, a))
+    monkeypatch.setattr(Representation, "__post_init__",
+                        lambda self: validations.append(self) or post_init(self))
+    doc, _ = run_check(analyze(load_model(path)))
+    assert len(conjugations) == 0 and len(validations) == 1
+    assert [entry["order"] for entry in doc["symmetries"].values()] == [4, None, 4]
+
+
 def test_check_and_simulate_form_no_kronecker_product(monkeypatch):
     # superoperator matrices come from lindblad's builder on (d, d, d, d)
-    # views; the two-qubit models build their operators with np.kron, so
-    # every analysis is made before np.kron is refused
+    # views; every model is built and analysed before np.kron is refused
     analyses = {name: analyze(models.get_model(name)) for name in models.BUILDERS}
 
     def refused(*args, **kwargs):

@@ -703,3 +703,65 @@ def test_support_column_images_match_the_full_stack(inputs):
     phases, basis = linalg.unitary_eigendecomposition(u)
     assert np.array_equal(sym.phases, phases) and np.array_equal(sym.eigenbasis, basis)
     assert sym.order == _oracle_order(u)
+
+
+# ------------------------------------------- images from nonzeros, dense oracle
+#
+# SymmetryImages forms U A U† from A's nonzero entries and U's stored
+# columns.  The oracle is the dense product and one QR of the full d^2-long
+# stack of the traceless jumps and their images.
+
+@st.composite
+def nonzero_image_inputs(draw):
+    """(representation, U): jumps dense, chain-like with one or two
+    nonzeros, proportional to 1 or of trace 0, and a dense, diagonal or
+    zero Hamiltonian; U a phased permutation, a Haar unitary or a tensor
+    product of local unitaries."""
+    kind = draw(st.sampled_from(["permutation", "haar", "local"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "local":
+        factors = [linalg.random_unitary(rng, m)
+                   for m in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+        u = factors[0]
+        for f in factors[1:]:
+            u = np.kron(u, f)
+        d = len(u)
+    else:
+        d = draw(st.integers(1, 6))
+        u = linalg.random_unitary(rng, d) if kind == "haar" else \
+            np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+    jumps = [gaussian(d, d) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0 if jumps else 1, 3))):
+        j = np.zeros(d * d, dtype=complex)
+        k = draw(st.integers(1, min(2, d * d)))
+        j[rng.choice(d * d, k, replace=False)] = gaussian(k)
+        jumps.append(j.reshape(d, d))
+    if draw(st.booleans()):
+        jumps.append(gaussian(1)[0] * np.eye(d))
+    if d > 1 and draw(st.booleans()):
+        j = gaussian(d, d)
+        jumps.append(j - np.trace(j) / d * np.eye(d))
+    h = draw(st.sampled_from(["dense", "diagonal", "zero"]))
+    h = gaussian(d, d) if h == "dense" else \
+        np.diag(gaussian(d)) if h == "diagonal" else np.zeros((d, d))
+    return Representation(h + dag(h), tuple(jumps)), u
+
+
+@given(nonzero_image_inputs())
+def test_images_from_nonzeros_match_dense_products(inputs):
+    rep, u = inputs
+    images = SymmetryOperator.from_matrix(u).images(rep)
+    frame_hamiltonian, traceless = rep.traceless
+    for got, a in ((images.hamiltonian_image, rep.hamiltonian),
+                   (images.frame_hamiltonian_image, frame_hamiltonian)):
+        assert frob(got - u @ a @ dag(u)) <= 1e-12 * frob(a)
+    # the coordinates' Gram matrix is that of the dense stack
+    r = np.linalg.qr(_flat([*traceless, *(u @ j @ dag(u) for j in traceless)]),
+                     mode="r")
+    coords = np.hstack([images.frame_jumps, images.frame_images])
+    want = dag(r) @ r
+    assert frob(dag(coords) @ coords - want) <= 1e-12 * frob(want)

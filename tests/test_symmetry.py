@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, models
@@ -70,6 +71,59 @@ def test_symmetry_operator_unresolved_order():
     u = np.diag([1.0, np.exp(1j * 0.1)])
     s = SymmetryOperator.from_matrix(u, order_cap=8)
     assert s.order is None
+
+
+def _sparse_power_order(sym):
+    """The group order as every sparse power of U tests it, with no screen."""
+    d, power = sym.dim, sym.sparse
+    for n in range(1, sym.order_cap + 1):
+        if n > 1:
+            power = power @ sym.sparse
+        tr = power.diagonal().sum() / d
+        if abs(abs(tr) - 1.0) < 1e-9 and frob(
+                power.toarray() - tr / abs(tr) * np.eye(d)) < 1e-9 * np.sqrt(d):
+            return n
+    return None
+
+
+def _phases(*turns):
+    return np.diag(np.exp(2j * np.pi * np.array(turns)))
+
+
+def _nearly_order_four():
+    # U^4 = 1 + O(1e-10): inside the exact test's 1e-9 sqrt(d)
+    rng = np.random.default_rng(5)
+    v = linalg.random_unitary(rng, 6)
+    turns = np.array([0, 1, 2, 3, 1, 0]) / 4 + 2.5e-11 * rng.standard_normal(6)
+    return v @ _phases(*turns) @ dag(v)
+
+
+@pytest.mark.parametrize("u, order", [
+    (np.exp(0.7j) * np.eye(5), 1),
+    (_phases(0, 0.5, 0), 2),
+    (_phases(1 / 3, 1 / 4, 0), 12),
+    (_phases(1 / 64, 0), 64),
+    (_phases(1 / 65, 0), None),                      # beyond the cap
+    (np.diag(np.exp(1j * np.sqrt([2.0, 3.0, 5.0]))), None),
+    (np.eye(5)[[1, 0, 3, 4, 2]], 6),
+    (_nearly_order_four(), 4),
+])
+def test_order_screen_matches_the_sparse_power_loop(u, order, monkeypatch):
+    sym = SymmetryOperator.from_matrix(u)
+    assert _sparse_power_order(sym) == order
+    # the powers U^2 .. U^order are formed for the order found, and none
+    # without one: the unscreened loop forms 63 then
+    products = []
+    original = type(sym.sparse).__matmul__
+
+    def counting(self, other):
+        if scipy.sparse.issparse(other):
+            products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(type(sym.sparse), "__matmul__", counting)
+    assert sym.order == order
+    assert len(products) == (order - 1 if order else 0)
 
 
 # ---------------------------------------------------------------- mixing
