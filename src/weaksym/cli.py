@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: it parses, dispatches to the library and
+prints; the rules it applies live in the modules that own them.
 
 Subcommands:
 
@@ -30,19 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, models
-from .lindblad import evolve_density, liouville_matrix, pure_state
+from .lindblad import MAX_SUPEROP_DIM, evolve_density, liouville_matrix, pure_state
 from .linalg import DEFAULT_TOL, LinalgError
 from .modelfile import ParseError, _matrix_doc, dump_model, load_model, model_to_doc
 from .sjed import SjedPartition, build_sjeds, partition_from_groups
-from .symmetry import (
-    SymmetryOperator,
-    build_symmetry_report,
-    off_block_mass,
-    permutation_unitary,
-)
+from .symmetry import SymmetryOperator, build_symmetry_report, off_block_mass
 from . import dilation, trajectories
-
-MAX_SUPEROP_DIM = 12       # build d^2 x d^2 matrices only below this
 
 
 def _perm_json(pi):
@@ -156,19 +150,8 @@ def run_verify_joint(analysis):
     }
     result = {"model": model.name, "symmetries": {}}
     for name, (sym, report) in analysis.symmetries.items():
-        c1, c2, c3 = (report.condition_I, report.condition_II,
-                      report.condition_III)
         images = sym.images(rep)
-        certificates = {}     # step kind -> certified environment unitary
-        if c3.holds:
-            certificates["dephased"] = permutation_unitary(c3.permutation, c3.phases)
-        if c2.holds:     # c2.unitary is None when its completion failed
-            certificates.update(partial=c2.unitary,
-                                coarse=permutation_unitary(c2.permutation),
-                                rotating_frame=c2.unitary)
-        if c1.holds and certificates.get("rotating_frame") is None:
-            certificates["rotating_frame"] = c1.unitary
-        certificates = {k: u for k, u in certificates.items() if u is not None}
+        certificates = dilation.environment_certificates(report)
         result["symmetries"][name] = {
             "residuals": {kind: dilation.joint_symmetry_residual(steps[kind], images, u)
                           for kind, u in certificates.items()},
@@ -187,8 +170,8 @@ def _sampler(rep, horizon, n, threads):
 
     With threads > 1 (at most one per CPU, and at least 2 trajectories
     each) one process pool, shared by every ensemble of the command, samples
-    contiguous chunks of trajectory indices; the joined ensemble equals the
-    serial one."""
+    contiguous chunks of trajectory indices, which TrajectoryEnsemble.join
+    joins into the serial ensemble."""
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or n < 2 * threads:
         yield lambda psi0, seed: trajectories.sample_ensemble(
@@ -202,13 +185,7 @@ def _sampler(rep, horizon, n, threads):
         jobs = [functools.partial(trajectories.sample_ensemble, rep, psi0, horizon,
                                   int(b - a), seed, (horizon,), first_index=int(a))
                 for a, b in zip(bounds[:-1], bounds[1:])]
-        parts = list(pool.map(operator.call, jobs))
-        return trajectories.TrajectoryEnsemble(
-            records=[r for part in parts for r in part.records],
-            states={t: np.vstack([part.states[t] for part in parts])
-                    for t in parts[0].states},
-            horizon=horizon, seed=seed, rep_fingerprint=rep.fingerprint(),
-            stats={k: sum(part.stats[k] for part in parts) for k in parts[0].stats})
+        return trajectories.TrajectoryEnsemble.join(pool.map(operator.call, jobs))
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
         yield sample
@@ -231,14 +208,10 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
     with _sampler(rep, horizon, n, threads) as sample:
         ens = sample(psi0, seed)
         for name, (sym, report) in analysis.symmetries.items():
-            if level == "full":
-                perm = report.condition_III.permutation if report.condition_III.holds \
-                    else tuple(range(rep.njumps))
-            elif level == "coarse":
-                perm = report.condition_II.permutation if report.condition_II.holds \
-                    else tuple(range(partition.nsets))
-            else:
-                perm = None
+            c2, c3 = report.condition_II, report.condition_III
+            perm = {"full": c3.permutation if c3.holds else tuple(range(rep.njumps)),
+                    "coarse": c2.permutation if c2.holds else tuple(range(partition.nsets))
+                    }.get(level)     # unlabelled: no permutation
             ens_b = sample(sym.conjugate(psi0), seed + 1)
             pval, passed = trajectories.ensemble_symmetry_test(
                 rep, sym, level, ens, ens_b, alpha_sig=alpha, permutation=perm,

@@ -10,7 +10,8 @@ symmetry's images (`SymmetryOperator.images` of the step's
 representation) and take a jump-space unitary u, which acts on the bin
 through the vacuum-fixing Gamma(u) = environment_symmetry(u).  They are
 exact in dt, have no size cap and take each difference before its norm,
-so no sqrt(eps) cancellation floor.
+so no sqrt(eps) cancellation floor; environment_certificates gives the
+u a symmetry report certifies for each step kind.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .symmetry import (
     CompletionFailed,
     SymmetryImages,
     SymmetryOperator,
+    SymmetryReport,
     permutation_unitary,
 )
 
@@ -146,12 +148,10 @@ def displacement_step(rep: Representation, dt: float) -> np.ndarray:
     D = exp(-i dQ) with dQ = (i/d) sum_j [dB_j Tr(J_j†) - dB_j† Tr(J_j)]
     realized on the bin.
     """
-    bin_ = TimeBin(rep.njumps)
-    dq = np.zeros((bin_.dim, bin_.dim), dtype=complex)
-    for j, jm in enumerate(rep.jumps):
-        tr = np.trace(jm)
-        b = bin_.creation(j)
-        dq += (1j / rep.dim) * np.sqrt(dt) * (np.conj(tr) * dag(b) - tr * b)
+    tr = np.array([np.trace(j) for j in rep.jumps], dtype=complex)
+    c = (1j / rep.dim) * np.sqrt(dt)
+    dq = np.zeros((rep.njumps + 1,) * 2, dtype=complex)
+    dq[0, 1:], dq[1:, 0] = c * np.conj(tr), -c * tr    # dB_j† and dB_j parts
     return linalg.matrix_exponential(-1j * dq)
 
 
@@ -178,11 +178,9 @@ def rotating_frame_convergence(rep: Representation, dt_list) -> float:
         u_frame = linalg.matrix_exponential(-1j * frame.hamiltonian(dt))
         d_lift = np.kron(eye_s, displacement_step(rep, dt))
         resid.append(frob((d_lift @ u_bare - u_frame) @ pvac))
-    resid = np.asarray(resid)
     if np.max(resid) < 1e-13:
         return np.inf  # already frame-aligned, nothing to measure
-    slope = np.polyfit(np.log(dts), np.log(resid + 1e-300), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(dts), np.log(np.asarray(resid) + 1e-300), 1)[0])
 
 
 def environment_symmetry(u_matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -237,14 +235,28 @@ def environment_trace_slope(step_of_dt, rep: Representation, psi0,
     dts = np.asarray(sorted(dt_list, reverse=True), dtype=float)
     for dt in dts:
         step = step_of_dt(dt)
-        vac = TimeBin(step.bin_dim - 1).vacuum_projector()
-        joint = np.kron(psi0, vac)
-        out = step.apply(joint, dt)
+        out = step.apply(np.kron(psi0, TimeBin(step.bin_dim - 1).vacuum_projector()), dt)
         reduced = partial_trace_environment(out, step.system_dim, step.bin_dim)
         errs.append(frob(reduced - psi0 - dt * lpsi))
-    errs = np.asarray(errs)
-    slope = np.polyfit(np.log(dts), np.log(errs + 1e-300), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(dts), np.log(np.asarray(errs) + 1e-300), 1)[0])
+
+
+def environment_certificates(report: SymmetryReport) -> dict:
+    """Step kind -> the u with U x Gamma(u) a certified symmetry of that
+    step: dephased <- condition III's phased permutation, partial <-
+    condition II's block unitary, coarse <- pi_c, rotating_frame <- the
+    block unitary or else condition I's completion; kinds left uncertified
+    (a failed condition or block completion) are left out."""
+    c1, c2, c3 = report.condition_I, report.condition_II, report.condition_III
+    out = {}
+    if c3.holds:
+        out["dephased"] = permutation_unitary(c3.permutation, c3.phases)
+    if c2.holds:     # c2.unitary is None when its completion failed
+        out.update(partial=c2.unitary, coarse=permutation_unitary(c2.permutation),
+                   rotating_frame=c2.unitary)
+    if c1.holds and out.get("rotating_frame") is None:
+        out["rotating_frame"] = c1.unitary
+    return {kind: u for kind, u in out.items() if u is not None}
 
 
 def _check_images(step: JointSuperStep, images: SymmetryImages) -> bool:
@@ -283,7 +295,8 @@ def joint_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
     sum_g |k_g>><<k_g|, so ||MKM† - K|| = ||ÂÂ† - B̂B̂†|| for the
     coordinates Â, B̂ of the k_g and of their images, read off a thin QR
     of [Â B̂], bin mode m standing for row m of the identity in k_g and
-    for row m of conj(u) in its image.
+    for row m of conj(u) in its image: k_g sums its jumps' coordinates at
+    their modes, its image the images' ones, then times conj(u).
     """
     u = np.asarray(u, dtype=complex)
     frame = _check_images(step, images)
@@ -300,16 +313,16 @@ def joint_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
         den = e * frob(h) ** 2 + 2 * frob(a) ** 2
         return float(np.sqrt(num / max(den, 1e-300)))
     n_joint, trace = step.joint_dim, np.trace(h)
-    h0 = h - trace / step.system_dim * np.eye(step.system_dim)
+    h0 = linalg.remove_trace(h.copy())
     num = 2 * n_joint * e * frob(images.effective_hamiltonian_image - h) ** 2
     den = 2 * n_joint * e * frob(h0) ** 2 + 4 * e ** 2 * trace.imag ** 2
     if step.jumps:
-        member = np.eye(step.groups.max() + 1)[step.groups]
-        bins = np.stack([np.eye(n_modes)[step.modes], u.conj()[step.modes]])
-        coords = np.stack([images.jumps, images.jump_images])
-        g = member.shape[1]
-        r = linalg.coordinates(np.einsum("skj,sje,jg->sgke", coords, bins, member)
-                               .reshape(2 * g, -1))
+        g = step.groups.max() + 1
+        stack = np.zeros((2, g, len(images.jumps), n_modes), dtype=complex)
+        for part, coords in zip(stack, (images.jumps, images.jump_images)):
+            np.add.at(part, (step.groups, slice(None), step.modes), coords.T)
+        stack[1] = stack[1] @ u.conj()
+        r = linalg.coordinates(stack.reshape(2 * g, -1))
         gap, k_norm, _ = linalg.frame_gap(r[:, :g], r[:, g:])
         num += gap ** 2
         den += k_norm ** 2
@@ -404,6 +417,7 @@ __all__ = [
     "coarse_grained_generator_step",
     "dephased_generator_step",
     "displacement_step",
+    "environment_certificates",
     "environment_symmetry",
     "environment_trace_slope",
     "joint_symmetry_residual",

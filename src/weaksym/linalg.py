@@ -2,9 +2,9 @@
 
 Thin, tolerance-aware wrappers over LAPACK (through numpy and scipy):
 Hermitian and unitary eigendecompositions with a deterministic phase
-convention, the matrix exponential, thin-QR coordinates, the frame gap
-||A A† - B B†|| read from them and the least-norm maps between jump spans
-read from one SVD of them (`SpanMap`),
+convention, the matrix exponential, thin-QR coordinates of operator
+families from their entries, the frame gap ||A A† - B B†|| read from them
+and the least-norm maps between jump spans read from one SVD (`SpanMap`),
 Haar-random unitaries and the linear assignment problem.  Everything
 operates on plain numpy arrays and keeps no global state, so calls are
 safe from concurrent workers.
@@ -17,6 +17,7 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 DEFAULT_TOL = 1e-9
 
@@ -58,8 +59,17 @@ def frob(a: np.ndarray) -> float:
 
 
 def norms(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """2-norms along one axis, summed as np.linalg.norm sums them."""
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+    """2-norms along one axis, summed as np.linalg.norm sums them, through
+    one temporary array the size of a."""
+    sq = np.conjugate(a)
+    np.multiply(sq, a, out=sq)
+    return np.sqrt(np.add.reduce(sq.real, axis=axis))
+
+
+def remove_trace(m: np.ndarray) -> np.ndarray:
+    """m - tr(m)/d 1 for a d x d array m, in place; returns m."""
+    m[np.diag_indices(len(m))] -= np.trace(m) / len(m)
+    return m
 
 
 def square(a) -> np.ndarray:
@@ -136,7 +146,10 @@ def matrix_exponential(m) -> np.ndarray:
 def coordinates(rows: np.ndarray) -> np.ndarray:
     """Coordinates of vectors (the rows, overwritten) in one orthonormal
     basis of their span: R of a thin Householder QR run in place on the
-    transpose.  Inner products and norms of combinations are read from R."""
+    transpose.  Inner products and norms of combinations are read from R;
+    vectors with no entries (or none at all) have R with no rows."""
+    if not rows.size:
+        return np.zeros((0, len(rows)), dtype=complex)
     geqrf, = scipy.linalg.lapack.get_lapack_funcs(("geqrf",), (rows,))
     qr, _, _, info = geqrf(rows.T, overwrite_a=True)
     if info != 0:
@@ -145,11 +158,21 @@ def coordinates(rows: np.ndarray) -> np.ndarray:
 
 
 def nonzeros(ops) -> tuple:
-    """(k, flat, values): the nonzero entries of the arrays ops[k], each
-    read row-major, at flat positions in their own array."""
-    flat = [np.flatnonzero(a) for a in ops]
-    return (np.repeat(np.arange(len(flat)), [len(f) for f in flat]),
-            np.concatenate(flat), np.concatenate([a.take(f) for a, f in zip(ops, flat)]))
+    """(k, flat, values): the nonzero entries of the arrays, or the stored
+    ones of the 2-D scipy.sparse matrices, ops[k], each read row-major, at
+    flat positions in their own operator."""
+    flat, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    for a in ops:
+        if scipy.sparse.issparse(a):
+            a = a.tocoo()
+            flat.append(a.row.astype(np.intp) * a.shape[1] + a.col)
+            values.append(a.data)
+        else:
+            a = np.asarray(a)
+            flat.append(np.flatnonzero(a))
+            values.append(a.take(flat[-1]))
+    return (np.repeat(np.arange(len(ops)), [len(f) for f in flat[1:]]),
+            np.concatenate(flat), np.concatenate(values))
 
 
 def support_coordinates(rows, cols, values, nrows: int) -> np.ndarray:
@@ -163,6 +186,18 @@ def support_coordinates(rows, cols, values, nrows: int) -> np.ndarray:
     stack.real = np.bincount(index, values.real, size)
     stack.imag = np.bincount(index, values.imag, size)
     return coordinates(stack.reshape(nrows, len(support)))
+
+
+def operator_coordinates(*families) -> tuple:
+    """Coordinates of every family's operators (a column each, one matrix
+    per family) in one orthonormal basis of their joint span, from their
+    `nonzeros`: dense or sparse matrices or vectors of one size."""
+    ops = [a for family in families for a in family]
+    if len({math.prod(np.shape(a)) for a in ops}) > 1:
+        raise ShapeError("operators of different sizes")
+    r = support_coordinates(*nonzeros(ops), len(ops))
+    ends = np.cumsum([0, *map(len, families)])
+    return tuple(r[:, a:b] for a, b in zip(ends[:-1], ends[1:]))
 
 
 def frame_gap(a: np.ndarray, b: np.ndarray) -> tuple:

@@ -6,7 +6,8 @@ module provides the Liouville and Choi matrices, the traceless form, time
 evolution, and the machinery relating two representations of one master
 operator.  It is the only module that forms superoperator matrices (row
 stacking, vec(A rho B) = (A x B^T) vec(rho)): generator_matrix builds them
-and change_superoperator_basis rotates them, with no Kronecker product.
+and change_superoperator_basis rotates them, with no Kronecker product,
+for d up to MAX_SUPEROP_DIM.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class NotSameMasterOperator(ValueError):
 
 
 MAX_NORM = 1e50     # keeps J†J and the checks' sums of |P|^2 ~ ||J||^4 finite
+MAX_SUPEROP_DIM = 12     # largest d whose d^2 x d^2 superoperators are formed
 
 
 def _checked(m: np.ndarray, what: str) -> None:
@@ -89,19 +91,19 @@ class Representation:
     @cached_property
     def traceless(self) -> tuple:
         """(H', traceless jumps) of traceless_representation, read-only as
-        they are shared; a jump of trace 0 is a read-only view of itself, and
-        a jump proportional to the identity gives zero."""
-        d = self.dim
-        shift = np.zeros_like(self.hamiltonian)
-        jumps = []
+        they are shared: H' is a view of H when no jump has a trace, a jump
+        of trace 0 a view of itself, and a jump proportional to 1 gives 0."""
+        d, shift, jumps = self.dim, 0.0, []
         for j in self.jumps:
             tr = np.trace(j)
             if tr != 0:
-                shift += j * np.conj(tr) - dag(j) * tr
+                shift = shift + (j * np.conj(tr) - dag(j) * tr)
                 j = j.copy()
                 j[np.diag_indices(d)] -= tr / d
             jumps.append(_frozen(j.view()))
-        return _frozen(self.hamiltonian + (1j / (2.0 * d)) * shift), tuple(jumps)
+        h = self.hamiltonian if np.isscalar(shift) else \
+            self.hamiltonian + (1j / (2.0 * d)) * shift
+        return _frozen(h.view()), tuple(jumps)
 
     @cached_property
     def nonzeros(self) -> tuple:
@@ -249,11 +251,15 @@ def traceless_representation(rep: Representation) -> Representation:
 
 
 def evolve_density(rep: Representation, rho0, t: float) -> np.ndarray:
-    """Propagate rho0 for time t >= 0 through exp(t * Liouville matrix)."""
+    """Propagate rho0 for time t >= 0 through exp(t * Liouville matrix);
+    ShapeError above MAX_SUPEROP_DIM, before the matrix is formed."""
     if t < 0:
         raise NegativeTimeError(f"t = {t} < 0")
-    rho0 = np.asarray(rho0, dtype=complex)
     d = rep.dim
+    if d > MAX_SUPEROP_DIM:
+        raise ShapeError(f"dim {d} > {MAX_SUPEROP_DIM}: the {d * d} x {d * d} "
+                         "Liouville matrix is not formed")
+    rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise ShapeError("state dimension mismatch")
     if t == 0.0:
@@ -265,20 +271,16 @@ def evolve_density(rep: Representation, rho0, t: float) -> np.ndarray:
 
 def _master_coordinates(rep_a: Representation, rep_b: Representation, tol: float):
     """Coordinates (a column per jump) of both representations' traceless
-    jumps in one orthonormal basis of their joint span, from one thin QR,
-    or None when their master operators differ (see representations_equal)."""
+    jumps in one orthonormal basis of their joint span, or None when their
+    master operators differ (see representations_equal)."""
     if rep_a.dim != rep_b.dim:
         raise ShapeError("dimension mismatch")
-    d = rep_a.dim
     ha, hb = rep_a.traceless[0], rep_b.traceless[0]
-    ha = ha - (np.trace(ha) / d) * np.eye(d)
-    hb = hb - (np.trace(hb) / d) * np.eye(d)
-    if frob(ha - hb) > tol * max(frob(ha), frob(hb), 1.0):
+    # one d x d difference at a time: X - tr(X)/d 1 for X = H'a - H'b, H'a, H'b
+    gap, na, nb = (frob(linalg.remove_trace(x - y)) for x, y in ((ha, hb), (ha, 0), (hb, 0)))
+    if gap > tol * max(na, nb, 1.0):
         return None
-    ja, jb = rep_a.traceless[1], rep_b.traceless[1]
-    r = linalg.coordinates(np.array([*ja, *jb], dtype=complex)
-                          .reshape(len(ja) + len(jb), d * d))
-    a, b = r[:, :len(ja)], r[:, len(ja):]
+    a, b = linalg.operator_coordinates(rep_a.traceless[1], rep_b.traceless[1])
     gap, fa, fb = linalg.frame_gap(a, b)
     return (a, b) if gap <= tol * max(fa, fb, 1e-300) else None
 
@@ -321,6 +323,7 @@ def relate_representations(rep_a: Representation, rep_b: Representation,
 
 
 __all__ = [
+    "MAX_SUPEROP_DIM",
     "Representation",
     "apply_master_operator",
     "apply_adjoint_master_operator",

@@ -56,9 +56,8 @@ class SjedPartition:
     def coarse_labels(self) -> np.ndarray:
         """Array mapping jump index -> SJED index."""
         out = np.empty(len(self.jumps), dtype=int)
-        for a, s in enumerate(self.sets):
-            for j in s.indices:
-                out[j] = a
+        out[[j for s in self.sets for j in s.indices]] = np.repeat(
+            np.arange(self.nsets), [s.size for s in self.sets])
         return out
 
 
@@ -77,8 +76,10 @@ def _rank_one_split(j: np.ndarray, tol: float):
     if frob(col) > 0.0:
         dest = col / frob(col)
         source = dag(j) @ dest
-        rest = j - np.outer(dest, source.conj())
+        rest = np.outer(dest, -source.conj())    # J - dest source†, one d x d array
+        rest += j
         if frob(rest) <= tol * frob(source):
+            del rest     # before the power steps' d x d conjugates
             for _ in range(64):
                 step = j @ source
                 step /= frob(step)
@@ -172,11 +173,8 @@ def composite_action(partition: SjedPartition, alpha: int, psi) -> np.ndarray:
     if not 0 <= alpha < partition.nsets:
         raise IndexError(f"SJED index {alpha} out of range")
     psi = np.asarray(psi, dtype=complex)
-    out = np.zeros_like(psi)
-    for j in partition.sets[alpha].indices:
-        jm = partition.jumps[j]
-        out += jm @ psi @ dag(jm)
-    return out
+    return sum(partition.jumps[j] @ psi @ dag(partition.jumps[j])
+               for j in partition.sets[alpha].indices)
 
 
 def composite_choi(partition: SjedPartition, alpha: int) -> np.ndarray:
@@ -192,9 +190,9 @@ def match_sets(a: np.ndarray, b: np.ndarray, sets_a, sets_b,
     cost; (None, None) when there is none.
 
     a and b hold jumps as columns of coordinates in one orthonormal basis
-    (see linalg.coordinates) and each set is a tuple of column indices.  A
-    set's composite action is fixed by its Choi matrix, the frame of its
-    columns, so the cost is their relative linalg.frame_gap."""
+    (see linalg.operator_coordinates) and each set is a tuple of column
+    indices.  A set's composite action is fixed by its Choi matrix, the
+    frame of its columns, so the cost is their relative linalg.frame_gap."""
     if len(sets_a) != len(sets_b):
         return None, None
     cost = np.empty((len(sets_b), len(sets_a)))
@@ -216,28 +214,33 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
     """Decide whether two representations share the unravelled generator.
 
     Requires H_b = H_a + r with real r and a bijection pi_c matching the
-    SJEDs' composite actions (match_sets on one thin QR of both jump
-    families).  Returns (ok, pi_c or None, r or None) with pi_c[beta] the
-    rep_a set matching rep_b's set beta.
+    SJEDs' composite actions (match_sets on the operator_coordinates of
+    both jump families).  Returns (ok, pi_c or None, r or None) with
+    pi_c[beta] the rep_a set matching rep_b's set beta.
     """
     if rep_a.dim != rep_b.dim:
         raise linalg.ShapeError("dimension mismatch")
-    d = rep_a.dim
-    diff = rep_b.hamiltonian - rep_a.hamiltonian
-    r = np.trace(diff) / d
-    scale = max(frob(rep_a.hamiltonian), frob(rep_b.hamiltonian), 1.0)
-    if abs(r.imag) > tol * scale or frob(diff - r * np.eye(d)) > tol * scale:
+    r = _hamiltonian_shift(rep_a.hamiltonian, rep_b.hamiltonian, tol)
+    if r is None:
         return False, None, None
     pa = partition_a if partition_a is not None else build_sjeds(rep_a, tol)
     pb = partition_b if partition_b is not None else build_sjeds(rep_b, tol)
-    n = rep_a.njumps
-    coords = linalg.coordinates(np.array([*rep_a.jumps, *rep_b.jumps], dtype=complex)
-                               .reshape(n + rep_b.njumps, d * d))
-    pi, _ = match_sets(coords[:, :n], coords[:, n:], [s.indices for s in pa.sets],
-                       [s.indices for s in pb.sets], tol)
+    pi, _ = match_sets(*linalg.operator_coordinates(rep_a.jumps, rep_b.jumps),
+                       [s.indices for s in pa.sets], [s.indices for s in pb.sets], tol)
     if pi is None:
         return False, None, None
-    return True, pi, float(r.real)
+    return True, pi, r
+
+
+def _hamiltonian_shift(ha: np.ndarray, hb: np.ndarray, tol: float):
+    """Real r with H_b = H_a + r 1 within tol max(||H_a||, ||H_b||, 1), or
+    None; the one d x d array formed is freed on return."""
+    diff = hb - ha
+    r = np.trace(diff) / len(diff)
+    scale = max(frob(ha), frob(hb), 1.0)
+    if abs(r.imag) > tol * scale or frob(linalg.remove_trace(diff)) > tol * scale:
+        return None
+    return float(r.real)
 
 
 def canonical_family(a: np.ndarray, tol: float = DEFAULT_TOL):
@@ -265,14 +268,13 @@ def canonical_sjed_representation(rep: Representation,
     """Minimal representation with one orthogonal jump family per SJED.
 
     Each set's jumps give way to its phase-fixed canonical family, read
-    from one thin QR of all jumps over the entries where any is nonzero.
+    from the jumps' `linalg.operator_coordinates`.
     The output generates the same unravelled dynamics with the identity
     SJED matching and zero Hamiltonian shift.
     """
     if partition is None:
         partition = build_sjeds(rep, tol)
-    coords = linalg.support_coordinates(*linalg.nonzeros(rep.jumps), rep.njumps) \
-        if rep.njumps else None
+    coords, = linalg.operator_coordinates(rep.jumps)
     canon = []
     for s in partition.sets:
         _, zh = canonical_family(coords[:, list(s.indices)], tol)
@@ -288,13 +290,10 @@ def remix_within_sets(partition: SjedPartition, rng) -> tuple:
     """
     jumps = list(partition.jumps)
     for s in partition.sets:
-        n = s.size
-        if n == 1:
-            continue
-        q = linalg.random_unitary(rng, n)
-        old = [jumps[j] for j in s.indices]
-        for row, j in enumerate(s.indices):
-            jumps[j] = sum(q[row, k] * old[k] for k in range(n))
+        if s.size > 1:
+            old = [jumps[j] for j in s.indices]
+            for row, j in zip(linalg.random_unitary(rng, s.size), s.indices):
+                jumps[j] = sum(c * o for c, o in zip(row, old))
     return tuple(jumps)
 
 

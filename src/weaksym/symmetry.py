@@ -18,6 +18,7 @@ representation's operators (`SymmetryOperator.images`), formed once.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -235,19 +236,12 @@ class SymmetryReport:
                 self.condition_III.holds)
 
 
-def _rows(vectors) -> np.ndarray:
-    """Operators (or their coordinates) as the rows of a matrix."""
-    vectors = np.asarray(vectors, dtype=complex)
-    return vectors.reshape(len(vectors), int(np.prod(vectors.shape[1:])))
-
-
 def _span(jumps, targets) -> linalg.SpanMap:
-    """The span map of raw operators, read from one QR of jumps and targets."""
-    jumps, targets = _rows(jumps), _rows(targets)
+    """The span map of operators (or their coordinates), read from their
+    linalg.operator_coordinates."""
     if len(jumps) != len(targets):
         raise linalg.ShapeError("need equally many jumps and targets")
-    r = linalg.coordinates(np.concatenate([jumps, targets]))
-    return linalg.SpanMap(r[:, :len(jumps)], r[:, len(jumps):])
+    return linalg.SpanMap(*linalg.operator_coordinates(jumps, targets))
 
 
 def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
@@ -428,29 +422,20 @@ def check_condition_III(rep: Representation, sym: SymmetryOperator,
 
 def permutation_unitary(pi, phases=None) -> np.ndarray:
     """Matrix U[j, k] = exp(i phi_j) delta(pi[j], k)."""
-    d = len(pi)
-    u = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        ph = 1.0 if phases is None else np.exp(1j * phases[j])
-        u[j, pi[j]] = ph
-    return u
+    u = np.eye(len(pi), dtype=complex)[list(pi)]
+    return u if phases is None else u * np.exp(1j * np.asarray(phases))[:, None]
 
 
 def _cycles(pi) -> list:
     """The cycles of a permutation, each walked in its direction."""
-    seen = set()
-    cycles = []
+    seen, cycles = set(), []
     for start in range(len(pi)):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = pi[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = pi[nxt]
-        cycles.append(cyc)
+        if start not in seen:
+            cyc = [start]
+            while pi[cyc[-1]] != start:
+                cyc.append(pi[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(cyc)
     return cycles
 
 
@@ -594,32 +579,17 @@ def monomial_eigenfunctions(sym: SymmetryOperator, order: int, eigenvalue,
     """
     if order > 3:
         raise ValueError("monomial order capped at 3")
-    d = sym.dim
     lam = complex(eigenvalue)
-    pairs = [(i, j) for i in range(d) for j in range(d)]
-    out = []
-
-    def rec(chosen, start):
-        if len(chosen) == order:
-            phase = sum(sym.phases[i] - sym.phases[j] for i, j in chosen)
-            if abs(np.exp(1j * phase) - lam) <= phase_tol * 10:
-                flat = tuple(x + 1 for pair in chosen for x in pair)
-                out.append(flat)
-            return
-        for idx in range(start, len(pairs)):
-            rec(chosen + [pairs[idx]], idx)
-
-    rec([], 0)
-    return out
+    pairs = list(itertools.product(range(1, sym.dim + 1), repeat=2))
+    monomials = (sum(c, ()) for c in itertools.combinations_with_replacement(pairs, order))
+    return [m for m in monomials if abs(monomial_eigenvalue(sym, m) - lam) <= phase_tol * 10]
 
 
 def evaluate_monomial(sym: SymmetryOperator, indices, psi) -> complex:
     """Evaluate a monomial tuple on a state (adapted-basis matrix elements)."""
     psi_adapted = dag(sym.eigenbasis) @ np.asarray(psi, dtype=complex) @ sym.eigenbasis
-    val = 1.0 + 0.0j
-    for x in range(0, len(indices), 2):
-        val *= psi_adapted[indices[x] - 1, indices[x + 1] - 1]
-    return val
+    rows, cols = np.array(indices, dtype=int).reshape(-1, 2).T - 1
+    return complex(np.prod(psi_adapted[rows, cols]))
 
 
 def monomial_eigenvalue(sym: SymmetryOperator, indices) -> complex:

@@ -101,6 +101,21 @@ class TrajectoryEnsemble:
     # philox_calls (bulk evaluations of the streams)
     stats: dict = field(default_factory=dict, compare=False)
 
+    @classmethod
+    def join(cls, parts) -> "TrajectoryEnsemble":
+        """One ensemble from chunks of it: parts sampled from one model,
+        seed, state and times, each with first_index the total size of
+        the parts before it, join to the ensemble sampled at once (the
+        reproducibility contract); their stats are summed."""
+        parts = list(parts)
+        first = parts[0]
+        if len({(p.horizon, p.seed, p.rep_fingerprint, tuple(p.states)) for p in parts}) > 1:
+            raise ValueError("parts of different ensembles do not join")
+        return cls([r for p in parts for r in p.records],
+                   {t: np.vstack([p.states[t] for p in parts]) for t in first.states},
+                   first.horizon, first.seed, first.rep_fingerprint,
+                   {k: sum(p.stats[k] for p in parts) for k in first.stats})
+
     @property
     def size(self) -> int:
         return len(self.records)
@@ -150,10 +165,7 @@ def jump_rates(rep: Representation, psi, tol: float = 1e-12):
     for j in rep.jumps:
         jpj = j @ psi @ dag(j)
         rate = float(np.trace(jpj).real)
-        if rate > tol:
-            out.append((rate, jpj / rate))
-        else:
-            out.append((rate, None))
+        out.append((rate, jpj / rate if rate > tol else None))
     return out
 
 
@@ -170,10 +182,7 @@ def _record_weight(rep: Representation, psi0, record: MeasurementRecord,
     for t, label in record.events:
         g = _segment_propagator(heff, t - t_prev)
         phi = g @ phi @ dag(g)
-        acc = np.zeros_like(phi)
-        for jm in actions[label]:
-            acc += jm @ phi @ dag(jm)
-        phi = acc
+        phi = sum(jm @ phi @ dag(jm) for jm in actions[label])
         t_prev = t
     g = _segment_propagator(heff, record.horizon - t_prev)
     phi = g @ phi @ dag(g)
@@ -599,21 +608,14 @@ def ensemble_average(ensemble: TrajectoryEnsemble, t: float,
 
 def _merge_bins(table_a: dict, table_b: dict, n_a: int, n_b: int,
                 min_expected: float = 5.0):
+    """Both tables' counts (two rows) over their pooled keys, the bins with
+    an expected count below min_expected in either merged into a last one."""
     keys = sorted(set(table_a) | set(table_b))
-    a = np.array([table_a.get(k, 0) for k in keys], dtype=float)
-    b = np.array([table_b.get(k, 0) for k in keys], dtype=float)
-    tot = a + b
-    expected_a = tot * n_a / (n_a + n_b)
-    expected_b = tot * n_b / (n_a + n_b)
-    keep = np.minimum(expected_a, expected_b) >= min_expected
-    a_kept = a[keep].tolist()
-    b_kept = b[keep].tolist()
-    rest_a = a[~keep].sum()
-    rest_b = b[~keep].sum()
-    if rest_a + rest_b > 0:
-        a_kept.append(rest_a)
-        b_kept.append(rest_b)
-    return np.array(a_kept), np.array(b_kept)
+    ab = np.array([[t.get(k, 0) for k in keys] for t in (table_a, table_b)], dtype=float)
+    expected = ab.sum(axis=0) * np.array([[n_a], [n_b]]) / (n_a + n_b)
+    keep = np.min(expected, axis=0) >= min_expected
+    rest = ab[:, ~keep].sum(axis=1, keepdims=True)
+    return np.hstack([ab[:, keep], rest]) if rest.sum() > 0 else ab[:, keep]
 
 
 def two_sample_chi2(table_a: dict, table_b: dict, min_expected: float = 5.0):

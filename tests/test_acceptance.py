@@ -33,7 +33,6 @@ from weaksym.symmetry import (
     monomial_eigenfunctions,
     monomial_eigenvalue,
     off_block_mass,
-    permutation_unitary,
     transformed_choi,
     wave_operators,
 )
@@ -263,44 +262,33 @@ def test_criterion_7_dilation_residual_table():
     corpus = ["qubit-weak", "qubit-III", "qubit-II", "qubit-I",
               "qubit-nonunique"]
     ok = True
-    rows = []
     for name in corpus:
         model = models.get_model(name)
         rep = model.rep
         part = build_sjeds(rep)
         report = build_symmetry_report(rep, sym, partition=part)
-        c1, c2, c3 = (report.condition_I, report.condition_II,
-                      report.condition_III)
-        frame = dilation.rotating_frame_step(rep)
-        deph = dilation.dephased_generator_step(rep)
-        partial = dilation.partially_dephased_generator_step(rep, part)
-        coarse = dilation.coarse_grained_generator_step(rep, part)
+        c1, c2, c3 = report.verdicts()
+        steps = {
+            "rotating_frame": dilation.rotating_frame_step(rep),
+            "dephased": dilation.dephased_generator_step(rep),
+            "partial": dilation.partially_dephased_generator_step(rep, part),
+            "coarse": dilation.coarse_grained_generator_step(rep, part),
+        }
+        certs = dilation.environment_certificates(report)
 
-        assert c1.holds  # the whole corpus shares a symmetric master operator
+        assert c1  # the whole corpus shares a symmetric master operator
+        # the record level certifies the dephased step, the trajectory level
+        # the partial and coarse ones, and every level the rotating frame
+        ok = ok and set(certs) == {"rotating_frame"} | ({"dephased"} if c3 else set()) \
+            | ({"partial", "coarse"} if c2 else set())
         images = sym.images(rep)
-        r_frame = dilation.joint_symmetry_residual(frame, images, c1.unitary)
-        ok = ok and r_frame <= 1e-10
-
-        if c3.holds:
-            r = dilation.joint_symmetry_residual(
-                deph, images, permutation_unitary(c3.permutation, c3.phases))
-            ok = ok and r <= 1e-10
-            rows.append(f"{name}: dL={r:.1e}")
-        else:
-            r = dilation.minimum_symmetry_residual(deph, images, part)
-            ok = ok and r > 1e-3
-            rows.append(f"{name}: dL>={r:.1e}")
-
-        if c2.holds:
-            u54 = blockwise_unitary_completion(rep, sym, part, c2.permutation)
-            r_p = dilation.joint_symmetry_residual(partial, images, u54)
-            r_c = dilation.joint_symmetry_residual(
-                coarse, images, permutation_unitary(c2.permutation))
-            ok = ok and r_p <= 1e-10 and r_c <= 1e-10
-        else:
-            r_p = dilation.minimum_symmetry_residual(partial, images, part)
-            r_c = dilation.minimum_symmetry_residual(coarse, images, part)
-            ok = ok and r_p > 1e-3 and r_c > 1e-3
+        for kind, step in steps.items():
+            if kind in certs:
+                r = dilation.joint_symmetry_residual(step, images, certs[kind])
+                ok = ok and r <= 1e-10
+            else:
+                r = dilation.minimum_symmetry_residual(step, images, part)
+                ok = ok and r > 1e-3
     _report(7, bool(ok), "joint residual table matches the condition pattern")
 
 

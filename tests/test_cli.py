@@ -1016,6 +1016,15 @@ def test_threaded_sampling_matches_serial():
     parallel = _sample(model.rep, psi0, 4)
     assert serial.records == parallel.records
     assert np.array_equal(serial.states[0.5], parallel.states[0.5])
+    # chunks of any sizes join to the serial ensemble
+    joined = trajectories.TrajectoryEnsemble.join(
+        trajectories.sample_ensemble(model.rep, psi0, 0.5, b - a, seed=7,
+                                     checkpoint_times=(0.5,), first_index=a)
+        for a, b in ((0, 1), (1, 40), (40, 64)))
+    assert serial.records == joined.records
+    assert np.array_equal(serial.states[0.5], joined.states[0.5])
+    assert (joined.horizon, joined.seed, joined.rep_fingerprint) == \
+        (serial.horizon, serial.seed, serial.rep_fingerprint)
 
 
 def test_modelfile_complex_expression_entries():
@@ -1054,7 +1063,11 @@ def test_chunk_stats_summed(monkeypatch, in_process_pool):
     chunks = [trajectories.sample_ensemble(model.rep, psi0, 0.5, b - a, seed=7,
                                            checkpoint_times=(0.5,), first_index=a)
               for a, b in ((0, 21), (21, 42), (42, 64))]
+    joined = trajectories.TrajectoryEnsemble.join(chunks)
     assert in_process_pool == [3]
+    assert pooled.records == joined.records
+    assert np.array_equal(pooled.states[0.5], joined.states[0.5])
+    assert pooled.stats == joined.stats
     assert pooled.stats == {k: sum(c.stats[k] for c in chunks) for k in chunks[0].stats}
     assert pooled.stats["jumps"] == sum(len(rec) for rec in pooled.records)
     assert pooled.stats["grid_steps"] == 3 * chunks[0].stats["grid_steps"]

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from weaksym.linalg import dag, frob, matrix_exponential
 from weaksym.sjed import build_sjeds
 from weaksym.symmetry import (
     SymmetryOperator,
-    blockwise_unitary_completion,
-    check_condition_I,
+    SymmetryReport,
+    build_symmetry_report,
     check_condition_II,
     check_condition_III,
     permutation_unitary,
@@ -22,6 +24,7 @@ from weaksym.dilation import (
     coarse_grained_generator_step,
     dephased_generator_step,
     displacement_step,
+    environment_certificates,
     environment_symmetry,
     environment_trace_slope,
     joint_symmetry_residual,
@@ -198,41 +201,45 @@ def test_environment_symmetry_permutation_phases():
 # ---------------------------------------------------------------- residual table
 
 def certificates(model, name="parity"):
+    """(sym, partition, c1, c2, c3, the report's environment certificates)."""
     sym = SymmetryOperator.from_matrix(model.symmetries[name])
     p = build_sjeds(model.rep)
-    c1 = check_condition_I(model.rep, sym)
-    c2 = check_condition_II(model.rep, sym)
-    c3 = check_condition_III(model.rep, sym)
-    return sym, p, c1, c2, c3
+    report = build_symmetry_report(model.rep, sym, partition=p)
+    return (sym, p, report.condition_I, report.condition_II, report.condition_III,
+            environment_certificates(report))
+
+
+def steps(rep, p):
+    return {"rotating_frame": rotating_frame_step(rep),
+            "dephased": dephased_generator_step(rep),
+            "partial": partially_dephased_generator_step(rep, p),
+            "coarse": coarse_grained_generator_step(rep, p)}
 
 
 def test_residuals_weakly_symmetric_model():
     m = models.qubit_weak()
-    sym, p, c1, c2, c3 = certificates(m)
+    sym, p, c1, c2, c3, certs = certificates(m)
     images = sym.images(m.rep)
-    u_rec = permutation_unitary(c3.permutation, c3.phases)
-    assert joint_symmetry_residual(rotating_frame_step(m.rep), images, u_rec) < 1e-10
-    assert joint_symmetry_residual(dephased_generator_step(m.rep), images, u_rec) < 1e-10
-    assert joint_symmetry_residual(
-        partially_dephased_generator_step(m.rep, p), images, u_rec) < 1e-10
-    uc = permutation_unitary(c2.permutation)
-    assert joint_symmetry_residual(
-        coarse_grained_generator_step(m.rep, p), images, uc) < 1e-10
+    assert list(certs) == ["dephased", "partial", "coarse", "rotating_frame"]
+    for kind, step in steps(m.rep, p).items():
+        assert joint_symmetry_residual(step, images, certs[kind]) < 1e-10
+    # condition III's relabelling certifies the rotating and partial steps too
+    assert frob(certs["dephased"] - permutation_unitary(c3.permutation, c3.phases)) == 0
+    for step in (rotating_frame_step(m.rep), partially_dephased_generator_step(m.rep, p)):
+        assert joint_symmetry_residual(step, images, certs["dephased"]) < 1e-10
 
 
 def test_residuals_qubit_ii_partial_passes_full_fails():
     m = models.qubit_ii()
-    sym, p, c1, c2, c3 = certificates(m)
+    sym, p, c1, c2, c3, certs = certificates(m)
     assert c2.holds and not c3.holds
     images = sym.images(m.rep)
-    u54 = blockwise_unitary_completion(m.rep, sym, p, c2.permutation)
-    # rotating-frame and partially dephased generators are symmetric
-    assert joint_symmetry_residual(rotating_frame_step(m.rep), images, u54) < 1e-10
-    assert joint_symmetry_residual(
-        partially_dephased_generator_step(m.rep, p), images, u54) < 1e-10
-    uc = permutation_unitary(c2.permutation)
-    assert joint_symmetry_residual(
-        coarse_grained_generator_step(m.rep, p), images, uc) < 1e-10
+    # rotating-frame, partially dephased and coarse generators are symmetric
+    assert set(certs) == {"rotating_frame", "partial", "coarse"}
+    assert certs["partial"] is certs["rotating_frame"] is c2.unitary
+    for kind, step in steps(m.rep, p).items():
+        if kind in certs:
+            assert joint_symmetry_residual(step, images, certs[kind]) < 1e-10
     # the fully dephased generator resists every structured or random choice
     best = minimum_symmetry_residual(dephased_generator_step(m.rep),
                                      images, partition=p)
@@ -241,15 +248,45 @@ def test_residuals_qubit_ii_partial_passes_full_fails():
 
 def test_residuals_qubit_i_only_unitary_level():
     m = models.qubit_i()
-    sym, p, c1, c2, c3 = certificates(m)
+    sym, p, c1, c2, c3, certs = certificates(m)
     assert c1.holds and not c2.holds
     images = sym.images(m.rep)
-    assert joint_symmetry_residual(rotating_frame_step(m.rep), images, c1.unitary) < 1e-10
+    assert list(certs) == ["rotating_frame"] and certs["rotating_frame"] is c1.unitary
+    assert joint_symmetry_residual(rotating_frame_step(m.rep), images,
+                                   certs["rotating_frame"]) < 1e-10
     for step in (dephased_generator_step(m.rep),
                  partially_dephased_generator_step(m.rep, p)):
         assert minimum_symmetry_residual(step, images, partition=p) > 1e-3
     coarse = coarse_grained_generator_step(m.rep, p)
     assert minimum_symmetry_residual(coarse, images, partition=p) > 1e-3
+
+
+def test_certificates_skip_a_failed_block_completion():
+    m = models.qubit_ii()
+    sym, p, c1, c2, c3, _ = certificates(m)
+    failed = SymmetryReport(c1, dataclasses.replace(c2, unitary=None, reason="x"), c3)
+    certs = environment_certificates(failed)
+    assert list(certs) == ["coarse", "rotating_frame"]
+    assert certs["rotating_frame"] is c1.unitary
+
+
+@pytest.mark.parametrize("name", [*models.BUILDERS])
+def test_certificates_are_the_kinds_verify_joint_prints(name, capsys):
+    # the nine built-ins and qutrit-chain
+    from weaksym import cli
+
+    assert cli.main(["verify-joint", name]) == 0
+    doc = json.loads(capsys.readouterr().out)["symmetries"]
+    analysis = cli.analyze(models.get_model(name))
+    for sym_name, (sym, report) in analysis.symmetries.items():
+        certs = environment_certificates(report)
+        assert list(doc[sym_name]["residuals"]) == list(certs)
+        c1, c2, c3 = report.verdicts()
+        block = c2 and report.condition_II.unitary is not None
+        assert set(certs) == ({"dephased"} if c3 else set()) | \
+            ({"partial"} if block else set()) | ({"coarse"} if c2 else set()) | \
+            ({"rotating_frame"} if block or c1 else set())
+        assert all(r < 1e-9 for r in doc[sym_name]["residuals"].values())
 
 
 @pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (4, 2)])
@@ -389,8 +426,7 @@ def test_stationarity_of_trajectory_certificates():
     # trajectory-level certificates leave the displacement generator alone:
     # the transported jump traces match, so no time dependence is needed
     for m in (models.qubit_ii(), models.twoqubit_ii()):
-        sym, p, c1, c2, c3 = certificates(m, next(iter(m.symmetries)))
-        u = blockwise_unitary_completion(m.rep, sym, p, c2.permutation)
+        u = certificates(m, next(iter(m.symmetries)))[-1]["partial"]
         traces = np.array([np.trace(j) for j in m.rep.jumps])
         assert np.linalg.norm(u @ traces - traces) < 1e-9
 
@@ -400,7 +436,7 @@ def test_stationarity_of_trajectory_certificates():
 def test_change_of_basis_square():
     m1 = models.qubit_weak()
     m3 = models.qubit_iii()
-    sym, _, c1, _, _ = certificates(m1)
+    sym, _, c1, _, _, _ = certificates(m1)
     from weaksym.lindblad import relate_representations
     v, _ = relate_representations(m1.rep, m3.rep)
     u_b, resid = change_of_basis_symmetry(m1.rep, m3.rep, v, c1.unitary, sym)
@@ -412,7 +448,7 @@ def test_change_of_basis_square():
 
 def test_change_of_basis_identity():
     m = models.qubit_weak()
-    sym, _, c1, _, _ = certificates(m)
+    sym, _, c1, _, _, _ = certificates(m)
     u_b, resid = change_of_basis_symmetry(m.rep, m.rep, np.eye(2), c1.unitary, sym)
     assert resid < 1e-10
     assert frob(u_b - c1.unitary) < 1e-12
@@ -420,7 +456,7 @@ def test_change_of_basis_identity():
 
 def test_change_of_basis_tall():
     m = models.qubit_weak()
-    sym, _, c1, _, _ = certificates(m)
+    sym, _, c1, _, _, _ = certificates(m)
     rep_b = Representation(m.rep.hamiltonian,
                            (m.rep.jumps[0] / np.sqrt(2),
                             m.rep.jumps[0] / np.sqrt(2),

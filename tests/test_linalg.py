@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from weaksym import linalg, models
 from weaksym.linalg import (
@@ -191,3 +194,64 @@ def test_span_map_rejects_a_different_frame():
 ])
 def test_assign(cost, tol, expected):
     assert linalg.assign(cost, tol) == expected
+
+
+def test_operator_coordinates_split_families_and_take_sparse_entries():
+    rng = np.random.default_rng(8)
+    ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
+    sparse = scipy.sparse.csr_array(ops[2])
+    a, empty, b = linalg.operator_coordinates(ops[:2], [], [ops[2], sparse])
+    assert a.shape[1] == 2 and empty.shape == (len(a), 0) and b.shape[1] == 2
+    assert frob(b[:, 0] - b[:, 1]) < 1e-14
+    gram = dag(np.hstack([a, b])) @ np.hstack([a, b])
+    flat = np.array([o.reshape(-1) for o in [*ops, ops[2]]]).T
+    assert frob(gram - dag(flat) @ flat) < 1e-12 * frob(gram)
+    # no operators, or only zero ones, have coordinates with no rows
+    assert [x.shape for x in linalg.operator_coordinates([], [])] == [(0, 0), (0, 0)]
+    zero, = linalg.operator_coordinates([np.zeros(4), scipy.sparse.csr_array((2, 2))])
+    assert zero.shape == (0, 2)
+    with pytest.raises(linalg.ShapeError):
+        linalg.operator_coordinates([np.zeros((2, 2))], [np.zeros((3, 3))])
+
+
+@pytest.fixture(scope="module")
+def chain_and_remix():
+    """The seeded L=5 qutrit chain (d = 243, ten rank-one jumps with one
+    destination, so one SJED) and a unitary remix q of its jumps."""
+    rep = models.qutrit_chain(5, thetas=np.random.default_rng(7).uniform(
+        0.0, 2 * np.pi, 5)).rep
+    q = random_unitary(np.random.default_rng(3), rep.njumps)
+    return rep, rep.with_jumps(tuple(np.tensordot(q, np.array(rep.jumps), axes=1))), q
+
+
+def test_operator_coordinate_paths_form_no_dense_rows(chain_and_remix):
+    # the d^2-long rows of both families would take 20 x 0.9 MiB; the
+    # Hamiltonians' difference (one 0.9 MiB array) is the largest array left
+    from weaksym.lindblad import relate_representations, representations_equal
+    from weaksym.sjed import build_sjeds, same_unravelled_generator
+    from weaksym.symmetry import solve_mixing_matrix
+
+    rep, remix, q = chain_and_remix
+    parts = build_sjeds(rep), build_sjeds(remix)
+    calls = {
+        "representations_equal": lambda: representations_equal(rep, remix),
+        "relate_representations": lambda: relate_representations(rep, remix),
+        "same_unravelled_generator": lambda: same_unravelled_generator(
+            rep, remix, partition_a=parts[0], partition_b=parts[1]),
+        "solve_mixing_matrix": lambda: solve_mixing_matrix(rep.jumps, remix.jumps),
+    }
+    results = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            results[name] = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, name
+    assert results["representations_equal"]
+    v, unique = results["relate_representations"]
+    assert unique and frob(v - q) < 1e-12 * rep.njumps
+    assert results["same_unravelled_generator"] == (True, (0,), 0.0)
+    x, resid = results["solve_mixing_matrix"]
+    assert frob(x - q) < 1e-12 * rep.njumps and resid < 1e-14

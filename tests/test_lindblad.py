@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weaksym import linalg, models
+from weaksym import linalg, lindblad, models
 from weaksym.lindblad import (
     NegativeTimeError,
     NotSameMasterOperator,
@@ -288,6 +290,26 @@ def test_evolve_density_t0():
     assert np.allclose(evolve_density(rep, PLUS, 0.0), PLUS)
     with pytest.raises(NegativeTimeError):
         evolve_density(rep, PLUS, -1.0)
+
+
+def test_evolve_density_refuses_superoperators_above_the_size_limit():
+    # at d = 81 the Liouville matrix would hold 6561^2 complex entries (657 MiB)
+    rep = models.qutrit_chain(4).rep
+    assert rep.dim > lindblad.MAX_SUPEROP_DIM
+    rho0 = pure_state(np.ones(rep.dim))
+    tracemalloc.start()
+    try:
+        with pytest.raises(linalg.ShapeError):
+            evolve_density(rep, rho0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the limit itself is allowed
+    d = lindblad.MAX_SUPEROP_DIM
+    rep = Representation(np.zeros((d, d)), (np.diag(np.arange(d) / d),))
+    rho = evolve_density(rep, pure_state(np.ones(d)), 0.5)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
 def test_evolve_density_dephasing():

@@ -6,10 +6,11 @@ import math
 from unittest import mock
 
 import numpy as np
+import scipy.sparse
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, sjed
-from weaksym.lindblad import Representation, liouville_matrix
+from weaksym.lindblad import Representation, liouville_matrix, representations_equal
 from weaksym.linalg import dag, frob
 from weaksym.sjed import (
     build_sjeds,
@@ -765,3 +766,174 @@ def test_images_from_nonzeros_match_dense_products(inputs):
     coords = np.hstack([images.frame_jumps, images.frame_images])
     want = dag(r) @ r
     assert frob(dag(coords) @ coords - want) <= 1e-12 * frob(want)
+
+
+# ------------------------------------ operator coordinates, dense-row oracle
+#
+# linalg.operator_coordinates reads every family from its nonzero entries.
+# The oracle is one QR of the families' dense rows (d^2 long for d x d
+# operators) behind the master-operator test, the SJED matching and the
+# span maps.
+
+def _dense_rows(family) -> list:
+    return [np.asarray(a.toarray() if scipy.sparse.issparse(a) else a,
+                       dtype=complex).reshape(-1) for a in family]
+
+
+def _oracle_operator_coordinates(*families):
+    rows = [r for f in families for r in _dense_rows(f)]
+    if not rows:
+        return tuple(np.zeros((0, 0), dtype=complex) for _ in families)
+    r = np.linalg.qr(np.array(rows).T, mode="r")
+    ends = np.cumsum([0, *map(len, families)])
+    return tuple(r[:, a:b] for a, b in zip(ends[:-1], ends[1:]))
+
+
+def _oracle_master_coordinates(rep_a, rep_b, tol):
+    """lindblad._master_coordinates on the dense d^2-long rows."""
+    d = rep_a.dim
+    ha, hb = rep_a.traceless[0], rep_b.traceless[0]
+    ha = ha - (np.trace(ha) / d) * np.eye(d)
+    hb = hb - (np.trace(hb) / d) * np.eye(d)
+    if frob(ha - hb) > tol * max(frob(ha), frob(hb), 1.0):
+        return None
+    a, b = _oracle_operator_coordinates(rep_a.traceless[1], rep_b.traceless[1])
+    gap, fa, fb = linalg.frame_gap(a, b)
+    return (a, b) if gap <= tol * max(fa, fb, 1e-300) else None
+
+
+def _oracle_same_unravelled_generator(rep_a, rep_b, tol):
+    """(ok, pi_c) of same_unravelled_generator on the dense d^2-long rows."""
+    d = rep_a.dim
+    diff = rep_b.hamiltonian - rep_a.hamiltonian
+    r = np.trace(diff) / d
+    scale = max(frob(rep_a.hamiltonian), frob(rep_b.hamiltonian), 1.0)
+    if abs(r.imag) > tol * scale or frob(diff - r * np.eye(d)) > tol * scale:
+        return False, None
+    pa, pb = build_sjeds(rep_a, tol), build_sjeds(rep_b, tol)
+    pi, _ = sjed.match_sets(*_oracle_operator_coordinates(rep_a.jumps, rep_b.jumps),
+                            [s.indices for s in pa.sets], [s.indices for s in pb.sets],
+                            tol)
+    return pi is not None, pi
+
+
+@st.composite
+def operator_families(draw):
+    """(jumps, targets, spare): two families of up to 64 operators of one
+    size, each a dense or a scipy.sparse d x d matrix, or all 1-D
+    coordinate vectors, with 1 to all entries nonzero.  The targets are a
+    unitary remix of the jumps (so their frames agree), a random mix of
+    them, independent of them, or zero (all, or some); either family may
+    be empty.  spare asks for an empty family between the two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = draw(st.booleans())
+    d = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 16)) if vectors else d * d
+    n = draw(st.integers(0, 64))
+    kind = draw(st.sampled_from(["remix", "mix", "independent", "zero", "some zero"]))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def family(m):
+        out = np.zeros((m, size), dtype=complex)
+        for row in out:
+            k = rng.integers(1, size + 1)
+            row[rng.choice(size, k, replace=False)] = gaussian(k)
+        return out
+
+    jumps = family(n)
+    if kind == "remix":
+        targets = linalg.random_unitary(rng, n) @ jumps if n else jumps.copy()
+    elif kind == "mix":
+        targets = gaussian(n, n) @ jumps
+    else:
+        targets = family(n)
+        if kind != "independent":
+            targets[rng.random(n) < (1.0 if kind == "zero" else 0.5)] = 0.0
+
+    def operators(rows):
+        if vectors:
+            return list(rows)
+        sparse = rng.random(len(rows)) < 0.5
+        return [scipy.sparse.csr_array(r.reshape(d, d)) if s else r.reshape(d, d)
+                for r, s in zip(rows, sparse)]
+
+    return operators(jumps), operators(targets), draw(st.booleans())
+
+
+@given(operator_families())
+def test_operator_coordinates_match_the_dense_row_stack(families):
+    jumps, targets, spare = families
+    got = linalg.operator_coordinates(jumps, [], targets) if spare else \
+        linalg.operator_coordinates(jumps, targets)
+    a, b = got[0], got[-1]
+    assert [x.shape[1] for x in got] == [len(jumps), *([0] if spare else []), len(targets)]
+    oa, ob = _oracle_operator_coordinates(jumps, targets)
+    # the frame gap and both frames' norms
+    want = linalg.frame_gap(oa, ob)
+    scale = max(want[1], want[2], 1e-300)
+    assert np.max(np.abs(np.subtract(linalg.frame_gap(a, b), want))) <= 1e-12 * scale
+    # solve_mixing_matrix's and general_unitary_completion's span maps
+    span, oracle = linalg.SpanMap(a, b), linalg.SpanMap(oa, ob)
+    for cut in (np.sqrt(1e-9), 1e-9):
+        assert span.rank(cut) == oracle.rank(cut)
+        x, resid = span.solve(cut)
+        ox, oresid = oracle.solve(cut)
+        assert frob(x - ox) <= 1e-12 * max(frob(ox), 1.0)
+        assert abs(resid - oresid) <= 1e-12
+    u, ou = span.certificate(1e-9), oracle.certificate(1e-9)
+    assert (u is None) == (ou is None)
+    if u is not None:
+        assert frob(u - ou) <= 1e-12 * max(frob(ou), 1.0)
+
+
+@st.composite
+def representation_pairs(draw):
+    """(rep_a, rep_b): rep_a with up to 64 jumps (dense, sparse, rank one to
+    a shared destination, or proportional to 1, so with a zero traceless
+    part), rep_b a remix inside rep_a's SJEDs or a unitary remix of all its
+    jumps, the latter also with H shifted by a multiple of 1, with H
+    moved, or with its jumps perturbed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 4))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    dest = gaussian(d)
+    jumps = []
+    for kind in draw(st.lists(st.sampled_from(["dense", "sparse", "reset", "identity"]),
+                              min_size=1, max_size=64)):
+        if kind == "dense":
+            jumps.append(gaussian(d, d))
+        elif kind == "sparse":
+            j = np.zeros(d * d, dtype=complex)
+            j[rng.integers(d * d)] = gaussian(1)[0]
+            jumps.append(j.reshape(d, d))
+        elif kind == "reset":
+            jumps.append(np.outer(dest, gaussian(d).conj()))
+        else:
+            jumps.append(gaussian(1)[0] * np.eye(d))
+    h = gaussian(d, d)
+    rep_a = Representation(h + dag(h), tuple(jumps))
+    move = draw(st.sampled_from(["sjeds", "all", "shifted H", "moved H", "perturbed"]))
+    if move == "sjeds":
+        return rep_a, rep_a.with_jumps(remix_within_sets(build_sjeds(rep_a), rng))
+    mixed = np.tensordot(linalg.random_unitary(rng, len(jumps)), np.array(jumps), axes=1)
+    if move == "perturbed":
+        mixed = mixed + 1e-3 * gaussian(*mixed.shape)
+    g = gaussian(d, d)
+    h = rep_a.hamiltonian + {"shifted H": 0.7 * np.eye(d),
+                             "moved H": 1e-3 * (g + dag(g))}.get(move, 0.0)
+    return rep_a, Representation(h, tuple(mixed))
+
+
+@given(representation_pairs())
+def test_master_and_sjed_verdicts_match_the_dense_row_stack(pair):
+    rep_a, rep_b = pair
+    tol = 1e-9
+    assert representations_equal(rep_a, rep_b, tol) == \
+        (_oracle_master_coordinates(rep_a, rep_b, tol) is not None)
+    ok, pi, _ = same_unravelled_generator(rep_a, rep_b, tol)
+    assert (ok, pi) == _oracle_same_unravelled_generator(rep_a, rep_b, tol)

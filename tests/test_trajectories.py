@@ -24,6 +24,7 @@ from weaksym.trajectories import (
     MissingPermutation,
     SizeMismatch,
     StiffnessError,
+    TrajectoryEnsemble,
     coarse_record,
     coarse_record_weight,
     drift,
@@ -47,7 +48,7 @@ from weaksym.trajectories import (
     _Streams,
 )
 
-from conftest import SX, SZ, random_pure_state, symmetry_ensembles
+from conftest import SM, SX, SZ, random_pure_state, symmetry_ensembles
 
 PLUS = pure_state([1, 1])
 
@@ -787,3 +788,16 @@ def test_symmetry_test_two_qubit_full_level():
     a, b = symmetry_ensembles(m.rep, sym, psi0, 1.0, 4000, seed=29)
     pval, passed = ensemble_symmetry_test(m.rep, sym, "unlabelled", a, b)
     assert passed, pval
+
+
+def test_join_refuses_parts_of_different_ensembles():
+    rep = Representation(SZ, (SM,))
+    part = sample_ensemble(rep, PLUS, 0.5, 4, seed=3, checkpoint_times=(0.5,))
+    for other in (sample_ensemble(rep, PLUS, 0.5, 4, seed=4, checkpoint_times=(0.5,),
+                                  first_index=4),
+                  sample_ensemble(rep, PLUS, 0.5, 4, seed=3, first_index=4),
+                  sample_ensemble(rep.with_jumps((2 * SM,)), PLUS, 0.5, 4, seed=3,
+                                  checkpoint_times=(0.5,), first_index=4)):
+        with pytest.raises(ValueError):
+            TrajectoryEnsemble.join([part, other])
+    assert TrajectoryEnsemble.join([part]).records == part.records

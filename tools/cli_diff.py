@@ -6,11 +6,11 @@ Runs ``check`` on the nine built-ins, the built-in ``qutrit-chain`` (four
 reset SJEDs pinned by its ``sjeds``, which translation permutes as a
 4-cycle; once more at ``--tol 1e-6``) and seeded L=3, L=4, L=5 and L=6
 qutrit chains (L=6 is dim 729, where ``check`` takes about 4 s and 330 MiB
-of peak RSS with one BLAS thread on a 2-core x86-64 VM) and a 64-jump model
-(d = 8, H = 1, the cyclic shift as its symmetry, jumps |k><roll(b, k)| for
-k = 0..7 and eight vectors b from ``default_rng(0)``), ``verify-joint``
-on the same built-ins and on the seeded L=3, L=4 and L=5 chains and the
-64-jump model,
+of peak RSS with one BLAS thread on a 2-core x86-64 VM) and the 64-jump
+model (the n-jump model: d = 8, H = 1, the cyclic shift as its symmetry,
+jumps |k><roll(b, k)| for k = 0..7 and n/8 vectors b from
+``default_rng(0)``), ``verify-joint`` on the same built-ins, on the seeded
+L=3, L=4 and L=5 chains and on the 64- and 128-jump models,
 ``simulate`` (with exports) on
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --level full --n 20000`` on qubit-III (the
@@ -48,18 +48,20 @@ CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
          "L = int(sys.argv[2]); m = models.qutrit_chain(L, thetas="
          "np.random.default_rng(7).uniform(0.0, 2 * np.pi, L)); "
          "modelfile.dump_model(m, sys.argv[1])")
-JUMPS64 = ("import numpy as np, sys; from weaksym import models, modelfile; "
-           "from weaksym.lindblad import Representation; "
-           "rng = np.random.default_rng(0); "
-           "bs = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(8)]; "
-           "jumps = [np.outer(np.eye(8)[k], np.roll(b, k).conj()) "
-           "for b in bs for k in range(8)]; "
-           "m = models.Model('jumps-64', Representation(np.eye(8), tuple(jumps)), "
-           "{'shift': np.roll(np.eye(8), 1, axis=0)}); "
-           "modelfile.dump_model(m, sys.argv[1])")
+# the n-jump model, n = sys.argv[2] (a multiple of 8)
+JUMPS = ("import numpy as np, sys; from weaksym import models, modelfile; "
+         "from weaksym.lindblad import Representation; "
+         "n = int(sys.argv[2]); rng = np.random.default_rng(0); "
+         "bs = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(n // 8)]; "
+         "jumps = [np.outer(np.eye(8)[k], np.roll(b, k).conj()) "
+         "for b in bs for k in range(8)]; "
+         "m = models.Model(f'jumps-{n}', Representation(np.eye(8), tuple(jumps)), "
+         "{'shift': np.roll(np.eye(8), 1, axis=0)}); "
+         "modelfile.dump_model(m, sys.argv[1])")
+JUMP_COUNTS = (64, 128)
 
 
-def cases(chain4, chain3, chain5, chain6, jumps64, own):
+def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
     out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5,
@@ -67,7 +69,7 @@ def cases(chain4, chain3, chain5, chain6, jumps64, own):
     # a second tolerance moves the SJED isometries' rank cut
     out += [["check", "qutrit-chain", "--tol", "1e-6"]]
     out += [["verify-joint", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4,
-                                                     chain5, jumps64]]
+                                                     chain5, jumps64, jumps128]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
@@ -144,9 +146,10 @@ def main(argv=None) -> int:
             for src, path in ((base, chains[-1]), (head, own[chains[-1]])):
                 subprocess.run([sys.executable, "-c", CHAIN, path, str(L)],
                                check=True, env=dict(os.environ, PYTHONPATH=src))
-        chains.append(os.path.join(tmp, "jumps-64.json"))
-        subprocess.run([sys.executable, "-c", JUMPS64, chains[-1]], check=True,
-                       env=dict(os.environ, PYTHONPATH=base))
+        for n in JUMP_COUNTS:
+            chains.append(os.path.join(tmp, f"jumps-{n}.json"))
+            subprocess.run([sys.executable, "-c", JUMPS, chains[-1], str(n)],
+                           check=True, env=dict(os.environ, PYTHONPATH=base))
         failures = 0
         deviations = [0.0]
         pairs = cases(*chains, own)
