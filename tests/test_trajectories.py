@@ -18,6 +18,7 @@ from weaksym.lindblad import (
 from weaksym.linalg import dag, frob, matrix_exponential
 from weaksym.sjed import build_sjeds
 from weaksym.symmetry import SymmetryOperator, check_condition_II, check_condition_III
+import weaksym.trajectories as traj
 from weaksym.trajectories import (
     TIME_TOL_FACTOR,
     MeasurementRecord,
@@ -40,6 +41,7 @@ from weaksym.trajectories import (
 )
 from weaksym.trajectories import (
     _crossing_times,
+    _grid,
     _jump,
     _MomentPropagator,
     _philox_uniforms,
@@ -304,14 +306,21 @@ def test_crossing_time_matches_bisection(seed, d):
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 5]))
 def test_crossing_time_independent_of_batch(seed, d):
     heff, dt, phis, offsets, thresholds, ends = _crossing_batch(seed, d, 7)
+    # rows 4-6 come from a shorter grid step, as after an off-grid checkpoint
+    dts = np.where(np.arange(7) < 4, dt, 0.6 * dt)
+    offsets[4:] *= 0.6
+    ends[4:] = [_exact_norm(heff, phi, 0.6 * dt - o)
+                for phi, o in zip(phis[4:], offsets[4:])]
+    thresholds[4:] = ends[4:] + 0.5 * (1.0 - ends[4:])
     moments = _MomentPropagator(heff)
     batch, _ = _crossing_times(moments, moments.table(phis), thresholds, offsets,
-                               ends, dt, 1e-9)
+                               ends, dts, 1e-9)
     for i in range(7):
         one = slice(i, i + 1)
         alone, _ = _crossing_times(moments, moments.table(phis[one]), thresholds[one],
-                                   offsets[one], ends[one], dt, 1e-9)
+                                   offsets[one], ends[one], dts[i], 1e-9)
         assert alone[0] == batch[i]
+        assert offsets[i] <= batch[i] <= dts[i]
 
 
 @given(st.floats(0.01, 0.39), st.floats(0.01, 0.2))
@@ -383,8 +392,132 @@ def test_sampler_stats_count_few_trials_per_batch():
     assert stats["grid_steps"] == 20
     assert stats["jumps"] == sum(len(rec) for rec in ens.records)
     assert stats["crossing_batches"] > 0
+    # a batch resolves the rows parked over many grid steps: the
+    # step-by-step batches numbered 47 here
+    assert stats["crossing_batches"] <= stats["grid_steps"]
     # bisection to the time tolerance took 26 trials per batch
     assert stats["trials"] <= 6 * stats["crossing_batches"]
+
+
+def _stepwise_ensemble(rep, psi0, horizon, n, seed=0, checkpoint_times=(),
+                       first_index=0):
+    """The sampler's reference form: one grid step at a time for every
+    row, the rows crossing within the step resolved as one batch, then the
+    rows crossing again within it as the next.  Returns (records, states,
+    re-crossings)."""
+    heff = rep.effective_hamiltonian
+    step = min(0.05 * max(horizon, 1e-12), 0.45 / max(frob(heff), 1e-12))
+    grid = _grid(horizon, step, checkpoint_times)
+    phis = np.tile(state_vector(psi0), (n, 1))
+    jump_mats = np.stack(rep.jumps)
+    gamma = float(np.linalg.eigh(sum(dag(j) @ j for j in rep.jumps))[0][-1])
+    jumps = gamma * horizon + 4.0 * np.sqrt(gamma * horizon) + 4.0
+    streams = _Streams(seed, first_index, n, int(min(np.ceil((1.0 + 2.0 * jumps) / 4.0),
+                                                     traj._FILL_CAP // n)))
+    thresholds = streams.take(np.arange(n), 1)[:, 0]
+    records = [[] for _ in range(n)]
+    states = {}
+    want = {round(float(t), 12) for t in checkpoint_times}
+    time_tol = TIME_TOL_FACTOR * horizon
+    moments = _MomentPropagator(heff)
+    again_total = 0
+    if 0.0 in want:
+        states[0.0] = phis.copy()
+    for k in range(len(grid) - 1):
+        t0, t1 = grid[k], grid[k + 1]
+        dt = t1 - t0
+        start = phis.copy()
+        phis = phis @ matrix_exponential(-1j * dt * heff).T
+        norms = np.einsum("ij,ij->i", phis.conj(), phis).real
+        idxs = np.where(norms < thresholds)[0]
+        offsets, seg_start, end_norms = np.zeros(idxs.size), start[idxs], norms[idxs]
+        while idxs.size:
+            table = moments.table(seg_start)
+            tstar, _ = _crossing_times(moments, table, thresholds[idxs], offsets,
+                                       end_norms, dt, time_tol)
+            phi_star = moments.evaluate(table, tstar - offsets)
+            draws = streams.take(idxs, 2)
+            labels, new_states = _jump(
+                np.einsum("jab,ib->ija", jump_mats, phi_star), draws[:, 0])
+            for i, t, label in zip(idxs, (t0 + tstar).tolist(), labels.tolist()):
+                records[i].append((t, label))
+            thresholds[idxs] = draws[:, 1]
+            rest = moments.apply(new_states, dt - tstar)
+            nr = np.einsum("ij,ij->i", rest.conj(), rest).real
+            phis[idxs] = rest
+            again = nr < thresholds[idxs]
+            again_total += int(again.sum())
+            idxs, seg_start, offsets, end_norms = \
+                idxs[again], new_states[again], tstar[again], nr[again]
+        if round(float(t1), 12) in want:
+            nrm = np.sqrt(np.einsum("ij,ij->i", phis.conj(), phis).real)
+            states[float(t1)] = phis / nrm[:, None]
+    return records, states, again_total
+
+
+def _assert_matches_stepwise(ens, want_records, want_states):
+    # the same crossings, labels and draws: records equal bit for bit;
+    # states differ only where the reference multiplied a lone row by gemv
+    assert ens.records == want_records
+    assert list(ens.states) == list(want_states)
+    for t, v in want_states.items():
+        assert np.max(np.abs(ens.states[t] - v)) <= 1e-15
+
+
+BUILTIN_NAMES = ["qubit-weak", "qubit-III", "qubit-II", "qubit-I", "qubit-nonunique",
+                 "twoqubit-weak", "twoqubit-III", "twoqubit-II", "twoqubit-I"]
+
+
+def _model_case(name):
+    if name == "qutrit-chain-3":
+        m = models.qutrit_chain(
+            3, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, 3))
+    else:
+        m = models.get_model(name)
+    return m.rep, pure_state(np.ones(m.rep.dim))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["qutrit-chain-3"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_sampler_matches_stepwise_oracle(name, seed):
+    rep, psi0 = _model_case(name)
+    # an off-grid checkpoint splits a step: batches mix two step lengths
+    for horizon, times in ((2.0, (2.0,)), (1.0, (0.0, 0.37, 1.0))):
+        ens = sample_ensemble(rep, psi0, horizon, 120, seed=seed,
+                              checkpoint_times=times, first_index=seed)
+        _assert_matches_stepwise(ens, *_stepwise_ensemble(
+            rep, psi0, horizon, 120, seed=seed, checkpoint_times=times,
+            first_index=seed)[:2])
+
+
+def test_sampler_matches_stepwise_oracle_with_refills_and_recrossings(monkeypatch):
+    # qubit-III over T = 4 with a 2n-block fill cap: rows outrun their
+    # first fill, and many jump twice within one grid step
+    rep, n = models.qubit_iii().rep, 60
+    monkeypatch.setattr(traj, "_FILL_CAP", 2 * n)
+    for seed in (1, 2):
+        ens = sample_ensemble(rep, PLUS, 4.0, n, seed=seed, checkpoint_times=(1.5, 4.0))
+        records, states, recrossings = _stepwise_ensemble(
+            rep, PLUS, 4.0, n, seed=seed, checkpoint_times=(1.5, 4.0))
+        assert ens.stats["philox_calls"] > 5 and recrossings > 0
+        _assert_matches_stepwise(ens, records, states)
+
+
+@pytest.mark.parametrize("name", ["twoqubit-I", "qutrit-chain-3"])
+def test_sampler_states_independent_of_chunking(name):
+    # the same bits serial or in chunks, a one-row chunk included: no
+    # lone row goes to gemv
+    rep, psi0 = _model_case(name)
+    for seed in range(10):
+        serial = sample_ensemble(rep, psi0, 2.0, 80, seed=seed, checkpoint_times=(1.0, 2.0))
+        for cuts in ((0, 40, 80), (0, 1, 2, 80)):
+            joined = TrajectoryEnsemble.join(
+                sample_ensemble(rep, psi0, 2.0, b - a, seed=seed,
+                                checkpoint_times=(1.0, 2.0), first_index=a)
+                for a, b in zip(cuts, cuts[1:]))
+            assert joined.records == serial.records
+            for t in serial.states:
+                assert np.array_equal(joined.states[t], serial.states[t])
 
 
 def test_sampler_draws_every_stream_in_one_philox_evaluation():
@@ -439,7 +572,6 @@ class _GeneratorStreams:
 def test_sampler_rows_outrunning_first_fill_match_generator_streams(monkeypatch):
     # qubit-III jumps at rate 2: over T = 4 a 2-block fill (room for 3
     # jumps) is outrun by most rows, so many batches refill their rows
-    import weaksym.trajectories as traj
     rep, n = models.qubit_iii().rep, 60
     monkeypatch.setattr(traj, "_FILL_CAP", 2 * n)
     got = sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,

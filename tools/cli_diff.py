@@ -15,8 +15,10 @@ L=3, L=4 and L=5 chains and on the 64- and 128-jump models,
 qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --level full --n 20000`` on qubit-III (the
 export path at scale), ``simulate --level full`` on twoqubit-II (the
-master solution at d = 4), ``simulate --threads 2`` on qubit-III and the L=3
-chain, and
+master solution at d = 4), ``simulate --threads 2`` on qubit-III,
+twoqubit-I and the L=3 chain, ``simulate --horizon 20 --n 500`` on
+qubit-III (many jumps per trajectory, refilled streams and re-crossings
+within a grid step), and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
 ``verify-joint`` and ``simulate`` share one analysis), once with each tree
 on PYTHONPATH.
@@ -77,9 +79,12 @@ def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, own):
     out += [["simulate", "qubit-III", "--level", "full", "--n", "20000"]]
     # master_solution at d = 4
     out += [["simulate", "twoqubit-II", "--level", "full", "--n", "300", "--seed", "7"]]
-    # two pool workers: the second chunk's streams start at first_index > 0
+    # two pool workers: the second chunk's streams start at first_index > 0;
+    # on twoqubit-I some crossing batches hold a single row
     out += [["simulate", m, "--level", "full", "--n", "300", "--seed", "7",
-             "--threads", "2"] for m in ("qubit-III", chain3)]
+             "--threads", "2"] for m in ("qubit-III", chain3, "twoqubit-I")]
+    # many jumps per trajectory: refills and re-crossings within a grid step
+    out += [["simulate", "qubit-III", "--horizon", "20", "--n", "500"]]
     out += [["report", m] for m in ("qubit-III", "qubit-I", chain3)]
     cross = [["check", chain4], ["check", chain5]]
     cross += [["verify-joint", m] for m in (chain3, chain4, chain5)]
