@@ -164,31 +164,29 @@ def run_verify_joint(analysis):
     return result
 
 
-@contextlib.contextmanager
-def _sampler(rep, horizon, n, threads):
-    """Yield sample(psi0, seed): the ensemble of n trajectories to horizon.
+def _sample(rep, starts, horizon, n, threads) -> list:
+    """One ensemble of n trajectories to horizon per (psi0, seed) of
+    starts, all from one sampler pass split by trajectory index.
 
     With threads > 1 (at most one per CPU, and at least 2 trajectories
-    each) one process pool, shared by every ensemble of the command, samples
-    contiguous chunks of trajectory indices, which TrajectoryEnsemble.join
-    joins into the serial ensemble."""
+    each) a process pool samples one contiguous chunk of indices of
+    every start per process; without, the one chunk is all of them.
+    TrajectoryEnsemble.join joins each start's chunks."""
     threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or n < 2 * threads:
-        yield lambda psi0, seed: trajectories.sample_ensemble(
-            rep, psi0, horizon, n, seed=seed, checkpoint_times=(horizon,))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
+    if n < 2 * threads:
+        threads = 1
     bounds = np.linspace(0, n, threads + 1).astype(int)
+    jobs = [functools.partial(trajectories.sample_ensembles, rep, starts, horizon,
+                              int(b - a), (horizon,), int(a))
+            for a, b in zip(bounds[:-1], bounds[1:])]
+    if threads == 1:
+        chunks = list(map(operator.call, jobs))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    def sample(psi0, seed):
-        jobs = [functools.partial(trajectories.sample_ensemble, rep, psi0, horizon,
-                                  int(b - a), seed, (horizon,), first_index=int(a))
-                for a, b in zip(bounds[:-1], bounds[1:])]
-        return trajectories.TrajectoryEnsemble.join(pool.map(operator.call, jobs))
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield sample
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(operator.call, jobs))
+    return [trajectories.TrajectoryEnsemble.join(parts) for parts in zip(*chunks)]
 
 
 def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
@@ -204,23 +202,25 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
         "alpha": alpha,
         "tests": {},
     }
-    # A (psi0, seed) serves the average and every test; B is U psi0 U†, seed + 1
-    with _sampler(rep, horizon, n, threads) as sample:
-        ens = sample(psi0, seed)
-        for name, (sym, report) in analysis.symmetries.items():
-            c2, c3 = report.condition_II, report.condition_III
-            perm = {"full": c3.permutation if c3.holds else tuple(range(rep.njumps)),
-                    "coarse": c2.permutation if c2.holds else tuple(range(partition.nsets))
-                    }.get(level)     # unlabelled: no permutation
-            ens_b = sample(sym.conjugate(psi0), seed + 1)
-            pval, passed = trajectories.ensemble_symmetry_test(
-                rep, sym, level, ens, ens_b, alpha_sig=alpha, permutation=perm,
-                partition=partition)
-            result["tests"][name] = {
-                "p_value": pval,
-                "passed": bool(passed),
-                "permutation": _perm_json(perm),
-            }
+    # one sampler pass: A from (psi0, seed) serves the average and every
+    # test, and each symmetry's B starts from (U psi0 U†, seed + 1)
+    symmetries = analysis.symmetries
+    starts = [(psi0, seed)] + [(sym.conjugate(psi0), seed + 1)
+                               for sym, _ in symmetries.values()]
+    ens, *others = _sample(rep, starts, horizon, n, threads)
+    for (name, (sym, report)), ens_b in zip(symmetries.items(), others):
+        c2, c3 = report.condition_II, report.condition_III
+        perm = {"full": c3.permutation if c3.holds else tuple(range(rep.njumps)),
+                "coarse": c2.permutation if c2.holds else tuple(range(partition.nsets))
+                }.get(level)     # unlabelled: no permutation
+        pval, passed = trajectories.ensemble_symmetry_test(
+            rep, sym, level, ens, ens_b, alpha_sig=alpha, permutation=perm,
+            partition=partition)
+        result["tests"][name] = {
+            "p_value": pval,
+            "passed": bool(passed),
+            "permutation": _perm_json(perm),
+        }
     mean, err = trajectories.ensemble_average(ens, horizon)
     result["ensemble_average"] = {
         "time": horizon,

@@ -79,16 +79,17 @@ def _rank_one_split(j: np.ndarray, tol: float):
         rest = np.outer(dest, -source.conj())    # J - dest source†, one d x d array
         rest += j
         if frob(rest) <= tol * frob(source):
-            del rest     # before the power steps' d x d conjugates
+            del rest     # before the power steps' one d x d conjugate
+            jh = dag(j)
             for _ in range(64):
                 step = j @ source
                 step /= frob(step)
                 done = frob(step - dest) <= 1e-14
-                dest, source = step, dag(j) @ step
+                dest, source = step, jh @ step
                 if done:
                     break
             dest = linalg.fix_column_phases(dest[:, None])[:, 0]
-            return dest, dag(j) @ dest
+            return dest, jh @ dest
         pair = np.column_stack([col, j[:, np.argmax(linalg.norms(rest))]])
         if np.linalg.svd(pair, compute_uv=False)[1] > tol * frob(j):
             return None

@@ -22,11 +22,13 @@ under key (seed mod 2^64, first_index + i), mapped to (x >> 11) * 2^-53:
 numpy's layout, so the stream equals
 Generator(Philox(key=(seed mod 2^64, first_index + i))).random().  Draw
 0 is the first threshold and each jump takes the next two (label,
-threshold), so records do not depend on batching or --threads.  The
-rounds run in numpy for every trajectory at once (_philox_uniforms).
-Every product over a stack of rows goes through _rows_product, and the
-rest of a crossing's arithmetic is per row, so a trajectory's states are
-the same bits in whatever batch or chunk it is sampled.
+threshold).  The key is the row's own, whatever other ensembles share
+its sampler pass (sample_ensembles), so records do not depend on
+batching, on the ensembles sampled beside it or on --threads.  The
+rounds run in numpy for every row at once (_philox_uniforms).  Every
+product over a stack of rows goes through _rows_product, and the rest
+of a crossing's arithmetic is per row, so a trajectory's states are the
+same bits in whatever batch, chunk or pass it is sampled.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ TIME_TOL_FACTOR = 1e-9
 # grid steps one ensemble may take; a stiffer model or longer horizon is
 # refused before its grid is built
 MAX_GRID_STEPS = 100_000
-# most Philox blocks buffered per ensemble (8 MiB of uniforms), and the
-# blocks evaluated together
+# most Philox blocks buffered per sampler pass (8 MiB of uniforms), and
+# the blocks evaluated together
 _FILL_CAP = 2 ** 18
 _PHILOX_CHUNK = 2 ** 13
 
@@ -95,17 +97,23 @@ class Trajectory:
 
 @dataclass
 class TrajectoryEnsemble:
-    """Sampled trajectories with vectorized per-time state storage."""
+    """Sampled trajectories with vectorized per-time state storage.
+
+    stats counts the sampler's work.  jumps and draws (uniforms taken,
+    size + 2 jumps) are this ensemble's own.  grid_steps,
+    crossing_batches (each resolves the rows parked over any number of
+    grid steps, from every start of the pass), trials (root-finding
+    evaluations of a batch's table) and philox_calls (bulk evaluations of
+    the streams) count the whole sampler pass: every ensemble of one
+    sample_ensembles call carries the same, undivided, counts.  join sums
+    each count over the chunks.
+    """
 
     records: list                  # list of event lists [(t, label), ...]
     states: dict                   # time -> (n, d) array of normalized vectors
     horizon: float
     seed: int
     rep_fingerprint: str
-    # sampler work: grid_steps, crossing_batches (each resolves the rows
-    # parked over any number of grid steps, ensemble-wide), trials
-    # (root-finding evaluations of a batch's table), jumps, draws
-    # (uniforms taken) and philox_calls (bulk evaluations of the streams)
     stats: dict = field(default_factory=dict, compare=False)
 
     @classmethod
@@ -370,35 +378,38 @@ _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def _philox_uniforms(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+def _philox_uniforms(seeds: np.ndarray, keys: np.ndarray,
+                     counters: np.ndarray) -> np.ndarray:
     """Uniforms of Philox4x64-10 blocks, shape (len(counters), 4).
 
     Block b is the generator at counter (counters[b], 0, 0, 0) under key
-    (seed mod 2^64, keys[b]), its words mapped to (x >> 11) * 2^-53 as
-    numpy's Generator.random does.  Blocks are evaluated in chunks small
-    enough for the working arrays to stay in cache.
+    (seeds[b], keys[b]), both uint64 words, its words mapped to
+    (x >> 11) * 2^-53 as numpy's Generator.random does.  Blocks are
+    evaluated in chunks small enough for the working arrays to stay in
+    cache.
     """
     out = np.empty((len(counters), 4))
     for a in range(0, len(counters), _PHILOX_CHUNK):
         chunk = slice(a, a + _PHILOX_CHUNK)
-        out[chunk] = _philox_rounds(seed, keys[chunk], counters[chunk])
+        out[chunk] = _philox_rounds(seeds[chunk], keys[chunk], counters[chunk])
     return out
 
 
-def _philox_rounds(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+def _philox_rounds(seeds: np.ndarray, keys: np.ndarray,
+                   counters: np.ndarray) -> np.ndarray:
     """The ten rounds of _philox_uniforms, in place where numpy allows.
 
     A round maps (c0, c1, c2, c3) to (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1,
     lo0), where hi_i:lo_i is the 128-bit product M_i c_2i; its high word
     is summed from the 32-bit halves' products in uint64 arithmetic.
     """
-    k0, k1 = seed & _MASK64, keys.astype(np.uint64)
+    k0, k1 = seeds.astype(np.uint64), keys.astype(np.uint64)
     c = np.zeros((4, len(counters)), dtype=np.uint64)
     c[0] = counters
     m_lo, m_hi = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
     for r in range(10):
         if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k0 += np.uint64(_PHILOX_W[0])
             k1 += np.uint64(_PHILOX_W[1])
         x = c[0::2]                                  # a view of words 0 and 2
         x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
@@ -413,7 +424,7 @@ def _philox_rounds(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndar
         x_hi += x_lo >> 32                           # the high words hi0, hi1
         x *= _PHILOX_M                               # the low words lo0, lo1
         c[1] ^= x_hi[1]
-        c[1] ^= np.uint64(k0)
+        c[1] ^= k0
         c[3] ^= x_hi[0]
         c[3] ^= k1
         c = c[[1, 2, 3, 0]]
@@ -422,18 +433,20 @@ def _philox_rounds(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndar
 
 
 class _Streams:
-    """Each trajectory's uniforms, drawn in bulk and handed out in order.
+    """Each row's uniforms, drawn in bulk and handed out in order.
 
-    Row i holds 4 * blocks consecutive draws of its stream (see the module
-    docstring), starting at draw base[i], and used[i] draws are taken.
-    take(rows, k) hands the next k draws of each row; the rows that would
-    run past their buffer are refilled together, from the block holding
-    their next draw, with one Philox evaluation.
+    Row i draws the stream under key (seeds[i], keys[i]) (see the module
+    docstring).  It holds 4 * blocks consecutive draws of it, starting at
+    draw base[i], and used[i] draws are taken.  take(rows, k) hands the
+    next k draws of each row; the rows that would run past their buffer
+    are refilled together, from the block holding their next draw, with
+    one Philox evaluation.
     """
 
-    def __init__(self, seed: int, first_index: int, n: int, blocks: int):
-        self.seed, self.blocks = seed, max(2, blocks)   # 2 blocks hold any pair
-        self.keys = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
+    def __init__(self, seeds: np.ndarray, keys: np.ndarray, blocks: int):
+        self.seeds, self.keys = seeds.astype(np.uint64), keys.astype(np.uint64)
+        self.blocks = max(2, blocks)                    # 2 blocks hold any pair
+        n = len(self.keys)
         self.base = np.zeros(n, dtype=np.int64)
         self.used = np.zeros(n, dtype=np.int64)
         self.calls = 0
@@ -442,7 +455,8 @@ class _Streams:
     def _fill(self, rows: np.ndarray, first_draw: np.ndarray) -> np.ndarray:
         self.calls += 1
         counters = (first_draw // 4 + 1)[:, None] + np.arange(self.blocks)
-        return _philox_uniforms(self.seed, np.repeat(self.keys[rows], self.blocks),
+        return _philox_uniforms(np.repeat(self.seeds[rows], self.blocks),
+                                np.repeat(self.keys[rows], self.blocks),
                                 counters.ravel()).reshape(len(rows), 4 * self.blocks)
 
     def take(self, rows: np.ndarray, k: int) -> np.ndarray:
@@ -469,51 +483,59 @@ def _grid(horizon: float, step: float, checkpoints) -> np.ndarray:
 def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
                     seed: int = 0, checkpoint_times=(),
                     first_index: int = 0) -> TrajectoryEnsemble:
-    """Sample n trajectories with ensemble-wide crossing batches.
+    """Sample n trajectories from psi0: the one-start pass of
+    sample_ensembles."""
+    return sample_ensembles(rep, [(psi0, seed)], horizon, n, checkpoint_times,
+                            first_index)[0]
 
-    Waiting times use the norm-decay threshold method.  A frontier steps
-    the unnormalized states over the grid with the exact segment
-    propagator (one per distinct step length).  A trajectory whose norm
-    falls below its threshold within step k is parked with its state at
-    the start of step k, k and its norm at the step's end, and the others
-    step on.  The parked trajectories, from whatever steps, are resolved
-    together in one crossing batch once they are at least half the
-    ensemble, and at the horizon: its Taylor table (see _MomentPropagator)
-    is built once; a safeguarded Newton iteration reads value and slope
-    of the norm from it and snaps each crossing to the middle of a cell
-    no wider than 1e-9 times the horizon (see _crossing_times), and the
-    crossing states read it too.  The batch then jumps at once: labels by
-    cumulative rate share, one state normalization, and the rest of each
-    row's step on a fresh table.  A row that crosses again within its
-    step stays parked for the next batch; the others catch up to the
-    frontier, all rows at one grid point taking one product per step, and
-    are parked again where they cross.  Resolving at half the ensemble
-    makes few batches while each catch-up walks only the steps since the
-    last batch.  Measured with one BLAS thread on a 2-core x86-64 VM
-    against a batch per grid step: 0.61-0.67 of its time on qubit-III at
-    n = 200 and horizons 2, 20 and 100, 0.74 at n = 2000 and horizon
-    100, and 0.64 on the seeded L=3 qutrit chain at n = 80; shares from
-    1/8 to all of the ensemble were tried, and 1/2 was within 6% of the
-    fastest on each of these.  Sweeping every row to the horizon before
-    each batch instead re-walks the spread between the rows' grid
-    points, and lost at long horizons.
+
+def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
+                     checkpoint_times=(), first_index: int = 0) -> list:
+    """One ensemble of n trajectories per (psi0, seed) of starts, sampled
+    in one pass with ensemble-wide crossing batches.
+
+    The pass runs the n rows of every start together: one grid walk, one
+    set of propagators and one Taylor table per crossing batch, whatever
+    the starts.  Waiting times use the norm-decay threshold method.  A
+    frontier steps the unnormalized states over the grid with the exact
+    segment propagator (one per distinct step length).  A trajectory
+    whose norm falls below its threshold within step k is parked with its
+    state at the start of step k, k and its norm at the step's end, and
+    the others step on.  The parked trajectories, from whatever steps and
+    starts, are resolved together in one crossing batch once they are at
+    least half the pass's rows, and at the horizon: its Taylor table (see
+    _MomentPropagator) is built once; a safeguarded Newton iteration
+    reads value and slope of the norm from it and snaps each crossing to
+    the middle of a cell no wider than 1e-9 times the horizon (see
+    _crossing_times), and the crossing states read it too.  The batch
+    then jumps at once: labels by cumulative rate share, one state
+    normalization, and the rest of each row's step on a fresh table.  A
+    row that crosses again within its step stays parked for the next
+    batch; the others catch up to the frontier, all rows at one grid
+    point taking one product per step, and are parked again where they
+    cross.  Resolving at half the rows makes few batches while each
+    catch-up walks only the steps since the last batch.  Measured on one
+    ensemble with one BLAS thread on a 2-core x86-64 VM against a batch
+    per grid step: 0.61-0.67 of its time on qubit-III at n = 200 and
+    horizons 2, 20 and 100, 0.74 at n = 2000 and horizon 100, and 0.64 on
+    the seeded L=3 qutrit chain at n = 80; shares from 1/8 to all of the
+    rows were tried, and 1/2 was within 6% of the fastest on each of
+    these.  Sweeping every row to the horizon before each batch instead
+    re-walks the spread between the rows' grid points, and lost at long
+    horizons.
 
     Every row's arithmetic is the same bits in any batch: a row's
     crossing, jump and step are what the step-by-step loop computes for
     it, so the records, and the states at each checkpoint, do not depend
-    on the order of the batches.
+    on the order of the batches or on the other starts of the pass.
 
-    Draws: the k-th uniform of trajectory i is word k mod 4 of
-    Philox4x64-10 at counter (k // 4 + 1, 0, 0, 0) under key
-    (seed mod 2^64, first_index + i), as (x >> 11) * 2^-53; draw 0 is
-    its first threshold, and each jump takes a (label, threshold) pair.
-    All rows are filled at once with room for the Poisson bound on their
+    Trajectory i of a start draws from its own stream, keyed by the
+    start's seed and first_index + i (see the module docstring).  All
+    rows are filled at once with room for the Poisson bound on their
     jumps, and the rows of a crossing batch that run short are refilled
-    together.  The ensemble's stats count grid steps, crossing batches
-    (each resolves rows parked in any number of grid steps), root-finding
-    trials, jumps, uniforms drawn (n + 2 jumps) and Philox evaluations.
-    A grid of more than MAX_GRID_STEPS steps (about 2.2 ||H_eff|| horizon)
-    raises StiffnessError before it is built.
+    together.  A grid of more than MAX_GRID_STEPS steps (about
+    2.2 ||H_eff|| horizon) raises StiffnessError before it is built.
+    TrajectoryEnsemble says what each ensemble's stats count.
     """
     heff = rep.effective_hamiltonian
     hnorm = frob(heff)
@@ -528,7 +550,9 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     steps = len(grid) - 1
     dts = np.diff(grid)
 
-    v0 = state_vector(psi0)
+    # row s * n + i is trajectory i of start s
+    total = len(starts) * n
+    v0 = np.repeat(np.stack([state_vector(psi0) for psi0, _ in starts]), n, axis=0)
     jump_mats = np.stack(rep.jumps) if rep.jumps else None
     # a normalized state jumps at total rate <= gamma, so few rows outrun
     # room for gamma*T + 4 sqrt(gamma*T) + 4 jumps; the cap bounds memory.
@@ -537,22 +561,25 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     gamma = float(np.linalg.eigh(sum(dag(j) @ j for j in rep.jumps))[0][-1]) \
         if rep.jumps else 0.0
     jumps = gamma * horizon + 4.0 * np.sqrt(gamma * horizon) + 4.0
-    blocks = min(np.ceil((1.0 + 2.0 * jumps) / 4.0), _FILL_CAP // max(n, 1))
-    streams = _Streams(seed, first_index, n, int(blocks))
-    thresholds = streams.take(np.arange(n), 1)[:, 0]
-    records: list = [[] for _ in range(n)]
+    blocks = min(np.ceil((1.0 + 2.0 * jumps) / 4.0), _FILL_CAP // max(total, 1))
+    streams = _Streams(
+        np.repeat(np.array([seed & _MASK64 for _, seed in starts], dtype=np.uint64), n),
+        np.tile(np.uint64(first_index) + np.arange(n, dtype=np.uint64), len(starts)),
+        int(blocks))
+    thresholds = streams.take(np.arange(total), 1)[:, 0]
+    records: list = [[] for _ in range(total)]
     time_tol = TIME_TOL_FACTOR * max(horizon, 1e-12)
     moments = _MomentPropagator(heff)
     props: dict = {}                      # step length -> segment propagator
-    stats = {"grid_steps": steps, "crossing_batches": 0, "trials": 0, "jumps": 0}
+    stats = {"grid_steps": steps, "crossing_batches": 0, "trials": 0}
 
-    # checkpoint grid index -> its (n, d) states, filled as rows pass it
+    # checkpoint grid index -> its (rows, d) states, filled as rows pass it
     want = {round(float(t), 12) for t in checkpoint_times}
     states: dict = {}
     saved: dict = {}
     for j, t in enumerate(grid.tolist()):
         if round(t, 12) in want:
-            saved[j] = states[t] = np.empty((n, len(v0)), dtype=complex)
+            saved[j] = states[t] = np.empty(v0.shape, dtype=complex)
     if 0 in saved:
         saved[0][:] = v0
     # parked rows: (rows, states at their step's or jump's start, step,
@@ -584,15 +611,14 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
     def resolve(frontier):
         """One batch of every parked row; the rows that do not cross again
         within their step are returned caught up to grid[frontier]."""
-        rows, starts, ks, offsets, end_norms = (np.concatenate(c) for c in zip(*parked))
+        rows, origins, ks, offsets, end_norms = (np.concatenate(c) for c in zip(*parked))
         parked.clear()
         dt = dts[ks]
-        table = moments.table(starts)
+        table = moments.table(origins)
         tstar, trials = _crossing_times(moments, table, thresholds[rows], offsets,
                                         end_norms, dt, time_tol)
         stats["crossing_batches"] += 1
         stats["trials"] += trials
-        stats["jumps"] += rows.size
         phi_star = moments.evaluate(table, tstar - offsets)
         # jump: label by rates with the first draw, reset state, and take
         # the second draw as the new threshold
@@ -624,17 +650,22 @@ def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
                 group_rows, group = advance(j, group_rows, group)
         return group_rows, group
 
-    rows, vecs = np.arange(n), np.tile(v0, (n, 1))
+    rows, vecs = np.arange(total), v0
     for k in range(steps):
         rows, vecs = advance(k, rows, vecs)
-        while parked and (2 * sum(len(p[0]) for p in parked) >= n or k + 1 == steps):
+        while parked and (2 * sum(len(p[0]) for p in parked) >= total or k + 1 == steps):
             back_rows, back = resolve(k + 1)
             rows, vecs = np.concatenate([rows, back_rows]), np.concatenate([vecs, back])
 
-    stats["draws"] = int(streams.used.sum())
-    stats["philox_calls"] = streams.calls
-    return TrajectoryEnsemble(records=records, states=states, horizon=horizon,
-                              seed=seed, rep_fingerprint=rep.fingerprint(), stats=stats)
+    fingerprint = rep.fingerprint()
+    out = []
+    for s, (_, seed) in enumerate(starts):
+        part = slice(s * n, (s + 1) * n)
+        ens_stats = dict(stats, jumps=sum(map(len, records[part])),
+                         draws=int(streams.used[part].sum()), philox_calls=streams.calls)
+        out.append(TrajectoryEnsemble(records[part], {t: v[part] for t, v in states.items()},
+                                      horizon, seed, fingerprint, ens_stats))
+    return out
 
 
 def sample_trajectory(rep: Representation, psi0, horizon: float,
@@ -868,6 +899,7 @@ __all__ = [
     "jump_rates",
     "record_weight",
     "sample_ensemble",
+    "sample_ensembles",
     "sample_trajectory",
     "state_vector",
     "transform_record",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from weaksym.trajectories import sample_ensemble
+from weaksym.trajectories import sample_ensembles
 
 # property tests draw the same examples on every run and take no deadline,
 # so a loaded machine changes neither the outcome nor the examples
@@ -29,12 +29,11 @@ def random_hermitian(rng, n):
 
 
 def symmetry_ensembles(rep, sym, psi0, horizon, n, seed):
-    """The pair ensemble_symmetry_test compares: A from psi0 at seed and B
-    from U psi0 U† at seed + 1, each with the horizon as a checkpoint."""
-    return (sample_ensemble(rep, psi0, horizon, n, seed=seed,
-                            checkpoint_times=(horizon,)),
-            sample_ensemble(rep, sym.conjugate(psi0), horizon, n, seed=seed + 1,
-                            checkpoint_times=(horizon,)))
+    """The pair ensemble_symmetry_test compares, from one sampler pass as
+    `simulate` samples it: A from psi0 at seed and B from U psi0 U† at
+    seed + 1, each with the horizon as a checkpoint."""
+    return tuple(sample_ensembles(rep, [(psi0, seed), (sym.conjugate(psi0), seed + 1)],
+                                  horizon, n, (horizon,)))
 
 
 @pytest.fixture

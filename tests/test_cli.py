@@ -736,20 +736,29 @@ def test_report_chain_includes_joint(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, ensembles", [("chain-L3", 4), ("qubit-III", 2)])
 def test_simulate_samples_reference_once(name, ensembles, tmp_path, monkeypatch,
-                                         capsys):
-    # one ensemble A for every test and the average, one B per symmetry
+                                         capsys, in_process_pool):
+    # one sampler pass per command carries A, for every test and the
+    # average, and one B per symmetry; with --threads 2, one job per chunk
     monkeypatch.delenv("WEAKSYM_THREADS", raising=False)
-    calls = []
-    original = trajectories.sample_ensemble
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls, single = [], []
+    original = trajectories.sample_ensembles
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(rep, starts, horizon, n, *args, **kwargs):
+        calls.append((len(starts), n))
+        return original(rep, starts, horizon, n, *args, **kwargs)
 
-    monkeypatch.setattr(trajectories, "sample_ensemble", counting)
+    monkeypatch.setattr(trajectories, "sample_ensembles", counting)
+    monkeypatch.setattr(trajectories, "sample_ensemble",
+                        lambda *args, **kwargs: single.append(args))
     model = _chain_file(tmp_path) if name == "chain-L3" else name
-    assert main(["simulate", model, "--n", "40", "--horizon", "0.3"]) == 0
-    assert len(calls) == ensembles
+    for threads, jobs in (("1", [(ensembles, 40)]), ("2", [(ensembles, 20)] * 2)):
+        calls.clear()
+        assert main(["simulate", model, "--n", "40", "--horizon", "0.3",
+                     "--threads", threads]) == 0
+        assert calls == jobs
+    assert in_process_pool == [2]
+    assert not single
 
 
 def test_report_analyses_once(monkeypatch, capsys):
@@ -966,9 +975,8 @@ def in_process_pool(monkeypatch):
 
 
 def _sample(rep, psi0, threads):
-    """One ensemble through cli._sampler: 64 trajectories to 0.5, seed 7."""
-    with cli._sampler(rep, 0.5, 64, threads) as sample:
-        return sample(psi0, 7)
+    """One ensemble through cli._sample: 64 trajectories to 0.5, seed 7."""
+    return cli._sample(rep, [(psi0, 7)], 0.5, 64, threads)[0]
 
 
 def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):

@@ -412,8 +412,9 @@ def _stepwise_ensemble(rep, psi0, horizon, n, seed=0, checkpoint_times=(),
     jump_mats = np.stack(rep.jumps)
     gamma = float(np.linalg.eigh(sum(dag(j) @ j for j in rep.jumps))[0][-1])
     jumps = gamma * horizon + 4.0 * np.sqrt(gamma * horizon) + 4.0
-    streams = _Streams(seed, first_index, n, int(min(np.ceil((1.0 + 2.0 * jumps) / 4.0),
-                                                     traj._FILL_CAP // n)))
+    streams = _Streams(np.full(n, seed & _MASK, dtype=np.uint64),
+                       np.uint64(first_index) + np.arange(n, dtype=np.uint64),
+                       int(min(np.ceil((1.0 + 2.0 * jumps) / 4.0), traj._FILL_CAP // n)))
     thresholds = streams.take(np.arange(n), 1)[:, 0]
     records = [[] for _ in range(n)]
     states = {}
@@ -520,6 +521,40 @@ def test_sampler_states_independent_of_chunking(name):
                 assert np.array_equal(joined.states[t], serial.states[t])
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["qutrit-chain-3"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_stacked_starts_match_single_start_sampling(name, seed):
+    # starts of two states and three master seeds (one negative), one of
+    # them twice, in one pass and in chunks (0, 1, 2, n): each start's
+    # ensemble is its one-start ensemble, bit for bit
+    rep, psi0 = _model_case(name)
+    other = random_pure_state(np.random.default_rng(seed), rep.dim)
+    starts = [(psi0, seed), (other, seed + 1), (psi0, seed), (other, -seed - 5)]
+    n, times = 60, (0.37, 2.0)
+    single = [sample_ensemble(rep, psi, 2.0, n, seed=s, checkpoint_times=times)
+              for psi, s in starts]
+    for cuts in ((0, n), (0, 1, 2, n)):
+        parts = [traj.sample_ensembles(rep, starts, 2.0, b - a, times, first_index=a)
+                 for a, b in zip(cuts, cuts[1:])]
+        for s, want in enumerate(single):
+            got = TrajectoryEnsemble.join(p[s] for p in parts)
+            assert got.records == want.records
+            assert (got.seed, got.horizon, list(got.states)) == \
+                (want.seed, want.horizon, list(want.states))
+            for t in want.states:
+                assert np.array_equal(got.states[t], want.states[t])
+            assert got.stats["jumps"] == want.stats["jumps"]
+            assert got.stats["draws"] == want.stats["draws"] == \
+                n + 2 * got.stats["jumps"]
+    # the pass-level counts are the pass's, shared by its ensembles
+    stacked = traj.sample_ensembles(rep, starts, 2.0, n, times)
+    shared = ("grid_steps", "crossing_batches", "trials", "philox_calls")
+    assert len({tuple(e.stats[k] for k in shared) for e in stacked}) == 1
+    assert stacked[0].stats["grid_steps"] == single[0].stats["grid_steps"]
+    assert stacked[0].stats["crossing_batches"] <= \
+        sum(e.stats["crossing_batches"] for e in single)
+
+
 def test_sampler_draws_every_stream_in_one_philox_evaluation():
     n = 2000
     ens = sample_ensemble(models.qubit_iii().rep, PLUS, 1.0, n, seed=1)
@@ -542,26 +577,37 @@ def _numpy_stream(seed, index):
        st.lists(st.integers(1, 3), min_size=1, max_size=12))
 def test_streams_match_numpy_philox(seed, first_index, sizes):
     # three rows with 2-block (8-draw) buffers: takes of 1-3 draws cross
-    # block boundaries and run past the first fill, so rows are refilled
-    streams = _Streams(seed, first_index, 3, 2)
-    want = [_numpy_stream(seed, first_index + i) for i in range(3)]
+    # block boundaries and run past the first fill, so rows are refilled;
+    # each row has its own key, the middle one another master seed
+    seeds = [seed & _MASK, (seed + 1) & _MASK, seed & _MASK]
+    streams = _Streams(np.array(seeds, dtype=np.uint64),
+                       np.uint64(first_index) + np.arange(3, dtype=np.uint64), 2)
+    want = [_numpy_stream(s, first_index + i) for i, s in enumerate(seeds)]
     for step, k in enumerate(sizes):
         rows = np.array([0, 2]) if step % 2 else np.arange(3)
         got = streams.take(rows, k)
         for row, i in zip(got, rows):
             assert np.array_equal(row, want[i].random(k))
     assert streams.calls > 1 or sum(sizes) <= 8
-    assert np.array_equal(_philox_uniforms(seed, np.full(3, first_index, dtype=np.uint64),
+    assert np.array_equal(_philox_uniforms(np.full(3, seed & _MASK, dtype=np.uint64),
+                                           np.full(3, first_index, dtype=np.uint64),
                                            np.arange(1, 4, dtype=np.uint64)).ravel(),
                           _numpy_stream(seed, first_index).random(12))
+    # blocks of two keys in one evaluation
+    mixed = _philox_uniforms(np.array(seeds[:2] * 2, dtype=np.uint64),
+                             np.full(4, first_index, dtype=np.uint64),
+                             np.array([1, 1, 2, 2], dtype=np.uint64))
+    for i, s in enumerate(seeds[:2]):
+        assert np.array_equal(mixed[i::2].ravel(), _numpy_stream(s, first_index).random(8))
 
 
 class _GeneratorStreams:
-    """Stands in for _Streams with one numpy Philox Generator per row."""
+    """Stands in for _Streams with one numpy Philox Generator per row,
+    keyed by the row's own (seed, index) words."""
 
-    def __init__(self, seed, first_index, n, blocks):
-        self.gens = [_numpy_stream(seed, first_index + i) for i in range(n)]
-        self.used = np.zeros(n, dtype=int)
+    def __init__(self, seeds, keys, blocks):
+        self.gens = [_numpy_stream(int(s), int(k)) for s, k in zip(seeds, keys)]
+        self.used = np.zeros(len(self.gens), dtype=int)
         self.calls = 0
 
     def take(self, rows, k):
@@ -574,15 +620,21 @@ def test_sampler_rows_outrunning_first_fill_match_generator_streams(monkeypatch)
     # jumps) is outrun by most rows, so many batches refill their rows
     rep, n = models.qubit_iii().rep, 60
     monkeypatch.setattr(traj, "_FILL_CAP", 2 * n)
-    got = sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,
-                          checkpoint_times=(4.0,))
-    assert got.stats["philox_calls"] > 5
-    assert got.stats["draws"] == n + 2 * got.stats["jumps"]
+    # and a stacked pass: the rows of two master seeds refilled together
+    starts = [(PLUS, -7), (pure_state([1, 1j]), 2 ** 64 + 3)]
+    got = [sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,
+                           checkpoint_times=(4.0,))]
+    got += traj.sample_ensembles(rep, starts, 4.0, n, (4.0,), first_index=5)
+    for ens in got:
+        assert ens.stats["philox_calls"] > 5
+        assert ens.stats["draws"] == n + 2 * ens.stats["jumps"]
     monkeypatch.setattr(traj, "_Streams", _GeneratorStreams)
-    want = sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,
-                           checkpoint_times=(4.0,))
-    assert got.records == want.records
-    assert np.array_equal(got.states[4.0], want.states[4.0])
+    want = [sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,
+                            checkpoint_times=(4.0,))]
+    want += traj.sample_ensembles(rep, starts, 4.0, n, (4.0,), first_index=5)
+    for a, b in zip(got, want, strict=True):
+        assert a.records == b.records
+        assert np.array_equal(a.states[4.0], b.states[4.0])
 
 
 def test_count_vectors_tally_event_labels():
