@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 when all requested checks are consistent with the model's
 expectations (if any), 1 on a mismatch, 2 on usage or parse errors, on
-a model file or an --out path that cannot be read or written, and on a
-model too stiff to sample.
+a model file or an --out path that cannot be read or written, on a
+model too stiff to sample, and on a command that runs out of memory.
 """
 
 from __future__ import annotations
@@ -362,6 +362,10 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (ParseError, trajectories.StiffnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the last resort: no stage foresaw it
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -5,9 +5,10 @@ Hermitian and unitary eigendecompositions with a deterministic phase
 convention, the matrix exponential, thin-QR coordinates of operator
 families from their entries, the frame gap ||A A† - B B†|| read from them
 and the least-norm maps between jump spans read from one SVD (`SpanMap`),
-Haar-random unitaries and the linear assignment problem.  Everything
-operates on plain numpy arrays and keeps no global state, so calls are
-safe from concurrent workers.
+Haar-random unitaries and the linear assignment problem (a port of the
+solver scipy runs, so that importing this module does not load
+scipy.optimize).  Everything operates on plain numpy arrays and keeps no
+global state, so calls are safe from concurrent workers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 
 DEFAULT_TOL = 1e-9
@@ -265,19 +265,78 @@ def assign(cost, tol: float):
 
     Returns pi with pi[i] the column matched to row i of the square cost
     matrix, or None when every bijection uses an entry above tol.  Solved
-    as a linear assignment problem (Kuhn-Munkres, through scipy).
+    as a linear assignment problem by Crouse's shortest augmenting path
+    (IEEE Trans. Aerosp. Electron. Syst. 52(4), 1679, 2016), ported step
+    for step from scipy's `linear_sum_assignment` with its tie rule: each
+    row's search scans the columns it has not settled, first from the
+    last column down, and of columns at equal path cost keeps the first
+    unless a later one is unassigned.  So pi is scipy's on every matrix,
+    ties included; the tests compare the two.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.size == 0:
         return ()
     allowed = np.isfinite(cost) & (cost <= tol)
-    # one forbidden constant above any all-allowed total keeps scipy away
-    # from forbidden entries whenever an allowed bijection exists
+    # one forbidden constant above any all-allowed total keeps the solver
+    # away from forbidden entries whenever an allowed bijection exists
     low = np.min(cost, where=allowed, initial=0.0)
     shifted = np.where(allowed, cost - low, 0.0)
     big = cost.shape[0] * np.max(shifted) + 1.0
-    rows, cols = scipy.optimize.linear_sum_assignment(
-        np.where(allowed, shifted, big))
-    if not np.all(allowed[rows, cols]):
+    cols = _shortest_augmenting_path(np.where(allowed, shifted, big).tolist())
+    if cols is None or not np.all(allowed[np.arange(len(cols)), cols]):
         return None
-    return tuple(int(c) for c in cols)
+    return tuple(cols)
+
+
+def _shortest_augmenting_path(c):
+    """Column of each row in a least-cost assignment of the square list
+    of rows c (floats, no NaN or -inf), or None if every assignment costs
+    inf.  Row by row, a Dijkstra search over reduced costs c[i][j] - u[i]
+    - v[j] finds the cheapest path to an unassigned column; the duals u, v
+    are then updated and the path flipped.  The arithmetic, its order and
+    the scan order are scipy's, so ties break as there."""
+    n = len(c)
+    inf = math.inf
+    u, v = [0.0] * n, [0.0] * n
+    path = [0] * n
+    col4row, row4col = [-1] * n, [-1] * n
+    for cur in range(n):
+        spc = [inf] * n               # shortest path cost to each column
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []           # the rows and columns scanned
+        i, min_val = cur, 0.0
+        while True:
+            rows.append(i)
+            ci, ui = c[i], u[i]
+            lowest, index = inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                else:
+                    r = spc[j]
+                if r < lowest or (r == lowest and row4col[j] < 0):
+                    lowest, index = r, it
+            if lowest == inf:
+                return None
+            min_val = lowest
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            cols.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - spc[j]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row

@@ -1102,11 +1102,27 @@ def test_simulate_grid_step_cap_exits_2_fast(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("module", ["weaksym", "weaksym.cli"])
-def test_import_leaves_scipy_stats_unloaded(module):
+def test_import_leaves_scipy_optimize_and_stats_unloaded(module):
+    # each costs a third or more of the start-up of every command
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import {module}, sys; sys.exit('scipy.stats' in sys.modules)"],
+         f"import {module}, sys; print(sorted({{'scipy.optimize', 'scipy.stats'}}"
+         " & sys.modules.keys()))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("error", [MemoryError(),
+                                   MemoryError("Unable to allocate 812. MiB")])
+def test_memory_error_exits_2_with_one_line(error, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "analyze", exhausted)
+    assert main(["verify-joint", "qubit-II"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify-joint ran out of memory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(error) in err

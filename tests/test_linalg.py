@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from weaksym import linalg, models
 from weaksym.linalg import (
@@ -194,6 +196,69 @@ def test_span_map_rejects_a_different_frame():
 ])
 def test_assign(cost, tol, expected):
     assert linalg.assign(cost, tol) == expected
+
+
+def _assign_shape(cost, tol):
+    """The matrix assign hands its solver, and the entries it allows."""
+    allowed = np.isfinite(cost) & (cost <= tol)
+    low = np.min(cost, where=allowed, initial=0.0)
+    shifted = np.where(allowed, cost - low, 0.0)
+    return np.where(allowed, shifted, len(cost) * np.max(shifted) + 1.0), allowed
+
+
+@st.composite
+def assignment_costs(draw):
+    """Square cost matrices, n = 1..12, rich in the ties where solvers
+    differ: small integers, one constant, assign's shifted matrices with
+    the forbidden constant and -|P|^2 of rounded complex normals; tenths,
+    whose path costs tie or not by the order of the float additions; and
+    Gaussian costs, which have none."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["integers", "constant", "forbidden", "rounded",
+                                 "tenths", "gaussian"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "integers":
+        return rng.integers(0, 3, (n, n)).astype(float)
+    if kind == "constant":
+        return np.full((n, n), float(rng.integers(-2, 3)))
+    if kind == "forbidden":
+        return _assign_shape(rng.integers(0, 4, (n, n)).astype(float), 1.5)[0]
+    if kind == "tenths":
+        return rng.integers(0, 10, (n, n)) / 10
+    if kind == "gaussian":
+        return rng.standard_normal((n, n))
+    p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return -np.abs(np.round(p, 1)) ** 2
+
+
+@settings(max_examples=400)
+@given(assignment_costs())
+def test_shortest_augmenting_path_is_scipys(cost):
+    expected = scipy.optimize.linear_sum_assignment(cost)[1].tolist()
+    assert linalg._shortest_augmenting_path(cost.tolist()) == expected
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("shape", ["dense", "permutation"])
+def test_shortest_augmenting_path_is_scipys_at_scale(n, shape):
+    rng = np.random.default_rng(n)
+    if shape == "dense":
+        cost = rng.standard_normal((n, n))
+    else:
+        cost = _assign_shape(np.where(np.eye(n)[rng.permutation(n)] > 0,
+                                      rng.random((n, n)), 2.0), 1.0)[0]
+    expected = scipy.optimize.linear_sum_assignment(cost)[1].tolist()
+    assert linalg._shortest_augmenting_path(cost.tolist()) == expected
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_assign_agrees_with_scipy_on_allowed_entries(n, seed):
+    cost = np.random.default_rng(seed).integers(0, 4, (n, n)).astype(float)
+    shaped, allowed = _assign_shape(cost, 1.5)
+    rows, cols = scipy.optimize.linear_sum_assignment(shaped)
+    expected = tuple(cols.tolist()) if allowed[rows, cols].all() else None
+    assert linalg.assign(cost, 1.5) == expected
 
 
 def test_operator_coordinates_split_families_and_take_sparse_entries():

@@ -6,13 +6,13 @@ Runs ``check`` on the nine built-ins, the built-in ``qutrit-chain`` (four
 reset SJEDs pinned by its ``sjeds``, which translation permutes as a
 4-cycle; once more at ``--tol 1e-6``) and seeded L=3, L=4, L=5 and L=6
 qutrit chains (L=6 is dim 729, where ``check`` takes about 4 s and 330 MiB
-of peak RSS with one BLAS thread on a 2-core x86-64 VM) and the 64-jump
-model (the n-jump model: d = 8, H = 1, the cyclic shift as its symmetry,
-jumps |k><roll(b, k)| for k = 0..7 and n/8 vectors b from
-``default_rng(0)``), ``verify-joint`` on the same built-ins, on the seeded
-L=3, L=4 and L=5 chains and on the 64- and 128-jump models,
-``simulate`` (with exports) on
-qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
+of peak RSS with one BLAS thread on a 2-core x86-64 VM) and the 64- and
+256-jump models (the n-jump model: d = 8, H = 1, the cyclic shift as its
+symmetry, jumps |k><roll(b, k)| for k = 0..7 and n/8 vectors b from
+``default_rng(0)``; at n = 256 condition III solves the largest
+assignment the CLI meets, 256 x 256), ``verify-joint`` on the same
+built-ins, on the seeded L=3, L=4 and L=5 chains and on the 64- and
+128-jump models, ``simulate`` (with exports) on qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --level full --n 20000`` on qubit-III (the
 export path at scale), ``simulate --level full`` on twoqubit-II (the
 master solution at d = 4), ``simulate --threads 2`` on qubit-III,
@@ -63,14 +63,14 @@ JUMPS = ("import numpy as np, sys; from weaksym import models, modelfile; "
          "m = models.Model(f'jumps-{n}', Representation(np.eye(8), tuple(jumps)), "
          "{'shift': np.roll(np.eye(8), 1, axis=0)}); "
          "modelfile.dump_model(m, sys.argv[1])")
-JUMP_COUNTS = (64, 128)
+JUMP_COUNTS = (64, 128, 256)
 
 
-def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, own):
+def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, jumps256, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
     out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5,
-                                             chain6, jumps64]]
+                                             chain6, jumps64, jumps256]]
     # a second tolerance moves the SJED isometries' rank cut
     out += [["check", "qutrit-chain", "--tol", "1e-6"]]
     out += [["verify-joint", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4,
