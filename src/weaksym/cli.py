@@ -56,7 +56,6 @@ class Analysis:
     """What a command derives from a model, built once and passed down."""
 
     model: models.Model
-    tol: float
     partition: SjedPartition
     symmetries: dict      # name -> (SymmetryOperator, SymmetryReport)
 
@@ -81,7 +80,7 @@ def analyze(model, sym_name=None, tol=DEFAULT_TOL) -> Analysis:
             raise ParseError(f"symmetry {name!r}: {exc}") from exc
         symmetries[name] = sym, build_symmetry_report(model.rep, sym, tol,
                                                       partition)
-    return Analysis(model, tol, partition, symmetries)
+    return Analysis(model, partition, symmetries)
 
 
 def _sjed_summary(partition):
@@ -256,7 +255,7 @@ def _checked(kind, accept, what):
 
 
 _COUNT = _checked(int, lambda v: v > 0, "a positive integer")
-_TOL = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
+_TOL = _checked(float, lambda v: 0 < v < 1, "a relative tolerance in (0, 1)")
 _TIME = _checked(float, lambda v: 0 <= v < math.inf, "a finite time >= 0")
 _ALPHA = _checked(float, lambda v: 0 < v < 1, "a significance level in (0, 1)")
 

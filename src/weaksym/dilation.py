@@ -398,13 +398,14 @@ def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,
         u_b = candidate
     else:
         span = linalg.SpanMap(images.frame_jumps, images.frame_images)
-        u_b = span.certificate(tol)
+        tau = linalg.threshold(tol)
+        u_b = span.certificate(tau)
         if u_b is None:
             raise CompletionFailed("induced map is not compatible with the jump frame")
         # the completion differs from the transported matrix only within
         # the jump kernel; verify it still acts like the candidate
         if np.any(np.linalg.norm(span.b - span.a @ candidate.T, axis=0)
-                  > 1e3 * tol * np.maximum(np.linalg.norm(span.b, axis=0), 1.0)):
+                  > tau * np.maximum(np.linalg.norm(span.b, axis=0), 1.0)):
             raise CompletionFailed("transported matrix does not act correctly")
     resid = joint_symmetry_residual(rotating_frame_step(rep_b), images, u_b)
     return u_b, float(resid)

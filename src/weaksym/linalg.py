@@ -20,6 +20,7 @@ import scipy.linalg
 import scipy.sparse
 
 DEFAULT_TOL = 1e-9
+ROUNDING_FLOOR = 1e-12
 
 
 class LinalgError(Exception):
@@ -80,10 +81,17 @@ def square(a) -> np.ndarray:
     return a
 
 
+def threshold(tol: float) -> float:
+    """tau(tol), the one threshold every decision compares its scale-free
+    distance to.  Its floor is above the distances rounding leaves on
+    symmetric inputs (at most 1.6e-14 measured), so rounding decides none."""
+    return max(float(tol), ROUNDING_FLOOR)
+
+
 def check_unitary(gram: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Raise NotUnitaryError unless gram, U†U or U U† of an n x n U, is
-    within tol max(1, sqrt(n)) of 1 in Frobenius norm; a NaN norm fails."""
-    if not frob(gram - np.eye(len(gram))) <= tol * max(1.0, np.sqrt(len(gram))):
+    """Raise NotUnitaryError unless gram, U†U or U U† of an n x n U, is within
+    threshold(tol) max(1, sqrt(n)) of 1 in Frobenius norm; a NaN norm fails."""
+    if not frob(gram - np.eye(len(gram))) <= threshold(tol) * max(1.0, np.sqrt(len(gram))):
         raise NotUnitaryError("matrix is not unitary within tolerance")
 
 
@@ -133,7 +141,7 @@ def unitary_eigendecomposition(u, tol: float = DEFAULT_TOL):
     phases = phases[order]
     v = fix_column_phases(v[:, order])
     resid = frob(u @ v - v @ np.diag(np.exp(1j * phases)))
-    if resid > 100 * tol * max(1.0, frob(u)):
+    if resid > threshold(tol) * max(1.0, frob(u)):
         raise NoConvergenceError(f"eigen residual {resid:.2e} too large")
     return phases, v
 
@@ -237,10 +245,11 @@ class SpanMap:
 
     def isometry(self, cut: float):
         """X Z̄ = bᵀ W̄ S⁻¹ (a row per target), the map the targets induce on
-        the span, or None when it is not isometric (the frames differ)."""
+        the span, or None when it is not isometric within threshold(cut) r
+        (the frames differ)."""
         r = self.rank(cut)
         v = self.b.T @ self.w[:, :r].conj() / self.s[:r]
-        return None if frob(dag(v) @ v - np.eye(r)) > 1e3 * cut * max(1.0, r) else v
+        return None if frob(dag(v) @ v - np.eye(r)) > threshold(cut) * max(1.0, r) else v
 
     def certificate(self, cut: float):
         """X + (1 - Z̄Zᵀ), the identity on the jump kernel, or None as for

@@ -269,31 +269,32 @@ def evolve_density(rep: Representation, rho0, t: float) -> np.ndarray:
     return vec.reshape(d, d)
 
 
+def master_gaps(ha: np.ndarray, hb: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The two terms of the distance of two master operators: the gap of
+    the traceless-frame Hamiltonians H'a, H'b up to a multiple of 1, over
+    max(||H'a||, ||H'b||, 1), and the relative linalg.frame_gap of the
+    traceless jumps' coordinates a, b in one basis (a column per jump)."""
+    # one d x d difference at a time: X - tr(X)/d 1 for X = H'a - H'b, H'a, H'b
+    gap, na, nb = (frob(linalg.remove_trace(x - y)) for x, y in ((ha, hb), (ha, 0), (hb, 0)))
+    frame, fa, fb = linalg.frame_gap(a, b)
+    return gap / max(na, nb, 1.0), frame / max(fa, fb, 1e-300)
+
+
 def _master_coordinates(rep_a: Representation, rep_b: Representation, tol: float):
     """Coordinates (a column per jump) of both representations' traceless
     jumps in one orthonormal basis of their joint span, or None when their
-    master operators differ (see representations_equal)."""
+    master operators differ."""
     if rep_a.dim != rep_b.dim:
         raise ShapeError("dimension mismatch")
-    ha, hb = rep_a.traceless[0], rep_b.traceless[0]
-    # one d x d difference at a time: X - tr(X)/d 1 for X = H'a - H'b, H'a, H'b
-    gap, na, nb = (frob(linalg.remove_trace(x - y)) for x, y in ((ha, hb), (ha, 0), (hb, 0)))
-    if gap > tol * max(na, nb, 1.0):
-        return None
     a, b = linalg.operator_coordinates(rep_a.traceless[1], rep_b.traceless[1])
-    gap, fa, fb = linalg.frame_gap(a, b)
-    return (a, b) if gap <= tol * max(fa, fb, 1e-300) else None
+    gaps = master_gaps(rep_a.traceless[0], rep_b.traceless[0], a, b)
+    return (a, b) if max(gaps) <= linalg.threshold(tol) else None
 
 
 def representations_equal(rep_a: Representation, rep_b: Representation,
                           tol: float = DEFAULT_TOL) -> bool:
-    """Whether two representations generate the same master operator.
-
-    Structural test without d^2 x d^2 matrices: the traceless-jump
-    Hamiltonians must agree up to a multiple of the identity, and the
-    traceless jumps must share their frame operator A A† = B B†, read from
-    their coordinates in the joint span.
-    """
+    """Whether two representations generate the same master operator: both
+    master_gaps within linalg.threshold(tol), without d^2 x d^2 matrices."""
     return _master_coordinates(rep_a, rep_b, tol) is not None
 
 
@@ -311,10 +312,10 @@ def relate_representations(rep_a: Representation, rep_b: Representation,
     coords = _master_coordinates(rep_a, rep_b, tol)
     if coords is None:
         raise NotSameMasterOperator("representations generate different master operators")
-    span = linalg.SpanMap(*coords)
-    if span.escape(tol) > tol * max(max(frob(j) for j in rep_b.traceless[1]), 1.0):
+    span, tau = linalg.SpanMap(*coords), linalg.threshold(tol)
+    if span.escape(tau) > tau * max([1.0] + [frob(j) for j in rep_b.traceless[1]]):
         raise NotSameMasterOperator("target jumps leave the source jump span")
-    v = span.isometry(tol)
+    v = span.isometry(tau)
     if v is None:
         raise NotSameMasterOperator("jump frames differ; no isometry exists")
     # V = X + (a basis of range(X Z̄)^perp)(a basis of the jump kernel)†
@@ -334,6 +335,7 @@ __all__ = [
     "jump_part_choi",
     "liouville_matrix",
     "liouville_to_choi",
+    "master_gaps",
     "pure_state",
     "relate_representations",
     "representations_equal",

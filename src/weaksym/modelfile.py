@@ -184,7 +184,10 @@ def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str) -> np.ndar
                 raise ParseError(f"{what}: sparse item {k}, entry "
                                  f"{divmod(flat, dim)}: {exc}") from exc
             values += (value.real, value.imag)
-    out = np.zeros((dim, dim), dtype=complex)
+    try:
+        out = np.zeros((dim, dim), dtype=complex)
+    except (ValueError, MemoryError) as exc:    # ValueError: beyond the address range
+        raise ParseError(f"'dim' {dim}: cannot allocate a {dim} x {dim} matrix") from exc
     if listed:
         # the parts land bit for bit, signed zeros included
         out.view(float).reshape(-1, 2)[list(listed)] = np.reshape(values, (-1, 2))

@@ -294,6 +294,8 @@ def qutrit_chain(length=4, thetas=None, omega=1.0, rot_angles=None) -> Model:
     the angle-aligning rotation by theta_{alpha+1} - theta_alpha, which
     permutes the labelled jumps exactly.
     """
+    if length != int(length) or length < 1:
+        raise ValueError(f"length must be a whole number >= 1, got {length!r}")
     length = int(length)
     if thetas is None:
         thetas = np.deg2rad([0.0, 30.0, 60.0, 90.0])[:length]

@@ -103,34 +103,31 @@ def _rank_one_split(j: np.ndarray, tol: float):
     return dest, source * ph.conjugate()
 
 
-def _proportionality_coefficient(base: np.ndarray, j: np.ndarray, tol: float):
-    """c with j = c * base (unit-Frobenius base), or None."""
-    c = np.vdot(base, j)
-    if frob(j - c * base) > tol * max(frob(j), 1e-300):
-        return None
-    return c
+def _proportionality_gap(base: np.ndarray, x: np.ndarray) -> float:
+    """min_c ||x - c base|| for unit vectors (or operators) base and x: the
+    sine of the angle between them, from the difference itself."""
+    return frob(x - np.vdot(base, x) * base)
 
 
 def _partition(jumps, tol: float) -> tuple:
-    """The SJEDs of a jump list, as build_sjeds describes them."""
-    splits = [_rank_one_split(j, tol) for j in jumps]
+    """The SJEDs of a jump list, as build_sjeds describes them: a set's
+    members have directions within threshold(tol) of its first's."""
+    tau = linalg.threshold(tol)
+    splits = [_rank_one_split(j, tau) for j in jumps]
+    # unit directions: a rank-one jump's destination, else the jump itself
+    bases = [j / frob(j) if split is None else split[0] for j, split in zip(jumps, splits)]
     sets, used = [], set()
-    for k, j in enumerate(jumps):
+    for k, base in enumerate(bases):
         if k in used:
             continue
-        later = [m for m in range(k, len(jumps))
-                 if m not in used and (splits[m] is None) == (splits[k] is None)]
-        if splits[k] is not None:
-            dest = splits[k][0]
-            members = [m for m in later if abs(np.vdot(dest, splits[m][0])) >= 1.0 - tol]
-            sources = np.column_stack([dag(jumps[m]) @ dest for m in members])
-            sets.append(SjedSet(tuple(members), "reset", destination=dest,
-                                sources=sources))
-        else:
-            base = j / frob(j)
-            members = [m for m in later
-                       if _proportionality_coefficient(base, jumps[m], tol) is not None]
+        members = [k] + [m for m in range(k + 1, len(jumps)) if m not in used
+                         and (splits[m] is None) == (splits[k] is None)
+                         and _proportionality_gap(base, bases[m]) <= tau]
+        if splits[k] is None:
             sets.append(SjedSet(tuple(members), "proportional"))
+        else:
+            sources = np.column_stack([dag(jumps[m]) @ base for m in members])
+            sets.append(SjedSet(tuple(members), "reset", destination=base, sources=sources))
         used.update(members)
     return tuple(sets)
 
@@ -187,8 +184,8 @@ def match_sets(a: np.ndarray, b: np.ndarray, sets_a, sets_b,
                tol: float = DEFAULT_TOL):
     """(pi, residual): the bijection beta -> alpha with the composite action
     of sets_b[beta] equal to that of sets_a[alpha], of least total cost
-    among those with every cost at most max(100 tol, 1e-8), and its largest
-    cost; (None, None) when there is none.
+    among those with every cost at most linalg.threshold(tol), and its
+    largest cost; (None, None) when there is none.
 
     a and b hold jumps as columns of coordinates in one orthonormal basis
     (see linalg.operator_coordinates) and each set is a tuple of column
@@ -201,7 +198,7 @@ def match_sets(a: np.ndarray, b: np.ndarray, sets_a, sets_b,
         for alpha, sa in enumerate(sets_a):
             gap, fa, fb = linalg.frame_gap(a[:, list(sa)], b[:, list(sb)])
             cost[beta, alpha] = gap / max(fa, fb, 1e-300)
-    pi = linalg.assign(cost, max(tol * 100, 1e-8))
+    pi = linalg.assign(cost, linalg.threshold(tol))
     if pi is None:
         return None, None
     return pi, float(max((cost[beta, alpha] for beta, alpha in enumerate(pi)),
@@ -234,23 +231,23 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
 
 
 def _hamiltonian_shift(ha: np.ndarray, hb: np.ndarray, tol: float):
-    """Real r with H_b = H_a + r 1 within tol max(||H_a||, ||H_b||, 1), or
-    None; the one d x d array formed is freed on return."""
+    """Real r with H_b = H_a + r 1 within linalg.threshold(tol) max(||H_a||,
+    ||H_b||, 1), or None; the one d x d array formed is freed on return."""
     diff = hb - ha
     r = np.trace(diff) / len(diff)
-    scale = max(frob(ha), frob(hb), 1.0)
-    if abs(r.imag) > tol * scale or frob(linalg.remove_trace(diff)) > tol * scale:
+    bound = linalg.threshold(tol) * max(frob(ha), frob(hb), 1.0)
+    if abs(r.imag) > bound or frob(linalg.remove_trace(diff)) > bound:
         return None
     return float(r.real)
 
 
 def canonical_family(a: np.ndarray, tol: float = DEFAULT_TOL):
-    """(s, zh): the singular values with s_i^2 > tol s_0^2 of a thin SVD
-    a = W S Z† of one set's jump coordinates (its columns) and their rows of
-    Z†.  The canonical jumps C_i = sum_k conj(zh[i, k]) J_k are orthogonal,
-    with norms s_i and, up to the cut, the set's frame."""
+    """(s, zh): the singular values with s_i^2 > linalg.threshold(tol) s_0^2
+    of a thin SVD a = W S Z† of one set's jump coordinates (its columns) and
+    their rows of Z†.  The canonical jumps C_i = sum_k conj(zh[i, k]) J_k
+    are orthogonal, with norms s_i and, up to the cut, the set's frame."""
     _, s, zh = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s ** 2 > tol * max(s[0] ** 2, 1e-300)))
+    r = int(np.sum(s ** 2 > linalg.threshold(tol) * max(s[0] ** 2, 1e-300)))
     return s[:r], zh[:r]
 
 

@@ -1,19 +1,22 @@
 """Symmetry condition checks and certificates.
 
 Three increasingly restrictive conditions relate a unitary symmetry of
-the master operator to the representation:
+the master operator to the representation, each deciding on one
+scale-free distance, kept as its `residual`:
 
-* condition I:   the traceless Hamiltonian is fixed and the traceless
-                 jumps mix under a unitary matrix (master-level symmetry);
-* condition II:  the Hamiltonian is fixed and the SJED composite actions
-                 are permuted (trajectory-level symmetry);
-* condition III: the jumps themselves are permuted up to phases
-                 (record-level symmetry).
+* condition I (master level): lindblad.master_gaps, of the traceless
+  Hamiltonian and of the traceless jumps' frame;
+* condition II (trajectory level): the Hamiltonian's gap and the SJED
+  matching gap of the composite actions (sjed.match_sets);
+* condition III (record level): the gap of the jumps permuted up to phases.
 
-Each check returns a verdict plus the certificate that witnesses it
-(mixing matrix, completed unitary, SJED block unitary, permutations,
-phases, residuals).  All of them read the symmetry's images of the
-representation's operators (`SymmetryOperator.images`), formed once.
+A distance includes the distance of the level below, which must hold, so
+III => II => I on every input.  A condition holds when its distance is at
+most tau(tol) = linalg.threshold(tol) = max(tol, linalg.ROUNDING_FLOOR),
+the one threshold every decision reads; the floor keeps rounding from
+deciding.  The certificates (mixing matrix, unitaries, permutations,
+phases) are computed after the verdict; a failed one is None, with the
+reason.  All checks read the symmetry's images (`SymmetryOperator.images`).
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from .lindblad import (
     apply_adjoint_master_operator,
     apply_master_operator,
     change_superoperator_basis,
+    master_gaps,
 )
-from .linalg import DEFAULT_TOL, dag, frob
+from .linalg import DEFAULT_TOL, dag, frob, threshold
 from .sjed import SjedPartition, build_sjeds, composite_choi, match_sets
-
-PHASE_TOL = 1e-8
 
 
 class CompletionFailed(Exception):
@@ -74,7 +76,7 @@ class SymmetryOperator:
     @classmethod
     def from_matrix(cls, u, tol: float = DEFAULT_TOL, order_cap: int = 64):
         """The operator of u; NotUnitaryError unless ||U U† - 1|| is at most
-        tol max(1, sqrt(d)) (linalg.check_unitary)."""
+        threshold(tol) max(1, sqrt(d)) (linalg.check_unitary)."""
         u = linalg.square(u)
         rows, cols = np.nonzero(u)      # row-major, so rows ascend
         sparse = scipy.sparse.csr_array(
@@ -210,6 +212,9 @@ class SymmetryImages:
 
 @dataclass
 class ConditionResult:
+    """A verdict and its certificates; `reason` says why it failed, or why a
+    certificate of one that holds is None."""
+
     holds: bool
     hamiltonian_residual: float = 0.0
     mixing: np.ndarray | None = None
@@ -245,32 +250,23 @@ def _span(jumps, targets) -> linalg.SpanMap:
 
 
 def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
-    """Least-norm X with targets_j ~ sum_k X[j, k] jumps_k.
-
-    The jump Gram matrix is cut at tol (the jumps at sqrt(tol)); returns
-    (X, residual) with the residual relative to the target norms.
-    """
-    return _span(jumps, targets).solve(np.sqrt(tol))
+    """(X, residual): the least-norm X with targets_j ~ sum_k X[j, k] jumps_k,
+    jumps cut at sqrt(threshold(tol)), and the residual relative to the targets'."""
+    return _span(jumps, targets).solve(np.sqrt(threshold(tol)))
 
 
 def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
-    """Unitary U with targets_j = sum_k U[j, k] jumps_k, if one exists.
-
-    Works on the span of the jumps: the map induced on the span must be
-    unitary and compatible with the jump frame; the action on the
-    orthogonal complement of the coefficient range is completed by the
-    identity.  Raises CompletionFailed otherwise.
-    """
+    """Unitary U with targets_j = sum_k U[j, k] jumps_k: the map the targets
+    induce on the jump span, which must be unitary, completed by the identity
+    on the jump kernel; CompletionFailed when there is none."""
     return _completion(_span(jumps, targets), tol)
 
 
 def _completion(span: linalg.SpanMap, tol: float) -> np.ndarray:
-    scale = max(np.max(linalg.norms(span.a), initial=0.0), 1e-300)
-    if span.escape(tol) > tol * scale:
-        raise CompletionFailed("targets leave the jump span")
-    u = span.certificate(tol)
+    u = span.certificate(threshold(tol))
     if u is None:
         raise CompletionFailed("induced map is not compatible with the jump frame")
+    # this also rejects targets that leave the jump span
     _verify_completion(u, span.a.T, span.b.T, tol)
     return u
 
@@ -302,7 +298,7 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
         src = images.jump_images[:, cols[a]] @ dag(zh)
         x = (src.T @ tgt.conj()) / np.sum(np.abs(tgt) ** 2, axis=0)
         if np.any(linalg.norms(src - tgt @ x.T)
-                  > tol * np.maximum(linalg.norms(src), 1e-300) * 100):
+                  > threshold(tol) * np.maximum(linalg.norms(src), 1e-300)):
             raise CompletionFailed(
                 "symmetry does not map canonical jumps onto the matched SJED")
         v[cols[a], offsets[a]:offsets[a + 1]] = zh.T
@@ -313,36 +309,42 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
 
 
 def _verify_completion(u, jumps, targets, tol):
-    d = len(jumps)
-    if frob(dag(u) @ u - np.eye(d)) > 1e3 * tol * max(1.0, d):
+    d, tau = len(jumps), threshold(tol)
+    if frob(dag(u) @ u - np.eye(d)) > tau * max(1.0, d):
         raise CompletionFailed("completed matrix is not unitary")
     scale = max(np.max(linalg.norms(jumps, axis=1), initial=0.0), 1e-300)
-    if np.any(linalg.norms(targets - u @ jumps, axis=1) > 1e3 * tol * scale):
+    if np.any(linalg.norms(targets - u @ jumps, axis=1) > tau * scale):
         raise CompletionFailed("completed matrix does not reproduce the targets")
+
+
+def _verdict(tol: float, h_resid: float, terms: dict) -> ConditionResult:
+    """The verdict on the largest of terms, name -> scale-free distance (inf
+    for a matching that does not exist within threshold(tol))."""
+    name, gap = max(terms.items(), key=lambda item: item[1])
+    if gap <= threshold(tol):
+        return ConditionResult(True, h_resid, residual=gap)
+    return ConditionResult(False, h_resid, reason=f"{name} {gap:.3g} > {threshold(tol):.3g}")
 
 
 def check_condition_I(rep: Representation, sym: SymmetryOperator,
                       tol: float = DEFAULT_TOL) -> ConditionResult:
-    """Master-level symmetry: fixed traceless Hamiltonian plus unitary jump mixing."""
+    """Master-level symmetry, U L(rho) U† = L(U rho U†), decided on the
+    lindblad.master_gaps of the traceless frame and its image.  Where it
+    holds, the least-norm mixing X with U J'_j U† ~ sum_k X[j, k] J'_k, its
+    relative residual and X's unitary completion come from one SVD."""
     images = sym.images(rep)
-    h_resid = frob(images.frame_hamiltonian_image - images.frame_hamiltonian)
-    if h_resid > tol * max(frob(images.frame_hamiltonian), 1.0):
-        return ConditionResult(False, hamiltonian_residual=h_resid,
-                               reason="traceless Hamiltonian not invariant")
-    span = linalg.SpanMap(images.frame_jumps, images.frame_images)
-    x, x_resid = span.solve(np.sqrt(tol))
-    if x_resid > tol:
-        return ConditionResult(False, hamiltonian_residual=h_resid,
-                               mixing=x, mixing_residual=x_resid,
-                               reason="transformed jumps leave the jump span")
-    try:
-        u = _completion(span, tol)
-    except CompletionFailed as exc:
-        return ConditionResult(False, hamiltonian_residual=h_resid,
-                               mixing=x, mixing_residual=x_resid,
-                               reason=f"no unitary completion: {exc}")
-    return ConditionResult(True, hamiltonian_residual=h_resid,
-                           mixing=x, mixing_residual=x_resid, unitary=u)
+    h_gap, frame_gap = master_gaps(images.frame_hamiltonian, images.frame_hamiltonian_image,
+                                   images.frame_jumps, images.frame_images)
+    result = _verdict(tol, frob(images.frame_hamiltonian_image - images.frame_hamiltonian),
+                      {"traceless Hamiltonian gap": h_gap, "jump frame gap": frame_gap})
+    if result.holds:
+        span = linalg.SpanMap(images.frame_jumps, images.frame_images)
+        result.mixing, result.mixing_residual = span.solve(np.sqrt(threshold(tol)))
+        try:
+            result.unitary = _completion(span, tol)
+        except CompletionFailed as exc:
+            result.reason = f"no unitary completion: {exc}"
+    return result
 
 
 def transformed_choi(sym: SymmetryOperator, choi: np.ndarray) -> np.ndarray:
@@ -350,74 +352,58 @@ def transformed_choi(sym: SymmetryOperator, choi: np.ndarray) -> np.ndarray:
     return change_superoperator_basis(choi, dag(sym.matrix))
 
 
-def _hamiltonian_moved(images: SymmetryImages, tol: float) -> ConditionResult | None:
-    """The failed result of conditions II and III when U H U† != H."""
-    h_resid = images.hamiltonian_residual
-    if h_resid > tol * max(frob(images.rep.hamiltonian), 1.0):
-        return ConditionResult(False, hamiltonian_residual=h_resid,
-                               reason="Hamiltonian not invariant")
-    return None
-
-
 def check_condition_II(rep: Representation, sym: SymmetryOperator,
                        tol: float = DEFAULT_TOL,
-                       partition: SjedPartition | None = None) -> ConditionResult:
-    """Trajectory-level symmetry: fixed Hamiltonian, permuted SJED actions.
-
-    The sets' composite actions are matched with their images under U by
-    sjed.match_sets on the images' jump coordinates, as
-    same_unravelled_generator matches two representations' sets; the
-    residual is the largest relative Choi-frame gap of the matched sets,
-    and `unitary` the SJED block certificate (blockwise_unitary_completion),
-    or None with the reason it failed.
-    """
+                       partition: SjedPartition | None = None,
+                       below: ConditionResult | None = None) -> ConditionResult:
+    """Trajectory-level symmetry on condition I's result (below, checked
+    here when not given), ||U H U† - H|| / max(||H||, 1) and the largest
+    relative Choi-frame gap of the SJEDs matched with their images by
+    sjed.match_sets; `unitary` is the SJED block certificate."""
     images = sym.images(rep)
-    if (moved := _hamiltonian_moved(images, tol)) is not None:
-        return moved
-    h_resid = images.hamiltonian_residual
-    if partition is None:
-        partition = build_sjeds(rep, tol)
+    below = check_condition_I(rep, sym, tol) if below is None else below
+    if not below.holds:
+        return ConditionResult(False, images.hamiltonian_residual, reason=below.reason)
+    partition = build_sjeds(rep, tol) if partition is None else partition
     sets = [s.indices for s in partition.sets]
-    pi, resid = match_sets(images.jumps, images.jump_images, sets, sets, tol)
-    if pi is None:
-        return ConditionResult(False, hamiltonian_residual=h_resid,
-                               reason="SJED actions admit no permuting bijection")
-    u, reason = None, ""
-    try:
-        u = blockwise_unitary_completion(rep, sym, partition, pi)
-    except CompletionFailed as exc:
-        reason = str(exc)
-    return ConditionResult(True, hamiltonian_residual=h_resid, unitary=u,
-                           permutation=pi, residual=resid, reason=reason)
+    pi, gap = match_sets(images.jumps, images.jump_images, sets, sets, tol)
+    result = _verdict(tol, images.hamiltonian_residual, {
+        "condition I distance": below.residual,
+        "Hamiltonian gap": images.hamiltonian_residual / max(frob(rep.hamiltonian), 1.0),
+        "SJED matching gap": np.inf if pi is None else gap})
+    if result.holds:
+        result.permutation = pi
+        try:
+            result.unitary = blockwise_unitary_completion(rep, sym, partition, pi)
+        except CompletionFailed as exc:
+            result.reason = str(exc)
+    return result
 
 
 def check_condition_III(rep: Representation, sym: SymmetryOperator,
                         tol: float = DEFAULT_TOL,
-                        phase_tol: float = PHASE_TOL) -> ConditionResult:
-    """Record-level symmetry: jumps permuted up to unit-modulus phases.
-
-    U J_j U† = c J_k is allowed when the proportionality residual is
-    within 100 tol and ||c| - 1| within phase_tol; the permutation is the
-    allowed bijection with the least total ||c| - 1|, and the phases are
-    arg c of the matched pairs; c = P[j, k] / ||J_k||^2.
-    """
+                        below: ConditionResult | None = None) -> ConditionResult:
+    """Record-level symmetry on condition II's result (below, checked here
+    when not given) and the largest ||U J_j U† - e^{i phi} J_pi(j)|| /
+    ||J_j||, e^{i phi} the phase of c = P[j, k] / ||J_k||^2, over the
+    least-total bijection pi within threshold(tol); phases are arg c."""
     images = sym.images(rep)
-    if (moved := _hamiltonian_moved(images, tol)) is not None:
-        return moved
-    h_resid = images.hamiltonian_residual
+    below = check_condition_II(rep, sym, tol) if below is None else below
+    if not below.holds:
+        return ConditionResult(False, images.hamiltonian_residual, reason=below.reason)
     a, b = images.jumps, images.jump_images
     coeff = images.overlaps / np.sum(np.abs(a) ** 2, axis=0)
-    gaps = linalg.norms(b[:, :, None] - coeff * a[:, None, :])
-    scale = np.maximum(linalg.norms(b), 1e-300)
-    cost = np.where(gaps <= tol * scale[:, None] * 100,
-                    np.abs(np.abs(coeff) - 1.0) / phase_tol, np.inf)
-    pi = linalg.assign(cost, 1.0)
-    if pi is None:
-        return ConditionResult(False, hamiltonian_residual=h_resid,
-                               reason="jumps admit no phase-permuting bijection")
-    phases = tuple(float(np.angle(coeff[j, pi[j]])) for j in range(rep.njumps))
-    return ConditionResult(True, hamiltonian_residual=h_resid,
-                           permutation=pi, phases=phases)
+    gaps = linalg.norms(b[:, :, None] - np.exp(1j * np.angle(coeff)) * a[:, None, :])
+    gaps /= np.maximum(linalg.norms(b), 1e-300)[:, None]
+    pi = linalg.assign(gaps, threshold(tol))
+    result = _verdict(tol, images.hamiltonian_residual, {
+        "condition II distance": below.residual,
+        "phase-permutation gap": np.inf if pi is None else float(
+            np.max(gaps[np.arange(len(pi)), list(pi)], initial=0.0))})
+    if result.holds:
+        result.permutation = pi
+        result.phases = tuple(float(np.angle(coeff[j, k])) for j, k in enumerate(pi))
+    return result
 
 
 def permutation_unitary(pi, phases=None) -> np.ndarray:
@@ -453,8 +439,7 @@ def lift_II_to_III(rep: Representation, sym: SymmetryOperator,
     SJED.  Raises NotConditionII when condition II fails and
     CompletionFailed when its certificate does.
     """
-    if partition is None:
-        partition = build_sjeds(rep, tol)
+    partition = build_sjeds(rep, tol) if partition is None else partition
     cond = check_condition_II(rep, sym, tol, partition)
     if not cond.holds:
         raise NotConditionII(cond.reason)
@@ -487,8 +472,7 @@ def lift_II_to_III(rep: Representation, sym: SymmetryOperator,
 
 
 def fourier_symmetrize(rep: Representation, sym: SymmetryOperator,
-                       tol: float = DEFAULT_TOL,
-                       phase_tol: float = PHASE_TOL) -> Representation:
+                       tol: float = DEFAULT_TOL) -> Representation:
     """Weakly symmetric representation by Fourier transforming jump cycles.
 
     Requires the record-level condition; each permutation cycle
@@ -498,7 +482,7 @@ def fourier_symmetrize(rep: Representation, sym: SymmetryOperator,
     output jump is an eigenoperator of the symmetry.  The accumulated
     phase around each cycle must close to a multiple of 2 pi.
     """
-    cond = check_condition_III(rep, sym, tol, phase_tol)
+    cond = check_condition_III(rep, sym, tol)
     if not cond.holds:
         raise NotConditionIII(cond.reason)
     pi, phases = cond.permutation, cond.phases
@@ -567,9 +551,9 @@ def off_block_mass(superop: np.ndarray, sym: SymmetryOperator) -> float:
     return float(np.sqrt(off_sq / total_sq))
 
 
-def monomial_eigenfunctions(sym: SymmetryOperator, order: int, eigenvalue,
-                            phase_tol: float = 1e-7) -> list:
-    """Index tuples of monomials in the adapted basis with a given eigenvalue.
+def monomial_eigenfunctions(sym: SymmetryOperator, order: int, eigenvalue) -> list:
+    """Index tuples of monomials in the adapted basis with a given eigenvalue
+    (within 1e-6, far above the rounding of the eigenphases).
 
     A tuple (i_1, ..., i_2n) (1-based) stands for the product of matrix
     elements psi[i_1, i_2] psi[i_3, i_4] ... of a pure state written in
@@ -582,7 +566,7 @@ def monomial_eigenfunctions(sym: SymmetryOperator, order: int, eigenvalue,
     lam = complex(eigenvalue)
     pairs = list(itertools.product(range(1, sym.dim + 1), repeat=2))
     monomials = (sum(c, ()) for c in itertools.combinations_with_replacement(pairs, order))
-    return [m for m in monomials if abs(monomial_eigenvalue(sym, m) - lam) <= phase_tol * 10]
+    return [m for m in monomials if abs(monomial_eigenvalue(sym, m) - lam) <= 1e-6]
 
 
 def evaluate_monomial(sym: SymmetryOperator, indices, psi) -> complex:
@@ -602,15 +586,16 @@ def check_linear_eigenfunction(rep: Representation, f,
                                tol: float = DEFAULT_TOL, rng=None):
     """Whether F is an eigenmatrix of the adjoint master operator.
 
-    Returns (is_eigen, eigenvalue).  A least-squares eigenvalue is fitted
-    and the dual pairing Tr[F L(psi)] = lambda Tr[F psi] is verified on
-    20 random pure states.
+    Returns (is_eigen, eigenvalue).  A least-squares eigenvalue is fitted,
+    its relative residual must be at most threshold(tol), and the dual
+    pairing Tr[F L(psi)] = lambda Tr[F psi] is verified on 20 random pure
+    states.
     """
     f = np.asarray(f, dtype=complex)
     lf = apply_adjoint_master_operator(rep, f)
     lam = np.vdot(f.reshape(-1), lf.reshape(-1)) / np.vdot(f.reshape(-1), f.reshape(-1))
     resid = frob(lf - lam * f) / max(frob(lf), frob(f))
-    if resid > tol * 100:
+    if resid > threshold(tol):
         return False, complex(lam)
     if rng is None:
         rng = np.random.default_rng(2024)
@@ -629,10 +614,10 @@ def check_linear_eigenfunction(rep: Representation, f,
 def build_symmetry_report(rep: Representation, sym: SymmetryOperator,
                           tol: float = DEFAULT_TOL,
                           partition: SjedPartition | None = None) -> SymmetryReport:
-    """Run all three condition checks and enforce the hierarchy."""
+    """Run the three condition checks, each on the result of the one below."""
     c1 = check_condition_I(rep, sym, tol)
-    c2 = check_condition_II(rep, sym, tol, partition)
-    c3 = check_condition_III(rep, sym, tol)
+    c2 = check_condition_II(rep, sym, tol, partition, below=c1)
+    c3 = check_condition_III(rep, sym, tol, below=c2)
     consistent = (not c3.holds or c2.holds) and (not c2.holds or c1.holds)
     return SymmetryReport(c1, c2, c3, consistent)
 

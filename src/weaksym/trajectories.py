@@ -542,9 +542,9 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     if not np.isfinite(hnorm) or hnorm > 1e8:
         raise StiffnessError("effective Hamiltonian norm too large for stepping")
     step = min(0.05 * max(horizon, 1e-12), 0.45 / max(hnorm, 1e-12))
-    steps = int(np.ceil(horizon / step))
+    steps = np.ceil(horizon / step)     # a float: inf near the largest horizons
     if steps > MAX_GRID_STEPS:
-        raise StiffnessError(f"{steps} grid steps to horizon {horizon:g}, above "
+        raise StiffnessError(f"{steps:.3g} grid steps to horizon {horizon:g}, above "
                              f"the cap of {MAX_GRID_STEPS}")
     grid = _grid(horizon, step, checkpoint_times)
     steps = len(grid) - 1

@@ -1090,6 +1090,52 @@ def test_simulate_opens_one_pool(tmp_path, monkeypatch, capsys, in_process_pool)
     assert in_process_pool == [2]
 
 
+def test_simulate_horizon_beyond_the_grid_cap_prints_a_short_count(capsys):
+    for horizon, count in (("1e300", "4.44e+300 grid steps"), ("1e308", "inf grid steps")):
+        _exits_2(["simulate", "qubit-weak", "--horizon", horizon], capsys, count)
+
+
+@pytest.mark.parametrize("length", ["0", "-1", "1.5"])
+def test_qutrit_chain_refuses_a_length_that_is_no_site_count(length, capsys):
+    _exits_2(["examples", "qutrit-chain", "--param", f"length={length}"], capsys,
+             "bad parameter for qutrit-chain: length")
+
+
+@pytest.mark.parametrize("command", ["check", "verify-joint", "simulate"])
+def test_unallocatable_dim_exits_2_naming_dim(command, tmp_path, capsys):
+    # numpy refuses a 1e9 x 1e9 complex array outright ("array is too big")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 10 ** 9, "hamiltonian": {"sparse": []}}))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'dim' 1000000000:") and err.count("\n") == 1
+
+
+BUILTINS = [name for name in models.BUILDERS if name != "qutrit-chain"]
+
+
+@pytest.mark.parametrize("tol", ["5e-324", "1e-17", "1e-16", "3e-16", "1e-12"])
+def test_check_at_or_below_the_rounding_floor_meets_every_expectation(tol, capsys):
+    # tau(tol) never drops below linalg.ROUNDING_FLOOR, so rounding decides
+    # no verdict and no SJED membership
+    for name in BUILTINS:
+        assert main(["check", name, "--tol", tol]) == 0, name
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("tol", ["5e-324", "1e-17", "0.5", "0.999", "1", "1.7e308"])
+@pytest.mark.parametrize("command", ["check", "verify-joint"])
+def test_every_tol_answers_or_exits_2_with_one_error_line(command, tol, capsys):
+    # a relative tolerance of 1 or more is a usage error
+    for name in ("qubit-weak", "qubit-I", "twoqubit-weak", "twoqubit-I"):
+        code = main([command, name, "--tol", tol])
+        err = capsys.readouterr().err
+        if float(tol) < 1:
+            assert code in (0, 1) and err == "", name
+        else:
+            assert code == 2 and err.startswith("error:") and err.count("error:") == 1
+
+
 def test_simulate_grid_step_cap_exits_2_fast(tmp_path, capsys):
     # ||H_eff|| ~ 1.4e5 needs about 3.1e5 grid steps to horizon 1
     path = tmp_path / "stiff.json"

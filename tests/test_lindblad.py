@@ -358,6 +358,12 @@ def test_relate_identity():
     assert unique
 
 
+def test_relate_jump_free_representations():
+    rep = Representation(np.diag([1.0, -1.0]), ())
+    v, unique = relate_representations(rep, rep)
+    assert v.shape == (0, 0) and unique
+
+
 def test_relate_qubit_weak_to_mixed():
     gz, gx = 1.0, 1.0
     rep1 = qubit_weak(1.0, gz, gx)

@@ -9,8 +9,13 @@ import numpy as np
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from weaksym import linalg, sjed
-from weaksym.lindblad import Representation, liouville_matrix, representations_equal
+from weaksym import linalg, models, sjed
+from weaksym.lindblad import (
+    Representation,
+    jump_part_choi,
+    liouville_matrix,
+    representations_equal,
+)
 from weaksym.linalg import dag, frob
 from weaksym.sjed import (
     build_sjeds,
@@ -82,6 +87,39 @@ def test_symmetric_models_keep_the_hierarchy(model):
     assert report.condition_I.holds
     assert report.condition_II.holds or (remixed and split)
     assert report.condition_III.holds or remixed
+
+
+@given(st.one_of(st.sampled_from([n for n in models.BUILDERS if n != "qutrit-chain"]),
+                 symmetric_models()),
+       st.sampled_from([1e-12, 1e-9, 1e-6]), st.floats(0.1, 100.0),
+       st.sampled_from(["H", "jumps", "both"]), st.integers(0, 2 ** 32 - 1))
+def test_perturbed_models_keep_the_hierarchy(source, tol, size, moved, seed):
+    # H, the jumps or both moved by size tol (normal + i normal) max(1, max|A|),
+    # the scale at which the checks' thresholds decide: each condition that
+    # holds has a distance within tau(tol) and at least the one below it
+    if isinstance(source, str):
+        m = models.get_model(source)
+        rep, sym = m.rep, SymmetryOperator.from_matrix(next(iter(m.symmetries.values())))
+    else:
+        rep, sym, _, _ = source
+    rng = np.random.default_rng(seed)
+
+    def move(a):
+        noise = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+        return a + size * tol * max(1.0, np.max(np.abs(a))) * noise
+
+    h, jumps = rep.hamiltonian, rep.jumps
+    if moved != "jumps":
+        h = move(h)
+        h = (h + dag(h)) / 2
+    if moved != "H":
+        jumps = tuple(move(j) for j in jumps)
+    report = build_symmetry_report(Representation(h, jumps), sym, tol)
+    assert report.consistent
+    results = (report.condition_I, report.condition_II, report.condition_III)
+    for below, above in zip(results, results[1:]):
+        if above.holds:
+            assert below.holds and below.residual <= above.residual <= linalg.threshold(tol)
 
 
 @given(symmetric_models(), st.integers(0, 2 ** 32 - 1))
@@ -208,12 +246,12 @@ def _oracle_rank_one_split(j, tol):
 
 
 def _oracle_verify(u, jumps, targets, tol):
-    d = len(jumps)
-    if frob(dag(u) @ u - np.eye(d)) > 1e3 * tol * max(1.0, d):
+    d, tau = len(jumps), linalg.threshold(tol)
+    if frob(dag(u) @ u - np.eye(d)) > tau * max(1.0, d):
         raise CompletionFailed("not unitary")
     scale = max(max(frob(j) for j in jumps), 1e-300)
     for j, t in enumerate(targets):
-        if frob(t - sum(u[j, k] * jumps[k] for k in range(d))) > 1e3 * tol * scale:
+        if frob(t - sum(u[j, k] * jumps[k] for k in range(d))) > tau * scale:
             raise CompletionFailed("targets not reproduced")
 
 
@@ -234,41 +272,63 @@ def _oracle_frame_isometry(stack, flat_targets, tol):
     q, rr = np.linalg.qr(m)
     qb = n @ np.linalg.inv(rr)
     r = q.shape[1]
-    if frob(dag(qb) @ qb - np.eye(r)) > 1e3 * tol * max(1.0, r):
+    if frob(dag(qb) @ qb - np.eye(r)) > linalg.threshold(tol) * max(1.0, r):
         qb = None
     return q, qb, escape
 
 
+def _oracle_verdict(tol, below, h_resid, terms):
+    """The oracle result on a list of distance terms and the result of the
+    condition below, which must hold: the distance is the largest of the
+    terms and the distance below."""
+    if below is not None and not below.holds:
+        return ConditionResult(False, hamiltonian_residual=h_resid)
+    distance = max([*terms, 0.0 if below is None else below.residual])
+    if not distance <= linalg.threshold(tol):
+        return ConditionResult(False, hamiltonian_residual=h_resid)
+    return ConditionResult(True, hamiltonian_residual=h_resid, residual=distance)
+
+
+def _traceless_gap(a, b):
+    """||A - B|| / max(||A||, ||B||, 1) for A and B without their traces."""
+    a, b = (linalg.remove_trace(np.array(m, dtype=complex)) for m in (a, b))
+    return frob(a - b) / max(frob(a), frob(b), 1.0)
+
+
 def _oracle_condition_I(rep, sym, tol):
     hp, jumps = rep.traceless
-    h_resid = frob(sym.conjugate(hp) - hp)
-    if h_resid > tol * max(frob(hp), 1.0):
-        return ConditionResult(False, hamiltonian_residual=h_resid)
-    if not jumps:
-        return ConditionResult(True, hamiltonian_residual=h_resid,
-                               mixing=np.zeros((0, 0)), unitary=np.zeros((0, 0)))
+    image = sym.conjugate(hp)
     targets = [sym.conjugate(j) for j in jumps]
+    frame_gap = 0.0
+    if jumps:
+        choi, moved = jump_part_choi(jumps), jump_part_choi(targets)
+        frame_gap = frob(choi - moved) / max(frob(choi), frob(moved), 1e-300)
+    out = _oracle_verdict(tol, None, frob(image - hp),
+                          [_traceless_gap(hp, image), frame_gap])
+    if not out.holds:
+        return out
+    if not jumps:
+        out.mixing, out.unitary = np.zeros((0, 0)), np.zeros((0, 0))
+        return out
     n = len(jumps)
     gram = np.array([[np.vdot(a, b) for b in jumps] for a in jumps])
     b = np.array([[np.vdot(m, t) for m in jumps] for t in targets])
-    x = b @ np.linalg.pinv(gram, rcond=tol, hermitian=True).T
-    x_resid = np.sqrt(sum(frob(t - sum(x[j, k] * jumps[k] for k in range(n))) ** 2
-                          for j, t in enumerate(targets))) \
+    cut = linalg.threshold(tol)
+    out.mixing = b @ np.linalg.pinv(gram, rcond=cut, hermitian=True).T
+    out.mixing_residual = np.sqrt(sum(
+        frob(t - sum(out.mixing[j, k] * jumps[k] for k in range(n))) ** 2
+        for j, t in enumerate(targets))) \
         / max(np.sqrt(sum(frob(t) ** 2 for t in targets)), 1e-300)
-    if x_resid > tol:
-        return ConditionResult(False, hamiltonian_residual=h_resid, mixing=x,
-                               mixing_residual=x_resid)
-    q, qb, escape = _oracle_frame_isometry(_flat(jumps), _flat(targets), tol)
+    q, qb, escape = _oracle_frame_isometry(_flat(jumps), _flat(targets), cut)
     try:
-        if escape > tol * max(max(frob(j) for j in jumps), 1e-300) or qb is None:
+        if escape > cut * max(max(frob(j) for j in jumps), 1e-300) or qb is None:
             raise CompletionFailed("no completion")
         u = qb @ dag(q) + (np.eye(n) - q @ dag(q))
-        _oracle_verify(u, jumps, targets, tol)
+        _oracle_verify(u, jumps, targets, cut)
+        out.unitary = u
     except CompletionFailed:
-        return ConditionResult(False, hamiltonian_residual=h_resid, mixing=x,
-                               mixing_residual=x_resid)
-    return ConditionResult(True, hamiltonian_residual=h_resid, mixing=x,
-                           mixing_residual=x_resid, unitary=u)
+        pass
+    return out
 
 
 def _choi_gap(partition, sym, a, b):
@@ -279,48 +339,46 @@ def _choi_gap(partition, sym, a, b):
     return frob(x - y) / max(frob(x), frob(y))
 
 
-def _oracle_condition_II(rep, sym, tol, partition):
+def _oracle_condition_II(rep, sym, tol, partition, below):
     h_resid = frob(sym.conjugate(rep.hamiltonian) - rep.hamiltonian)
-    if h_resid > tol * max(frob(rep.hamiltonian), 1.0):
-        return ConditionResult(False, hamiltonian_residual=h_resid)
     n = partition.nsets
     cost = np.array([[_choi_gap(partition, sym, a, b) for a in range(n)]
                      for b in range(n)]).reshape(n, n)
-    pi = linalg.assign(cost, max(tol * 100, 1e-8))
-    if pi is None:
-        return ConditionResult(False, hamiltonian_residual=h_resid)
-    resid = max((cost[b, pi[b]] for b in range(n)), default=0.0)
+    pi = linalg.assign(cost, linalg.threshold(tol))
+    gap = np.inf if pi is None else max((cost[b, pi[b]] for b in range(n)), default=0.0)
+    out = _oracle_verdict(tol, below, h_resid,
+                          [h_resid / max(frob(rep.hamiltonian), 1.0), gap])
+    if not out.holds:
+        return out
+    out.permutation = pi
     if not rep.jumps:
-        u = np.zeros((0, 0))
+        out.unitary = np.zeros((0, 0))
     else:
         try:
-            u = _oracle_block_unitary(rep, sym, partition, pi, tol)
+            out.unitary = _oracle_block_unitary(rep, sym, partition, pi, tol)
         except CompletionFailed:
-            u = None
-    return ConditionResult(True, hamiltonian_residual=h_resid, permutation=pi,
-                           residual=resid, unitary=u)
+            pass
+    return out
 
 
-def _oracle_condition_III(rep, sym, tol, phase_tol=1e-8):
+def _oracle_condition_III(rep, sym, tol, below):
     h_resid = frob(sym.conjugate(rep.hamiltonian) - rep.hamiltonian)
-    if h_resid > tol * max(frob(rep.hamiltonian), 1.0):
-        return ConditionResult(False, hamiltonian_residual=h_resid)
     d = rep.njumps
     coeff = np.zeros((d, d), dtype=complex)
-    cost = np.full((d, d), np.inf)
+    gaps = np.zeros((d, d))
     for j in range(d):
         target = sym.conjugate(rep.jumps[j])
         for k, jump in enumerate(rep.jumps):
-            c = np.vdot(jump, target) / frob(jump) ** 2
-            if frob(target - c * jump) <= tol * max(frob(target), 1e-300) * 100:
-                coeff[j, k] = c
-                cost[j, k] = abs(abs(c) - 1.0) / phase_tol
-    pi = linalg.assign(cost, 1.0)
-    if pi is None:
-        return ConditionResult(False, hamiltonian_residual=h_resid)
-    return ConditionResult(True, hamiltonian_residual=h_resid, permutation=pi,
-                           phases=tuple(float(np.angle(coeff[j, pi[j]]))
-                                        for j in range(d)))
+            coeff[j, k] = np.vdot(jump, target) / frob(jump) ** 2
+            gaps[j, k] = frob(target - np.exp(1j * np.angle(coeff[j, k])) * jump) \
+                / frob(target)
+    pi = linalg.assign(gaps, linalg.threshold(tol))
+    gap = np.inf if pi is None else max((gaps[j, pi[j]] for j in range(d)), default=0.0)
+    out = _oracle_verdict(tol, below, h_resid, [gap])
+    if out.holds:
+        out.permutation = pi
+        out.phases = tuple(float(np.angle(coeff[j, pi[j]])) for j in range(d))
+    return out
 
 
 def _oracle_canonical_sets(partition, tol):
@@ -333,7 +391,7 @@ def _oracle_canonical_sets(partition, tol):
         members = [partition.jumps[k] for k in s.indices]
         gram = np.array([[np.vdot(a, b) for b in members] for a in members])
         w, z = np.linalg.eigh(gram)
-        z = z[:, w > tol * w[-1]]
+        z = z[:, w > linalg.threshold(tol) * w[-1]]
         offsets.append(len(canon))
         canon += [sum(z[k, i] * j for k, j in enumerate(members))
                   for i in range(z.shape[1])]
@@ -360,7 +418,7 @@ def _oracle_block_unitary(rep, sym, partition, pi_c, tol):
                 xt[offsets[a] + i, offsets[b] + j] = np.vdot(tgt, src) / np.vdot(tgt, tgt)
             mix = sum(xt[offsets[a] + i, offsets[b] + j] * canon[offsets[b] + j]
                       for j in range(sizes[b]))
-            if frob(src - mix) > tol * max(frob(src), 1e-300) * 100:
+            if frob(src - mix) > linalg.threshold(tol) * max(frob(src), 1e-300):
                 raise CompletionFailed("not onto the matched SJED")
     u = v @ xt @ dag(v) + (np.eye(n) - v @ dag(v))
     _oracle_verify(u, partition.jumps, [sym.conjugate(j) for j in partition.jumps], tol)
@@ -445,12 +503,13 @@ def _assert_matches_oracle(rep, u, tol=1e-9):
                 for c in (new, old))
         return frob(a - b) <= 1e-8 * frob(a)
 
-    _assert_results_agree(report.condition_I, _oracle_condition_I(rep, sym, tol),
+    oracle_I = _oracle_condition_I(rep, sym, tol)
+    oracle_II = _oracle_condition_II(rep, sym, tol, partition, oracle_I)
+    _assert_results_agree(report.condition_I, oracle_I,
                           None, _gram_condition(rep.traceless[1], tol))
-    _assert_results_agree(report.condition_II,
-                          _oracle_condition_II(rep, sym, tol, partition), same_set)
-    _assert_results_agree(report.condition_III, _oracle_condition_III(rep, sym, tol),
-                          same_jump)
+    _assert_results_agree(report.condition_II, oracle_II, same_set)
+    _assert_results_agree(report.condition_III,
+                          _oracle_condition_III(rep, sym, tol, oracle_II), same_jump)
     pi_c = report.condition_II.permutation
     if not report.condition_II.holds:
         return

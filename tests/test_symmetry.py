@@ -355,6 +355,24 @@ def test_report_hierarchy_consistency():
     assert report.verdicts() == (True, True, True) and report.consistent
 
 
+@pytest.mark.parametrize("shift, verdicts, reason", [
+    # an imaginary trace moves the traceless frame's Hamiltonian by about
+    # 2e-9 relative: the master operator itself is not symmetric
+    (1e-9j, (False, False, False), "traceless Hamiltonian gap"),
+    # a real trace leaves the Hermitian Jx's master operator as it is but
+    # not its unravelling: U (Jx + eps) U† = -Jx + eps is no multiple of it
+    (5e-8, (True, False, False), "SJED matching gap"),
+])
+def test_shifted_jump_moves_the_verdicts_down_the_hierarchy(shift, verdicts, reason):
+    m = models.qubit_weak()
+    jz, jx = m.rep.jumps
+    report = build_symmetry_report(m.rep.with_jumps((jz, jx + shift * np.eye(2))),
+                                   sym_of(m))
+    assert report.verdicts() == verdicts and report.consistent
+    results = (report.condition_I, report.condition_II, report.condition_III)
+    assert all(c.reason.startswith(reason) for c in results if not c.holds)
+
+
 # ---------------------------------------------------------------- qutrit chain
 
 def test_qutrit_translation_condition_II_cycle():

@@ -4,8 +4,9 @@
 
 Runs ``check`` on the nine built-ins, the built-in ``qutrit-chain`` (four
 reset SJEDs pinned by its ``sjeds``, which translation permutes as a
-4-cycle; once more at ``--tol 1e-6``) and seeded L=3, L=4, L=5 and L=6
-qutrit chains (L=6 is dim 729, where ``check`` takes about 4 s and 330 MiB
+4-cycle; once more at ``--tol 1e-6``), the nine built-ins once more at
+``--tol 1e-12`` (the threshold's rounding floor, linalg.ROUNDING_FLOOR)
+and seeded L=3, L=4, L=5 and L=6 qutrit chains (L=6 is dim 729, where ``check`` takes about 4 s and 330 MiB
 of peak RSS with one BLAS thread on a 2-core x86-64 VM) and the 64- and
 256-jump models (the n-jump model: d = 8, H = 1, the cyclic shift as its
 symmetry, jumps |k><roll(b, k)| for k = 0..7 and n/8 vectors b from
@@ -73,6 +74,8 @@ def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, jumps256, own):
                                              chain6, jumps64, jumps256]]
     # a second tolerance moves the SJED isometries' rank cut
     out += [["check", "qutrit-chain", "--tol", "1e-6"]]
+    # the smallest tol the threshold takes as it is given
+    out += [["check", m, "--tol", "1e-12"] for m in BUILTINS]
     out += [["verify-joint", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4,
                                                      chain5, jumps64, jumps128]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
