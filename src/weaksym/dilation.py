@@ -386,27 +386,18 @@ def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,
     """Transport an environment certificate to another representation.
 
     v is the isometry relating the traceless jumps (rows index rep_b's
-    jumps).  For square v the transported matrix is V U V†; a tall v
-    requires a unitary completion on rep_b's traceless jumps.  Returns
-    (u_matrix_b, residual) with the residual of rep_b's rotating-frame
-    step under (system unitary, transported environment unitary).
+    jumps).  The transported matrix is V U V† + (1 - V V†), the identity
+    off v's range (rep_b's jump kernel when v is tall), and must certify
+    the images of rep_b's traceless jumps (linalg.SpanMap.accept), else
+    CompletionFailed.  Returns (u_matrix_b, residual) with the residual of
+    rep_b's rotating-frame step under (system unitary, transported
+    environment unitary).
     """
     v = np.asarray(v, dtype=complex)
-    candidate = v @ np.asarray(u_matrix_a, dtype=complex) @ dag(v)
+    u_b = v @ np.asarray(u_matrix_a, dtype=complex) @ dag(v) + np.eye(len(v)) - v @ dag(v)
     images = sym.images(rep_b)
-    if v.shape[0] == v.shape[1]:
-        u_b = candidate
-    else:
-        span = linalg.SpanMap(images.frame_jumps, images.frame_images)
-        tau = linalg.threshold(tol)
-        u_b = span.certificate(tau)
-        if u_b is None:
-            raise CompletionFailed("induced map is not compatible with the jump frame")
-        # the completion differs from the transported matrix only within
-        # the jump kernel; verify it still acts like the candidate
-        if np.any(np.linalg.norm(span.b - span.a @ candidate.T, axis=0)
-                  > tau * np.maximum(np.linalg.norm(span.b, axis=0), 1.0)):
-            raise CompletionFailed("transported matrix does not act correctly")
+    if linalg.SpanMap(images.frame_jumps, images.frame_images, tol).accept(u_b) is None:
+        raise CompletionFailed("transported matrix does not certify the jump images")
     resid = joint_symmetry_residual(rotating_frame_step(rep_b), images, u_b)
     return u_b, float(resid)
 

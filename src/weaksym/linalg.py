@@ -3,17 +3,19 @@
 Thin, tolerance-aware wrappers over LAPACK (through numpy and scipy):
 Hermitian and unitary eigendecompositions with a deterministic phase
 convention, the matrix exponential, thin-QR coordinates of operator
-families from their entries, the frame gap ||A A† - B B†|| read from them
-and the least-norm maps between jump spans read from one SVD (`SpanMap`),
-Haar-random unitaries and the linear assignment problem (a port of the
-solver scipy runs, so that importing this module does not load
-scipy.optimize).  Everything operates on plain numpy arrays and keeps no
+families from their entries, the frame gap ||A A† - B B†|| read from them,
+the one rank cut (`rank`), the least-norm maps between jump spans read
+from one SVD and the one rule that accepts their unitary certificates
+(`SpanMap`), Haar-random unitaries and the linear assignment problem (a
+port of the solver scipy runs, so that importing this module does not
+load scipy.optimize).  Everything operates on plain numpy arrays and keeps no
 global state, so calls are safe from concurrent workers.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -84,8 +86,18 @@ def square(a) -> np.ndarray:
 def threshold(tol: float) -> float:
     """tau(tol), the one threshold every decision compares its scale-free
     distance to.  Its floor is above the distances rounding leaves on
-    symmetric inputs (at most 1.6e-14 measured), so rounding decides none."""
-    return max(float(tol), ROUNDING_FLOOR)
+    symmetric inputs (at most 1.6e-14 measured), so rounding decides none.
+    ValueError unless 0 < tol < 1 (at tau >= 2 every distance passes)."""
+    tol = float(tol)
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    return max(tol, ROUNDING_FLOOR)
+
+
+def rank(s: np.ndarray, tol: float) -> int:
+    """The one rank cut: how many singular values s (descending) exceed
+    threshold(tol) times the largest."""
+    return int(np.sum(s > threshold(tol) * s[:1]))
 
 
 def check_unitary(gram: np.ndarray, tol: float = DEFAULT_TOL) -> None:
@@ -217,49 +229,53 @@ def frame_gap(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 class SpanMap:
-    """Least-norm maps of targets onto the span of jumps, from one SVD.
+    """The least-norm maps of targets onto the span of jumps, read from one
+    SVD, and the one rule that accepts a unitary certificate of them.
 
     The columns of a are n jumps and those of b targets, as coordinates in
-    one orthonormal basis (see `coordinates`); a = W S Z† is a full SVD.
-    Each method drops the singular values at most cut times the largest.
+    one orthonormal basis (see `coordinates`).  tol fixes tau =
+    threshold(tol) and the cut once: of a full SVD a = W S Z†, taken on
+    first use, the `rank` r singular values are kept.  A zero column of a is a kernel vector exactly (its own row
+    of Z†), so a zero jump keeps a zero target exactly.  A matrix u
+    certifies the targets (`accept`) when u†u passes check_unitary and each
+    target b_j is within tau ||b_j|| of sum_k u[j, k] a_k.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a, self.b = a, b
-        self.w, self.s, self.zh = np.linalg.svd(a)
+    def __init__(self, a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
+        self.a, self.b, self.tol, self.tau = a, b, tol, threshold(tol)
 
-    def rank(self, cut: float) -> int:
-        return int(np.sum(self.s > cut * self.s[:1]))
+    @cached_property
+    def svd(self) -> tuple:
+        """(W, S, Z†, r), r = rank(S, tau)."""
+        n, live = self.a.shape[1], norms(self.a) > 0
+        w, s, z = np.linalg.svd(self.a[:, live])
+        zh = np.zeros((n, n), dtype=complex)
+        zh[:len(z), live] = z
+        zh[len(z):, ~live] = np.eye(n - len(z))
+        return w, s, zh, rank(s, self.tau)
 
-    def solve(self, cut: float):
-        """Least-norm X with b ~ a Xᵀ, and ||b - a Xᵀ|| / ||b||."""
-        r = self.rank(cut)
-        x = self.b.T @ self.w[:, :r].conj() / self.s[:r] @ self.zh[:r].conj()
+    @cached_property
+    def mixing(self) -> tuple:
+        """Least-norm X with b ~ a Xᵀ, read from the map X Z̄ = bᵀ W̄ S⁻¹
+        the targets induce on the span, and ||b - a Xᵀ|| / ||b||."""
+        w, s, zh, r = self.svd
+        x = self.b.T @ w[:, :r].conj() / s[:r] @ zh[:r].conj()
         return x, frob(self.b - self.a @ x.T) / max(frob(self.b), 1e-300)
 
-    def escape(self, cut: float) -> float:
-        """Largest norm of a target outside the span."""
-        w = self.w[:, :self.rank(cut)]
-        rest = self.b - w @ (dag(w) @ self.b)
-        return float(np.max(norms(rest), initial=0.0))
-
-    def isometry(self, cut: float):
-        """X Z̄ = bᵀ W̄ S⁻¹ (a row per target), the map the targets induce on
-        the span, or None when it is not isometric within threshold(cut) r
-        (the frames differ)."""
-        r = self.rank(cut)
-        v = self.b.T @ self.w[:, :r].conj() / self.s[:r]
-        return None if frob(dag(v) @ v - np.eye(r)) > threshold(cut) * max(1.0, r) else v
-
-    def certificate(self, cut: float):
-        """X + (1 - Z̄Zᵀ), the identity on the jump kernel, or None as for
-        `isometry`; unitary when the targets share the jumps' kernel, as the
-        conjugates of a jump family do."""
-        v = self.isometry(cut)
-        if v is None:
+    def accept(self, u: np.ndarray):
+        """u if it certifies the targets, else None."""
+        try:
+            check_unitary(dag(u) @ u, self.tol)
+        except NotUnitaryError:
             return None
-        z = self.zh[:v.shape[1]]
-        return v @ z.conj() + np.eye(len(self.zh)) - z.T @ z.conj()
+        ok = norms(self.b - self.a @ u.T) <= self.tau * norms(self.b)
+        return u if np.all(ok) else None
+
+    def certificate(self):
+        """X + (1 - Z̄Zᵀ), the mixing completed by the identity on the jump
+        kernel, if accepted (as for conjugates of a jump family), else None."""
+        _, _, zh, r = self.svd
+        return self.accept(self.mixing[0] + np.eye(len(zh)) - zh[:r].T @ zh[:r].conj())
 
 
 def random_unitary(rng, n: int) -> np.ndarray:

@@ -305,22 +305,21 @@ def relate_representations(rep_a: Representation, rep_b: Representation,
     rep_b must have at least as many jumps as rep_a.  Returns (V, unique)
     where unique is False when the jumps of rep_a are linearly dependent
     (V is then fixed only on their span).  Raises NotSameMasterOperator
-    when the master operators differ.
+    when the master operators differ or V does not certify rep_b's jumps
+    (linalg.SpanMap.accept).
     """
     if rep_b.njumps < rep_a.njumps:
         raise ShapeError("order the call so the second representation has >= jumps")
     coords = _master_coordinates(rep_a, rep_b, tol)
     if coords is None:
         raise NotSameMasterOperator("representations generate different master operators")
-    span, tau = linalg.SpanMap(*coords), linalg.threshold(tol)
-    if span.escape(tau) > tau * max([1.0] + [frob(j) for j in rep_b.traceless[1]]):
-        raise NotSameMasterOperator("target jumps leave the source jump span")
-    v = span.isometry(tau)
+    span = linalg.SpanMap(*coords, tol)
+    (x, _), (_, _, zh, r) = span.mixing, span.svd
+    # V = X + (a basis of range(X)^perp)(a basis of the jump kernel)†
+    v = span.accept(x + np.linalg.svd(x)[0][:, r:rep_a.njumps] @ zh[r:].conj())
     if v is None:
-        raise NotSameMasterOperator("jump frames differ; no isometry exists")
-    # V = X + (a basis of range(X Z̄)^perp)(a basis of the jump kernel)†
-    r, n = v.shape[1], rep_a.njumps
-    return np.hstack([v, np.linalg.svd(v)[0][:, r:n]]) @ span.zh.conj(), r == n
+        raise NotSameMasterOperator("no isometry carries the source jumps onto the targets")
+    return v, r == rep_a.njumps
 
 
 __all__ = [

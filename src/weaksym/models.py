@@ -298,7 +298,7 @@ def qutrit_chain(length=4, thetas=None, omega=1.0, rot_angles=None) -> Model:
         raise ValueError(f"length must be a whole number >= 1, got {length!r}")
     length = int(length)
     if thetas is None:
-        thetas = np.deg2rad([0.0, 30.0, 60.0, 90.0])[:length]
+        thetas = np.deg2rad(30.0 * np.arange(length))
     thetas = np.asarray(thetas, dtype=float)
     if len(thetas) != length:
         raise ValueError("need one angle per site")

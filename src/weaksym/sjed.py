@@ -242,12 +242,12 @@ def _hamiltonian_shift(ha: np.ndarray, hb: np.ndarray, tol: float):
 
 
 def canonical_family(a: np.ndarray, tol: float = DEFAULT_TOL):
-    """(s, zh): the singular values with s_i^2 > linalg.threshold(tol) s_0^2
+    """(s, zh): the singular values kept by the one rank cut (linalg.rank)
     of a thin SVD a = W S Z† of one set's jump coordinates (its columns) and
     their rows of Z†.  The canonical jumps C_i = sum_k conj(zh[i, k]) J_k
     are orthogonal, with norms s_i and, up to the cut, the set's frame."""
     _, s, zh = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s ** 2 > linalg.threshold(tol) * max(s[0] ** 2, 1e-300)))
+    r = linalg.rank(s, tol)
     return s[:r], zh[:r]
 
 

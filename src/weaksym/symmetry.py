@@ -16,7 +16,12 @@ most tau(tol) = linalg.threshold(tol) = max(tol, linalg.ROUNDING_FLOOR),
 the one threshold every decision reads; the floor keeps rounding from
 deciding.  The certificates (mixing matrix, unitaries, permutations,
 phases) are computed after the verdict; a failed one is None, with the
-reason.  All checks read the symmetry's images (`SymmetryOperator.images`).
+reason.  One rule, linalg.SpanMap.accept, accepts every unitary on jump
+space (both completions, the SJED block unitary, `fourier_symmetrize`'s
+eigenvalues): U†U within tau max(1, sqrt(n)) of 1 (linalg.check_unitary)
+and each target reproduced within tau times its own norm; ranks are cut
+at singular values above tau times the largest (linalg.rank).  All checks
+read the symmetry's images (`SymmetryOperator.images`).
 """
 
 from __future__ import annotations
@@ -241,33 +246,27 @@ class SymmetryReport:
                 self.condition_III.holds)
 
 
-def _span(jumps, targets) -> linalg.SpanMap:
+def _span(jumps, targets, tol) -> linalg.SpanMap:
     """The span map of operators (or their coordinates), read from their
     linalg.operator_coordinates."""
     if len(jumps) != len(targets):
         raise linalg.ShapeError("need equally many jumps and targets")
-    return linalg.SpanMap(*linalg.operator_coordinates(jumps, targets))
+    return linalg.SpanMap(*linalg.operator_coordinates(jumps, targets), tol)
 
 
 def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
-    """(X, residual): the least-norm X with targets_j ~ sum_k X[j, k] jumps_k,
-    jumps cut at sqrt(threshold(tol)), and the residual relative to the targets'."""
-    return _span(jumps, targets).solve(np.sqrt(threshold(tol)))
+    """(X, residual): the least-norm X with targets_j ~ sum_k X[j, k] jumps_k
+    (linalg.SpanMap.mixing) and the residual relative to the targets'."""
+    return _span(jumps, targets, tol).mixing
 
 
 def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
-    """Unitary U with targets_j = sum_k U[j, k] jumps_k: the map the targets
-    induce on the jump span, which must be unitary, completed by the identity
-    on the jump kernel; CompletionFailed when there is none."""
-    return _completion(_span(jumps, targets), tol)
-
-
-def _completion(span: linalg.SpanMap, tol: float) -> np.ndarray:
-    u = span.certificate(threshold(tol))
+    """Unitary U with targets_j = sum_k U[j, k] jumps_k: the mixing completed
+    by the identity on the jump kernel (linalg.SpanMap.certificate);
+    CompletionFailed when it does not certify the targets."""
+    u = _span(jumps, targets, tol).certificate()
     if u is None:
-        raise CompletionFailed("induced map is not compatible with the jump frame")
-    # this also rejects targets that leave the jump span
-    _verify_completion(u, span.a.T, span.b.T, tol)
+        raise CompletionFailed("no unitary completion reproduces the targets")
     return u
 
 
@@ -277,12 +276,12 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
 
     The canonical family of each set (sjed.canonical_family of its jump
     coordinates in the symmetry's images) gives its isometry V = zhᵀ; the
-    images of set a's family must lie in the span of set pi_c[a]'s, which
-    gives the block X.  The result V X V† + (1 - V V†), independent
-    of the basis inside each set, satisfies sum_k U[j, k] J_k = U J_j U†
-    and the SJED block-sum property: summing U*[j, k] U(J_j) over j in S_a
-    gives J_k for k in S_{pi_c(a)} and zero otherwise.  The tolerance is
-    the one the partition was built with.
+    images of set a's family projected on set pi_c[a]'s give the block X.
+    The result V X V† + (1 - V V†), independent of the basis inside each
+    set, must certify the jump images (linalg.SpanMap.accept), and has the
+    SJED block-sum property: summing U*[j, k] U(J_j) over j in S_a gives
+    J_k for k in S_{pi_c(a)} and zero otherwise.  The tolerance is the one
+    the partition was built with.
     """
     tol = partition.tol
     images = sym.images(rep)
@@ -296,25 +295,13 @@ def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
             raise CompletionFailed("matched SJEDs have different canonical ranks")
         tgt = images.jumps[:, cols[b]] @ dag(families[b])
         src = images.jump_images[:, cols[a]] @ dag(zh)
-        x = (src.T @ tgt.conj()) / np.sum(np.abs(tgt) ** 2, axis=0)
-        if np.any(linalg.norms(src - tgt @ x.T)
-                  > threshold(tol) * np.maximum(linalg.norms(src), 1e-300)):
-            raise CompletionFailed(
-                "symmetry does not map canonical jumps onto the matched SJED")
         v[cols[a], offsets[a]:offsets[a + 1]] = zh.T
-        xt[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = x
+        xt[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = \
+            (src.T @ tgt.conj()) / np.sum(np.abs(tgt) ** 2, axis=0)
     u = v @ xt @ dag(v) + (np.eye(len(v), dtype=complex) - v @ dag(v))
-    _verify_completion(u, images.jumps.T, images.jump_images.T, tol)
+    if linalg.SpanMap(images.jumps, images.jump_images, tol).accept(u) is None:
+        raise CompletionFailed("the block certificate does not reproduce the jump images")
     return u
-
-
-def _verify_completion(u, jumps, targets, tol):
-    d, tau = len(jumps), threshold(tol)
-    if frob(dag(u) @ u - np.eye(d)) > tau * max(1.0, d):
-        raise CompletionFailed("completed matrix is not unitary")
-    scale = max(np.max(linalg.norms(jumps, axis=1), initial=0.0), 1e-300)
-    if np.any(linalg.norms(targets - u @ jumps, axis=1) > tau * scale):
-        raise CompletionFailed("completed matrix does not reproduce the targets")
 
 
 def _verdict(tol: float, h_resid: float, terms: dict) -> ConditionResult:
@@ -331,19 +318,19 @@ def check_condition_I(rep: Representation, sym: SymmetryOperator,
     """Master-level symmetry, U L(rho) U† = L(U rho U†), decided on the
     lindblad.master_gaps of the traceless frame and its image.  Where it
     holds, the least-norm mixing X with U J'_j U† ~ sum_k X[j, k] J'_k, its
-    relative residual and X's unitary completion come from one SVD."""
+    relative residual and X's unitary completion come from one
+    linalg.SpanMap, so the two agree on the jump span."""
     images = sym.images(rep)
     h_gap, frame_gap = master_gaps(images.frame_hamiltonian, images.frame_hamiltonian_image,
                                    images.frame_jumps, images.frame_images)
     result = _verdict(tol, frob(images.frame_hamiltonian_image - images.frame_hamiltonian),
                       {"traceless Hamiltonian gap": h_gap, "jump frame gap": frame_gap})
     if result.holds:
-        span = linalg.SpanMap(images.frame_jumps, images.frame_images)
-        result.mixing, result.mixing_residual = span.solve(np.sqrt(threshold(tol)))
-        try:
-            result.unitary = _completion(span, tol)
-        except CompletionFailed as exc:
-            result.reason = f"no unitary completion: {exc}"
+        span = linalg.SpanMap(images.frame_jumps, images.frame_images, tol)
+        result.mixing, result.mixing_residual = span.mixing
+        result.unitary = span.certificate()
+        if result.unitary is None:
+            result.reason = "no unitary completion of the mixing reproduces the targets"
     return result
 
 
@@ -499,11 +486,11 @@ def fourier_symmetrize(rep: Representation, sym: SymmetryOperator,
                        * rep.jumps[order[m]] for m in range(n))
             jumps.append(wave / np.sqrt(n))
     out = Representation(rep.hamiltonian, tuple(jumps))
-    for j in out.jumps:
-        t = sym.conjugate(j)
-        c = np.vdot(j.reshape(-1), t.reshape(-1)) / frob(j) ** 2
-        if frob(t - c * j) > 1e-8 * frob(j) or abs(abs(c) - 1.0) > 1e-8:
-            raise PhaseSumNotInteger("wave jumps failed the eigenoperator check")
+    # each wave is an eigenoperator: its eigenvalues certify the images
+    images = sym.images(out)
+    c = np.diag(images.overlaps) / np.sum(np.abs(images.jumps) ** 2, axis=0)
+    if linalg.SpanMap(images.jumps, images.jump_images, tol).accept(np.diag(c)) is None:
+        raise PhaseSumNotInteger("wave jumps failed the eigenoperator check")
     return out
 
 

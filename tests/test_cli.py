@@ -263,6 +263,11 @@ def test_examples_writes_model(tmp_path):
     assert model.rep.njumps == 3
 
 
+def test_examples_builds_the_qutrit_chain_beyond_four_sites(capsys):
+    assert main(["examples", "qutrit-chain", "--param", "length=5"]) == 0
+    assert '"dim": 243' in capsys.readouterr().out
+
+
 def test_check_builtin_verdicts(capsys):
     assert main(["check", "qubit-II"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weaksym import dilation, linalg, models
-from weaksym.lindblad import Representation, apply_master_operator, pure_state
+from weaksym.lindblad import (
+    Representation,
+    apply_master_operator,
+    pure_state,
+    relate_representations,
+)
 from weaksym.linalg import dag, frob, matrix_exponential
 from weaksym.sjed import build_sjeds
 from weaksym.symmetry import (
+    CompletionFailed,
     SymmetryOperator,
     SymmetryReport,
     build_symmetry_report,
@@ -437,7 +443,6 @@ def test_change_of_basis_square():
     m1 = models.qubit_weak()
     m3 = models.qubit_iii()
     sym, _, c1, _, _, _ = certificates(m1)
-    from weaksym.lindblad import relate_representations
     v, _ = relate_representations(m1.rep, m3.rep)
     u_b, resid = change_of_basis_symmetry(m1.rep, m3.rep, v, c1.unitary, sym)
     assert resid < 1e-10
@@ -461,11 +466,23 @@ def test_change_of_basis_tall():
                            (m.rep.jumps[0] / np.sqrt(2),
                             m.rep.jumps[0] / np.sqrt(2),
                             m.rep.jumps[1]))
-    from weaksym.lindblad import relate_representations
     v, _ = relate_representations(m.rep, rep_b)
     u_b, resid = change_of_basis_symmetry(m.rep, rep_b, v, c1.unitary, sym)
     assert resid < 1e-9
     assert frob(dag(u_b) @ u_b - np.eye(3)) < 1e-10
+
+
+def test_change_of_basis_refuses_a_wrong_candidate_at_any_scale():
+    # the transported matrix must reproduce each image within tau of its
+    # own norm, however small the jumps are
+    m = models.qubit_weak()
+    sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
+    rep_a = m.rep.with_jumps(tuple(1e-10 * j for j in m.rep.jumps))
+    j1, j2 = rep_a.jumps
+    rep_b = Representation(rep_a.hamiltonian, (j1 / np.sqrt(2), j1 / np.sqrt(2), j2))
+    v, _ = relate_representations(rep_a, rep_b)
+    with pytest.raises(CompletionFailed):
+        change_of_basis_symmetry(rep_a, rep_b, v, np.array([[0, 1], [1, 0]]), sym)
 
 
 def test_symmetry_images_are_read_for_their_own_representation():

@@ -154,12 +154,13 @@ def test_span_map_least_norm_solve():
     a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     a = np.column_stack([a, 2 * a[:, 0]])
     b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    span = linalg.SpanMap(a, b)
-    assert span.rank(1e-9) == 2
-    x, resid = span.solve(1e-9)
+    span = linalg.SpanMap(a, b, 1e-9)
+    assert span.svd[3] == 2
+    x, resid = span.mixing
     assert frob(x - (np.linalg.pinv(a, rcond=1e-9) @ b).T) < 1e-12
     assert abs(resid - frob(b - a @ x.T) / frob(b)) < 1e-12
-    assert span.escape(1e-9) > 0.1
+    # the targets leave the span, so nothing certifies them
+    assert resid > 0.1 and span.certificate() is None
 
 
 def test_span_map_certificate_is_identity_on_the_kernel():
@@ -172,17 +173,58 @@ def test_span_map_certificate_is_identity_on_the_kernel():
     q, _ = np.linalg.qr(np.column_stack([kernel, rng.standard_normal((3, 2))]))
     u = q @ np.block([[np.eye(1), np.zeros((1, 2))],
                       [np.zeros((2, 1)), random_unitary(rng, 2)]]) @ dag(q)
-    span = linalg.SpanMap(a, a @ u.T)
-    assert span.escape(1e-9) < 1e-12
-    assert frob(span.certificate(1e-9) - u) < 1e-12
-    assert frob(span.certificate(1e-9) @ kernel - kernel) < 1e-12
+    span = linalg.SpanMap(a, a @ u.T, 1e-9)
+    assert frob(span.certificate() - u) < 1e-12
+    assert frob(span.certificate() @ kernel - kernel) < 1e-12
+    # the mixing is the certificate on the span
+    assert frob(span.mixing[0] @ kernel) < 1e-12
+    assert frob(span.mixing[0] - u @ (np.eye(3) - np.outer(kernel, kernel))) < 1e-12
 
 
 def test_span_map_rejects_a_different_frame():
     a = np.eye(2, dtype=complex)
-    span = linalg.SpanMap(a, np.diag([1.0, 2.0]).astype(complex))
-    assert span.isometry(1e-9) is None and span.certificate(1e-9) is None
-    assert span.escape(1e-9) < 1e-15
+    span = linalg.SpanMap(a, np.diag([1.0, 2.0]).astype(complex), 1e-9)
+    assert span.mixing[1] < 1e-15
+    assert span.certificate() is None
+
+
+def test_span_map_keeps_a_zero_jump_in_the_kernel_exactly():
+    # a zero column (the traceless part of a jump proportional to 1) is its
+    # own kernel vector, so its zero target is reproduced with no rounding
+    rng = np.random.default_rng(8)
+    for zero in [0, 1, 2] * 20:
+        a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        a[:, zero] = 0.0
+        live = [k for k in range(3) if k != zero]
+        u = np.eye(3, dtype=complex)
+        u[np.ix_(live, live)] = random_unitary(rng, 2)
+        span = linalg.SpanMap(a, a @ u.T, 1e-12)
+        assert span.svd[3] == 2
+        assert np.all(span.svd[2][:2, zero] == 0)
+        cert = span.certificate()
+        assert cert is not None and frob(cert - u) < 1e-12
+
+
+def test_span_map_accepts_by_each_target_s_own_norm():
+    # a tiny target reproduced within tau of the largest jump but not of
+    # its own norm is refused, at every scale of the whole family
+    a = np.diag([1.0, 1e-12]).astype(complex)
+    flip = np.diag([1.0, -1.0]).astype(complex)
+    for c in (1e-8, 1.0, 1e8):
+        span = linalg.SpanMap(c * a, c * a, 1e-9)
+        assert span.accept(np.eye(2)) is not None
+        assert span.accept(flip) is None
+    # so is a matrix that reproduces every target but is not unitary
+    a = np.diag([1.0, 0.0]).astype(complex)
+    span = linalg.SpanMap(a, a, 1e-9)
+    assert span.accept(np.eye(2)) is not None
+    assert span.accept(np.diag([1.0, 1.0 + 1e-8])) is None
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 1.7e308, np.inf, np.nan])
+def test_threshold_refuses_a_tol_outside_the_unit_interval(tol):
+    with pytest.raises(ValueError, match="tol must lie in"):
+        linalg.threshold(tol)
 
 
 @pytest.mark.parametrize("cost, tol, expected", [

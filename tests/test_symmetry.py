@@ -172,6 +172,25 @@ def test_completion_independent_jumps_returns_mixing():
     assert frob(u - expected) < 1e-9
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-8])
+def test_mixing_and_unitary_certificate_agree(delta):
+    # the jumps' singular values are 2 and 2 delta: one rank cut for both
+    # keeps the second, so the least-norm mixing is the swap, as its
+    # unitary completion is
+    rep = Representation(SZ, (SZ + delta * SX, SZ - delta * SX))
+    result = check_condition_I(rep, PARITY)
+    assert result.holds
+    assert frob(result.mixing - SX) <= 1e-8
+    assert frob(result.unitary - SX) <= 1e-8
+    assert result.mixing_residual <= 1e-9
+
+
+@pytest.mark.parametrize("tol", [1.0, 1.7e308, np.nan])
+def test_checks_refuse_a_tol_outside_the_unit_interval(tol):
+    with pytest.raises(ValueError, match="tol must lie in"):
+        check_condition_I(models.qubit_weak().rep, PARITY, tol)
+
+
 def test_completion_failure_for_span_escape():
     rep = Representation(np.zeros((2, 2)), (SZ,))
     with pytest.raises(CompletionFailed):

@@ -5,7 +5,9 @@
 Runs ``check`` on the nine built-ins, the built-in ``qutrit-chain`` (four
 reset SJEDs pinned by its ``sjeds``, which translation permutes as a
 4-cycle; once more at ``--tol 1e-6``), the nine built-ins once more at
-``--tol 1e-12`` (the threshold's rounding floor, linalg.ROUNDING_FLOOR)
+``--tol 1e-12`` (the threshold's rounding floor, linalg.ROUNDING_FLOOR),
+``check`` and ``verify-joint`` on the nine built-ins at ``--tol 1e-6``
+(where the rank cut moves with tau)
 and seeded L=3, L=4, L=5 and L=6 qutrit chains (L=6 is dim 729, where ``check`` takes about 4 s and 330 MiB
 of peak RSS with one BLAS thread on a 2-core x86-64 VM) and the 64- and
 256-jump models (the n-jump model: d = 8, H = 1, the cyclic shift as its
@@ -76,6 +78,9 @@ def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, jumps256, own):
     out += [["check", "qutrit-chain", "--tol", "1e-6"]]
     # the smallest tol the threshold takes as it is given
     out += [["check", m, "--tol", "1e-12"] for m in BUILTINS]
+    # a tol where both tau and sqrt(tau) move: the rank cut of the mixing,
+    # the certificates and the canonical SJED families
+    out += [[c, m, "--tol", "1e-6"] for c in ("check", "verify-joint") for m in BUILTINS]
     out += [["verify-joint", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4,
                                                      chain5, jumps64, jumps128]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
