@@ -101,6 +101,7 @@ def run_check(analysis):
         "symmetries": {},
     }
     ok = True
+    lam = liouville_matrix(model.rep) if model.rep.dim <= MAX_SUPEROP_DIM else None
     for name, (sym, report) in analysis.symmetries.items():
         entry = {
             "order": sym.order,
@@ -125,9 +126,8 @@ def run_check(analysis):
             entry["sjed_block_unitary"] = _matrix_doc(c2.unitary)
             if c2.unitary is None:
                 entry["sjed_block_unitary_error"] = c2.reason
-        if model.rep.dim <= MAX_SUPEROP_DIM:
-            entry["off_block_mass"] = off_block_mass(
-                liouville_matrix(model.rep), sym)
+        if lam is not None:
+            entry["off_block_mass"] = off_block_mass(lam, sym)
         if name in model.expect:
             expected = tuple(model.expect[name])
             got = report.verdicts()
@@ -191,7 +191,7 @@ def _sample(rep, starts, horizon, n, threads) -> list:
 def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
     model, partition = analysis.model, analysis.partition
     rep = model.rep
-    psi0 = pure_state(np.ones(rep.dim))
+    psi0 = np.ones(rep.dim, dtype=complex) / np.sqrt(rep.dim)
     result = {
         "model": model.name,
         "level": level,
@@ -202,9 +202,9 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
         "tests": {},
     }
     # one sampler pass: A from (psi0, seed) serves the average and every
-    # test, and each symmetry's B starts from (U psi0 U†, seed + 1)
+    # test, and each symmetry's B starts from (U psi0, seed + 1)
     symmetries = analysis.symmetries
-    starts = [(psi0, seed)] + [(sym.conjugate(psi0), seed + 1)
+    starts = [(psi0, seed)] + [(sym.sparse @ psi0, seed + 1)
                                for sym, _ in symmetries.values()]
     ens, *others = _sample(rep, starts, horizon, n, threads)
     for (name, (sym, report)), ens_b in zip(symmetries.items(), others):
@@ -227,7 +227,7 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
         "stderr": _matrix_doc(err),
     }
     if rep.dim <= MAX_SUPEROP_DIM:
-        exact = evolve_density(rep, psi0, horizon)
+        exact = evolve_density(rep, pure_state(np.ones(rep.dim)), horizon)
         result["ensemble_average"]["master_solution"] = _matrix_doc(exact)
         result["ensemble_average"]["within_3_sigma"] = bool(
             np.all(np.abs(mean - exact) <= 3 * err + 1e-12))

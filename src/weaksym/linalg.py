@@ -2,13 +2,14 @@
 
 Thin, tolerance-aware wrappers over LAPACK (through numpy and scipy):
 Hermitian and unitary eigendecompositions with a deterministic phase
-convention, the matrix exponential, thin-QR coordinates of operator
-families from their entries, the frame gap ||A A† - B B†|| read from them,
-the one rank cut (`rank`), the least-norm maps between jump spans read
-from one SVD and the one rule that accepts their unitary certificates
-(`SpanMap`), Haar-random unitaries and the linear assignment problem (a
-port of the solver scipy runs, so that importing this module does not
-load scipy.optimize).  Everything operates on plain numpy arrays and keeps no
+convention, the one rule that decides two phases equal (`phase_classes`),
+the matrix exponential, thin-QR coordinates of operator families from
+their entries, the frame gap ||A A† - B B†|| read from them, the one rank
+cut (`rank`), the least-norm maps between jump spans read from one SVD and
+the one rule that accepts their unitary certificates (`SpanMap`),
+Haar-random unitaries and the linear assignment problem (a port of the
+solver scipy runs, so that importing this module does not load
+scipy.optimize).  Everything operates on plain numpy arrays and keeps no
 global state, so calls are safe from concurrent workers.
 """
 
@@ -136,26 +137,41 @@ def hermitian_eigendecomposition(a, tol: float = DEFAULT_TOL):
     return w, fix_column_phases(v)
 
 
+def phase_classes(phases, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The one phase rule: phases a, b are equal when |arg e^{i(a - b)}| <=
+    tau = threshold(tol).  Each phase's class: 0.0 if it equals 0; else,
+    mod 2 pi, the least phase not yet classed names a class of every phase
+    within tau above it, so no chain of close phases merges further."""
+    tau, x = threshold(tol), np.mod(phases, 2.0 * np.pi)
+    classes = np.where(np.minimum(x, 2.0 * np.pi - x) <= tau, 0.0, x)
+    flat = classes.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    values, start = flat[order], np.count_nonzero(flat == 0.0)   # zeros sort first
+    while start < len(values):
+        end = np.searchsorted(values, values[start] + tau, side="right")
+        flat[order[start:end]], start = values[start], end
+    return classes
+
+
 def unitary_eigendecomposition(u, tol: float = DEFAULT_TOL):
     """Eigenphases and eigenvectors of a unitary matrix.
 
     The complex Schur form of a normal matrix is diagonal and its Schur
     vectors are orthonormal, degenerate eigenspaces included.  Phases are
-    returned in [0, 2pi), ascending.
+    returned in [0, 2pi), sorted by their `phase_classes` at tol (the zero
+    class reading 0.0), in Schur order within a class.
     """
     u = square(u)
     check_unitary(dag(u) @ u, tol)
     t, v = scipy.linalg.schur(u, output="complex")
-    phases = np.mod(np.angle(np.diag(t)), 2.0 * np.pi)
-    # normalize phases indistinguishable from 2pi back to 0
-    phases[np.abs(phases - 2.0 * np.pi) < 1e-12] = 0.0
-    order = np.argsort(np.round(phases, 12), kind="stable")
-    phases = phases[order]
-    v = fix_column_phases(v[:, order])
-    resid = frob(u @ v - v @ np.diag(np.exp(1j * phases)))
+    phases = np.angle(np.diag(t))
+    v = fix_column_phases(v)
+    resid = frob(u @ v - v * np.exp(1j * phases))
     if resid > threshold(tol) * max(1.0, frob(u)):
         raise NoConvergenceError(f"eigen residual {resid:.2e} too large")
-    return phases, v
+    classes = phase_classes(phases, tol)
+    order = np.argsort(classes, kind="stable")
+    return np.where(classes == 0.0, 0.0, np.mod(phases, 2.0 * np.pi))[order], v[:, order]
 
 
 def matrix_exponential(m) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 A Representation is a Hamiltonian plus an ordered list of jump operators;
 different representations can generate the same master operator.  This
-module provides the Liouville and Choi matrices, the traceless form, time
-evolution, and the machinery relating two representations of one master
-operator.  It is the only module that forms superoperator matrices (row
-stacking, vec(A rho B) = (A x B^T) vec(rho)): generator_matrix builds them
-and change_superoperator_basis rotates them, with no Kronecker product,
-for d up to MAX_SUPEROP_DIM.
+module provides the Liouville matrix, its Choi reshuffle, the traceless
+form, time evolution, and the machinery relating two representations of
+one master operator.  It is the only module that forms superoperator
+matrices (row stacking, vec(A rho B) = (A x B^T) vec(rho)):
+generator_matrix builds them and change_superoperator_basis rotates them,
+with no Kronecker product, for d up to MAX_SUPEROP_DIM.
 """
 
 from __future__ import annotations
@@ -206,18 +206,9 @@ def change_superoperator_basis(superop, v) -> np.ndarray:
     return t.reshape(d * d, d * d)
 
 
-def liouville_matrix(op, dim: int | None = None) -> np.ndarray:
-    """Liouville (row-stacking) matrix of a superoperator.
-
-    `op` is either a Representation (giving its master operator) or a
-    callable rho -> superoperator(rho), in which case `dim` is required.
-    """
-    if isinstance(op, Representation):
-        return generator_matrix(-1j * op.effective_hamiltonian, op.jumps)
-    if dim is None:
-        raise ValueError("dim is required for a callback superoperator")
-    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    return np.array([np.asarray(op(e), dtype=complex).reshape(-1) for e in units]).T
+def liouville_matrix(rep: Representation) -> np.ndarray:
+    """Liouville (row-stacking) matrix of rep's master operator."""
+    return generator_matrix(-1j * rep.effective_hamiltonian, rep.jumps)
 
 
 def liouville_to_choi(lam: np.ndarray) -> np.ndarray:
@@ -228,11 +219,6 @@ def liouville_to_choi(lam: np.ndarray) -> np.ndarray:
     if d * d != d2 or lam.shape != (d2, d2):
         raise ShapeError(f"not a vectorized superoperator matrix: {lam.shape}")
     return lam.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
-
-
-def choi_matrix(op, dim: int | None = None) -> np.ndarray:
-    """Choi matrix of a superoperator (same inputs as liouville_matrix)."""
-    return liouville_to_choi(liouville_matrix(op, dim))
 
 
 def jump_part_choi(jumps) -> np.ndarray:
@@ -328,7 +314,6 @@ __all__ = [
     "apply_master_operator",
     "apply_adjoint_master_operator",
     "change_superoperator_basis",
-    "choi_matrix",
     "evolve_density",
     "generator_matrix",
     "jump_part_choi",

@@ -21,7 +21,9 @@ space (both completions, the SJED block unitary, `fourier_symmetrize`'s
 eigenvalues): U†U within tau max(1, sqrt(n)) of 1 (linalg.check_unitary)
 and each target reproduced within tau times its own norm; ranks are cut
 at singular values above tau times the largest (linalg.rank).  All checks
-read the symmetry's images (`SymmetryOperator.images`).
+read the symmetry's images (`SymmetryOperator.images`).  Phases of U are
+equal by linalg.phase_classes at the symmetry's tol, and the group order
+takes U^n = theta 1 within tau sqrt(d).
 """
 
 from __future__ import annotations
@@ -96,24 +98,23 @@ class SymmetryOperator:
 
     @cached_property
     def order(self) -> int | None:
-        """Least n <= order_cap with U^n = theta 1, read from sparse powers:
-        |tr U^n / d| = 1 and ||U^n - theta 1|| < 1e-9 sqrt(d); None when
-        not resolved within the cap.  Only the n with |v† U^n v| >=
-        (1 - 1e-6 d) ||v||^2, for v = (1, 2, ..., d) and U^n v from n
-        matrix-vector products, are tried: a U^n within 1e-9 sqrt(d) of
-        theta 1 passes this screen, whatever v."""
+        """Least n <= order_cap with ||U^n - theta 1|| <= b = tau sqrt(d) on
+        sparse powers, theta the phase of tr U^n, tau = threshold(tol), else
+        None.  Only n with |v† U^n v| >= (1 - b) ||v||^2, v = (1, ..., d),
+        U^n v from n products, are tried: every eigenvalue of an accepted
+        U^n is within b of theta, so |v† U^n v| >= (1 - b^2 / 2) ||v||^2, b / 2
+        above the floor for every tau in (0, 1) (or the floor is <= 0)."""
         d, power, p = self.dim, self.sparse, 1
-        v = np.arange(1.0, d + 1.0)
-        w, floor = v, (1.0 - 1e-6 * d) * v.dot(v)
+        v, bound = np.arange(1.0, d + 1.0), threshold(self.tol) * np.sqrt(d)
+        w, floor = v, (1.0 - bound) * v.dot(v)
         for n in range(1, self.order_cap + 1):
             w = self.sparse @ w
             if abs(v.dot(w)) < floor:
                 continue
             while p < n:
                 power, p = power @ self.sparse, p + 1
-            tr = power.diagonal().sum() / d
-            if abs(abs(tr) - 1.0) < 1e-9 and frob(
-                    power.toarray() - tr / abs(tr) * np.eye(d)) < 1e-9 * np.sqrt(d):
+            theta = np.exp(1j * np.angle(power.diagonal().sum()))
+            if frob(power.toarray() - theta * np.eye(d)) <= bound:
                 return n
         return None
 
@@ -132,7 +133,8 @@ class SymmetryOperator:
 
     @property
     def phases(self) -> np.ndarray:
-        """Eigenphases in [0, 2pi), ascending (unitary_eigendecomposition)."""
+        """Eigenphases in [0, 2pi), sorted by their linalg.phase_classes at
+        tol, the zero class reading 0.0 (unitary_eigendecomposition)."""
         return self._eigen[0]
 
     @property
@@ -509,38 +511,35 @@ def wave_operators(partition: SjedPartition, pi_c, tol: float = DEFAULT_TOL):
             for k in range(d_c)]
 
 
-def block_support(superop: np.ndarray, sym: SymmetryOperator,
-                  tol: float = DEFAULT_TOL) -> dict:
+def block_support(superop: np.ndarray, sym: SymmetryOperator) -> dict:
     """Frobenius mass of a superoperator per symmetry block class.
 
     The matrix is rotated to the symmetry-adapted basis; row and column
     indices (i, j) carry the eigenphase difference delta = phi_i - phi_j,
-    and entries are classed by Delta = delta_row - delta_col (mod 2 pi).
+    and entries are keyed by the linalg.phase_classes of delta_row - delta_col.
     """
     d = sym.dim
     if np.shape(superop) != (d * d, d * d):
         raise linalg.ShapeError("superoperator dimension mismatch")
     t = change_superoperator_basis(superop, sym.eigenbasis)
     deltas = np.subtract.outer(sym.phases, sym.phases).reshape(-1)
-    classes = np.mod(np.subtract.outer(deltas, deltas), 2 * np.pi)
-    classes[np.abs(classes - 2 * np.pi) < 1e-9] = 0.0
-    keys = np.round(classes, 8)
+    keys = linalg.phase_classes(np.subtract.outer(deltas, deltas), sym.tol)
     return {float(key): frob(t[keys == key]) for key in np.unique(keys)}
 
 
 def off_block_mass(superop: np.ndarray, sym: SymmetryOperator) -> float:
-    """Relative Frobenius mass outside the Delta = 0 blocks."""
+    """Relative Frobenius mass outside the Delta = 0 blocks (key 0.0)."""
     support = block_support(superop, sym)
     total_sq = sum(v ** 2 for v in support.values())
     if total_sq == 0.0:
         return 0.0
-    off_sq = sum(v ** 2 for k, v in support.items() if abs(k) > 1e-7)
+    off_sq = sum(v ** 2 for k, v in support.items() if k != 0.0)
     return float(np.sqrt(off_sq / total_sq))
 
 
 def monomial_eigenfunctions(sym: SymmetryOperator, order: int, eigenvalue) -> list:
-    """Index tuples of monomials in the adapted basis with a given eigenvalue
-    (within 1e-6, far above the rounding of the eigenphases).
+    """Index tuples of monomials in the adapted basis with a given unit
+    eigenvalue, equal in phase by linalg.phase_classes.
 
     A tuple (i_1, ..., i_2n) (1-based) stands for the product of matrix
     elements psi[i_1, i_2] psi[i_3, i_4] ... of a pure state written in
@@ -550,10 +549,10 @@ def monomial_eigenfunctions(sym: SymmetryOperator, order: int, eigenvalue) -> li
     """
     if order > 3:
         raise ValueError("monomial order capped at 3")
-    lam = complex(eigenvalue)
     pairs = list(itertools.product(range(1, sym.dim + 1), repeat=2))
-    monomials = (sum(c, ()) for c in itertools.combinations_with_replacement(pairs, order))
-    return [m for m in monomials if abs(monomial_eigenvalue(sym, m) - lam) <= 1e-6]
+    monomials = [sum(c, ()) for c in itertools.combinations_with_replacement(pairs, order)]
+    phases = np.angle([monomial_eigenvalue(sym, m) for m in monomials]) - np.angle(eigenvalue)
+    return [m for m, c in zip(monomials, linalg.phase_classes(phases, sym.tol)) if c == 0.0]
 
 
 def evaluate_monomial(sym: SymmetryOperator, indices, psi) -> complex:

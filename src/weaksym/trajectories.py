@@ -554,12 +554,11 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     total = len(starts) * n
     v0 = np.repeat(np.stack([state_vector(psi0) for psi0, _ in starts]), n, axis=0)
     jump_mats = np.stack(rep.jumps) if rep.jumps else None
-    # a normalized state jumps at total rate <= gamma, so few rows outrun
+    # a normalized state jumps at total rate <= gamma, the top eigenvalue of
+    # sum_j J_j† J_j = i (H_eff - H_eff†) (H Hermitian), so few rows outrun
     # room for gamma*T + 4 sqrt(gamma*T) + 4 jumps; the cap bounds memory.
-    # eigh as in state_vector: a first eigvalsh call maps ~0.3 MB more of
-    # LAPACK into the process
-    gamma = float(np.linalg.eigh(sum(dag(j) @ j for j in rep.jumps))[0][-1]) \
-        if rep.jumps else 0.0
+    # eigh as in state_vector: eigvalsh would map ~0.3 MB more of LAPACK
+    gamma = float(np.linalg.eigh(1j * (heff - dag(heff)))[0][-1]) if rep.jumps else 0.0
     jumps = gamma * horizon + 4.0 * np.sqrt(gamma * horizon) + 4.0
     blocks = min(np.ceil((1.0 + 2.0 * jumps) / 4.0), _FILL_CAP // max(total, 1))
     streams = _Streams(

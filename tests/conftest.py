@@ -28,6 +28,13 @@ def random_hermitian(rng, n):
     return (a + a.conj().T) / 2
 
 
+def superoperator_matrix(op, dim):
+    """Row-stacking matrix of the superoperator rho -> op(rho) on dim x dim
+    matrices, a column per matrix unit: the oracle for lindblad's."""
+    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+    return np.array([np.asarray(op(e), dtype=complex).reshape(-1) for e in units]).T
+
+
 def symmetry_ensembles(rep, sym, psi0, horizon, n, seed):
     """The pair ensemble_symmetry_test compares, from one sampler pass as
     `simulate` samples it: A from psi0 at seed and B from U psi0 U† at

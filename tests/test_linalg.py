@@ -122,6 +122,19 @@ def test_unitary_eig_rejects_non_unitary():
                 unitary_eigendecomposition(u)
 
 
+def test_phase_classes_have_an_exact_zero_class_and_do_not_chain():
+    tau = 1e-9
+    x = np.array([0.7, 0.7 + 0.6 * tau, 0.7 + 1.2 * tau, 2 * np.pi - 0.5 * tau,
+                  0.9 * tau, 4.0, 4.0 + 2 * np.pi])
+    assert linalg.phase_classes(x, tau).tolist() == \
+        [0.7, 0.7, 0.7 + 1.2 * tau, 0.0, 0.0, 4.0, 4.0]
+    # eigenphases sort by class, the zero class reading 0.0
+    u = np.diag(np.exp(1j * np.array([2.0, -0.5 * tau, 0.3 * tau])))
+    phases, v = unitary_eigendecomposition(u, tau)
+    assert phases[:2].tolist() == [0.0, 0.0] and abs(phases[2] - 2.0) < 1e-15
+    assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
+
+
 def test_expm_zero():
     assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
 

@@ -12,7 +12,6 @@ from weaksym.lindblad import (
     apply_adjoint_master_operator,
     apply_master_operator,
     change_superoperator_basis,
-    choi_matrix,
     evolve_density,
     generator_matrix,
     jump_part_choi,
@@ -26,7 +25,7 @@ from weaksym.lindblad import (
 )
 from weaksym.linalg import dag, frob, hermitian_eigendecomposition
 
-from conftest import SX, SZ, SM, random_pure_state, random_hermitian
+from conftest import SX, SZ, SM, random_pure_state, random_hermitian, superoperator_matrix
 
 PLUS = pure_state([1, 1])
 
@@ -75,12 +74,15 @@ def test_master_operator_trace_preserving(rng):
 
 
 def test_liouville_identity_superop():
-    lam = liouville_matrix(lambda r: r, dim=2)
+    # rho -> G rho + rho G† with G = 1/2 is the identity
+    lam = generator_matrix(0.5 * np.eye(2))
+    assert np.allclose(lam, superoperator_matrix(lambda r: r, 2))
     assert np.allclose(lam, np.eye(4))
 
 
 def test_liouville_unitary_conjugation():
-    lam = liouville_matrix(lambda r: SX @ r @ dag(SX), dim=2)
+    lam = generator_matrix(np.zeros((2, 2)), [SX])
+    assert np.allclose(lam, superoperator_matrix(lambda r: SX @ r @ dag(SX), 2))
     assert np.allclose(lam, np.kron(SX, SX.conj()))
 
 
@@ -101,7 +103,7 @@ def test_dephasing_liouville_spectrum():
 
 
 def test_choi_identity_superop():
-    c = choi_matrix(lambda r: r, dim=2)
+    c = liouville_to_choi(generator_matrix(0.5 * np.eye(2)))
     v = np.eye(2, dtype=complex).reshape(-1, 1)
     assert np.allclose(c, v @ dag(v))
 
@@ -109,7 +111,7 @@ def test_choi_identity_superop():
 def test_choi_reshuffle_identity(rng):
     rep = qubit_weak()
     lam = liouville_matrix(rep)
-    c = choi_matrix(rep)
+    c = liouville_to_choi(lam)
     d = 2
     lam4 = lam.reshape(d, d, d, d)
     c4 = c.reshape(d, d, d, d)

@@ -268,10 +268,9 @@ def _oracle_order(u, cap=64):
     p = np.eye(d, dtype=complex)
     for n in range(1, cap + 1):
         p = p @ u
-        tr = np.trace(p) / d
-        if abs(abs(tr) - 1.0) < 1e-9:
-            if frob(p - tr / abs(tr) * np.eye(d)) < 1e-9 * np.sqrt(d):
-                return n
+        tr = np.trace(p)
+        if frob(p - np.exp(1j * np.angle(tr)) * np.eye(d)) <= 1e-9 * np.sqrt(d):
+            return n
     return None
 
 

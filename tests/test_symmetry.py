@@ -40,7 +40,7 @@ from weaksym.symmetry import (
     wave_operators,
 )
 
-from conftest import SM, SX, SZ, random_pure_state
+from conftest import SM, SX, SZ, random_pure_state, superoperator_matrix
 
 PARITY = SymmetryOperator.from_matrix(SZ)
 
@@ -79,9 +79,9 @@ def _sparse_power_order(sym):
     for n in range(1, sym.order_cap + 1):
         if n > 1:
             power = power @ sym.sparse
-        tr = power.diagonal().sum() / d
-        if abs(abs(tr) - 1.0) < 1e-9 and frob(
-                power.toarray() - tr / abs(tr) * np.eye(d)) < 1e-9 * np.sqrt(d):
+        tr = power.diagonal().sum()
+        if frob(power.toarray() - np.exp(1j * np.angle(tr)) * np.eye(d)) \
+                <= linalg.threshold(sym.tol) * np.sqrt(d):
             return n
     return None
 
@@ -613,8 +613,8 @@ def test_block_support_liouville_condition_I():
 
 def test_block_support_of_symmetry_itself():
     sym = sym_of(models.qubit_weak())
-    support = block_support(liouville_matrix(sym.conjugate, dim=sym.dim), sym)
-    off = sum(v for k, v in support.items() if abs(k) > 1e-7)
+    support = block_support(superoperator_matrix(sym.conjugate, sym.dim), sym)
+    off = sum(v for k, v in support.items() if k != 0.0)
     assert off < 1e-12
 
 
@@ -623,10 +623,8 @@ def _kron_block_support(superop, sym):
     w = np.kron(sym.eigenbasis, sym.eigenbasis.conj())
     t = dag(w) @ superop @ w
     deltas = np.subtract.outer(sym.phases, sym.phases).reshape(-1)
-    classes = np.mod(np.subtract.outer(deltas, deltas), 2 * np.pi)
-    classes[np.abs(classes - 2 * np.pi) < 1e-9] = 0.0
     out = {}
-    keys = np.round(classes, 8)
+    keys = linalg.phase_classes(np.subtract.outer(deltas, deltas), sym.tol)
     for key in np.unique(keys):
         out[float(key)] = float(np.linalg.norm(t[keys == key]))
     return out
@@ -661,6 +659,58 @@ def test_block_support_matches_kronecker_path_on_random_unitaries(dim, order, se
     superop = (rng.standard_normal((dim * dim,) * 2)
                + 1j * rng.standard_normal((dim * dim,) * 2))
     _assert_same_support(superop, sym)
+
+
+def _phase_qubit(eps, tol=1e-9):
+    return SymmetryOperator.from_matrix(np.diag([1.0, np.exp(1j * eps)]), tol)
+
+
+@pytest.mark.parametrize("eps, mass", [
+    (3e-9, np.sqrt(2) / 4), (-3e-9, np.sqrt(2) / 4),
+    (5e-8, np.sqrt(2) / 4), (-5e-8, np.sqrt(2) / 4),
+    (4e-10, 0.0), (-4e-10, 0.0),
+])
+def test_off_block_mass_of_a_near_degenerate_symmetry(eps, mass):
+    # H = Z, J = X: the mass off the Delta = 0 blocks sits at Delta = +-2 eps;
+    # a class and its partner 2 pi - Delta are both off-block or both on
+    lam = liouville_matrix(Representation(SZ, (SX,)))
+    assert abs(off_block_mass(lam, _phase_qubit(eps)) - mass) <= 1e-12
+
+
+def test_monomials_of_a_near_degenerate_symmetry():
+    # the off-diagonal monomials' eigenvalues are 500 tau away from 1
+    assert monomial_eigenfunctions(_phase_qubit(5e-7), 1, 1.0) == [(1, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("tol, order", [(1e-6, 2), (1e-9, None)])
+def test_order_reads_the_symmetry_tol(tol, order):
+    m = models.qubit_weak()
+    sym = _phase_qubit(np.pi + 1e-7, tol)
+    assert build_symmetry_report(m.rep, sym, tol).verdicts() == (tol == 1e-6,) * 3
+    assert sym.order == order
+
+
+@given(dim=st.integers(1, 5), sectors=st.integers(1, 4),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_classes_of_a_near_degenerate_symmetry_are_the_degenerate_ones(
+        dim, sectors, tol, seed):
+    # sector phases on the grid 2 pi (k + 1/2) / 8, so that distinct Delta
+    # classes lie 2 pi / 8 apart and no phase is near 0; inside a sector
+    # the phases spread by less than tau / 4
+    rng = np.random.default_rng(seed)
+    tau = linalg.threshold(tol)
+    v = linalg.random_unitary(rng, dim)
+    exact = 2 * np.pi * (rng.choice(8, sectors, replace=False) + 0.5) / 8
+    exact = exact[rng.integers(0, sectors, dim)]
+    near = exact + tau / 4 * rng.random(dim)
+    superop = (rng.standard_normal((dim * dim,) * 2)
+               + 1j * rng.standard_normal((dim * dim,) * 2))
+    syms = [SymmetryOperator.from_matrix(v @ np.diag(np.exp(1j * p)) @ dag(v), tol)
+            for p in (exact, near)]
+    (ka, ma), (kb, mb) = (zip(*block_support(superop, s).items()) for s in syms)
+    assert len(ka) == len(kb) and np.all(np.abs(np.subtract(ka, kb)) <= tau)
+    assert np.all(np.abs(np.subtract(ma, mb)) <= 1e-9 * frob(superop))
+    assert abs(off_block_mass(superop, syms[0]) - off_block_mass(superop, syms[1])) <= 1e-9
 
 
 # ---------------------------------------------------------------- eigenfunctions

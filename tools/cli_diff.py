@@ -23,8 +23,9 @@ twoqubit-I and the L=3 chain, ``simulate --horizon 20 --n 500`` on
 qubit-III (many jumps per trajectory, refilled streams and re-crossings
 within a grid step), ``simulate --level full --n 200`` on the built-in
 ``qutrit-chain`` (three symmetries, so four ensembles in one pass at
-d = 81), ``simulate --threads 2 --n 301`` on the L=3 chain (uneven
-chunks), and
+d = 81) and on the seeded L=5 chain (four ensembles at d = 243, where the
+starts' state vectors and the sampler's setup weigh),
+``simulate --threads 2 --n 301`` on the L=3 chain (uneven chunks), and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
 ``verify-joint`` and ``simulate`` share one analysis), once with each tree
 on PYTHONPATH.
@@ -98,6 +99,7 @@ def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, jumps256, own):
     out += [["simulate", "qubit-III", "--horizon", "20", "--n", "500"]]
     # one pass of four ensembles at d = 81, and uneven pool chunks of them
     out += [["simulate", "qutrit-chain", "--level", "full", "--n", "200", "--seed", "5"]]
+    out += [["simulate", chain5, "--level", "full", "--n", "200"]]
     out += [["simulate", chain3, "--threads", "2", "--n", "301"]]
     out += [["report", m] for m in ("qubit-III", "qubit-I", chain3)]
     cross = [["check", chain4], ["check", chain5]]
