@@ -87,13 +87,14 @@ class JointSuperStep:
 
     @property
     def ham_dt(self) -> np.ndarray:
-        return np.kron(self.system_hamiltonian, np.eye(self.bin_dim))
+        return np.kron(linalg.dense(self.system_hamiltonian, "the joint Hamiltonian"),
+                       np.eye(self.bin_dim))
 
     @property
     def ham_sqrt(self) -> np.ndarray:
         out = np.zeros((self.joint_dim,) * 2, dtype=complex)
         bin_ = TimeBin(self.bin_dim - 1)
-        for jm, m in zip(self.jumps, self.modes):
+        for jm, m in zip(map(linalg.dense, self.jumps), self.modes):
             b = bin_.creation(m)
             out += 1j * (np.kron(jm, b) - np.kron(dag(jm), dag(b)))
         return out
@@ -107,7 +108,7 @@ class JointSuperStep:
         if self.kind == "unitary":
             raise ValueError("unitary steps have no generator matrix")
         bin_ = TimeBin(self.bin_dim - 1)
-        k = [sum(np.kron(jm, bin_.creation(m)) for jm, m, h in
+        k = [sum(np.kron(linalg.dense(jm), bin_.creation(m)) for jm, m, h in
                  zip(self.jumps, self.modes, self.groups) if h == g)
              for g in sorted(set(self.groups))]
         return generator_matrix(-1j * self.ham_dt, k)
@@ -123,12 +124,14 @@ class JointSuperStep:
 
 def _step(kind, hamiltonian, jumps, dt, modes=None, groups=None) -> JointSuperStep:
     """Jump j emits into bin mode modes[j] and belongs to joint jump
-    groups[j]; both default to j."""
+    groups[j]; both default to j.  The operators keep their form: the
+    residuals read a CSR Hamiltonian as it is, and the joint matrices
+    (`hamiltonian`, `generator`) are formed dense on request."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     modes, groups = (np.arange(len(jumps)) if x is None else np.asarray(x)
                      for x in (modes, groups))
-    return JointSuperStep(kind, np.asarray(hamiltonian, dtype=complex),
+    return JointSuperStep(kind, linalg.operator(hamiltonian),
                           tuple(jumps), modes, groups, int(modes.max(initial=-1)) + 2)
 
 
@@ -148,7 +151,7 @@ def displacement_step(rep: Representation, dt: float) -> np.ndarray:
     D = exp(-i dQ) with dQ = (i/d) sum_j [dB_j Tr(J_j†) - dB_j† Tr(J_j)]
     realized on the bin.
     """
-    tr = np.array([np.trace(j) for j in rep.jumps], dtype=complex)
+    tr = rep.jump_traces
     c = (1j / rep.dim) * np.sqrt(dt)
     dq = np.zeros((rep.njumps + 1,) * 2, dtype=complex)
     dq[0, 1:], dq[1:, 0] = c * np.conj(tr), -c * tr    # dB_j† and dB_j parts
@@ -309,7 +312,7 @@ def joint_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
                           images.frame_images) if frame else
                          (images.hamiltonian_image, images.jumps, images.jump_images))
         b = b @ u.conj()
-        num = e * frob(h_image - h) ** 2 + 2 * frob(b - a) ** 2
+        num = e * linalg.distance(h_image, h) ** 2 + 2 * frob(b - a) ** 2
         den = e * frob(h) ** 2 + 2 * frob(a) ** 2
         return float(np.sqrt(num / max(den, 1e-300)))
     n_joint, trace = step.joint_dim, np.trace(h)

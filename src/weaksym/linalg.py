@@ -9,13 +9,17 @@ cut (`rank`), the least-norm maps between jump spans read from one SVD and
 the one rule that accepts their unitary certificates (`SpanMap`),
 Haar-random unitaries and the linear assignment problem (a port of the
 solver scipy runs, so that importing this module does not load
-scipy.optimize).  Everything operates on plain numpy arrays and keeps no
-global state, so calls are safe from concurrent workers.
+scipy.optimize).  An operator is a complex array or a canonical complex
+CSR matrix (`operator`); `dense` is the one way from the second to the
+first, and `frob`, `distance`, `nonzeros`, `support` and `check_unitary`
+read either form.  Nothing keeps global state, so calls
+are safe from concurrent workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from functools import cached_property
 
 import numpy as np
@@ -51,11 +55,52 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def frob(a: np.ndarray) -> float:
+def issparse(a) -> bool:
+    """scipy.sparse.issparse(a), with the common array case decided by one
+    isinstance test and no abc check."""
+    return not isinstance(a, np.ndarray) and scipy.sparse.issparse(a)
+
+
+def operator(a):
+    """a in one of the two operator forms: a complex array (a itself when it
+    is one), or for a scipy.sparse matrix a canonical complex CSR array (a
+    itself when it is one, else a copy, duplicates summed)."""
+    if not issparse(a):
+        return np.asarray(a, dtype=complex)
+    if isinstance(a, scipy.sparse.csr_array) and a.dtype == complex \
+            and a.has_canonical_format:
+        return a
+    a = scipy.sparse.csr_array(a, dtype=complex, copy=True)
+    a.sum_duplicates()
+    return a
+
+
+def dense(a, what: str = "an operator") -> np.ndarray:
+    """a as an array: a sparse matrix's stored entries are written (not
+    added, as scipy's toarray does, which turns -0.0 into +0.0) into zeros,
+    so every bit is kept.  A dense array larger than the machine's physical
+    memory is refused before it is allocated, as is one numpy refuses:
+    MemoryError naming `what`, the stage that needs it."""
+    if not issparse(a):
+        return np.asarray(a)
+    a = operator(a)
+    rows, cols = a.shape
+    try:
+        if rows * cols * 16 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            raise MemoryError("larger than physical memory")
+        out = np.zeros(a.shape, dtype=a.dtype)
+    except (ValueError, MemoryError) as exc:    # ValueError: beyond the address range
+        raise MemoryError(f"{what} needs a dense {rows} x {cols} array, which cannot "
+                          "be allocated") from exc
+    out[np.repeat(np.arange(rows), np.diff(a.indptr)), a.indices] = a.data
+    return out
+
+
+def frob(a) -> float:
     """Frobenius norm, summed as np.linalg.norm sums it (the squares of the
     real and the imaginary parts, each in one dot product) without its
-    argument handling."""
-    x = np.asarray(a).ravel(order="K")
+    argument handling; of a sparse matrix, over its stored entries."""
+    x = (a.data if issparse(a) else np.asarray(a)).ravel(order="K")
     if x.dtype.kind == "c":
         return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     x = x.astype(float, copy=False)
@@ -74,6 +119,36 @@ def remove_trace(m: np.ndarray) -> np.ndarray:
     """m - tr(m)/d 1 for a d x d array m, in place; returns m."""
     m[np.diag_indices(len(m))] -= np.trace(m) / len(m)
     return m
+
+
+def distance(a, b=None, traceless: bool = False) -> float:
+    """||X|| for X = a - b (X = a when b is None), or with traceless
+    ||X - tr(X)/d 1||, the difference taken before the norm.  When every
+    operand is sparse, X is read from their entries, at the union of their
+    positions, with numpy; otherwise X is one array (a - b, or a copy of a)."""
+    if not (issparse(a) and (b is None or issparse(b))):
+        x = np.array(a) if b is None else a - b
+        return frob(remove_trace(x) if traceless else x)
+    (d, n), (rows, cols, x) = a.shape, entries(a)
+    position = rows * n + cols
+    if b is not None:
+        rows, cols, y = entries(b)
+        other = rows * n + cols
+        if np.array_equal(position, other):     # one pattern, as stored
+            x = x - y
+        else:
+            union = np.union1d(position, other)
+            z = np.zeros(len(union), dtype=complex)
+            z[np.searchsorted(union, position)] = x
+            z[np.searchsorted(union, other)] -= y
+            x, position = z, union
+    if not traceless:
+        return frob(x)
+    on = position % (n + 1) == 0        # the diagonal's flat positions
+    t = x[on].sum() / d
+    # every diagonal position not stored holds -t
+    return math.sqrt(frob(x[~on]) ** 2 + frob(x[on] - t) ** 2
+                     + (d - np.count_nonzero(on)) * abs(t) ** 2)
 
 
 def square(a) -> np.ndarray:
@@ -101,10 +176,19 @@ def rank(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > threshold(tol) * s[:1]))
 
 
-def check_unitary(gram: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Raise NotUnitaryError unless gram, U†U or U U† of an n x n U, is within
-    threshold(tol) max(1, sqrt(n)) of 1 in Frobenius norm; a NaN norm fails."""
-    if not frob(gram - np.eye(len(gram))) <= threshold(tol) * max(1.0, np.sqrt(len(gram))):
+def check_unitary(gram, tol: float = DEFAULT_TOL) -> None:
+    """Raise NotUnitaryError unless gram, U†U or U U† of an n x n U (an array
+    or a sparse matrix), is within threshold(tol) max(1, sqrt(n)) of 1 in
+    Frobenius norm; a NaN norm fails."""
+    n = gram.shape[0]
+    if issparse(gram):     # the diagonal less 1, and the rest
+        rows, cols, values = entries(gram)
+        on = rows == cols
+        gap = math.sqrt(frob(values[on] - 1.0) ** 2 + frob(values[~on]) ** 2
+                        + n - np.count_nonzero(on))
+    else:
+        gap = frob(gram - np.eye(n))
+    if not gap <= threshold(tol) * max(1.0, np.sqrt(n)):
         raise NotUnitaryError("matrix is not unitary within tolerance")
 
 
@@ -193,22 +277,47 @@ def coordinates(rows: np.ndarray) -> np.ndarray:
     return np.triu(qr[:min(qr.shape)])
 
 
+def entries(a) -> tuple:
+    """(rows, cols, values) of a sparse matrix's stored entries, read from
+    the arrays of its CSR form (`operator`, unless it is a CSR array) with
+    numpy."""
+    if not isinstance(a, scipy.sparse.csr_array):
+        a = operator(a)
+    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
+
+
 def nonzeros(ops) -> tuple:
-    """(k, flat, values): the nonzero entries of the arrays, or the stored
-    ones of the 2-D scipy.sparse matrices, ops[k], each read row-major, at
-    flat positions in their own operator."""
+    """(k, flat, values): the nonzero entries of the arrays and 2-D
+    scipy.sparse matrices ops[k] (stored zeros, signed or not, left out, as
+    an array's are), each read row-major, at flat positions in their own
+    operator."""
     flat, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
     for a in ops:
-        if scipy.sparse.issparse(a):
-            a = a.tocoo()
-            flat.append(a.row.astype(np.intp) * a.shape[1] + a.col)
-            values.append(a.data)
+        if issparse(a):
+            rows, cols, data = entries(a)
+            keep = data != 0
+            flat.append(rows[keep] * a.shape[1] + cols[keep])
+            values.append(data[keep])
         else:
             a = np.asarray(a)
             flat.append(np.flatnonzero(a))
             values.append(a.take(flat[-1]))
     return (np.repeat(np.arange(len(ops)), [len(f) for f in flat[1:]]),
             np.concatenate(flat), np.concatenate(values))
+
+
+def support(a: scipy.sparse.csr_array) -> tuple:
+    """(rows, cols, block): the rows and the columns of a CSR matrix that
+    hold a nonzero entry, ascending, and the dense block of a on them.
+    Zero rows and columns change no singular value or product J†J, so the
+    block stands for a in both."""
+    rows, cols, data = entries(a)
+    keep = data != 0
+    rows, cols, data = rows[keep], cols[keep], data[keep]
+    r, c = np.unique(rows), np.unique(cols)
+    block = np.zeros((len(r), len(c)), dtype=complex)
+    block[np.searchsorted(r, rows), np.searchsorted(c, cols)] = data
+    return r, c, block
 
 
 def support_coordinates(rows, cols, values, nrows: int) -> np.ndarray:

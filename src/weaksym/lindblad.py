@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import linalg
 from .linalg import DEFAULT_TOL, ShapeError, dag, frob
@@ -34,38 +35,61 @@ MAX_NORM = 1e50     # keeps J†J and the checks' sums of |P|^2 ~ ||J||^4 finite
 MAX_SUPEROP_DIM = 12     # largest d whose d^2 x d^2 superoperators are formed
 
 
-def _checked(m: np.ndarray, what: str) -> None:
-    if not np.isfinite(m).all():
+def _checked(m, what: str) -> None:
+    """Finite entries and a Frobenius norm at most MAX_NORM, read from the
+    stored entries of a sparse m."""
+    x = m.data if linalg.issparse(m) else m
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite entries")
     # BLAS nrm2 scales, so no overflow; finiteness is checked above
-    norm = scipy.linalg.norm(m.ravel(), check_finite=False)
+    norm = scipy.linalg.norm(x.ravel(), check_finite=False)
     if norm > MAX_NORM:
         raise ValueError(f"{what} has Frobenius norm {norm:.3g} > {MAX_NORM:g}")
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
+def _frozen(m):
+    if isinstance(m, np.ndarray):
+        m.flags.writeable = False
     return m
+
+
+def _fingerprint_update(digest, m) -> None:
+    """Feed the bytes of m's dense form to digest, a sparse m in blocks of
+    rows of about 1 MiB, so that no d x d array is formed."""
+    if not linalg.issparse(m):
+        digest.update(m.tobytes())
+        return
+    (d, n), rows, (r, c, v) = m.shape, max(1, 2 ** 16 // m.shape[1]), linalg.entries(m)
+    for start in range(0, d, rows):
+        lo, hi = m.indptr[start], m.indptr[min(start + rows, d)]
+        block = np.zeros(min(rows, d - start) * n, dtype=complex)
+        block[(r[lo:hi] - start) * n + c[lo:hi]] = v[lo:hi]
+        digest.update(block.tobytes())
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Hamiltonian plus ordered jump operators for one unravelling."""
+    """Hamiltonian plus ordered jump operators for one unravelling.
+
+    Each operator keeps the form it is given in (linalg.operator): a
+    complex array, or a canonical CSR array, as a model file's sparse
+    entries give it.  The checks, `traceless`, `nonzeros` and `fingerprint`
+    read a CSR operator's stored entries; `effective_hamiltonian` is dense."""
 
     hamiltonian: np.ndarray
     jumps: tuple
     labels: tuple = ()
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h = linalg.operator(self.hamiltonian)
         d = h.shape[0]
         if h.shape != (d, d):
             raise ShapeError(f"hamiltonian must be square, got {h.shape}")
         _checked(h, "hamiltonian")
         hnorm = frob(h)
-        if hnorm > 0 and frob(h - dag(h)) > DEFAULT_TOL * max(hnorm, 1.0):
+        if hnorm > 0 and linalg.distance(h, dag(h)) > DEFAULT_TOL * max(hnorm, 1.0):
             raise ValueError("hamiltonian is not Hermitian within tolerance")
-        jumps = tuple(np.asarray(j, dtype=complex) for j in self.jumps)
+        jumps = tuple(map(linalg.operator, self.jumps))
         for k, j in enumerate(jumps):
             if j.shape != (d, d):
                 raise ShapeError(f"jump {k} has shape {j.shape}, expected {(d, d)}")
@@ -89,21 +113,26 @@ class Representation:
         return len(self.jumps)
 
     @cached_property
+    def jump_traces(self) -> np.ndarray:
+        """tr J_j for each jump, read-only as it is shared."""
+        return _frozen(np.array([j.trace() for j in self.jumps], dtype=complex))
+
+    @cached_property
     def traceless(self) -> tuple:
-        """(H', traceless jumps) of traceless_representation, read-only as
-        they are shared: H' is a view of H when no jump has a trace, a jump
-        of trace 0 a view of itself, and a jump proportional to 1 gives 0."""
+        """(H', traceless jumps) of traceless_representation, each jump in
+        its form, read-only as they are shared: H' is (a view of) H
+        when no jump has a trace, a jump of trace 0 (a view of) itself, and
+        a jump proportional to 1 gives 0."""
         d, shift, jumps = self.dim, 0.0, []
-        for j in self.jumps:
-            tr = np.trace(j)
+        for j, tr in zip(self.jumps, self.jump_traces):
             if tr != 0:
                 shift = shift + (j * np.conj(tr) - dag(j) * tr)
-                j = j.copy()
-                j[np.diag_indices(d)] -= tr / d
-            jumps.append(_frozen(j.view()))
+                j = j - (tr / d) * scipy.sparse.eye_array(d, format="csr") \
+                    if linalg.issparse(j) else linalg.remove_trace(j.copy())
+            jumps.append(_frozen(j.view() if isinstance(j, np.ndarray) else j))
         h = self.hamiltonian if np.isscalar(shift) else \
-            self.hamiltonian + (1j / (2.0 * d)) * shift
-        return _frozen(h.view()), tuple(jumps)
+            linalg.operator(self.hamiltonian + (1j / (2.0 * d)) * shift)
+        return _frozen(h.view() if isinstance(h, np.ndarray) else h), tuple(jumps)
 
     @cached_property
     def nonzeros(self) -> tuple:
@@ -116,23 +145,31 @@ class Representation:
 
     @cached_property
     def effective_hamiltonian(self) -> np.ndarray:
-        """H - (i/2) sum_j J_j† J_j, read-only as it is shared."""
-        out = self.hamiltonian.copy()
+        """H - (i/2) sum_j J_j† J_j as a d x d array, read-only as it is
+        shared; a CSR jump adds J_S† J_S on its nonzero columns, J_S its
+        block on its nonzero rows and columns (linalg.support)."""
+        h = self.hamiltonian
+        out = linalg.dense(h, "the effective Hamiltonian") if linalg.issparse(h) \
+            else h.copy()
         for j in self.jumps:
-            out -= 0.5j * (dag(j) @ j)
+            if linalg.issparse(j):
+                _, cols, block = linalg.support(j)
+                out[np.ix_(cols, cols)] -= 0.5j * (dag(block) @ block)
+            else:
+                out -= 0.5j * (dag(j) @ j)
         return _frozen(out)
 
     def with_jumps(self, jumps, labels=()) -> "Representation":
         return Representation(self.hamiltonian, tuple(jumps), labels)
 
     def fingerprint(self) -> str:
-        """Hex digest of the defining matrices (for reproducibility records)."""
+        """Hex digest of the defining matrices' dense bytes (for
+        reproducibility records), the same for either form."""
         import hashlib
 
         h = hashlib.sha256()
-        h.update(self.hamiltonian.tobytes())
-        for j in self.jumps:
-            h.update(j.tobytes())
+        for m in (self.hamiltonian, *self.jumps):
+            _fingerprint_update(h, m)
         return h.hexdigest()[:16]
 
 
@@ -186,7 +223,7 @@ def generator_matrix(g, jumps=()) -> np.ndarray:
     with G added on two diagonal views of its (d, d, d, d) view."""
     g = np.asarray(g, dtype=complex)
     d = g.shape[0]
-    vecs = np.asarray(jumps, dtype=complex).reshape(-1, d * d)
+    vecs = np.array([linalg.dense(j) for j in jumps], dtype=complex).reshape(-1, d * d)
     out = liouville_to_choi(vecs.T @ vecs.conj())   # a fresh C-ordered array
     blocks = out.reshape(d, d, d, d)
     np.einsum("ijkj->ikj", blocks)[...] += g[:, :, None]
@@ -223,7 +260,7 @@ def liouville_to_choi(lam: np.ndarray) -> np.ndarray:
 
 def jump_part_choi(jumps) -> np.ndarray:
     """Choi matrix of rho -> sum_j J_j rho J_j†, sum_j vec(J_j) vec(J_j)† (PSD)."""
-    vecs = np.asarray(jumps, dtype=complex).reshape(len(jumps), -1)
+    vecs = np.array([linalg.dense(j) for j in jumps], dtype=complex).reshape(len(jumps), -1)
     return vecs.T @ vecs.conj()
 
 
@@ -260,8 +297,9 @@ def master_gaps(ha: np.ndarray, hb: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     the traceless-frame Hamiltonians H'a, H'b up to a multiple of 1, over
     max(||H'a||, ||H'b||, 1), and the relative linalg.frame_gap of the
     traceless jumps' coordinates a, b in one basis (a column per jump)."""
-    # one d x d difference at a time: X - tr(X)/d 1 for X = H'a - H'b, H'a, H'b
-    gap, na, nb = (frob(linalg.remove_trace(x - y)) for x, y in ((ha, hb), (ha, 0), (hb, 0)))
+    # X - tr(X)/d 1 for X = H'a - H'b, H'a, H'b, one at a time
+    gap, na, nb = (linalg.distance(x, y, traceless=True) for x, y in
+                   ((ha, hb), (ha, None), (hb, None)))
     frame, fa, fb = linalg.frame_gap(a, b)
     return gap / max(na, nb, 1.0), frame / max(fa, fb, 1e-300)
 

@@ -22,7 +22,8 @@ entries of a sparse form, every other entry being 0::
     "matrix": {"sparse": [[0, 1, "sqrt(gamma)"], [1, 0, [0, -1.5]]]}
 
 Each item is [row, column, entry] with integer indices in [0, dim) and
-no (row, column) listed twice.  `model_to_doc` writes a matrix sparse
+no (row, column) listed twice.  A sparse matrix loads as a CSR array of its
+entries, a dense one as an array.  `model_to_doc` writes a matrix sparse
 when fewer than half of its entries are stored, that is have a part
 that is nonzero or a negative zero, so the file holds fewer numbers;
 either form reads back bit for bit.
@@ -37,7 +38,9 @@ import math
 import operator
 
 import numpy as np
+import scipy.sparse
 
+from . import linalg
 from .lindblad import Representation
 from .models import Model
 
@@ -68,6 +71,7 @@ _FUNCS = {
 _CONSTS = {"pi": math.pi, "e": math.e}
 _PLAIN_NUMBERS = frozenset((int, float))   # exact types: bool is not one
 _CONDITIONS = ("condition_I", "condition_II", "condition_III")
+MAX_DIM = 2 ** 24    # largest dim of a sparse matrix, whose CSR form keeps dim + 1 row pointers
 
 
 def _is_number(value) -> bool:
@@ -152,14 +156,22 @@ def _numeric_row(row: list):
     return values if np.isfinite(values).all() else None
 
 
-def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str) -> np.ndarray:
-    """A {"sparse": [[i, j, entry], ...]} matrix; unlisted entries are 0."""
-    for key in spec:
-        if key != "sparse":
-            raise ParseError(f"{what}: unexpected key {key!r} beside 'sparse'")
-    items = spec.get("sparse")
-    if not isinstance(items, list):
-        raise ParseError(f"{what}: 'sparse' must be a list of [i, j, entry] items")
+def _sparse_items(items: list, dim: int, what: str) -> tuple:
+    """(pairs, order, entries) of [i, j, entry] items: the (row, column)
+    pairs sorted row-major, the item order that sorts them (an index array
+    or a slice) and the entries in item order.  Items in the form
+    dump_model writes, row-major with none repeated, are checked in bulk;
+    any others go item by item, which names the first item at fault."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {3}:
+        rows, cols, entries = (list(map(operator.itemgetter(c), items)) for c in range(3))
+        if set(map(type, rows)) | set(map(type, cols)) <= {int}:     # no bool
+            try:
+                ij = np.array([np.fromiter(x, np.int64, len(x)) for x in (rows, cols)])
+            except OverflowError:
+                ij = np.full((2, 1), -1)
+            flat = ij[0] * dim + ij[1]        # dim <= MAX_DIM: no overflow
+            if ((ij >= 0) & (ij < dim)).all() and (flat[1:] > flat[:-1]).all():
+                return ij, slice(None), entries
     listed = {}      # i * dim + j -> entry, in item order
     for k, item in enumerate(items):
         if not isinstance(item, list) or len(item) != 3:
@@ -174,24 +186,41 @@ def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str) -> np.ndar
             raise ParseError(f"{what}: sparse item {k}: entry ({i}, {j}) is "
                              f"listed twice")
         listed[i * dim + j] = entry
-    values = _numeric_row(list(listed.values()))
+    flat = np.fromiter(listed, np.int64, len(listed))
+    order = np.argsort(flat)
+    return np.array(np.divmod(flat[order], dim)).reshape(2, -1), order, list(listed.values())
+
+
+def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str):
+    """A {"sparse": [[i, j, entry], ...]} matrix as a canonical CSR array;
+    unlisted entries are 0.  An entry is stored when a part is nonzero or a
+    negative zero, so its bits, signed zeros included, are kept."""
+    for key in spec:
+        if key != "sparse":
+            raise ParseError(f"{what}: unexpected key {key!r} beside 'sparse'")
+    items = spec.get("sparse")
+    if not isinstance(items, list):
+        raise ParseError(f"{what}: 'sparse' must be a list of [i, j, entry] items")
+    if dim > MAX_DIM:
+        raise ParseError(f"'dim' {dim}: above {MAX_DIM}, the largest a sparse matrix "
+                         "takes (it keeps dim + 1 row pointers)")
+    pairs, order, entries = _sparse_items(items, dim, what)
+    values = _numeric_row(entries)
     if values is None:
         values = []
-        for k, (flat, entry) in enumerate(listed.items()):
+        for k, entry in enumerate(entries):
             try:
                 value = eval_entry(entry, parameters)
             except ParseError as exc:
                 raise ParseError(f"{what}: sparse item {k}, entry "
-                                 f"{divmod(flat, dim)}: {exc}") from exc
+                                 f"({items[k][0]}, {items[k][1]}): {exc}") from exc
             values += (value.real, value.imag)
-    try:
-        out = np.zeros((dim, dim), dtype=complex)
-    except (ValueError, MemoryError) as exc:    # ValueError: beyond the address range
-        raise ParseError(f"'dim' {dim}: cannot allocate a {dim} x {dim} matrix") from exc
-    if listed:
-        # the parts land bit for bit, signed zeros included
-        out.view(float).reshape(-1, 2)[list(listed)] = np.reshape(values, (-1, 2))
-    return out
+    # the parts land bit for bit: re + 1j * im would turn -0.0 into +0.0
+    data = np.asarray(values, dtype=float).view(complex)[order]
+    stored = (data.view(np.uint64).reshape(-1, 2) != 0).any(axis=1)
+    rows, cols, data = pairs[0][stored], pairs[1][stored], data[stored]
+    indptr = np.searchsorted(rows, np.arange(dim + 1))
+    return scipy.sparse.csr_array((data, cols, indptr), shape=(dim, dim))
 
 
 def eval_matrix(rows, parameters: dict, dim: int, what: str) -> np.ndarray:
@@ -315,10 +344,11 @@ def load_model(path) -> Model:
 
 
 def _matrix_doc(m):
-    """A complex array as nested [re, im] pairs; None stays None."""
+    """A complex array (or sparse matrix, made dense) as nested [re, im]
+    pairs; None stays None."""
     if m is None:
         return None
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(linalg.dense(m), dtype=complex)
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
@@ -326,13 +356,18 @@ def _model_matrix_doc(m):
     """A model matrix in its shorter form: sparse [i, j, [re, im]] items
     when 2·stored < d², dense rows otherwise.  An entry is stored when a
     part is nonzero or a negative zero, so either form reads back bit for
-    bit."""
-    m = np.ascontiguousarray(m, dtype=complex)
-    stored = (m.view(np.uint64).reshape(*m.shape, 2) != 0).any(axis=-1)
-    rows, cols = np.nonzero(stored)
-    if 2 * rows.size >= m.size:
+    bit; a CSR matrix's entries are read as they are stored."""
+    if linalg.issparse(m):
+        rows, cols, values = linalg.entries(m)
+        stored = (values.view(np.uint64).reshape(-1, 2) != 0).any(axis=-1)
+        rows, cols, values = rows[stored], cols[stored], values[stored]
+    else:
+        m = np.ascontiguousarray(m, dtype=complex)
+        stored = (m.view(np.uint64).reshape(*m.shape, 2) != 0).any(axis=-1)
+        rows, cols = np.nonzero(stored)
+        values = m[rows, cols]
+    if 2 * rows.size >= m.shape[0] * m.shape[1]:
         return _matrix_doc(m)
-    values = m[rows, cols]
     return {"sparse": [[i, j, [re, im]] for i, j, re, im in zip(
         rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())]}
 

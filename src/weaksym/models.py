@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
+from . import linalg
 from .lindblad import Representation
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -249,25 +251,22 @@ def twoqubit_i(omega1=1.0, omega2=np.sqrt(2.0),
     )
 
 
-def _site_op(op, site, length):
-    """Operator acting on one site of a qutrit chain (0-based site index)."""
-    mats = [np.eye(3, dtype=complex)] * length
-    mats[site] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = _kron(out, m)
-    return out
+def _site_op(op, site, length) -> scipy.sparse.csr_array:
+    """Operator acting on one site of a qutrit chain (0-based site index),
+    1 x op x 1 as a CSR matrix."""
+    eye = [scipy.sparse.eye_array(3 ** n, dtype=complex) for n in (site, length - site - 1)]
+    return scipy.sparse.kron(scipy.sparse.kron(eye[0], scipy.sparse.csr_array(op)), eye[1],
+                             format="csr")
 
 
-def _translation_unitary(length):
-    """U moving the content of site k to site k+1 (periodic)."""
+def _translation_unitary(length) -> scipy.sparse.csr_array:
+    """U moving the content of site k to site k+1 (periodic): the last
+    base-3 digit of a basis index becomes its first."""
     dim = 3 ** length
-    u = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        digits = np.base_repr(idx, base=3).zfill(length)
-        shifted = digits[-1] + digits[:-1]
-        u[int(shifted, 3), idx] = 1.0
-    return u
+    idx = np.arange(dim)
+    return scipy.sparse.csr_array(
+        (np.ones(dim, dtype=complex), (idx % 3 * 3 ** (length - 1) + idx // 3, idx)),
+        shape=(dim, dim))
 
 
 def _site_rotation(theta):
@@ -281,7 +280,8 @@ def _site_rotation(theta):
 
 
 def qutrit_chain(length=4, thetas=None, omega=1.0, rot_angles=None) -> Model:
-    """Periodic qutrit chain with per-site two-state emission into the vacuum.
+    """Periodic qutrit chain with per-site two-state emission into the vacuum,
+    every operator a CSR matrix built with scipy.sparse.kron.
 
     Site alpha carries the jump pair
         J_alpha^(1) = |vac><vac| (c1_alpha cos(theta_alpha) + c2_alpha sin(theta_alpha)),
@@ -303,9 +303,7 @@ def qutrit_chain(length=4, thetas=None, omega=1.0, rot_angles=None) -> Model:
     if len(thetas) != length:
         raise ValueError("need one angle per site")
     dim = 3 ** length
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    pvac = np.outer(vac, vac.conj())
+    pvac = scipy.sparse.csr_array(([1.0 + 0j], ([0], [0])), shape=(dim, dim))
     c1 = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
     c2 = np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=complex)
 
@@ -331,7 +329,8 @@ def qutrit_chain(length=4, thetas=None, omega=1.0, rot_angles=None) -> Model:
     u_rot = _site_op(_site_rotation(rot_angles[0]), 0, length)
     for s in range(1, length):
         u_rot = u_rot @ _site_op(_site_rotation(rot_angles[s]), s, length)
-    u_combined = u_t @ u_rot
+    u_rot = linalg.operator(u_rot)
+    u_combined = linalg.operator(u_t @ u_rot)
 
     rep = Representation(h, tuple(jumps), tuple(labels))
     # translation alone permutes labelled jumps only when consecutive angles

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .lindblad import Representation, jump_part_choi
@@ -61,17 +62,38 @@ class SjedPartition:
         return out
 
 
-def _rank_one_split(j: np.ndarray, tol: float):
+def _rank_one_split(j, tol: float):
     """(destination, source) with J = |dest><source|, or None when the
     singular values have s_1 > tol s_0.
 
-    Bounds settle most jumps in O(d^2): with c the column of largest norm
-    and dest = c / ||c||, R = ||J - dest dest† J|| >= s_1 and ||J† dest||
+    A CSR jump is read from its entries: with one nonzero row r it is
+    |e_r><conj(row r)| and with one nonzero column c |col><e_c| scaled, by
+    inspection; any other is split as its dense block on its nonzero rows
+    and columns (linalg.support), which has J's singular values.
+
+    Bounds settle most dense jumps in O(d^2): with c the column of largest
+    norm and dest = c / ||c||, R = ||J - dest dest† J|| >= s_1 and ||J† dest||
     <= s_0 accept when R <= tol ||J† dest||; the second singular value of
     [c, c'], c' the column R leaves largest, is <= s_1 and ||J|| >= s_0
     reject when it exceeds tol ||J||.  A full SVD decides the band between.
     An accepted dest is refined to the top singular vector by power steps.
     """
+    if linalg.issparse(j):
+        rows, cols, block = linalg.support(j)
+        d = j.shape[0]
+        dest, source = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+        if len(rows) == 1:
+            dest[rows[0]], source[cols] = 1.0, block[0].conj()
+            return dest, source
+        if len(cols) == 1:
+            dest[rows] = linalg.fix_column_phases(block / frob(block))[:, 0]
+            source[cols] = block[:, 0].conj() @ dest[rows]
+            return dest, source
+        split = _rank_one_split(block, tol)
+        if split is None:
+            return None
+        dest[rows], source[cols] = split
+        return dest, source
     col = j[:, np.argmax(linalg.norms(j))]
     if frob(col) > 0.0:
         dest = col / frob(col)
@@ -103,10 +125,27 @@ def _rank_one_split(j: np.ndarray, tol: float):
     return dest, source * ph.conjugate()
 
 
-def _proportionality_gap(base: np.ndarray, x: np.ndarray) -> float:
-    """min_c ||x - c base|| for unit vectors (or operators) base and x: the
-    sine of the angle between them, from the difference itself."""
-    return frob(x - np.vdot(base, x) * base)
+def _proportionality_gap(base, x) -> float:
+    """min_c ||x - c base|| for unit vectors (or operators, arrays or
+    sparse) base and x: the sine of the angle between them, from the
+    difference itself."""
+    if linalg.issparse(base) or linalg.issparse(x):
+        c = scipy.sparse.csr_array(base).conj().multiply(x).sum()
+    else:
+        c = np.vdot(base, x)
+    return frob(x - c * base)
+
+
+def _adjoint_times(j, v: np.ndarray) -> np.ndarray:
+    """J† v; for a CSR J, summed from its entries with numpy."""
+    if not linalg.issparse(j):
+        return dag(j) @ v
+    rows, cols, values = linalg.entries(j)
+    terms = values.conj() * v[rows]
+    out = np.empty(j.shape[1], dtype=complex)
+    out.real = np.bincount(cols, terms.real, len(out))
+    out.imag = np.bincount(cols, terms.imag, len(out))
+    return out
 
 
 def _partition(jumps, tol: float) -> tuple:
@@ -126,7 +165,7 @@ def _partition(jumps, tol: float) -> tuple:
         if splits[k] is None:
             sets.append(SjedSet(tuple(members), "proportional"))
         else:
-            sources = np.column_stack([dag(jumps[m]) @ base for m in members])
+            sources = np.column_stack([_adjoint_times(jumps[m], base) for m in members])
             sets.append(SjedSet(tuple(members), "reset", destination=base, sources=sources))
         used.update(members)
     return tuple(sets)
@@ -232,11 +271,11 @@ def same_unravelled_generator(rep_a: Representation, rep_b: Representation,
 
 def _hamiltonian_shift(ha: np.ndarray, hb: np.ndarray, tol: float):
     """Real r with H_b = H_a + r 1 within linalg.threshold(tol) max(||H_a||,
-    ||H_b||, 1), or None; the one d x d array formed is freed on return."""
-    diff = hb - ha
-    r = np.trace(diff) / len(diff)
+    ||H_b||, 1), or None (linalg.distance of H_b - H_a up to a multiple of
+    1)."""
+    r = (hb.trace() - ha.trace()) / ha.shape[0]
     bound = linalg.threshold(tol) * max(frob(ha), frob(hb), 1.0)
-    if abs(r.imag) > bound or frob(linalg.remove_trace(diff)) > bound:
+    if abs(r.imag) > bound or linalg.distance(hb, ha, traceless=True) > bound:
         return None
     return float(r.real)
 
@@ -255,7 +294,7 @@ def phase_fixed_family(jumps, indices, coeffs) -> tuple:
     """(C, coeffs'): C_i = sum_k coeffs'[i, k] J_{indices[k]}, where each row
     of coeffs is rescaled by the unit phase that makes C_i's first
     non-negligible entry, row-major, real positive."""
-    ops = np.tensordot(coeffs, np.array([jumps[k] for k in indices]), axes=1)
+    ops = np.tensordot(coeffs, np.array([linalg.dense(jumps[k]) for k in indices]), axes=1)
     phases = linalg.column_phases(ops.reshape(len(ops), -1).T)
     return ops * phases[:, None, None], coeffs * phases[:, None]
 

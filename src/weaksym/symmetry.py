@@ -23,7 +23,7 @@ and each target reproduced within tau times its own norm; ranks are cut
 at singular values above tau times the largest (linalg.rank).  All checks
 read the symmetry's images (`SymmetryOperator.images`).  Phases of U are
 equal by linalg.phase_classes at the symmetry's tol, and the group order
-takes U^n = theta 1 within tau sqrt(d).
+takes U^n = theta 1 when U^n's eigenphases form one such class.
 """
 
 from __future__ import annotations
@@ -67,65 +67,133 @@ class PhaseSumNotInteger(Exception):
     pass
 
 
+def _radius_at_most(power: scipy.sparse.csr_array, theta: complex, bound: float) -> bool:
+    """Whether the spectral radius r of N = P - theta 1, P a sparse unitary,
+    is at most bound, by Gelfand's formula on N^k, k = 1, 2, 4, ..., 64
+    (each N^k is normal): max |diag N^k| <= r^k <= sqrt(||N^k||_1
+    ||N^k||_inf), the diagonal lying in the convex hull of the eigenvalues.
+    No when still undecided at k = 64, that is when r is within a factor
+    d^(1/128) above bound.  N's entries come from P's with numpy; the
+    powers are rescaled as they are squared, N^k = e^scale n."""
+    d = power.shape[0]
+    rows, cols, values = linalg.entries(power)
+    on = rows == cols
+    diagonal = np.full(d, -theta, dtype=complex)
+    diagonal[rows[on]] += values[on]
+    values = np.where(on, 0.0, values)      # N off the diagonal, then the diagonal
+    rows, cols, values = (np.append(x, y) for x, y in (
+        (rows, np.arange(d)), (cols, np.arange(d)), (values, diagonal)))
+    scale, k = 0.0, 1
+    while True:
+        weights = np.abs(values)
+        upper = np.sqrt(np.bincount(rows, weights, d).max() * np.bincount(cols, weights, d).max())
+        if upper == 0.0 or (scale + np.log(upper)) / k <= np.log(bound):
+            return True
+        lower = np.max(weights[rows == cols], initial=0.0)
+        if k == 64 or (lower > 0.0 and (scale + np.log(lower)) / k > np.log(bound)):
+            return False
+        n = scipy.sparse.csr_array((values / upper, (rows, cols)), shape=(d, d))
+        rows, cols, values = linalg.entries(n @ n)
+        scale, k = 2.0 * (scale + np.log(upper)), 2 * k
+
+
 @dataclass(frozen=True)
 class SymmetryOperator:
-    """A unitary U with its CSR form, which forms its images U A U† and its
-    (finite) group order.  The order and the eigen-decomposition (`phases`,
-    `eigenbasis`) are computed on first use."""
+    """A unitary U in CSR form, which forms its images U A U† and its
+    (finite) group order with sparse products.  `matrix`, U as a d x d
+    array, is the array U was given as, or formed on first use for the
+    readers that need one (the eigendecomposition, transformed Choi
+    matrices, the ensemble test).  The order and the eigendecomposition
+    (`phases`, `eigenbasis`) are computed on first use."""
 
-    matrix: np.ndarray
     sparse: scipy.sparse.csr_array
     tol: float = DEFAULT_TOL
     order_cap: int = 64
+    given: np.ndarray | None = field(default=None, repr=False, compare=False)
     _images: list = field(default_factory=list, init=False, repr=False,
                           compare=False)
 
     @classmethod
     def from_matrix(cls, u, tol: float = DEFAULT_TOL, order_cap: int = 64):
-        """The operator of u; NotUnitaryError unless ||U U† - 1|| is at most
-        threshold(tol) max(1, sqrt(d)) (linalg.check_unitary)."""
+        """The operator of u, an array or a sparse matrix (its stored zeros
+        dropped); NotUnitaryError unless ||U U† - 1|| is at most
+        threshold(tol) max(1, sqrt(d)) (linalg.check_unitary), U U† a sparse
+        product for a sparse u."""
+        if linalg.issparse(u):
+            sparse = linalg.operator(u)
+            if not sparse.data.all():       # a stored zero: drop it from a copy
+                sparse = sparse.copy()
+                sparse.eliminate_zeros()
+            if sparse.shape[0] != sparse.shape[1]:
+                raise linalg.ShapeError(f"expected square matrix, got {sparse.shape}")
+            op = cls(sparse, tol, order_cap)
+            linalg.check_unitary(sparse @ op._adjoint, tol)
+            return op
         u = linalg.square(u)
         rows, cols = np.nonzero(u)      # row-major, so rows ascend
         sparse = scipy.sparse.csr_array(
             (u[rows, cols], cols, np.searchsorted(rows, np.arange(len(u) + 1))),
             shape=u.shape)
         linalg.check_unitary(sparse @ dag(u), tol)
-        return cls(u, sparse, tol, order_cap)
+        return cls(sparse, tol, order_cap, u)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.sparse.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.given if self.given is not None else \
+            linalg.dense(self.sparse, "the symmetry's matrix")
 
     @cached_property
     def order(self) -> int | None:
-        """Least n <= order_cap with ||U^n - theta 1|| <= b = tau sqrt(d) on
-        sparse powers, theta the phase of tr U^n, tau = threshold(tol), else
-        None.  Only n with |v† U^n v| >= (1 - b) ||v||^2, v = (1, ..., d),
-        U^n v from n products, are tried: every eigenvalue of an accepted
-        U^n is within b of theta, so |v† U^n v| >= (1 - b^2 / 2) ||v||^2, b / 2
-        above the floor for every tau in (0, 1) (or the floor is <= 0)."""
+        """Least n <= order_cap at which U^n = theta 1 by the one phase rule
+        (linalg.phase_classes at tau = threshold(tol)): every eigenphase of
+        U^n in one class.  Decided on the sparse power U^n, with no
+        eigendecomposition.  N = U^n - theta 1 is normal, so its spectral
+        radius r(N) is the largest |e^{i phi} - theta| = 2 sin(|phi - arg
+        theta| / 2) over the eigenphases phi of U^n.  U^n is accepted when
+        * theta = 1 and r(N) <= 2 sin(tau / 2): every phi is within tau of
+          0, in the zero class;
+        * or theta = e^{i psi}, psi the phase of tr U^n with |psi| > tau,
+          and r(N) <= 2 sin(delta / 2), delta = min(tau / 2, |psi| - tau):
+          every phi is within delta of psi, on an arc of length at most tau
+          more than tau from 0, so in the one class its least member names.
+        `_radius_at_most` decides each bound on r(N).  So an accepted U^n
+        has one class; one class is turned down only where a bound is not
+        sharp: r(N) within a factor d^(1/128) above it, or phases all more
+        than tau from 0 but spread wider than |psi| - tau about psi.  Only
+        n with |v† U^n v| >= (1 - tau) ||v||^2, v = (1, ..., d), U^n v from
+        n products, are tried: accepted, every eigenvalue is within r < tau
+        of theta, so |v† U^n v| >= (1 - r^2 / 2) ||v||^2, tau / 2 above that
+        floor."""
         d, power, p = self.dim, self.sparse, 1
-        v, bound = np.arange(1.0, d + 1.0), threshold(self.tol) * np.sqrt(d)
-        w, floor = v, (1.0 - bound) * v.dot(v)
+        tau, v = threshold(self.tol), np.arange(1.0, d + 1.0)
+        w, floor = v, (1.0 - tau) * v.dot(v)
         for n in range(1, self.order_cap + 1):
             w = self.sparse @ w
             if abs(v.dot(w)) < floor:
                 continue
             while p < n:
                 power, p = power @ self.sparse, p + 1
-            theta = np.exp(1j * np.angle(power.diagonal().sum()))
-            if frob(power.toarray() - theta * np.eye(d)) <= bound:
+            if _radius_at_most(power, 1.0, 2.0 * np.sin(tau / 2.0)):
+                return n
+            psi = np.angle(power.trace())
+            if abs(psi) > tau and _radius_at_most(
+                    power, np.exp(1j * psi), 2.0 * np.sin(min(tau / 2.0, abs(psi) - tau) / 2.0)):
                 return n
         return None
 
     @cached_property
     def _adjoint(self) -> scipy.sparse.csr_array:
         """U† in CSR form: its rows are U's columns, conjugated."""
-        d, u = self.dim, self.matrix
-        cols, rows = np.nonzero(u.T)      # column-major, so cols ascend
+        rows, cols, values = linalg.entries(self.sparse)
+        order = np.argsort(cols, kind="stable")      # rows ascend within a column
         return scipy.sparse.csr_array(
-            (u[rows, cols].conj(), rows, np.searchsorted(cols, np.arange(d + 1))),
-            shape=(d, d))
+            (values[order].conj(), rows[order],
+             np.searchsorted(cols[order], np.arange(self.dim + 1))),
+            shape=(self.dim, self.dim))
 
     @cached_property
     def _eigen(self):
@@ -142,9 +210,11 @@ class SymmetryOperator:
         """Eigenvector columns in the order of `phases`."""
         return self._eigen[1]
 
-    def conjugate(self, a) -> np.ndarray:
-        """U A U† for an operator on the system, as U (U A†)†."""
-        return self.sparse @ dag(self.sparse @ dag(np.asarray(a, dtype=complex)))
+    def conjugate(self, a):
+        """U A U† for an operator on the system (an array, or a sparse
+        matrix, which gives one), as U (U A†)†."""
+        a = a if linalg.issparse(a) else np.asarray(a, dtype=complex)
+        return self.sparse @ dag(self.sparse @ dag(a))
 
     def conjugate_nonzeros(self, k, rows, cols, values) -> tuple:
         """Entries (k, rows, cols, values) of the operators U A_k U† from
@@ -179,12 +249,12 @@ class SymmetryImages:
     """One symmetry's images of a representation's operators, formed from
     the operators' nonzero entries (`SymmetryOperator.conjugate_nonzeros`
     of `Representation.nonzeros`): U H U† with ||U H U† - H|| and U H' U†
-    (H' the traceless frame's Hamiltonian) as d x d arrays, U H_eff U† on
-    first use, and the coordinates of one QR of the traceless jumps J'_j
-    and their images (`frame_jumps`, `frame_images`), taken over the
-    entries where 1, a J'_j or an image is stored and shifted to those of
-    J_j = J'_j + tr(J_j)/d 1 (`jumps`, `jump_images`; J'_j is orthogonal to
-    1, so the shift loses nothing)."""
+    (H' the traceless frame's Hamiltonian) in H's form, d x d arrays or
+    CSR matrices, U H_eff U† on first use, and the coordinates of one QR
+    of the traceless jumps J'_j and their images (`frame_jumps`,
+    `frame_images`), taken over the entries where 1, a J'_j or an image is
+    stored and shifted to those of J_j = J'_j + tr(J_j)/d 1 (`jumps`,
+    `jump_images`; J'_j is orthogonal to 1, so the shift loses nothing)."""
 
     def __init__(self, rep: Representation, sym: SymmetryOperator):
         self.rep, self.sym = rep, sym
@@ -193,10 +263,20 @@ class SymmetryImages:
         k, rows, cols, values = rep.nonzeros
         ik, irows, icols, ivalues = sym.conjugate_nonzeros(k, rows, cols, values)
         m, im = np.searchsorted(k, 2), np.searchsorted(ik, 2)   # H and H' first
-        hamiltonians = np.zeros(2 * d * d, dtype=complex)
-        hamiltonians[(ik[:im] * d + irows[:im]) * d + icols[:im]] = ivalues[:im]
-        self.hamiltonian_image, self.frame_hamiltonian_image = hamiltonians.reshape(2, d, d)
-        self.hamiltonian_residual = frob(self.hamiltonian_image - rep.hamiltonian)
+        if linalg.issparse(rep.hamiltonian):
+            # as entries, in H's form: a CSR matrix each
+            ends = np.searchsorted(ik[:im], [0, 1, 2])
+            images = [scipy.sparse.csr_array(
+                (ivalues[a:b], icols[a:b], np.searchsorted(irows[a:b], np.arange(d + 1))),
+                shape=(d, d)) for a, b in zip(ends[:-1], ends[1:])]
+            for image in images:
+                image.sum_duplicates()     # sorts each row's columns
+        else:
+            images = np.zeros(2 * d * d, dtype=complex)
+            images[(ik[:im] * d + irows[:im]) * d + icols[:im]] = ivalues[:im]
+            images = images.reshape(2, d, d)
+        self.hamiltonian_image, self.frame_hamiltonian_image = images
+        self.hamiltonian_residual = linalg.distance(self.hamiltonian_image, rep.hamiltonian)
         # rows: 1, then the J'_j (k - 1), then their images (k - 1 + n)
         r = linalg.support_coordinates(
             np.concatenate([np.zeros(d, dtype=int), k[m:] - 1, ik[im:] + (n - 1)]),
@@ -204,7 +284,7 @@ class SymmetryImages:
                             irows[im:] * d + icols[im:]]),
             np.concatenate([np.ones(d), values[m:], ivalues[im:]]), 2 * n + 1)
         one, self.frame_jumps, self.frame_images = r[:, 0], r[:, 1:n + 1], r[:, n + 1:]
-        shift = np.outer(one, [np.trace(j) / d for j in rep.jumps])
+        shift = np.outer(one, rep.jump_traces / d)
         self.jumps, self.jump_images = self.frame_jumps + shift, self.frame_images + shift
 
     @cached_property
@@ -325,7 +405,8 @@ def check_condition_I(rep: Representation, sym: SymmetryOperator,
     images = sym.images(rep)
     h_gap, frame_gap = master_gaps(images.frame_hamiltonian, images.frame_hamiltonian_image,
                                    images.frame_jumps, images.frame_images)
-    result = _verdict(tol, frob(images.frame_hamiltonian_image - images.frame_hamiltonian),
+    result = _verdict(tol, linalg.distance(images.frame_hamiltonian_image,
+                                           images.frame_hamiltonian),
                       {"traceless Hamiltonian gap": h_gap, "jump frame gap": frame_gap})
     if result.holds:
         span = linalg.SpanMap(images.frame_jumps, images.frame_images, tol)
@@ -454,7 +535,8 @@ def lift_II_to_III(rep: Representation, sym: SymmetryOperator,
         families[cyc[0]] = ref
         for a, m, block in zip(cyc[1:], members[1:], blocks):
             coeffs = coeffs @ block
-            families[a] = np.tensordot(coeffs, np.array([rep.jumps[k] for k in m]), axes=1)
+            families[a] = np.tensordot(
+                coeffs, np.array([linalg.dense(rep.jumps[k]) for k in m]), axes=1)
     ends = np.cumsum([0, *map(len, families)])
     groups = tuple(tuple(range(a, b)) for a, b in zip(ends[:-1], ends[1:]))
     return Representation(rep.hamiltonian, tuple(j for f in families for j in f)), groups
@@ -573,9 +655,10 @@ def check_linear_eigenfunction(rep: Representation, f,
     """Whether F is an eigenmatrix of the adjoint master operator.
 
     Returns (is_eigen, eigenvalue).  A least-squares eigenvalue is fitted,
-    its relative residual must be at most threshold(tol), and the dual
+    its relative residual must be at most tau = threshold(tol), and the dual
     pairing Tr[F L(psi)] = lambda Tr[F psi] is verified on 20 random pure
-    states.
+    states psi (||psi|| = 1), each to |Tr[F L(psi)] - lambda Tr[F psi]| <=
+    tau ||F|| max(1, |lambda|), a bound that scales with F.
     """
     f = np.asarray(f, dtype=complex)
     lf = apply_adjoint_master_operator(rep, f)
@@ -585,14 +668,14 @@ def check_linear_eigenfunction(rep: Representation, f,
         return False, complex(lam)
     if rng is None:
         rng = np.random.default_rng(2024)
-    d = rep.dim
+    d, bound = rep.dim, threshold(tol) * frob(f) * max(1.0, abs(lam))
     for _ in range(20):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
         psi = np.outer(v, v.conj())
         lhs = np.trace(f @ apply_master_operator(rep, psi))
         rhs = lam * np.trace(f @ psi)
-        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lam)):
+        if abs(lhs - rhs) > bound:
             return False, complex(lam)
     return True, complex(lam)
 

@@ -553,7 +553,8 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     # row s * n + i is trajectory i of start s
     total = len(starts) * n
     v0 = np.repeat(np.stack([state_vector(psi0) for psi0, _ in starts]), n, axis=0)
-    jump_mats = np.stack(rep.jumps) if rep.jumps else None
+    jump_mats = np.stack([linalg.dense(j, "the sampler's jump stack")
+                          for j in rep.jumps]) if rep.jumps else None
     # a normalized state jumps at total rate <= gamma, the top eigenvalue of
     # sum_j J_j† J_j = i (H_eff - H_eff†) (H Hermitian), so few rows outrun
     # room for gamma*T + 4 sqrt(gamma*T) + 4 jumps; the cap bounds memory.

@@ -8,10 +8,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, strategies as st
 
 from weaksym import cli, linalg, models, symmetry, trajectories
@@ -95,7 +97,7 @@ def test_parse_model_dimension_mismatch():
 
 def _bits(model):
     """Every matrix of a model as its float parts, symmetries included."""
-    return [np.asarray(m).view(float) for m in
+    return [linalg.dense(m).view(float) for m in
             (model.rep.hamiltonian, *model.rep.jumps, *model.symmetries.values())]
 
 
@@ -133,16 +135,18 @@ def test_sparse_matrix_entries():
     # numbers, expressions and [re, im] pairs of either; unlisted entries are 0
     spec = {"sparse": [[0, 1, "sqrt(g)"], [1, 0, [-0.0, -1.5]], [2, 2, ["g", 1]]]}
     got = eval_matrix(spec, {"g": 4.0}, 3, "m")
+    assert isinstance(got, scipy.sparse.csr_array) and got.nnz == 3
+    got = linalg.dense(got)
     want = np.zeros((3, 3), dtype=complex)
     want[0, 1], want[1, 0], want[2, 2] = 2.0, complex(-0.0, -1.5), 4 + 1j
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got.real[1, 0])
     # plain [re, im] numbers take one array conversion, with the same bits
     numeric = {"sparse": [[1, 2, [-0.0, 2 ** 60]], [0, 0, [1e-300, -0.0]]]}
-    got = eval_matrix(numeric, {}, 3, "m")
+    got = linalg.dense(eval_matrix(numeric, {}, 3, "m"))
     assert got.view(float)[1, 4:6].tobytes() == np.array([-0.0, 2.0 ** 60]).tobytes()
     assert got.view(float)[0, 0:2].tobytes() == np.array([1e-300, -0.0]).tobytes()
-    assert eval_matrix({"sparse": []}, {}, 2, "m").tobytes() == bytes(64)
+    assert linalg.dense(eval_matrix({"sparse": []}, {}, 2, "m")).tobytes() == bytes(64)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -239,8 +243,26 @@ def test_dense_chain_file_reads_as_its_sparse_copy(tmp_path, capsys):
     out = {}
     for form, path in paths.items():
         assert main(["check", str(path)]) == 0
-        out[form] = capsys.readouterr().out
-    assert out["dense"] == out["sparse"]
+        out[form] = json.loads(capsys.readouterr().out)
+    # each form keeps its own path (arrays, CSR matrices): the same verdicts,
+    # permutations and SJEDs, and numbers equal up to rounding and signed zeros
+    _assert_same_up_to_rounding(out["dense"], out["sparse"])
+
+
+def _assert_same_up_to_rounding(a, b, atol=1e-12):
+    """Equal JSON values, floats within atol."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_same_up_to_rounding(a[k], b[k], atol)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_up_to_rounding(x, y, atol)
+    elif type(a) is float:
+        assert type(b) is float and abs(a - b) <= atol
+    else:
+        assert type(a) is type(b) and a == b
 
 
 # ---------------------------------------------------------------- commands
@@ -1114,6 +1136,64 @@ def test_unallocatable_dim_exits_2_naming_dim(command, tmp_path, capsys):
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: 'dim' 1000000000:") and err.count("\n") == 1
+
+
+def test_sparse_dim_beyond_a_dense_array_runs_check_and_names_the_dense_stage(
+        tmp_path, capsys):
+    # 10^6 x 10^6 complex entries are 16 TB, but the CSR form of three
+    # entries keeps two 8 MB row pointer arrays: check reads no dense
+    # operator, while sampling and the joint generator steps need H_eff
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "dim": 10 ** 6, "hamiltonian": {"sparse": [[0, 0, 1.0]]},
+        "jumps": [{"matrix": {"sparse": [[0, 0, 1.0], [1, 1, -1.0]]}}]}))
+    assert main(["check", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["sjeds"] == [{"indices": [0], "kind": "proportional"}]
+    assert err == ""
+    for argv in (["simulate", str(path), "--n", "2"], ["verify-joint", str(path)]):
+        _exits_2(argv, capsys, f"error: {argv[0]} ran out of memory: the effective "
+                 "Hamiltonian needs a dense 1000000 x 1000000 array")
+
+
+def test_sparse_negative_zeros_keep_the_fingerprint_and_the_file(tmp_path):
+    # a sparse file's -0.0 parts are stored entries: its CSR model hashes as
+    # the dense one with those bits, and dump_model writes the file back
+    rng = np.random.default_rng(4)
+    d = 8
+    h = np.zeros((d, d), dtype=complex)
+    h[np.arange(d), np.arange(d)] = rng.standard_normal(d)
+    h.view(float)[0, 3] = h.view(float)[2, 5] = -0.0      # zero parts, signed
+    j = np.zeros((d, d), dtype=complex)
+    j[0, 3], j[4, 1] = 0.5 - 0.25j, -1.0
+    j.view(float)[6, 2 * 7] = -0.0
+    u = np.eye(d, dtype=complex)[rng.permutation(d)]
+    u.view(float)[1, 2 * 4 + 1] = -0.0
+    model = models.Model("zeros", Representation(h, (j,)), {"perm": u})
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    dump_model(model, first)
+    loaded = load_model(first)
+    assert all(scipy.sparse.issparse(m) for m in (
+        loaded.rep.hamiltonian, *loaded.rep.jumps, *loaded.symmetries.values()))
+    assert loaded.rep.jumps[0].nnz == 3
+    _assert_same_bits(loaded, model)
+    dump_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_check_on_the_l5_chain_forms_no_dense_operator(tmp_path):
+    # load, analysis and check of the seeded L=5 chain (d = 243) stay in
+    # the operators' CSR form: one dense 243 x 243 array is 0.9 MiB, and
+    # every operator made dense once held 21.3 MiB at the peak
+    path = _chain_file(tmp_path, 5)
+    tracemalloc.start()
+    try:
+        result, ok = run_check(analyze(load_model(path)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and result["symmetries"]["combined"]["condition_III"]
+    assert peak < 8 * 2 ** 20
 
 
 BUILTINS = [name for name in models.BUILDERS if name != "qutrit-chain"]

@@ -55,7 +55,7 @@ def unitary_case(case):
         v = random_unitary(np.random.default_rng(11), 6)
         return (v * np.exp(1j * np.repeat([0.4, 2.7, 5.0], [3, 2, 1]))) @ dag(v)
     if case == "chain-translation":
-        return models.qutrit_chain(3).symmetries["translation"]
+        return linalg.dense(models.qutrit_chain(3).symmetries["translation"])
     return random_unitary(np.random.default_rng(case), 5)
 
 

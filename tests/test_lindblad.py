@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, lindblad, models
@@ -258,15 +259,55 @@ def test_traceless_jumps_share_memory_and_keep_the_formula():
     for rep in reps:
         d = rep.dim
         shift = sum((j * np.conj(np.trace(j)) - dag(j) * np.trace(j)
-                     for j in rep.jumps), np.zeros((d, d), dtype=complex))
+                     for j in map(linalg.dense, rep.jumps)), np.zeros((d, d), dtype=complex))
         hp, jumps = rep.traceless
-        assert np.array_equal(hp, rep.hamiltonian + (1j / (2.0 * d)) * shift)
+        assert np.array_equal(linalg.dense(hp),
+                              linalg.dense(rep.hamiltonian) + (1j / (2.0 * d)) * shift)
         for j, t in zip(rep.jumps, jumps, strict=True):
-            assert np.array_equal(t, j - (np.trace(j) / d) * np.eye(d))
+            assert np.array_equal(linalg.dense(t), linalg.dense(j) - (j.trace() / d) * np.eye(d))
+            if scipy.sparse.issparse(j):     # the chain's CSR jumps: one object
+                assert (t is j) == (j.trace() == 0)
+                continue
             assert np.shares_memory(t, j) == (np.trace(j) == 0)
             assert j.flags.writeable and not t.flags.writeable
-    assert any(np.trace(j) == 0 for j in chain.rep.jumps)
+    assert any(j.trace() == 0 for j in chain.rep.jumps)
     assert not any(np.trace(j) == 0 for j in reps[-1].jumps[1:])
+
+
+def test_csr_operators_give_the_dense_forms_results():
+    # the same representation with every operator a CSR matrix: its frame,
+    # nonzeros, H_eff and fingerprint, and the check of every built-in
+    from weaksym.cli import analyze, run_check
+    reps = [Representation(0.4 * SZ, (SM, np.eye(2, dtype=complex),
+                                      np.diag([1.0, 0.25]) + SM))]
+    reps += [b().rep for b in models.BUILDERS.values()]
+    for rep in reps:
+        csr = Representation(scipy.sparse.csr_array(rep.hamiltonian),
+                             tuple(map(scipy.sparse.csr_array, rep.jumps)), rep.labels)
+        hp, jumps = csr.traceless
+        assert np.allclose(linalg.dense(hp), linalg.dense(rep.traceless[0]), atol=1e-15)
+        for t, u in zip(jumps, rep.traceless[1], strict=True):
+            assert scipy.sparse.issparse(t) and np.allclose(linalg.dense(t), linalg.dense(u))
+        assert np.allclose(csr.effective_hamiltonian, rep.effective_hamiltonian, atol=1e-15)
+        assert csr.fingerprint() == rep.fingerprint()
+        k, rows, cols, values = csr.nonzeros
+        ref = rep.nonzeros
+        assert all(np.array_equal(x, y) for x, y in zip((k, rows, cols), ref[:3]))
+        assert np.allclose(values, ref[3], atol=1e-15)
+    for name, build in models.BUILDERS.items():
+        model = build()
+        csr = models.Model(name, Representation(
+            scipy.sparse.csr_array(linalg.dense(model.rep.hamiltonian)),
+            tuple(scipy.sparse.csr_array(linalg.dense(j)) for j in model.rep.jumps),
+            model.rep.labels), {k: scipy.sparse.csr_array(linalg.dense(u))
+                                for k, u in model.symmetries.items()},
+            model.sjed_groups, model.expect)
+        a, b = run_check(analyze(model))[0], run_check(analyze(csr))[0]
+        for sym in a["symmetries"]:
+            for key in ("order", "condition_I", "condition_II", "condition_III", "pi_c", "pi"):
+                assert a["symmetries"][sym][key] == b["symmetries"][sym][key], (name, sym, key)
+            assert np.allclose(a["symmetries"][sym]["phases"] or [],
+                               b["symmetries"][sym]["phases"] or [], atol=1e-12)
 
 
 def test_model_matrix_norm_is_capped():

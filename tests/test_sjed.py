@@ -270,13 +270,14 @@ def test_canonical_family_rebuilds_the_frame(rng):
         d = p.jumps[0].shape[0]
         rep = Representation(np.zeros((d, d)), p.jumps)
         canon = canonical_sjed_representation(rep, p, tol)
-        coords = linalg.coordinates(np.array(p.jumps).reshape(len(p.jumps), d * d))
+        coords = linalg.coordinates(
+            np.array([linalg.dense(j) for j in p.jumps]).reshape(len(p.jumps), d * d))
         start = 0
         for a, s in enumerate(p.sets):
             sv, zh = canonical_family(coords[:, list(s.indices)], tol)
             family = canon.jumps[start:start + len(sv)]
             start += len(sv)
-            members = [p.jumps[k] for k in s.indices]
+            members = [linalg.dense(p.jumps[k]) for k in s.indices]
             gram = np.array([[np.vdot(x, y) for y in members] for x in members])
             ev = np.linalg.eigvalsh(gram)
             assert len(family) == np.sum(ev > tol * ev[-1])

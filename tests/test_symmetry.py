@@ -74,14 +74,14 @@ def test_symmetry_operator_unresolved_order():
 
 
 def _sparse_power_order(sym):
-    """The group order as every sparse power of U tests it, with no screen."""
-    d, power = sym.dim, sym.sparse
+    """The group order as the one phase rule reads every power of U, with
+    no screen: the least n at which U^n's eigenphases form one class."""
+    power = sym.sparse
     for n in range(1, sym.order_cap + 1):
         if n > 1:
             power = power @ sym.sparse
-        tr = power.diagonal().sum()
-        if frob(power.toarray() - np.exp(1j * np.angle(tr)) * np.eye(d)) \
-                <= linalg.threshold(sym.tol) * np.sqrt(d):
+        phases = np.angle(np.linalg.eigvals(power.toarray()))
+        if len(set(linalg.phase_classes(phases, sym.tol))) == 1:
             return n
     return None
 
@@ -98,6 +98,22 @@ def _nearly_order_four():
     return v @ _phases(*turns) @ dag(v)
 
 
+@pytest.mark.parametrize("eps", [0.5e-9, 0.95e-9, 1.05e-9, 1.5e-9, 2e-9])
+def test_order_and_phase_classes_are_one_rule(eps):
+    # U = diag(1, e^{i eps}) at tol 1e-9: U = theta 1 exactly when its two
+    # eigenphases fall in one class, and no power of U does past tau
+    sym = SymmetryOperator.from_matrix(np.diag([1.0, np.exp(1j * eps)]))
+    classes = linalg.phase_classes(np.array([0.0, eps]), sym.tol)
+    assert (sym.order == 1) == (len(set(classes)) == 1) == (eps <= 1e-9)
+    if eps > 1e-9:
+        assert sym.order is None
+    # the same from the arc side: phases eps / 2 on either side of 2.5
+    arc = SymmetryOperator.from_matrix(np.diag(np.exp(1j * (2.5 + np.array([-1, 1]) * eps / 2))))
+    assert (arc.order == 1) == (eps <= 1e-9)
+    # a 4-cycle times e^{i eps}: U^4 = e^{4 i eps} 1 is one class at every eps
+    assert SymmetryOperator.from_matrix(np.eye(4)[[1, 2, 3, 0]] * np.exp(1j * eps)).order == 4
+
+
 @pytest.mark.parametrize("u, order", [
     (np.exp(0.7j) * np.eye(5), 1),
     (_phases(0, 0.5, 0), 2),
@@ -112,12 +128,13 @@ def test_order_screen_matches_the_sparse_power_loop(u, order, monkeypatch):
     sym = SymmetryOperator.from_matrix(u)
     assert _sparse_power_order(sym) == order
     # the powers U^2 .. U^order are formed for the order found, and none
-    # without one: the unscreened loop forms 63 then
+    # without one: the unscreened loop forms 63 then (the squarings that
+    # bound a power's spectral radius are not powers of U)
     products = []
     original = type(sym.sparse).__matmul__
 
     def counting(self, other):
-        if scipy.sparse.issparse(other):
+        if other is sym.sparse:
             products.append(other)
         return original(self, other)
 
@@ -761,6 +778,18 @@ def test_linear_eigenfunction_dephasing():
     f = np.array([[0, 1], [0, 0]], dtype=complex)
     ok, lam = check_linear_eigenfunction(rep, f)
     assert ok and abs(lam - (-2 * gamma)) < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+def test_linear_eigenfunction_pairing_scales_with_f(scale):
+    # the pairing |Tr[F L(psi)] - lambda Tr[F psi]| is compared with
+    # tau ||F|| max(1, |lambda|): an eigenmatrix of any norm is one, and a
+    # matrix that is none is none at every norm
+    rep = Representation(np.zeros((2, 2)), (np.sqrt(0.8) * SZ,))
+    ok, lam = check_linear_eigenfunction(rep, scale * np.array([[0, 1], [0, 0]], dtype=complex))
+    assert ok and abs(lam + 1.6) < 1e-10
+    ok, _ = check_linear_eigenfunction(rep, scale * np.array([[1, 1], [0, 0]], dtype=complex))
+    assert not ok
 
 
 def test_linear_eigenfunction_rejects_generic(rng):

@@ -8,8 +8,9 @@ reset SJEDs pinned by its ``sjeds``, which translation permutes as a
 ``--tol 1e-12`` (the threshold's rounding floor, linalg.ROUNDING_FLOOR),
 ``check`` and ``verify-joint`` on the nine built-ins at ``--tol 1e-6``
 (where the rank cut moves with tau)
-and seeded L=3, L=4, L=5 and L=6 qutrit chains (L=6 is dim 729, where ``check`` takes about 4 s and 330 MiB
-of peak RSS with one BLAS thread on a 2-core x86-64 VM) and the 64- and
+and seeded L=3, L=4, L=5, L=6 and L=7 qutrit chains (L=7 is dim 2187, where BASE trees that
+hold every operator dense take 12-14 s and 1.3 GB of peak RSS for ``check``
+with one BLAS thread on a 2-core x86-64 VM) and the 64- and
 256-jump models (the n-jump model: d = 8, H = 1, the cyclic shift as its
 symmetry, jumps |k><roll(b, k)| for k = 0..7 and n/8 vectors b from
 ``default_rng(0)``; at n = 256 condition III solves the largest
@@ -30,10 +31,12 @@ starts' state vectors and the sampler's setup weigh),
 ``verify-joint`` and ``simulate`` share one analysis), once with each tree
 on PYTHONPATH.
 BASE's ``dump_model`` writes the chain files, so both trees read the same
-files and HEAD reads the form BASE writes.  Cross-form cases then run HEAD
-on the chain files its own ``dump_model`` wrote, which may use a matrix
-form BASE cannot read, against BASE on BASE's: ``check`` at L=4 and L=5,
-``verify-joint`` at L=3, L=4 and L=5, and ``simulate --level full`` at L=3.
+files and HEAD reads the form BASE writes; a BASE whose ``qutrit_chain``
+builds dense matrices needs about 50 s and 1.75 GB to build the L=7 file.
+Cross-form cases then run HEAD on the chain files its own ``dump_model``
+wrote, which may use a matrix form BASE cannot read, against BASE on
+BASE's: ``check`` at L=4, L=5 and L=6, ``verify-joint`` at L=3, L=4 and
+L=5, and ``simulate --level full`` at L=3.
 Exit codes, strings, booleans and integers (verdicts, permutations, event
 labels) must be identical; every other number must agree within atol.
 Only the report's ``elapsed_seconds`` is not compared.  Prints one line
@@ -70,11 +73,11 @@ JUMPS = ("import numpy as np, sys; from weaksym import models, modelfile; "
 JUMP_COUNTS = (64, 128, 256)
 
 
-def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, jumps256, own):
+def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
     out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5,
-                                             chain6, jumps64, jumps256]]
+                                             chain6, chain7, jumps64, jumps256]]
     # a second tolerance moves the SJED isometries' rank cut
     out += [["check", "qutrit-chain", "--tol", "1e-6"]]
     # the smallest tol the threshold takes as it is given
@@ -102,7 +105,7 @@ def cases(chain4, chain3, chain5, chain6, jumps64, jumps128, jumps256, own):
     out += [["simulate", chain5, "--level", "full", "--n", "200"]]
     out += [["simulate", chain3, "--threads", "2", "--n", "301"]]
     out += [["report", m] for m in ("qubit-III", "qubit-I", chain3)]
-    cross = [["check", chain4], ["check", chain5]]
+    cross = [["check", chain4], ["check", chain5], ["check", chain6]]
     cross += [["verify-joint", m] for m in (chain3, chain4, chain5)]
     cross += [["simulate", chain3, "--level", "full", "--n", "300", "--seed", "7"]]
     return [(a, a) for a in out] + [(a, [own.get(x, x) for x in a]) for a in cross]
@@ -159,7 +162,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, head = os.path.abspath(args.base), os.path.abspath(args.head)
     with tempfile.TemporaryDirectory() as tmp:
-        lengths = (4, 3, 5, 6)
+        lengths = (4, 3, 5, 6, 7)
         chains, own = [], {}
         for L in lengths:
             chains.append(os.path.join(tmp, f"chain-L{L}.json"))
