@@ -12,14 +12,14 @@ solver scipy runs, so that importing this module does not load
 scipy.optimize).  An operator is a complex array or a canonical complex
 CSR matrix (`operator`); `dense` is the one way from the second to the
 first, and `frob`, `distance`, `nonzeros`, `support` and `check_unitary`
-read either form.  Nothing keeps global state, so calls
-are safe from concurrent workers.
+read either form.  An operator's `working` form, the one the other
+modules hold, is CSR only for a sparse matrix of dim above SMALL_DIM.
+Nothing keeps global state, so calls are safe from concurrent workers.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +28,7 @@ import scipy.sparse
 
 DEFAULT_TOL = 1e-9
 ROUNDING_FLOOR = 1e-12
+SMALL_DIM = 32      # largest dim of a sparse matrix held as an array (16 KiB)
 
 
 class LinalgError(Exception):
@@ -55,17 +56,11 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def issparse(a) -> bool:
-    """scipy.sparse.issparse(a), with the common array case decided by one
-    isinstance test and no abc check."""
-    return not isinstance(a, np.ndarray) and scipy.sparse.issparse(a)
-
-
 def operator(a):
     """a in one of the two operator forms: a complex array (a itself when it
     is one), or for a scipy.sparse matrix a canonical complex CSR array (a
     itself when it is one, else a copy, duplicates summed)."""
-    if not issparse(a):
+    if not scipy.sparse.issparse(a):
         return np.asarray(a, dtype=complex)
     if isinstance(a, scipy.sparse.csr_array) and a.dtype == complex \
             and a.has_canonical_format:
@@ -78,16 +73,13 @@ def operator(a):
 def dense(a, what: str = "an operator") -> np.ndarray:
     """a as an array: a sparse matrix's stored entries are written (not
     added, as scipy's toarray does, which turns -0.0 into +0.0) into zeros,
-    so every bit is kept.  A dense array larger than the machine's physical
-    memory is refused before it is allocated, as is one numpy refuses:
+    so every bit is kept.  An array numpy refuses to allocate raises
     MemoryError naming `what`, the stage that needs it."""
-    if not issparse(a):
+    if not scipy.sparse.issparse(a):
         return np.asarray(a)
     a = operator(a)
     rows, cols = a.shape
     try:
-        if rows * cols * 16 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-            raise MemoryError("larger than physical memory")
         out = np.zeros(a.shape, dtype=a.dtype)
     except (ValueError, MemoryError) as exc:    # ValueError: beyond the address range
         raise MemoryError(f"{what} needs a dense {rows} x {cols} array, which cannot "
@@ -96,11 +88,35 @@ def dense(a, what: str = "an operator") -> np.ndarray:
     return out
 
 
+def stored(values: np.ndarray) -> np.ndarray:
+    """Whether each complex value has a nonzero bit, that is a nonzero part
+    or a negative zero: the entries a model file and a CSR form keep, so
+    that every bit reads back."""
+    values = np.ascontiguousarray(values, dtype=complex)
+    return (values.view(np.uint64).reshape(*values.shape, 2) != 0).any(axis=-1)
+
+
+def working(a):
+    """a in the form the operators are held and worked on in: a sparse
+    matrix of dim above SMALL_DIM as its canonical CSR form, any other
+    operator as a complex array (`operator`, `dense`).  Up to SMALL_DIM a
+    d x d array costs less than one of scipy.sparse's constructions or
+    products (some 25-50 us each), so a small model is worked on as arrays
+    whichever form its file gives."""
+    if not scipy.sparse.issparse(a):
+        return np.asarray(a, dtype=complex)
+    return dense(a) if a.shape[0] <= SMALL_DIM else operator(a)
+
+
 def frob(a) -> float:
     """Frobenius norm, summed as np.linalg.norm sums it (the squares of the
     real and the imaginary parts, each in one dot product) without its
-    argument handling; of a sparse matrix, over its stored entries."""
-    x = (a.data if issparse(a) else np.asarray(a)).ravel(order="K")
+    argument handling; of a sparse matrix, over its stored entries.  (An
+    array is told apart by one isinstance test: scipy.sparse.issparse's abc
+    check costs 0.5 us, in the some 170 calls of a simulate op at d = 27.)"""
+    x = a if isinstance(a, np.ndarray) else \
+        a.data if scipy.sparse.issparse(a) else np.asarray(a)
+    x = x.ravel(order="K")
     if x.dtype.kind == "c":
         return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     x = x.astype(float, copy=False)
@@ -123,18 +139,19 @@ def remove_trace(m: np.ndarray) -> np.ndarray:
 
 def distance(a, b=None, traceless: bool = False) -> float:
     """||X|| for X = a - b (X = a when b is None), or with traceless
-    ||X - tr(X)/d 1||, the difference taken before the norm.  When every
-    operand is sparse, X is read from their entries, at the union of their
-    positions, with numpy; otherwise X is one array (a - b, or a copy of a)."""
-    if not (issparse(a) and (b is None or issparse(b))):
+    ||X - tr(X)/d 1||, the difference taken before the norm, of the
+    operands' `working` forms: up to dim SMALL_DIM, where those are arrays,
+    X is one array (a - b, or a copy of a); above, it is read from their
+    `nonzeros`, at the union of their positions, with numpy, so an array and
+    a CSR matrix with the same entries give the same bits."""
+    a, b = working(a), None if b is None else working(b)
+    if a.shape[0] <= SMALL_DIM:
         x = np.array(a) if b is None else a - b
         return frob(remove_trace(x) if traceless else x)
-    (d, n), (rows, cols, x) = a.shape, entries(a)
-    position = rows * n + cols
+    (d, n), (_, position, x) = a.shape, nonzeros([a])
     if b is not None:
-        rows, cols, y = entries(b)
-        other = rows * n + cols
-        if np.array_equal(position, other):     # one pattern, as stored
+        _, other, y = nonzeros([b])
+        if np.array_equal(position, other):     # one pattern
             x = x - y
         else:
             union = np.union1d(position, other)
@@ -181,7 +198,7 @@ def check_unitary(gram, tol: float = DEFAULT_TOL) -> None:
     or a sparse matrix), is within threshold(tol) max(1, sqrt(n)) of 1 in
     Frobenius norm; a NaN norm fails."""
     n = gram.shape[0]
-    if issparse(gram):     # the diagonal less 1, and the rest
+    if scipy.sparse.issparse(gram):     # the diagonal less 1, and the rest
         rows, cols, values = entries(gram)
         on = rows == cols
         gap = math.sqrt(frob(values[on] - 1.0) ** 2 + frob(values[~on]) ** 2
@@ -293,7 +310,7 @@ def nonzeros(ops) -> tuple:
     operator."""
     flat, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
     for a in ops:
-        if issparse(a):
+        if scipy.sparse.issparse(a):
             rows, cols, data = entries(a)
             keep = data != 0
             flat.append(rows[keep] * a.shape[1] + cols[keep])
@@ -306,14 +323,13 @@ def nonzeros(ops) -> tuple:
             np.concatenate(flat), np.concatenate(values))
 
 
-def support(a: scipy.sparse.csr_array) -> tuple:
-    """(rows, cols, block): the rows and the columns of a CSR matrix that
-    hold a nonzero entry, ascending, and the dense block of a on them.
-    Zero rows and columns change no singular value or product J†J, so the
-    block stands for a in both."""
-    rows, cols, data = entries(a)
-    keep = data != 0
-    rows, cols, data = rows[keep], cols[keep], data[keep]
+def support(a) -> tuple:
+    """(rows, cols, block): the rows and the columns of a matrix, an array
+    or sparse, that hold a nonzero entry, ascending, and the dense block of
+    a on them, read from its `nonzeros`.  Zero rows and columns change no
+    singular value or product J†J, so the block stands for a in both."""
+    _, flat, data = nonzeros([a])
+    rows, cols = np.divmod(flat, a.shape[1])
     r, c = np.unique(rows), np.unique(cols)
     block = np.zeros((len(r), len(c)), dtype=complex)
     block[np.searchsorted(r, rows), np.searchsorted(c, cols)] = data

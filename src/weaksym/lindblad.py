@@ -38,7 +38,7 @@ MAX_SUPEROP_DIM = 12     # largest d whose d^2 x d^2 superoperators are formed
 def _checked(m, what: str) -> None:
     """Finite entries and a Frobenius norm at most MAX_NORM, read from the
     stored entries of a sparse m."""
-    x = m.data if linalg.issparse(m) else m
+    x = m.data if scipy.sparse.issparse(m) else m
     if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite entries")
     # BLAS nrm2 scales, so no overflow; finiteness is checked above
@@ -56,7 +56,7 @@ def _frozen(m):
 def _fingerprint_update(digest, m) -> None:
     """Feed the bytes of m's dense form to digest, a sparse m in blocks of
     rows of about 1 MiB, so that no d x d array is formed."""
-    if not linalg.issparse(m):
+    if not scipy.sparse.issparse(m):
         digest.update(m.tobytes())
         return
     (d, n), rows, (r, c, v) = m.shape, max(1, 2 ** 16 // m.shape[1]), linalg.entries(m)
@@ -71,17 +71,18 @@ def _fingerprint_update(digest, m) -> None:
 class Representation:
     """Hamiltonian plus ordered jump operators for one unravelling.
 
-    Each operator keeps the form it is given in (linalg.operator): a
-    complex array, or a canonical CSR array, as a model file's sparse
-    entries give it.  The checks, `traceless`, `nonzeros` and `fingerprint`
-    read a CSR operator's stored entries; `effective_hamiltonian` is dense."""
+    Each operator is held in its working form (linalg.working): a
+    complex array, or above linalg.SMALL_DIM a canonical CSR array when it
+    is given sparse, as a model file's sparse entries give it.  The checks,
+    `traceless`, `nonzeros` and `fingerprint` read a CSR operator's stored
+    entries; `effective_hamiltonian` is dense."""
 
     hamiltonian: np.ndarray
     jumps: tuple
     labels: tuple = ()
 
     def __post_init__(self):
-        h = linalg.operator(self.hamiltonian)
+        h = linalg.working(self.hamiltonian)
         d = h.shape[0]
         if h.shape != (d, d):
             raise ShapeError(f"hamiltonian must be square, got {h.shape}")
@@ -89,7 +90,7 @@ class Representation:
         hnorm = frob(h)
         if hnorm > 0 and linalg.distance(h, dag(h)) > DEFAULT_TOL * max(hnorm, 1.0):
             raise ValueError("hamiltonian is not Hermitian within tolerance")
-        jumps = tuple(map(linalg.operator, self.jumps))
+        jumps = tuple(map(linalg.working, self.jumps))
         for k, j in enumerate(jumps):
             if j.shape != (d, d):
                 raise ShapeError(f"jump {k} has shape {j.shape}, expected {(d, d)}")
@@ -128,7 +129,7 @@ class Representation:
             if tr != 0:
                 shift = shift + (j * np.conj(tr) - dag(j) * tr)
                 j = j - (tr / d) * scipy.sparse.eye_array(d, format="csr") \
-                    if linalg.issparse(j) else linalg.remove_trace(j.copy())
+                    if scipy.sparse.issparse(j) else linalg.remove_trace(j.copy())
             jumps.append(_frozen(j.view() if isinstance(j, np.ndarray) else j))
         h = self.hamiltonian if np.isscalar(shift) else \
             linalg.operator(self.hamiltonian + (1j / (2.0 * d)) * shift)
@@ -149,10 +150,10 @@ class Representation:
         shared; a CSR jump adds J_S† J_S on its nonzero columns, J_S its
         block on its nonzero rows and columns (linalg.support)."""
         h = self.hamiltonian
-        out = linalg.dense(h, "the effective Hamiltonian") if linalg.issparse(h) \
+        out = linalg.dense(h, "the effective Hamiltonian") if scipy.sparse.issparse(h) \
             else h.copy()
         for j in self.jumps:
-            if linalg.issparse(j):
+            if scipy.sparse.issparse(j):
                 _, cols, block = linalg.support(j)
                 out[np.ix_(cols, cols)] -= 0.5j * (dag(block) @ block)
             else:

@@ -23,10 +23,10 @@ entries of a sparse form, every other entry being 0::
 
 Each item is [row, column, entry] with integer indices in [0, dim) and
 no (row, column) listed twice.  A sparse matrix loads as a CSR array of its
-entries, a dense one as an array.  `model_to_doc` writes a matrix sparse
-when fewer than half of its entries are stored, that is have a part
-that is nonzero or a negative zero, so the file holds fewer numbers;
-either form reads back bit for bit.
+entries (as an array up to dim linalg.SMALL_DIM), a dense one as an array.
+`model_to_doc` writes a matrix sparse when fewer than half of its entries
+are stored, that is have a part that is nonzero or a negative zero, so the
+file holds fewer numbers; either form reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -163,10 +163,10 @@ def _sparse_items(items: list, dim: int, what: str) -> tuple:
     dump_model writes, row-major with none repeated, are checked in bulk;
     any others go item by item, which names the first item at fault."""
     if set(map(type, items)) <= {list} and set(map(len, items)) <= {3}:
-        rows, cols, entries = (list(map(operator.itemgetter(c), items)) for c in range(3))
-        if set(map(type, rows)) | set(map(type, cols)) <= {int}:     # no bool
+        rows, cols, entries = zip(*items) if items else ((), (), ())
+        if set(map(type, rows + cols)) <= {int}:     # no bool
             try:
-                ij = np.array([np.fromiter(x, np.int64, len(x)) for x in (rows, cols)])
+                ij = np.array((rows, cols), dtype=np.int64).reshape(2, -1)
             except OverflowError:
                 ij = np.full((2, 1), -1)
             flat = ij[0] * dim + ij[1]        # dim <= MAX_DIM: no overflow
@@ -192,9 +192,11 @@ def _sparse_items(items: list, dim: int, what: str) -> tuple:
 
 
 def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str):
-    """A {"sparse": [[i, j, entry], ...]} matrix as a canonical CSR array;
-    unlisted entries are 0.  An entry is stored when a part is nonzero or a
-    negative zero, so its bits, signed zeros included, are kept."""
+    """A {"sparse": [[i, j, entry], ...]} matrix in its working form
+    (linalg.working): a canonical CSR array, or an array for dim up to
+    linalg.SMALL_DIM; unlisted entries are 0.  An entry is stored when a
+    part is nonzero or a negative zero, so its bits, signed zeros included,
+    are kept."""
     for key in spec:
         if key != "sparse":
             raise ParseError(f"{what}: unexpected key {key!r} beside 'sparse'")
@@ -217,8 +219,12 @@ def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str):
             values += (value.real, value.imag)
     # the parts land bit for bit: re + 1j * im would turn -0.0 into +0.0
     data = np.asarray(values, dtype=float).view(complex)[order]
-    stored = (data.view(np.uint64).reshape(-1, 2) != 0).any(axis=1)
+    stored = linalg.stored(data)
     rows, cols, data = pairs[0][stored], pairs[1][stored], data[stored]
+    if dim <= linalg.SMALL_DIM:
+        out = np.zeros((dim, dim), dtype=complex)
+        out[rows, cols] = data
+        return out
     indptr = np.searchsorted(rows, np.arange(dim + 1))
     return scipy.sparse.csr_array((data, cols, indptr), shape=(dim, dim))
 
@@ -357,14 +363,13 @@ def _model_matrix_doc(m):
     when 2·stored < d², dense rows otherwise.  An entry is stored when a
     part is nonzero or a negative zero, so either form reads back bit for
     bit; a CSR matrix's entries are read as they are stored."""
-    if linalg.issparse(m):
+    if scipy.sparse.issparse(m):
         rows, cols, values = linalg.entries(m)
-        stored = (values.view(np.uint64).reshape(-1, 2) != 0).any(axis=-1)
+        stored = linalg.stored(values)
         rows, cols, values = rows[stored], cols[stored], values[stored]
     else:
-        m = np.ascontiguousarray(m, dtype=complex)
-        stored = (m.view(np.uint64).reshape(*m.shape, 2) != 0).any(axis=-1)
-        rows, cols = np.nonzero(stored)
+        m = np.asarray(m, dtype=complex)
+        rows, cols = np.nonzero(linalg.stored(m))
         values = m[rows, cols]
     if 2 * rows.size >= m.shape[0] * m.shape[1]:
         return _matrix_doc(m)

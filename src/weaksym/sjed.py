@@ -66,34 +66,43 @@ def _rank_one_split(j, tol: float):
     """(destination, source) with J = |dest><source|, or None when the
     singular values have s_1 > tol s_0.
 
-    A CSR jump is read from its entries: with one nonzero row r it is
-    |e_r><conj(row r)| and with one nonzero column c |col><e_c| scaled, by
-    inspection; any other is split as its dense block on its nonzero rows
-    and columns (linalg.support), which has J's singular values.
+    A jump of dim up to linalg.SMALL_DIM is split as an array
+    (_dense_rank_one_split).  A larger one, array or CSR, is read from its
+    nonzero entries, so both forms give the same split: with one nonzero
+    row r it is |e_r><conj(row r)| and with one nonzero column c
+    |col><e_c| scaled, by inspection; any other is split as its dense block
+    on its nonzero rows and columns (linalg.support), which has J's
+    singular values."""
+    j = linalg.working(j)
+    if j.shape[0] <= linalg.SMALL_DIM:
+        return _dense_rank_one_split(j, tol)
+    rows, cols, block = linalg.support(j)
+    d = j.shape[0]
+    dest, source = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+    if len(rows) == 1:
+        dest[rows[0]], source[cols] = 1.0, block[0].conj()
+        return dest, source
+    if len(cols) == 1:
+        dest[rows] = linalg.fix_column_phases(block / frob(block))[:, 0]
+        source[cols] = block[:, 0].conj() @ dest[rows]
+        return dest, source
+    split = _dense_rank_one_split(block, tol)
+    if split is None:
+        return None
+    dest[rows], source[cols] = split
+    return dest, source
 
-    Bounds settle most dense jumps in O(d^2): with c the column of largest
+
+def _dense_rank_one_split(j: np.ndarray, tol: float):
+    """_rank_one_split of an array, of any shape.
+
+    Bounds settle most jumps in O(d^2): with c the column of largest
     norm and dest = c / ||c||, R = ||J - dest dest† J|| >= s_1 and ||J† dest||
     <= s_0 accept when R <= tol ||J† dest||; the second singular value of
     [c, c'], c' the column R leaves largest, is <= s_1 and ||J|| >= s_0
     reject when it exceeds tol ||J||.  A full SVD decides the band between.
     An accepted dest is refined to the top singular vector by power steps.
     """
-    if linalg.issparse(j):
-        rows, cols, block = linalg.support(j)
-        d = j.shape[0]
-        dest, source = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
-        if len(rows) == 1:
-            dest[rows[0]], source[cols] = 1.0, block[0].conj()
-            return dest, source
-        if len(cols) == 1:
-            dest[rows] = linalg.fix_column_phases(block / frob(block))[:, 0]
-            source[cols] = block[:, 0].conj() @ dest[rows]
-            return dest, source
-        split = _rank_one_split(block, tol)
-        if split is None:
-            return None
-        dest[rows], source[cols] = split
-        return dest, source
     col = j[:, np.argmax(linalg.norms(j))]
     if frob(col) > 0.0:
         dest = col / frob(col)
@@ -129,7 +138,7 @@ def _proportionality_gap(base, x) -> float:
     """min_c ||x - c base|| for unit vectors (or operators, arrays or
     sparse) base and x: the sine of the angle between them, from the
     difference itself."""
-    if linalg.issparse(base) or linalg.issparse(x):
+    if scipy.sparse.issparse(base) or scipy.sparse.issparse(x):
         c = scipy.sparse.csr_array(base).conj().multiply(x).sum()
     else:
         c = np.vdot(base, x)
@@ -138,7 +147,7 @@ def _proportionality_gap(base, x) -> float:
 
 def _adjoint_times(j, v: np.ndarray) -> np.ndarray:
     """J† v; for a CSR J, summed from its entries with numpy."""
-    if not linalg.issparse(j):
+    if not scipy.sparse.issparse(j):
         return dag(j) @ v
     rows, cols, values = linalg.entries(j)
     terms = values.conj() * v[rows]

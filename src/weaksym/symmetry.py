@@ -101,41 +101,42 @@ def _radius_at_most(power: scipy.sparse.csr_array, theta: complex, bound: float)
 class SymmetryOperator:
     """A unitary U in CSR form, which forms its images U A U† and its
     (finite) group order with sparse products.  `matrix`, U as a d x d
-    array, is the array U was given as, or formed on first use for the
-    readers that need one (the eigendecomposition, transformed Choi
-    matrices, the ensemble test).  The order and the eigendecomposition
-    (`phases`, `eigenbasis`) are computed on first use."""
+    array, is formed on first use for the readers that need one (the
+    eigendecomposition, transformed Choi matrices, the ensemble test).
+    The order and the eigendecomposition (`phases`, `eigenbasis`) are
+    computed on first use."""
 
     sparse: scipy.sparse.csr_array
     tol: float = DEFAULT_TOL
     order_cap: int = 64
-    given: np.ndarray | None = field(default=None, repr=False, compare=False)
     _images: list = field(default_factory=list, init=False, repr=False,
                           compare=False)
 
     @classmethod
     def from_matrix(cls, u, tol: float = DEFAULT_TOL, order_cap: int = 64):
-        """The operator of u, an array or a sparse matrix (its stored zeros
-        dropped); NotUnitaryError unless ||U U† - 1|| is at most
-        threshold(tol) max(1, sqrt(d)) (linalg.check_unitary), U U† a sparse
-        product for a sparse u."""
-        if linalg.issparse(u):
-            sparse = linalg.operator(u)
-            if not sparse.data.all():       # a stored zero: drop it from a copy
-                sparse = sparse.copy()
-                sparse.eliminate_zeros()
-            if sparse.shape[0] != sparse.shape[1]:
-                raise linalg.ShapeError(f"expected square matrix, got {sparse.shape}")
-            op = cls(sparse, tol, order_cap)
-            linalg.check_unitary(sparse @ op._adjoint, tol)
-            return op
-        u = linalg.square(u)
-        rows, cols = np.nonzero(u)      # row-major, so rows ascend
+        """The operator of u, an array or a sparse matrix, in a canonical
+        CSR form that stores the entries with a nonzero bit (linalg.stored),
+        so that `matrix` is u bit for bit; NotUnitaryError unless
+        ||U U† - 1|| is at most threshold(tol) max(1, sqrt(d))
+        (linalg.check_unitary), U U† the product of U with U† in its working
+        form (linalg.working)."""
+        if scipy.sparse.issparse(u):
+            u = linalg.operator(u)
+            if u.shape[0] != u.shape[1]:
+                raise linalg.ShapeError(f"expected square matrix, got {u.shape}")
+            rows, cols, values = linalg.entries(u)
+        else:
+            u = linalg.square(u)
+            rows, cols = np.divmod(np.arange(u.size), len(u))
+            values = u.ravel()
+        keep = linalg.stored(values)        # row-major, so rows ascend
         sparse = scipy.sparse.csr_array(
-            (u[rows, cols], cols, np.searchsorted(rows, np.arange(len(u) + 1))),
+            (values[keep], cols[keep], np.searchsorted(rows[keep], np.arange(u.shape[0] + 1))),
             shape=u.shape)
-        linalg.check_unitary(sparse @ dag(u), tol)
-        return cls(sparse, tol, order_cap, u)
+        op = cls(sparse, tol, order_cap)
+        adjoint = dag(op.matrix) if op.dim <= linalg.SMALL_DIM else op._adjoint
+        linalg.check_unitary(sparse @ adjoint, tol)
+        return op
 
     @property
     def dim(self) -> int:
@@ -143,8 +144,7 @@ class SymmetryOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.given if self.given is not None else \
-            linalg.dense(self.sparse, "the symmetry's matrix")
+        return linalg.dense(self.sparse, "the symmetry's matrix")
 
     @cached_property
     def order(self) -> int | None:
@@ -213,7 +213,7 @@ class SymmetryOperator:
     def conjugate(self, a):
         """U A U† for an operator on the system (an array, or a sparse
         matrix, which gives one), as U (U A†)†."""
-        a = a if linalg.issparse(a) else np.asarray(a, dtype=complex)
+        a = a if scipy.sparse.issparse(a) else np.asarray(a, dtype=complex)
         return self.sparse @ dag(self.sparse @ dag(a))
 
     def conjugate_nonzeros(self, k, rows, cols, values) -> tuple:
@@ -263,7 +263,7 @@ class SymmetryImages:
         k, rows, cols, values = rep.nonzeros
         ik, irows, icols, ivalues = sym.conjugate_nonzeros(k, rows, cols, values)
         m, im = np.searchsorted(k, 2), np.searchsorted(ik, 2)   # H and H' first
-        if linalg.issparse(rep.hamiltonian):
+        if scipy.sparse.issparse(rep.hamiltonian):
             # as entries, in H's form: a CSR matrix each
             ends = np.searchsorted(ik[:im], [0, 1, 2])
             images = [scipy.sparse.csr_array(
@@ -439,7 +439,8 @@ def check_condition_II(rep: Representation, sym: SymmetryOperator,
     pi, gap = match_sets(images.jumps, images.jump_images, sets, sets, tol)
     result = _verdict(tol, images.hamiltonian_residual, {
         "condition I distance": below.residual,
-        "Hamiltonian gap": images.hamiltonian_residual / max(frob(rep.hamiltonian), 1.0),
+        "Hamiltonian gap":
+            images.hamiltonian_residual / max(linalg.distance(rep.hamiltonian), 1.0),
         "SJED matching gap": np.inf if pi is None else gap})
     if result.holds:
         result.permutation = pi

@@ -135,18 +135,20 @@ def test_sparse_matrix_entries():
     # numbers, expressions and [re, im] pairs of either; unlisted entries are 0
     spec = {"sparse": [[0, 1, "sqrt(g)"], [1, 0, [-0.0, -1.5]], [2, 2, ["g", 1]]]}
     got = eval_matrix(spec, {"g": 4.0}, 3, "m")
-    assert isinstance(got, scipy.sparse.csr_array) and got.nnz == 3
-    got = linalg.dense(got)
     want = np.zeros((3, 3), dtype=complex)
     want[0, 1], want[1, 0], want[2, 2] = 2.0, complex(-0.0, -1.5), 4 + 1j
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got.real[1, 0])
+    # above linalg.SMALL_DIM the same items load as a CSR array of them
+    big = eval_matrix(spec, {"g": 4.0}, linalg.SMALL_DIM + 1, "m")
+    assert isinstance(big, scipy.sparse.csr_array) and big.nnz == 3
+    assert linalg.dense(big)[:3, :3].tobytes() == want.tobytes()
     # plain [re, im] numbers take one array conversion, with the same bits
     numeric = {"sparse": [[1, 2, [-0.0, 2 ** 60]], [0, 0, [1e-300, -0.0]]]}
-    got = linalg.dense(eval_matrix(numeric, {}, 3, "m"))
+    got = eval_matrix(numeric, {}, 3, "m")
     assert got.view(float)[1, 4:6].tobytes() == np.array([-0.0, 2.0 ** 60]).tobytes()
     assert got.view(float)[0, 0:2].tobytes() == np.array([1e-300, -0.0]).tobytes()
-    assert linalg.dense(eval_matrix({"sparse": []}, {}, 2, "m")).tobytes() == bytes(64)
+    assert eval_matrix({"sparse": []}, {}, 2, "m").tobytes() == bytes(64)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -226,8 +228,18 @@ def test_model_doc_roundtrip_is_bit_exact(model):
 
 
 def test_dense_chain_file_reads_as_its_sparse_copy(tmp_path, capsys):
-    thetas = np.random.default_rng(7).uniform(0, 2 * np.pi, 3)
-    model = models.qutrit_chain(3, thetas=thetas)
+    _check_dense_and_sparse_chain_files(3, tmp_path, capsys)
+
+
+def test_dense_chain_file_above_small_dim_reads_as_its_sparse_copy(tmp_path, capsys):
+    # at L = 4 (dim 81, above linalg.SMALL_DIM) the sparse file's operators
+    # are CSR matrices and the dense file's arrays: check prints the same
+    _check_dense_and_sparse_chain_files(4, tmp_path, capsys)
+
+
+def _check_dense_and_sparse_chain_files(length, tmp_path, capsys):
+    thetas = np.random.default_rng(7).uniform(0, 2 * np.pi, length)
+    model = models.qutrit_chain(length, thetas=thetas)
     doc = model_to_doc(model)
     assert "sparse" in doc["jumps"][0]["matrix"]
     # the dense form every earlier version wrote: [re, im] rows of every matrix
@@ -243,26 +255,8 @@ def test_dense_chain_file_reads_as_its_sparse_copy(tmp_path, capsys):
     out = {}
     for form, path in paths.items():
         assert main(["check", str(path)]) == 0
-        out[form] = json.loads(capsys.readouterr().out)
-    # each form keeps its own path (arrays, CSR matrices): the same verdicts,
-    # permutations and SJEDs, and numbers equal up to rounding and signed zeros
-    _assert_same_up_to_rounding(out["dense"], out["sparse"])
-
-
-def _assert_same_up_to_rounding(a, b, atol=1e-12):
-    """Equal JSON values, floats within atol."""
-    if isinstance(a, dict):
-        assert a.keys() == b.keys()
-        for k in a:
-            _assert_same_up_to_rounding(a[k], b[k], atol)
-    elif isinstance(a, list):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            _assert_same_up_to_rounding(x, y, atol)
-    elif type(a) is float:
-        assert type(b) is float and abs(a - b) <= atol
-    else:
-        assert type(a) is type(b) and a == b
+        out[form] = capsys.readouterr().out
+    assert out["dense"] == out["sparse"]
 
 
 # ---------------------------------------------------------------- commands
@@ -1156,11 +1150,12 @@ def test_sparse_dim_beyond_a_dense_array_runs_check_and_names_the_dense_stage(
                  "Hamiltonian needs a dense 1000000 x 1000000 array")
 
 
-def test_sparse_negative_zeros_keep_the_fingerprint_and_the_file(tmp_path):
-    # a sparse file's -0.0 parts are stored entries: its CSR model hashes as
-    # the dense one with those bits, and dump_model writes the file back
+@pytest.mark.parametrize("d", [8, linalg.SMALL_DIM + 8])
+def test_sparse_negative_zeros_keep_the_fingerprint_and_the_file(d, tmp_path):
+    # a sparse file's -0.0 parts are stored entries: its model, CSR above
+    # linalg.SMALL_DIM, hashes as the dense one with those bits, its
+    # symmetry's matrix keeps them, and dump_model writes the file back
     rng = np.random.default_rng(4)
-    d = 8
     h = np.zeros((d, d), dtype=complex)
     h[np.arange(d), np.arange(d)] = rng.standard_normal(d)
     h.view(float)[0, 3] = h.view(float)[2, 5] = -0.0      # zero parts, signed
@@ -1173,10 +1168,12 @@ def test_sparse_negative_zeros_keep_the_fingerprint_and_the_file(tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     dump_model(model, first)
     loaded = load_model(first)
-    assert all(scipy.sparse.issparse(m) for m in (
+    assert all(scipy.sparse.issparse(m) == (d > linalg.SMALL_DIM) for m in (
         loaded.rep.hamiltonian, *loaded.rep.jumps, *loaded.symmetries.values()))
-    assert loaded.rep.jumps[0].nnz == 3
+    assert np.count_nonzero(linalg.stored(linalg.dense(loaded.rep.jumps[0]))) == 3
     _assert_same_bits(loaded, model)
+    matrix = symmetry.SymmetryOperator.from_matrix(loaded.symmetries["perm"]).matrix
+    assert matrix.tobytes() == u.tobytes()
     dump_model(loaded, second)
     assert second.read_bytes() == first.read_bytes()
 

@@ -274,40 +274,55 @@ def test_traceless_jumps_share_memory_and_keep_the_formula():
     assert not any(np.trace(j) == 0 for j in reps[-1].jumps[1:])
 
 
+def _csr(a):
+    """a as a CSR array that stores its entries with a nonzero bit
+    (linalg.stored), so that it keeps every bit of a."""
+    rows, cols = np.nonzero(linalg.stored(a))
+    return scipy.sparse.csr_array((a[rows, cols], (rows, cols)), shape=a.shape)
+
+
+def _embedded(model, form):
+    """The model with every operator A made A ⊗ 1, of dim above
+    linalg.SMALL_DIM, in form (np.asarray or _csr)."""
+    m = linalg.SMALL_DIM // model.rep.dim + 1
+
+    def op(a):
+        return form(np.kron(linalg.dense(a), np.eye(m)))
+    rep = Representation(op(model.rep.hamiltonian), tuple(map(op, model.rep.jumps)),
+                         model.rep.labels)
+    return models.Model(model.name, rep, {k: op(u) for k, u in model.symmetries.items()},
+                        model.sjed_groups, model.expect)
+
+
 def test_csr_operators_give_the_dense_forms_results():
-    # the same representation with every operator a CSR matrix: its frame,
-    # nonzeros, H_eff and fingerprint, and the check of every built-in
+    # the same representation of dim above linalg.SMALL_DIM with every
+    # operator an array and a CSR matrix: its frame, nonzeros, H_eff and
+    # fingerprint, and the check of every built-in
     from weaksym.cli import analyze, run_check
-    reps = [Representation(0.4 * SZ, (SM, np.eye(2, dtype=complex),
-                                      np.diag([1.0, 0.25]) + SM))]
-    reps += [b().rep for b in models.BUILDERS.values()]
-    for rep in reps:
-        csr = Representation(scipy.sparse.csr_array(rep.hamiltonian),
-                             tuple(map(scipy.sparse.csr_array, rep.jumps)), rep.labels)
-        hp, jumps = csr.traceless
-        assert np.allclose(linalg.dense(hp), linalg.dense(rep.traceless[0]), atol=1e-15)
+    traced = models.Model("traced", Representation(
+        0.4 * SZ, (SM, np.eye(2, dtype=complex), np.diag([1.0, 0.25]) + SM)), {})
+    for model in [traced] + [b() for n, b in models.BUILDERS.items() if n != "qutrit-chain"]:
+        dense, csr = _embedded(model, np.asarray), _embedded(model, _csr)
+        rep = dense.rep
+        assert not any(map(scipy.sparse.issparse, (rep.hamiltonian, *rep.jumps)))
+        hp, jumps = csr.rep.traceless
+        assert np.allclose(linalg.dense(hp), rep.traceless[0], atol=1e-15)
         for t, u in zip(jumps, rep.traceless[1], strict=True):
-            assert scipy.sparse.issparse(t) and np.allclose(linalg.dense(t), linalg.dense(u))
-        assert np.allclose(csr.effective_hamiltonian, rep.effective_hamiltonian, atol=1e-15)
-        assert csr.fingerprint() == rep.fingerprint()
-        k, rows, cols, values = csr.nonzeros
+            assert scipy.sparse.issparse(t) and np.allclose(linalg.dense(t), u)
+        assert np.allclose(csr.rep.effective_hamiltonian, rep.effective_hamiltonian, atol=1e-15)
+        assert csr.rep.fingerprint() == rep.fingerprint()
+        k, rows, cols, values = csr.rep.nonzeros
         ref = rep.nonzeros
         assert all(np.array_equal(x, y) for x, y in zip((k, rows, cols), ref[:3]))
         assert np.allclose(values, ref[3], atol=1e-15)
-    for name, build in models.BUILDERS.items():
-        model = build()
-        csr = models.Model(name, Representation(
-            scipy.sparse.csr_array(linalg.dense(model.rep.hamiltonian)),
-            tuple(scipy.sparse.csr_array(linalg.dense(j)) for j in model.rep.jumps),
-            model.rep.labels), {k: scipy.sparse.csr_array(linalg.dense(u))
-                                for k, u in model.symmetries.items()},
-            model.sjed_groups, model.expect)
-        a, b = run_check(analyze(model))[0], run_check(analyze(csr))[0]
+        a, b = run_check(analyze(dense))[0], run_check(analyze(csr))[0]
         for sym in a["symmetries"]:
             for key in ("order", "condition_I", "condition_II", "condition_III", "pi_c", "pi"):
-                assert a["symmetries"][sym][key] == b["symmetries"][sym][key], (name, sym, key)
+                assert a["symmetries"][sym][key] == b["symmetries"][sym][key], \
+                    (model.name, sym, key)
             assert np.allclose(a["symmetries"][sym]["phases"] or [],
                                b["symmetries"][sym]["phases"] or [], atol=1e-12)
+        assert a["sjeds"] == b["sjeds"]
 
 
 def test_model_matrix_norm_is_capped():

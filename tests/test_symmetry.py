@@ -2,7 +2,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, models
@@ -128,19 +127,25 @@ def test_order_screen_matches_the_sparse_power_loop(u, order, monkeypatch):
     sym = SymmetryOperator.from_matrix(u)
     assert _sparse_power_order(sym) == order
     # the powers U^2 .. U^order are formed for the order found, and none
-    # without one: the unscreened loop forms 63 then (the squarings that
-    # bound a power's spectral radius are not powers of U)
-    products = []
+    # without one: the unscreened loop forms 63 then; each power the screen
+    # passes takes at most two spectral radius bounds of 6 squarings each
+    products, squarings = [], []
     original = type(sym.sparse).__matmul__
 
     def counting(self, other):
         if other is sym.sparse:
             products.append(other)
+        elif other is self:
+            squarings.append(other)
         return original(self, other)
 
     monkeypatch.setattr(type(sym.sparse), "__matmul__", counting)
     assert sym.order == order
     assert len(products) == (order - 1 if order else 0)
+    v = np.arange(1.0, sym.dim + 1.0)
+    powers = [np.linalg.matrix_power(u, n) for n in range(1, (order or sym.order_cap) + 1)]
+    screened = sum(abs(v @ p @ v) >= (1 - linalg.threshold(sym.tol)) * v @ v for p in powers)
+    assert len(squarings) <= 12 * screened
 
 
 # ---------------------------------------------------------------- mixing

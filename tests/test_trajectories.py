@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from weaksym import linalg, models
+from weaksym import models
 from weaksym.lindblad import (
     Representation,
     evolve_density,
@@ -409,8 +409,8 @@ def _stepwise_ensemble(rep, psi0, horizon, n, seed=0, checkpoint_times=(),
     step = min(0.05 * max(horizon, 1e-12), 0.45 / max(frob(heff), 1e-12))
     grid = _grid(horizon, step, checkpoint_times)
     phis = np.tile(state_vector(psi0), (n, 1))
-    jump_mats = np.stack([linalg.dense(j) for j in rep.jumps])
-    gamma = float(np.linalg.eigh(sum(dag(j) @ j for j in jump_mats))[0][-1])
+    jump_mats = np.stack(rep.jumps)
+    gamma = float(np.linalg.eigh(sum(dag(j) @ j for j in rep.jumps))[0][-1])
     jumps = gamma * horizon + 4.0 * np.sqrt(gamma * horizon) + 4.0
     streams = _Streams(np.full(n, seed & _MASK, dtype=np.uint64),
                        np.uint64(first_index) + np.arange(n, dtype=np.uint64),
