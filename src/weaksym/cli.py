@@ -163,15 +163,23 @@ def run_verify_joint(analysis):
     return result
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (taskset, say)
+    where the platform has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sample(rep, starts, horizon, n, threads) -> list:
     """One ensemble of n trajectories to horizon per (psi0, seed) of
     starts, all from one sampler pass split by trajectory index.
 
-    With threads > 1 (at most one per CPU, and at least 2 trajectories
-    each) a process pool samples one contiguous chunk of indices of
-    every start per process; without, the one chunk is all of them.
-    TrajectoryEnsemble.join joins each start's chunks."""
-    threads = min(threads, os.cpu_count() or 1)
+    With threads > 1 (at most one per CPU the process may run on, and at
+    least 2 trajectories each) a process pool samples one contiguous chunk
+    of indices of every start per process; without, the one chunk is all
+    of them.  TrajectoryEnsemble.join joins each start's chunks."""
+    threads = min(threads, _cpus())
     if n < 2 * threads:
         threads = 1
     bounds = np.linspace(0, n, threads + 1).astype(int)
@@ -204,7 +212,7 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
     # one sampler pass: A from (psi0, seed) serves the average and every
     # test, and each symmetry's B starts from (U psi0, seed + 1)
     symmetries = analysis.symmetries
-    starts = [(psi0, seed)] + [(sym.sparse @ psi0, seed + 1)
+    starts = [(psi0, seed)] + [(sym.u @ psi0, seed + 1)
                                for sym, _ in symmetries.values()]
     ens, *others = _sample(rep, starts, horizon, n, threads)
     for (name, (sym, report)), ens_b in zip(symmetries.items(), others):

@@ -67,46 +67,42 @@ class PhaseSumNotInteger(Exception):
     pass
 
 
-def _radius_at_most(power: scipy.sparse.csr_array, theta: complex, bound: float) -> bool:
-    """Whether the spectral radius r of N = P - theta 1, P a sparse unitary,
-    is at most bound, by Gelfand's formula on N^k, k = 1, 2, 4, ..., 64
-    (each N^k is normal): max |diag N^k| <= r^k <= sqrt(||N^k||_1
-    ||N^k||_inf), the diagonal lying in the convex hull of the eigenvalues.
-    No when still undecided at k = 64, that is when r is within a factor
-    d^(1/128) above bound.  N's entries come from P's with numpy; the
-    powers are rescaled as they are squared, N^k = e^scale n."""
+def _radius_at_most(power, theta: complex, bound: float) -> bool:
+    """Whether the spectral radius r of N = P - theta 1, P a unitary in its
+    working form (an array, or a CSR matrix above linalg.SMALL_DIM), is at
+    most bound, by Gelfand's formula on N^k, k = 1, 2, 4, ..., 64 (each N^k
+    is normal): max |diag N^k| <= r^k <= sqrt(||N^k||_1 ||N^k||_inf), the
+    diagonal lying in the convex hull of the eigenvalues, the norms the
+    largest absolute column and row sums.  No when still undecided at
+    k = 64, that is when r is within a factor d^(1/128) above bound.  The
+    powers are rescaled as they are squared, N^k = e^scale n, in P's form."""
     d = power.shape[0]
-    rows, cols, values = linalg.entries(power)
-    on = rows == cols
-    diagonal = np.full(d, -theta, dtype=complex)
-    diagonal[rows[on]] += values[on]
-    values = np.where(on, 0.0, values)      # N off the diagonal, then the diagonal
-    rows, cols, values = (np.append(x, y) for x, y in (
-        (rows, np.arange(d)), (cols, np.arange(d)), (values, diagonal)))
-    scale, k = 0.0, 1
+    one = np.eye(d) if isinstance(power, np.ndarray) else scipy.sparse.eye_array(d)
+    n, scale, k = power - theta * one, 0.0, 1
     while True:
-        weights = np.abs(values)
-        upper = np.sqrt(np.bincount(rows, weights, d).max() * np.bincount(cols, weights, d).max())
+        weights = abs(n)
+        upper = np.sqrt(weights.sum(axis=1).max() * weights.sum(axis=0).max())
         if upper == 0.0 or (scale + np.log(upper)) / k <= np.log(bound):
             return True
-        lower = np.max(weights[rows == cols], initial=0.0)
+        lower = np.max(weights.diagonal(), initial=0.0)
         if k == 64 or (lower > 0.0 and (scale + np.log(lower)) / k > np.log(bound)):
             return False
-        n = scipy.sparse.csr_array((values / upper, (rows, cols)), shape=(d, d))
-        rows, cols, values = linalg.entries(n @ n)
-        scale, k = 2.0 * (scale + np.log(upper)), 2 * k
+        n = n / upper
+        n, scale, k = n @ n, 2.0 * (scale + np.log(upper)), 2 * k
 
 
 @dataclass(frozen=True)
 class SymmetryOperator:
-    """A unitary U in CSR form, which forms its images U A U† and its
-    (finite) group order with sparse products.  `matrix`, U as a d x d
-    array, is formed on first use for the readers that need one (the
-    eigendecomposition, transformed Choi matrices, the ensemble test).
-    The order and the eigendecomposition (`phases`, `eigenbasis`) are
-    computed on first use."""
+    """A unitary U, held by `u` in the form its dim chooses, whatever form
+    it is given in (linalg.working's rule): a complex array up to
+    linalg.SMALL_DIM, a CSR matrix above.  Its images U A U† and its
+    (finite) group order are formed with products in that form.  `matrix`,
+    U as a d x d array (`u` itself up to SMALL_DIM), is formed on first use
+    for the readers that need one (the eigendecomposition, transformed Choi
+    matrices, the ensemble test).  The order and the eigendecomposition
+    (`phases`, `eigenbasis`) are computed on first use."""
 
-    sparse: scipy.sparse.csr_array
+    u: np.ndarray | scipy.sparse.csr_array
     tol: float = DEFAULT_TOL
     order_cap: int = 64
     _images: list = field(default_factory=list, init=False, repr=False,
@@ -114,43 +110,43 @@ class SymmetryOperator:
 
     @classmethod
     def from_matrix(cls, u, tol: float = DEFAULT_TOL, order_cap: int = 64):
-        """The operator of u, an array or a sparse matrix, in a canonical
-        CSR form that stores the entries with a nonzero bit (linalg.stored),
-        so that `matrix` is u bit for bit; NotUnitaryError unless
-        ||U U† - 1|| is at most threshold(tol) max(1, sqrt(d))
-        (linalg.check_unitary), U U† the product of U with U† in its working
-        form (linalg.working)."""
-        if scipy.sparse.issparse(u):
-            u = linalg.operator(u)
-            if u.shape[0] != u.shape[1]:
-                raise linalg.ShapeError(f"expected square matrix, got {u.shape}")
-            rows, cols, values = linalg.entries(u)
+        """The operator of u, an array or a sparse matrix: up to SMALL_DIM a
+        complex array with u's bits, above it a canonical CSR form that
+        stores the entries with a nonzero bit (linalg.stored), so that
+        `matrix` is u bit for bit; NotUnitaryError unless ||U U† - 1|| is at
+        most threshold(tol) max(1, sqrt(d)) (linalg.check_unitary), U U† one
+        product in U's form."""
+        u = linalg.operator(u)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise linalg.ShapeError(f"expected square matrix, got {u.shape}")
+        if u.shape[0] <= linalg.SMALL_DIM:
+            op = cls(np.array(linalg.dense(u)), tol, order_cap)
+            with np.errstate(all="ignore"):     # a NaN or huge U fails the check
+                gram = op.u @ dag(op.u)
         else:
-            u = linalg.square(u)
-            rows, cols = np.divmod(np.arange(u.size), len(u))
-            values = u.ravel()
-        keep = linalg.stored(values)        # row-major, so rows ascend
-        sparse = scipy.sparse.csr_array(
-            (values[keep], cols[keep], np.searchsorted(rows[keep], np.arange(u.shape[0] + 1))),
-            shape=u.shape)
-        op = cls(sparse, tol, order_cap)
-        adjoint = dag(op.matrix) if op.dim <= linalg.SMALL_DIM else op._adjoint
-        linalg.check_unitary(sparse @ adjoint, tol)
+            rows, cols, values = linalg.entries(u) if scipy.sparse.issparse(u) else \
+                (*np.divmod(np.arange(u.size), u.shape[0]), u.ravel())
+            keep = linalg.stored(values)        # row-major, so rows ascend
+            op = cls(scipy.sparse.csr_array(
+                (values[keep], cols[keep], np.searchsorted(rows[keep], np.arange(u.shape[0] + 1))),
+                shape=u.shape), tol, order_cap)
+            gram = op.u @ op._adjoint
+        linalg.check_unitary(gram, tol)
         return op
 
     @property
     def dim(self) -> int:
-        return self.sparse.shape[0]
+        return self.u.shape[0]
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return linalg.dense(self.sparse, "the symmetry's matrix")
+        return linalg.dense(self.u, "the symmetry's matrix")
 
     @cached_property
     def order(self) -> int | None:
         """Least n <= order_cap at which U^n = theta 1 by the one phase rule
         (linalg.phase_classes at tau = threshold(tol)): every eigenphase of
-        U^n in one class.  Decided on the sparse power U^n, with no
+        U^n in one class.  Decided on the power U^n in U's form, with no
         eigendecomposition.  N = U^n - theta 1 is normal, so its spectral
         radius r(N) is the largest |e^{i phi} - theta| = 2 sin(|phi - arg
         theta| / 2) over the eigenphases phi of U^n.  U^n is accepted when
@@ -168,15 +164,15 @@ class SymmetryOperator:
         n products, are tried: accepted, every eigenvalue is within r < tau
         of theta, so |v† U^n v| >= (1 - r^2 / 2) ||v||^2, tau / 2 above that
         floor."""
-        d, power, p = self.dim, self.sparse, 1
+        d, u, power, p = self.dim, self.u, self.u, 1
         tau, v = threshold(self.tol), np.arange(1.0, d + 1.0)
         w, floor = v, (1.0 - tau) * v.dot(v)
         for n in range(1, self.order_cap + 1):
-            w = self.sparse @ w
+            w = u @ w
             if abs(v.dot(w)) < floor:
                 continue
             while p < n:
-                power, p = power @ self.sparse, p + 1
+                power, p = power @ u, p + 1
             if _radius_at_most(power, 1.0, 2.0 * np.sin(tau / 2.0)):
                 return n
             psi = np.angle(power.trace())
@@ -187,8 +183,9 @@ class SymmetryOperator:
 
     @cached_property
     def _adjoint(self) -> scipy.sparse.csr_array:
-        """U† in CSR form: its rows are U's columns, conjugated."""
-        rows, cols, values = linalg.entries(self.sparse)
+        """U† in CSR form, above SMALL_DIM: its rows are U's columns,
+        conjugated."""
+        rows, cols, values = linalg.entries(self.u)
         order = np.argsort(cols, kind="stable")      # rows ascend within a column
         return scipy.sparse.csr_array(
             (values[order].conj(), rows[order],
@@ -211,21 +208,31 @@ class SymmetryOperator:
         return self._eigen[1]
 
     def conjugate(self, a):
-        """U A U† for an operator on the system (an array, or a sparse
-        matrix, which gives one), as U (U A†)†."""
-        a = a if scipy.sparse.issparse(a) else np.asarray(a, dtype=complex)
-        return self.sparse @ dag(self.sparse @ dag(a))
+        """U A U† for an operator A on the system, taken to its working form
+        (linalg.working), as U (U A†)†: an array, or a sparse matrix for a
+        sparse A above SMALL_DIM."""
+        a = linalg.working(a)
+        return self.u @ dag(self.u @ dag(a))
 
     def conjugate_nonzeros(self, k, rows, cols, values) -> tuple:
         """Entries (k, rows, cols, values) of the operators U A_k U† from
-        those of the A_k, given in order of k and row-major within each.
-        Two sparse products form them: the A_k stacked as the blocks of one
-        CSR matrix, times U† (whose rows are U's columns), then
-        1 ⊗ U times that.  Their work and memory follow the nonzero terms,
-        however dense U is.  The entries come in order of k and of rows,
-        each position once."""
-        d, u = self.dim, self.sparse
-        n, nnz = int(k[-1]) + 1 if len(k) else 0, len(u.data)
+        those of the A_k, given in order of k and row-major within each;
+        the entries come in order of k and of rows, each position once,
+        exact zeros left out.  Up to SMALL_DIM the A_k are written into one
+        (n, d, d) stack and imaged by one stacked product.  Above it two
+        sparse products form them: the A_k stacked as the blocks of one
+        CSR matrix, times U† (whose rows are U's columns), then 1 ⊗ U
+        times that, whose work and memory follow the nonzero terms, however
+        dense U is."""
+        d, u = self.dim, self.u
+        n = int(k[-1]) + 1 if len(k) else 0
+        if isinstance(u, np.ndarray):
+            stack = np.zeros((n, d, d), dtype=complex)
+            stack[k, rows, cols] = values
+            out = u @ stack @ dag(u)
+            k, rows, cols = np.nonzero(out)
+            return k, rows, cols, out[k, rows, cols]
+        nnz = len(u.data)
         stack = scipy.sparse.csr_array(
             (values, cols, np.searchsorted(k * d + rows, np.arange(n * d + 1))),
             shape=(n * d, d))

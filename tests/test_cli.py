@@ -734,6 +734,28 @@ def test_chain_commands_make_no_system_size_schur_or_full_stack_qr(tmp_path, mon
     assert [e["order"] for e in doc["symmetries"].values()] == [4, None, 4]
 
 
+SMALL_MODELS = [name for name in models.BUILDERS if name != "qutrit-chain"] + ["chain-L3"]
+
+
+@pytest.mark.parametrize("name", SMALL_MODELS)
+def test_small_models_are_analysed_with_no_sparse_matrix(name, tmp_path, monkeypatch):
+    # up to linalg.SMALL_DIM every operator, the symmetries' included, is an
+    # array, so analyze, check and verify-joint construct no scipy.sparse matrix
+    model = load_model(_chain_file(tmp_path)) if name == "chain-L3" else models.get_model(name)
+    assert model.rep.dim <= linalg.SMALL_DIM
+    built, init = [], scipy.sparse._base._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", counting)
+    analysis = analyze(model)
+    run_check(analysis)
+    run_verify_joint(analysis)
+    assert built == []
+
+
 def _assert_joint_pattern(entry):
     """Certified residuals where the verdicts hold, scan minima elsewhere."""
     c1, c2, c3 = entry["conditions"]
@@ -761,7 +783,7 @@ def test_simulate_samples_reference_once(name, ensembles, tmp_path, monkeypatch,
     # one sampler pass per command carries A, for every test and the
     # average, and one B per symmetry; with --threads 2, one job per chunk
     monkeypatch.delenv("WEAKSYM_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _set_cpus(monkeypatch, 2)
     calls, single = [], []
     original = trajectories.sample_ensembles
 
@@ -959,7 +981,7 @@ def test_jump_free_model_gives_verdicts(command, tmp_path, capsys):
 
 
 def test_simulate_threads_match_serial(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _set_cpus(monkeypatch, 2)
     path = _chain_file(tmp_path)
     outs = []
     for threads in ("1", "2"):
@@ -970,6 +992,14 @@ def test_simulate_threads_match_serial(tmp_path, monkeypatch, capsys):
         outs.append(out)
     for name in ("summary.json", "ensemble.jsonl"):
         assert (outs[0] / name).read_text() == (outs[1] / name).read_text()
+
+
+def _set_cpus(monkeypatch, count):
+    """Let this process run on count CPUs, by its affinity mask and by
+    os.cpu_count, whichever the platform reads."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
 
 
 @pytest.fixture
@@ -1003,7 +1033,7 @@ def _sample(rep, psi0, threads):
 def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):
     from weaksym.lindblad import pure_state
     workers = in_process_pool
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _set_cpus(monkeypatch, 3)
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
     pooled = _sample(model.rep, psi0, 10**6)
@@ -1013,8 +1043,31 @@ def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):
     assert np.array_equal(pooled.states[0.5], serial.states[0.5])
 
 
-def test_report_honours_weaksym_threads(monkeypatch, capsys, in_process_pool):
+def test_thread_pool_capped_at_the_affinity_mask(monkeypatch, in_process_pool):
+    # pinned to one CPU (taskset) on a two-CPU machine: one chunk, no pool
+    from weaksym.lindblad import pure_state
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls, original = [], trajectories.sample_ensembles
+
+    def counting(rep, starts, horizon, n, *args, **kwargs):
+        calls.append(n)
+        return original(rep, starts, horizon, n, *args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "sample_ensembles", counting)
+    model = models.qubit_weak()
+    psi0 = pure_state(np.ones(2))
+    pinned = _sample(model.rep, psi0, 2)
+    assert calls == [64] and in_process_pool == []
+    _set_cpus(monkeypatch, 2)
+    pooled = _sample(model.rep, psi0, 2)
+    assert calls == [64, 32, 32] and in_process_pool == [2]
+    assert pinned.records == pooled.records
+    assert np.array_equal(pinned.states[0.5], pooled.states[0.5])
+
+
+def test_report_honours_weaksym_threads(monkeypatch, capsys, in_process_pool):
+    _set_cpus(monkeypatch, 2)
     docs = []
     for value in ("1", "2"):
         monkeypatch.setenv("WEAKSYM_THREADS", value)
@@ -1085,7 +1138,7 @@ def test_check_single_symmetry_selection(capsys):
 
 def test_chunk_stats_summed(monkeypatch, in_process_pool):
     from weaksym.lindblad import pure_state
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _set_cpus(monkeypatch, 3)
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
     pooled = _sample(model.rep, psi0, 3)
@@ -1104,7 +1157,7 @@ def test_chunk_stats_summed(monkeypatch, in_process_pool):
 
 def test_simulate_opens_one_pool(tmp_path, monkeypatch, capsys, in_process_pool):
     # the reference ensemble and one per symmetry of the chain share a pool
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _set_cpus(monkeypatch, 2)
     assert main(["simulate", _chain_file(tmp_path), "--n", "40", "--horizon", "0.5",
                  "--threads", "2"]) == 0
     assert len(json.loads(capsys.readouterr().out)["tests"]) == 3

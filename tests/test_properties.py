@@ -683,7 +683,7 @@ def test_off_block_mass_vanishes_exactly_when_condition_I_holds(model):
 
 # ------------------------------------- support-column images, dense oracle
 #
-# SymmetryImages forms U X U† through U's CSR form and takes its thin QR
+# SymmetryImages forms U X U† in U's form and takes its thin QR
 # over the columns where 1, a J'_j or an image is nonzero.  The oracle is
 # the full-stack computation: dense U X U† and one QR of the d^2-long rows.
 
@@ -781,6 +781,28 @@ def test_support_column_images_match_the_full_stack(inputs):
     phases, basis = linalg.unitary_eigendecomposition(u)
     assert np.array_equal(sym.phases, phases) and np.array_equal(sym.eigenbasis, basis)
     assert sym.order == _oracle_order(u)
+
+
+@given(sparse_symmetry_inputs())
+def test_array_and_csr_forms_of_u_give_one_image_and_order(inputs):
+    # U is held as an array up to linalg.SMALL_DIM and as a CSR matrix above;
+    # at one dim the two forms give the same image entries, in order of k
+    # and of rows, and the same group order
+    rep, u = inputs
+    d, nonzeros = rep.dim, rep.nonzeros
+    n = int(nonzeros[0][-1]) + 1
+    held = SymmetryOperator.from_matrix(u)
+    csr = SymmetryOperator(scipy.sparse.csr_array(u))
+    assert isinstance(held.u, np.ndarray)
+    images = []
+    for sym in (held, csr):
+        k, rows, cols, values = sym.conjugate_nonzeros(*nonzeros)
+        assert np.all(np.diff(k * d + rows) >= 0)
+        stack = np.zeros((n, d, d), dtype=complex)
+        stack[k, rows, cols] = values
+        images.append(stack)
+    assert frob(images[0] - images[1]) <= 1e-14 * frob(images[0])
+    assert held.order == csr.order
 
 
 # ------------------------------------------- images from nonzeros, dense oracle

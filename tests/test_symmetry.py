@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, models
@@ -73,13 +74,14 @@ def test_symmetry_operator_unresolved_order():
 
 
 def _sparse_power_order(sym):
-    """The group order as the one phase rule reads every power of U, with
-    no screen: the least n at which U^n's eigenphases form one class."""
-    power = sym.sparse
+    """The group order as the one phase rule reads every power of U, formed
+    as an array, with no screen: the least n at which U^n's eigenphases form
+    one class."""
+    power = sym.matrix
     for n in range(1, sym.order_cap + 1):
         if n > 1:
-            power = power @ sym.sparse
-        phases = np.angle(np.linalg.eigvals(power.toarray()))
+            power = power @ sym.matrix
+        phases = np.angle(np.linalg.eigvals(power))
         if len(set(linalg.phase_classes(phases, sym.tol))) == 1:
             return n
     return None
@@ -124,26 +126,33 @@ def test_order_and_phase_classes_are_one_rule(eps):
     (_nearly_order_four(), 4),
 ])
 def test_order_screen_matches_the_sparse_power_loop(u, order, monkeypatch):
-    sym = SymmetryOperator.from_matrix(u)
+    # up to linalg.SMALL_DIM U is held as an array, whose powers give the order
+    small = SymmetryOperator.from_matrix(u)
+    assert isinstance(small.u, np.ndarray)
+    assert small.order == _sparse_power_order(small) == order
+    # above it U ⊗ 1, of the same order, is held in CSR form
+    big = np.kron(u, np.eye(linalg.SMALL_DIM // len(u) + 1))
+    sym = SymmetryOperator.from_matrix(scipy.sparse.csr_array(big))
+    assert isinstance(sym.u, scipy.sparse.csr_array)
     assert _sparse_power_order(sym) == order
     # the powers U^2 .. U^order are formed for the order found, and none
     # without one: the unscreened loop forms 63 then; each power the screen
     # passes takes at most two spectral radius bounds of 6 squarings each
     products, squarings = [], []
-    original = type(sym.sparse).__matmul__
+    original = type(sym.u).__matmul__
 
     def counting(self, other):
-        if other is sym.sparse:
+        if other is sym.u:
             products.append(other)
         elif other is self:
             squarings.append(other)
         return original(self, other)
 
-    monkeypatch.setattr(type(sym.sparse), "__matmul__", counting)
+    monkeypatch.setattr(type(sym.u), "__matmul__", counting)
     assert sym.order == order
     assert len(products) == (order - 1 if order else 0)
     v = np.arange(1.0, sym.dim + 1.0)
-    powers = [np.linalg.matrix_power(u, n) for n in range(1, (order or sym.order_cap) + 1)]
+    powers = [np.linalg.matrix_power(big, n) for n in range(1, (order or sym.order_cap) + 1)]
     screened = sum(abs(v @ p @ v) >= (1 - linalg.threshold(sym.tol)) * v @ v for p in powers)
     assert len(squarings) <= 12 * screened
 

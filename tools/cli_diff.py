@@ -11,12 +11,14 @@ reset SJEDs pinned by its ``sjeds``, which translation permutes as a
 and seeded L=3, L=4, L=5, L=6 and L=7 qutrit chains (L=7 is dim 2187, where BASE trees that
 hold every operator dense take 12-14 s and 1.3 GB of peak RSS for ``check``
 with one BLAS thread on a 2-core x86-64 VM) and the 64- and
-256-jump models (the n-jump model: d = 8, H = 1, the cyclic shift as its
-symmetry, jumps |k><roll(b, k)| for k = 0..7 and n/8 vectors b from
-``default_rng(0)``; at n = 256 condition III solves the largest
-assignment the CLI meets, 256 x 256), ``verify-joint`` on the same
+256-jump models (the n-jump model: H = 1 and the d-cycle shift as its
+symmetry on dim d, jumps |k><roll(b, k)| for k = 0..d-1 and n/d vectors b
+from ``default_rng(0)``; at d = 8 and n = 256 condition III solves the
+largest assignment the CLI meets, 256 x 256), ``verify-joint`` on the same
 built-ins, on the seeded L=3, L=4 and L=5 chains and on the 64- and
-128-jump models, ``simulate`` (with exports) on qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
+128-jump models, ``check`` and ``verify-joint`` on the n-jump model with
+n = d = 32 and n = d = 33 (the symmetry held as an array and as a CSR
+matrix, on either side of linalg.SMALL_DIM), ``simulate`` (with exports) on qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --level full --n 20000`` on qubit-III (the
 export path at scale), ``simulate --level full`` on twoqubit-II (the
 master solution at d = 4), ``simulate --threads 2`` on qubit-III,
@@ -60,20 +62,23 @@ CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
          "L = int(sys.argv[2]); m = models.qutrit_chain(L, thetas="
          "np.random.default_rng(7).uniform(0.0, 2 * np.pi, L)); "
          "modelfile.dump_model(m, sys.argv[1])")
-# the n-jump model, n = sys.argv[2] (a multiple of 8)
+# the n-jump model, n = sys.argv[2] (a multiple of d), d = sys.argv[3]
 JUMPS = ("import numpy as np, sys; from weaksym import models, modelfile; "
          "from weaksym.lindblad import Representation; "
-         "n = int(sys.argv[2]); rng = np.random.default_rng(0); "
-         "bs = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(n // 8)]; "
-         "jumps = [np.outer(np.eye(8)[k], np.roll(b, k).conj()) "
-         "for b in bs for k in range(8)]; "
-         "m = models.Model(f'jumps-{n}', Representation(np.eye(8), tuple(jumps)), "
-         "{'shift': np.roll(np.eye(8), 1, axis=0)}); "
+         "n, d = int(sys.argv[2]), int(sys.argv[3]); rng = np.random.default_rng(0); "
+         "bs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(n // d)]; "
+         "jumps = [np.outer(np.eye(d)[k], np.roll(b, k).conj()) "
+         "for b in bs for k in range(d)]; "
+         "m = models.Model(f'jumps-{n}', Representation(np.eye(d), tuple(jumps)), "
+         "{'shift': np.roll(np.eye(d), 1, axis=0)}); "
          "modelfile.dump_model(m, sys.argv[1])")
-JUMP_COUNTS = (64, 128, 256)
+# (n, d): the 64-, 128- and 256-jump models at d = 8, and n = d on either
+# side of linalg.SMALL_DIM = 32, where the symmetry's form switches
+JUMP_MODELS = ((64, 8), (128, 8), (256, 8), (32, 32), (33, 33))
 
 
-def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, own):
+def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, jumps32,
+          jumps33, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
     out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5,
@@ -87,6 +92,8 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, o
     out += [[c, m, "--tol", "1e-6"] for c in ("check", "verify-joint") for m in BUILTINS]
     out += [["verify-joint", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4,
                                                      chain5, jumps64, jumps128]]
+    # the symmetry held as an array (d = 32) and as a CSR matrix (d = 33)
+    out += [[c, m] for m in (jumps32, jumps33) for c in ("check", "verify-joint")]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
@@ -170,9 +177,9 @@ def main(argv=None) -> int:
             for src, path in ((base, chains[-1]), (head, own[chains[-1]])):
                 subprocess.run([sys.executable, "-c", CHAIN, path, str(L)],
                                check=True, env=dict(os.environ, PYTHONPATH=src))
-        for n in JUMP_COUNTS:
-            chains.append(os.path.join(tmp, f"jumps-{n}.json"))
-            subprocess.run([sys.executable, "-c", JUMPS, chains[-1], str(n)],
+        for n, d in JUMP_MODELS:
+            chains.append(os.path.join(tmp, f"jumps-{n}-d{d}.json"))
+            subprocess.run([sys.executable, "-c", JUMPS, chains[-1], str(n), str(d)],
                            check=True, env=dict(os.environ, PYTHONPATH=base))
         failures = 0
         deviations = [0.0]
