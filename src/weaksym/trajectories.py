@@ -13,7 +13,9 @@ others step on; parked trajectories from many grid steps are resolved
 together in one crossing batch, which reads one table of Taylor terms
 (-i H_eff)^k phi / k!, built with one matrix product, so each trial time
 costs a contraction with the powers s^k and k s^(k-1) rather than a new
-series expansion.
+series expansion.  An H_eff with exact zeros off its diagonal is
+applied as a vector instead: grid steps are elementwise products and the
+norm and its slope are read in closed form (_MomentPropagator).
 
 Reproducibility contract: trajectory i of an ensemble with master seed
 `seed` and `first_index` draws its k-th uniform as word k mod 4 of
@@ -26,9 +28,9 @@ threshold).  The key is the row's own, whatever other ensembles share
 its sampler pass (sample_ensembles), so records do not depend on
 batching, on the ensembles sampled beside it or on --threads.  The
 rounds run in numpy for every row at once (_philox_uniforms).  Every
-product over a stack of rows goes through _rows_product, and the rest
-of a crossing's arithmetic is per row, so a trajectory's states are the
-same bits in whatever batch, chunk or pass it is sampled.
+matrix product over a stack of rows goes through _rows_product, and the
+rest of a crossing's arithmetic is per row, so a trajectory's states are
+the same bits in whatever batch, chunk or pass it is sampled.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ MAX_GRID_STEPS = 100_000
 # the blocks evaluated together
 _FILL_CAP = 2 ** 18
 _PHILOX_CHUNK = 2 ** 13
+# outer-product entries ensemble_average forms at once (4 MiB)
+_AVERAGE_CHUNK = 2 ** 18
 
 
 class StiffnessError(RuntimeError):
@@ -158,32 +162,6 @@ def state_vector(psi, tol: float = 1e-8) -> np.ndarray:
     return v[:, -1]
 
 
-def drift(rep: Representation, psi) -> np.ndarray:
-    """Deterministic flow of the conditional state between jumps.
-
-    B(psi) = -i H_eff psi + i psi H_eff† - psi Tr(...), traceless by
-    construction.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    heff = rep.effective_hamiltonian
-    raw = -1j * (heff @ psi) + 1j * (psi @ dag(heff))
-    return raw - psi * np.trace(raw)
-
-
-def jump_rates(rep: Representation, psi, tol: float = 1e-12):
-    """Per-jump rates Tr[J psi J†] with normalized destinations.
-
-    Destinations are omitted for rates below tol.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    out = []
-    for j in rep.jumps:
-        jpj = j @ psi @ dag(j)
-        rate = float(np.trace(jpj).real)
-        out.append((rate, jpj / rate if rate > tol else None))
-    return out
-
-
 def _segment_propagator(heff: np.ndarray, dt: float) -> np.ndarray:
     return linalg.matrix_exponential(-1j * dt * heff)
 
@@ -243,18 +221,31 @@ def transform_record(record: MeasurementRecord, permutation) -> MeasurementRecor
 
 
 class _MomentPropagator:
-    """Evaluate e^{-i H s} phi for many states, each at its own s.
+    """Evaluate e^{-i H s} phi for many states, each at its own s, and step
+    rows over the grid.
 
-    Uses the truncated series sum_k s^k (-i H)^k phi / k!, exact to machine
-    precision when ||H|| * s < 1/2.  The matrices (-i H)^k / k! are formed
-    once, side by side in one (d, terms * d) matrix, so the s-free terms
-    (-i H)^k phi / k! of a batch of states form a table built with one
-    matrix product; evaluating it at any s is then one contraction with
-    the powers s^k, and its norm slope one more with k s^(k-1).  The
-    root finder of a crossing batch reads one table at every trial time.
+    An H with every off-diagonal entry exactly zero is applied as the
+    vector h of its diagonal: e^{-i H s} phi is phi * exp(-i s h), and
+    ||phi(s)||^2 = sum_a |phi_a|^2 e^{2 Im(h_a) s} and its slope are read
+    in closed form, so a state's table is the state itself.  Any other H
+    uses the truncated series sum_k s^k (-i H)^k phi / k!, exact to
+    machine precision when ||H|| * s < 1/2.  The matrices (-i H)^k / k!
+    are formed once, side by side in one (d, terms * d) matrix, so the
+    s-free terms (-i H)^k phi / k! of a batch of states form a table built
+    with one matrix product; evaluating it at any s is then one
+    contraction with the powers s^k, and its norm slope one more with
+    k s^(k-1).  Either way the root finder of a crossing batch reads one
+    table, of shape (n, terms, d), at every trial time.
     """
 
     def __init__(self, heff: np.ndarray, terms: int = 22):
+        self.heff = heff
+        h = np.diagonal(heff)
+        self.diagonal = h if np.array_equal(heff, np.diag(h)) else None
+        self.steps: dict = {}                 # step length -> step propagator
+        if self.diagonal is not None:
+            self.rates = 2.0 * h.imag         # d||phi_a||^2/ds over |phi_a(s)|^2
+            return
         a = -1j * heff
         mats = np.empty((terms, len(a), len(a)), dtype=complex)
         mats[0] = np.eye(len(a))
@@ -264,17 +255,45 @@ class _MomentPropagator:
         self.mats = mats.transpose(2, 0, 1).reshape(len(a), -1)
         self.powers = np.arange(terms)
 
+    def top_rate(self) -> float:
+        """Largest total jump rate of a normalized state: the top
+        eigenvalue of sum_j J_j† J_j = i (H - H†), H's Hermitian part
+        being the Hamiltonian."""
+        if self.diagonal is not None:
+            return float(np.max(-self.rates))
+        # eigh as in state_vector: eigvalsh would map ~0.3 MB more of LAPACK
+        return float(np.linalg.eigh(1j * (self.heff - dag(self.heff)))[0][-1])
+
+    def step(self, vecs: np.ndarray, dt: float) -> np.ndarray:
+        """e^{-i H dt} phi of each row, the propagator formed once per
+        step length."""
+        if dt not in self.steps:
+            self.steps[dt] = (np.exp(-1j * dt * self.diagonal) if self.diagonal is not None
+                              else _segment_propagator(self.heff, dt).T)
+        if self.diagonal is not None:
+            return vecs * self.steps[dt]
+        return _rows_product(vecs, self.steps[dt])
+
     def table(self, phis: np.ndarray) -> np.ndarray:
         """Series terms (-i H)^k phi / k! of each state, shape (n, terms, d)."""
+        if self.diagonal is not None:
+            return phis[:, None, :]
         return _rows_product(phis, self.mats).reshape(len(phis), len(self.powers), -1)
 
     def evaluate(self, table: np.ndarray, ss: np.ndarray) -> np.ndarray:
         """e^{-i H s} phi of each tabled state at its own s."""
+        if self.diagonal is not None:
+            return table[:, 0] * np.exp(-1j * ss[:, None] * self.diagonal)
         # real powers against the real view of the table: one stacked matmul
         return (ss[:, None, None] ** self.powers @ table.view(float))[:, 0].view(complex)
 
     def norms(self, table: np.ndarray, ss: np.ndarray) -> tuple:
         """||phi(s)||^2 and its derivative in s of each tabled state."""
+        if self.diagonal is not None:
+            phi = table[:, 0]
+            decay = (phi.real ** 2 + phi.imag ** 2) * np.exp(ss[:, None] * self.rates)
+            # row sums, not a gemv: each row's value is its own bits
+            return decay.sum(axis=1), (decay * self.rates).sum(axis=1)
         k = self.powers
         coef = np.zeros((len(ss), 2, len(k)))
         coef[:, 0] = ss[:, None] ** k
@@ -495,15 +514,18 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     in one pass with ensemble-wide crossing batches.
 
     The pass runs the n rows of every start together: one grid walk, one
-    set of propagators and one Taylor table per crossing batch, whatever
-    the starts.  Waiting times use the norm-decay threshold method.  A
+    set of propagators and one table per crossing batch, whatever the
+    starts.  Waiting times use the norm-decay threshold method.  A
     frontier steps the unnormalized states over the grid with the exact
-    segment propagator (one per distinct step length).  A trajectory
-    whose norm falls below its threshold within step k is parked with its
-    state at the start of step k, k and its norm at the step's end, and
-    the others step on.  The parked trajectories, from whatever steps and
+    segment propagator (one per distinct step length): an elementwise
+    product when H_eff is exactly diagonal, a matrix product otherwise
+    (_MomentPropagator decides once per pass).  A trajectory whose norm
+    falls below its threshold within step k is parked with its state at
+    the start of step k, k and its norm at the step's end, and the others
+    step on.  The parked trajectories, from whatever steps and
     starts, are resolved together in one crossing batch once they are at
-    least half the pass's rows, and at the horizon: its Taylor table (see
+    least half the pass's rows, and at the horizon: its table (the
+    Taylor terms, or the states themselves for a diagonal H_eff; see
     _MomentPropagator) is built once; a safeguarded Newton iteration
     reads value and slope of the norm from it and snaps each crossing to
     the middle of a cell no wider than 1e-9 times the horizon (see
@@ -532,9 +554,10 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     Trajectory i of a start draws from its own stream, keyed by the
     start's seed and first_index + i (see the module docstring).  All
     rows are filled at once with room for the Poisson bound on their
-    jumps, and the rows of a crossing batch that run short are refilled
-    together.  A grid of more than MAX_GRID_STEPS steps (about
-    2.2 ||H_eff|| horizon) raises StiffnessError before it is built.
+    jumps, from the top total jump rate (_MomentPropagator.top_rate), and
+    the rows of a crossing batch that run short are refilled together.
+    A grid of more than MAX_GRID_STEPS steps (about 2.2 ||H_eff||
+    horizon) raises StiffnessError before it is built.
     TrajectoryEnsemble says what each ensemble's stats count.
     """
     heff = rep.effective_hamiltonian
@@ -555,11 +578,10 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     v0 = np.repeat(np.stack([state_vector(psi0) for psi0, _ in starts]), n, axis=0)
     jump_mats = np.stack([linalg.dense(j, "the sampler's jump stack")
                           for j in rep.jumps]) if rep.jumps else None
-    # a normalized state jumps at total rate <= gamma, the top eigenvalue of
-    # sum_j J_j† J_j = i (H_eff - H_eff†) (H Hermitian), so few rows outrun
-    # room for gamma*T + 4 sqrt(gamma*T) + 4 jumps; the cap bounds memory.
-    # eigh as in state_vector: eigvalsh would map ~0.3 MB more of LAPACK
-    gamma = float(np.linalg.eigh(1j * (heff - dag(heff)))[0][-1]) if rep.jumps else 0.0
+    moments = _MomentPropagator(heff)
+    # a normalized state jumps at total rate <= gamma, so few rows outrun
+    # room for gamma*T + 4 sqrt(gamma*T) + 4 jumps; the cap bounds memory
+    gamma = moments.top_rate() if rep.jumps else 0.0
     jumps = gamma * horizon + 4.0 * np.sqrt(gamma * horizon) + 4.0
     blocks = min(np.ceil((1.0 + 2.0 * jumps) / 4.0), _FILL_CAP // max(total, 1))
     streams = _Streams(
@@ -569,8 +591,6 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     thresholds = streams.take(np.arange(total), 1)[:, 0]
     records: list = [[] for _ in range(total)]
     time_tol = TIME_TOL_FACTOR * max(horizon, 1e-12)
-    moments = _MomentPropagator(heff)
-    props: dict = {}                      # step length -> segment propagator
     stats = {"grid_steps": steps, "crossing_batches": 0, "trials": 0}
 
     # checkpoint grid index -> its (rows, d) states, filled as rows pass it
@@ -594,10 +614,7 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     def advance(j, rows, vecs):
         """Rows with states vecs at grid[j] through step j: the crossers
         are parked, the others' rows and states at grid[j + 1] returned."""
-        dt = dts[j]
-        if dt not in props:
-            props[dt] = _segment_propagator(heff, dt).T
-        ends = _rows_product(vecs, props[dt])
+        ends = moments.step(vecs, dts[j])
         if jump_mats is not None:
             norms = np.einsum("ij,ij->i", ends.conj(), ends).real
             cross = norms < thresholds[rows]
@@ -699,26 +716,39 @@ def ensemble_average(ensemble: TrajectoryEnsemble, t: float,
 
     Returns (mean, stderr) with stderr the entrywise bootstrap standard
     error of the mean (absolute value per entry).  Only the upper
-    triangle is resampled: entry (b, a) of each pure state is entry
-    (a, b) conjugated, the real part bit for bit and the imaginary part
-    exactly negated, so it has the same standard error.
+    triangle of the states' outer products is formed, _AVERAGE_CHUNK
+    entries at a time: entry (b, a) of each pure state is entry (a, b)
+    conjugated, the real part bit for bit and the imaginary part exactly
+    negated, so the mean's lower triangle is its upper one conjugated and
+    has the same standard error.
     """
     if float(t) not in ensemble.states:
         raise ValueError(f"time {t} was not recorded as a checkpoint")
     vecs = ensemble.states[float(t)]
+    conj = vecs.conj()
     n, d = vecs.shape
-    mats = np.einsum("ia,ib->iab", vecs, vecs.conj()).reshape(n, d * d)
-    mean = mats.mean(axis=0).reshape(d, d)
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=n_bootstrap)
-    # resample the real and imaginary parts of the upper triangle in one
-    # real GEMM; an entry's complex standard error is sqrt(var_re + var_im)
+    weights = rng.multinomial(n, np.full(n, 1.0 / n), size=n_bootstrap).astype(float)
     rows, cols = np.triu_indices(d)
-    upper = mats.take(rows * d + cols, axis=1)
-    boots = (counts.astype(float) @ upper.view(float)) / n
+    mean = np.empty((d, d), dtype=complex)
     err = np.empty((d, d))
-    err[rows, cols] = err[cols, rows] = \
-        np.sqrt(boots.var(axis=0, ddof=1).reshape(-1, 2).sum(axis=1))
+    # a chunk's outer products and bootstrap means each hold about
+    # _AVERAGE_CHUNK complex entries, and at least two columns (the last
+    # chunk takes a lone last column), so no chunk's bootstrap goes to gemv
+    width = max(2, _AVERAGE_CHUNK // max(n, n_bootstrap))
+    edges = [*range(0, max(len(rows) - 1, 1), width), len(rows)]
+    for a, b in zip(edges, edges[1:]):
+        r, c = rows[a:b], cols[a:b]
+        # einsum multiplies as the (n, d, d) outer product would, and a C-order
+        # chunk's column means are the full array's, bit for bit
+        outer = np.einsum("ia,ia->ia", vecs.take(r, axis=1), conj.take(c, axis=1),
+                          order="C")
+        mean[r, c] = m = outer.mean(axis=0)
+        mean[c, r] = m.conj()
+        # resample the real and imaginary parts in one real GEMM; an
+        # entry's complex standard error is sqrt(var_re + var_im)
+        boots = (weights @ outer.view(float)) / n
+        err[r, c] = err[c, r] = np.sqrt(boots.var(axis=0, ddof=1).reshape(-1, 2).sum(axis=1))
     return mean, err
 
 
@@ -891,12 +921,10 @@ __all__ = [
     "TrajectoryEnsemble",
     "coarse_record",
     "coarse_record_weight",
-    "drift",
     "ensemble_average",
     "ensemble_symmetry_test",
     "export_count_histogram",
     "export_records",
-    "jump_rates",
     "record_weight",
     "sample_ensemble",
     "sample_ensembles",

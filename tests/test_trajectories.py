@@ -28,10 +28,8 @@ from weaksym.trajectories import (
     TrajectoryEnsemble,
     coarse_record,
     coarse_record_weight,
-    drift,
     ensemble_average,
     ensemble_symmetry_test,
-    jump_rates,
     record_weight,
     sample_ensemble,
     sample_trajectory,
@@ -60,6 +58,28 @@ def dephasing(gamma=1.0):
 
 
 # ---------------------------------------------------------------- local pieces
+
+def drift(rep, psi):
+    """Deterministic flow of the conditional state between jumps:
+    B(psi) = -i H_eff psi + i psi H_eff† - psi Tr(...), traceless by
+    construction."""
+    psi = np.asarray(psi, dtype=complex)
+    heff = rep.effective_hamiltonian
+    raw = -1j * (heff @ psi) + 1j * (psi @ dag(heff))
+    return raw - psi * np.trace(raw)
+
+
+def jump_rates(rep, psi, tol=1e-12):
+    """Per-jump rates Tr[J psi J†] with normalized destinations, omitted
+    for rates below tol."""
+    psi = np.asarray(psi, dtype=complex)
+    out = []
+    for j in rep.jumps:
+        jpj = j @ psi @ dag(j)
+        rate = float(np.trace(jpj).real)
+        out.append((rate, jpj / rate if rate > tol else None))
+    return out
+
 
 def test_drift_closed_system(rng):
     rep = Representation(0.8 * SZ, ())
@@ -239,6 +259,48 @@ def test_moment_table_matches_expm(d):
     for phi, s, g in zip(phis, ss, got):
         want = scipy.linalg.expm(-1j * s * heff) @ phi
         assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _decaying_diagonal_heff(rng, d):
+    return np.diag(rng.standard_normal(d) - 0.5j * rng.exponential(1.0, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 27])
+def test_diagonal_propagator_matches_expm(d):
+    # an exactly diagonal H_eff is applied as a vector, in closed form:
+    # checked against scipy's expm, independently of the sampler
+    rng = np.random.default_rng(70 + d)
+    heff = _decaying_diagonal_heff(rng, d)
+    moments = _MomentPropagator(heff)
+    assert moments.diagonal is not None
+    dt = 0.45 / frob(heff)
+    phis = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    ss = np.concatenate([[0.0, dt], rng.uniform(0.0, 3.0 * dt, 4)])
+    step = moments.step(phis, dt)
+    table = moments.table(phis)
+    got, (value, slope) = moments.evaluate(table, ss), moments.norms(table, ss)
+    for k, (phi, s) in enumerate(zip(phis, ss)):
+        want = scipy.linalg.expm(-1j * dt * heff) @ phi
+        assert np.linalg.norm(step[k] - want) <= 1e-14 * np.linalg.norm(want)
+        want = scipy.linalg.expm(-1j * s * heff) @ phi
+        assert np.linalg.norm(got[k] - want) <= 1e-14 * np.linalg.norm(want)
+        norm2 = np.linalg.norm(want) ** 2
+        assert abs(value[k] - norm2) <= 1e-14 * norm2
+        # d||phi(s)||^2/ds = 2 Re <phi(s), -i H_eff phi(s)>
+        want_slope = 2.0 * np.vdot(want, -1j * heff @ want).real
+        assert abs(slope[k] - want_slope) <= 1e-14 * abs(want_slope)
+    # the top jump rate: the largest eigenvalue of i (H_eff - H_eff†)
+    top = np.linalg.eigvalsh(1j * (heff - dag(heff)))[-1]
+    assert abs(moments.top_rate() - top) <= 1e-14 * top
+
+
+def test_diagonal_path_takes_exact_zeros_only():
+    heff = _decaying_diagonal_heff(np.random.default_rng(3), 4)
+    heff[1, 0] = -0.0
+    assert _MomentPropagator(heff).diagonal is not None
+    heff[2, 3] = -1.2e-17j      # the rounding qubit-II's sum of J†J leaves
+    assert _MomentPropagator(heff).diagonal is None
+    assert _MomentPropagator(models.qubit_ii().rep.effective_hamiltonian).diagonal is None
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "sampler_records.json").read_text())
@@ -502,6 +564,26 @@ def test_sampler_matches_stepwise_oracle_with_refills_and_recrossings(monkeypatc
             rep, PLUS, 4.0, n, seed=seed, checkpoint_times=(1.5, 4.0))
         assert ens.stats["philox_calls"] > 5 and recrossings > 0
         _assert_matches_stepwise(ens, records, states)
+
+
+@pytest.mark.parametrize("name", ["qubit-III", "qutrit-chain-3"])
+def test_diagonal_path_samples_as_the_taylor_path(name):
+    # a Hermitian off-diagonal of 1e-200 added to H sends the same model
+    # down the Taylor table: the same records, and states within rounding
+    rep, psi0 = _model_case(name)
+    tiny = np.zeros((rep.dim, rep.dim), dtype=complex)
+    tiny[0, 1] = tiny[1, 0] = 1e-200
+    taylor = Representation(rep.hamiltonian + tiny, rep.jumps, rep.labels)
+    assert _MomentPropagator(rep.effective_hamiltonian).diagonal is not None
+    assert _MomentPropagator(taylor.effective_hamiltonian).diagonal is None
+    for seed in (0, 3):
+        for horizon, times in ((2.0, (2.0,)), (1.0, (0.0, 0.37, 1.0))):
+            want, got = (sample_ensemble(r, psi0, horizon, 150, seed=seed,
+                                         checkpoint_times=times) for r in (taylor, rep))
+            assert got.records == want.records
+            assert list(got.states) == list(want.states)
+            for t in want.states:
+                assert np.max(np.abs(got.states[t] - want.states[t])) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["twoqubit-I", "qutrit-chain-3"])
@@ -768,6 +850,70 @@ def test_ensemble_average_matches_complex_std_oracle(name, n, seed):
     # the real GEMM sums in another order: rounding level, relative to the
     # largest entry
     assert np.max(np.abs(err - want_err)) <= 1e-15 * np.max(want_err)
+
+
+def _full_outer_average(vecs, n_bootstrap=200, seed=1):
+    """ensemble_average as one n x d^2 array of outer products: the mean
+    of all of it, the bootstrap on the real view of its upper triangle."""
+    n, d = vecs.shape
+    mats = np.einsum("ia,ib->iab", vecs, vecs.conj()).reshape(n, d * d)
+    counts = np.random.default_rng(seed).multinomial(n, np.full(n, 1.0 / n),
+                                                     size=n_bootstrap)
+    rows, cols = np.triu_indices(d)
+    boots = (counts.astype(float) @ mats.take(rows * d + cols, axis=1).view(float)) / n
+    err = np.empty((d, d))
+    err[rows, cols] = err[cols, rows] = \
+        np.sqrt(boots.var(axis=0, ddof=1).reshape(-1, 2).sum(axis=1))
+    return mats.mean(axis=0).reshape(d, d), err
+
+
+@pytest.mark.parametrize("d, n, chunk", [
+    (2, 2000, traj._AVERAGE_CHUNK),  # one chunk
+    (27, 300, 300 * 7),              # 54 chunks, the last of 7 columns
+    (27, 300, 300 * 29),             # a last chunk of one column joins the one before
+    (5, 40, 1),                      # two columns a chunk, never one
+])
+def test_ensemble_average_chunks_match_the_full_outer_products(monkeypatch, d, n, chunk):
+    rng = np.random.default_rng(d + n)
+    vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    ens = TrajectoryEnsemble([[] for _ in range(n)], {1.0: vecs}, 1.0, 0, "")
+    monkeypatch.setattr(traj, "_AVERAGE_CHUNK", chunk)
+    widths = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "ia,ia->ia":
+            widths.append(operands[0].shape[1])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    mean, err = ensemble_average(ens, 1.0)
+    monkeypatch.undo()
+    want_mean, want_err = _full_outer_average(vecs)
+    assert sum(widths) == d * (d + 1) // 2 and min(widths) >= 2
+    assert max(widths) < 2 * max(2, chunk // max(n, 200))
+    assert np.array_equal(mean, want_mean)
+    # the bootstrap GEMMs sum in chunks: rounding level
+    assert np.max(np.abs(err - want_err)) <= 1e-14 * np.max(want_err)
+
+
+def test_ensemble_average_of_a_large_ensemble_forms_no_full_outer_products():
+    import tracemalloc
+
+    # the n x d^2 array of outer products alone would take 200 MiB here
+    n, d = 2000, 81
+    vecs = np.random.default_rng(1).standard_normal((n, d)).astype(complex)
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    ens = TrajectoryEnsemble([[] for _ in range(n)], {1.0: vecs}, 1.0, 0, "")
+    tracemalloc.start()
+    try:
+        mean, _ = ensemble_average(ens, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert abs(np.trace(mean) - 1.0) < 1e-12
 
 
 def _einsum_state_keys(vecs, nbins=6):

@@ -23,8 +23,9 @@ three levels, ``simulate --level full --n 20000`` on qubit-III (the
 export path at scale), ``simulate --level full`` on twoqubit-II (the
 master solution at d = 4), ``simulate --threads 2`` on qubit-III,
 twoqubit-I and the L=3 chain, ``simulate --horizon 20 --n 500`` on
-qubit-III (many jumps per trajectory, refilled streams and re-crossings
-within a grid step), ``simulate --level full --n 200`` on the built-in
+qubit-III and qubit-II (many jumps per trajectory, refilled streams and
+re-crossings within a grid step, on the sampler's closed-form path for
+qubit-III's diagonal H_eff and on its Taylor table for qubit-II's), ``simulate --level full --n 200`` on the built-in
 ``qutrit-chain`` (three symmetries, so four ensembles in one pass at
 d = 81) and on the seeded L=5 chain (four ensembles at d = 243, where the
 starts' state vectors and the sampler's setup weigh),
@@ -105,8 +106,10 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     # on twoqubit-I some crossing batches hold a single row
     out += [["simulate", m, "--level", "full", "--n", "300", "--seed", "7",
              "--threads", "2"] for m in ("qubit-III", chain3, "twoqubit-I")]
-    # many jumps per trajectory: refills and re-crossings within a grid step
-    out += [["simulate", "qubit-III", "--horizon", "20", "--n", "500"]]
+    # many jumps per trajectory: refills and re-crossings within a grid step,
+    # on a diagonal H_eff (closed-form propagation) and a non-diagonal one
+    # (the Taylor table)
+    out += [["simulate", m, "--horizon", "20", "--n", "500"] for m in ("qubit-III", "qubit-II")]
     # one pass of four ensembles at d = 81, and uneven pool chunks of them
     out += [["simulate", "qutrit-chain", "--level", "full", "--n", "200", "--seed", "5"]]
     out += [["simulate", chain5, "--level", "full", "--n", "200"]]
