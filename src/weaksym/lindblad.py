@@ -120,10 +120,13 @@ class Representation:
 
     @cached_property
     def traceless(self) -> tuple:
-        """(H', traceless jumps) of traceless_representation, each jump in
-        its form, read-only as they are shared: H' is (a view of) H
-        when no jump has a trace, a jump of trace 0 (a view of) itself, and
-        a jump proportional to 1 gives 0."""
+        """(H', traceless jumps) of the equivalent representation whose
+        jumps are all traceless, H' = H + (i/2d) sum_j [J_j Tr(J_j†) - J_j†
+        Tr(J_j)] and J_j' = J_j - Tr(J_j)/d, which generates the identical
+        master operator.  Each jump keeps its form, and all are read-only
+        as they are shared: H' is (a view of) H when no jump has a trace, a
+        jump of trace 0 (a view of) itself, and a jump proportional to 1
+        gives 0."""
         d, shift, jumps = self.dim, 0.0, []
         for j, tr in zip(self.jumps, self.jump_traces):
             if tr != 0:
@@ -159,9 +162,6 @@ class Representation:
             else:
                 out -= 0.5j * (dag(j) @ j)
         return _frozen(out)
-
-    def with_jumps(self, jumps, labels=()) -> "Representation":
-        return Representation(self.hamiltonian, tuple(jumps), labels)
 
     def fingerprint(self) -> str:
         """Hex digest of the defining matrices' dense bytes (for
@@ -265,15 +265,6 @@ def jump_part_choi(jumps) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
-def traceless_representation(rep: Representation) -> Representation:
-    """Equivalent representation whose jumps are all traceless.
-
-    H' = H + (i/2d) sum_j [J_j Tr(J_j†) - J_j† Tr(J_j)],
-    J_j' = J_j - Tr(J_j)/d.  Generates the identical master operator.
-    """
-    return Representation(*rep.traceless, rep.labels)
-
-
 def evolve_density(rep: Representation, rho0, t: float) -> np.ndarray:
     """Propagate rho0 for time t >= 0 through exp(t * Liouville matrix);
     ShapeError above MAX_SUPEROP_DIM, before the matrix is formed."""
@@ -362,7 +353,6 @@ __all__ = [
     "pure_state",
     "relate_representations",
     "representations_equal",
-    "traceless_representation",
     "validate_density_matrix",
     "NegativeTimeError",
     "NotSameMasterOperator",

@@ -2,7 +2,9 @@
 
 Jump operators are grouped into sets whose pure-state actions share a
 destination: rank-one (reset) jumps with a common target state, and
-mutually proportional higher-rank jumps.  The composite action of a set
+mutually proportional higher-rank jumps.  Whatever its dim or form, a
+jump is read once, as its block on its nonzero rows and columns
+(linalg.support), and split by one rule.  The composite action of a set
 is the superoperator sum of its members; it preserves purity and is the
 object that matters for the unravelled dynamics.  A composite action is
 fixed by its Choi matrix, the frame sum_j |J_j>><<J_j| of its members, so
@@ -62,76 +64,22 @@ class SjedPartition:
         return out
 
 
-def _rank_one_split(j, tol: float):
-    """(destination, source) with J = |dest><source|, or None when the
-    singular values have s_1 > tol s_0.
-
-    A jump of dim up to linalg.SMALL_DIM is split as an array
-    (_dense_rank_one_split).  A larger one, array or CSR, is read from its
-    nonzero entries, so both forms give the same split: with one nonzero
-    row r it is |e_r><conj(row r)| and with one nonzero column c
-    |col><e_c| scaled, by inspection; any other is split as its dense block
-    on its nonzero rows and columns (linalg.support), which has J's
-    singular values."""
-    j = linalg.working(j)
-    if j.shape[0] <= linalg.SMALL_DIM:
-        return _dense_rank_one_split(j, tol)
-    rows, cols, block = linalg.support(j)
-    d = j.shape[0]
-    dest, source = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
-    if len(rows) == 1:
-        dest[rows[0]], source[cols] = 1.0, block[0].conj()
-        return dest, source
-    if len(cols) == 1:
-        dest[rows] = linalg.fix_column_phases(block / frob(block))[:, 0]
-        source[cols] = block[:, 0].conj() @ dest[rows]
-        return dest, source
-    split = _dense_rank_one_split(block, tol)
-    if split is None:
-        return None
-    dest[rows], source[cols] = split
-    return dest, source
-
-
-def _dense_rank_one_split(j: np.ndarray, tol: float):
-    """_rank_one_split of an array, of any shape.
-
-    Bounds settle most jumps in O(d^2): with c the column of largest
-    norm and dest = c / ||c||, R = ||J - dest dest† J|| >= s_1 and ||J† dest||
-    <= s_0 accept when R <= tol ||J† dest||; the second singular value of
-    [c, c'], c' the column R leaves largest, is <= s_1 and ||J|| >= s_0
-    reject when it exceeds tol ||J||.  A full SVD decides the band between.
-    An accepted dest is refined to the top singular vector by power steps.
-    """
-    col = j[:, np.argmax(linalg.norms(j))]
-    if frob(col) > 0.0:
-        dest = col / frob(col)
-        source = dag(j) @ dest
-        rest = np.outer(dest, -source.conj())    # J - dest source†, one d x d array
-        rest += j
-        if frob(rest) <= tol * frob(source):
-            del rest     # before the power steps' one d x d conjugate
-            jh = dag(j)
-            for _ in range(64):
-                step = j @ source
-                step /= frob(step)
-                done = frob(step - dest) <= 1e-14
-                dest, source = step, jh @ step
-                if done:
-                    break
-            dest = linalg.fix_column_phases(dest[:, None])[:, 0]
-            return dest, jh @ dest
-        pair = np.column_stack([col, j[:, np.argmax(linalg.norms(rest))]])
-        if np.linalg.svd(pair, compute_uv=False)[1] > tol * frob(j):
+def _rank_one_split(block: np.ndarray, tol: float):
+    """(destination, source) with block = |dest><source|, or None when its
+    singular values have s_1 > tol s_0.  A block of one row or one column
+    is split by inspection, any other by one SVD, whose top left singular
+    vector, phase-fixed (linalg.fix_column_phases), is the destination;
+    the source is block† dest."""
+    if block.shape[0] == 1:
+        dest = np.ones(1, dtype=complex)
+    elif block.shape[1] == 1:
+        dest = linalg.fix_column_phases(block / frob(block))[:, 0]
+    else:
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        if s[1] > tol * s[0]:
             return None
-    u, s, vh = np.linalg.svd(j)
-    if s.size > 1 and s[1] > tol * s[0]:
-        return None
-    dest = linalg.fix_column_phases(u[:, :1])[:, 0]
-    source = s[0] * vh[0].conj()  # rate absorbed into the source vector
-    # compensate the phase moved into dest
-    ph = np.vdot(dest, u[:, 0])
-    return dest, source * ph.conjugate()
+        dest = linalg.fix_column_phases(u[:, :1])[:, 0]
+    return dest, dag(block) @ dest
 
 
 def _proportionality_gap(base, x) -> float:
@@ -145,25 +93,24 @@ def _proportionality_gap(base, x) -> float:
     return frob(x - c * base)
 
 
-def _adjoint_times(j, v: np.ndarray) -> np.ndarray:
-    """J† v; for a CSR J, summed from its entries with numpy."""
-    if not scipy.sparse.issparse(j):
-        return dag(j) @ v
-    rows, cols, values = linalg.entries(j)
-    terms = values.conj() * v[rows]
-    out = np.empty(j.shape[1], dtype=complex)
-    out.real = np.bincount(cols, terms.real, len(out))
-    out.imag = np.bincount(cols, terms.imag, len(out))
-    return out
-
-
 def _partition(jumps, tol: float) -> tuple:
     """The SJEDs of a jump list, as build_sjeds describes them: a set's
-    members have directions within threshold(tol) of its first's."""
+    members have directions within threshold(tol) of its first's.  A
+    jump's block on its nonzero rows and columns (linalg.support) has its
+    singular values: the block's split gives the destination on those
+    rows, and a reset member's source J† dest is block† dest[rows] on
+    those columns."""
     tau = linalg.threshold(tol)
-    splits = [_rank_one_split(j, tau) for j in jumps]
+    supports = [linalg.support(j) for j in jumps]
+    splits = [_rank_one_split(block, tau) for _, _, block in supports]
     # unit directions: a rank-one jump's destination, else the jump itself
-    bases = [j / frob(j) if split is None else split[0] for j, split in zip(jumps, splits)]
+    bases = []
+    for j, (rows, _, _), split in zip(jumps, supports, splits):
+        if split is None:
+            bases.append(j / frob(j))
+        else:
+            bases.append(np.zeros(j.shape[0], dtype=complex))
+            bases[-1][rows] = split[0]
     sets, used = [], set()
     for k, base in enumerate(bases):
         if k in used:
@@ -174,7 +121,10 @@ def _partition(jumps, tol: float) -> tuple:
         if splits[k] is None:
             sets.append(SjedSet(tuple(members), "proportional"))
         else:
-            sources = np.column_stack([_adjoint_times(jumps[m], base) for m in members])
+            sources = np.zeros((len(base), len(members)), dtype=complex)
+            for i, m in enumerate(members):
+                rows, cols, block = supports[m]
+                sources[cols, i] = dag(block) @ base[rows]
             sets.append(SjedSet(tuple(members), "reset", destination=base, sources=sources))
         used.update(members)
     return tuple(sets)

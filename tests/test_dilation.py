@@ -477,7 +477,7 @@ def test_change_of_basis_refuses_a_wrong_candidate_at_any_scale():
     # own norm, however small the jumps are
     m = models.qubit_weak()
     sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
-    rep_a = m.rep.with_jumps(tuple(1e-10 * j for j in m.rep.jumps))
+    rep_a = Representation(m.rep.hamiltonian, tuple(1e-10 * j for j in m.rep.jumps))
     j1, j2 = rep_a.jumps
     rep_b = Representation(rep_a.hamiltonian, (j1 / np.sqrt(2), j1 / np.sqrt(2), j2))
     v, _ = relate_representations(rep_a, rep_b)
@@ -492,7 +492,7 @@ def test_symmetry_images_are_read_for_their_own_representation():
     rep = model.rep
     sym = SymmetryOperator.from_matrix(next(iter(model.symmetries.values())))
     p = build_sjeds(rep)
-    other = rep.with_jumps([2 * j for j in rep.jumps])
+    other = Representation(rep.hamiltonian, [2 * j for j in rep.jumps])
     env = linalg.random_unitary(np.random.default_rng(3), rep.njumps)
     with pytest.raises(ValueError):
         joint_symmetry_residual(dephased_generator_step(other), sym.images(rep), env)
@@ -504,7 +504,7 @@ def test_unitary_steps_of_another_representation_raise():
     # a bare or rotating-frame step must hold the images' own operators
     model = models.qubit_ii()
     images = SymmetryOperator.from_matrix(model.symmetries["parity"]).images(model.rep)
-    other = model.rep.with_jumps([2 * j for j in model.rep.jumps])
+    other = Representation(model.rep.hamiltonian, [2 * j for j in model.rep.jumps])
     env = np.eye(model.rep.njumps)
     for step in (stochastic_hamiltonian_step(other), rotating_frame_step(other)):
         with pytest.raises(ValueError):

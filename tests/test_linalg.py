@@ -7,6 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from weaksym import linalg, models
+from weaksym.lindblad import Representation
 from weaksym.linalg import (
     dag,
     frob,
@@ -341,7 +342,8 @@ def chain_and_remix():
     rep = models.qutrit_chain(5, thetas=np.random.default_rng(7).uniform(
         0.0, 2 * np.pi, 5)).rep
     q = random_unitary(np.random.default_rng(3), rep.njumps)
-    return rep, rep.with_jumps(tuple(np.tensordot(q, np.array(rep.jumps), axes=1))), q
+    mixed = tuple(np.tensordot(q, np.array(rep.jumps), axes=1))
+    return rep, Representation(rep.hamiltonian, mixed), q
 
 
 def test_operator_coordinate_paths_form_no_dense_rows(chain_and_remix):

@@ -21,7 +21,6 @@ from weaksym.lindblad import (
     pure_state,
     relate_representations,
     representations_equal,
-    traceless_representation,
     validate_density_matrix,
 )
 from weaksym.linalg import dag, frob, hermitian_eigendecomposition
@@ -205,7 +204,7 @@ def test_jump_part_choi_matches_reshuffled_kronecker_sum(dim, njumps, seed):
 
 def test_traceless_noop_for_traceless_jumps():
     rep = qubit_weak()
-    out = traceless_representation(rep)
+    out = Representation(*rep.traceless, rep.labels)
     assert frob(out.hamiltonian - rep.hamiltonian) < 1e-14
     for a, b in zip(out.jumps, rep.jumps):
         assert frob(a - b) < 1e-14
@@ -214,7 +213,7 @@ def test_traceless_noop_for_traceless_jumps():
 def test_traceless_projector_jump():
     h = 0.4 * SZ
     rep = Representation(h, (np.array([[1, 0], [0, 0]], dtype=complex),))
-    out = traceless_representation(rep)
+    out = Representation(*rep.traceless, rep.labels)
     assert np.allclose(out.jumps[0], np.diag([0.5, -0.5]))
     assert np.allclose(out.hamiltonian, h)
     assert representations_equal(rep, out, 1e-10)
@@ -225,8 +224,8 @@ def test_traceless_idempotent(rng):
     jumps = tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
                   for _ in range(2))
     rep = Representation(h, jumps)
-    t1 = traceless_representation(rep)
-    t2 = traceless_representation(t1)
+    t1 = Representation(*rep.traceless, rep.labels)
+    t2 = Representation(*t1.traceless, t1.labels)
     assert frob(t1.hamiltonian - t2.hamiltonian) < 1e-12
     for a, b in zip(t1.jumps, t2.jumps):
         assert frob(a - b) < 1e-12
@@ -392,7 +391,7 @@ def test_evolve_semigroup(rng):
 
 def test_representations_equal_traceless():
     rep = Representation(0.3 * SZ, (np.array([[1, 0], [0, 0]], dtype=complex), SX))
-    assert representations_equal(rep, traceless_representation(rep), 1e-9)
+    assert representations_equal(rep, Representation(*rep.traceless, rep.labels), 1e-9)
 
 
 def test_representations_equal_identity_jump():

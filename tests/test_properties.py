@@ -73,7 +73,7 @@ def symmetric_models(draw):
     seeds += [np.outer(dest, gaussian(dim).conj()) for _ in range(n_reset)]
     rep = Representation(h, tuple(p @ j @ dag(p) for p in powers for j in seeds))
     if remixed:
-        rep = rep.with_jumps(remix_within_sets(build_sjeds(rep), rng))
+        rep = Representation(rep.hamiltonian, remix_within_sets(build_sjeds(rep), rng))
     return rep, SymmetryOperator.from_matrix(u), remixed, split
 
 
@@ -134,7 +134,8 @@ def test_remixing_inside_sjeds_conjugates_the_block_certificate(model, seed):
     q = np.zeros((rep.njumps,) * 2, dtype=complex)
     for s in partition.sets:
         q[np.ix_(s.indices, s.indices)] = linalg.random_unitary(rng, s.size)
-    remixed = rep.with_jumps(tuple(np.tensordot(q, np.array(rep.jumps), axes=1)))
+    remixed = Representation(rep.hamiltonian,
+                             tuple(np.tensordot(q, np.array(rep.jumps), axes=1)))
     moved = build_sjeds(remixed)
     assert [s.indices for s in moved.sets] == [s.indices for s in partition.sets]
     a = check_condition_II(rep, sym, partition=partition)
@@ -176,7 +177,7 @@ def test_lift_permutes_the_jumps_along_each_cycle(model):
 def test_relabelling_relabels_the_certificates(model, data):
     rep, sym, _, _ = model
     sigma = data.draw(st.permutations(range(rep.njumps)))
-    relabelled = rep.with_jumps([rep.jumps[s] for s in sigma])
+    relabelled = Representation(rep.hamiltonian, [rep.jumps[s] for s in sigma])
     a = build_symmetry_report(rep, sym)
     b = build_symmetry_report(relabelled, sym)
     assert a.verdicts() == b.verdicts()
@@ -231,7 +232,7 @@ def test_rescaled_jumps_keep_verdicts_and_certificates(source, exponent):
         rep, sym = m.rep, SymmetryOperator.from_matrix(next(iter(m.symmetries.values())))
     else:
         rep, sym, _, _ = source
-    scaled = rep.with_jumps(tuple(10.0 ** exponent * j for j in rep.jumps))
+    scaled = Representation(rep.hamiltonian, tuple(10.0 ** exponent * j for j in rep.jumps))
     a, b = build_symmetry_report(rep, sym), build_symmetry_report(scaled, sym)
     assert a.verdicts() == b.verdicts()
     certificates = [(a.condition_I.mixing, b.condition_I.mixing),
@@ -574,10 +575,11 @@ def test_eigenphase_order_matches_product_loop(order, dim, seed):
         assert SymmetryOperator.from_matrix(w).order == _oracle_order(w)
 
 
-@given(dim=st.integers(2, 6), tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+@given(dim=st.integers(2, 6), big=st.sampled_from([None, 8, linalg.SMALL_DIM + 8]),
+       tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
        ratio=st.sampled_from([0.01, 0.999, 1.001, 100.0]), spread=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_rank_one_split_keeps_the_singular_value_threshold(dim, tol, ratio, spread,
+def test_rank_one_split_keeps_the_singular_value_threshold(dim, big, tol, ratio, spread,
                                                            seed):
     # s_1 / s_0 = ratio * tol, just under and just over the threshold; with
     # spread every lower singular value is s_1, as in diag(1, d, .., d)
@@ -593,12 +595,39 @@ def test_rank_one_split_keeps_the_singular_value_threshold(dim, tol, ratio, spre
     if new is not None:
         assert np.max(np.abs(new[0] - old[0])) <= 1e-12
         assert np.max(np.abs(new[1] - old[1])) <= 1e-12 * s[0]
-    # a second jump with the same destination joins the first one's set
-    rep = Representation(np.zeros((dim, dim)), (j, j @ linalg.random_unitary(rng, dim)))
+    # a second jump with the same destination joins the first one's set;
+    # with big, both sit on random rows and columns of a big x big zero
+    # matrix, whose block the SJEDs read
+    jumps = [j, j @ linalg.random_unitary(rng, dim)]
+    if big is not None:
+        rows, cols = (np.sort(rng.choice(big, dim, replace=False)) for _ in range(2))
+        for k, block in enumerate(jumps):
+            jumps[k] = np.zeros((big, big), dtype=complex)
+            jumps[k][np.ix_(rows, cols)] = block
+    h = np.zeros(jumps[0].shape)
+    rep = Representation(h, tuple(jumps))
     with mock.patch.object(sjed, "_rank_one_split", _oracle_rank_one_split):
         oracle = build_sjeds(rep, tol)
-    assert [(s.indices, s.kind) for s in build_sjeds(rep, tol).sets] \
+    arrays = build_sjeds(rep, tol)
+    assert [(s.indices, s.kind) for s in arrays.sets] \
         == [(s.indices, s.kind) for s in oracle.sets]
+    # as CSR matrices (held as such above SMALL_DIM) the same sets,
+    # destinations and sources, bit for bit
+    sparse = build_sjeds(Representation(h, tuple(map(scipy.sparse.csr_array, jumps))), tol)
+    assert [(s.indices, s.kind) for s in arrays.sets] \
+        == [(s.indices, s.kind) for s in sparse.sets]
+    for a, b in zip(arrays.sets, sparse.sets):
+        for x, y in ((a.destination, b.destination), (a.sources, b.sources)):
+            assert (x is None) == (y is None)
+            assert x is None or x.tobytes() == y.tobytes()
+    # and within 1e-12 of the oracle split of each dense jump
+    if ratio < 1.0:
+        reset, = arrays.sets
+        assert reset.indices == (0, 1) and reset.kind == "reset"
+        for k, m in enumerate(jumps):
+            dest, source = _oracle_rank_one_split(m, tol)
+            assert np.max(np.abs(reset.destination - dest)) <= 1e-12
+            assert np.max(np.abs(reset.sources[:, k] - source)) <= 1e-12 * s[0]
 
 
 def _assert_condition_II_is_generator_equality(rep, sym, groups=None):
@@ -1018,7 +1047,8 @@ def representation_pairs(draw):
     rep_a = Representation(h + dag(h), tuple(jumps))
     move = draw(st.sampled_from(["sjeds", "all", "shifted H", "moved H", "perturbed"]))
     if move == "sjeds":
-        return rep_a, rep_a.with_jumps(remix_within_sets(build_sjeds(rep_a), rng))
+        return rep_a, Representation(rep_a.hamiltonian,
+                                     remix_within_sets(build_sjeds(rep_a), rng))
     mixed = np.tensordot(linalg.random_unitary(rng, len(jumps)), np.array(jumps), axes=1)
     if move == "perturbed":
         mixed = mixed + 1e-3 * gaussian(*mixed.shape)

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from weaksym import linalg, models
 from weaksym.lindblad import Representation, jump_part_choi, pure_state
@@ -103,7 +104,7 @@ def test_partition_invariant_under_remixing(rng):
     m = models.twoqubit_ii()
     p = build_sjeds(m.rep)
     mixed = remix_within_sets(p, rng)
-    p2 = build_sjeds(m.rep.with_jumps(mixed))
+    p2 = build_sjeds(Representation(m.rep.hamiltonian, mixed))
     assert [s.indices for s in p2.sets] == [s.indices for s in p.sets]
     for a in range(p.nsets):
         assert frob(composite_choi(p, a) - composite_choi(p2, a)) < 1e-10
@@ -219,6 +220,24 @@ def test_reset_split_reconstructs_jump(rng):
         dest, source = _rank_one_split(j, 1e-9)
         assert np.linalg.norm(np.outer(dest, source.conj()) - j) < 1e-12
         assert abs(np.linalg.norm(dest) - 1.0) < 1e-12
+
+
+def test_reset_split_of_one_row_jumps_is_exact_in_either_form():
+    # n-jump-style jumps |k><b|, whose rows other than k hold -0.0 entries,
+    # as arrays at d = 32 and d = 33 and as CSR matrices at d = 33: each
+    # set's destination is e_k and its sources the b, bit for bit
+    rng = np.random.default_rng(0)
+    bs = rng.normal(size=(2, 33)) + 1j * rng.normal(size=(2, 33))
+    for d, form in ((32, np.asarray), (33, np.asarray), (33, scipy.sparse.csr_array)):
+        shifted = [[np.roll(b[:d], k) for k in range(d)] for b in bs]
+        jumps = [form(np.outer(np.eye(d)[k], row[k].conj())) for row in shifted
+                 for k in range(d)]
+        p = build_sjeds(Representation(np.eye(d), tuple(jumps)))
+        assert [s.indices for s in p.sets] == [(k, k + d) for k in range(d)]
+        for k, s in enumerate(p.sets):
+            assert s.destination.tobytes() == np.eye(d, dtype=complex)[k].tobytes()
+            expected = np.column_stack([row[k] for row in shifted])
+            assert s.sources.tobytes() == expected.tobytes()
 
 
 def _reset_partitions(rng):

@@ -11,7 +11,6 @@ from weaksym.lindblad import (
     apply_master_operator,
     liouville_matrix,
     representations_equal,
-    traceless_representation,
 )
 from weaksym.linalg import dag, frob
 from weaksym.sjed import build_sjeds, partition_from_groups, remix_within_sets, \
@@ -192,7 +191,7 @@ def test_solve_mixing_incompatible_target():
 def test_completion_independent_jumps_returns_mixing():
     m = models.qubit_i()
     sym = sym_of(m)
-    tl = traceless_representation(m.rep)
+    tl = Representation(*m.rep.traceless, m.rep.labels)
     targets = [sym.conjugate(j) for j in tl.jumps]
     x, _ = solve_mixing_matrix(tl.jumps, targets)
     u = general_unitary_completion(tl.jumps, targets)
@@ -335,7 +334,7 @@ def test_condition_II_invariant_under_remixing(rng):
     m = models.twoqubit_ii()
     sym = sym_of(m)
     p = build_sjeds(m.rep)
-    mixed = m.rep.with_jumps(remix_within_sets(p, rng))
+    mixed = Representation(m.rep.hamiltonian, remix_within_sets(p, rng))
     res = check_condition_II(mixed, sym)
     assert res.holds and res.permutation == (1, 0)
 
@@ -416,8 +415,8 @@ def test_report_hierarchy_consistency():
 def test_shifted_jump_moves_the_verdicts_down_the_hierarchy(shift, verdicts, reason):
     m = models.qubit_weak()
     jz, jx = m.rep.jumps
-    report = build_symmetry_report(m.rep.with_jumps((jz, jx + shift * np.eye(2))),
-                                   sym_of(m))
+    report = build_symmetry_report(
+        Representation(m.rep.hamiltonian, (jz, jx + shift * np.eye(2))), sym_of(m))
     assert report.verdicts() == verdicts and report.consistent
     results = (report.condition_I, report.condition_II, report.condition_III)
     assert all(c.reason.startswith(reason) for c in results if not c.holds)
@@ -594,7 +593,8 @@ def test_wave_operators_single_set():
     m = models.qubit_weak()
     p = build_sjeds(m.rep)
     # restrict to one SJED by passing the singleton cycle
-    waves = wave_operators(build_sjeds(m.rep.with_jumps((m.rep.jumps[0],))), (0,))
+    one = Representation(m.rep.hamiltonian, (m.rep.jumps[0],))
+    waves = wave_operators(build_sjeds(one), (0,))
     assert len(waves) == 1
     assert frob(waves[0] - composite_choi(p, 0)) < 1e-12
 

@@ -1126,8 +1126,8 @@ def test_join_refuses_parts_of_different_ensembles():
     for other in (sample_ensemble(rep, PLUS, 0.5, 4, seed=4, checkpoint_times=(0.5,),
                                   first_index=4),
                   sample_ensemble(rep, PLUS, 0.5, 4, seed=3, first_index=4),
-                  sample_ensemble(rep.with_jumps((2 * SM,)), PLUS, 0.5, 4, seed=3,
-                                  checkpoint_times=(0.5,), first_index=4)):
+                  sample_ensemble(Representation(rep.hamiltonian, (2 * SM,)), PLUS, 0.5, 4,
+                                  seed=3, checkpoint_times=(0.5,), first_index=4)):
         with pytest.raises(ValueError):
             TrajectoryEnsemble.join([part, other])
     assert TrajectoryEnsemble.join([part]).records == part.records

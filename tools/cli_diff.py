@@ -18,7 +18,11 @@ largest assignment the CLI meets, 256 x 256), ``verify-joint`` on the same
 built-ins, on the seeded L=3, L=4 and L=5 chains and on the 64- and
 128-jump models, ``check`` and ``verify-joint`` on the n-jump model with
 n = d = 32 and n = d = 33 (the symmetry held as an array and as a CSR
-matrix, on either side of linalg.SMALL_DIM), ``simulate`` (with exports) on qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
+matrix, on either side of linalg.SMALL_DIM), ``check`` and ``verify-joint``
+on a seeded dense d = 40 model (two reset SJEDs of two rank-one jumps each
+and one full-rank jump, the identity as its symmetry: every jump a dense
+array above linalg.SMALL_DIM that no row or column of its own splits, so
+the SJED split takes the SVD of its block), ``simulate`` (with exports) on qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
 three levels, ``simulate --level full --n 20000`` on qubit-III (the
 export path at scale), ``simulate --level full`` on twoqubit-II (the
 master solution at d = 4), ``simulate --threads 2`` on qubit-III,
@@ -76,10 +80,21 @@ JUMPS = ("import numpy as np, sys; from weaksym import models, modelfile; "
 # (n, d): the 64-, 128- and 256-jump models at d = 8, and n = d on either
 # side of linalg.SMALL_DIM = 32, where the symmetry's form switches
 JUMP_MODELS = ((64, 8), (128, 8), (256, 8), (32, 32), (33, 33))
+# the dense d = 40 model: two reset SJEDs of two rank-one jumps and a
+# full-rank jump, each a dense array; the identity is its symmetry
+DENSE = ("import numpy as np, sys; from weaksym import models, modelfile; "
+         "from weaksym.lindblad import Representation; "
+         "d = 40; rng = np.random.default_rng(11); "
+         "v = lambda *s: (rng.normal(size=s) + 1j * rng.normal(size=s)) / d; "
+         "h = v(d, d); dests = v(2, d); "
+         "jumps = [np.outer(a, v(d).conj()) for a in dests for _ in range(2)] + [v(d, d)]; "
+         "m = models.Model('dense-40', Representation(h + h.conj().T, tuple(jumps)), "
+         "{'identity': np.eye(d)}); "
+         "modelfile.dump_model(m, sys.argv[1])")
 
 
 def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, jumps32,
-          jumps33, own):
+          jumps33, dense40, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
     out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5,
@@ -95,6 +110,8 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
                                                      chain5, jumps64, jumps128]]
     # the symmetry held as an array (d = 32) and as a CSR matrix (d = 33)
     out += [[c, m] for m in (jumps32, jumps33) for c in ("check", "verify-joint")]
+    # dense jumps above SMALL_DIM, split by the SVD of their block
+    out += [[c, dense40] for c in ("check", "verify-joint")]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
@@ -184,6 +201,9 @@ def main(argv=None) -> int:
             chains.append(os.path.join(tmp, f"jumps-{n}-d{d}.json"))
             subprocess.run([sys.executable, "-c", JUMPS, chains[-1], str(n), str(d)],
                            check=True, env=dict(os.environ, PYTHONPATH=base))
+        chains.append(os.path.join(tmp, "dense-40.json"))
+        subprocess.run([sys.executable, "-c", DENSE, chains[-1]],
+                       check=True, env=dict(os.environ, PYTHONPATH=base))
         failures = 0
         deviations = [0.0]
         pairs = cases(*chains, own)
