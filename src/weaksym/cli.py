@@ -61,7 +61,10 @@ class Analysis:
 
 
 def analyze(model, sym_name=None, tol=DEFAULT_TOL) -> Analysis:
-    """Partition, operators and reports for all symmetries or the one named."""
+    """Partition, operators and reports for all symmetries or the one named.
+    What a malformed input fails on (the SJED partition, pinned or built,
+    and each SymmetryOperator) is formed here; each report decides a
+    condition, and forms a certificate, only when a command reads it."""
     if sym_name is not None and sym_name not in model.symmetries:
         raise ParseError(f"model has no symmetry named {sym_name!r}; "
                          f"known: {sorted(model.symmetries)}")
@@ -216,10 +219,14 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
                                for sym, _ in symmetries.values()]
     ens, *others = _sample(rep, starts, horizon, n, threads)
     for (name, (sym, report)), ens_b in zip(symmetries.items(), others):
-        c2, c3 = report.condition_II, report.condition_III
-        perm = {"full": c3.permutation if c3.holds else tuple(range(rep.njumps)),
-                "coarse": c2.permutation if c2.holds else tuple(range(partition.nsets))
-                }.get(level)     # unlabelled: no permutation
+        # the one condition the level tests, decided here: none when unlabelled
+        perm = None
+        if level == "full":
+            c3 = report.condition_III
+            perm = c3.permutation if c3.holds else tuple(range(rep.njumps))
+        elif level == "coarse":
+            c2 = report.condition_II
+            perm = c2.permutation if c2.holds else tuple(range(partition.nsets))
         pval, passed = trajectories.ensemble_symmetry_test(
             rep, sym, level, ens, ens_b, alpha_sig=alpha, permutation=perm,
             partition=partition)

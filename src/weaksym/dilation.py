@@ -248,8 +248,9 @@ def environment_certificates(report: SymmetryReport) -> dict:
     """Step kind -> the u with U x Gamma(u) a certified symmetry of that
     step: dephased <- condition III's phased permutation, partial <-
     condition II's block unitary, coarse <- pi_c, rotating_frame <- the
-    block unitary or else condition I's completion; kinds left uncertified
-    (a failed condition or block completion) are left out."""
+    block unitary or else condition I's completion, read (and so formed)
+    only where the block unitary is missing; kinds left uncertified (a
+    failed condition or block completion) are left out."""
     c1, c2, c3 = report.condition_I, report.condition_II, report.condition_III
     out = {}
     if c3.holds:

@@ -209,18 +209,32 @@ def check_unitary(gram, tol: float = DEFAULT_TOL) -> None:
         raise NotUnitaryError("matrix is not unitary within tolerance")
 
 
+def _column_phases(v: np.ndarray, tol: float) -> tuple:
+    """(index, moduli, factors): the (rows, columns) of each column's first
+    entry of modulus above tol times the column's largest (row 0 of an
+    all-zero column), those entries' moduli, and the unit factors that
+    make them real positive."""
+    nrm = np.abs(v)
+    index = np.argmax(nrm > tol * nrm.max(axis=0), axis=0), np.arange(v.shape[1])
+    first = v[index]
+    r = np.abs(first)   # zero only for an all-zero column, which stays as it is
+    return index, r, np.where(r > 0, first / np.where(r > 0, r, 1.0), 1.0).conj()
+
+
 def column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """The unit factors that make each column's first non-negligible entry
     real positive."""
-    nrm = np.abs(v)
-    first = v[np.argmax(nrm > tol * nrm.max(axis=0), axis=0), np.arange(v.shape[1])]
-    r = np.abs(first)   # zero only for an all-zero column, which stays as it is
-    return np.where(r > 0, first / np.where(r > 0, r, 1.0), 1.0).conj()
+    return _column_phases(v, tol)[2]
 
 
 def fix_column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rescale each column so its first non-negligible entry is real positive."""
-    return v * column_phases(v, tol)
+    """Rescale each column by its column_phases factor, so that its first
+    non-negligible entry is real positive: that entry is set to its modulus
+    exactly, which the product misses by a rounding-size imaginary part."""
+    index, r, phases = _column_phases(v, tol)
+    out = v * phases
+    out[index] = r
+    return out
 
 
 def hermitian_eigendecomposition(a, tol: float = DEFAULT_TOL):

@@ -14,10 +14,12 @@ A distance includes the distance of the level below, which must hold, so
 III => II => I on every input.  A condition holds when its distance is at
 most tau(tol) = linalg.threshold(tol) = max(tol, linalg.ROUNDING_FLOOR),
 the one threshold every decision reads; the floor keeps rounding from
-deciding.  The certificates (mixing matrix, unitaries, permutations,
-phases) are computed after the verdict; a failed one is None, with the
-reason.  One rule, linalg.SpanMap.accept, accepts every unitary on jump
-space (both completions, the SJED block unitary, `fourier_symmetrize`'s
+deciding.  A SymmetryReport decides each condition on its first read.
+Deciding finds the permutations and phases; the other certificates
+(mixing matrix, unitaries) are formed on their first read
+(ConditionResult), and a failed one is None, with the reason.  One rule,
+linalg.SpanMap.accept, accepts every unitary on jump space (both
+completions, the SJED block unitary, `fourier_symmetrize`'s
 eigenvalues): U†U within tau max(1, sqrt(n)) of 1 (linalg.check_unitary)
 and each target reproduced within tau times its own norm; ranks are cut
 at singular values above tau times the largest (linalg.rank).  All checks
@@ -29,6 +31,7 @@ takes U^n = theta 1 when U^n's eigenphases form one such class.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -304,56 +307,78 @@ class SymmetryImages:
         return self.jump_images.T @ self.jumps.conj()
 
 
+_CERTIFICATES = {"mixing": None, "mixing_residual": 0.0, "unitary": None, "reason": ""}
+
+
 @dataclass
 class ConditionResult:
-    """A verdict and its certificates; `reason` says why it failed, or why a
-    certificate of one that holds is None."""
+    """A verdict, with the residuals, permutation and phases deciding it
+    finds, and its certificates: `mixing`, `mixing_residual` and `unitary`,
+    and `reason`, which says why it failed, or why a certificate of one that
+    holds is None.  They are formed together on the first read of one by
+    `certify`, which returns them by name; one it leaves out keeps its
+    default (None, 0.0, None and "")."""
 
     holds: bool
     hamiltonian_residual: float = 0.0
-    mixing: np.ndarray | None = None
-    mixing_residual: float = 0.0
-    unitary: np.ndarray | None = None
     permutation: tuple | None = None
     phases: tuple | None = None
     residual: float = 0.0
-    reason: str = ""
+    certify: Callable[[], dict] = field(default=dict, repr=False)
+
+    def __getattr__(self, name):
+        # reached only by names not yet set: the certificates, until formed
+        if name not in _CERTIFICATES:
+            raise AttributeError(name)
+        for key, value in {**_CERTIFICATES, **self.certify()}.items():
+            self.__dict__.setdefault(key, value)    # one assigned before stays
+        return self.__dict__[name]
 
     def __bool__(self) -> bool:
         return self.holds
 
 
-@dataclass
 class SymmetryReport:
-    condition_I: ConditionResult
-    condition_II: ConditionResult
-    condition_III: ConditionResult
-    consistent: bool = True
+    """The three conditions of one symmetry of rep, each decided on its first
+    read, on the condition below it, by check_condition_I, _II and _III (read
+    through those names), and `consistent`, whether III => II => I; each
+    condition forms its certificates on their first read."""
+
+    def __init__(self, rep: Representation, sym: SymmetryOperator, tol: float,
+                 partition: SjedPartition | None):
+        self.rep, self.sym, self.tol, self.partition = rep, sym, tol, partition
+
+    @cached_property
+    def condition_I(self) -> ConditionResult:
+        return check_condition_I(self.rep, self.sym, self.tol)
+
+    @cached_property
+    def condition_II(self) -> ConditionResult:
+        return check_condition_II(self.rep, self.sym, self.tol, self.partition,
+                                  below=self.condition_I)
+
+    @cached_property
+    def condition_III(self) -> ConditionResult:
+        return check_condition_III(self.rep, self.sym, self.tol, below=self.condition_II)
+
+    @property
+    def consistent(self) -> bool:
+        c1, c2, c3 = self.condition_I, self.condition_II, self.condition_III
+        return (not c3.holds or c2.holds) and (not c2.holds or c1.holds)
 
     def verdicts(self) -> tuple:
         return (self.condition_I.holds, self.condition_II.holds,
                 self.condition_III.holds)
 
 
-def _span(jumps, targets, tol) -> linalg.SpanMap:
-    """The span map of operators (or their coordinates), read from their
-    linalg.operator_coordinates."""
-    if len(jumps) != len(targets):
-        raise linalg.ShapeError("need equally many jumps and targets")
-    return linalg.SpanMap(*linalg.operator_coordinates(jumps, targets), tol)
-
-
-def solve_mixing_matrix(jumps, targets, tol: float = DEFAULT_TOL):
-    """(X, residual): the least-norm X with targets_j ~ sum_k X[j, k] jumps_k
-    (linalg.SpanMap.mixing) and the residual relative to the targets'."""
-    return _span(jumps, targets, tol).mixing
-
-
 def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
     """Unitary U with targets_j = sum_k U[j, k] jumps_k: the mixing completed
-    by the identity on the jump kernel (linalg.SpanMap.certificate);
-    CompletionFailed when it does not certify the targets."""
-    u = _span(jumps, targets, tol).certificate()
+    by the identity on the jump kernel (linalg.SpanMap.certificate of the
+    operators' linalg.operator_coordinates); CompletionFailed when it does
+    not certify the targets."""
+    if len(jumps) != len(targets):
+        raise linalg.ShapeError("need equally many jumps and targets")
+    u = linalg.SpanMap(*linalg.operator_coordinates(jumps, targets), tol).certificate()
     if u is None:
         raise CompletionFailed("no unitary completion reproduces the targets")
     return u
@@ -399,7 +424,8 @@ def _verdict(tol: float, h_resid: float, terms: dict) -> ConditionResult:
     name, gap = max(terms.items(), key=lambda item: item[1])
     if gap <= threshold(tol):
         return ConditionResult(True, h_resid, residual=gap)
-    return ConditionResult(False, h_resid, reason=f"{name} {gap:.3g} > {threshold(tol):.3g}")
+    reason = f"{name} {gap:.3g} > {threshold(tol):.3g}"
+    return ConditionResult(False, h_resid, certify=lambda: {"reason": reason})
 
 
 def check_condition_I(rep: Representation, sym: SymmetryOperator,
@@ -407,8 +433,8 @@ def check_condition_I(rep: Representation, sym: SymmetryOperator,
     """Master-level symmetry, U L(rho) U† = L(U rho U†), decided on the
     lindblad.master_gaps of the traceless frame and its image.  Where it
     holds, the least-norm mixing X with U J'_j U† ~ sum_k X[j, k] J'_k, its
-    relative residual and X's unitary completion come from one
-    linalg.SpanMap, so the two agree on the jump span."""
+    relative residual and X's unitary completion are formed on their first
+    read, from one linalg.SpanMap, so the two agree on the jump span."""
     images = sym.images(rep)
     h_gap, frame_gap = master_gaps(images.frame_hamiltonian, images.frame_hamiltonian_image,
                                    images.frame_jumps, images.frame_images)
@@ -416,11 +442,13 @@ def check_condition_I(rep: Representation, sym: SymmetryOperator,
                                            images.frame_hamiltonian),
                       {"traceless Hamiltonian gap": h_gap, "jump frame gap": frame_gap})
     if result.holds:
-        span = linalg.SpanMap(images.frame_jumps, images.frame_images, tol)
-        result.mixing, result.mixing_residual = span.mixing
-        result.unitary = span.certificate()
-        if result.unitary is None:
-            result.reason = "no unitary completion of the mixing reproduces the targets"
+        def certify():
+            span = linalg.SpanMap(images.frame_jumps, images.frame_images, tol)
+            (mixing, residual), unitary = span.mixing, span.certificate()
+            return {"mixing": mixing, "mixing_residual": residual, "unitary": unitary,
+                    "reason": "" if unitary is not None else
+                    "no unitary completion of the mixing reproduces the targets"}
+        result.certify = certify
     return result
 
 
@@ -436,11 +464,13 @@ def check_condition_II(rep: Representation, sym: SymmetryOperator,
     """Trajectory-level symmetry on condition I's result (below, checked
     here when not given), ||U H U† - H|| / max(||H||, 1) and the largest
     relative Choi-frame gap of the SJEDs matched with their images by
-    sjed.match_sets; `unitary` is the SJED block certificate."""
+    sjed.match_sets; `unitary` is the SJED block certificate, formed on its
+    first read."""
     images = sym.images(rep)
     below = check_condition_I(rep, sym, tol) if below is None else below
     if not below.holds:
-        return ConditionResult(False, images.hamiltonian_residual, reason=below.reason)
+        return ConditionResult(False, images.hamiltonian_residual,
+                               certify=lambda: {"reason": below.reason})
     partition = build_sjeds(rep, tol) if partition is None else partition
     sets = [s.indices for s in partition.sets]
     pi, gap = match_sets(images.jumps, images.jump_images, sets, sets, tol)
@@ -450,11 +480,12 @@ def check_condition_II(rep: Representation, sym: SymmetryOperator,
             images.hamiltonian_residual / max(linalg.distance(rep.hamiltonian), 1.0),
         "SJED matching gap": np.inf if pi is None else gap})
     if result.holds:
-        result.permutation = pi
-        try:
-            result.unitary = blockwise_unitary_completion(rep, sym, partition, pi)
-        except CompletionFailed as exc:
-            result.reason = str(exc)
+        def certify():
+            try:
+                return {"unitary": blockwise_unitary_completion(rep, sym, partition, pi)}
+            except CompletionFailed as exc:
+                return {"reason": str(exc)}
+        result.permutation, result.certify = pi, certify
     return result
 
 
@@ -468,7 +499,8 @@ def check_condition_III(rep: Representation, sym: SymmetryOperator,
     images = sym.images(rep)
     below = check_condition_II(rep, sym, tol) if below is None else below
     if not below.holds:
-        return ConditionResult(False, images.hamiltonian_residual, reason=below.reason)
+        return ConditionResult(False, images.hamiltonian_residual,
+                               certify=lambda: {"reason": below.reason})
     a, b = images.jumps, images.jump_images
     coeff = images.overlaps / np.sum(np.abs(a) ** 2, axis=0)
     gaps = linalg.norms(b[:, :, None] - np.exp(1j * np.angle(coeff)) * a[:, None, :])
@@ -691,12 +723,8 @@ def check_linear_eigenfunction(rep: Representation, f,
 def build_symmetry_report(rep: Representation, sym: SymmetryOperator,
                           tol: float = DEFAULT_TOL,
                           partition: SjedPartition | None = None) -> SymmetryReport:
-    """Run the three condition checks, each on the result of the one below."""
-    c1 = check_condition_I(rep, sym, tol)
-    c2 = check_condition_II(rep, sym, tol, partition, below=c1)
-    c3 = check_condition_III(rep, sym, tol, below=c2)
-    consistent = (not c3.holds or c2.holds) and (not c2.holds or c1.holds)
-    return SymmetryReport(c1, c2, c3, consistent)
+    """The report of sym on rep, each condition decided on its first read."""
+    return SymmetryReport(rep, sym, tol, partition)
 
 
 __all__ = [
@@ -724,7 +752,6 @@ __all__ = [
     "monomial_eigenvalue",
     "off_block_mass",
     "permutation_unitary",
-    "solve_mixing_matrix",
     "transformed_choi",
     "wave_operators",
 ]

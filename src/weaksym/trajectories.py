@@ -703,13 +703,6 @@ def sample_trajectory(rep: Representation, psi0, horizon: float,
     return Trajectory(psi0m, record, tuple(checkpoints))
 
 
-def coarse_record(record: MeasurementRecord, partition: SjedPartition) -> MeasurementRecord:
-    """Map full labels to SJED labels."""
-    labels = partition.coarse_labels()
-    events = tuple((t, int(labels[j])) for t, j in record.events)
-    return MeasurementRecord(events, record.horizon, "coarse")
-
-
 def ensemble_average(ensemble: TrajectoryEnsemble, t: float,
                      n_bootstrap: int = 200, seed: int = 1):
     """Mean conditional density matrix at a checkpoint with bootstrap errors.
@@ -919,7 +912,6 @@ __all__ = [
     "StiffnessError",
     "Trajectory",
     "TrajectoryEnsemble",
-    "coarse_record",
     "coarse_record_weight",
     "ensemble_average",
     "ensemble_symmetry_test",

@@ -819,7 +819,8 @@ def test_report_analyses_once(monkeypatch, capsys):
 
 
 def test_block_completion_built_once_per_symmetry(tmp_path, monkeypatch, capsys):
-    # condition II owns the certificate, which every part of a command reads
+    # condition II owns the certificate, which every part of a command that
+    # reads it shares; simulate reads none
     calls = []
     original = symmetry.blockwise_unitary_completion
 
@@ -831,11 +832,42 @@ def test_block_completion_built_once_per_symmetry(tmp_path, monkeypatch, capsys)
     monkeypatch.delenv("WEAKSYM_THREADS", raising=False)
     path = _chain_file(tmp_path)
     sample = ["--n", "40", "--horizon", "0.3"]
-    for argv in (["check", path], ["verify-joint", path],
-                 ["report", path, *sample], ["simulate", path, *sample]):
+    for argv in (["check", path], ["verify-joint", path], ["report", path, *sample]):
         calls.clear()
         assert main(argv) == 0
         assert 0 < len(calls) == len({id(sym) for sym in calls}) <= 3
+    calls.clear()
+    assert main(["simulate", path, *sample]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("chain", [False, True])
+def test_simulate_decides_only_its_level(chain, tmp_path, monkeypatch, capsys):
+    # each level decides the condition it tests, on those below it, and
+    # forms no certificate; check decides and forms all of them
+    calls = []
+
+    def spy(owner, name):
+        def counting(*args, _original=getattr(owner, name), **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    conditions = ["check_condition_I", "check_condition_II", "check_condition_III"]
+    for name in (*conditions, "blockwise_unitary_completion"):
+        spy(symmetry, name)
+    spy(linalg.SpanMap, "certificate")
+    monkeypatch.delenv("WEAKSYM_THREADS", raising=False)
+    model = _chain_file(tmp_path) if chain else "qubit-III"
+    nsym = len(cli._load(model).symmetries)
+    for level, decided in (("unlabelled", 0), ("coarse", 2), ("full", 3)):
+        calls.clear()
+        assert main(["simulate", model, "--level", level, "--n", "40",
+                     "--horizon", "0.3"]) == 0
+        assert sorted(calls) == sorted(conditions[:decided] * nsym)
+    calls.clear()
+    assert main(["check", model]) == 0
+    assert set(calls) == {*conditions, "blockwise_unitary_completion", "certificate"}
 
 
 def test_lift_reads_the_certificate_and_the_images(tmp_path, monkeypatch):

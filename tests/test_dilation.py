@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weaksym import dilation, linalg, models
+from weaksym import dilation, linalg, models, symmetry
 from weaksym.lindblad import (
     Representation,
     apply_master_operator,
@@ -18,7 +17,6 @@ from weaksym.sjed import build_sjeds
 from weaksym.symmetry import (
     CompletionFailed,
     SymmetryOperator,
-    SymmetryReport,
     build_symmetry_report,
     check_condition_II,
     check_condition_III,
@@ -267,11 +265,13 @@ def test_residuals_qubit_i_only_unitary_level():
     assert minimum_symmetry_residual(coarse, images, partition=p) > 1e-3
 
 
-def test_certificates_skip_a_failed_block_completion():
-    m = models.qubit_ii()
-    sym, p, c1, c2, c3, _ = certificates(m)
-    failed = SymmetryReport(c1, dataclasses.replace(c2, unitary=None, reason="x"), c3)
-    certs = environment_certificates(failed)
+def test_certificates_skip_a_failed_block_completion(monkeypatch):
+    def failed(*args):
+        raise CompletionFailed("x")
+
+    monkeypatch.setattr(symmetry, "blockwise_unitary_completion", failed)
+    sym, p, c1, c2, c3, certs = certificates(models.qubit_ii())
+    assert c2.holds and c2.unitary is None and c2.reason == "x"
     assert list(certs) == ["coarse", "rotating_frame"]
     assert certs["rotating_frame"] is c1.unitary
 

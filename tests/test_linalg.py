@@ -136,6 +136,24 @@ def test_phase_classes_have_an_exact_zero_class_and_do_not_chain():
     assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fix_column_phases_sets_the_first_entry_to_its_modulus(seed):
+    # random complex columns, an all-zero one, and one whose first entry is
+    # under the tol cut, so that its second entry is made real positive
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((4, 60)) + 1j * rng.standard_normal((4, 60))
+    v[:, 0] = 0.0
+    v[0, 1] *= 1e-13
+    got, phases = linalg.fix_column_phases(v), linalg.column_phases(v)
+    rows = np.zeros(v.shape[1], dtype=int)
+    rows[1] = 1
+    for j, i in enumerate(rows):
+        assert got[i, j].imag == 0.0 and not np.signbit(got[i, j].imag)
+        assert got[i, j].real == np.abs(v)[i, j]
+        others = np.arange(4) != i
+        assert got[others, j].tobytes() == (v[others, j] * phases[j]).tobytes()
+
+
 def test_expm_zero():
     assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
 
@@ -351,7 +369,6 @@ def test_operator_coordinate_paths_form_no_dense_rows(chain_and_remix):
     # Hamiltonians' difference (one 0.9 MiB array) is the largest array left
     from weaksym.lindblad import relate_representations, representations_equal
     from weaksym.sjed import build_sjeds, same_unravelled_generator
-    from weaksym.symmetry import solve_mixing_matrix
 
     rep, remix, q = chain_and_remix
     parts = build_sjeds(rep), build_sjeds(remix)
@@ -360,7 +377,8 @@ def test_operator_coordinate_paths_form_no_dense_rows(chain_and_remix):
         "relate_representations": lambda: relate_representations(rep, remix),
         "same_unravelled_generator": lambda: same_unravelled_generator(
             rep, remix, partition_a=parts[0], partition_b=parts[1]),
-        "solve_mixing_matrix": lambda: solve_mixing_matrix(rep.jumps, remix.jumps),
+        "mixing": lambda: linalg.SpanMap(
+            *linalg.operator_coordinates(rep.jumps, remix.jumps)).mixing,
     }
     results = {}
     for name, call in calls.items():
@@ -375,5 +393,5 @@ def test_operator_coordinate_paths_form_no_dense_rows(chain_and_remix):
     v, unique = results["relate_representations"]
     assert unique and frob(v - q) < 1e-12 * rep.njumps
     assert results["same_unravelled_generator"] == (True, (0,), 0.0)
-    x, resid = results["solve_mixing_matrix"]
+    x, resid = results["mixing"]
     assert frob(x - q) < 1e-12 * rep.njumps and resid < 1e-14

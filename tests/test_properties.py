@@ -89,6 +89,69 @@ def test_symmetric_models_keep_the_hierarchy(model):
     assert report.condition_III.holds or remixed
 
 
+_FIELDS = ("holds", "hamiltonian_residual", "residual", "permutation", "phases",
+           "mixing", "mixing_residual", "unitary", "reason")
+_CHECK_ORDER = [("condition_I", "holds"), ("condition_II", "holds"),
+                ("condition_III", "holds"), "consistent", ("condition_I", "mixing"),
+                ("condition_I", "unitary"), ("condition_II", "permutation"),
+                ("condition_III", "permutation"), ("condition_III", "phases"),
+                ("condition_I", "hamiltonian_residual"), ("condition_I", "mixing_residual"),
+                ("condition_II", "residual"), ("condition_II", "unitary"),
+                ("condition_II", "reason")]
+_READ_ORDERS = {
+    "conditions up": [(c, f) for c in ("condition_I", "condition_II", "condition_III")
+                      for f in _FIELDS],
+    "condition III first": [(c, f) for c in ("condition_III", "condition_II", "condition_I")
+                            for f in _FIELDS],
+    "certificates first": [(c, f) for f in ("unitary", "mixing", "reason", *_FIELDS)
+                           for c in ("condition_II", "condition_I", "condition_III")],
+    "as check prints": _CHECK_ORDER,
+}
+
+
+def _bits(value):
+    """A value's bits: dtype, shape and bytes of an array, bytes of a float."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).tobytes()
+    return value
+
+
+def _read_report(rep, u, partition, order):
+    """Every field of a fresh report (fresh operator and images), read in
+    order and then the rest, by name."""
+    report = build_symmetry_report(rep, SymmetryOperator.from_matrix(u), 1e-9, partition)
+    keys = [*order, *_READ_ORDERS["conditions up"], "consistent"]
+    return {key: _bits(report.consistent if key == "consistent"
+                       else getattr(getattr(report, key[0]), key[1])) for key in keys}
+
+
+def _assert_read_order_free(rep, u, partition=None):
+    want = _read_report(rep, u, partition, [])
+    for name, order in _READ_ORDERS.items():
+        assert _read_report(rep, u, partition, order) == want, name
+
+
+@given(symmetric_models())
+def test_read_order_does_not_change_a_report(model):
+    rep, sym, _, split = model
+    partition = partition_from_groups(rep, [[k] for k in range(rep.njumps)]) \
+        if split else None
+    _assert_read_order_free(rep, sym.matrix, partition)
+
+
+def test_read_order_does_not_change_a_builtin_report():
+    for name in models.BUILDERS:
+        model = models.get_model(name)
+        partition = None if model.sjed_groups is None else \
+            partition_from_groups(model.rep, model.sjed_groups)
+        for u in model.symmetries.values():
+            _assert_read_order_free(model.rep, u, partition)
+
+
 @given(st.one_of(st.sampled_from([n for n in models.BUILDERS if n != "qutrit-chain"]),
                  symmetric_models()),
        st.sampled_from([1e-12, 1e-9, 1e-6]), st.floats(0.1, 100.0),
@@ -1002,7 +1065,7 @@ def test_operator_coordinates_match_the_dense_row_stack(families):
     want = linalg.frame_gap(oa, ob)
     scale = max(want[1], want[2], 1e-300)
     assert np.max(np.abs(np.subtract(linalg.frame_gap(a, b), want))) <= 1e-12 * scale
-    # solve_mixing_matrix's and general_unitary_completion's span maps
+    # the span maps of the mixing and of general_unitary_completion
     for tol in (np.sqrt(1e-9), 1e-9):
         span, oracle = linalg.SpanMap(a, b, tol), linalg.SpanMap(oa, ob, tol)
         assert span.svd[3] == oracle.svd[3]

@@ -34,7 +34,6 @@ from weaksym.symmetry import (
     monomial_eigenvalue,
     off_block_mass,
     permutation_unitary,
-    solve_mixing_matrix,
     transformed_choi,
     wave_operators,
 )
@@ -42,6 +41,15 @@ from weaksym.symmetry import (
 from conftest import SM, SX, SZ, random_pure_state, superoperator_matrix
 
 PARITY = SymmetryOperator.from_matrix(SZ)
+
+
+def solve_mixing_matrix(jumps, targets, tol=linalg.DEFAULT_TOL):
+    """(X, residual): the least-norm X with targets_j ~ sum_k X[j, k] jumps_k
+    and the residual relative to the targets', from the span map of the
+    operators' coordinates."""
+    if len(jumps) != len(targets):
+        raise linalg.ShapeError("need equally many jumps and targets")
+    return linalg.SpanMap(*linalg.operator_coordinates(jumps, targets), tol).mixing
 
 
 def sym_of(model, name=None):

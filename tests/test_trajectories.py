@@ -26,7 +26,6 @@ from weaksym.trajectories import (
     SizeMismatch,
     StiffnessError,
     TrajectoryEnsemble,
-    coarse_record,
     coarse_record_weight,
     ensemble_average,
     ensemble_symmetry_test,
@@ -51,6 +50,13 @@ from weaksym.trajectories import (
 from conftest import SM, SX, SZ, random_pure_state, symmetry_ensembles
 
 PLUS = pure_state([1, 1])
+
+
+def coarse_record(record, partition):
+    """The record with its full labels mapped to SJED labels."""
+    labels = partition.coarse_labels()
+    events = tuple((t, int(labels[j])) for t, j in record.events)
+    return MeasurementRecord(events, record.horizon, "coarse")
 
 
 def dephasing(gamma=1.0):

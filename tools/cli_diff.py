@@ -33,7 +33,11 @@ qubit-III's diagonal H_eff and on its Taylor table for qubit-II's), ``simulate -
 ``qutrit-chain`` (three symmetries, so four ensembles in one pass at
 d = 81) and on the seeded L=5 chain (four ensembles at d = 243, where the
 starts' state vectors and the sampler's setup weigh),
-``simulate --threads 2 --n 301`` on the L=3 chain (uneven chunks), and
+``simulate --threads 2 --n 301`` on the L=3 chain (uneven chunks),
+``simulate --level coarse`` on twoqubit-II (condition II holds with a
+two-set pi_c at d = 4), on twoqubit-I (condition II fails, so the identity
+permutation is used) and on the L=3 chain with ``--sym rotation`` (one
+named symmetry), and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
 ``verify-joint`` and ``simulate`` share one analysis), once with each tree
 on PYTHONPATH.
@@ -131,6 +135,12 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     out += [["simulate", "qutrit-chain", "--level", "full", "--n", "200", "--seed", "5"]]
     out += [["simulate", chain5, "--level", "full", "--n", "200"]]
     out += [["simulate", chain3, "--threads", "2", "--n", "301"]]
+    # the coarse level decides condition II alone: pi_c, the identity where
+    # it fails, and one named symmetry
+    out += [["simulate", m, "--level", "coarse", "--n", "300", "--seed", "7"]
+            for m in ("twoqubit-II", "twoqubit-I")]
+    out += [["simulate", chain3, "--sym", "rotation", "--level", "coarse",
+             "--n", "300", "--seed", "7"]]
     out += [["report", m] for m in ("qubit-III", "qubit-I", chain3)]
     cross = [["check", chain4], ["check", chain5], ["check", chain6]]
     cross += [["verify-joint", m] for m in (chain3, chain4, chain5)]
