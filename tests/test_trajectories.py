@@ -873,24 +873,38 @@ def _full_outer_average(vecs, n_bootstrap=200, seed=1):
     return mats.mean(axis=0).reshape(d, d), err
 
 
+def _ensemble_of(vecs):
+    return TrajectoryEnsemble([[] for _ in range(len(vecs))], {1.0: vecs}, 1.0, 0, "")
+
+
 @pytest.mark.parametrize("d, n, chunk", [
     (2, 2000, traj._AVERAGE_CHUNK),  # one chunk
     (27, 300, 300 * 7),              # 54 chunks, the last of 7 columns
     (27, 300, 300 * 29),             # a last chunk of one column joins the one before
     (5, 40, 1),                      # two columns a chunk, never one
+    # the weights' covariance: n (200 + d(d+1)) < 200 d(d+1)
+    (27, 80, traj._AVERAGE_CHUNK),   # one chunk
+    (27, 80, 200 * 7),               # 54 chunks
+    (81, 100, traj._AVERAGE_CHUNK),
+    (4, 10, traj._AVERAGE_CHUNK),
+    (27, 158, traj._AVERAGE_CHUNK),  # the last n on the covariance side at d = 27
+    (27, 159, traj._AVERAGE_CHUNK),  # the first n past it
 ])
 def test_ensemble_average_chunks_match_the_full_outer_products(monkeypatch, d, n, chunk):
     rng = np.random.default_rng(d + n)
     vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    ens = TrajectoryEnsemble([[] for _ in range(n)], {1.0: vecs}, 1.0, 0, "")
+    ens = _ensemble_of(vecs)
     monkeypatch.setattr(traj, "_AVERAGE_CHUNK", chunk)
     widths = []
+    quadratic_forms = []
     einsum = np.einsum
 
     def spy(subscripts, *operands, **kwargs):
         if subscripts == "ia,ia->ia":
             widths.append(operands[0].shape[1])
+        if subscripts == "ij,ij->j":
+            quadratic_forms.append(operands[0].shape)
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", spy)
@@ -899,26 +913,74 @@ def test_ensemble_average_chunks_match_the_full_outer_products(monkeypatch, d, n
     want_mean, want_err = _full_outer_average(vecs)
     assert sum(widths) == d * (d + 1) // 2 and min(widths) >= 2
     assert max(widths) < 2 * max(2, chunk // max(n, 200))
+    # one quadratic form per chunk on the covariance side, none on the other
+    covariance = n * (200 + d * (d + 1)) < 200 * d * (d + 1)
+    assert len(quadratic_forms) == (len(widths) if covariance else 0)
     assert np.array_equal(mean, want_mean)
-    # the bootstrap GEMMs sum in chunks: rounding level
+    # the bootstrap GEMMs sum in chunks, or in the other product order:
+    # rounding level
     assert np.max(np.abs(err - want_err)) <= 1e-14 * np.max(want_err)
 
 
-def test_ensemble_average_of_a_large_ensemble_forms_no_full_outer_products():
+@pytest.mark.parametrize("d", [1, 2, 27])
+def test_ensemble_average_of_one_trajectory_has_no_spread(d):
+    vecs = np.random.default_rng(d).standard_normal((1, d)) + 0j
+    vecs /= np.linalg.norm(vecs)
+    mean, err = ensemble_average(_ensemble_of(vecs), 1.0)
+    assert np.array_equal(mean, np.outer(vecs[0], vecs[0].conj()))
+    assert np.all(err == 0.0)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2000), (2, 5), (27, 80), (27, 300)])
+def test_ensemble_average_of_identical_states_has_a_valid_stderr(d, n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    vecs = np.tile(v / np.linalg.norm(v), (n, 1))
+    mean, err = ensemble_average(_ensemble_of(vecs), 1.0)
+    assert np.all(np.isfinite(err)) and np.all(err >= 0.0)
+    # no spread to resample: the error is the mean's rounding
+    assert np.max(err) <= 1e-14 * np.max(np.abs(mean))
+
+
+@pytest.mark.parametrize("n_bootstrap", [1, 0, -3])
+def test_ensemble_average_needs_two_resamples(n_bootstrap):
+    vecs = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="n_bootstrap"):
+        ensemble_average(_ensemble_of(vecs), 1.0, n_bootstrap=n_bootstrap)
+
+
+def _traced_peak(fn):
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_average_of_a_large_ensemble_forms_no_full_outer_products():
     # the n x d^2 array of outer products alone would take 200 MiB here
     n, d = 2000, 81
     vecs = np.random.default_rng(1).standard_normal((n, d)).astype(complex)
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    ens = TrajectoryEnsemble([[] for _ in range(n)], {1.0: vecs}, 1.0, 0, "")
-    tracemalloc.start()
-    try:
-        mean, _ = ensemble_average(ens, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ens = _ensemble_of(vecs)
+    (mean, _), peak = _traced_peak(lambda: ensemble_average(ens, 1.0))
     assert peak < 32 * 2 ** 20
+    assert abs(np.trace(mean) - 1.0) < 1e-12
+
+
+def test_ensemble_average_on_the_covariance_side_forms_no_resampled_means():
+    # 200 resampled means of the 756 real upper-triangle columns take 1.2 MB,
+    # and their variance pass as much again; G and G X take 50 kB and 0.5 MB
+    n, d = 80, 27
+    rng = np.random.default_rng(2)
+    vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    ens = _ensemble_of(vecs)
+    (mean, _), peak = _traced_peak(lambda: ensemble_average(ens, 1.0))
+    assert peak < 2 * 2 ** 20
     assert abs(np.trace(mean) - 1.0) < 1e-12
 
 

@@ -37,7 +37,12 @@ starts' state vectors and the sampler's setup weigh),
 ``simulate --level coarse`` on twoqubit-II (condition II holds with a
 two-set pi_c at d = 4), on twoqubit-I (condition II fails, so the identity
 permutation is used) and on the L=3 chain with ``--sym rotation`` (one
-named symmetry), and
+named symmetry), ``simulate`` where ensemble_average takes the bootstrap
+variance from the resampling weights' n x n covariance: on the L=3 chain
+at ``--level full --n 80 --seed 3`` and at ``--level coarse`` with
+``--n 158`` (the last n on that side at d = 27) and ``--n 159`` (the
+first past it), and on the built-in ``qutrit-chain`` at ``--level coarse
+--n 100 --seed 5`` (d = 81), and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
 ``verify-joint`` and ``simulate`` share one analysis), once with each tree
 on PYTHONPATH.
@@ -141,6 +146,12 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
             for m in ("twoqubit-II", "twoqubit-I")]
     out += [["simulate", chain3, "--sym", "rotation", "--level", "coarse",
              "--n", "300", "--seed", "7"]]
+    # ensemble_average's bootstrap from the weights' n x n covariance
+    # (n (200 + d(d+1)) < 200 d(d+1)): n = 80 and 158 at d = 27, n = 100
+    # at d = 81; n = 159 at d = 27 is the first past it
+    out += [["simulate", chain3, "--level", "full", "--n", "80", "--seed", "3"]]
+    out += [["simulate", chain3, "--level", "coarse", "--n", n] for n in ("158", "159")]
+    out += [["simulate", "qutrit-chain", "--level", "coarse", "--n", "100", "--seed", "5"]]
     out += [["report", m] for m in ("qubit-III", "qubit-I", chain3)]
     cross = [["check", chain4], ["check", chain5], ["check", chain6]]
     cross += [["verify-joint", m] for m in (chain3, chain4, chain5)]
