@@ -7,7 +7,10 @@ hypothesis tests.  Between jumps the unnormalized state evolves with the
 exact propagator; waiting times come from the norm-decay threshold
 method (Dalibard, Castin & Molmer, PRL 68, 580, 1992), whose norm slope
 d||phi||^2/dt = -sum_j ||J_j phi||^2 lets a safeguarded Newton iteration
-find each crossing.  A trajectory whose norm falls below its threshold
+find each crossing.  It starts at the log-norm secant of the step, which
+is the root when sum_j J_j† J_j is a multiple of the identity and the
+norm decays as one exponential: one trial per crossing batch on such
+models.  A trajectory whose norm falls below its threshold
 within a grid step is parked with that step's start state while the
 others step on; parked trajectories from many grid steps are resolved
 together in one crossing batch, which reads one table of Taylor terms
@@ -31,6 +34,9 @@ rounds run in numpy for every row at once (_philox_uniforms).  Every
 matrix product over a stack of rows goes through _rows_product, and the
 rest of a crossing's arithmetic is per row, so a trajectory's states are
 the same bits in whatever batch, chunk or pass it is sampled.
+
+Records export as JSON lines, each built once from the repr of its event
+list and final state (export_records), with no JSON encoder per line.
 """
 
 from __future__ import annotations
@@ -320,13 +326,19 @@ def _crossing_times(moments: _MomentPropagator, table: np.ndarray,
     would give, and independent of the other rows and of the last bits
     of the batch's arithmetic.
     The root is found by safeguarded Newton, with value and slope read
-    from the table.  Each row starts at the secant between its start
-    norm (the table's first term) and end_norms, and keeps a bracket
-    lo <= root <= hi with f(lo) >= 0 > f(hi).  A Newton step that leaves
-    the bracket, or is more than half as long as the row's previous step,
-    becomes a bisection step, at the cell boundary nearest the bracket's
-    middle.  A row stops once its bracket lies within one cell or its
-    Newton step is at most time_tol / 64, and is frozen from then on.
+    from the table.  Each row starts at the log-norm secant
+    ln(n0 / threshold) / ln(n0 / end_norm) of its step, n0 being its start
+    norm (the table's first term): exact when the norm decays as one
+    exponential, as it does when sum_j J_j† J_j is a multiple of the
+    identity, so such a row stops on its first trial.  The start is
+    finite on every parked row, since n0 >= threshold > end_norm >= 0
+    (an end norm of 0 gives a start of 0, under errstate).  Each row
+    keeps a bracket lo <= root <= hi with f(lo) >= 0 > f(hi).  A Newton
+    step that leaves the bracket, or is more than half as long as the
+    row's previous step, becomes a bisection step, at the cell boundary
+    nearest the bracket's middle.  A row stops once its bracket lies
+    within one cell or its Newton step is at most time_tol / 64, and is
+    frozen from then on.
     Returns the times and the number of trials.
     """
     dt = np.broadcast_to(np.asarray(dt, dtype=float), offsets.shape)
@@ -345,7 +357,8 @@ def _crossing_times(moments: _MomentPropagator, table: np.ndarray,
     trials = 0
     # np.minimum/np.maximum stand for np.clip, which costs more per call
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.minimum(np.maximum((n0 - thresholds) / (n0 - end_norms), 0.0), 1.0) * cells
+        u = np.minimum(np.maximum(np.log(n0 / thresholds) / np.log(n0 / end_norms),
+                                  0.0), 1.0) * cells
         while rows.size:
             trials += 1
             value, slope = moments.norms(tab, u * width)
@@ -363,6 +376,8 @@ def _crossing_times(moments: _MomentPropagator, table: np.ndarray,
             if done.any():
                 snap = np.minimum(np.maximum(np.floor(x), first), final)
                 found[rows[done]] = np.where(one_cell, first, snap)[done]
+                if done.all():           # every row at once, as on a constant rate
+                    break
                 keep = ~done
                 rows, x, lo, hi, last = rows[keep], x[keep], lo[keep], hi[keep], last[keep]
                 first, final, newton, size = first[keep], final[keep], newton[keep], size[keep]
@@ -906,22 +921,25 @@ def ensemble_symmetry_test(rep: Representation, sym, level: str,
 
 
 def export_records(ensemble: TrajectoryEnsemble, path) -> None:
-    """Line-delimited export: one record per line with the final state."""
-    import json
+    """Line-delimited JSON export: one record per line with the final state.
 
+    Each line is built once from the repr of its event list and of its
+    final-state row, with no JSON encoder: for finite floats and ints repr
+    is what json.dumps writes (it formats floats with float.__repr__).  A
+    non-finite final state raises ValueError, as JSON has no spelling
+    for it.
+    """
     finals = None
     if ensemble.states:
         v = ensemble.states[max(ensemble.states)]
+        if not np.isfinite(v).all():
+            raise ValueError("non-finite final state: JSON cannot hold it")
         finals = np.stack([v.real, v.imag], -1).tolist()
     with open(path, "w") as fh:
-        for i, rec in enumerate(ensemble.records):
-            entry = {
-                "trajId": i,
-                "events": [[t, int(j)] for t, j in rec],
-            }
-            if finals is not None:
-                entry["finalState"] = finals[i]
-            fh.write(json.dumps(entry) + "\n")
+        fh.writelines(
+            f'{{"trajId": {i}, "events": {[[float(t), int(j)] for t, j in rec]!r}'
+            + ("}\n" if finals is None else f', "finalState": {finals[i]!r}}}\n')
+            for i, rec in enumerate(ensemble.records))
 
 
 def export_count_histogram(ensemble: TrajectoryEnsemble, nlabels: int, path) -> None:

@@ -29,6 +29,7 @@ from weaksym.trajectories import (
     coarse_record_weight,
     ensemble_average,
     ensemble_symmetry_test,
+    export_records,
     record_weight,
     sample_ensemble,
     sample_trajectory,
@@ -428,9 +429,10 @@ class _AtanNorm:
 def test_newton_cycle_broken_by_bisection(a):
     k, r, dt, thr, time_tol = 10.0, 0.5, 1.0, 2.0, 1e-9
     end = thr - np.arctan(k * (dt - r))
-    # a start norm n0 that puts the secant start at r + a / k
+    # a start norm n0 that puts the log-norm secant start,
+    # ln(n0 / thr) / ln(n0 / end) of the step, at r + a / k
     frac = (r + a / k) / dt
-    n0 = (thr - frac * end) / (1.0 - frac)
+    n0 = np.exp((np.log(thr) - frac * np.log(end)) / (1.0 - frac))
     times, trials = _crossing_times(
         _AtanNorm(thr, k, r), np.full((1, 1, 1), np.sqrt(n0), dtype=complex),
         np.array([thr]), np.zeros(1), np.array([end]), dt, time_tol)
@@ -465,6 +467,19 @@ def test_sampler_stats_count_few_trials_per_batch():
     assert stats["crossing_batches"] <= stats["grid_steps"]
     # bisection to the time tolerance took 26 trials per batch
     assert stats["trials"] <= 6 * stats["crossing_batches"]
+
+
+@pytest.mark.parametrize("horizon", [1.0, 2.0, 20.0])
+@pytest.mark.parametrize("name", ["qubit-weak", "qubit-III", "qubit-II", "qubit-I",
+                                  "qubit-nonunique"])
+def test_constant_rate_crossings_take_one_trial(name, horizon):
+    rep = models.get_model(name).rep
+    # sum_j J_j† J_j = 2 * 1, so every norm decays as n0 e^{-2 s} and the
+    # log-norm secant start of each crossing is its root
+    assert np.allclose(sum(dag(j) @ j for j in rep.jumps), 2.0 * np.eye(2), atol=1e-12)
+    stats = sample_ensemble(rep, PLUS, horizon, 200, seed=4).stats
+    assert stats["crossing_batches"] > 0
+    assert stats["trials"] == stats["crossing_batches"]
 
 
 def _stepwise_ensemble(rep, psi0, horizon, n, seed=0, checkpoint_times=(),
@@ -1199,3 +1214,63 @@ def test_join_refuses_parts_of_different_ensembles():
         with pytest.raises(ValueError):
             TrajectoryEnsemble.join([part, other])
     assert TrajectoryEnsemble.join([part]).records == part.records
+
+
+def _json_export(ensemble, path):
+    """export_records as one json.dumps per line: the JSON encoder's own
+    bytes, which export_records must write."""
+    finals = None
+    if ensemble.states:
+        v = ensemble.states[max(ensemble.states)]
+        finals = np.stack([v.real, v.imag], -1).tolist()
+    with open(path, "w") as fh:
+        for i, rec in enumerate(ensemble.records):
+            entry = {"trajId": i, "events": [[t, int(j)] for t, j in rec]}
+            if finals is not None:
+                entry["finalState"] = finals[i]
+            fh.write(json.dumps(entry) + "\n")
+
+
+def _assert_exports_match(ensemble, tmp_path):
+    export_records(ensemble, tmp_path / "new.jsonl")
+    _json_export(ensemble, tmp_path / "json.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "json.jsonl").read_bytes()
+
+
+def test_export_records_matches_json_encoder(tmp_path):
+    ens = sample_ensemble(models.qubit_iii().rep, PLUS, 2.0, 150, seed=2,
+                          checkpoint_times=(2.0,))
+    assert ens.stats["jumps"] > 0
+    _assert_exports_match(ens, tmp_path)
+
+
+def test_export_records_without_checkpoint_states(tmp_path):
+    ens = sample_ensemble(models.qubit_iii().rep, PLUS, 2.0, 20, seed=2)
+    assert not ens.states
+    _assert_exports_match(ens, tmp_path)
+    assert "finalState" not in (tmp_path / "new.jsonl").read_text()
+
+
+def test_export_records_without_events(tmp_path):
+    states = {1.0: np.array([[1.0, 0.0], [0.6, 0.8j]])}
+    _assert_exports_match(TrajectoryEnsemble([[], []], states, 1.0, 0, "fp"), tmp_path)
+
+
+def test_export_records_final_state_floats_as_json_writes_them(tmp_path):
+    # (real, imag) pairs: a complex literal would add away the sign of -0.0
+    parts = np.array([[[-0.0, 1e-05], [5e-324, 1e16]], [[1e16, -0.0], [0.1, 0.2]]])
+    states = {1.0: parts.view(complex)[..., 0]}
+    ens = TrajectoryEnsemble([[(0.25, 1)], [(0.5, 0), (0.75, 1)]], states, 1.0, 0, "fp")
+    _assert_exports_match(ens, tmp_path)
+    text = (tmp_path / "new.jsonl").read_text()
+    for spelled in ("-0.0", "1e-05", "5e-324", "1e+16"):
+        assert spelled in text
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_export_records_refuses_non_finite_final_state(tmp_path, bad):
+    states = {1.0: np.array([[1.0, 0.0], [bad, 0.0]])}
+    with pytest.raises(ValueError, match="non-finite"):
+        export_records(TrajectoryEnsemble([[], []], states, 1.0, 0, "fp"),
+                       tmp_path / "out.jsonl")
+    assert not (tmp_path / "out.jsonl").exists()

@@ -29,7 +29,10 @@ master solution at d = 4), ``simulate --threads 2`` on qubit-III,
 twoqubit-I and the L=3 chain, ``simulate --horizon 20 --n 500`` on
 qubit-III and qubit-II (many jumps per trajectory, refilled streams and
 re-crossings within a grid step, on the sampler's closed-form path for
-qubit-III's diagonal H_eff and on its Taylor table for qubit-II's), ``simulate --level full --n 200`` on the built-in
+qubit-III's diagonal H_eff and on its Taylor table for qubit-II's),
+``simulate --horizon 20 --n 300`` on twoqubit-weak (a jump rate that
+varies with the state, on the Taylor table, so each crossing takes 4-5
+root-finding trials), ``simulate --level full --n 200`` on the built-in
 ``qutrit-chain`` (three symmetries, so four ensembles in one pass at
 d = 81) and on the seeded L=5 chain (four ensembles at d = 243, where the
 starts' state vectors and the sampler's setup weigh),
@@ -55,7 +58,12 @@ BASE's: ``check`` at L=4, L=5 and L=6, ``verify-joint`` at L=3, L=4 and
 L=5, and ``simulate --level full`` at L=3.
 Exit codes, strings, booleans and integers (verdicts, permutations, event
 labels) must be identical; every other number must agree within atol.
-Only the report's ``elapsed_seconds`` is not compared.  Prints one line
+``simulate``'s export files (``summary.json``, ``ensemble.jsonl`` and
+``counts.csv``) are parsed and compared so, and are also compared by
+bytes: files whose values agree to the last bit must be the same bytes,
+so drift in spacing, key order or the spelling of a number is a
+difference at any atol.  Only the report's ``elapsed_seconds`` is not
+compared.  Prints one line
 per difference and the largest float deviation, and exits 1 if any case
 differs.  A command that prints nothing (an exit code of 2, say) is
 compared by its exit code and its empty output.
@@ -66,10 +74,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 
+# simulate's --out files
+EXPORTS = ("summary.json", "ensemble.jsonl", "counts.csv")
 BUILTINS = ["qubit-weak", "qubit-III", "qubit-II", "qubit-I", "qubit-nonunique",
             "twoqubit-weak", "twoqubit-III", "twoqubit-II", "twoqubit-I"]
 CHAIN = ("import numpy as np, sys; from weaksym import models, modelfile; "
@@ -136,6 +147,9 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     # on a diagonal H_eff (closed-form propagation) and a non-diagonal one
     # (the Taylor table)
     out += [["simulate", m, "--horizon", "20", "--n", "500"] for m in ("qubit-III", "qubit-II")]
+    # a rate that varies with the state (sum_j J_j† J_j not a multiple of
+    # 1), on the Taylor table: the log-norm secant start is not the root
+    out += [["simulate", "twoqubit-weak", "--horizon", "20", "--n", "300"]]
     # one pass of four ensembles at d = 81, and uneven pool chunks of them
     out += [["simulate", "qutrit-chain", "--level", "full", "--n", "200", "--seed", "5"]]
     out += [["simulate", chain5, "--level", "full", "--n", "200"]]
@@ -160,24 +174,58 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
 
 
 def run(src, argv, out_dir):
+    """The command's exit code and parsed stdout; for simulate, the
+    bytes of each export file instead of stdout (None for a file the
+    run did not write)."""
     env = dict(os.environ, PYTHONPATH=src)
     if argv[0] == "simulate":
+        # a run that fails must not leave the last case's files to be read
+        shutil.rmtree(out_dir, ignore_errors=True)
         argv = argv + ["--out", out_dir]
     proc = subprocess.run([sys.executable, "-m", "weaksym.cli", *argv],
                           env=env, capture_output=True, text=True)
     doc = {"exit": proc.returncode}
     if argv[0] == "simulate":
-        with open(os.path.join(out_dir, "summary.json")) as fh:
-            doc["summary"] = json.load(fh)
-        with open(os.path.join(out_dir, "ensemble.jsonl")) as fh:
-            doc["records"] = [json.loads(line) for line in fh]
-        with open(os.path.join(out_dir, "counts.csv")) as fh:
-            doc["counts"] = fh.read()
+        for name in EXPORTS:
+            path = os.path.join(out_dir, name)
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    doc[name] = fh.read()
+            else:
+                doc[name] = None
     else:
         doc["stdout"] = json.loads(proc.stdout) if proc.stdout else None
         if argv[0] == "report" and doc["stdout"]:
             del doc["stdout"]["elapsed_seconds"]
     return doc
+
+
+def parse_export(name, data):
+    if data is None:
+        return None
+    text = data.decode()
+    if name == "summary.json":
+        return json.loads(text)
+    if name == "ensemble.jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    return text
+
+
+def diff_exports(a, b, atol, problems, deviations):
+    """Move the export files out of two simulate docs and compare each by
+    value, as diff does, and by bytes: files whose values agree to the
+    last bit must be the same bytes, so spacing, key order or number
+    spelling that moves is a difference."""
+    for name in EXPORTS:
+        x, y = a.pop(name), b.pop(name)
+        found, moved = [], len(deviations)
+        diff(parse_export(name, x), parse_export(name, y), atol, found, deviations,
+             f"/{name}")
+        if not found and len(deviations) == moved and x != y:
+            at = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q),
+                      min(len(x), len(y)))
+            found.append(f"/{name}: equal values, different bytes from byte {at}")
+        problems += found
 
 
 def diff(a, b, atol, problems, deviations, path=""):
@@ -232,6 +280,8 @@ def main(argv=None) -> int:
             a = run(base, argv_a, os.path.join(tmp, "base"))
             b = run(head, argv_b, os.path.join(tmp, "head"))
             problems = []
+            if argv_a[0] == "simulate":
+                diff_exports(a, b, args.atol, problems, deviations)
             diff(a, b, args.atol, problems, deviations)
             name = " ".join(os.path.basename(x) for x in argv_a)
             if argv_b != argv_a:
