@@ -2,9 +2,15 @@
 
 Piecewise-deterministic sampling with full and coarse-grained emission
 records, record weights, ensemble statistics, and two-sample symmetry
-hypothesis tests.  Between jumps the unnormalized state evolves with the
-(constant) effective Hamiltonian, so deterministic segments use the
-exact propagator; waiting times come from the norm-decay threshold
+hypothesis tests.  An ensemble's records are three columns
+(TrajectoryEnsemble): the time and label of every jump, trajectory by
+trajectory, and the offsets where each trajectory's events start; the
+sampler keeps each crossing batch's rows, times and labels as arrays and
+orders them by row once, at the end of its pass.
+
+Between jumps the unnormalized state evolves with the (constant)
+effective Hamiltonian, so deterministic segments use the exact
+propagator; waiting times come from the norm-decay threshold
 method (Dalibard, Castin & Molmer, PRL 68, 580, 1992), whose norm slope
 d||phi||^2/dt = -sum_j ||J_j phi||^2 lets a safeguarded Newton iteration
 find each crossing.  It starts at the log-norm secant of the step, which
@@ -35,8 +41,9 @@ matrix product over a stack of rows goes through _rows_product, and the
 rest of a crossing's arithmetic is per row, so a trajectory's states are
 the same bits in whatever batch, chunk or pass it is sampled.
 
-Records export as JSON lines, each built once from the repr of its event
-list and final state (export_records), with no JSON encoder per line.
+Records export as JSON lines, each built once from the repr of its slice
+of the event columns and of its final state (export_records), with no
+JSON encoder per line.
 """
 
 from __future__ import annotations
@@ -76,38 +83,16 @@ class SizeMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Ordered emission events (time, label) up to a horizon."""
-
-    events: tuple
-    horizon: float
-    granularity: str = "full"  # "full" | "coarse"
-
-    def __post_init__(self):
-        last = 0.0
-        for t, _ in self.events:
-            if t < last or t >= self.horizon:
-                raise ValueError("event times must be ordered within the horizon")
-            last = t
-
-    def counts(self, nlabels: int) -> np.ndarray:
-        out = np.zeros(nlabels, dtype=int)
-        for _, j in self.events:
-            out[j] += 1
-        return out
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    initial_state: np.ndarray
-    record: MeasurementRecord
-    checkpoints: tuple  # ((t, pure density matrix), ...)
-
-
 @dataclass
 class TrajectoryEnsemble:
-    """Sampled trajectories with vectorized per-time state storage.
+    """Sampled trajectories: their events as three columns, their states
+    at each checkpoint.
+
+    times (float64) and labels (int) hold every jump of the ensemble,
+    trajectory by trajectory and each trajectory's in time order: the
+    events of trajectory i are [offsets[i], offsets[i + 1]), so offsets
+    holds size + 1 ints from 0 to the number of events.  states maps each
+    checkpoint time to the (size, d) array of normalized state vectors.
 
     stats counts the sampler's work.  jumps and draws (uniforms taken,
     size + 2 jumps) are this ensemble's own.  grid_steps,
@@ -119,8 +104,10 @@ class TrajectoryEnsemble:
     each count over the chunks.
     """
 
-    records: list                  # list of event lists [(t, label), ...]
-    states: dict                   # time -> (n, d) array of normalized vectors
+    times: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
+    states: dict
     horizon: float
     seed: int
     rep_fingerprint: str
@@ -136,21 +123,23 @@ class TrajectoryEnsemble:
         first = parts[0]
         if len({(p.horizon, p.seed, p.rep_fingerprint, tuple(p.states)) for p in parts}) > 1:
             raise ValueError("parts of different ensembles do not join")
-        return cls([r for p in parts for r in p.records],
+        shifts = np.cumsum([0] + [len(p.times) for p in parts[:-1]])
+        return cls(np.concatenate([p.times for p in parts]),
+                   np.concatenate([p.labels for p in parts]),
+                   np.concatenate([first.offsets[:1]]
+                                  + [p.offsets[1:] + k for p, k in zip(parts, shifts)]),
                    {t: np.vstack([p.states[t] for p in parts]) for t in first.states},
                    first.horizon, first.seed, first.rep_fingerprint,
                    {k: sum(p.stats[k] for p in parts) for k in first.stats})
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.offsets) - 1
 
     def count_vectors(self, nlabels: int) -> np.ndarray:
-        rows = np.repeat(np.arange(self.size), [len(rec) for rec in self.records])
-        labels = np.array([j for rec in self.records for _, j in rec], dtype=int)
-        out = np.zeros((self.size, nlabels), dtype=int)
-        np.add.at(out, (rows, labels), 1)
-        return out
+        rows = np.repeat(np.arange(self.size), np.diff(self.offsets))
+        return np.bincount(rows * nlabels + self.labels,
+                           minlength=self.size * nlabels).reshape(self.size, nlabels)
 
     def coarse_count_vectors(self, partition: SjedPartition) -> np.ndarray:
         member = np.eye(partition.nsets, dtype=int)[partition.coarse_labels()]
@@ -181,49 +170,50 @@ def _rows_product(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return rows @ mat
 
 
-def _record_weight(rep: Representation, psi0, record: MeasurementRecord,
+def _record_weight(rep: Representation, psi0, times, labels, horizon: float,
                    actions) -> tuple:
-    """phi_T and Tr phi_T with event label l acting as sum_{J in actions[l]} J phi J†."""
+    """phi_T and Tr phi_T of the record whose events are (times[k],
+    labels[k]), label l acting as sum_{J in actions[l]} J phi J†."""
+    times = np.asarray(times, dtype=float)
+    if len(times) != len(labels):
+        raise ValueError(f"{len(times)} event times for {len(labels)} labels")
+    if not all(0 <= j < len(actions) for j in labels):
+        raise ValueError(f"labels must lie in 0..{len(actions) - 1}")
+    if not (np.all(np.diff(times, prepend=0.0) >= 0.0) and np.all(times < horizon)):
+        raise ValueError("event times must be ordered within [0, horizon)")
     heff = rep.effective_hamiltonian
     phi = np.asarray(psi0, dtype=complex).copy()
     t_prev = 0.0
-    for t, label in record.events:
+    for t, label in zip(times.tolist(), labels):
         g = _segment_propagator(heff, t - t_prev)
         phi = g @ phi @ dag(g)
         phi = sum(jm @ phi @ dag(jm) for jm in actions[label])
         t_prev = t
-    g = _segment_propagator(heff, record.horizon - t_prev)
+    g = _segment_propagator(heff, horizon - t_prev)
     phi = g @ phi @ dag(g)
     return phi, float(np.trace(phi).real)
 
 
-def record_weight(rep: Representation, psi0, record: MeasurementRecord):
-    """Unnormalized conditional state and probability density of a record.
+def record_weight(rep: Representation, psi0, times, labels, horizon: float):
+    """Unnormalized conditional state and probability density of the full
+    record with jumps labels[k] at times[k] up to horizon.
 
     phi_T = G_{T-t_n} J_{j_n} ... J_{j_1} G_{t_1}(psi0) with
     G_t(phi) = e^{-i H_eff t} phi e^{i H_eff† t}; the density is Tr phi_T.
+    Times out of order or outside [0, horizon), or a label that names no
+    jump, raise ValueError.
     """
-    if record.granularity != "full":
-        raise ValueError("record_weight expects a full record")
-    return _record_weight(rep, psi0, record, [(jm,) for jm in rep.jumps])
+    return _record_weight(rep, psi0, times, labels, horizon,
+                          [(jm,) for jm in rep.jumps])
 
 
 def coarse_record_weight(rep: Representation, partition: SjedPartition,
-                         psi0, record: MeasurementRecord):
-    """Record weight with jump actions replaced by SJED composite actions."""
-    return _record_weight(rep, psi0, record,
+                         psi0, times, labels, horizon: float):
+    """Record weight of SJED labels: each jump action replaced by its set's
+    composite action."""
+    return _record_weight(rep, psi0, times, labels, horizon,
                           [[partition.jumps[j] for j in s.indices]
                            for s in partition.sets])
-
-
-def transform_record(record: MeasurementRecord, permutation) -> MeasurementRecord:
-    """Relabel events by a permutation, times unchanged."""
-    events = []
-    for t, j in record.events:
-        if j >= len(permutation):
-            raise SizeMismatch(f"label {j} outside permutation of size {len(permutation)}")
-        events.append((t, permutation[j]))
-    return MeasurementRecord(tuple(events), record.horizon, record.granularity)
 
 
 class _MomentPropagator:
@@ -341,11 +331,7 @@ def _crossing_times(moments: _MomentPropagator, table: np.ndarray,
     frozen from then on.
     Returns the times and the number of trials.
     """
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), offsets.shape)
-    # 2^nbits per row, from the scalar formula once per distinct step length
-    lengths, which = np.unique(dt, return_inverse=True)
-    cells = np.array([2.0 ** int(np.ceil(np.log2(max(2.0, x / time_tol))))
-                      for x in lengths])[which]
+    cells = np.exp2(np.ceil(np.log2(np.maximum(2.0, dt / time_tol))))   # 2^nbits
     cell = (dt - offsets) / cells
     # the iteration runs in cells from the offset, so cell boundaries are integers
     n0 = np.einsum("ij,ij->i", table[:, 0].conj(), table[:, 0]).real
@@ -514,15 +500,6 @@ def _grid(horizon: float, step: float, checkpoints) -> np.ndarray:
     return np.array(sorted(times))
 
 
-def sample_ensemble(rep: Representation, psi0, horizon: float, n: int,
-                    seed: int = 0, checkpoint_times=(),
-                    first_index: int = 0) -> TrajectoryEnsemble:
-    """Sample n trajectories from psi0: the one-start pass of
-    sample_ensembles."""
-    return sample_ensembles(rep, [(psi0, seed)], horizon, n, checkpoint_times,
-                            first_index)[0]
-
-
 def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
                      checkpoint_times=(), first_index: int = 0) -> list:
     """One ensemble of n trajectories per (psi0, seed) of starts, sampled
@@ -604,7 +581,9 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
         np.tile(np.uint64(first_index) + np.arange(n, dtype=np.uint64), len(starts)),
         int(blocks))
     thresholds = streams.take(np.arange(total), 1)[:, 0]
-    records: list = [[] for _ in range(total)]
+    # each crossing batch's (rows, event times, labels); the empty first
+    # entry sets the columns' dtypes when no row jumps
+    events: list = [(np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int))]
     time_tol = TIME_TOL_FACTOR * max(horizon, 1e-12)
     stats = {"grid_steps": steps, "crossing_batches": 0, "trials": 0}
 
@@ -657,9 +636,7 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
         draws = streams.take(rows, 2)
         labels, new_states = _jump(
             np.einsum("jab,ib->ija", jump_mats, phi_star), draws[:, 0])
-        for i, t, label in zip(rows.tolist(), (grid[ks] + tstar).tolist(),
-                               labels.tolist()):
-            records[i].append((t, label))
+        events.append((rows, grid[ks] + tstar, labels))
         thresholds[rows] = draws[:, 1]
         # propagate the rest of each row's step and look again
         rest = moments.apply(new_states, dt - tstar)
@@ -689,33 +666,24 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
             back_rows, back = resolve(k + 1)
             rows, vecs = np.concatenate([rows, back_rows]), np.concatenate([vecs, back])
 
+    # a row is parked at most once per batch, so a stable sort by row
+    # leaves each row's events in time order
+    rows, times, labels = (np.concatenate(c) for c in zip(*events))
+    order = np.argsort(rows, kind="stable")
+    times, labels = times[order], labels[order]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=total))])
     fingerprint = rep.fingerprint()
     out = []
     for s, (_, seed) in enumerate(starts):
         part = slice(s * n, (s + 1) * n)
-        ens_stats = dict(stats, jumps=sum(map(len, records[part])),
+        a, b = bounds[s * n], bounds[(s + 1) * n]
+        ens_stats = dict(stats, jumps=int(b - a),
                          draws=int(streams.used[part].sum()), philox_calls=streams.calls)
-        out.append(TrajectoryEnsemble(records[part], {t: v[part] for t, v in states.items()},
+        out.append(TrajectoryEnsemble(times[a:b], labels[a:b],
+                                      bounds[s * n:(s + 1) * n + 1] - a,
+                                      {t: v[part] for t, v in states.items()},
                                       horizon, seed, fingerprint, ens_stats))
     return out
-
-
-def sample_trajectory(rep: Representation, psi0, horizon: float,
-                      seed: int = 0, trajectory_index: int = 0,
-                      checkpoint_times=()) -> Trajectory:
-    """Sample one trajectory (same stream as its slot in an ensemble)."""
-    ens = sample_ensemble(rep, psi0, horizon, 1, seed=seed,
-                          checkpoint_times=checkpoint_times,
-                          first_index=trajectory_index)
-    psi0m = np.asarray(psi0, dtype=complex)
-    if psi0m.ndim == 1:
-        psi0m = np.outer(psi0m, psi0m.conj())
-    record = MeasurementRecord(tuple(ens.records[0]), horizon, "full")
-    checkpoints = []
-    for t in sorted(ens.states):
-        v = ens.states[t][0]
-        checkpoints.append((t, np.outer(v, v.conj())))
-    return Trajectory(psi0m, record, tuple(checkpoints))
 
 
 def ensemble_average(ensemble: TrajectoryEnsemble, t: float,
@@ -869,7 +837,8 @@ def ensemble_symmetry_test(rep: Representation, sym, level: str,
     symmetry (records by the permutation, states by conjugation) and
     compares: level "full" uses final count vectors over jump labels,
     "coarse" over SJED labels, "unlabelled" binned state coordinates.
-    permutation may be an explicit tuple, None (identity after raising
+    permutation may be an explicit tuple (a bijection of the level's
+    labels 0..size-1, else SizeMismatch), None (identity after raising
     MissingPermutation is the caller's choice), or "best" to scan all
     label bijections and report the most favorable p-value.
     Returns (p_value, passed).
@@ -916,7 +885,10 @@ def ensemble_symmetry_test(rep: Representation, sym, level: str,
     if permutation is None:
         raise MissingPermutation(
             "no label permutation supplied; pass one, or 'best', or identity")
-    pval = p_for(tuple(permutation))
+    perm = tuple(permutation)
+    if sorted(perm) != list(range(size)):
+        raise SizeMismatch(f"permutation {perm} is not a bijection of the {size} labels")
+    pval = p_for(perm)
     return pval, pval > alpha_sig
 
 
@@ -929,6 +901,8 @@ def export_records(ensemble: TrajectoryEnsemble, path) -> None:
     non-finite final state raises ValueError, as JSON has no spelling
     for it.
     """
+    times, labels = ensemble.times.tolist(), ensemble.labels.tolist()
+    bounds = ensemble.offsets.tolist()
     finals = None
     if ensemble.states:
         v = ensemble.states[max(ensemble.states)]
@@ -937,9 +911,9 @@ def export_records(ensemble: TrajectoryEnsemble, path) -> None:
         finals = np.stack([v.real, v.imag], -1).tolist()
     with open(path, "w") as fh:
         fh.writelines(
-            f'{{"trajId": {i}, "events": {[[float(t), int(j)] for t, j in rec]!r}'
+            f'{{"trajId": {i}, "events": {list(map(list, zip(times[a:b], labels[a:b])))!r}'
             + ("}\n" if finals is None else f', "finalState": {finals[i]!r}}}\n')
-            for i, rec in enumerate(ensemble.records))
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:])))
 
 
 def export_count_histogram(ensemble: TrajectoryEnsemble, nlabels: int, path) -> None:
@@ -952,11 +926,9 @@ def export_count_histogram(ensemble: TrajectoryEnsemble, nlabels: int, path) -> 
 
 
 __all__ = [
-    "MeasurementRecord",
     "MissingPermutation",
     "SizeMismatch",
     "StiffnessError",
-    "Trajectory",
     "TrajectoryEnsemble",
     "coarse_record_weight",
     "ensemble_average",
@@ -964,10 +936,7 @@ __all__ = [
     "export_count_histogram",
     "export_records",
     "record_weight",
-    "sample_ensemble",
     "sample_ensembles",
-    "sample_trajectory",
     "state_vector",
-    "transform_record",
     "two_sample_chi2",
 ]

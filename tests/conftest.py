@@ -35,6 +35,20 @@ def superoperator_matrix(op, dim):
     return np.array([np.asarray(op(e), dtype=complex).reshape(-1) for e in units]).T
 
 
+def sample_one(rep, psi0, horizon, n, seed=0, checkpoint_times=(), first_index=0):
+    """The ensemble of n trajectories from the one start (psi0, seed)."""
+    return sample_ensembles(rep, [(psi0, seed)], horizon, n, checkpoint_times,
+                            first_index)[0]
+
+
+def event_lists(ensemble):
+    """Each trajectory's events [(t, label), ...], rebuilt from the
+    ensemble's times, labels and offsets columns."""
+    times, labels = ensemble.times.tolist(), ensemble.labels.tolist()
+    bounds = ensemble.offsets.tolist()
+    return [list(zip(times[a:b], labels[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def symmetry_ensembles(rep, sym, psi0, horizon, n, seed):
     """The pair ensemble_symmetry_test compares, from one sampler pass as
     `simulate` samples it: A from psi0 at seed and B from U psi0 U† at

@@ -40,10 +40,9 @@ from weaksym import dilation
 from weaksym.trajectories import (
     ensemble_average,
     ensemble_symmetry_test,
-    sample_ensemble,
 )
 
-from conftest import symmetry_ensembles
+from conftest import sample_one, symmetry_ensembles
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PLUS = pure_state([1, 1])
@@ -192,8 +191,7 @@ def test_criterion_5_trajectory_master_consistency():
     t0 = time.monotonic()
     rep = models.qubit_weak().rep
     times = (0.5, 1.0, 2.0)
-    ens = sample_ensemble(rep, PLUS, 2.0, 20000, seed=2024,
-                          checkpoint_times=times)
+    ens = sample_one(rep, PLUS, 2.0, 20000, seed=2024, checkpoint_times=times)
     ok = True
     worst = 0.0
     for t in times:

@@ -33,6 +33,8 @@ from weaksym.modelfile import (
 from weaksym.sjed import partition_from_groups, same_unravelled_generator
 from weaksym.symmetry import SymmetryOperator, check_condition_III, lift_II_to_III
 
+from conftest import event_lists, sample_one
+
 
 # ---------------------------------------------------------------- model files
 
@@ -784,7 +786,7 @@ def test_simulate_samples_reference_once(name, ensembles, tmp_path, monkeypatch,
     # average, and one B per symmetry; with --threads 2, one job per chunk
     monkeypatch.delenv("WEAKSYM_THREADS", raising=False)
     _set_cpus(monkeypatch, 2)
-    calls, single = [], []
+    calls = []
     original = trajectories.sample_ensembles
 
     def counting(rep, starts, horizon, n, *args, **kwargs):
@@ -792,8 +794,6 @@ def test_simulate_samples_reference_once(name, ensembles, tmp_path, monkeypatch,
         return original(rep, starts, horizon, n, *args, **kwargs)
 
     monkeypatch.setattr(trajectories, "sample_ensembles", counting)
-    monkeypatch.setattr(trajectories, "sample_ensemble",
-                        lambda *args, **kwargs: single.append(args))
     model = _chain_file(tmp_path) if name == "chain-L3" else name
     for threads, jobs in (("1", [(ensembles, 40)]), ("2", [(ensembles, 20)] * 2)):
         calls.clear()
@@ -801,7 +801,6 @@ def test_simulate_samples_reference_once(name, ensembles, tmp_path, monkeypatch,
                      "--threads", threads]) == 0
         assert calls == jobs
     assert in_process_pool == [2]
-    assert not single
 
 
 def test_report_analyses_once(monkeypatch, capsys):
@@ -1071,7 +1070,7 @@ def test_thread_pool_capped_at_cpu_count(monkeypatch, in_process_pool):
     pooled = _sample(model.rep, psi0, 10**6)
     serial = _sample(model.rep, psi0, 1)
     assert workers == [3]
-    assert pooled.records == serial.records
+    assert event_lists(pooled) == event_lists(serial)
     assert np.array_equal(pooled.states[0.5], serial.states[0.5])
 
 
@@ -1094,7 +1093,7 @@ def test_thread_pool_capped_at_the_affinity_mask(monkeypatch, in_process_pool):
     _set_cpus(monkeypatch, 2)
     pooled = _sample(model.rep, psi0, 2)
     assert calls == [64, 32, 32] and in_process_pool == [2]
-    assert pinned.records == pooled.records
+    assert event_lists(pinned) == event_lists(pooled)
     assert np.array_equal(pinned.states[0.5], pooled.states[0.5])
 
 
@@ -1128,14 +1127,14 @@ def test_threaded_sampling_matches_serial():
     psi0 = pure_state(np.ones(2))
     serial = _sample(model.rep, psi0, 1)
     parallel = _sample(model.rep, psi0, 4)
-    assert serial.records == parallel.records
+    assert event_lists(serial) == event_lists(parallel)
     assert np.array_equal(serial.states[0.5], parallel.states[0.5])
     # chunks of any sizes join to the serial ensemble
     joined = trajectories.TrajectoryEnsemble.join(
-        trajectories.sample_ensemble(model.rep, psi0, 0.5, b - a, seed=7,
-                                     checkpoint_times=(0.5,), first_index=a)
+        sample_one(model.rep, psi0, 0.5, b - a, seed=7, checkpoint_times=(0.5,),
+                   first_index=a)
         for a, b in ((0, 1), (1, 40), (40, 64)))
-    assert serial.records == joined.records
+    assert event_lists(serial) == event_lists(joined)
     assert np.array_equal(serial.states[0.5], joined.states[0.5])
     assert (joined.horizon, joined.seed, joined.rep_fingerprint) == \
         (serial.horizon, serial.seed, serial.rep_fingerprint)
@@ -1174,16 +1173,16 @@ def test_chunk_stats_summed(monkeypatch, in_process_pool):
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
     pooled = _sample(model.rep, psi0, 3)
-    chunks = [trajectories.sample_ensemble(model.rep, psi0, 0.5, b - a, seed=7,
-                                           checkpoint_times=(0.5,), first_index=a)
+    chunks = [sample_one(model.rep, psi0, 0.5, b - a, seed=7, checkpoint_times=(0.5,),
+                         first_index=a)
               for a, b in ((0, 21), (21, 42), (42, 64))]
     joined = trajectories.TrajectoryEnsemble.join(chunks)
     assert in_process_pool == [3]
-    assert pooled.records == joined.records
+    assert event_lists(pooled) == event_lists(joined)
     assert np.array_equal(pooled.states[0.5], joined.states[0.5])
     assert pooled.stats == joined.stats
     assert pooled.stats == {k: sum(c.stats[k] for c in chunks) for k in chunks[0].stats}
-    assert pooled.stats["jumps"] == sum(len(rec) for rec in pooled.records)
+    assert pooled.stats["jumps"] == sum(len(rec) for rec in event_lists(pooled))
     assert pooled.stats["grid_steps"] == 3 * chunks[0].stats["grid_steps"]
 
 

@@ -21,7 +21,6 @@ from weaksym.symmetry import SymmetryOperator, check_condition_II, check_conditi
 import weaksym.trajectories as traj
 from weaksym.trajectories import (
     TIME_TOL_FACTOR,
-    MeasurementRecord,
     MissingPermutation,
     SizeMismatch,
     StiffnessError,
@@ -31,10 +30,7 @@ from weaksym.trajectories import (
     ensemble_symmetry_test,
     export_records,
     record_weight,
-    sample_ensemble,
-    sample_trajectory,
     state_vector,
-    transform_record,
     two_sample_chi2,
 )
 from weaksym.trajectories import (
@@ -48,16 +44,22 @@ from weaksym.trajectories import (
     _Streams,
 )
 
-from conftest import SM, SX, SZ, random_pure_state, symmetry_ensembles
+from conftest import (
+    SM,
+    SX,
+    SZ,
+    event_lists,
+    random_pure_state,
+    sample_one,
+    symmetry_ensembles,
+)
 
 PLUS = pure_state([1, 1])
 
 
-def coarse_record(record, partition):
-    """The record with its full labels mapped to SJED labels."""
-    labels = partition.coarse_labels()
-    events = tuple((t, int(labels[j])) for t, j in record.events)
-    return MeasurementRecord(events, record.horizon, "coarse")
+def coarse_labels(labels, partition):
+    """Full jump labels mapped to SJED labels."""
+    return [int(partition.coarse_labels()[j]) for j in labels]
 
 
 def dephasing(gamma=1.0):
@@ -136,14 +138,13 @@ def test_jump_rates_sum(rng):
 
 def test_record_weight_empty_unitary():
     rep = Representation(0.6 * SZ, ())
-    _, density = record_weight(rep, PLUS, MeasurementRecord((), 2.0))
+    _, density = record_weight(rep, PLUS, [], [], 2.0)
     assert abs(density - 1.0) < 1e-12
 
 
 def test_record_weight_empty_dephasing():
     gamma, horizon = 0.9, 1.3
-    _, density = record_weight(dephasing(gamma), PLUS,
-                               MeasurementRecord((), horizon))
+    _, density = record_weight(dephasing(gamma), PLUS, [], [], horizon)
     assert abs(density - np.exp(-gamma * horizon)) < 1e-12
 
 
@@ -153,7 +154,7 @@ def test_record_weight_density_normalization():
     rep = models.qubit_ii().rep
     horizon = 0.8
     psi0 = PLUS
-    _, p0 = record_weight(rep, psi0, MeasurementRecord((), horizon))
+    _, p0 = record_weight(rep, psi0, [], [], horizon)
     nodes, weights = np.polynomial.legendre.leggauss(64)
     ts = 0.5 * horizon * (nodes + 1.0)
     ws = 0.5 * horizon * weights
@@ -171,10 +172,9 @@ def test_record_weight_density_normalization():
 def test_coarse_weight_matches_full_for_singletons(rng):
     rep = models.qubit_weak().rep
     p = build_sjeds(rep)
-    rec = MeasurementRecord(((0.3, 0), (0.7, 1)), 1.0)
-    full, dflt = record_weight(rep, PLUS, rec)
-    crec = coarse_record(rec, p)
-    coarse, dc = coarse_record_weight(rep, p, PLUS, crec)
+    times, labels = [0.3, 0.7], [0, 1]
+    full, dflt = record_weight(rep, PLUS, times, labels, 1.0)
+    coarse, dc = coarse_record_weight(rep, p, PLUS, times, coarse_labels(labels, p), 1.0)
     assert frob(full - coarse) < 1e-12
     assert abs(dflt - dc) < 1e-12
 
@@ -183,69 +183,79 @@ def test_coarse_weight_sums_refinements():
     m = models.qubit_ii()
     p = build_sjeds(m.rep)
     horizon = 1.0
-    crec = MeasurementRecord(((0.4, 0),), horizon, "coarse")
-    _, coarse_density = coarse_record_weight(m.rep, p, PLUS, crec)
-    full_total = sum(
-        record_weight(m.rep, PLUS, MeasurementRecord(((0.4, j),), horizon))[1]
-        for j in p.sets[0].indices)
+    _, coarse_density = coarse_record_weight(m.rep, p, PLUS, [0.4], [0], horizon)
+    full_total = sum(record_weight(m.rep, PLUS, [0.4], [j], horizon)[1]
+                     for j in p.sets[0].indices)
     assert abs(coarse_density - full_total) < 1e-12
     # two-event coarse record
-    crec2 = MeasurementRecord(((0.2, 0), (0.6, 1)), horizon, "coarse")
-    _, cd2 = coarse_record_weight(m.rep, p, PLUS, crec2)
-    ft2 = sum(
-        record_weight(m.rep, PLUS,
-                      MeasurementRecord(((0.2, j), (0.6, k)), horizon))[1]
-        for j in p.sets[0].indices for k in p.sets[1].indices)
+    _, cd2 = coarse_record_weight(m.rep, p, PLUS, [0.2, 0.6], [0, 1], horizon)
+    ft2 = sum(record_weight(m.rep, PLUS, [0.2, 0.6], [j, k], horizon)[1]
+              for j in p.sets[0].indices for k in p.sets[1].indices)
     assert abs(cd2 - ft2) < 1e-12
 
 
 def test_coarse_conditional_state_pure():
     m = models.twoqubit_ii()
     p = build_sjeds(m.rep)
-    crec = MeasurementRecord(((0.5, 0),), 1.0, "coarse")
     psi0 = pure_state(np.array([0.0, 1.0, 0.0, 0.0]))
-    phi, density = coarse_record_weight(m.rep, p, psi0, crec)
+    phi, density = coarse_record_weight(m.rep, p, psi0, [0.5], [0], 1.0)
     w = np.linalg.eigvalsh(phi / density)
     assert w[-1] > 1 - 1e-10
 
 
-def test_transform_record():
-    rec = MeasurementRecord(((0.3, 0), (0.7, 1)), 1.0)
-    swapped = transform_record(rec, (1, 0))
-    assert swapped.events == ((0.3, 1), (0.7, 0))
-    assert transform_record(swapped, (1, 0)).events == rec.events
-    assert transform_record(rec, (0, 1)).events == rec.events
-    with pytest.raises(SizeMismatch):
-        transform_record(rec, (0,))
+@pytest.mark.parametrize("times", [[0.7, 0.3], [-0.1], [1.0], [0.2, 1.5], [np.nan]])
+def test_record_weights_refuse_times_out_of_order_or_range(times):
+    m = models.qubit_ii()
+    p = build_sjeds(m.rep)
+    labels = [0] * len(times)
+    with pytest.raises(ValueError, match="ordered"):
+        record_weight(m.rep, PLUS, times, labels, 1.0)
+    with pytest.raises(ValueError, match="ordered"):
+        coarse_record_weight(m.rep, p, PLUS, times, labels, 1.0)
+    # equal times and a first jump at 0 are a record
+    assert record_weight(m.rep, PLUS, [0.0, 0.5, 0.5], [0, 1, 0], 1.0)[1] > 0
+
+
+def test_record_weights_refuse_unpaired_columns_and_unknown_labels():
+    m = models.qubit_ii()
+    p = build_sjeds(m.rep)
+    with pytest.raises(ValueError, match="labels"):
+        record_weight(m.rep, PLUS, [0.2, 0.4], [0], 1.0)
+    # -1 would index the last jump
+    for label in (-1, m.rep.njumps):
+        with pytest.raises(ValueError, match="labels must lie"):
+            record_weight(m.rep, PLUS, [0.2], [label], 1.0)
+    for label in (-1, p.nsets):
+        with pytest.raises(ValueError, match="labels must lie"):
+            coarse_record_weight(m.rep, p, PLUS, [0.2], [label], 1.0)
 
 
 # ---------------------------------------------------------------- sampling
 
 def test_no_jump_trajectory_is_unitary():
     rep = Representation(0.9 * SZ, ())
-    traj = sample_trajectory(rep, PLUS, 1.0, seed=3, checkpoint_times=(1.0,))
-    assert traj.record.events == ()
+    ens = traj.sample_ensembles(rep, [(PLUS, 3)], 1.0, 1, (1.0,))[0]
+    assert event_lists(ens) == [[]]
     u = matrix_exponential(-1j * 1.0 * rep.hamiltonian)
     expected = u @ PLUS @ dag(u)
-    assert frob(traj.checkpoints[-1][1] - expected) < 1e-10
+    v = ens.states[1.0][0]
+    assert frob(np.outer(v, v.conj()) - expected) < 1e-10
 
 
 def test_sampler_reproducible():
     rep = models.qubit_weak().rep
-    a = sample_ensemble(rep, PLUS, 1.0, 50, seed=5, checkpoint_times=(1.0,))
-    b = sample_ensemble(rep, PLUS, 1.0, 50, seed=5, checkpoint_times=(1.0,))
-    assert a.records == b.records
+    a = sample_one(rep, PLUS, 1.0, 50, seed=5, checkpoint_times=(1.0,))
+    b = sample_one(rep, PLUS, 1.0, 50, seed=5, checkpoint_times=(1.0,))
+    assert event_lists(a) == event_lists(b)
     assert np.array_equal(a.states[1.0], b.states[1.0])
 
 
 def test_single_trajectory_matches_ensemble_slot():
     rep = models.qubit_weak().rep
-    ens = sample_ensemble(rep, PLUS, 1.0, 4, seed=9, checkpoint_times=(1.0,))
+    ens = sample_one(rep, PLUS, 1.0, 4, seed=9, checkpoint_times=(1.0,))
     for i in range(4):
-        traj = sample_trajectory(rep, PLUS, 1.0, seed=9, trajectory_index=i,
-                                 checkpoint_times=(1.0,))
-        assert [tuple(e) for e in traj.record.events] == \
-            [tuple(e) for e in ens.records[i]]
+        one = traj.sample_ensembles(rep, [(PLUS, 9)], 1.0, 1, (1.0,), first_index=i)[0]
+        assert event_lists(one) == [event_lists(ens)[i]]
 
 
 def _decaying_heff(rng, d):
@@ -327,11 +337,11 @@ def test_sampler_records_pinned(name):
     # bisection step: reading a per-batch table must keep every label and
     # every event time to the bisection tolerance
     rep, psi0, horizon = _pinned_case(name)
-    ens = sample_ensemble(rep, psi0, horizon, 200, seed=3)
+    ens = sample_one(rep, psi0, horizon, 200, seed=3)
     want = PINNED[name]
-    assert [[label for _, label in rec] for rec in ens.records] == \
+    assert [[label for _, label in rec] for rec in event_lists(ens)] == \
         [[label for _, label in rec] for rec in want]
-    got_t = np.array([t for rec in ens.records for t, _ in rec])
+    got_t = np.array([t for rec in event_lists(ens) for t, _ in rec])
     want_t = np.array([t for rec in want for t, _ in rec])
     assert np.all(np.abs(got_t - want_t) <= TIME_TOL_FACTOR * horizon)
 
@@ -390,6 +400,31 @@ def test_crossing_time_independent_of_batch(seed, d):
                                    offsets[one], ends[one], dts[i], 1e-9)
         assert alone[0] == batch[i]
         assert offsets[i] <= batch[i] <= dts[i]
+
+
+def test_crossing_cells_match_the_scalar_formula(rng):
+    # a row's 2^nbits cells, nbits = ceil(log2(max(2, dt / time_tol))), on
+    # step lengths at, one ulp either side of and between exact power-of-two
+    # multiples of time_tol, and below 2 time_tol: each time is the middle
+    # of a cell of width (dt - offset) / 2^nbits
+    time_tol = 2.0 ** -30
+    dts = [time_tol / 2, time_tol]
+    for k in (1, 2, 5, 17, 29):
+        x = 2.0 ** k * time_tol
+        dts += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), 1.5 * x]
+    dts = np.array(dts)
+    moments = _MomentPropagator(np.diag([-0.5j, -0.25j]))
+    phis = rng.standard_normal((len(dts), 2)) + 1j * rng.standard_normal((len(dts), 2))
+    offsets = dts * rng.uniform(0.0, 0.5, len(dts)) * (rng.random(len(dts)) < 0.5)
+    table = moments.table(phis / np.linalg.norm(phis, axis=1)[:, None])
+    ends = moments.norms(table, dts - offsets)[0]
+    times, _ = _crossing_times(moments, table, ends + 0.5 * (1.0 - ends), offsets,
+                               ends, dts, time_tol)
+    cells = np.array([2.0 ** int(np.ceil(np.log2(max(2.0, x / time_tol))))
+                      for x in dts.tolist()])
+    width = (dts - offsets) / cells
+    found = np.rint((times - offsets) / width - 0.5)
+    assert np.array_equal(offsets + (found + 0.5) * width, times)
 
 
 @given(st.floats(0.01, 0.39), st.floats(0.01, 0.2))
@@ -457,10 +492,10 @@ def test_norm_slope_is_minus_total_jump_rate(rng):
 
 
 def test_sampler_stats_count_few_trials_per_batch():
-    ens = sample_ensemble(models.qubit_iii().rep, PLUS, 1.0, 2000, seed=1)
+    ens = sample_one(models.qubit_iii().rep, PLUS, 1.0, 2000, seed=1)
     stats = ens.stats
     assert stats["grid_steps"] == 20
-    assert stats["jumps"] == sum(len(rec) for rec in ens.records)
+    assert stats["jumps"] == sum(len(rec) for rec in event_lists(ens))
     assert stats["crossing_batches"] > 0
     # a batch resolves the rows parked over many grid steps: the
     # step-by-step batches numbered 47 here
@@ -477,7 +512,7 @@ def test_constant_rate_crossings_take_one_trial(name, horizon):
     # sum_j J_j† J_j = 2 * 1, so every norm decays as n0 e^{-2 s} and the
     # log-norm secant start of each crossing is its root
     assert np.allclose(sum(dag(j) @ j for j in rep.jumps), 2.0 * np.eye(2), atol=1e-12)
-    stats = sample_ensemble(rep, PLUS, horizon, 200, seed=4).stats
+    stats = sample_one(rep, PLUS, horizon, 200, seed=4).stats
     assert stats["crossing_batches"] > 0
     assert stats["trials"] == stats["crossing_batches"]
 
@@ -542,7 +577,7 @@ def _stepwise_ensemble(rep, psi0, horizon, n, seed=0, checkpoint_times=(),
 def _assert_matches_stepwise(ens, want_records, want_states):
     # the same crossings, labels and draws: records equal bit for bit;
     # states differ only where the reference multiplied a lone row by gemv
-    assert ens.records == want_records
+    assert event_lists(ens) == want_records
     assert list(ens.states) == list(want_states)
     for t, v in want_states.items():
         assert np.max(np.abs(ens.states[t] - v)) <= 1e-15
@@ -567,8 +602,8 @@ def test_sampler_matches_stepwise_oracle(name, seed):
     rep, psi0 = _model_case(name)
     # an off-grid checkpoint splits a step: batches mix two step lengths
     for horizon, times in ((2.0, (2.0,)), (1.0, (0.0, 0.37, 1.0))):
-        ens = sample_ensemble(rep, psi0, horizon, 120, seed=seed,
-                              checkpoint_times=times, first_index=seed)
+        ens = sample_one(rep, psi0, horizon, 120, seed=seed,
+                         checkpoint_times=times, first_index=seed)
         _assert_matches_stepwise(ens, *_stepwise_ensemble(
             rep, psi0, horizon, 120, seed=seed, checkpoint_times=times,
             first_index=seed)[:2])
@@ -580,7 +615,7 @@ def test_sampler_matches_stepwise_oracle_with_refills_and_recrossings(monkeypatc
     rep, n = models.qubit_iii().rep, 60
     monkeypatch.setattr(traj, "_FILL_CAP", 2 * n)
     for seed in (1, 2):
-        ens = sample_ensemble(rep, PLUS, 4.0, n, seed=seed, checkpoint_times=(1.5, 4.0))
+        ens = sample_one(rep, PLUS, 4.0, n, seed=seed, checkpoint_times=(1.5, 4.0))
         records, states, recrossings = _stepwise_ensemble(
             rep, PLUS, 4.0, n, seed=seed, checkpoint_times=(1.5, 4.0))
         assert ens.stats["philox_calls"] > 5 and recrossings > 0
@@ -599,9 +634,9 @@ def test_diagonal_path_samples_as_the_taylor_path(name):
     assert _MomentPropagator(taylor.effective_hamiltonian).diagonal is None
     for seed in (0, 3):
         for horizon, times in ((2.0, (2.0,)), (1.0, (0.0, 0.37, 1.0))):
-            want, got = (sample_ensemble(r, psi0, horizon, 150, seed=seed,
-                                         checkpoint_times=times) for r in (taylor, rep))
-            assert got.records == want.records
+            want, got = (sample_one(r, psi0, horizon, 150, seed=seed,
+                                    checkpoint_times=times) for r in (taylor, rep))
+            assert event_lists(got) == event_lists(want)
             assert list(got.states) == list(want.states)
             for t in want.states:
                 assert np.max(np.abs(got.states[t] - want.states[t])) <= 1e-13
@@ -613,13 +648,13 @@ def test_sampler_states_independent_of_chunking(name):
     # lone row goes to gemv
     rep, psi0 = _model_case(name)
     for seed in range(10):
-        serial = sample_ensemble(rep, psi0, 2.0, 80, seed=seed, checkpoint_times=(1.0, 2.0))
+        serial = sample_one(rep, psi0, 2.0, 80, seed=seed, checkpoint_times=(1.0, 2.0))
         for cuts in ((0, 40, 80), (0, 1, 2, 80)):
             joined = TrajectoryEnsemble.join(
-                sample_ensemble(rep, psi0, 2.0, b - a, seed=seed,
-                                checkpoint_times=(1.0, 2.0), first_index=a)
+                sample_one(rep, psi0, 2.0, b - a, seed=seed,
+                           checkpoint_times=(1.0, 2.0), first_index=a)
                 for a, b in zip(cuts, cuts[1:]))
-            assert joined.records == serial.records
+            assert event_lists(joined) == event_lists(serial)
             for t in serial.states:
                 assert np.array_equal(joined.states[t], serial.states[t])
 
@@ -634,14 +669,14 @@ def test_stacked_starts_match_single_start_sampling(name, seed):
     other = random_pure_state(np.random.default_rng(seed), rep.dim)
     starts = [(psi0, seed), (other, seed + 1), (psi0, seed), (other, -seed - 5)]
     n, times = 60, (0.37, 2.0)
-    single = [sample_ensemble(rep, psi, 2.0, n, seed=s, checkpoint_times=times)
+    single = [sample_one(rep, psi, 2.0, n, seed=s, checkpoint_times=times)
               for psi, s in starts]
     for cuts in ((0, n), (0, 1, 2, n)):
         parts = [traj.sample_ensembles(rep, starts, 2.0, b - a, times, first_index=a)
                  for a, b in zip(cuts, cuts[1:])]
         for s, want in enumerate(single):
             got = TrajectoryEnsemble.join(p[s] for p in parts)
-            assert got.records == want.records
+            assert event_lists(got) == event_lists(want)
             assert (got.seed, got.horizon, list(got.states)) == \
                 (want.seed, want.horizon, list(want.states))
             for t in want.states:
@@ -660,7 +695,7 @@ def test_stacked_starts_match_single_start_sampling(name, seed):
 
 def test_sampler_draws_every_stream_in_one_philox_evaluation():
     n = 2000
-    ens = sample_ensemble(models.qubit_iii().rep, PLUS, 1.0, n, seed=1)
+    ens = sample_one(models.qubit_iii().rep, PLUS, 1.0, n, seed=1)
     # one threshold per trajectory and a (label, threshold) pair per jump,
     # all from the first fill: no evaluation per row or per crossing batch
     assert ens.stats["draws"] == n + 2 * ens.stats["jumps"]
@@ -725,28 +760,28 @@ def test_sampler_rows_outrunning_first_fill_match_generator_streams(monkeypatch)
     monkeypatch.setattr(traj, "_FILL_CAP", 2 * n)
     # and a stacked pass: the rows of two master seeds refilled together
     starts = [(PLUS, -7), (pure_state([1, 1j]), 2 ** 64 + 3)]
-    got = [sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,
-                           checkpoint_times=(4.0,))]
+    got = [sample_one(rep, PLUS, 4.0, n, seed=-7, first_index=5,
+                      checkpoint_times=(4.0,))]
     got += traj.sample_ensembles(rep, starts, 4.0, n, (4.0,), first_index=5)
     for ens in got:
         assert ens.stats["philox_calls"] > 5
         assert ens.stats["draws"] == n + 2 * ens.stats["jumps"]
     monkeypatch.setattr(traj, "_Streams", _GeneratorStreams)
-    want = [sample_ensemble(rep, PLUS, 4.0, n, seed=-7, first_index=5,
-                            checkpoint_times=(4.0,))]
+    want = [sample_one(rep, PLUS, 4.0, n, seed=-7, first_index=5,
+                       checkpoint_times=(4.0,))]
     want += traj.sample_ensembles(rep, starts, 4.0, n, (4.0,), first_index=5)
     for a, b in zip(got, want, strict=True):
-        assert a.records == b.records
+        assert event_lists(a) == event_lists(b)
         assert np.array_equal(a.states[4.0], b.states[4.0])
 
 
 def test_count_vectors_tally_event_labels():
     rep = models.twoqubit_iii().rep
-    ens = sample_ensemble(rep, pure_state(np.ones(4)), 1.0, 300, seed=2)
+    ens = sample_one(rep, pure_state(np.ones(4)), 1.0, 300, seed=2)
     full = ens.count_vectors(rep.njumps)
     partition = build_sjeds(rep)
     coarse = ens.coarse_count_vectors(partition)
-    for rec, row, crow in zip(ens.records, full, coarse):
+    for rec, row, crow in zip(event_lists(ens), full, coarse, strict=True):
         assert row.tolist() == [sum(j == k for _, j in rec) for k in range(len(row))]
         assert crow.tolist() == [sum(partition.coarse_labels()[j] == k for _, j in rec)
                                  for k in range(len(crow))]
@@ -785,8 +820,8 @@ def test_jump_rejects_vanishing_rates():
 
 def test_dephasing_jump_counts_poisson():
     gamma, horizon, n = 1.0, 1.0, 20000
-    ens = sample_ensemble(dephasing(gamma), PLUS, horizon, n, seed=11)
-    counts = np.array([len(r) for r in ens.records])
+    ens = sample_one(dephasing(gamma), PLUS, horizon, n, seed=11)
+    counts = np.array([len(r) for r in event_lists(ens)])
     mean = counts.mean()
     sigma = np.sqrt(gamma * horizon / n)
     assert abs(mean - gamma * horizon) < 3 * sigma
@@ -796,8 +831,7 @@ def test_dephasing_jump_counts_poisson():
 
 def test_purity_along_trajectories():
     rep = models.qubit_ii().rep
-    ens = sample_ensemble(rep, PLUS, 1.0, 200, seed=2,
-                          checkpoint_times=(0.5, 1.0))
+    ens = sample_one(rep, PLUS, 1.0, 200, seed=2, checkpoint_times=(0.5, 1.0))
     for t, vecs in ens.states.items():
         norms = np.linalg.norm(vecs, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-8)
@@ -806,19 +840,19 @@ def test_purity_along_trajectories():
 def test_checkpoints_reproduce_record_weights():
     rep = models.qubit_ii().rep
     times = (0.25, 0.5, 0.75, 1.0)
-    ens = sample_ensemble(rep, PLUS, 1.0, 20, seed=21, checkpoint_times=times)
+    ens = sample_one(rep, PLUS, 1.0, 20, seed=21, checkpoint_times=times)
     for i in range(20):
         for t in times:
-            events = tuple((tt, j) for tt, j in ens.records[i] if tt < t)
-            phi, density = record_weight(rep, PLUS,
-                                         MeasurementRecord(events, t))
+            events = [(tt, j) for tt, j in event_lists(ens)[i] if tt < t]
+            phi, density = record_weight(rep, PLUS, [tt for tt, _ in events],
+                                         [j for _, j in events], t)
             v = ens.states[t][i]
             assert frob(phi / density - np.outer(v, v.conj())) < 1e-6
 
 
 def test_ensemble_average_t0():
     rep = models.qubit_weak().rep
-    ens = sample_ensemble(rep, PLUS, 0.5, 10, seed=1, checkpoint_times=(0.0,))
+    ens = sample_one(rep, PLUS, 0.5, 10, seed=1, checkpoint_times=(0.0,))
     mean, _ = ensemble_average(ens, 0.0)
     assert frob(mean - PLUS) < 1e-12
 
@@ -827,7 +861,7 @@ def test_ensemble_average_matches_master_evolution():
     rep = models.qubit_weak().rep
     n = 20000
     times = (0.5, 1.0, 2.0)
-    ens = sample_ensemble(rep, PLUS, 2.0, n, seed=42, checkpoint_times=times)
+    ens = sample_one(rep, PLUS, 2.0, n, seed=42, checkpoint_times=times)
     for t in times:
         mean, err = ensemble_average(ens, t)
         exact = evolve_density(rep, PLUS, t)
@@ -863,8 +897,7 @@ def _seeded_case(name):
 @pytest.mark.parametrize("seed", [1, 5])
 def test_ensemble_average_matches_complex_std_oracle(name, n, seed):
     rep, psi0, horizon, _ = _seeded_case(name)
-    ens = sample_ensemble(rep, psi0, horizon, n, seed=seed,
-                          checkpoint_times=(horizon,))
+    ens = sample_one(rep, psi0, horizon, n, seed=seed, checkpoint_times=(horizon,))
     mean, err = ensemble_average(ens, horizon, seed=seed)
     want_mean, want_err = _complex_std_average(ens, horizon, seed=seed)
     assert np.array_equal(mean, want_mean)
@@ -889,7 +922,8 @@ def _full_outer_average(vecs, n_bootstrap=200, seed=1):
 
 
 def _ensemble_of(vecs):
-    return TrajectoryEnsemble([[] for _ in range(len(vecs))], {1.0: vecs}, 1.0, 0, "")
+    return TrajectoryEnsemble(np.empty(0), np.empty(0, dtype=int),
+                              np.zeros(len(vecs) + 1, dtype=int), {1.0: vecs}, 1.0, 0, "")
 
 
 @pytest.mark.parametrize("d, n, chunk", [
@@ -1087,6 +1121,18 @@ def test_symmetry_test_requires_permutation():
         ensemble_symmetry_test(m.rep, sym, "full", a, b)
 
 
+def test_symmetry_test_rejects_malformed_permutations():
+    # a permutation that is not a bijection of the level's labels relabels
+    # no record: too short, repeated, or too long
+    m = models.qubit_iii()
+    sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
+    a, b = symmetry_ensembles(m.rep, sym, PLUS, 1.0, 300, seed=7)
+    for level in ("full", "coarse"):
+        for perm in ((0,), (0, 0), (0, 1, 2), (1, 2)):
+            with pytest.raises(SizeMismatch):
+                ensemble_symmetry_test(m.rep, sym, level, a, b, permutation=perm)
+
+
 def test_symmetry_test_rejects_qubit_ii_full_level():
     m = models.qubit_ii(c1=0.5, c2=0.5)
     sym = SymmetryOperator.from_matrix(m.symmetries["parity"])
@@ -1121,8 +1167,8 @@ def test_transformed_representation_generates_transformed_paths():
     rep_t = Representation(sym.conjugate(m.rep.hamiltonian),
                            tuple(sym.conjugate(j) for j in m.rep.jumps))
     n, horizon = 8000, 1.0
-    ens_a = sample_ensemble(m.rep, PLUS, horizon, n, seed=31)
-    ens_b = sample_ensemble(rep_t, sym.conjugate(PLUS), horizon, n, seed=32)
+    ens_a = sample_one(m.rep, PLUS, horizon, n, seed=31)
+    ens_b = sample_one(rep_t, sym.conjugate(PLUS), horizon, n, seed=32)
     ha = _histogram([tuple(row) for row in ens_a.count_vectors(3)])
     hb = _histogram([tuple(row) for row in ens_b.count_vectors(3)])
     pval, _, _ = two_sample_chi2(ha, hb)
@@ -1205,15 +1251,40 @@ def test_symmetry_test_two_qubit_full_level():
 
 def test_join_refuses_parts_of_different_ensembles():
     rep = Representation(SZ, (SM,))
-    part = sample_ensemble(rep, PLUS, 0.5, 4, seed=3, checkpoint_times=(0.5,))
-    for other in (sample_ensemble(rep, PLUS, 0.5, 4, seed=4, checkpoint_times=(0.5,),
-                                  first_index=4),
-                  sample_ensemble(rep, PLUS, 0.5, 4, seed=3, first_index=4),
-                  sample_ensemble(Representation(rep.hamiltonian, (2 * SM,)), PLUS, 0.5, 4,
-                                  seed=3, checkpoint_times=(0.5,), first_index=4)):
+    part = sample_one(rep, PLUS, 0.5, 4, seed=3, checkpoint_times=(0.5,))
+    for other in (sample_one(rep, PLUS, 0.5, 4, seed=4, checkpoint_times=(0.5,),
+                             first_index=4),
+                  sample_one(rep, PLUS, 0.5, 4, seed=3, first_index=4),
+                  sample_one(Representation(rep.hamiltonian, (2 * SM,)), PLUS, 0.5, 4,
+                             seed=3, checkpoint_times=(0.5,), first_index=4)):
         with pytest.raises(ValueError):
             TrajectoryEnsemble.join([part, other])
-    assert TrajectoryEnsemble.join([part]).records == part.records
+    assert event_lists(TrajectoryEnsemble.join([part])) == event_lists(part)
+
+
+def test_join_of_chunks_without_events():
+    # chunks of jump-free rows and chunks holding no event at all join to
+    # the ensemble sampled at once, offsets included
+    rep = dephasing(0.2)
+    serial = sample_one(rep, PLUS, 0.5, 12, seed=3, checkpoint_times=(0.5,))
+    chunks = [sample_one(rep, PLUS, 0.5, b - a, seed=3, checkpoint_times=(0.5,),
+                         first_index=a)
+              for a, b in ((0, 1), (1, 2), (2, 4), (4, 5), (5, 12))]
+    assert [len(c.times) for c in chunks] == [1, 0, 0, 1, 2]
+    joined = TrajectoryEnsemble.join(chunks)
+    assert event_lists(joined) == event_lists(serial)
+    assert np.array_equal(joined.offsets, serial.offsets)
+    assert joined.offsets.tolist() == [0, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 4]
+    assert joined.size == 12
+    assert np.array_equal(joined.states[0.5], serial.states[0.5])
+    # a model without jumps: every chunk empty
+    quiet = Representation(SZ, ())
+    joined = TrajectoryEnsemble.join(
+        sample_one(quiet, PLUS, 0.5, b - a, seed=3, first_index=a)
+        for a, b in ((0, 2), (2, 3)))
+    assert joined.offsets.tolist() == [0, 0, 0, 0]
+    assert (joined.times.dtype, joined.labels.dtype) == (np.dtype(float), np.dtype(int))
+    assert event_lists(joined) == [[], [], []]
 
 
 def _json_export(ensemble, path):
@@ -1224,7 +1295,7 @@ def _json_export(ensemble, path):
         v = ensemble.states[max(ensemble.states)]
         finals = np.stack([v.real, v.imag], -1).tolist()
     with open(path, "w") as fh:
-        for i, rec in enumerate(ensemble.records):
+        for i, rec in enumerate(event_lists(ensemble)):
             entry = {"trajId": i, "events": [[t, int(j)] for t, j in rec]}
             if finals is not None:
                 entry["finalState"] = finals[i]
@@ -1238,14 +1309,14 @@ def _assert_exports_match(ensemble, tmp_path):
 
 
 def test_export_records_matches_json_encoder(tmp_path):
-    ens = sample_ensemble(models.qubit_iii().rep, PLUS, 2.0, 150, seed=2,
-                          checkpoint_times=(2.0,))
+    ens = sample_one(models.qubit_iii().rep, PLUS, 2.0, 150, seed=2,
+                     checkpoint_times=(2.0,))
     assert ens.stats["jumps"] > 0
     _assert_exports_match(ens, tmp_path)
 
 
 def test_export_records_without_checkpoint_states(tmp_path):
-    ens = sample_ensemble(models.qubit_iii().rep, PLUS, 2.0, 20, seed=2)
+    ens = sample_one(models.qubit_iii().rep, PLUS, 2.0, 20, seed=2)
     assert not ens.states
     _assert_exports_match(ens, tmp_path)
     assert "finalState" not in (tmp_path / "new.jsonl").read_text()
@@ -1253,14 +1324,17 @@ def test_export_records_without_checkpoint_states(tmp_path):
 
 def test_export_records_without_events(tmp_path):
     states = {1.0: np.array([[1.0, 0.0], [0.6, 0.8j]])}
-    _assert_exports_match(TrajectoryEnsemble([[], []], states, 1.0, 0, "fp"), tmp_path)
+    ens = TrajectoryEnsemble(np.empty(0), np.empty(0, dtype=int), np.zeros(3, dtype=int),
+                             states, 1.0, 0, "fp")
+    _assert_exports_match(ens, tmp_path)
 
 
 def test_export_records_final_state_floats_as_json_writes_them(tmp_path):
     # (real, imag) pairs: a complex literal would add away the sign of -0.0
     parts = np.array([[[-0.0, 1e-05], [5e-324, 1e16]], [[1e16, -0.0], [0.1, 0.2]]])
     states = {1.0: parts.view(complex)[..., 0]}
-    ens = TrajectoryEnsemble([[(0.25, 1)], [(0.5, 0), (0.75, 1)]], states, 1.0, 0, "fp")
+    ens = TrajectoryEnsemble(np.array([0.25, 0.5, 0.75]), np.array([1, 0, 1]),
+                             np.array([0, 1, 3]), states, 1.0, 0, "fp")
     _assert_exports_match(ens, tmp_path)
     text = (tmp_path / "new.jsonl").read_text()
     for spelled in ("-0.0", "1e-05", "5e-324", "1e+16"):
@@ -1271,6 +1345,7 @@ def test_export_records_final_state_floats_as_json_writes_them(tmp_path):
 def test_export_records_refuses_non_finite_final_state(tmp_path, bad):
     states = {1.0: np.array([[1.0, 0.0], [bad, 0.0]])}
     with pytest.raises(ValueError, match="non-finite"):
-        export_records(TrajectoryEnsemble([[], []], states, 1.0, 0, "fp"),
+        export_records(TrajectoryEnsemble(np.empty(0), np.empty(0, dtype=int),
+                                          np.zeros(3, dtype=int), states, 1.0, 0, "fp"),
                        tmp_path / "out.jsonl")
     assert not (tmp_path / "out.jsonl").exists()

@@ -37,6 +37,11 @@ root-finding trials), ``simulate --level full --n 200`` on the built-in
 d = 81) and on the seeded L=5 chain (four ensembles at d = 243, where the
 starts' state vectors and the sampler's setup weigh),
 ``simulate --threads 2 --n 301`` on the L=3 chain (uneven chunks),
+``simulate --threads 2 --n 4`` on the L=3 chain, unseeded and at
+``--seed 3`` (about 0.14 jumps per trajectory: chunks of two
+trajectories that hold no event, and at seed 3 one jump in the first
+chunk only, whose empty event columns must join to the same
+``ensemble.jsonl`` and ``counts.csv`` bytes),
 ``simulate --level coarse`` on twoqubit-II (condition II holds with a
 two-set pi_c at d = 4), on twoqubit-I (condition II fails, so the identity
 permutation is used) and on the L=3 chain with ``--sym rotation`` (one
@@ -154,6 +159,10 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     out += [["simulate", "qutrit-chain", "--level", "full", "--n", "200", "--seed", "5"]]
     out += [["simulate", chain5, "--level", "full", "--n", "200"]]
     out += [["simulate", chain3, "--threads", "2", "--n", "301"]]
+    # chunks of two trajectories at about 0.14 jumps each: no event in any
+    # chunk, and (seed 3) one jump in the first chunk only
+    out += [["simulate", chain3, "--threads", "2", "--n", "4", *seed]
+            for seed in ([], ["--seed", "3"])]
     # the coarse level decides condition II alone: pi_c, the identity where
     # it fails, and one named symmetry
     out += [["simulate", m, "--level", "coarse", "--n", "300", "--seed", "7"]
