@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, models
 from .lindblad import MAX_SUPEROP_DIM, evolve_density, liouville_matrix, pure_state
-from .linalg import DEFAULT_TOL, LinalgError
+from .linalg import DEFAULT_TOL, ROUNDING_FLOOR, LinalgError
 from .modelfile import ParseError, _matrix_doc, dump_model, load_model, model_to_doc
 from .sjed import SjedPartition, build_sjeds, partition_from_groups
 from .symmetry import SymmetryOperator, build_symmetry_report, off_block_mass
@@ -248,11 +248,11 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
         # yet the master solution reaches it through expm's rounding: on
         # qubit-weak, whose states stay on the equator, both diagonal
         # entries are 0.5 in every trajectory, with a stderr of 0, and
-        # 0.5 - 1.1e-16 in the master solution.  The slack is absolute
-        # because a density matrix's entries are at most 1 in modulus,
-        # whatever tau is.
+        # 0.5 - 1.1e-16 in the master solution.  The slack is absolute,
+        # the rounding floor, because a density matrix's entries are at
+        # most 1 in modulus, whatever tau is.
         result["ensemble_average"]["within_3_sigma"] = bool(
-            np.all(np.abs(mean - exact) <= 3 * err + 1e-12))
+            np.all(np.abs(mean - exact) <= 3 * err + ROUNDING_FLOOR))
     if out_dir:
         with _writing(out_dir):
             os.makedirs(out_dir, exist_ok=True)

@@ -123,12 +123,12 @@ def frob(a) -> float:
     return math.sqrt(x.dot(x))
 
 
-def norms(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """2-norms along one axis, summed as np.linalg.norm sums them, through
-    one temporary array the size of a."""
+def norms(a: np.ndarray) -> np.ndarray:
+    """Column 2-norms, summed as np.linalg.norm sums them, through one
+    temporary array the size of a."""
     sq = np.conjugate(a)
     np.multiply(sq, a, out=sq)
-    return np.sqrt(np.add.reduce(sq.real, axis=axis))
+    return np.sqrt(np.add.reduce(sq.real, axis=0))
 
 
 def remove_trace(m: np.ndarray) -> np.ndarray:
@@ -209,44 +209,48 @@ def check_unitary(gram, tol: float = DEFAULT_TOL) -> None:
         raise NotUnitaryError("matrix is not unitary within tolerance")
 
 
-def _column_phases(v: np.ndarray, tol: float) -> tuple:
+def _column_phases(v: np.ndarray) -> tuple:
     """(index, moduli, factors): the (rows, columns) of each column's first
-    entry of modulus above tol times the column's largest (row 0 of an
-    all-zero column), those entries' moduli, and the unit factors that
-    make them real positive."""
+    entry of modulus above ROUNDING_FLOOR times the column's largest (row 0
+    of an all-zero column), those entries' moduli, and the unit factors
+    that make them real positive.  The cut is the rounding floor, not tau:
+    the phase convention is fixed whatever tol a caller decides at, so
+    eigenvectors and SJED destinations read the same at every --tol."""
     nrm = np.abs(v)
-    index = np.argmax(nrm > tol * nrm.max(axis=0), axis=0), np.arange(v.shape[1])
+    index = (np.argmax(nrm > ROUNDING_FLOOR * nrm.max(axis=0), axis=0),
+             np.arange(v.shape[1]))
     first = v[index]
     r = np.abs(first)   # zero only for an all-zero column, which stays as it is
     return index, r, np.where(r > 0, first / np.where(r > 0, r, 1.0), 1.0).conj()
 
 
-def column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def column_phases(v: np.ndarray) -> np.ndarray:
     """The unit factors that make each column's first non-negligible entry
     real positive."""
-    return _column_phases(v, tol)[2]
+    return _column_phases(v)[2]
 
 
-def fix_column_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rescale each column by its column_phases factor, so that its first
     non-negligible entry is real positive: that entry is set to its modulus
     exactly, which the product misses by a rounding-size imaginary part."""
-    index, r, phases = _column_phases(v, tol)
+    index, r, phases = _column_phases(v)
     out = v * phases
     out[index] = r
     return out
 
 
-def hermitian_eigendecomposition(a, tol: float = DEFAULT_TOL):
+def hermitian_eigendecomposition(a):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns), each column
     with its first non-negligible entry real positive.  Raises
-    NotHermitianError if the input fails the Hermiticity precondition.
+    NotHermitianError if the input fails the Hermiticity precondition,
+    decided at tau(DEFAULT_TOL).
     """
     a = square(a)
     scale = frob(a)
-    if scale > 0 and frob(a - dag(a)) > tol * max(scale, 1.0):
+    if scale > 0 and frob(a - dag(a)) > threshold(DEFAULT_TOL) * max(scale, 1.0):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + dag(a)) / 2.0)
     return w, fix_column_phases(v)

@@ -88,6 +88,8 @@ class Representation:
             raise ShapeError(f"hamiltonian must be square, got {h.shape}")
         _checked(h, "hamiltonian")
         hnorm = frob(h)
+        # at DEFAULT_TOL (its own tau), not tau(--tol): a model is loaded,
+        # and so checked, before a command reads its --tol
         if hnorm > 0 and linalg.distance(h, dag(h)) > DEFAULT_TOL * max(hnorm, 1.0):
             raise ValueError("hamiltonian is not Hermitian within tolerance")
         jumps = tuple(map(linalg.working, self.jumps))
@@ -174,15 +176,17 @@ class Representation:
         return h.hexdigest()[:16]
 
 
-def validate_density_matrix(rho, tol: float = 1e-9) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix."""
+def validate_density_matrix(rho) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity of a density matrix,
+    each within tau(DEFAULT_TOL)."""
+    tau = linalg.threshold(DEFAULT_TOL)
     rho = np.asarray(rho, dtype=complex)
-    if frob(rho - dag(rho)) > tol * max(1.0, frob(rho)):
+    if frob(rho - dag(rho)) > tau * max(1.0, frob(rho)):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > tau:
         raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    w, _ = linalg.hermitian_eigendecomposition(rho, tol)
-    if np.min(w) < -tol:
+    w, _ = linalg.hermitian_eigendecomposition(rho)
+    if np.min(w) < -tau:
         raise ValueError(f"density matrix has eigenvalue {np.min(w)} < 0")
     return rho
 

@@ -20,6 +20,12 @@ from .lindblad import Representation
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+# the parameter constraints (unit rows, |c1|^2 + |c2|^2 = 1/2) are met to
+# the rounding of the numbers given
+_CONSTRAINT_TOL = linalg.ROUNDING_FLOOR
+# parameters within tau(DEFAULT_TOL) of a more symmetric case would take
+# that case's verdicts at the default --tol, not the ones `expect` records
+_GENERIC_TOL = linalg.threshold(linalg.DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ def qubit_ii(omega=1.0, gamma_z=1.0, gamma_x=1.0, c1=None, c2=None) -> Model:
         c1 = 0.6 / np.sqrt(2)
     if c2 is None:
         c2 = 0.8 / np.sqrt(2)
-    if abs(abs(c1) ** 2 + abs(c2) ** 2 - 0.5) > 1e-12:
+    if abs(abs(c1) ** 2 + abs(c2) ** 2 - 0.5) > _CONSTRAINT_TOL:
         raise ValueError("need |c1|^2 + |c2|^2 = 1/2")
     kp = _k_plus(gamma_z, gamma_x)
     km = _k_minus(gamma_z, gamma_x)
@@ -100,7 +106,8 @@ def qubit_ii(omega=1.0, gamma_z=1.0, gamma_x=1.0, c1=None, c2=None) -> Model:
 
 def qubit_i(omega=1.0, gamma_z=1.0, gamma_x=1.0, a=0.8, b=0.6) -> Model:
     """Single qubit breaking trajectory symmetry: |a| != |b|, |a|^2+|b|^2 = 1."""
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12 or abs(abs(a) - abs(b)) < 1e-9:
+    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > _CONSTRAINT_TOL \
+            or abs(abs(a) - abs(b)) < _GENERIC_TOL:
         raise ValueError("need |a|^2 + |b|^2 = 1 and |a| != |b|")
     j1 = a * np.sqrt(gamma_z) * SZ + b * np.sqrt(gamma_x) * SX
     j2 = np.conj(b) * np.sqrt(gamma_z) * SZ - np.conj(a) * np.sqrt(gamma_x) * SX
@@ -199,9 +206,9 @@ def twoqubit_ii(omega1=1.0, omega2=np.sqrt(2.0),
     defaults also keep (b1, b2) away from (a2, a1) and (a1, -a2) up to
     phase, which would sneak the record-level symmetry back in.
     """
-    if abs(abs(a1) ** 2 + abs(a2) ** 2 - 1) > 1e-12 \
-            or abs(abs(b1) ** 2 + abs(b2) ** 2 - 1) > 1e-12 \
-            or abs(abs(a1) - abs(b1)) < 1e-9:
+    if abs(abs(a1) ** 2 + abs(a2) ** 2 - 1) > _CONSTRAINT_TOL \
+            or abs(abs(b1) ** 2 + abs(b2) ** 2 - 1) > _CONSTRAINT_TOL \
+            or abs(abs(a1) - abs(b1)) < _GENERIC_TOL:
         raise ValueError("need unit rows and |a1| != |b1|")
     o = _two_qubit_ops()
     d0 = o["sm1"] @ o["nbar2"]   # -> |00>
@@ -229,9 +236,9 @@ def twoqubit_i(omega1=1.0, omega2=np.sqrt(2.0),
     defaults also keep (b1, a1) away from (a2, b2) and (b2, -a2) up to
     phase so no accidental trajectory symmetry appears.
     """
-    if abs(abs(a1) ** 2 + abs(b1) ** 2 - 1) > 1e-12 \
-            or abs(abs(a2) ** 2 + abs(b2) ** 2 - 1) > 1e-12 \
-            or abs(abs(a1) - abs(b1)) < 1e-9:
+    if abs(abs(a1) ** 2 + abs(b1) ** 2 - 1) > _CONSTRAINT_TOL \
+            or abs(abs(a2) ** 2 + abs(b2) ** 2 - 1) > _CONSTRAINT_TOL \
+            or abs(abs(a1) - abs(b1)) < _GENERIC_TOL:
         raise ValueError("need unit rows and |a1| != |b1|")
     o = _two_qubit_ops()
     d0 = o["sm1"] @ o["nbar2"]   # |00><10|
@@ -337,7 +344,7 @@ def qutrit_chain(length=4, thetas=None, omega=1.0, rot_angles=None) -> Model:
     # differ by a multiple of 90 degrees
     diffs = np.diff(np.append(thetas, thetas[0]))
     rem = np.remainder(diffs, np.pi / 2)
-    generic = bool(np.any(np.minimum(rem, np.pi / 2 - rem) > 1e-9))
+    generic = bool(np.any(np.minimum(rem, np.pi / 2 - rem) > _GENERIC_TOL))
     return Model(
         "qutrit-chain", rep,
         {"translation": u_t, "rotation": u_rot, "combined": u_combined},

@@ -452,11 +452,6 @@ def check_condition_I(rep: Representation, sym: SymmetryOperator,
     return result
 
 
-def transformed_choi(sym: SymmetryOperator, choi: np.ndarray) -> np.ndarray:
-    """Choi matrix of the symmetry-conjugated superoperator (basis U†)."""
-    return change_superoperator_basis(choi, dag(sym.matrix))
-
-
 def check_condition_II(rep: Representation, sym: SymmetryOperator,
                        tol: float = DEFAULT_TOL,
                        partition: SjedPartition | None = None,
@@ -536,39 +531,43 @@ def _cycles(pi) -> list:
 
 
 def lift_II_to_III(rep: Representation, sym: SymmetryOperator,
-                   partition: SjedPartition | None = None,
-                   tol: float = DEFAULT_TOL):
+                   partition: SjedPartition | None = None):
     """Canonical-SJED representation whose jumps are permuted by the symmetry.
 
     Along each pi_c cycle, the first set's canonical family is refined on
     degenerate weights to diagonalize the cycle-closing map (the product of
     condition II's certificate blocks in canonical coordinates) and
     phase-fixed; each later family is the image of the one before, carried
-    as member coefficients through the certificate.  Returns
+    as member coefficients through the certificate.  Condition II, the
+    canonical families, degeneracy and the closing map's eigenphases are
+    all decided at the partition's tol (DEFAULT_TOL for the one built
+    when none is given).  Returns
     (representation, groups), groups the output's jump indices per input
     SJED.  Raises NotConditionII when condition II fails and
     CompletionFailed when its certificate does.
     """
-    partition = build_sjeds(rep, tol) if partition is None else partition
+    partition = build_sjeds(rep) if partition is None else partition
+    tol = partition.tol
     cond = check_condition_II(rep, sym, tol, partition)
     if not cond.holds:
         raise NotConditionII(cond.reason)
     if cond.unitary is None:
         raise CompletionFailed(cond.reason)
     u, coords = cond.unitary, sym.images(rep).jumps
+    tau = threshold(tol)      # weights within tau are degenerate
 
     families = [None] * partition.nsets
     for cyc in _cycles(cond.permutation):
         members = [list(partition.sets[a].indices) for a in cyc]
         blocks = [u[np.ix_(m, n)] for m, n in zip(members, members[1:] + members[:1])]
-        s, zh = sjed.canonical_family(coords[:, members[0]], partition.tol)
+        s, zh = sjed.canonical_family(coords[:, members[0]], tol)
         closing = np.linalg.multi_dot([zh.conj(), *blocks, zh.T])
         w, t = s ** 2, np.eye(len(s), dtype=complex)
         i = 0
         while i < len(w):    # w descends: a degenerate group is contiguous
-            j = i + int(np.sum(w[i] - w[i:] <= 1e-8 * max(w[0], 1.0)))
+            j = i + int(np.sum(w[i] - w[i:] <= tau * max(w[0], 1.0)))
             if j - i > 1:
-                _, vb = linalg.unitary_eigendecomposition(closing[i:j, i:j].T, 1e-7)
+                _, vb = linalg.unitary_eigendecomposition(closing[i:j, i:j].T, tol)
                 t[i:j, i:j] = vb.T
             i = j
         ref, coeffs = sjed.phase_fixed_family(rep.jumps, members[0], t @ zh.conj())
@@ -622,7 +621,8 @@ def wave_operators(partition: SjedPartition, pi_c, tol: float = DEFAULT_TOL):
     """Choi matrices of the Fourier transforms of the composite actions.
 
     pi_c must be a single cycle; wave k satisfies the eigen-relation
-    transformed_choi(sym, C) = exp(2 pi i k / d_c) C.
+    C' = exp(2 pi i k / d_c) C, C' the Choi matrix of the symmetry-conjugated
+    superoperator (lindblad.change_superoperator_basis(C, U†)).
     """
     d_c = partition.nsets
     cycles = _cycles(pi_c)
@@ -677,28 +677,21 @@ def monomial_eigenfunctions(sym: SymmetryOperator, order: int, eigenvalue) -> li
     return [m for m, c in zip(monomials, linalg.phase_classes(phases, sym.tol)) if c == 0.0]
 
 
-def evaluate_monomial(sym: SymmetryOperator, indices, psi) -> complex:
-    """Evaluate a monomial tuple on a state (adapted-basis matrix elements)."""
-    psi_adapted = dag(sym.eigenbasis) @ np.asarray(psi, dtype=complex) @ sym.eigenbasis
-    rows, cols = np.array(indices, dtype=int).reshape(-1, 2).T - 1
-    return complex(np.prod(psi_adapted[rows, cols]))
-
-
 def monomial_eigenvalue(sym: SymmetryOperator, indices) -> complex:
     phase = sum(sym.phases[indices[x] - 1] - sym.phases[indices[x + 1] - 1]
                 for x in range(0, len(indices), 2))
     return complex(np.exp(1j * phase))
 
 
-def check_linear_eigenfunction(rep: Representation, f,
-                               tol: float = DEFAULT_TOL, rng=None):
+def check_linear_eigenfunction(rep: Representation, f, tol: float = DEFAULT_TOL):
     """Whether F is an eigenmatrix of the adjoint master operator.
 
     Returns (is_eigen, eigenvalue).  A least-squares eigenvalue is fitted,
     its relative residual must be at most tau = threshold(tol), and the dual
     pairing Tr[F L(psi)] = lambda Tr[F psi] is verified on 20 random pure
-    states psi (||psi|| = 1), each to |Tr[F L(psi)] - lambda Tr[F psi]| <=
-    tau ||F|| max(1, |lambda|), a bound that scales with F.
+    states psi (||psi|| = 1; the same draws on every call), each to
+    |Tr[F L(psi)] - lambda Tr[F psi]| <= tau ||F|| max(1, |lambda|), a
+    bound that scales with F.
     """
     f = np.asarray(f, dtype=complex)
     lf = apply_adjoint_master_operator(rep, f)
@@ -706,8 +699,7 @@ def check_linear_eigenfunction(rep: Representation, f,
     resid = frob(lf - lam * f) / max(frob(lf), frob(f))
     if resid > threshold(tol):
         return False, complex(lam)
-    if rng is None:
-        rng = np.random.default_rng(2024)
+    rng = np.random.default_rng(2024)
     d, bound = rep.dim, threshold(tol) * frob(f) * max(1.0, abs(lam))
     for _ in range(20):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -744,7 +736,6 @@ __all__ = [
     "check_condition_II",
     "check_condition_III",
     "check_linear_eigenfunction",
-    "evaluate_monomial",
     "fourier_symmetrize",
     "general_unitary_completion",
     "lift_II_to_III",
@@ -752,6 +743,5 @@ __all__ = [
     "monomial_eigenvalue",
     "off_block_mass",
     "permutation_unitary",
-    "transformed_choi",
     "wave_operators",
 ]

@@ -56,10 +56,21 @@ from scipy import special
 
 from . import linalg
 from .lindblad import Representation
-from .linalg import dag, frob
+from .linalg import DEFAULT_TOL, dag, frob
 from .sjed import SjedPartition, build_sjeds
 
 TIME_TOL_FACTOR = 1e-9
+# largest ||H_eff|| the sampler steps, far below the ~1e15 where the
+# Taylor matrices (-i H_eff)^k / k! overflow
+MAX_HEFF_NORM = 1e8
+# stands in for a zero horizon or ||H_eff||: the grid step and the
+# crossing-time tolerance stay positive
+_SCALE_FLOOR = 1e-12
+# Taylor terms of e^{-i H s}: with ||H|| s <= 0.45, the grid-step bound in
+# sample_ensembles, the first term left out is below 0.45^22 / 22! ~ 2e-29
+_TAYLOR_TERMS = 22
+# the chi-squared rule: a bin expecting fewer counts is pooled
+_MIN_EXPECTED = 5.0
 # grid steps one ensemble may take; a stiffer model or longer horizon is
 # refused before its grid is built
 MAX_GRID_STEPS = 100_000
@@ -146,19 +157,17 @@ class TrajectoryEnsemble:
         return self.count_vectors(len(partition.jumps)) @ member
 
 
-def state_vector(psi, tol: float = 1e-8) -> np.ndarray:
-    """Unit vector of a pure density matrix (or pass a vector through)."""
+def state_vector(psi) -> np.ndarray:
+    """Unit vector of a pure density matrix (or pass a vector through):
+    Hermitian and of largest eigenvalue 1, each within tau(DEFAULT_TOL)."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim == 1:
         return psi / np.linalg.norm(psi)
-    w, v = linalg.hermitian_eigendecomposition(psi, 1e-6)
-    if w[-1] < 1.0 - tol * max(1.0, abs(w[-1])) - tol:
+    w, v = linalg.hermitian_eigendecomposition(psi)
+    tau = linalg.threshold(DEFAULT_TOL)
+    if w[-1] < 1.0 - tau * max(1.0, abs(w[-1])) - tau:
         raise ValueError(f"state is not pure: largest eigenvalue {w[-1]}")
     return v[:, -1]
-
-
-def _segment_propagator(heff: np.ndarray, dt: float) -> np.ndarray:
-    return linalg.matrix_exponential(-1j * dt * heff)
 
 
 def _rows_product(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -185,11 +194,11 @@ def _record_weight(rep: Representation, psi0, times, labels, horizon: float,
     phi = np.asarray(psi0, dtype=complex).copy()
     t_prev = 0.0
     for t, label in zip(times.tolist(), labels):
-        g = _segment_propagator(heff, t - t_prev)
+        g = linalg.matrix_exponential(-1j * (t - t_prev) * heff)
         phi = g @ phi @ dag(g)
         phi = sum(jm @ phi @ dag(jm) for jm in actions[label])
         t_prev = t
-    g = _segment_propagator(heff, horizon - t_prev)
+    g = linalg.matrix_exponential(-1j * (horizon - t_prev) * heff)
     phi = g @ phi @ dag(g)
     return phi, float(np.trace(phi).real)
 
@@ -234,7 +243,7 @@ class _MomentPropagator:
     table, of shape (n, terms, d), at every trial time.
     """
 
-    def __init__(self, heff: np.ndarray, terms: int = 22):
+    def __init__(self, heff: np.ndarray):
         self.heff = heff
         h = np.diagonal(heff)
         self.diagonal = h if np.array_equal(heff, np.diag(h)) else None
@@ -243,13 +252,13 @@ class _MomentPropagator:
             self.rates = 2.0 * h.imag         # d||phi_a||^2/ds over |phi_a(s)|^2
             return
         a = -1j * heff
-        mats = np.empty((terms, len(a), len(a)), dtype=complex)
+        mats = np.empty((_TAYLOR_TERMS, len(a), len(a)), dtype=complex)
         mats[0] = np.eye(len(a))
-        for k in range(1, terms):
+        for k in range(1, _TAYLOR_TERMS):
             mats[k] = (mats[k - 1] @ a) / k
         # column block k maps a row phi to phi (A^k / k!)^T
         self.mats = mats.transpose(2, 0, 1).reshape(len(a), -1)
-        self.powers = np.arange(terms)
+        self.powers = np.arange(_TAYLOR_TERMS)
 
     def top_rate(self) -> float:
         """Largest total jump rate of a normalized state: the top
@@ -265,7 +274,7 @@ class _MomentPropagator:
         step length."""
         if dt not in self.steps:
             self.steps[dt] = (np.exp(-1j * dt * self.diagonal) if self.diagonal is not None
-                              else _segment_propagator(self.heff, dt).T)
+                              else linalg.matrix_exponential(-1j * dt * self.heff).T)
         if self.diagonal is not None:
             return vecs * self.steps[dt]
         return _rows_product(vecs, self.steps[dt])
@@ -554,9 +563,9 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     """
     heff = rep.effective_hamiltonian
     hnorm = frob(heff)
-    if not np.isfinite(hnorm) or hnorm > 1e8:
+    if not np.isfinite(hnorm) or hnorm > MAX_HEFF_NORM:
         raise StiffnessError("effective Hamiltonian norm too large for stepping")
-    step = min(0.05 * max(horizon, 1e-12), 0.45 / max(hnorm, 1e-12))
+    step = min(0.05 * max(horizon, _SCALE_FLOOR), 0.45 / max(hnorm, _SCALE_FLOOR))
     steps = np.ceil(horizon / step)     # a float: inf near the largest horizons
     if steps > MAX_GRID_STEPS:
         raise StiffnessError(f"{steps:.3g} grid steps to horizon {horizon:g}, above "
@@ -584,7 +593,7 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     # each crossing batch's (rows, event times, labels); the empty first
     # entry sets the columns' dtypes when no row jumps
     events: list = [(np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int))]
-    time_tol = TIME_TOL_FACTOR * max(horizon, 1e-12)
+    time_tol = TIME_TOL_FACTOR * max(horizon, _SCALE_FLOOR)
     stats = {"grid_steps": steps, "crossing_batches": 0, "trials": 0}
 
     # checkpoint grid index -> its (rows, d) states, filled as rows pass it
@@ -756,25 +765,24 @@ def ensemble_average(ensemble: TrajectoryEnsemble, t: float,
     return mean, err
 
 
-def _merge_bins(table_a: dict, table_b: dict, n_a: int, n_b: int,
-                min_expected: float = 5.0):
+def _merge_bins(table_a: dict, table_b: dict, n_a: int, n_b: int):
     """Both tables' counts (two rows) over their pooled keys, the bins with
-    an expected count below min_expected in either merged into a last one."""
+    an expected count below _MIN_EXPECTED in either merged into a last one."""
     keys = sorted(set(table_a) | set(table_b))
     ab = np.array([[t.get(k, 0) for k in keys] for t in (table_a, table_b)], dtype=float)
     expected = ab.sum(axis=0) * np.array([[n_a], [n_b]]) / (n_a + n_b)
-    keep = np.min(expected, axis=0) >= min_expected
+    keep = np.min(expected, axis=0) >= _MIN_EXPECTED
     rest = ab[:, ~keep].sum(axis=1, keepdims=True)
     return np.hstack([ab[:, keep], rest]) if rest.sum() > 0 else ab[:, keep]
 
 
-def two_sample_chi2(table_a: dict, table_b: dict, min_expected: float = 5.0):
+def two_sample_chi2(table_a: dict, table_b: dict):
     """Two-sample chi-squared p-value on pooled histogram bins."""
     n_a = sum(table_a.values())
     n_b = sum(table_b.values())
     if not (n_a and n_b):   # p = 1 before _merge_bins would divide 0 by 0
         return 1.0, 0.0, 0
-    a, b = _merge_bins(table_a, table_b, n_a, n_b, min_expected)
+    a, b = _merge_bins(table_a, table_b, n_a, n_b)
     if len(a) < 2:
         return 1.0, 0.0, 0
     tot = a + b

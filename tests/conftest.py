@@ -35,6 +35,14 @@ def superoperator_matrix(op, dim):
     return np.array([np.asarray(op(e), dtype=complex).reshape(-1) for e in units]).T
 
 
+def evaluate_monomial(sym, indices, psi) -> complex:
+    """The monomial of 1-based (row, col) index pairs on psi: the product
+    of those matrix elements of psi in the symmetry's adapted basis."""
+    psi_adapted = sym.eigenbasis.conj().T @ np.asarray(psi, dtype=complex) @ sym.eigenbasis
+    rows, cols = np.array(indices, dtype=int).reshape(-1, 2).T - 1
+    return complex(np.prod(psi_adapted[rows, cols]))
+
+
 def sample_one(rep, psi0, horizon, n, seed=0, checkpoint_times=(), first_index=0):
     """The ensemble of n trajectories from the one start (psi0, seed)."""
     return sample_ensembles(rep, [(psi0, seed)], horizon, n, checkpoint_times,

@@ -14,6 +14,7 @@ from weaksym import models
 from weaksym.lindblad import (
     Representation,
     apply_master_operator,
+    change_superoperator_basis,
     evolve_density,
     liouville_matrix,
     pure_state,
@@ -28,12 +29,10 @@ from weaksym.symmetry import (
     check_condition_II,
     check_condition_III,
     check_linear_eigenfunction,
-    evaluate_monomial,
     fourier_symmetrize,
     monomial_eigenfunctions,
     monomial_eigenvalue,
     off_block_mass,
-    transformed_choi,
     wave_operators,
 )
 from weaksym import dilation
@@ -42,7 +41,7 @@ from weaksym.trajectories import (
     ensemble_symmetry_test,
 )
 
-from conftest import sample_one, symmetry_ensembles
+from conftest import evaluate_monomial, sample_one, symmetry_ensembles
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PLUS = pure_state([1, 1])
@@ -294,18 +293,16 @@ def test_criterion_8_environment_trace_and_frame_slopes():
     dts = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     m = models.qubit_ii()
     part = build_sjeds(m.rep)
-    builders = {
-        "unitary": lambda dt: dilation.stochastic_hamiltonian_step(m.rep, dt),
-        "dephased": lambda dt: dilation.dephased_generator_step(m.rep, dt),
-        "partial": lambda dt: dilation.partially_dephased_generator_step(
-            m.rep, part, dt),
-        "coarse": lambda dt: dilation.coarse_grained_generator_step(
-            m.rep, part, dt),
+    steps = {
+        "unitary": dilation.stochastic_hamiltonian_step(m.rep),
+        "dephased": dilation.dephased_generator_step(m.rep),
+        "partial": dilation.partially_dephased_generator_step(m.rep, part),
+        "coarse": dilation.coarse_grained_generator_step(m.rep, part),
     }
     ok = True
     slopes = {}
-    for name, build in builders.items():
-        s = dilation.environment_trace_slope(build, m.rep, PLUS, dts)
+    for name, step in steps.items():
+        s = dilation.environment_trace_slope(step, m.rep, PLUS, dts)
         slopes[name] = s
         ok = ok and s >= 1.9
     traceful = Representation(
@@ -342,7 +339,7 @@ def test_criterion_9_block_structure_and_waves():
         waves = wave_operators(part, pi_c)
         d_c = part.nsets
         for k, w in enumerate(waves):
-            resid = frob(transformed_choi(sym, w)
+            resid = frob(change_superoperator_basis(w, dag(sym.matrix))
                          - np.exp(2j * np.pi * k / d_c) * w)
             ok = ok and resid <= 1e-10 * max(1.0, frob(w))
         order = [0]

@@ -390,6 +390,8 @@ def _entry_doc(entry):
     (["examples", "qubit-II", "--param", "g=abc"], None),
     (["check"], _qubit_doc(hamiltonian=[[True, 0], [0, False]])),
     (["check"], _qubit_doc(parameters={"g": True})),
+    (["check", "no-such-model"], None),
+    (["check", "qubit-II", "--sym", "no-such-symmetry"], None),
     (["simulate", "qubit-III", "--threads", "0"], None),
     (["simulate", "qubit-III", "--threads", "-2"], None),
     (["simulate", "qubit-III", "--alpha", "nan"], None),
@@ -426,9 +428,9 @@ def _entry_doc(entry):
 ], ids=["div-zero", "sqrt-negative", "overflow", "infinite", "complex-power",
         "dim-string", "jumps-not-array", "sjeds-overlap", "non-unitary", "n-zero",
         "horizon-negative", "tol-negative", "param-not-number", "bool-entry",
-        "bool-parameter", "threads-zero", "threads-negative", "alpha-nan",
-        "alpha-one", "sparse-index-range", "sparse-index-negative",
-        "sparse-index-float", "sparse-index-bool", "sparse-duplicate",
+        "bool-parameter", "model-unknown", "sym-unknown", "threads-zero",
+        "threads-negative", "alpha-nan", "alpha-one", "sparse-index-range",
+        "sparse-index-negative", "sparse-index-float", "sparse-index-bool", "sparse-duplicate",
         "sparse-item-short", "sparse-item-long", "sparse-not-list",
         "sparse-extra-key", "sparse-bad-entry", "symmetry-name-twice",
         "expect-string-verdict", "expect-missing-verdict", "expect-unknown-symmetry",
@@ -1121,7 +1123,7 @@ def test_report_reads_weaksym_threads_only_when_simulating(value, monkeypatch,
     assert not out and err.startswith("error: WEAKSYM_THREADS")
 
 
-def test_threaded_sampling_matches_serial():
+def test_threaded_sampling_matches_serial(monkeypatch, capsys):
     from weaksym.lindblad import pure_state
     model = models.qubit_weak()
     psi0 = pure_state(np.ones(2))
@@ -1138,6 +1140,14 @@ def test_threaded_sampling_matches_serial():
     assert np.array_equal(serial.states[0.5], joined.states[0.5])
     assert (joined.horizon, joined.seed, joined.rep_fingerprint) == \
         (serial.horizon, serial.seed, serial.rep_fingerprint)
+    # fewer than 2 trajectories a process: no pool, the serial bytes
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    outs = []
+    for threads in ("1", "2"):
+        assert main(["simulate", "qubit-III", "--n", "3", "--threads", threads]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_modelfile_complex_expression_entries():

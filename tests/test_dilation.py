@@ -85,21 +85,20 @@ def test_stochastic_hamiltonian_hermitian(rng):
 
 def test_unitary_step_trace_recovery_slope():
     rep = models.qubit_weak().rep
-    slope = environment_trace_slope(
-        lambda dt: stochastic_hamiltonian_step(rep, dt), rep, PLUS, DTS)
+    slope = environment_trace_slope(stochastic_hamiltonian_step(rep), rep, PLUS, DTS)
     assert slope >= 1.9
 
 
 def test_generator_steps_trace_recovery_slopes():
     m = models.qubit_ii()
     p = build_sjeds(m.rep)
-    builders = {
-        "dephased": lambda dt: dephased_generator_step(m.rep, dt),
-        "partial": lambda dt: partially_dephased_generator_step(m.rep, p, dt),
-        "coarse": lambda dt: coarse_grained_generator_step(m.rep, p, dt),
+    steps = {
+        "dephased": dephased_generator_step(m.rep),
+        "partial": partially_dephased_generator_step(m.rep, p),
+        "coarse": coarse_grained_generator_step(m.rep, p),
     }
-    for name, build in builders.items():
-        slope = environment_trace_slope(build, m.rep, PLUS, DTS)
+    for name, step in steps.items():
+        slope = environment_trace_slope(step, m.rep, PLUS, DTS)
         assert slope >= 1.9, name
 
 

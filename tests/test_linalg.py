@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +259,24 @@ def test_span_map_accepts_by_each_target_s_own_norm():
 def test_threshold_refuses_a_tol_outside_the_unit_interval(tol):
     with pytest.raises(ValueError, match="tol must lie in"):
         linalg.threshold(tol)
+
+
+def test_every_small_or_large_float_literal_is_a_named_module_constant():
+    # a tolerance that decides reads tau(tol) or a named module constant
+    # whose comment gives its reason: a float literal below 1e-3 or above
+    # 1e3 in magnitude may stand only in a module-level assignment, save
+    # the 1e-300 guards against a division by zero
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {id(node) for top in tree.body
+                 if isinstance(top, (ast.Assign, ast.AnnAssign)) for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is float \
+                    and id(node) not in named and node.value != 1e-300 \
+                    and (0 < abs(node.value) < 1e-3 or abs(node.value) > 1e3):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found
 
 
 @pytest.mark.parametrize("cost, tol, expected", [

@@ -6,12 +6,14 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 import scipy.sparse
 from hypothesis import given, strategies as st
 
 from weaksym import linalg, models, sjed
 from weaksym.lindblad import (
     Representation,
+    change_superoperator_basis,
     jump_part_choi,
     liouville_matrix,
     representations_equal,
@@ -35,7 +37,6 @@ from weaksym.symmetry import (
     check_condition_III,
     lift_II_to_III,
     off_block_mass,
-    transformed_choi,
 )
 
 
@@ -217,16 +218,28 @@ def test_lift_permutes_the_jumps_along_each_cycle(model):
     # wherever condition II holds with a block certificate, the lift gives a
     # condition-III representation of the same unravelled generator whose
     # families are carried exactly along each pi_c cycle
+    _assert_lift_permutes_the_jumps(model, linalg.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@given(symmetric_models())
+def test_lift_permutes_the_jumps_at_the_partition_tol(tol, model):
+    # the lift decides everything at the tol of the partition it is given
+    _assert_lift_permutes_the_jumps(model, tol)
+
+
+def _assert_lift_permutes_the_jumps(model, tol):
     rep, sym, _, split = model
-    partition = partition_from_groups(rep, [[k] for k in range(rep.njumps)]) \
-        if split else build_sjeds(rep)
-    cond = check_condition_II(rep, sym, partition=partition)
+    partition = partition_from_groups(rep, [[k] for k in range(rep.njumps)], tol) \
+        if split else build_sjeds(rep, tol)
+    cond = check_condition_II(rep, sym, tol, partition)
     if cond.unitary is None:
         return
     out, groups = lift_II_to_III(rep, sym, partition)
-    assert check_condition_III(out, sym).holds
+    assert check_condition_III(out, sym, tol).holds
     ok, _, r = same_unravelled_generator(
-        rep, out, partition_a=partition, partition_b=partition_from_groups(out, groups))
+        rep, out, tol, partition_a=partition,
+        partition_b=partition_from_groups(out, groups, tol))
     assert ok and r == 0
     u = sym.matrix
     for cyc in _cycles(cond.permutation):
@@ -422,7 +435,7 @@ def _choi_gap(partition, sym, a, b):
     """Relative Frobenius gap of set a's dense Choi matrix and the image of
     set b's under the symmetry."""
     x = composite_choi(partition, a)
-    y = transformed_choi(sym, composite_choi(partition, b))
+    y = change_superoperator_basis(composite_choi(partition, b), dag(sym.matrix))
     return frob(x - y) / max(frob(x), frob(y))
 
 

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse
 
 from weaksym import linalg, models
-from weaksym.lindblad import Representation, jump_part_choi, pure_state
+from weaksym.lindblad import (Representation, change_superoperator_basis, jump_part_choi,
+                              pure_state)
 from weaksym.linalg import dag, frob, hermitian_eigendecomposition, random_unitary
 from weaksym.sjed import (
     build_sjeds,
@@ -18,7 +19,7 @@ from weaksym.sjed import (
     remix_within_sets,
     same_unravelled_generator,
 )
-from weaksym.symmetry import SymmetryOperator, transformed_choi
+from weaksym.symmetry import SymmetryOperator
 
 from conftest import SM, SX, SZ, random_pure_state
 
@@ -272,7 +273,7 @@ def test_match_costs_are_dense_choi_gaps(rng):
             match_sets(images.jumps, images.jump_images, sets, sets)
         cost = spy.call_args.args[0]
         for b in range(p.nsets):
-            moved = transformed_choi(sym, composite_choi(p, b))
+            moved = change_superoperator_basis(composite_choi(p, b), dag(sym.matrix))
             for a in range(p.nsets):
                 choi = composite_choi(p, a)
                 want = frob(choi - moved) / max(frob(choi), frob(moved))

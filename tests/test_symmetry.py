@@ -9,6 +9,7 @@ from weaksym import linalg, models
 from weaksym.lindblad import (
     Representation,
     apply_master_operator,
+    change_superoperator_basis,
     liouville_matrix,
     representations_equal,
 )
@@ -26,7 +27,6 @@ from weaksym.symmetry import (
     check_condition_II,
     check_condition_III,
     check_linear_eigenfunction,
-    evaluate_monomial,
     fourier_symmetrize,
     general_unitary_completion,
     lift_II_to_III,
@@ -34,11 +34,10 @@ from weaksym.symmetry import (
     monomial_eigenvalue,
     off_block_mass,
     permutation_unitary,
-    transformed_choi,
     wave_operators,
 )
 
-from conftest import SM, SX, SZ, random_pure_state, superoperator_matrix
+from conftest import SM, SX, SZ, evaluate_monomial, random_pure_state, superoperator_matrix
 
 PARITY = SymmetryOperator.from_matrix(SZ)
 
@@ -622,7 +621,7 @@ def test_wave_operators_inverse_and_eigenrelation():
                   for k in range(d_c)) / d_c
         assert frob(rec - composite_choi(p, a)) < 1e-12
     for k, w in enumerate(waves):
-        assert frob(transformed_choi(sym, w)
+        assert frob(change_superoperator_basis(w, dag(sym.matrix))
                     - np.exp(2j * np.pi * k / d_c) * w) < 1e-10
 
 

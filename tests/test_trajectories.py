@@ -15,7 +15,14 @@ from weaksym.lindblad import (
     evolve_density,
     pure_state,
 )
-from weaksym.linalg import dag, frob, matrix_exponential
+from weaksym.linalg import (
+    DEFAULT_TOL,
+    NotHermitianError,
+    dag,
+    frob,
+    matrix_exponential,
+    threshold,
+)
 from weaksym.sjed import build_sjeds
 from weaksym.symmetry import SymmetryOperator, check_condition_II, check_condition_III
 import weaksym.trajectories as traj
@@ -1230,6 +1237,22 @@ def test_state_vector_roundtrip(rng):
     assert frob(np.outer(v, v.conj()) - psi) < 1e-10
     with pytest.raises(ValueError):
         state_vector(np.eye(2) / 2)
+    # both checks decide at tau(DEFAULT_TOL): a Hermiticity defect
+    # ||psi - psi^dag|| and a shortfall 1 - w_max of the top eigenvalue
+    # (bound tau + tau max(1, w_max)) are accepted below and refused above
+    tau = threshold(DEFAULT_TOL)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1.0, -1.0       # ||psi - psi^dag|| = 2 sqrt(2) eps
+    for eps in (0.3 * tau / np.sqrt(8.0), 0.9 * tau / np.sqrt(8.0)):
+        v = state_vector(psi + eps * skew)
+        assert frob(np.outer(v, v.conj()) - psi) < 1e-8
+    with pytest.raises(NotHermitianError):
+        state_vector(psi + 1.5 * tau / np.sqrt(8.0) * skew)
+    for shortfall in (0.5 * tau, 1.9 * tau):
+        v = state_vector((1.0 - shortfall) * psi)
+        assert frob(np.outer(v, v.conj()) - psi) < 1e-10
+    with pytest.raises(ValueError, match="not pure"):
+        state_vector((1.0 - 2.1 * tau) * psi)
 
 
 def test_symmetry_test_two_qubit_full_level():
