@@ -8,10 +8,11 @@ partially dephased, and coarse-grained generator steps from system-size
 operators only.  Symmetry residuals of every step kind read the
 symmetry's images (`SymmetryOperator.images` of the step's
 representation) and take a jump-space unitary u, which acts on the bin
-through the vacuum-fixing Gamma(u) = environment_symmetry(u).  They are
-exact in dt, have no size cap and take each difference before its norm,
-so no sqrt(eps) cancellation floor; environment_certificates gives the
-u a symmetry report certifies for each step kind.
+through the vacuum-fixing Gamma(u): |j> -> sum_k conj(u[j, k]) |k>, so
+that conjugation sends dB_j to sum_k u[j, k] dB_k.  They are exact in dt,
+have no size cap and take each difference before its norm, so no
+sqrt(eps) cancellation floor; environment_certificates gives the u a
+symmetry report certifies for each step kind.
 """
 
 from __future__ import annotations
@@ -192,22 +193,6 @@ def rotating_frame_convergence(rep: Representation, dt_list) -> float:
     return float(np.polyfit(np.log(dts), np.log(np.asarray(resid) + 1e-300), 1)[0])
 
 
-def environment_symmetry(u_matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Bin unitary mixing emitted quanta per a d x d unitary matrix.
-
-    Fixes the vacuum and maps |j> -> sum_k conj(U[j, k]) |k>, so that
-    conjugation sends dB_j to sum_k U[j, k] dB_k on the vacuum sector:
-    the Gamma(u) that joint_symmetry_residual applies without forming it.
-    """
-    u = linalg.square(u_matrix)
-    linalg.check_unitary(dag(u) @ u, tol)
-    d = len(u)
-    out = np.zeros((d + 1, d + 1), dtype=complex)
-    out[0, 0] = 1.0
-    out[1:, 1:] = u.conj().T
-    return out
-
-
 def dephased_generator_step(rep: Representation) -> JointSuperStep:
     """Counting-measurement generator: separable joint jumps J_j x dB_j†."""
     return _step("dephased", rep.effective_hamiltonian, rep.jumps)
@@ -288,10 +273,10 @@ def joint_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
     step's coefficients, exact in dt, read from the images.
 
     images is sym.images(rep) for the representation the step was built
-    from; u acts on the step's n_modes = bin_dim - 1 bin modes, and Gamma(u)
-    = environment_symmetry(u) fixes the vacuum and sends b_m to
-    sum_k conj(u[m, k]) b_k.  Unitary steps compare W H W† with the joint
-    Hamiltonian, generator steps M Λ M† with Λ, M = W x W*.  sum_t X_t x B_t
+    from; u acts on the step's n_modes = bin_dim - 1 bin modes, and Gamma(u),
+    never formed, fixes the vacuum and sends b_m to sum_k conj(u[m, k])
+    b_k.  Unitary steps compare W H W† with the joint Hamiltonian,
+    generator steps M Λ M† with Λ, M = W x W*.  sum_t X_t x B_t
     has the norm of sum_t c_t vec(B_t)^T, c_t the coordinates of X_t in an
     orthonormal basis.  On unitary steps (mode j = jump j) the 1, b_j and
     b_j† parts are orthogonal, so with A, B the coordinates of the step's
@@ -362,7 +347,7 @@ def minimum_symmetry_residual(step: JointSuperStep, images: SymmetryImages,
         raise ValueError("unitary steps have no minimum residual")
     _check_images(step, images)
     p = images.overlaps
-    member = np.eye(partition.nsets)[partition.coarse_labels()]
+    member = partition.membership
     if step.kind == "dephased":
         u = permutation_unitary(linalg.assign(-np.abs(p) ** 2, np.inf))
     elif step.kind == "coarse":
@@ -389,9 +374,9 @@ def _polar(a: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def change_of_basis_symmetry(rep_a: Representation, rep_b: Representation,
-                             v: np.ndarray, u_matrix_a: np.ndarray,
-                             sym: SymmetryOperator, tol: float = DEFAULT_TOL):
+def change_of_basis_symmetry(rep_b: Representation, v: np.ndarray,
+                             u_matrix_a: np.ndarray, sym: SymmetryOperator,
+                             tol: float = DEFAULT_TOL):
     """Transport an environment certificate to another representation.
 
     v is the isometry relating the traceless jumps (rows index rep_b's
@@ -419,7 +404,6 @@ __all__ = [
     "dephased_generator_step",
     "displacement_step",
     "environment_certificates",
-    "environment_symmetry",
     "environment_trace_slope",
     "joint_symmetry_residual",
     "minimum_symmetry_residual",

@@ -6,14 +6,14 @@ convention, the one rule that decides two phases equal (`phase_classes`),
 the matrix exponential, thin-QR coordinates of operator families from
 their entries, the frame gap ||A A† - B B†|| read from them, the one rank
 cut (`rank`), the least-norm maps between jump spans read from one SVD and
-the one rule that accepts their unitary certificates (`SpanMap`),
-Haar-random unitaries and the linear assignment problem (a port of the
-solver scipy runs, so that importing this module does not load
-scipy.optimize).  An operator is a complex array or a canonical complex
-CSR matrix (`operator`); `dense` is the one way from the second to the
-first, and `frob`, `distance`, `nonzeros`, `support` and `check_unitary`
-read either form.  An operator's `working` form, the one the other
-modules hold, is CSR only for a sparse matrix of dim above SMALL_DIM.
+the one rule that accepts their unitary certificates (`SpanMap`), and the
+linear assignment problem (a port of the solver scipy runs, so that
+importing this module does not load scipy.optimize).  An operator is a
+complex array or a canonical complex CSR matrix (`operator`); `dense` is
+the one way from the second to the first, and `frob`, `distance`,
+`nonzeros`, `support` and `check_unitary` read either form.  An
+operator's `working` form, the one the other modules hold, is CSR only
+for a sparse matrix of dim above SMALL_DIM.
 Nothing keeps global state, so calls are safe from concurrent workers.
 """
 
@@ -435,13 +435,6 @@ class SpanMap:
         kernel, if accepted (as for conjugates of a jump family), else None."""
         _, _, zh, r = self.svd
         return self.accept(self.mixing[0] + np.eye(len(zh)) - zh[:r].T @ zh[:r].conj())
-
-
-def random_unitary(rng, n: int) -> np.ndarray:
-    """Haar-random n x n unitary from QR of a complex Gaussian matrix."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def assign(cost, tol: float):

@@ -176,21 +176,6 @@ class Representation:
         return h.hexdigest()[:16]
 
 
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix,
-    each within tau(DEFAULT_TOL)."""
-    tau = linalg.threshold(DEFAULT_TOL)
-    rho = np.asarray(rho, dtype=complex)
-    if frob(rho - dag(rho)) > tau * max(1.0, frob(rho)):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tau:
-        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    w, _ = linalg.hermitian_eigendecomposition(rho)
-    if np.min(w) < -tau:
-        raise ValueError(f"density matrix has eigenvalue {np.min(w)} < 0")
-    return rho
-
-
 def pure_state(vec) -> np.ndarray:
     """Projector |v><v| of a normalized state vector."""
     v = np.asarray(vec, dtype=complex)
@@ -357,7 +342,6 @@ __all__ = [
     "pure_state",
     "relate_representations",
     "representations_equal",
-    "validate_density_matrix",
     "NegativeTimeError",
     "NotSameMasterOperator",
 ]

@@ -63,6 +63,12 @@ class SjedPartition:
             np.arange(self.nsets), [s.size for s in self.sets])
         return out
 
+    @property
+    def membership(self) -> np.ndarray:
+        """The (jumps, nsets) 0/1 int matrix with row j the indicator of
+        jump j's SJED: full counts times it are coarse counts."""
+        return np.eye(self.nsets, dtype=int)[self.coarse_labels()]
+
 
 def _rank_one_split(block: np.ndarray, tol: float):
     """(destination, source) with block = |dest><source|, or None when its
@@ -162,15 +168,6 @@ def partition_from_groups(rep: Representation, groups,
         sets.append(replace(sub[0], indices=group))
     sets = sorted(sets, key=lambda s: s.indices[0])
     return SjedPartition(tuple(sets), jumps, tol)
-
-
-def composite_action(partition: SjedPartition, alpha: int, psi) -> np.ndarray:
-    """sum_{j in S_alpha} J_j psi J_j†."""
-    if not 0 <= alpha < partition.nsets:
-        raise IndexError(f"SJED index {alpha} out of range")
-    psi = np.asarray(psi, dtype=complex)
-    return sum(partition.jumps[j] @ psi @ dag(partition.jumps[j])
-               for j in partition.sets[alpha].indices)
 
 
 def composite_choi(partition: SjedPartition, alpha: int) -> np.ndarray:
@@ -278,32 +275,15 @@ def canonical_sjed_representation(rep: Representation,
     return Representation(rep.hamiltonian, tuple(canon))
 
 
-def remix_within_sets(partition: SjedPartition, rng) -> tuple:
-    """Jumps with each SJED's members mixed by a random unitary.
-
-    The composite actions are untouched, so the unravelled dynamics is
-    preserved; useful for gauge-invariance tests.
-    """
-    jumps = list(partition.jumps)
-    for s in partition.sets:
-        if s.size > 1:
-            old = [jumps[j] for j in s.indices]
-            for row, j in zip(linalg.random_unitary(rng, s.size), s.indices):
-                jumps[j] = sum(c * o for c, o in zip(row, old))
-    return tuple(jumps)
-
-
 __all__ = [
     "SjedPartition",
     "SjedSet",
     "build_sjeds",
     "canonical_family",
     "canonical_sjed_representation",
-    "composite_action",
     "composite_choi",
     "match_sets",
     "partition_from_groups",
     "phase_fixed_family",
-    "remix_within_sets",
     "same_unravelled_generator",
 ]

@@ -70,6 +70,10 @@ class PhaseSumNotInteger(Exception):
     pass
 
 
+# the largest group order tried: n with U^n = theta 1 by the phase rule
+_MAX_ORDER = 64
+
+
 def _radius_at_most(power, theta: complex, bound: float) -> bool:
     """Whether the spectral radius r of N = P - theta 1, P a unitary in its
     working form (an array, or a CSR matrix above linalg.SMALL_DIM), is at
@@ -107,12 +111,11 @@ class SymmetryOperator:
 
     u: np.ndarray | scipy.sparse.csr_array
     tol: float = DEFAULT_TOL
-    order_cap: int = 64
     _images: list = field(default_factory=list, init=False, repr=False,
                           compare=False)
 
     @classmethod
-    def from_matrix(cls, u, tol: float = DEFAULT_TOL, order_cap: int = 64):
+    def from_matrix(cls, u, tol: float = DEFAULT_TOL):
         """The operator of u, an array or a sparse matrix: up to SMALL_DIM a
         complex array with u's bits, above it a canonical CSR form that
         stores the entries with a nonzero bit (linalg.stored), so that
@@ -123,7 +126,7 @@ class SymmetryOperator:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise linalg.ShapeError(f"expected square matrix, got {u.shape}")
         if u.shape[0] <= linalg.SMALL_DIM:
-            op = cls(np.array(linalg.dense(u)), tol, order_cap)
+            op = cls(np.array(linalg.dense(u)), tol)
             with np.errstate(all="ignore"):     # a NaN or huge U fails the check
                 gram = op.u @ dag(op.u)
         else:
@@ -132,7 +135,7 @@ class SymmetryOperator:
             keep = linalg.stored(values)        # row-major, so rows ascend
             op = cls(scipy.sparse.csr_array(
                 (values[keep], cols[keep], np.searchsorted(rows[keep], np.arange(u.shape[0] + 1))),
-                shape=u.shape), tol, order_cap)
+                shape=u.shape), tol)
             gram = op.u @ op._adjoint
         linalg.check_unitary(gram, tol)
         return op
@@ -147,7 +150,7 @@ class SymmetryOperator:
 
     @cached_property
     def order(self) -> int | None:
-        """Least n <= order_cap at which U^n = theta 1 by the one phase rule
+        """Least n <= _MAX_ORDER at which U^n = theta 1 by the one phase rule
         (linalg.phase_classes at tau = threshold(tol)): every eigenphase of
         U^n in one class.  Decided on the power U^n in U's form, with no
         eigendecomposition.  N = U^n - theta 1 is normal, so its spectral
@@ -170,7 +173,7 @@ class SymmetryOperator:
         d, u, power, p = self.dim, self.u, self.u, 1
         tau, v = threshold(self.tol), np.arange(1.0, d + 1.0)
         w, floor = v, (1.0 - tau) * v.dot(v)
-        for n in range(1, self.order_cap + 1):
+        for n in range(1, _MAX_ORDER + 1):
             w = u @ w
             if abs(v.dot(w)) < floor:
                 continue
@@ -617,7 +620,7 @@ def fourier_symmetrize(rep: Representation, sym: SymmetryOperator,
     return out
 
 
-def wave_operators(partition: SjedPartition, pi_c, tol: float = DEFAULT_TOL):
+def wave_operators(partition: SjedPartition, pi_c):
     """Choi matrices of the Fourier transforms of the composite actions.
 
     pi_c must be a single cycle; wave k satisfies the eigen-relation

@@ -80,6 +80,9 @@ _FILL_CAP = 2 ** 18
 _PHILOX_CHUNK = 2 ** 13
 # outer-product entries ensemble_average forms at once (4 MiB)
 _AVERAGE_CHUNK = 2 ** 18
+# ensemble_average's bootstrap: B resampled means, drawn from one fixed seed
+_BOOTSTRAP_RESAMPLES = 200
+_BOOTSTRAP_SEED = 1
 
 
 class StiffnessError(RuntimeError):
@@ -153,8 +156,7 @@ class TrajectoryEnsemble:
                            minlength=self.size * nlabels).reshape(self.size, nlabels)
 
     def coarse_count_vectors(self, partition: SjedPartition) -> np.ndarray:
-        member = np.eye(partition.nsets, dtype=int)[partition.coarse_labels()]
-        return self.count_vectors(len(partition.jumps)) @ member
+        return self.count_vectors(len(partition.jumps)) @ partition.membership
 
 
 def state_vector(psi) -> np.ndarray:
@@ -695,8 +697,7 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     return out
 
 
-def ensemble_average(ensemble: TrajectoryEnsemble, t: float,
-                     n_bootstrap: int = 200, seed: int = 1):
+def ensemble_average(ensemble: TrajectoryEnsemble, t: float):
     """Mean conditional density matrix at a checkpoint with bootstrap errors.
 
     Returns (mean, stderr) with stderr the entrywise bootstrap standard
@@ -707,39 +708,39 @@ def ensemble_average(ensemble: TrajectoryEnsemble, t: float,
     negated, so the mean's lower triangle is its upper one conjugated and
     has the same standard error.
 
-    The B = n_bootstrap resampled means of a column x of the n states'
-    D = d(d+1) real upper-triangle entries are W x / n, for the (B, n)
-    multinomial weights W.  Their variance is x^T G x / n^2, where G is
-    the covariance of W's columns over the B resamples.  So the variance
-    is taken in one of two product orders, whichever costs fewer
-    multiply-adds.  When n (B + D) < B D, G is formed once (n x n) and
-    each chunk takes G X and one column-wise sum; at B = 200 that is
+    The B = _BOOTSTRAP_RESAMPLES resampled means of a column x of the n
+    states' D = d(d+1) real upper-triangle entries are W x / n, for the
+    (B, n) multinomial weights W, drawn from seed _BOOTSTRAP_SEED.  Their
+    variance is x^T G x / n^2, where G is the covariance of W's columns
+    over the B resamples.  So the variance is taken in one of two product
+    orders, whichever costs fewer multiply-adds.  When n (B + D) < B D, G
+    is formed once (n x n) and each chunk takes G X and one column-wise
+    sum; at B = 200 that is
     n <= 158 for d = 27, n <= 194 for d = 81 and n <= 5 for d = 2.
     Otherwise each chunk resamples its B means in one GEMM and takes
     their variance.  The mean is the same bit for bit in both; the
     standard errors agree to rounding level between the orders, as they
     do across BLAS thread counts.
     """
-    if n_bootstrap < 2:
-        raise ValueError(f"n_bootstrap must be at least 2, got {n_bootstrap}")
     if float(t) not in ensemble.states:
         raise ValueError(f"time {t} was not recorded as a checkpoint")
     vecs = ensemble.states[float(t)]
     conj = vecs.conj()
     n, d = vecs.shape
-    rng = np.random.default_rng(seed)
-    weights = rng.multinomial(n, np.full(n, 1.0 / n), size=n_bootstrap).astype(float)
-    covariance = n * (n_bootstrap + d * (d + 1)) < n_bootstrap * d * (d + 1)
+    nboot = _BOOTSTRAP_RESAMPLES
+    rng = np.random.default_rng(_BOOTSTRAP_SEED)
+    weights = rng.multinomial(n, np.full(n, 1.0 / n), size=nboot).astype(float)
+    covariance = n * (nboot + d * (d + 1)) < nboot * d * (d + 1)
     if covariance:
         centred = weights - weights.mean(axis=0)
-        gram = (centred.T @ centred) / ((n_bootstrap - 1) * n * n)
+        gram = (centred.T @ centred) / ((nboot - 1) * n * n)
     rows, cols = np.triu_indices(d)
     mean = np.empty((d, d), dtype=complex)
     err = np.empty((d, d))
     # a chunk's outer products and bootstrap means each hold about
     # _AVERAGE_CHUNK complex entries, and at least two columns (the last
     # chunk takes a lone last column), so no chunk's bootstrap goes to gemv
-    width = max(2, _AVERAGE_CHUNK // max(n, n_bootstrap))
+    width = max(2, _AVERAGE_CHUNK // max(n, nboot))
     edges = [*range(0, max(len(rows) - 1, 1), width), len(rows)]
     for a, b in zip(edges, edges[1:]):
         r, c = rows[a:b], cols[a:b]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from weaksym import linalg
+from weaksym.linalg import DEFAULT_TOL, dag
 from weaksym.trajectories import sample_ensembles
 
 # property tests draw the same examples on every run and take no deadline,
@@ -26,6 +28,54 @@ def random_pure_state(rng, dim):
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2
+
+
+def random_unitary(rng, n: int) -> np.ndarray:
+    """Haar-random n x n unitary from QR of a complex Gaussian matrix."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def remix_within_sets(partition, rng) -> tuple:
+    """Jumps with each SJED's members mixed by a random unitary.
+
+    The composite actions are untouched, so the unravelled dynamics is
+    preserved; useful for gauge-invariance tests.
+    """
+    jumps = list(partition.jumps)
+    for s in partition.sets:
+        if s.size > 1:
+            old = [jumps[j] for j in s.indices]
+            for row, j in zip(random_unitary(rng, s.size), s.indices):
+                jumps[j] = sum(c * o for c, o in zip(row, old))
+    return tuple(jumps)
+
+
+def composite_action(partition, alpha: int, psi) -> np.ndarray:
+    """sum_{j in S_alpha} J_j psi J_j†."""
+    if not 0 <= alpha < partition.nsets:
+        raise IndexError(f"SJED index {alpha} out of range")
+    psi = np.asarray(psi, dtype=complex)
+    return sum(partition.jumps[j] @ psi @ dag(partition.jumps[j])
+               for j in partition.sets[alpha].indices)
+
+
+def environment_symmetry(u_matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Bin unitary mixing emitted quanta per a d x d unitary matrix.
+
+    Fixes the vacuum and maps |j> -> sum_k conj(U[j, k]) |k>, so that
+    conjugation sends dB_j to sum_k U[j, k] dB_k on the vacuum sector:
+    the Gamma(u) that dilation.joint_symmetry_residual applies without
+    forming it.
+    """
+    u = linalg.square(u_matrix)
+    linalg.check_unitary(dag(u) @ u, tol)
+    d = len(u)
+    out = np.zeros((d + 1, d + 1), dtype=complex)
+    out[0, 0] = 1.0
+    out[1:, 1:] = u.conj().T
+    return out
 
 
 def superoperator_matrix(op, dim):

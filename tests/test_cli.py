@@ -348,6 +348,28 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
     _exits_2(command + ["--out", out], capsys, out)
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "qubit-II"], ["verify-joint", "qubit-II"],
+    ["report", "qubit-II", "--skip-simulation"]])
+def test_out_file_holds_what_stdout_prints(command, tmp_path, capsys):
+    # --out writes the bytes the command prints without it; a report's
+    # elapsed_seconds is its one field that differs between runs
+    path = tmp_path / "out.json"
+    code = main(command)
+    printed = capsys.readouterr().out
+    assert main(command + ["--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    written = path.read_text()
+    if command[0] == "report":
+        docs = [json.loads(text) for text in (printed, written)]
+        for doc in docs:
+            assert doc.pop("elapsed_seconds") >= 0.0
+        assert docs[0] == docs[1]
+        assert written.endswith("}\n") and "\n" not in written[:-1]
+    else:
+        assert written == printed
+
+
 def test_simulate_out_on_a_file_exits_2(tmp_path, capsys):
     path = tmp_path / "taken"
     path.write_text("")

@@ -18,19 +18,7 @@ from weaksym.linalg import (
     unitary_eigendecomposition,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + a.conj().T) / 2
-
-
-def random_unitary(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from conftest import SX, SZ, random_hermitian, random_unitary
 
 
 def test_eigh_diagonal():

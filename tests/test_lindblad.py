@@ -21,11 +21,11 @@ from weaksym.lindblad import (
     pure_state,
     relate_representations,
     representations_equal,
-    validate_density_matrix,
 )
 from weaksym.linalg import dag, frob, hermitian_eigendecomposition
 
-from conftest import SX, SZ, SM, random_pure_state, random_hermitian, superoperator_matrix
+from conftest import (SX, SZ, SM, random_hermitian, random_pure_state, random_unitary,
+                      superoperator_matrix)
 
 PLUS = pure_state([1, 1])
 
@@ -43,12 +43,6 @@ def test_representation_validation():
         Representation(np.array([[0, 1], [0, 0]]), ())  # not Hermitian
     with pytest.raises(ValueError):
         Representation(np.zeros((2, 2)), (np.zeros((2, 2)),))  # zero jump
-
-
-def test_density_validation():
-    validate_density_matrix(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.diag([2.0, -1.0]))
 
 
 def test_master_operator_trivial():
@@ -187,7 +181,7 @@ def test_generator_matrix_matches_kronecker_formula(dim, njumps, seed):
 def test_superoperator_basis_change_matches_explicit_product(dim, unitary, seed):
     rng = np.random.default_rng(seed)
     s = _gaussian(rng, dim * dim, dim * dim)
-    v = linalg.random_unitary(rng, dim) if unitary else _gaussian(rng, dim, dim)
+    v = random_unitary(rng, dim) if unitary else _gaussian(rng, dim, dim)
     w = np.kron(v, v.conj())
     ref = dag(w) @ s @ w
     assert frob(change_superoperator_basis(s, v) - ref) <= 1e-14 * frob(ref)

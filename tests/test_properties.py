@@ -23,7 +23,6 @@ from weaksym.sjed import (
     build_sjeds,
     composite_choi,
     partition_from_groups,
-    remix_within_sets,
     same_unravelled_generator,
 )
 from weaksym.symmetry import (
@@ -38,6 +37,8 @@ from weaksym.symmetry import (
     lift_II_to_III,
     off_block_mass,
 )
+
+from conftest import random_unitary, remix_within_sets
 
 
 @st.composite
@@ -64,7 +65,7 @@ def symmetric_models(draw):
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    v = linalg.random_unitary(rng, dim)
+    v = random_unitary(rng, dim)
     u = v @ np.diag(np.exp(2j * np.pi * np.array(steps) / order)) @ dag(v)
     powers = [np.linalg.matrix_power(u, k) for k in range(order)]
     h = gaussian(dim, dim)
@@ -197,7 +198,7 @@ def test_remixing_inside_sjeds_conjugates_the_block_certificate(model, seed):
     partition = build_sjeds(rep)
     q = np.zeros((rep.njumps,) * 2, dtype=complex)
     for s in partition.sets:
-        q[np.ix_(s.indices, s.indices)] = linalg.random_unitary(rng, s.size)
+        q[np.ix_(s.indices, s.indices)] = random_unitary(rng, s.size)
     remixed = Representation(rep.hamiltonian,
                              tuple(np.tensordot(q, np.array(rep.jumps), axes=1)))
     moved = build_sjeds(remixed)
@@ -282,7 +283,7 @@ def test_change_of_basis_keeps_the_condition_I_certificate(model, seed):
     # A -> W A W† keeps every Frobenius inner product, so the jumps' span
     # map, and with it the mixing matrix and the unitary, stay the same
     rep, sym, _, _ = model
-    w = linalg.random_unitary(np.random.default_rng(seed), rep.dim)
+    w = random_unitary(np.random.default_rng(seed), rep.dim)
     moved = Representation(w @ rep.hamiltonian @ dag(w),
                            tuple(w @ j @ dag(w) for j in rep.jumps))
     a = check_condition_I(rep, sym)
@@ -532,7 +533,7 @@ def random_models(draw):
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    v = linalg.random_unitary(rng, dim)
+    v = random_unitary(rng, dim)
     u = v if order is None else v @ np.diag(
         np.exp(2j * np.pi * rng.integers(0, order, dim) / order)) @ dag(v)
     h = gaussian(dim, dim)
@@ -640,14 +641,14 @@ def test_eigenphase_order_matches_product_loop(order, dim, seed):
     # multiple of the identity
     rng = np.random.default_rng(seed)
     steps = np.concatenate([[1], rng.integers(0, order, dim - 1)])
-    v = linalg.random_unitary(rng, dim)
+    v = random_unitary(rng, dim)
     u = np.exp(2j * np.pi * rng.random()) \
         * v @ np.diag(np.exp(2j * np.pi * steps / order)) @ dag(v)
     got = SymmetryOperator.from_matrix(u).order
     assert got == _oracle_order(u)
     exact = order // math.gcd(order, *(int(k) - 1 for k in steps))
     assert got == (exact if exact <= 64 else None)
-    for w in (np.exp(0.3j) * np.eye(dim), linalg.random_unitary(rng, dim + 1)):
+    for w in (np.exp(0.3j) * np.eye(dim), random_unitary(rng, dim + 1)):
         assert SymmetryOperator.from_matrix(w).order == _oracle_order(w)
 
 
@@ -664,7 +665,7 @@ def test_rank_one_split_keeps_the_singular_value_threshold(dim, big, tol, ratio,
     s[0] = rng.uniform(0.5, 2.0)
     s[1:] = ratio * tol * s[0] if spread else 0.0
     s[1] = ratio * tol * s[0]
-    u, v = linalg.random_unitary(rng, dim), linalg.random_unitary(rng, dim)
+    u, v = random_unitary(rng, dim), random_unitary(rng, dim)
     j = u @ np.diag(s) @ dag(v)
     new, old = sjed._rank_one_split(j, tol), _oracle_rank_one_split(j, tol)
     assert (new is None) == (old is None) == (ratio > 1.0)
@@ -674,7 +675,7 @@ def test_rank_one_split_keeps_the_singular_value_threshold(dim, big, tol, ratio,
     # a second jump with the same destination joins the first one's set;
     # with big, both sit on random rows and columns of a big x big zero
     # matrix, whose block the SJEDs read
-    jumps = [j, j @ linalg.random_unitary(rng, dim)]
+    jumps = [j, j @ random_unitary(rng, dim)]
     if big is not None:
         rows, cols = (np.sort(rng.choice(big, dim, replace=False)) for _ in range(2))
         for k, block in enumerate(jumps):
@@ -753,7 +754,7 @@ def weak_symmetry_models(draw):
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    v = linalg.random_unitary(rng, dim)
+    v = random_unitary(rng, dim)
     if kind == "random":
         h = gaussian(dim, dim)
         jumps = [gaussian(dim, dim) for _ in range(njumps)]
@@ -767,7 +768,7 @@ def weak_symmetry_models(draw):
         a, b = rng.choice(steps, 2)
         mask = np.outer(steps == a, steps == b)
         eigen.append(v @ (gaussian(dim, dim) * mask) @ dag(v))
-    jumps = list(np.einsum("mk,kab->mab", linalg.random_unitary(rng, njumps),
+    jumps = list(np.einsum("mk,kab->mab", random_unitary(rng, njumps),
                            np.reshape(eigen, (njumps, dim, dim))))
     if kind == "moved":
         shift = gaussian(dim, dim) * 10.0 ** rng.uniform(-3, 0)
@@ -809,13 +810,13 @@ def sparse_symmetry_inputs(draw):
 
     if kind in ("dense", "monomial"):
         d = draw(st.integers(2, 6))
-        u = linalg.random_unitary(rng, d) if kind == "dense" else \
+        u = random_unitary(rng, d) if kind == "dense" else \
             np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
     else:
         m = draw(st.integers(1, 3))
         d = 2 * m
         u = np.kron(HADAMARD, np.eye(m)) if kind == "cancel" else \
-            np.kron(linalg.random_unitary(rng, 2), np.eye(m))
+            np.kron(random_unitary(rng, 2), np.eye(m))
     def sparse(n):
         v = np.zeros(n, dtype=complex)
         k = rng.integers(1, min(n, d) + 1)
@@ -929,7 +930,7 @@ def nonzero_image_inputs(draw):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     if kind == "local":
-        factors = [linalg.random_unitary(rng, m)
+        factors = [random_unitary(rng, m)
                    for m in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
         u = factors[0]
         for f in factors[1:]:
@@ -937,7 +938,7 @@ def nonzero_image_inputs(draw):
         d = len(u)
     else:
         d = draw(st.integers(1, 6))
-        u = linalg.random_unitary(rng, d) if kind == "haar" else \
+        u = random_unitary(rng, d) if kind == "haar" else \
             np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
     jumps = [gaussian(d, d) for _ in range(draw(st.integers(0, 2)))]
     for _ in range(draw(st.integers(0 if jumps else 1, 3))):
@@ -1048,7 +1049,7 @@ def operator_families(draw):
 
     jumps = family(n)
     if kind == "remix":
-        targets = linalg.random_unitary(rng, n) @ jumps if n else jumps.copy()
+        targets = random_unitary(rng, n) @ jumps if n else jumps.copy()
     elif kind == "mix":
         targets = gaussian(n, n) @ jumps
     else:
@@ -1125,7 +1126,7 @@ def representation_pairs(draw):
     if move == "sjeds":
         return rep_a, Representation(rep_a.hamiltonian,
                                      remix_within_sets(build_sjeds(rep_a), rng))
-    mixed = np.tensordot(linalg.random_unitary(rng, len(jumps)), np.array(jumps), axes=1)
+    mixed = np.tensordot(random_unitary(rng, len(jumps)), np.array(jumps), axes=1)
     if move == "perturbed":
         mixed = mixed + 1e-3 * gaussian(*mixed.shape)
     g = gaussian(d, d)

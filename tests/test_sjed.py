@@ -7,21 +7,20 @@ import scipy.sparse
 from weaksym import linalg, models
 from weaksym.lindblad import (Representation, change_superoperator_basis, jump_part_choi,
                               pure_state)
-from weaksym.linalg import dag, frob, hermitian_eigendecomposition, random_unitary
+from weaksym.linalg import dag, frob, hermitian_eigendecomposition
 from weaksym.sjed import (
     build_sjeds,
     canonical_family,
     canonical_sjed_representation,
-    composite_action,
     composite_choi,
     match_sets,
     partition_from_groups,
-    remix_within_sets,
     same_unravelled_generator,
 )
 from weaksym.symmetry import SymmetryOperator
 
-from conftest import SM, SX, SZ, random_pure_state
+from conftest import (SM, SX, SZ, composite_action, random_pure_state, random_unitary,
+                      remix_within_sets)
 
 
 def _rank(m):

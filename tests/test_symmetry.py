@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from weaksym import linalg, models
+from weaksym import linalg, models, symmetry
 from weaksym.lindblad import (
     Representation,
     apply_master_operator,
@@ -14,8 +14,8 @@ from weaksym.lindblad import (
     representations_equal,
 )
 from weaksym.linalg import dag, frob
-from weaksym.sjed import build_sjeds, partition_from_groups, remix_within_sets, \
-    same_unravelled_generator, composite_choi
+from weaksym.sjed import build_sjeds, partition_from_groups, same_unravelled_generator, \
+    composite_choi
 from weaksym.symmetry import (
     CompletionFailed,
     NotConditionII,
@@ -37,7 +37,8 @@ from weaksym.symmetry import (
     wave_operators,
 )
 
-from conftest import SM, SX, SZ, evaluate_monomial, random_pure_state, superoperator_matrix
+from conftest import (SM, SX, SZ, evaluate_monomial, random_pure_state, random_unitary,
+                      remix_within_sets, superoperator_matrix)
 
 PARITY = SymmetryOperator.from_matrix(SZ)
 
@@ -75,7 +76,7 @@ def test_symmetry_operator_phases_and_order():
 
 def test_symmetry_operator_unresolved_order():
     u = np.diag([1.0, np.exp(1j * 0.1)])
-    s = SymmetryOperator.from_matrix(u, order_cap=8)
+    s = SymmetryOperator.from_matrix(u)
     assert s.order is None
 
 
@@ -84,7 +85,7 @@ def _sparse_power_order(sym):
     as an array, with no screen: the least n at which U^n's eigenphases form
     one class."""
     power = sym.matrix
-    for n in range(1, sym.order_cap + 1):
+    for n in range(1, symmetry._MAX_ORDER + 1):
         if n > 1:
             power = power @ sym.matrix
         phases = np.angle(np.linalg.eigvals(power))
@@ -100,7 +101,7 @@ def _phases(*turns):
 def _nearly_order_four():
     # U^4 = 1 + O(1e-10): inside the exact test's 1e-9 sqrt(d)
     rng = np.random.default_rng(5)
-    v = linalg.random_unitary(rng, 6)
+    v = random_unitary(rng, 6)
     turns = np.array([0, 1, 2, 3, 1, 0]) / 4 + 2.5e-11 * rng.standard_normal(6)
     return v @ _phases(*turns) @ dag(v)
 
@@ -158,7 +159,7 @@ def test_order_screen_matches_the_sparse_power_loop(u, order, monkeypatch):
     assert sym.order == order
     assert len(products) == (order - 1 if order else 0)
     v = np.arange(1.0, sym.dim + 1.0)
-    powers = [np.linalg.matrix_power(big, n) for n in range(1, (order or sym.order_cap) + 1)]
+    powers = [np.linalg.matrix_power(big, n) for n in range(1, (order or symmetry._MAX_ORDER) + 1)]
     screened = sum(abs(v @ p @ v) >= (1 - linalg.threshold(sym.tol)) * v @ v for p in powers)
     assert len(squarings) <= 12 * screened
 
@@ -688,7 +689,7 @@ def test_block_support_matches_kronecker_path_on_builtins(name):
 def test_block_support_matches_kronecker_path_on_random_unitaries(dim, order, seed):
     # order None draws irrational phases, which no power of U makes scalar
     rng = np.random.default_rng(seed)
-    v = linalg.random_unitary(rng, dim)
+    v = random_unitary(rng, dim)
     steps = rng.integers(0, 5 if order is None else order, dim)
     phases = np.sqrt(2.0) * steps if order is None else 2 * np.pi * steps / order
     sym = SymmetryOperator.from_matrix(v @ np.diag(np.exp(1j * phases)) @ dag(v))
@@ -737,7 +738,7 @@ def test_block_classes_of_a_near_degenerate_symmetry_are_the_degenerate_ones(
     # the phases spread by less than tau / 4
     rng = np.random.default_rng(seed)
     tau = linalg.threshold(tol)
-    v = linalg.random_unitary(rng, dim)
+    v = random_unitary(rng, dim)
     exact = 2 * np.pi * (rng.choice(8, sectors, replace=False) + 0.5) / 8
     exact = exact[rng.integers(0, sectors, dim)]
     near = exact + tau / 4 * rng.random(dim)

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 import scipy.stats
 from hypothesis import given, strategies as st
 
@@ -37,6 +39,7 @@ from weaksym.trajectories import (
     ensemble_symmetry_test,
     export_records,
     record_weight,
+    sample_ensembles,
     state_vector,
     two_sample_chi2,
 )
@@ -857,6 +860,53 @@ def test_checkpoints_reproduce_record_weights():
             assert frob(phi / density - np.outer(v, v.conj())) < 1e-6
 
 
+def _exact_label_means(rep, psi0, horizon):
+    """E[N_j(T)] = int_0^T tr(J_j† J_j rho(t)) dt for each label j, rho(0)
+    = |psi0><psi0|: the last rows of exp(T M) [vec rho(0); 0] for the
+    row-stacking Liouville matrix L augmented by the rows vec((J_j†
+    J_j)^T), M = [[L, 0], [C, 0]] (Van Loan, IEEE TAC 23, 395, 1978).  L is
+    built here from Kronecker products, as sparse matrices, and
+    exp(T M) acts through expm_multiply, so the d = 81 chain costs little."""
+    d, m = rep.dim, rep.njumps
+    ops = [scipy.sparse.csr_array(a) for a in (rep.hamiltonian, *rep.jumps)]
+    h, jumps, one = ops[0], ops[1:], scipy.sparse.eye_array(d, format="csr")
+    lam = -1j * (scipy.sparse.kron(h, one) - scipy.sparse.kron(one, h.T))
+    rates = []
+    for j in jumps:
+        jdj = j.conj().T @ j
+        lam = lam + scipy.sparse.kron(j, j.conj()) - 0.5 * (
+            scipy.sparse.kron(jdj, one) + scipy.sparse.kron(one, jdj.T))
+        rates.append(scipy.sparse.csr_array(jdj.T.reshape((1, d * d))))
+    aug = scipy.sparse.vstack([
+        scipy.sparse.hstack([lam, scipy.sparse.csr_array((d * d, m))]),
+        scipy.sparse.hstack([scipy.sparse.vstack(rates), scipy.sparse.csr_array((m, m))]),
+    ]).tocsc()
+    start = np.zeros(d * d + m, dtype=complex)
+    start[:d * d] = np.outer(psi0, psi0.conj()).reshape(-1)
+    return scipy.sparse.linalg.expm_multiply(horizon * aug, start)[d * d:].real
+
+
+def _label_oracle_model(name):
+    if name == "seeded-chain-3":
+        return models.qutrit_chain(3, thetas=np.random.default_rng(7).uniform(0, 2 * np.pi, 3))
+    return models.get_model(name)
+
+
+@pytest.mark.parametrize("name", [*models.BUILDERS, "seeded-chain-3"])
+def test_label_means_match_the_exact_counting_law(name):
+    # each label's mean count over one sampler pass from simulate's uniform
+    # start, T = 1, n = 20000, seed 3, within 4 standard errors of E[N_j(T)]
+    rep = _label_oracle_model(name).rep
+    psi0 = np.ones(rep.dim, dtype=complex) / np.sqrt(rep.dim)
+    exact = _exact_label_means(rep, psi0, 1.0)
+    counts = sample_ensembles(rep, [(psi0, 3)], 1.0, 20000)[0].count_vectors(rep.njumps)
+    # a count N >= 0 of integers has N^2 >= N, so Var N >= E N (1 - E N):
+    # the floor stands in for a sample variance of 0 on a label too rare to
+    # be drawn (one chain label has E N = 1.7e-8)
+    var = np.maximum(counts.var(axis=0, ddof=1), exact * (1.0 - exact))
+    assert np.all(np.abs(counts.mean(axis=0) - exact) <= 4.0 * np.sqrt(var / len(counts)))
+
+
 def test_ensemble_average_t0():
     rep = models.qubit_weak().rep
     ens = sample_one(rep, PLUS, 0.5, 10, seed=1, checkpoint_times=(0.0,))
@@ -905,8 +955,8 @@ def _seeded_case(name):
 def test_ensemble_average_matches_complex_std_oracle(name, n, seed):
     rep, psi0, horizon, _ = _seeded_case(name)
     ens = sample_one(rep, psi0, horizon, n, seed=seed, checkpoint_times=(horizon,))
-    mean, err = ensemble_average(ens, horizon, seed=seed)
-    want_mean, want_err = _complex_std_average(ens, horizon, seed=seed)
+    mean, err = ensemble_average(ens, horizon)
+    want_mean, want_err = _complex_std_average(ens, horizon)
     assert np.array_equal(mean, want_mean)
     # the real GEMM sums in another order: rounding level, relative to the
     # largest entry
@@ -996,13 +1046,6 @@ def test_ensemble_average_of_identical_states_has_a_valid_stderr(d, n):
     assert np.all(np.isfinite(err)) and np.all(err >= 0.0)
     # no spread to resample: the error is the mean's rounding
     assert np.max(err) <= 1e-14 * np.max(np.abs(mean))
-
-
-@pytest.mark.parametrize("n_bootstrap", [1, 0, -3])
-def test_ensemble_average_needs_two_resamples(n_bootstrap):
-    vecs = np.eye(3, dtype=complex)
-    with pytest.raises(ValueError, match="n_bootstrap"):
-        ensemble_average(_ensemble_of(vecs), 1.0, n_bootstrap=n_bootstrap)
 
 
 def _traced_peak(fn):
