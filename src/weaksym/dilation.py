@@ -125,14 +125,15 @@ class JointSuperStep:
 
 def _step(kind, hamiltonian, jumps, modes=None, groups=None) -> JointSuperStep:
     """Jump j emits into bin mode modes[j] and belongs to joint jump
-    groups[j]; both default to j.  The operators keep their form: the
-    residuals read a CSR Hamiltonian as it is, and the joint matrices
-    (`hamiltonian`, `generator`) are formed dense on request.  A step holds
-    no dt: dt enters only through `hamiltonian(dt)` and `apply`."""
+    groups[j]; both default to j.  The operators are held as the
+    representation holds them: the residuals read a CSR Hamiltonian as it
+    is, and the joint matrices (`hamiltonian`, `generator`) are formed
+    dense on request.  A step holds no dt: dt enters only through
+    `hamiltonian(dt)` and `apply`."""
     modes, groups = (np.arange(len(jumps)) if x is None else np.asarray(x)
                      for x in (modes, groups))
-    return JointSuperStep(kind, linalg.operator(hamiltonian),
-                          tuple(jumps), modes, groups, int(modes.max(initial=-1)) + 2)
+    return JointSuperStep(kind, hamiltonian, tuple(jumps), modes, groups,
+                          int(modes.max(initial=-1)) + 2)
 
 
 def stochastic_hamiltonian_step(rep: Representation) -> JointSuperStep:

@@ -10,10 +10,15 @@ the one rule that accepts their unitary certificates (`SpanMap`), and the
 linear assignment problem (a port of the solver scipy runs, so that
 importing this module does not load scipy.optimize).  An operator is a
 complex array or a canonical complex CSR matrix (`operator`); `dense` is
-the one way from the second to the first, and `frob`, `distance`,
-`nonzeros`, `support` and `check_unitary` read either form.  An
-operator's `working` form, the one the other modules hold, is CSR only
-for a sparse matrix of dim above SMALL_DIM.
+the one way from the second to the first, `entries` reads the stored
+entries of either, and `frob`, `distance`, `nonzeros`, `support` and
+`check_unitary` read either form.
+
+The one form rule: every operator the program holds from its input is
+held in its `working` form, which its dim alone decides, whatever form it
+arrives in: up to SMALL_DIM a complex array, above it a canonical CSR
+array of its stored entries (`from_entries`).  Only this module reads
+SMALL_DIM.
 Nothing keeps global state, so calls are safe from concurrent workers.
 """
 
@@ -28,7 +33,7 @@ import scipy.sparse
 
 DEFAULT_TOL = 1e-9
 ROUNDING_FLOOR = 1e-12
-SMALL_DIM = 32      # largest dim of a sparse matrix held as an array (16 KiB)
+SMALL_DIM = 32      # largest dim of an operator held as an array (16 KiB)
 
 
 class LinalgError(Exception):
@@ -77,14 +82,13 @@ def dense(a, what: str = "an operator") -> np.ndarray:
     MemoryError naming `what`, the stage that needs it."""
     if not scipy.sparse.issparse(a):
         return np.asarray(a)
-    a = operator(a)
-    rows, cols = a.shape
     try:
-        out = np.zeros(a.shape, dtype=a.dtype)
+        out = np.zeros(a.shape, dtype=complex)
     except (ValueError, MemoryError) as exc:    # ValueError: beyond the address range
-        raise MemoryError(f"{what} needs a dense {rows} x {cols} array, which cannot "
-                          "be allocated") from exc
-    out[np.repeat(np.arange(rows), np.diff(a.indptr)), a.indices] = a.data
+        raise MemoryError(f"{what} needs a dense {a.shape[0]} x {a.shape[1]} array, "
+                          "which cannot be allocated") from exc
+    rows, cols, values = entries(a)
+    out[rows, cols] = values
     return out
 
 
@@ -93,19 +97,48 @@ def stored(values: np.ndarray) -> np.ndarray:
     or a negative zero: the entries a model file and a CSR form keep, so
     that every bit reads back."""
     values = np.ascontiguousarray(values, dtype=complex)
-    return (values.view(np.uint64).reshape(*values.shape, 2) != 0).any(axis=-1)
+    parts = values.view(np.uint64).reshape(*values.shape, 2)
+    return (parts[..., 0] | parts[..., 1]) != 0
 
 
 def working(a):
-    """a in the form the operators are held and worked on in: a sparse
-    matrix of dim above SMALL_DIM as its canonical CSR form, any other
-    operator as a complex array (`operator`, `dense`).  Up to SMALL_DIM a
+    """a in its working form, the form every operator the program holds
+    from its input is held in: up to SMALL_DIM a complex array, above it a
+    canonical CSR array of its stored entries (`from_entries`), whatever
+    form a comes in; a itself when it is in that form.  Up to SMALL_DIM a
     d x d array costs less than one of scipy.sparse's constructions or
-    products (some 25-50 us each), so a small model is worked on as arrays
-    whichever form its file gives."""
-    if not scipy.sparse.issparse(a):
-        return np.asarray(a, dtype=complex)
-    return dense(a) if a.shape[0] <= SMALL_DIM else operator(a)
+    products (some 25-50 us each); above it, a held operator's bytes follow
+    from its stored entries alone.  A non-square a keeps its `operator`
+    form, for its reader to refuse."""
+    a = operator(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return a
+    if a.shape[0] <= SMALL_DIM:
+        return dense(a)
+    if isinstance(a, np.ndarray) or not stored(a.data).all():
+        return from_entries(*entries(a), a.shape[0])
+    return a
+
+
+def from_entries(rows, cols, values, d: int):
+    """The working form of the d x d operator with values[e] at (rows[e],
+    cols[e]), each position named once, in any order, and 0 elsewhere: up
+    to SMALL_DIM the values written into a complex array, above it the
+    canonical CSR array of those that are `stored`.  Every bit of every
+    value is kept."""
+    values = np.asarray(values, dtype=complex)
+    if d <= SMALL_DIM:
+        out = np.zeros((d, d), dtype=complex)
+        out[rows, cols] = values
+        return out
+    keep = np.flatnonzero(stored(values))
+    flat = np.asarray(rows, dtype=np.int64)[keep] * d + np.asarray(cols)[keep]
+    if np.any(flat[1:] < flat[:-1]):
+        order = np.argsort(flat, kind="stable")
+        flat, keep = flat[order], keep[order]
+    return scipy.sparse.csr_array(
+        (values[keep], flat % d, np.searchsorted(flat, np.arange(0, d * d + 1, d))),
+        shape=(d, d))
 
 
 def frob(a) -> float:
@@ -131,20 +164,30 @@ def norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(sq.real, axis=0))
 
 
-def remove_trace(m: np.ndarray) -> np.ndarray:
-    """m - tr(m)/d 1 for a d x d array m, in place; returns m."""
-    m[np.diag_indices(len(m))] -= np.trace(m) / len(m)
-    return m
+def remove_trace(m):
+    """m - tr(m)/d 1 for a d x d operator m: an array in place, returned; a
+    CSR matrix as a new one, its stored entries with tr(m)/d taken off the
+    diagonal (`from_entries`), the diagonal's bits those the array gives."""
+    d = m.shape[0]
+    if isinstance(m, np.ndarray):
+        m[np.diag_indices(d)] -= np.trace(m) / d
+        return m
+    rows, cols, values = entries(m)
+    on, diagonal = rows == cols, np.zeros(d, dtype=complex)
+    diagonal[rows[on]] = values[on]
+    diagonal -= m.trace() / d
+    return from_entries(np.append(rows[~on], np.arange(d)),
+                        np.append(cols[~on], np.arange(d)), np.append(values[~on], diagonal), d)
 
 
 def distance(a, b=None, traceless: bool = False) -> float:
     """||X|| for X = a - b (X = a when b is None), or with traceless
-    ||X - tr(X)/d 1||, the difference taken before the norm, of the
-    operands' `working` forms: up to dim SMALL_DIM, where those are arrays,
-    X is one array (a - b, or a copy of a); above, it is read from their
-    `nonzeros`, at the union of their positions, with numpy, so an array and
-    a CSR matrix with the same entries give the same bits."""
-    a, b = working(a), None if b is None else working(b)
+    ||X - tr(X)/d 1||, the difference taken before the norm, of operators
+    in their `working` forms, which it converts nothing to: up to dim
+    SMALL_DIM, where those are arrays, X is one array (a - b, or a copy of
+    a); above, it is read from their `nonzeros`, at the union of their
+    positions, with numpy, so an array and a CSR matrix with the same
+    entries give the same bits."""
     if a.shape[0] <= SMALL_DIM:
         x = np.array(a) if b is None else a - b
         return frob(remove_trace(x) if traceless else x)
@@ -313,12 +356,17 @@ def coordinates(rows: np.ndarray) -> np.ndarray:
 
 
 def entries(a) -> tuple:
-    """(rows, cols, values) of a sparse matrix's stored entries, read from
-    the arrays of its CSR form (`operator`, unless it is a CSR array) with
-    numpy."""
-    if not isinstance(a, scipy.sparse.csr_array):
-        a = operator(a)
-    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
+    """(rows, cols, values): the `stored` entries of a matrix in either
+    form, row-major, read with numpy from an array or from the arrays of a
+    sparse matrix's canonical CSR form (`operator`)."""
+    a = operator(a)
+    if isinstance(a, np.ndarray):
+        rows, cols = np.nonzero(stored(a))
+        return rows, cols, a[rows, cols]
+    rows, keep = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), stored(a.data)
+    if keep.all():      # as every held CSR operator's
+        return rows, a.indices, a.data
+    return rows[keep], a.indices[keep], a.data[keep]
 
 
 def nonzeros(ops) -> tuple:

@@ -48,7 +48,10 @@ def _checked(m, what: str) -> None:
 
 
 def _frozen(m):
+    """m, an array as a read-only view of it, so that its owner's stays
+    writeable."""
     if isinstance(m, np.ndarray):
+        m = m.view()
         m.flags.writeable = False
     return m
 
@@ -61,7 +64,7 @@ def _fingerprint_update(digest, m) -> None:
         return
     (d, n), rows, (r, c, v) = m.shape, max(1, 2 ** 16 // m.shape[1]), linalg.entries(m)
     for start in range(0, d, rows):
-        lo, hi = m.indptr[start], m.indptr[min(start + rows, d)]
+        lo, hi = np.searchsorted(r, (start, start + rows))
         block = np.zeros(min(rows, d - start) * n, dtype=complex)
         block[(r[lo:hi] - start) * n + c[lo:hi]] = v[lo:hi]
         digest.update(block.tobytes())
@@ -71,11 +74,9 @@ def _fingerprint_update(digest, m) -> None:
 class Representation:
     """Hamiltonian plus ordered jump operators for one unravelling.
 
-    Each operator is held in its working form (linalg.working): a
-    complex array, or above linalg.SMALL_DIM a canonical CSR array when it
-    is given sparse, as a model file's sparse entries give it.  The checks,
-    `traceless`, `nonzeros` and `fingerprint` read a CSR operator's stored
-    entries; `effective_hamiltonian` is dense."""
+    Each operator is held in its working form (linalg.working).  The
+    checks, `traceless`, `nonzeros` and `fingerprint` read a CSR operator's
+    stored entries; `effective_hamiltonian` is dense."""
 
     hamiltonian: np.ndarray
     jumps: tuple
@@ -125,20 +126,19 @@ class Representation:
         """(H', traceless jumps) of the equivalent representation whose
         jumps are all traceless, H' = H + (i/2d) sum_j [J_j Tr(J_j†) - J_j†
         Tr(J_j)] and J_j' = J_j - Tr(J_j)/d, which generates the identical
-        master operator.  Each jump keeps its form, and all are read-only
-        as they are shared: H' is (a view of) H when no jump has a trace, a
-        jump of trace 0 (a view of) itself, and a jump proportional to 1
-        gives 0."""
+        master operator.  Each is in its working form, and all are
+        read-only as they are shared: H' is (a view of) H when no jump has a
+        trace, a jump of trace 0 (a view of) itself, and a jump proportional
+        to 1 gives 0."""
         d, shift, jumps = self.dim, 0.0, []
         for j, tr in zip(self.jumps, self.jump_traces):
             if tr != 0:
                 shift = shift + (j * np.conj(tr) - dag(j) * tr)
-                j = j - (tr / d) * scipy.sparse.eye_array(d, format="csr") \
-                    if scipy.sparse.issparse(j) else linalg.remove_trace(j.copy())
-            jumps.append(_frozen(j.view() if isinstance(j, np.ndarray) else j))
+                j = linalg.remove_trace(j.copy())
+            jumps.append(_frozen(j))
         h = self.hamiltonian if np.isscalar(shift) else \
-            linalg.operator(self.hamiltonian + (1j / (2.0 * d)) * shift)
-        return _frozen(h.view() if isinstance(h, np.ndarray) else h), tuple(jumps)
+            linalg.working(self.hamiltonian + (1j / (2.0 * d)) * shift)
+        return _frozen(h), tuple(jumps)
 
     @cached_property
     def nonzeros(self) -> tuple:
@@ -152,15 +152,20 @@ class Representation:
     @cached_property
     def effective_hamiltonian(self) -> np.ndarray:
         """H - (i/2) sum_j J_j† J_j as a d x d array, read-only as it is
-        shared; a CSR jump adds J_S† J_S on its nonzero columns, J_S its
-        block on its nonzero rows and columns (linalg.support)."""
+        shared; a CSR jump adds J_S† J_S on the columns its stored entries
+        hold, J_S its block on those rows and columns, so that one whose
+        stored entries fill every row and column (a dense file's, negative
+        zeros included) gives the bits of its array form."""
         h = self.hamiltonian
         out = linalg.dense(h, "the effective Hamiltonian") if scipy.sparse.issparse(h) \
             else h.copy()
         for j in self.jumps:
             if scipy.sparse.issparse(j):
-                _, cols, block = linalg.support(j)
-                out[np.ix_(cols, cols)] -= 0.5j * (dag(block) @ block)
+                rows, cols, values = linalg.entries(j)
+                r, c = np.unique(rows), np.unique(cols)
+                block = np.zeros((len(r), len(c)), dtype=complex)
+                block[np.searchsorted(r, rows), np.searchsorted(c, cols)] = values
+                out[np.ix_(c, c)] -= 0.5j * (dag(block) @ block)
             else:
                 out -= 0.5j * (dag(j) @ j)
         return _frozen(out)

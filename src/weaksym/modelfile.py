@@ -22,11 +22,11 @@ entries of a sparse form, every other entry being 0::
     "matrix": {"sparse": [[0, 1, "sqrt(gamma)"], [1, 0, [0, -1.5]]]}
 
 Each item is [row, column, entry] with integer indices in [0, dim) and
-no (row, column) listed twice.  A sparse matrix loads as a CSR array of its
-entries (as an array up to dim linalg.SMALL_DIM), a dense one as an array.
-`model_to_doc` writes a matrix sparse when fewer than half of its entries
-are stored, that is have a part that is nonzero or a negative zero, so the
-file holds fewer numbers; either form reads back bit for bit.
+no (row, column) listed twice.  Either form loads in the working form
+its dim decides (linalg.working), signed zeros kept.  `model_to_doc`
+writes a matrix sparse when fewer than half of its entries are stored,
+that is have a part that is nonzero or a negative zero, so the file holds
+fewer numbers; either form reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import math
 import operator
 
 import numpy as np
-import scipy.sparse
 
 from . import linalg
 from .lindblad import Representation
@@ -193,10 +192,8 @@ def _sparse_items(items: list, dim: int, what: str) -> tuple:
 
 def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str):
     """A {"sparse": [[i, j, entry], ...]} matrix in its working form
-    (linalg.working): a canonical CSR array, or an array for dim up to
-    linalg.SMALL_DIM; unlisted entries are 0.  An entry is stored when a
-    part is nonzero or a negative zero, so its bits, signed zeros included,
-    are kept."""
+    (linalg.from_entries); unlisted entries are 0, and every bit of a
+    listed one, signed zeros included, is kept."""
     for key in spec:
         if key != "sparse":
             raise ParseError(f"{what}: unexpected key {key!r} beside 'sparse'")
@@ -219,17 +216,12 @@ def _sparse_matrix(spec: dict, parameters: dict, dim: int, what: str):
             values += (value.real, value.imag)
     # the parts land bit for bit: re + 1j * im would turn -0.0 into +0.0
     data = np.asarray(values, dtype=float).view(complex)[order]
-    stored = linalg.stored(data)
-    rows, cols, data = pairs[0][stored], pairs[1][stored], data[stored]
-    if dim <= linalg.SMALL_DIM:
-        out = np.zeros((dim, dim), dtype=complex)
-        out[rows, cols] = data
-        return out
-    indptr = np.searchsorted(rows, np.arange(dim + 1))
-    return scipy.sparse.csr_array((data, cols, indptr), shape=(dim, dim))
+    return linalg.from_entries(*pairs, data, dim)
 
 
-def eval_matrix(rows, parameters: dict, dim: int, what: str) -> np.ndarray:
+def eval_matrix(rows, parameters: dict, dim: int, what: str):
+    """A matrix given as dim rows of entries or as sparse items, in its
+    working form (linalg.working)."""
     if isinstance(rows, dict):
         return _sparse_matrix(rows, parameters, dim, what)
     if not isinstance(rows, list) or len(rows) != dim:
@@ -248,7 +240,7 @@ def eval_matrix(rows, parameters: dict, dim: int, what: str) -> np.ndarray:
                 out[i, j] = eval_entry(entry, parameters)
             except ParseError as exc:
                 raise ParseError(f"{what}: entry ({i}, {j}): {exc}") from exc
-    return out
+    return linalg.working(out)
 
 
 def _field(doc: dict, key: str, kind: type):
@@ -360,18 +352,11 @@ def _matrix_doc(m):
 
 def _model_matrix_doc(m):
     """A model matrix in its shorter form: sparse [i, j, [re, im]] items
-    when 2·stored < d², dense rows otherwise.  An entry is stored when a
-    part is nonzero or a negative zero, so either form reads back bit for
-    bit; a CSR matrix's entries are read as they are stored."""
-    if scipy.sparse.issparse(m):
-        rows, cols, values = linalg.entries(m)
-        stored = linalg.stored(values)
-        rows, cols, values = rows[stored], cols[stored], values[stored]
-    else:
-        m = np.asarray(m, dtype=complex)
-        rows, cols = np.nonzero(linalg.stored(m))
-        values = m[rows, cols]
-    if 2 * rows.size >= m.shape[0] * m.shape[1]:
+    when 2·stored < d², dense rows otherwise.  Its stored entries
+    (linalg.entries) are those with a part that is nonzero or a negative
+    zero, so either form reads back bit for bit."""
+    rows, cols, values = linalg.entries(m)
+    if 2 * rows.size >= math.prod(np.shape(m)):
         return _matrix_doc(m)
     return {"sparse": [[i, j, [re, im]] for i, j, re, im in zip(
         rows.tolist(), cols.tolist(), values.real.tolist(), values.imag.tolist())]}

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 
 from . import linalg
 from .lindblad import Representation, jump_part_choi
@@ -89,13 +88,10 @@ def _rank_one_split(block: np.ndarray, tol: float):
 
 
 def _proportionality_gap(base, x) -> float:
-    """min_c ||x - c base|| for unit vectors (or operators, arrays or
-    sparse) base and x: the sine of the angle between them, from the
-    difference itself."""
-    if scipy.sparse.issparse(base) or scipy.sparse.issparse(x):
-        c = scipy.sparse.csr_array(base).conj().multiply(x).sum()
-    else:
-        c = np.vdot(base, x)
+    """min_c ||x - c base|| for unit vectors (or operators of one dim, so
+    in one working form, linalg.working) base and x: the sine of the angle
+    between them, from the difference itself."""
+    c = (base.conj() * x).sum()
     return frob(x - c * base)
 
 

@@ -18,8 +18,8 @@ deciding.  A SymmetryReport decides each condition on its first read.
 Deciding finds the permutations and phases; the other certificates
 (mixing matrix, unitaries) are formed on their first read
 (ConditionResult), and a failed one is None, with the reason.  One rule,
-linalg.SpanMap.accept, accepts every unitary on jump space (both
-completions, the SJED block unitary, `fourier_symmetrize`'s
+linalg.SpanMap.accept, accepts every unitary on jump space (condition
+I's completion, the SJED block unitary, `fourier_symmetrize`'s
 eigenvalues): U†U within tau max(1, sqrt(n)) of 1 (linalg.check_unitary)
 and each target reproduced within tau times its own norm; ranks are cut
 at singular values above tau times the largest (linalg.rank).  All checks
@@ -76,15 +76,15 @@ _MAX_ORDER = 64
 
 def _radius_at_most(power, theta: complex, bound: float) -> bool:
     """Whether the spectral radius r of N = P - theta 1, P a unitary in its
-    working form (an array, or a CSR matrix above linalg.SMALL_DIM), is at
-    most bound, by Gelfand's formula on N^k, k = 1, 2, 4, ..., 64 (each N^k
-    is normal): max |diag N^k| <= r^k <= sqrt(||N^k||_1 ||N^k||_inf), the
-    diagonal lying in the convex hull of the eigenvalues, the norms the
-    largest absolute column and row sums.  No when still undecided at
-    k = 64, that is when r is within a factor d^(1/128) above bound.  The
-    powers are rescaled as they are squared, N^k = e^scale n, in P's form."""
+    working form (linalg.working), is at most bound, by Gelfand's formula
+    on N^k, k = 1, 2, 4, ..., 64 (each N^k is normal): max |diag N^k| <=
+    r^k <= sqrt(||N^k||_1 ||N^k||_inf), the diagonal lying in the convex
+    hull of the eigenvalues, the norms the largest absolute column and row
+    sums.  No when still undecided at k = 64, that is when r is within a
+    factor d^(1/128) above bound.  The powers are rescaled as they are
+    squared, N^k = e^scale n, in P's form."""
     d = power.shape[0]
-    one = np.eye(d) if isinstance(power, np.ndarray) else scipy.sparse.eye_array(d)
+    one = linalg.from_entries(np.arange(d), np.arange(d), np.ones(d), d)
     n, scale, k = power - theta * one, 0.0, 1
     while True:
         weights = abs(n)
@@ -100,14 +100,13 @@ def _radius_at_most(power, theta: complex, bound: float) -> bool:
 
 @dataclass(frozen=True)
 class SymmetryOperator:
-    """A unitary U, held by `u` in the form its dim chooses, whatever form
-    it is given in (linalg.working's rule): a complex array up to
-    linalg.SMALL_DIM, a CSR matrix above.  Its images U A U† and its
-    (finite) group order are formed with products in that form.  `matrix`,
-    U as a d x d array (`u` itself up to SMALL_DIM), is formed on first use
-    for the readers that need one (the eigendecomposition, transformed Choi
-    matrices, the ensemble test).  The order and the eigendecomposition
-    (`phases`, `eigenbasis`) are computed on first use."""
+    """A unitary U, held by `u` in its working form (linalg.working).  Its
+    images U A U† and its (finite) group order are formed with products in
+    that form.  `matrix`, U as a d x d array (`u` itself when that is an
+    array), is formed on first use for the readers that need one (the
+    eigendecomposition, transformed Choi matrices, the ensemble test).  The
+    order and the eigendecomposition (`phases`, `eigenbasis`) are computed
+    on first use."""
 
     u: np.ndarray | scipy.sparse.csr_array
     tol: float = DEFAULT_TOL
@@ -116,26 +115,14 @@ class SymmetryOperator:
 
     @classmethod
     def from_matrix(cls, u, tol: float = DEFAULT_TOL):
-        """The operator of u, an array or a sparse matrix: up to SMALL_DIM a
-        complex array with u's bits, above it a canonical CSR form that
-        stores the entries with a nonzero bit (linalg.stored), so that
-        `matrix` is u bit for bit; NotUnitaryError unless ||U U† - 1|| is at
-        most threshold(tol) max(1, sqrt(d)) (linalg.check_unitary), U U† one
-        product in U's form."""
-        u = linalg.operator(u)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise linalg.ShapeError(f"expected square matrix, got {u.shape}")
-        if u.shape[0] <= linalg.SMALL_DIM:
-            op = cls(np.array(linalg.dense(u)), tol)
-            with np.errstate(all="ignore"):     # a NaN or huge U fails the check
-                gram = op.u @ dag(op.u)
-        else:
-            rows, cols, values = linalg.entries(u) if scipy.sparse.issparse(u) else \
-                (*np.divmod(np.arange(u.size), u.shape[0]), u.ravel())
-            keep = linalg.stored(values)        # row-major, so rows ascend
-            op = cls(scipy.sparse.csr_array(
-                (values[keep], cols[keep], np.searchsorted(rows[keep], np.arange(u.shape[0] + 1))),
-                shape=u.shape), tol)
+        """The operator of u, an array or a sparse matrix, in its working
+        form, so that `matrix` is u bit for bit; NotUnitaryError unless
+        ||U U† - 1|| is at most threshold(tol) max(1, sqrt(d))
+        (linalg.check_unitary), U U† one product in U's form."""
+        op = cls(linalg.working(u), tol)
+        if op.u.ndim != 2 or op.u.shape[0] != op.u.shape[1]:
+            raise linalg.ShapeError(f"expected square matrix, got {op.u.shape}")
+        with np.errstate(all="ignore"):     # a NaN or huge U fails the check
             gram = op.u @ op._adjoint
         linalg.check_unitary(gram, tol)
         return op
@@ -188,15 +175,10 @@ class SymmetryOperator:
         return None
 
     @cached_property
-    def _adjoint(self) -> scipy.sparse.csr_array:
-        """U† in CSR form, above SMALL_DIM: its rows are U's columns,
+    def _adjoint(self):
+        """U† in U's form (linalg.operator): its rows are U's columns,
         conjugated."""
-        rows, cols, values = linalg.entries(self.u)
-        order = np.argsort(cols, kind="stable")      # rows ascend within a column
-        return scipy.sparse.csr_array(
-            (values[order].conj(), rows[order],
-             np.searchsorted(cols[order], np.arange(self.dim + 1))),
-            shape=(self.dim, self.dim))
+        return linalg.operator(dag(self.u))
 
     @cached_property
     def _eigen(self):
@@ -214,19 +196,16 @@ class SymmetryOperator:
         return self._eigen[1]
 
     def conjugate(self, a):
-        """U A U† for an operator A on the system, taken to its working form
-        (linalg.working), as U (U A†)†: an array, or a sparse matrix for a
-        sparse A above SMALL_DIM."""
-        a = linalg.working(a)
+        """U A U† for a d x d array A, as U (U A†)†, an array."""
         return self.u @ dag(self.u @ dag(a))
 
     def conjugate_nonzeros(self, k, rows, cols, values) -> tuple:
         """Entries (k, rows, cols, values) of the operators U A_k U† from
         those of the A_k, given in order of k and row-major within each;
         the entries come in order of k and of rows, each position once,
-        exact zeros left out.  Up to SMALL_DIM the A_k are written into one
-        (n, d, d) stack and imaged by one stacked product.  Above it two
-        sparse products form them: the A_k stacked as the blocks of one
+        exact zeros left out.  An array U images the A_k written into one
+        (n, d, d) stack by one stacked product.  For a CSR U two sparse
+        products form them: the A_k stacked as the blocks of one
         CSR matrix, times U† (whose rows are U's columns), then 1 ⊗ U
         times that, whose work and memory follow the nonzero terms, however
         dense U is."""
@@ -262,9 +241,9 @@ class SymmetryImages:
     """One symmetry's images of a representation's operators, formed from
     the operators' nonzero entries (`SymmetryOperator.conjugate_nonzeros`
     of `Representation.nonzeros`): U H U† with ||U H U† - H|| and U H' U†
-    (H' the traceless frame's Hamiltonian) in H's form, d x d arrays or
-    CSR matrices, U H_eff U† on first use, and the coordinates of one QR
-    of the traceless jumps J'_j and their images (`frame_jumps`,
+    (H' the traceless frame's Hamiltonian) in their working forms
+    (linalg.from_entries), U H_eff U† on first use, and the coordinates of
+    one QR of the traceless jumps J'_j and their images (`frame_jumps`,
     `frame_images`), taken over the entries where 1, a J'_j or an image is
     stored and shifted to those of J_j = J'_j + tr(J_j)/d 1 (`jumps`,
     `jump_images`; J'_j is orthogonal to 1, so the shift loses nothing)."""
@@ -276,19 +255,10 @@ class SymmetryImages:
         k, rows, cols, values = rep.nonzeros
         ik, irows, icols, ivalues = sym.conjugate_nonzeros(k, rows, cols, values)
         m, im = np.searchsorted(k, 2), np.searchsorted(ik, 2)   # H and H' first
-        if scipy.sparse.issparse(rep.hamiltonian):
-            # as entries, in H's form: a CSR matrix each
-            ends = np.searchsorted(ik[:im], [0, 1, 2])
-            images = [scipy.sparse.csr_array(
-                (ivalues[a:b], icols[a:b], np.searchsorted(irows[a:b], np.arange(d + 1))),
-                shape=(d, d)) for a, b in zip(ends[:-1], ends[1:])]
-            for image in images:
-                image.sum_duplicates()     # sorts each row's columns
-        else:
-            images = np.zeros(2 * d * d, dtype=complex)
-            images[(ik[:im] * d + irows[:im]) * d + icols[:im]] = ivalues[:im]
-            images = images.reshape(2, d, d)
-        self.hamiltonian_image, self.frame_hamiltonian_image = images
+        ends = np.searchsorted(ik[:im], [0, 1, 2])
+        self.hamiltonian_image, self.frame_hamiltonian_image = (
+            linalg.from_entries(irows[a:b], icols[a:b], ivalues[a:b], d)
+            for a, b in zip(ends[:-1], ends[1:]))
         self.hamiltonian_residual = linalg.distance(self.hamiltonian_image, rep.hamiltonian)
         # rows: 1, then the J'_j (k - 1), then their images (k - 1 + n)
         r = linalg.support_coordinates(
@@ -372,19 +342,6 @@ class SymmetryReport:
     def verdicts(self) -> tuple:
         return (self.condition_I.holds, self.condition_II.holds,
                 self.condition_III.holds)
-
-
-def general_unitary_completion(jumps, targets, tol: float = DEFAULT_TOL):
-    """Unitary U with targets_j = sum_k U[j, k] jumps_k: the mixing completed
-    by the identity on the jump kernel (linalg.SpanMap.certificate of the
-    operators' linalg.operator_coordinates); CompletionFailed when it does
-    not certify the targets."""
-    if len(jumps) != len(targets):
-        raise linalg.ShapeError("need equally many jumps and targets")
-    u = linalg.SpanMap(*linalg.operator_coordinates(jumps, targets), tol).certificate()
-    if u is None:
-        raise CompletionFailed("no unitary completion reproduces the targets")
-    return u
 
 
 def blockwise_unitary_completion(rep: Representation, sym: SymmetryOperator,
@@ -740,7 +697,6 @@ __all__ = [
     "check_condition_III",
     "check_linear_eigenfunction",
     "fourier_symmetrize",
-    "general_unitary_completion",
     "lift_II_to_III",
     "monomial_eigenfunctions",
     "monomial_eigenvalue",

@@ -267,6 +267,23 @@ def test_every_small_or_large_float_literal_is_a_named_module_constant():
     assert not found, found
 
 
+def test_only_linalg_names_small_dim():
+    # an operator's form is decided by linalg.working alone, so no other
+    # module reads the dim it switches at (docstrings and comments may
+    # name it)
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [node.id] if isinstance(node, ast.Name) else \
+                [node.attr] if isinstance(node, ast.Attribute) else \
+                [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if "SMALL_DIM" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 @pytest.mark.parametrize("cost, tol, expected", [
     (np.zeros((0, 0)), 1.0, ()),
     ([[2.0]], 1.0, None),

@@ -289,19 +289,20 @@ def _embedded(model, form):
 
 def test_csr_operators_give_the_dense_forms_results():
     # the same representation of dim above linalg.SMALL_DIM with every
-    # operator an array and a CSR matrix: its frame, nonzeros, H_eff and
-    # fingerprint, and the check of every built-in
+    # operator given as an array and as a CSR matrix, both held as CSR
+    # matrices: its frame, nonzeros, H_eff and fingerprint, and the check
+    # of every built-in
     from weaksym.cli import analyze, run_check
     traced = models.Model("traced", Representation(
         0.4 * SZ, (SM, np.eye(2, dtype=complex), np.diag([1.0, 0.25]) + SM)), {})
     for model in [traced] + [b() for n, b in models.BUILDERS.items() if n != "qutrit-chain"]:
         dense, csr = _embedded(model, np.asarray), _embedded(model, _csr)
         rep = dense.rep
-        assert not any(map(scipy.sparse.issparse, (rep.hamiltonian, *rep.jumps)))
+        assert all(map(scipy.sparse.issparse, (rep.hamiltonian, *rep.jumps)))
         hp, jumps = csr.rep.traceless
-        assert np.allclose(linalg.dense(hp), rep.traceless[0], atol=1e-15)
+        assert np.allclose(linalg.dense(hp), linalg.dense(rep.traceless[0]), atol=1e-15)
         for t, u in zip(jumps, rep.traceless[1], strict=True):
-            assert scipy.sparse.issparse(t) and np.allclose(linalg.dense(t), u)
+            assert scipy.sparse.issparse(t) and np.allclose(linalg.dense(t), linalg.dense(u))
         assert np.allclose(csr.rep.effective_hamiltonian, rep.effective_hamiltonian, atol=1e-15)
         assert csr.rep.fingerprint() == rep.fingerprint()
         k, rows, cols, values = csr.rep.nonzeros

@@ -911,6 +911,95 @@ def test_array_and_csr_forms_of_u_give_one_image_and_order(inputs):
     assert held.order == csr.order
 
 
+# ------------------------------------------------------ the one form rule
+#
+# Every operator held from the input, and every operator built from those,
+# is held in the form its dim alone decides (linalg.working): an array up
+# to linalg.SMALL_DIM, a CSR array above, whatever form it comes in, with
+# every bit of it kept.
+
+def _form_rule_operators(d, rng):
+    """(H, jumps, U): arrays of dim d, each with stored negative zeros, of
+    a sparse Hermitian H, a sparse jump of nonzero trace, a rank-one jump
+    and a phased cyclic shift."""
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = np.where(rng.random((d, d)) < 0.2, gaussian(d, d), 0.0)
+    h = h + dag(h)
+    h[0, 1], h[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    j1 = np.where(rng.random((d, d)) < 0.2, gaussian(d, d), 0.0) + np.eye(d)
+    j1[2, 3] = complex(-0.0, -0.0)
+    j2 = np.outer(np.eye(d)[0], gaussian(d).conj())
+    j2[4, 0] = complex(0.0, -0.0)
+    u = np.roll(np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, d))), 1, axis=0)
+    u[0, 0] = complex(-0.0, 0.0)
+    return h, (j1, j2), u
+
+
+def _in_form(a, form):
+    """a as an array, a CSR or a COO array of its stored entries, or a CSR
+    array that also stores the +0.0 entries of its first two rows."""
+    if form == "array":
+        return a.copy()
+    keep = linalg.stored(a)
+    if form == "csr with zeros":
+        keep[:2] = True
+    rows, cols = np.nonzero(keep)
+    out = scipy.sparse.coo_array((a[rows, cols], (rows, cols)), shape=a.shape)
+    return out if form == "coo" else scipy.sparse.csr_array(out)
+
+
+def _file_rows(a) -> list:
+    """a as a model file's dense rows of [re, im] entries."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _file_items(a) -> dict:
+    """a as a model file's sparse items, one per stored entry."""
+    keep = linalg.stored(a)
+    return {"sparse": [[i, j, [v.real, v.imag]] for (i, j), v in
+                       zip(np.argwhere(keep).tolist(), a[keep].tolist())]}
+
+
+def _held_bits(a) -> np.ndarray:
+    return np.ascontiguousarray(linalg.dense(a), dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("form", ["array", "csr", "coo", "csr with zeros"])
+@pytest.mark.parametrize("d", [linalg.SMALL_DIM, linalg.SMALL_DIM + 1, 40])
+def test_an_operators_dim_alone_decides_how_it_is_held(d, form):
+    from weaksym.modelfile import parse_model
+    h, jumps, u = _form_rule_operators(d, np.random.default_rng(d))
+    if form == "csr with zeros":
+        stored = _in_form(h, form).data
+        assert np.any((stored == 0) & ~np.signbit(stored.real))
+        assert np.any((stored == 0) & np.signbit(stored.real))
+    reps, syms = [], []
+    for f in ("array", form):
+        reps.append(Representation(_in_form(h, f), tuple(_in_form(j, f) for j in jumps)))
+        syms.append(SymmetryOperator.from_matrix(_in_form(u, f)))
+    rep, sym = reps[-1], syms[-1]
+    images = [s.images(r) for r, s in zip(reps, syms)]
+    traceless = [linalg.remove_trace(j.copy()) if np.trace(j) != 0 else j for j in jumps]
+    files = [parse_model({"dim": d, "hamiltonian": write(h),
+                          "jumps": [{"matrix": write(j)} for j in jumps],
+                          "symmetries": [{"name": "u", "matrix": write(u)}]})
+             for write in (_file_rows, _file_items)]
+    pairs = [(rep.hamiltonian, h), *zip(rep.jumps, jumps, strict=True),
+             *zip(rep.traceless[1], traceless, strict=True), (sym.u, u),
+             (images[1].hamiltonian_image, images[0].hamiltonian_image),
+             (images[1].frame_hamiltonian_image, images[0].frame_hamiltonian_image)]
+    for m in files:
+        pairs += [(m.rep.hamiltonian, h), *zip(m.rep.jumps, jumps), (m.symmetries["u"], u)]
+    for held, want in pairs:
+        if d <= linalg.SMALL_DIM:
+            assert isinstance(held, np.ndarray)
+        else:
+            assert isinstance(held, scipy.sparse.csr_array) and held.has_canonical_format
+            assert linalg.stored(held.data).all()
+        assert np.array_equal(_held_bits(held), _held_bits(want))
+
+
 # ------------------------------------------- images from nonzeros, dense oracle
 #
 # SymmetryImages forms U A U† from A's nonzero entries and U's stored
@@ -1079,7 +1168,7 @@ def test_operator_coordinates_match_the_dense_row_stack(families):
     want = linalg.frame_gap(oa, ob)
     scale = max(want[1], want[2], 1e-300)
     assert np.max(np.abs(np.subtract(linalg.frame_gap(a, b), want))) <= 1e-12 * scale
-    # the span maps of the mixing and of general_unitary_completion
+    # the span maps of the mixing and of its unitary certificate
     for tol in (np.sqrt(1e-9), 1e-9):
         span, oracle = linalg.SpanMap(a, b, tol), linalg.SpanMap(oa, ob, tol)
         assert span.svd[3] == oracle.svd[3]

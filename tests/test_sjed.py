@@ -294,7 +294,7 @@ def test_canonical_family_rebuilds_the_frame(rng):
         start = 0
         for a, s in enumerate(p.sets):
             sv, zh = canonical_family(coords[:, list(s.indices)], tol)
-            family = canon.jumps[start:start + len(sv)]
+            family = [linalg.dense(c) for c in canon.jumps[start:start + len(sv)]]
             start += len(sv)
             members = [linalg.dense(p.jumps[k]) for k in s.indices]
             gram = np.array([[np.vdot(x, y) for y in members] for x in members])

@@ -860,13 +860,17 @@ def test_checkpoints_reproduce_record_weights():
             assert frob(phi / density - np.outer(v, v.conj())) < 1e-6
 
 
-def _exact_label_means(rep, psi0, horizon):
-    """E[N_j(T)] = int_0^T tr(J_j† J_j rho(t)) dt for each label j, rho(0)
-    = |psi0><psi0|: the last rows of exp(T M) [vec rho(0); 0] for the
-    row-stacking Liouville matrix L augmented by the rows vec((J_j†
-    J_j)^T), M = [[L, 0], [C, 0]] (Van Loan, IEEE TAC 23, 395, 1978).  L is
-    built here from Kronecker products, as sparse matrices, and
-    exp(T M) acts through expm_multiply, so the d = 81 chain costs little."""
+def _exact_label_moments(rep, psi0, horizon):
+    """(mu, S): mu_j = E[N_j(T)] = int_0^T tr(J_j rho J_j†) dt and S_jk =
+    E[N_j N_k] - delta_jk mu_j = int_0^T [tr(J_k X_j J_k†) + tr(J_j X_k
+    J_j†)] dt, X_j' = L X_j + J_j rho J_j†, X_j(0) = 0, rho(0) =
+    |psi0><psi0|: the last rows of exp(T M) [vec rho(0); 0] for the
+    row-stacking Liouville matrix L augmented by one block row per label
+    for X_j, the rows vec((J_j† J_j)^T) that integrate the rates of rho,
+    and those rows on each X_j (Van Loan, IEEE TAC 23, 395, 1978; counting
+    statistics as in Landi et al., PRX Quantum 5, 020201, 2024).  L is
+    built here from Kronecker products, as sparse matrices, and exp(T M)
+    acts through expm_multiply, so the d = 81 chain costs little."""
     d, m = rep.dim, rep.njumps
     ops = [scipy.sparse.csr_array(a) for a in (rep.hamiltonian, *rep.jumps)]
     h, jumps, one = ops[0], ops[1:], scipy.sparse.eye_array(d, format="csr")
@@ -877,13 +881,20 @@ def _exact_label_means(rep, psi0, horizon):
         lam = lam + scipy.sparse.kron(j, j.conj()) - 0.5 * (
             scipy.sparse.kron(jdj, one) + scipy.sparse.kron(one, jdj.T))
         rates.append(scipy.sparse.csr_array(jdj.T.reshape((1, d * d))))
-    aug = scipy.sparse.vstack([
-        scipy.sparse.hstack([lam, scipy.sparse.csr_array((d * d, m))]),
-        scipy.sparse.hstack([scipy.sparse.vstack(rates), scipy.sparse.csr_array((m, m))]),
+    rates, each = scipy.sparse.vstack(rates), scipy.sparse.eye_array(m)
+    emit = scipy.sparse.vstack([scipy.sparse.kron(j, j.conj()) for j in jumps])
+    zeros = scipy.sparse.csr_array((d * d, m + m * m))
+    aug = scipy.sparse.block_array([
+        [lam, None, zeros],
+        [emit, scipy.sparse.kron(each, lam), None],
+        [rates, None, None],
+        [None, scipy.sparse.kron(each, rates), None],
     ]).tocsc()
-    start = np.zeros(d * d + m, dtype=complex)
+    start = np.zeros(aug.shape[0], dtype=complex)
     start[:d * d] = np.outer(psi0, psi0.conj()).reshape(-1)
-    return scipy.sparse.linalg.expm_multiply(horizon * aug, start)[d * d:].real
+    tail = scipy.sparse.linalg.expm_multiply(horizon * aug, start)[(m + 1) * d * d:].real
+    c = tail[m:].reshape(m, m)      # c[j, k] = int_0^T tr(J_k X_j J_k†) dt
+    return tail[:m], c + c.T
 
 
 def _label_oracle_model(name):
@@ -895,16 +906,35 @@ def _label_oracle_model(name):
 @pytest.mark.parametrize("name", [*models.BUILDERS, "seeded-chain-3"])
 def test_label_means_match_the_exact_counting_law(name):
     # each label's mean count over one sampler pass from simulate's uniform
-    # start, T = 1, n = 20000, seed 3, within 4 standard errors of E[N_j(T)]
+    # start, T = 1, n = 20000, seed 3, within 4 standard errors of E[N_j(T)],
+    # and each pair's count covariance within 4 standard errors of
+    # Cov(N_j, N_k) = S_jk + delta_jk E[N_j] - E[N_j] E[N_k]
     rep = _label_oracle_model(name).rep
     psi0 = np.ones(rep.dim, dtype=complex) / np.sqrt(rep.dim)
-    exact = _exact_label_means(rep, psi0, 1.0)
+    exact, pairs = _exact_label_moments(rep, psi0, 1.0)
     counts = sample_ensembles(rep, [(psi0, 3)], 1.0, 20000)[0].count_vectors(rep.njumps)
+    n = len(counts)
     # a count N >= 0 of integers has N^2 >= N, so Var N >= E N (1 - E N):
     # the floor stands in for a sample variance of 0 on a label too rare to
     # be drawn (one chain label has E N = 1.7e-8)
     var = np.maximum(counts.var(axis=0, ddof=1), exact * (1.0 - exact))
-    assert np.all(np.abs(counts.mean(axis=0) - exact) <= 4.0 * np.sqrt(var / len(counts)))
+    assert np.all(np.abs(counts.mean(axis=0) - exact) <= 4.0 * np.sqrt(var / n))
+    cov = pairs + np.diag(exact) - np.outer(exact, exact)
+    deviations = counts - counts.mean(axis=0)
+    products = deviations[:, :, None] * deviations[:, None, :]
+    # the standard error of each covariance is the spread of its products
+    # over sqrt(n).  A label too rare to be drawn makes its products all 0,
+    # so a floor stands in for their variance: on the diagonal, for a mean
+    # mu <= 1, Var (N - mu)^2 >= mu (1 - mu)^4 - Var(N)^2, as a count N of
+    # integers has (N - mu)^4 >= N (1 - mu)^4; off it, Var N_j Var N_k, the
+    # variance of the product for independent counts (exact moments each)
+    sigma2 = np.diag(cov)
+    floor = np.where(np.eye(rep.njumps, dtype=bool),
+                     np.where(exact <= 1.0, exact * (1.0 - exact) ** 4 - sigma2 ** 2, 0.0),
+                     np.outer(sigma2, sigma2))
+    spread = np.maximum(products.var(axis=0, ddof=1), floor)
+    assert np.all(np.abs(np.cov(counts, rowvar=False).reshape(cov.shape) - cov)
+                  <= 4.0 * np.sqrt(spread / n))
 
 
 def test_ensemble_average_t0():

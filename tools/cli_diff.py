@@ -22,8 +22,12 @@ matrix, on either side of linalg.SMALL_DIM), ``check`` and ``verify-joint``
 on a seeded dense d = 40 model (two reset SJEDs of two rank-one jumps each
 and one full-rank jump, the identity as its symmetry: every jump a dense
 array above linalg.SMALL_DIM that no row or column of its own splits, so
-the SJED split takes the SVD of its block), ``simulate`` (with exports) on qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at all
-three levels, ``simulate --level full --n 20000`` on qubit-III (the
+the SJED split takes the SVD of its block), ``simulate --level full`` (with
+exports) on that dense d = 40 model and ``simulate`` on the n-jump model
+with n = d = 33 (dense rows and sparse items of dim above
+linalg.SMALL_DIM, both held as CSR arrays), ``simulate`` (with exports)
+on qubit-III/II/I and on a seeded L=3 qutrit chain (three symmetries) at
+all three levels, ``simulate --level full --n 20000`` on qubit-III (the
 export path at scale), ``simulate --level full`` on twoqubit-II (the
 master solution at d = 4), ``simulate --threads 2`` on qubit-III,
 twoqubit-I and the L=3 chain, ``simulate --horizon 20 --n 500`` on
@@ -137,6 +141,10 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     out += [[c, m] for m in (jumps32, jumps33) for c in ("check", "verify-joint")]
     # dense jumps above SMALL_DIM, split by the SVD of their block
     out += [[c, dense40] for c in ("check", "verify-joint")]
+    # the sampler and the exports on input of dim above SMALL_DIM, given as
+    # dense rows and as sparse items
+    out += [["simulate", dense40, "--level", "full", "--n", "300", "--seed", "7"]]
+    out += [["simulate", jumps33, "--n", "300", "--seed", "7"]]
     out += [["simulate", m, "--level", level, "--n", "300", "--seed", "7"]
             for m in ("qubit-III", "qubit-II", "qubit-I", chain3)
             for level in ("full", "coarse", "unlabelled")]
