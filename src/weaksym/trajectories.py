@@ -23,8 +23,10 @@ together in one crossing batch, which reads one table of Taylor terms
 (-i H_eff)^k phi / k!, built with one matrix product, so each trial time
 costs a contraction with the powers s^k and k s^(k-1) rather than a new
 series expansion.  An H_eff with exact zeros off its diagonal is
-applied as a vector instead: grid steps are elementwise products and the
-norm and its slope are read in closed form (_MomentPropagator).
+applied as a vector instead, with the norm and its slope in closed form
+(_MomentPropagator), and steps from checkpoint to checkpoint: the no-jump
+norm never rises, so a row's norm at a checkpoint tells whether it
+crossed before it.
 
 Reproducibility contract: trajectory i of an ensemble with master seed
 `seed` and `first_index` draws its k-th uniform as word k mod 4 of
@@ -71,8 +73,8 @@ _SCALE_FLOOR = 1e-12
 _TAYLOR_TERMS = 22
 # the chi-squared rule: a bin expecting fewer counts is pooled
 _MIN_EXPECTED = 5.0
-# grid steps one ensemble may take; a stiffer model or longer horizon is
-# refused before its grid is built
+# Taylor grid steps one ensemble may take, counted on both paths; a
+# stiffer model or longer horizon is refused before its grid is built
 MAX_GRID_STEPS = 100_000
 # most Philox blocks buffered per sampler pass (8 MiB of uniforms), and
 # the blocks evaluated together
@@ -109,13 +111,14 @@ class TrajectoryEnsemble:
     checkpoint time to the (size, d) array of normalized state vectors.
 
     stats counts the sampler's work.  jumps and draws (uniforms taken,
-    size + 2 jumps) are this ensemble's own.  grid_steps,
-    crossing_batches (each resolves the rows parked over any number of
-    grid steps, from every start of the pass), trials (root-finding
-    evaluations of a batch's table) and philox_calls (bulk evaluations of
-    the streams) count the whole sampler pass: every ensemble of one
-    sample_ensembles call carries the same, undivided, counts.  join sums
-    each count over the chunks.
+    size + 2 jumps) are this ensemble's own.  grid_steps (for an exactly
+    diagonal H_eff, the segments between 0, the checkpoints and the
+    horizon; see sample_ensembles), crossing_batches (each resolves the
+    rows parked over any number of grid steps, from every start of the
+    pass), trials (root-finding evaluations of a batch's table) and
+    philox_calls (bulk evaluations of the streams) count the whole sampler
+    pass: every ensemble of one sample_ensembles call carries the same,
+    undivided, counts.  join sums each count over the chunks.
     """
 
     times: np.ndarray
@@ -232,11 +235,13 @@ class _MomentPropagator:
     rows over the grid.
 
     An H with every off-diagonal entry exactly zero is applied as the
-    vector h of its diagonal: e^{-i H s} phi is phi * exp(-i s h), and
-    ||phi(s)||^2 = sum_a |phi_a|^2 e^{2 Im(h_a) s} and its slope are read
-    in closed form, so a state's table is the state itself.  Any other H
-    uses the truncated series sum_k s^k (-i H)^k phi / k!, exact to
-    machine precision when ||H|| * s < 1/2.  The matrices (-i H)^k / k!
+    vector h of its diagonal (diagonal, None for any other H):
+    e^{-i H s} phi is phi * exp(-i s h) at any s, and ||phi(s)||^2 =
+    sum_a |phi_a|^2 e^{2 Im(h_a) s} and its slope are read in closed
+    form, so a state's table is the state itself and no step length
+    bounds s.  Any other H uses the truncated series
+    sum_k s^k (-i H)^k phi / k!, exact to machine precision when
+    ||H|| * s < 1/2.  The matrices (-i H)^k / k!
     are formed once, side by side in one (d, terms * d) matrix, so the
     s-free terms (-i H)^k phi / k! of a batch of states form a table built
     with one matrix product; evaluating it at any s is then one
@@ -522,7 +527,14 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     frontier steps the unnormalized states over the grid with the exact
     segment propagator (one per distinct step length): an elementwise
     product when H_eff is exactly diagonal, a matrix product otherwise
-    (_MomentPropagator decides once per pass).  A trajectory whose norm
+    (_MomentPropagator decides once per pass).  That decision also sets
+    the grid.  A matrix H_eff takes steps of min(0.05 horizon,
+    0.45 / ||H_eff||_F), the bound that keeps its Taylor table exact, the
+    checkpoints among the grid points.  A diagonal H_eff builds no table,
+    and its no-jump norm never rises (d||phi||^2/ds = -sum_j ||J_j phi||^2),
+    so its norm at a checkpoint tells whether a row crossed before it:
+    its grid is 0, the checkpoints and the horizon, and each crossing's
+    cells are cut from the whole segment.  A trajectory whose norm
     falls below its threshold within step k is parked with its state at
     the start of step k, k and its norm at the step's end, and the others
     step on.  The parked trajectories, from whatever steps and
@@ -541,9 +553,10 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     cross.  Resolving at half the rows makes few batches while each
     catch-up walks only the steps since the last batch.  Measured on one
     ensemble with one BLAS thread on a 2-core x86-64 VM against a batch
-    per grid step: 0.61-0.67 of its time on qubit-III at n = 200 and
-    horizons 2, 20 and 100, 0.74 at n = 2000 and horizon 100, and 0.64 on
-    the seeded L=3 qutrit chain at n = 80; shares from 1/8 to all of the
+    per grid step, when every H_eff took the Taylor grid: 0.61-0.67 of its
+    time on qubit-III at n = 200 and horizons 2, 20 and 100, 0.74 at
+    n = 2000 and horizon 100, and 0.64 on the seeded L=3 qutrit chain at
+    n = 80; shares from 1/8 to all of the
     rows were tried, and 1/2 was within 6% of the fastest on each of
     these.  Sweeping every row to the horizon before each batch instead
     re-walks the spread between the rows' grid points, and lost at long
@@ -559,8 +572,11 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     rows are filled at once with room for the Poisson bound on their
     jumps, from the top total jump rate (_MomentPropagator.top_rate), and
     the rows of a crossing batch that run short are refilled together.
-    A grid of more than MAX_GRID_STEPS steps (about 2.2 ||H_eff||
-    horizon) raises StiffnessError before it is built.
+    A Taylor grid of more than MAX_GRID_STEPS steps (about 2.2 ||H_eff||
+    horizon) raises StiffnessError before the grid is built, on either
+    path.  On the diagonal path the cap bounds ||H_eff|| time_tol by
+    4.5e-5 (time_tol being 1e-9 horizon), so a crossing cell stays much
+    finer than the fastest phase and decay of H_eff.
     TrajectoryEnsemble says what each ensemble's stats count.
     """
     heff = rep.effective_hamiltonian
@@ -572,6 +588,11 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     if steps > MAX_GRID_STEPS:
         raise StiffnessError(f"{steps:.3g} grid steps to horizon {horizon:g}, above "
                              f"the cap of {MAX_GRID_STEPS}")
+    moments = _MomentPropagator(heff)
+    if moments.diagonal is not None:
+        # no Taylor table to keep accurate: the norm never rises, so the
+        # checkpoints alone tell which rows cross
+        step = max(horizon, _SCALE_FLOOR)
     grid = _grid(horizon, step, checkpoint_times)
     steps = len(grid) - 1
     dts = np.diff(grid)
@@ -581,7 +602,6 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     v0 = np.repeat(np.stack([state_vector(psi0) for psi0, _ in starts]), n, axis=0)
     jump_mats = np.stack([linalg.dense(j, "the sampler's jump stack")
                           for j in rep.jumps]) if rep.jumps else None
-    moments = _MomentPropagator(heff)
     # a normalized state jumps at total rate <= gamma, so few rows outrun
     # room for gamma*T + 4 sqrt(gamma*T) + 4 jumps; the cap bounds memory
     gamma = moments.top_rate() if rep.jumps else 0.0

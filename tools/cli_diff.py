@@ -34,6 +34,9 @@ twoqubit-I and the L=3 chain, ``simulate --horizon 20 --n 500`` on
 qubit-III and qubit-II (many jumps per trajectory, refilled streams and
 re-crossings within a grid step, on the sampler's closed-form path for
 qubit-III's diagonal H_eff and on its Taylor table for qubit-II's),
+``simulate --horizon 100 --n 200 --level full`` on qubit-I (a diagonal
+H_eff stepped from 0 to the horizon in one step, where a Taylor grid of
+0.45/||H_eff|| would take 445),
 ``simulate --horizon 20 --n 300`` on twoqubit-weak (a jump rate that
 varies with the state, on the Taylor table, so each crossing takes 4-5
 root-finding trials), ``simulate --level full --n 200`` on the built-in
@@ -160,6 +163,8 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     # on a diagonal H_eff (closed-form propagation) and a non-diagonal one
     # (the Taylor table)
     out += [["simulate", m, "--horizon", "20", "--n", "500"] for m in ("qubit-III", "qubit-II")]
+    # a long horizon in one step of a diagonal H_eff: cells 1e-7 wide
+    out += [["simulate", "qubit-I", "--horizon", "100", "--n", "200", "--level", "full"]]
     # a rate that varies with the state (sum_j J_j† J_j not a multiple of
     # 1), on the Taylor table: the log-norm secant start is not the root
     out += [["simulate", "twoqubit-weak", "--horizon", "20", "--n", "300"]]
