@@ -22,11 +22,15 @@ others step on; parked trajectories from many grid steps are resolved
 together in one crossing batch, which reads one table of Taylor terms
 (-i H_eff)^k phi / k!, built with one matrix product, so each trial time
 costs a contraction with the powers s^k and k s^(k-1) rather than a new
-series expansion.  An H_eff with exact zeros off its diagonal is
-applied as a vector instead, with the norm and its slope in closed form
-(_MomentPropagator), and steps from checkpoint to checkpoint: the no-jump
-norm never rises, so a row's norm at a checkpoint tells whether it
-crossed before it.
+series expansion.  An H_eff that is diagonal up to the rounding of
+forming it (off its diagonal, a Frobenius norm of at most
+(d + k) eps (||H||_F + sum_j ||J_j||_F^2) for k jumps; _heff_rounding) is
+applied as the vector of its diagonal instead, with the norm and its
+slope in closed form (_MomentPropagator), and steps from checkpoint to
+checkpoint: the no-jump norm never rises, so a row's norm at a
+checkpoint tells whether it crossed before it.  A unitary remix of the
+jumps changes H_eff only by rounding of that kind, so the path does not
+depend on how the jumps are written.
 
 Reproducibility contract: trajectory i of an ensemble with master seed
 `seed` and `first_index` draws its k-th uniform as word k mod 4 of
@@ -73,8 +77,9 @@ _SCALE_FLOOR = 1e-12
 _TAYLOR_TERMS = 22
 # the chi-squared rule: a bin expecting fewer counts is pooled
 _MIN_EXPECTED = 5.0
-# Taylor grid steps one ensemble may take, counted on both paths; a
-# stiffer model or longer horizon is refused before its grid is built
+# Taylor grid steps one ensemble may take: ||H_eff|| horizon is capped at
+# 0.45 times it on both paths, and a stiffer model or longer horizon is
+# refused before its grid is built
 MAX_GRID_STEPS = 100_000
 # most Philox blocks buffered per sampler pass (8 MiB of uniforms), and
 # the blocks evaluated together
@@ -111,11 +116,11 @@ class TrajectoryEnsemble:
     checkpoint time to the (size, d) array of normalized state vectors.
 
     stats counts the sampler's work.  jumps and draws (uniforms taken,
-    size + 2 jumps) are this ensemble's own.  grid_steps (for an exactly
-    diagonal H_eff, the segments between 0, the checkpoints and the
-    horizon; see sample_ensembles), crossing_batches (each resolves the
-    rows parked over any number of grid steps, from every start of the
-    pass), trials (root-finding evaluations of a batch's table) and
+    size + 2 jumps) are this ensemble's own.  grid_steps (for an H_eff
+    diagonal up to the rounding of forming it, _heff_rounding, the
+    segments between 0, the checkpoints and the horizon; see
+    sample_ensembles), crossing_batches (each resolves the rows parked
+    over any number of grid steps, from every start of the pass), trials (root-finding evaluations of a batch's table) and
     philox_calls (bulk evaluations of the streams) count the whole sampler
     pass: every ensemble of one sample_ensembles call carries the same,
     undivided, counts.  join sums each count over the chunks.
@@ -230,16 +235,29 @@ def coarse_record_weight(rep: Representation, partition: SjedPartition,
                            for s in partition.sets])
 
 
+def _heff_rounding(rep: Representation) -> float:
+    """(d + k) eps (||H||_F + sum_j ||J_j||_F^2) for the k jumps: a bound on
+    the floating-point error of forming H - (i/2) sum_j J_j† J_j, from the
+    forward-error bound of matrix products (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., SIAM 2002, section 3.5)."""
+    return (rep.dim + rep.njumps) * np.finfo(float).eps * (
+        frob(rep.hamiltonian) + sum(frob(j) ** 2 for j in rep.jumps))
+
+
 class _MomentPropagator:
     """Evaluate e^{-i H s} phi for many states, each at its own s, and step
     rows over the grid.
 
-    An H with every off-diagonal entry exactly zero is applied as the
-    vector h of its diagonal (diagonal, None for any other H):
-    e^{-i H s} phi is phi * exp(-i s h) at any s, and ||phi(s)||^2 =
-    sum_a |phi_a|^2 e^{2 Im(h_a) s} and its slope are read in closed
-    form, so a state's table is the state itself and no step length
-    bounds s.  Any other H uses the truncated series
+    An H whose off-diagonal part has a Frobenius norm of at most rounding
+    (for H_eff, _heff_rounding: what forming it can leave there, which
+    says nothing about the model) counts as diagonal and is applied as
+    the vector h of its diagonal (diagonal, None for any other H).
+    Dropping that part moves each no-jump propagator by at most
+    rounding * s, since e^{-i H s} is a contraction.  The propagator
+    applied, e^{-i s diag(h)} phi, is phi * exp(-i s h) at any s, and
+    ||phi(s)||^2 = sum_a |phi_a|^2 e^{2 Im(h_a) s} and its slope are read
+    in closed form, so a state's table is the state itself and no step
+    length bounds s.  Any other H uses the truncated series
     sum_k s^k (-i H)^k phi / k!, exact to machine precision when
     ||H|| * s < 1/2.  The matrices (-i H)^k / k!
     are formed once, side by side in one (d, terms * d) matrix, so the
@@ -250,10 +268,12 @@ class _MomentPropagator:
     table, of shape (n, terms, d), at every trial time.
     """
 
-    def __init__(self, heff: np.ndarray):
+    def __init__(self, heff: np.ndarray, rounding: float):
         self.heff = heff
         h = np.diagonal(heff)
-        self.diagonal = h if np.array_equal(heff, np.diag(h)) else None
+        off = heff.copy()
+        np.fill_diagonal(off, 0.0)
+        self.diagonal = h if frob(off) <= rounding else None
         self.steps: dict = {}                 # step length -> step propagator
         if self.diagonal is not None:
             self.rates = 2.0 * h.imag         # d||phi_a||^2/ds over |phi_a(s)|^2
@@ -526,15 +546,19 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     starts.  Waiting times use the norm-decay threshold method.  A
     frontier steps the unnormalized states over the grid with the exact
     segment propagator (one per distinct step length): an elementwise
-    product when H_eff is exactly diagonal, a matrix product otherwise
-    (_MomentPropagator decides once per pass).  That decision also sets
-    the grid.  A matrix H_eff takes steps of min(0.05 horizon,
-    0.45 / ||H_eff||_F), the bound that keeps its Taylor table exact, the
-    checkpoints among the grid points.  A diagonal H_eff builds no table,
-    and its no-jump norm never rises (d||phi||^2/ds = -sum_j ||J_j phi||^2),
-    so its norm at a checkpoint tells whether a row crossed before it:
-    its grid is 0, the checkpoints and the horizon, and each crossing's
-    cells are cut from the whole segment.  A trajectory whose norm
+    product when H_eff is diagonal, a matrix product otherwise.
+    _MomentPropagator decides once per pass: H_eff counts as diagonal
+    when its off-diagonal part has a Frobenius norm of at most
+    (d + k) eps (||H||_F + sum_j ||J_j||_F^2) for k jumps
+    (_heff_rounding), the rounding of forming it, and that part is then
+    dropped.  The decision also sets the grid.  A matrix H_eff takes
+    steps of min(0.05 horizon, 0.45 / ||H_eff||_F), the bound that keeps
+    its Taylor table exact, the checkpoints among the grid points.  A
+    diagonal H_eff builds no table, and its no-jump norm never rises
+    (d||phi||^2/ds = -sum_j ||J_j phi||^2), so its norm at a checkpoint
+    tells whether a row crossed before it: its grid is 0, the checkpoints
+    and the horizon, and each crossing's cells are cut from the whole
+    segment.  A trajectory whose norm
     falls below its threshold within step k is parked with its state at
     the start of step k, k and its norm at the step's end, and the others
     step on.  The parked trajectories, from whatever steps and
@@ -572,9 +596,10 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     rows are filled at once with room for the Poisson bound on their
     jumps, from the top total jump rate (_MomentPropagator.top_rate), and
     the rows of a crossing batch that run short are refilled together.
-    A Taylor grid of more than MAX_GRID_STEPS steps (about 2.2 ||H_eff||
-    horizon) raises StiffnessError before the grid is built, on either
-    path.  On the diagonal path the cap bounds ||H_eff|| time_tol by
+    ||H_eff|| horizon above 0.45 MAX_GRID_STEPS, where the Taylor grid
+    would take more than MAX_GRID_STEPS steps, raises StiffnessError
+    before the grid is built, on either path, naming that product and
+    its cap.  On the diagonal path the cap bounds ||H_eff|| time_tol by
     4.5e-5 (time_tol being 1e-9 horizon), so a crossing cell stays much
     finer than the fastest phase and decay of H_eff.
     TrajectoryEnsemble says what each ensemble's stats count.
@@ -583,16 +608,16 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
     hnorm = frob(heff)
     if not np.isfinite(hnorm) or hnorm > MAX_HEFF_NORM:
         raise StiffnessError("effective Hamiltonian norm too large for stepping")
-    step = min(0.05 * max(horizon, _SCALE_FLOOR), 0.45 / max(hnorm, _SCALE_FLOOR))
-    steps = np.ceil(horizon / step)     # a float: inf near the largest horizons
-    if steps > MAX_GRID_STEPS:
-        raise StiffnessError(f"{steps:.3g} grid steps to horizon {horizon:g}, above "
-                             f"the cap of {MAX_GRID_STEPS}")
-    moments = _MomentPropagator(heff)
-    if moments.diagonal is not None:
-        # no Taylor table to keep accurate: the norm never rises, so the
-        # checkpoints alone tell which rows cross
-        step = max(horizon, _SCALE_FLOOR)
+    # the Taylor grid would take reach / 0.45 steps; the cap holds on both paths
+    reach = max(hnorm, _SCALE_FLOOR) * horizon
+    if reach > 0.45 * MAX_GRID_STEPS:
+        raise StiffnessError(f"||H_eff|| * horizon = {reach:.3g}, above the cap of "
+                             f"{0.45 * MAX_GRID_STEPS:g} (0.45 * {MAX_GRID_STEPS} grid steps)")
+    moments = _MomentPropagator(heff, _heff_rounding(rep))
+    # a diagonal H_eff has no Taylor table to keep accurate: the norm never
+    # rises, so the checkpoints alone tell which rows cross
+    step = (min(0.05 * max(horizon, _SCALE_FLOOR), 0.45 / max(hnorm, _SCALE_FLOOR))
+            if moments.diagonal is None else max(horizon, _SCALE_FLOOR))
     grid = _grid(horizon, step, checkpoint_times)
     steps = len(grid) - 1
     dts = np.diff(grid)

@@ -1228,8 +1228,12 @@ def test_simulate_opens_one_pool(tmp_path, monkeypatch, capsys, in_process_pool)
 
 
 def test_simulate_horizon_beyond_the_grid_cap_prints_a_short_count(capsys):
-    for horizon, count in (("1e300", "4.44e+300 grid steps"), ("1e308", "inf grid steps")):
-        _exits_2(["simulate", "qubit-weak", "--horizon", horizon], capsys, count)
+    # the refusal names ||H_eff|| horizon, which decides it on both paths
+    # (qubit-weak's H_eff is diagonal and takes no grid), and its cap
+    for horizon, count in (("1e300", "||H_eff|| * horizon = 2e+300,"),
+                           ("1e308", "||H_eff|| * horizon = inf,")):
+        _exits_2(["simulate", "qubit-weak", "--horizon", horizon], capsys, count,
+                 "above the cap of 45000")
 
 
 @pytest.mark.parametrize("length", ["0", "-1", "1.5"])

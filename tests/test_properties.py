@@ -2,6 +2,7 @@
 symmetric by construction, and of the shared symmetry images against the
 dense per-check computation they replaced."""
 
+import functools
 import math
 from unittest import mock
 
@@ -37,6 +38,7 @@ from weaksym.symmetry import (
     lift_II_to_III,
     off_block_mass,
 )
+from weaksym.trajectories import _heff_rounding, _MomentPropagator
 
 from conftest import random_unitary, remix_within_sets
 
@@ -1232,3 +1234,42 @@ def test_master_and_sjed_verdicts_match_the_dense_row_stack(pair):
         (_oracle_master_coordinates(rep_a, rep_b, tol) is not None)
     ok, pi, _ = same_unravelled_generator(rep_a, rep_b, tol)
     assert (ok, pi) == _oracle_same_unravelled_generator(rep_a, rep_b, tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _sampler_case(name):
+    """A built-in's representation, or the seeded L=3 chain's, with its
+    SJED partition."""
+    if name == "seeded-chain-3":
+        rep = models.qutrit_chain(
+            3, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, 3)).rep
+    else:
+        rep = models.get_model(name).rep
+    return rep, build_sjeds(rep)
+
+
+@pytest.mark.parametrize("name", [*models.BUILDERS, "seeded-chain-3"])
+@given(seed=st.integers(0, 2 ** 32 - 1), within_sets=st.booleans())
+def test_remixed_jumps_keep_the_sampler_path(name, seed, within_sets):
+    # the master equation does not change when the jumps are remixed by a
+    # unitary, and a remix inside each SJED keeps the unravelled generator
+    # too; H_eff changes only by the rounding of forming it, so the sampler
+    # takes the path of the jumps as written: the closed form for every
+    # diagonal H_eff, its dropped part within the bound and its diagonal
+    # within the bound of the unremixed one, the Taylor table for twoqubit-*
+    rep, partition = _sampler_case(name)
+    rng = np.random.default_rng(seed)
+    if within_sets:
+        jumps = remix_within_sets(partition, rng)
+    else:
+        jumps = tuple(sum(c * j for c, j in zip(row, rep.jumps))
+                      for row in random_unitary(rng, rep.njumps))
+    mixed = Representation(rep.hamiltonian, jumps)
+    before = _MomentPropagator(rep.effective_hamiltonian, _heff_rounding(rep))
+    heff, bound = mixed.effective_hamiltonian, _heff_rounding(mixed)
+    after = _MomentPropagator(heff, bound)
+    taylor = name.startswith("twoqubit")
+    assert (before.diagonal is None) == (after.diagonal is None) == taylor
+    if not taylor:
+        assert frob(heff - np.diag(after.diagonal)) <= bound
+        assert np.linalg.norm(after.diagonal - before.diagonal) <= bound

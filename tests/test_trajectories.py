@@ -46,6 +46,7 @@ from weaksym.trajectories import (
 from weaksym.trajectories import (
     _crossing_times,
     _grid,
+    _heff_rounding,
     _jump,
     _MomentPropagator,
     _philox_uniforms,
@@ -281,7 +282,7 @@ def test_moment_table_matches_expm(d):
     smax = 0.45 / frob(heff)                           # the sampler's step bound
     phis = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
     ss = np.concatenate([[0.0, smax], rng.uniform(0.0, smax, 4)])
-    moments = _MomentPropagator(heff)
+    moments = _MomentPropagator(heff, 0.0)
     got = moments.evaluate(moments.table(phis), ss)
     for phi, s, g in zip(phis, ss, got):
         want = scipy.linalg.expm(-1j * s * heff) @ phi
@@ -298,7 +299,7 @@ def test_diagonal_propagator_matches_expm(d):
     # checked against scipy's expm, independently of the sampler
     rng = np.random.default_rng(70 + d)
     heff = _decaying_diagonal_heff(rng, d)
-    moments = _MomentPropagator(heff)
+    moments = _MomentPropagator(heff, 0.0)
     assert moments.diagonal is not None
     dt = 0.45 / frob(heff)
     phis = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
@@ -321,13 +322,23 @@ def test_diagonal_propagator_matches_expm(d):
     assert abs(moments.top_rate() - top) <= 1e-14 * top
 
 
-def test_diagonal_path_takes_exact_zeros_only():
+def test_diagonal_path_takes_off_diagonal_rounding_only():
+    # an off-diagonal part of Frobenius norm up to the rounding bound of
+    # forming H_eff counts as diagonal, and is dropped; ten times it does not
+    rep = models.qubit_ii().rep
+    bound = _heff_rounding(rep)
+    assert bound == (2 + 3) * np.finfo(float).eps * (
+        frob(rep.hamiltonian) + sum(frob(j) ** 2 for j in rep.jumps))
     heff = _decaying_diagonal_heff(np.random.default_rng(3), 4)
-    heff[1, 0] = -0.0
-    assert _MomentPropagator(heff).diagonal is not None
-    heff[2, 3] = -1.2e-17j      # the rounding qubit-II's sum of J†J leaves
-    assert _MomentPropagator(heff).diagonal is None
-    assert _MomentPropagator(models.qubit_ii().rep.effective_hamiltonian).diagonal is None
+    diagonal = np.diagonal(heff).copy()
+    for off in (-0.0, -1.2e-17j, bound):     # -1.2e-17j: qubit-II's rounding
+        heff[2, 3] = off
+        moments = _MomentPropagator(heff, bound)
+        assert np.array_equal(moments.diagonal, diagonal)
+    assert frob(heff - np.diag(diagonal)) == bound
+    heff[2, 3] = 10.0 * bound
+    assert _MomentPropagator(heff, bound).diagonal is None
+    assert _MomentPropagator(rep.effective_hamiltonian, bound).diagonal is not None
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "sampler_records.json").read_text())
@@ -391,7 +402,7 @@ def _crossing_batch(seed, d, m):
 def test_crossing_time_matches_bisection(seed, d):
     heff, dt, phis, offsets, thresholds, ends = _crossing_batch(seed, d, 4)
     time_tol = 1e-9
-    moments = _MomentPropagator(heff)
+    moments = _MomentPropagator(heff, 0.0)
     times, _ = _crossing_times(moments, moments.table(phis), thresholds, offsets,
                                ends, dt, time_tol)
     for phi, off, thr, t in zip(phis, offsets, thresholds, times):
@@ -414,7 +425,7 @@ def test_crossing_time_independent_of_batch(seed, d):
     ends[4:] = [_exact_norm(heff, phi, 0.6 * dt - o)
                 for phi, o in zip(phis[4:], offsets[4:])]
     thresholds[4:] = ends[4:] + 0.5 * (1.0 - ends[4:])
-    moments = _MomentPropagator(heff)
+    moments = _MomentPropagator(heff, 0.0)
     batch, _ = _crossing_times(moments, moments.table(phis), thresholds, offsets,
                                ends, dts, 1e-9)
     for i in range(7):
@@ -436,7 +447,7 @@ def test_crossing_cells_match_the_scalar_formula(rng):
         x = 2.0 ** k * time_tol
         dts += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), 1.5 * x]
     dts = np.array(dts)
-    moments = _MomentPropagator(np.diag([-0.5j, -0.25j]))
+    moments = _MomentPropagator(np.diag([-0.5j, -0.25j]), 0.0)
     phis = rng.standard_normal((len(dts), 2)) + 1j * rng.standard_normal((len(dts), 2))
     offsets = dts * rng.uniform(0.0, 0.5, len(dts)) * (rng.random(len(dts)) < 0.5)
     table = moments.table(phis / np.linalg.norm(phis, axis=1)[:, None])
@@ -460,7 +471,7 @@ def test_crossing_with_vanishing_slope_ends_within_twice_the_bisection_trials(r,
     phi = scipy.linalg.expm(1j * r * heff) @ np.array([0.0, 1.0], dtype=complex)
     phi /= np.linalg.norm(phi)
     thr = _exact_norm(heff, phi, r)
-    moments = _MomentPropagator(heff)
+    moments = _MomentPropagator(heff, 0.0)
     table = moments.table(phi[None])
     assert abs(moments.norms(table, np.array([r]))[1][0]) < 1e-14
     times, trials = _crossing_times(moments, table, np.array([thr]), np.zeros(1),
@@ -503,7 +514,7 @@ def test_norm_slope_is_minus_total_jump_rate(rng):
     # d||phi||^2/ds = -sum_j ||J_j phi||^2 (Dalibard, Castin & Molmer)
     rep = models.qutrit_chain(2).rep
     heff = rep.effective_hamiltonian
-    moments = _MomentPropagator(heff)
+    moments = _MomentPropagator(heff, _heff_rounding(rep))
     phis = rng.standard_normal((5, rep.dim)) + 1j * rng.standard_normal((5, rep.dim))
     ss = rng.uniform(0.0, 0.45 / frob(heff), 5)
     value, slope = moments.norms(moments.table(phis), ss)
@@ -522,7 +533,8 @@ def test_sampler_stats_count_few_trials_per_batch():
     # bisection to the time tolerance took 26 trials per batch
     assert stats["trials"] <= 6 * stats["crossing_batches"]
     # on the Taylor grid a batch resolves the rows parked over many steps
-    stats = sample_one(models.qubit_ii().rep, PLUS, 1.0, 2000, seed=1).stats
+    stats = sample_one(models.twoqubit_i().rep, pure_state(np.ones(4)), 1.0, 2000,
+                       seed=1).stats
     assert stats["grid_steps"] == 20
     assert 0 < stats["crossing_batches"] <= stats["grid_steps"]
 
@@ -530,7 +542,7 @@ def test_sampler_stats_count_few_trials_per_batch():
 @pytest.mark.parametrize("horizon", [1.0, 2.0, 20.0])
 @pytest.mark.parametrize("name, diagonal", [
     ("qubit-III", True), ("qubit-I", True), ("qutrit-chain-3", True),
-    ("qubit-II", False), ("twoqubit-I", False)])
+    ("qubit-II", True), ("twoqubit-weak", False), ("twoqubit-I", False)])
 def test_grid_steps_are_checkpoint_segments_on_a_diagonal_heff(name, diagonal, horizon):
     # a diagonal H_eff steps from checkpoint to checkpoint, [0, 0.37] and
     # [0.37, T]; any other takes the Taylor table's grid of steps
@@ -578,7 +590,7 @@ def _stepwise_ensemble(rep, psi0, horizon, n, seed=0, checkpoint_times=(),
     rows crossing again within it as the next.  Returns (records, states,
     re-crossings)."""
     heff = rep.effective_hamiltonian
-    moments = _MomentPropagator(heff)
+    moments = _MomentPropagator(heff, _heff_rounding(rep))
     # the sampler's one step rule: the horizon for a diagonal H_eff
     step = (min(0.05 * max(horizon, 1e-12), 0.45 / max(frob(heff), 1e-12))
             if moments.diagonal is None else horizon)
@@ -680,16 +692,19 @@ def test_sampler_matches_stepwise_oracle_with_refills_and_recrossings(monkeypatc
 
 @pytest.mark.parametrize("name", ["qubit-III", "qutrit-chain-3"])
 def test_diagonal_path_samples_as_the_taylor_path(name):
-    # a Hermitian off-diagonal of 1e-200 added to H sends the same model
-    # down the Taylor table and its grid: the same labels and offsets, each
-    # waiting time within time_tol, and so states within 100 time_tol
-    # (4.5e-9 at most over these cases)
+    # a Hermitian off-diagonal of the smallest power of ten above the
+    # rounding bound (1e-14 on qubit-III, 1e-12 on the chain) added to H
+    # sends the same model down the Taylor table and its grid: the same
+    # labels and offsets, each waiting time within time_tol, and so states
+    # within 100 time_tol (4.5e-9 at most over these cases)
     rep, psi0 = _model_case(name)
     tiny = np.zeros((rep.dim, rep.dim), dtype=complex)
-    tiny[0, 1] = tiny[1, 0] = 1e-200
+    tiny[0, 1] = tiny[1, 0] = 10.0 ** np.ceil(np.log10(_heff_rounding(rep)))
     taylor = Representation(rep.hamiltonian + tiny, rep.jumps, rep.labels)
-    assert _MomentPropagator(rep.effective_hamiltonian).diagonal is not None
-    assert _MomentPropagator(taylor.effective_hamiltonian).diagonal is None
+    assert _MomentPropagator(rep.effective_hamiltonian, _heff_rounding(rep)).diagonal \
+        is not None
+    assert _MomentPropagator(taylor.effective_hamiltonian,
+                             _heff_rounding(taylor)).diagonal is None
     for seed in (0, 3):
         for horizon, times in ((2.0, (2.0,)), (1.0, (0.0, 0.37, 1.0))):
             want, got = (sample_one(r, psi0, horizon, 150, seed=seed,

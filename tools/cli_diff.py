@@ -59,10 +59,15 @@ at ``--level full --n 80 --seed 3`` and at ``--level coarse`` with
 first past it), and on the built-in ``qutrit-chain`` at ``--level coarse
 --n 100 --seed 5`` (d = 81), and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
-``verify-joint`` and ``simulate`` share one analysis), once with each tree
-on PYTHONPATH.
-BASE's ``dump_model`` writes the chain files, so both trees read the same
-files and HEAD reads the form BASE writes; a BASE whose ``qutrit_chain``
+``verify-joint`` and ``simulate`` share one analysis), and ``simulate
+--level coarse`` and ``--level full`` on the L=3 chain with the jumps of
+each SJED remixed by a seeded Haar unitary (``REMIX``; its H_eff is
+diagonal up to the rounding of forming it, 5.7e-17 off the diagonal, so a
+BASE that takes only exact zeros as diagonal walks the Taylor grid where
+one that takes rounding steps once), once with each tree on PYTHONPATH.
+BASE's ``dump_model`` writes the chain files and the remixed chain, so
+both trees read the same files and HEAD reads the form BASE writes; a
+BASE whose ``qutrit_chain``
 builds dense matrices needs about 50 s and 1.75 GB to build the L=7 file.
 Cross-form cases then run HEAD on the chain files its own ``dump_model``
 wrote, which may use a matrix form BASE cannot read, against BASE on
@@ -112,6 +117,24 @@ JUMPS = ("import numpy as np, sys; from weaksym import models, modelfile; "
 # (n, d): the 64-, 128- and 256-jump models at d = 8, and n = d on either
 # side of linalg.SMALL_DIM = 32, where the symmetry's form switches
 JUMP_MODELS = ((64, 8), (128, 8), (256, 8), (32, 32), (33, 33))
+# the seeded L=3 chain with the jumps of each SJED remixed by a Haar unitary
+# (QR of a complex Gaussian from default_rng(5)), as tests/conftest.py's
+# remix_within_sets does: the same unravelled generator, and an H_eff
+# diagonal only up to the rounding of forming it
+REMIX = """import dataclasses, numpy as np, sys
+from weaksym import models, modelfile, sjed
+from weaksym.lindblad import Representation
+m = models.qutrit_chain(3, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, 3))
+rng, jumps = np.random.default_rng(5), list(m.rep.jumps)
+for s in sjed.build_sjeds(m.rep).sets:
+    q, r = np.linalg.qr(rng.normal(size=(s.size, s.size)) + 1j * rng.normal(size=(s.size, s.size)))
+    old = [jumps[j] for j in s.indices]
+    for row, j in zip(q * (np.diag(r) / np.abs(np.diag(r))), s.indices):
+        jumps[j] = sum(c * o for c, o in zip(row, old))
+rep = Representation(m.rep.hamiltonian, tuple(jumps), m.rep.labels)
+modelfile.dump_model(dataclasses.replace(m, name="remixed-chain-3", rep=rep, expect={}),
+                     sys.argv[1])
+"""
 # the dense d = 40 model: two reset SJEDs of two rank-one jumps and a
 # full-rank jump, each a dense array; the identity is its symmetry
 DENSE = ("import numpy as np, sys; from weaksym import models, modelfile; "
@@ -126,7 +149,7 @@ DENSE = ("import numpy as np, sys; from weaksym import models, modelfile; "
 
 
 def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, jumps32,
-          jumps33, dense40, own):
+          jumps33, dense40, remix3, own):
     """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
     the copy HEAD wrote."""
     out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5,
@@ -189,6 +212,9 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     out += [["simulate", chain3, "--level", "coarse", "--n", n] for n in ("158", "159")]
     out += [["simulate", "qutrit-chain", "--level", "coarse", "--n", "100", "--seed", "5"]]
     out += [["report", m] for m in ("qubit-III", "qubit-I", chain3)]
+    # remixed jumps: an H_eff diagonal up to rounding
+    out += [["simulate", remix3, "--level", level, "--n", "300", "--seed", "7"]
+            for level in ("coarse", "full")]
     cross = [["check", chain4], ["check", chain5], ["check", chain6]]
     cross += [["verify-joint", m] for m in (chain3, chain4, chain5)]
     cross += [["simulate", chain3, "--level", "full", "--n", "300", "--seed", "7"]]
@@ -294,6 +320,9 @@ def main(argv=None) -> int:
                            check=True, env=dict(os.environ, PYTHONPATH=base))
         chains.append(os.path.join(tmp, "dense-40.json"))
         subprocess.run([sys.executable, "-c", DENSE, chains[-1]],
+                       check=True, env=dict(os.environ, PYTHONPATH=base))
+        chains.append(os.path.join(tmp, "remixed-chain-3.json"))
+        subprocess.run([sys.executable, "-c", REMIX, chains[-1]],
                        check=True, env=dict(os.environ, PYTHONPATH=base))
         failures = 0
         deviations = [0.0]
