@@ -244,13 +244,13 @@ def run_simulate(analysis, level, n, horizon, seed, alpha, out_dir, threads=1):
     if rep.dim <= MAX_SUPEROP_DIM:
         exact = evolve_density(rep, pure_state(np.ones(rep.dim)), horizon)
         result["ensemble_average"]["master_solution"] = _matrix_doc(exact)
-        # an entry every trajectory shares has a stderr of 0 or a few ulps,
-        # yet the master solution reaches it through expm's rounding: on
+        # an entry every trajectory shares has a stderr of a few ulps, yet
+        # the master solution reaches it through expm's rounding: on
         # qubit-weak, whose states stay on the equator, both diagonal
-        # entries are 0.5 in every trajectory, with a stderr of 0, and
-        # 0.5 - 1.1e-16 in the master solution.  The slack is absolute,
-        # the rounding floor, because a density matrix's entries are at
-        # most 1 in modulus, whatever tau is.
+        # entries are 0.5 in every trajectory, with a stderr of about
+        # 1e-17, and 0.5 - 1.1e-16 in the master solution.  The slack is
+        # absolute, the rounding floor, because a density matrix's entries
+        # are at most 1 in modulus, whatever tau is.
         result["ensemble_average"]["within_3_sigma"] = bool(
             np.all(np.abs(mean - exact) <= 3 * err + ROUNDING_FLOOR))
     if out_dir:

@@ -87,9 +87,6 @@ _FILL_CAP = 2 ** 18
 _PHILOX_CHUNK = 2 ** 13
 # outer-product entries ensemble_average forms at once (4 MiB)
 _AVERAGE_CHUNK = 2 ** 18
-# ensemble_average's bootstrap: B resampled means, drawn from one fixed seed
-_BOOTSTRAP_RESAMPLES = 200
-_BOOTSTRAP_SEED = 1
 
 
 class StiffnessError(RuntimeError):
@@ -358,7 +355,9 @@ def _crossing_times(moments: _MomentPropagator, table: np.ndarray,
     exponential, as it does when sum_j J_j† J_j is a multiple of the
     identity, so such a row stops on its first trial.  The start is
     finite on every parked row, since n0 >= threshold > end_norm >= 0
-    (an end norm of 0 gives a start of 0, under errstate).  Each row
+    (an end norm of 0 gives a start of 0, under errstate, as does a
+    subnormal one whose quotient overflows; a Newton step that overflows
+    leaves the bracket and bisects).  Each row
     keeps a bracket lo <= root <= hi with f(lo) >= 0 > f(hi).  A Newton
     step that leaves the bracket, or is more than half as long as the
     row's previous step, becomes a bisection step, at the cell boundary
@@ -378,7 +377,7 @@ def _crossing_times(moments: _MomentPropagator, table: np.ndarray,
     tab, thr, width = table, thresholds, cell
     trials = 0
     # np.minimum/np.maximum stand for np.clip, which costs more per call
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = np.minimum(np.maximum(np.log(n0 / thresholds) / np.log(n0 / end_norms),
                                   0.0), 1.0) * cells
         while rows.size:
@@ -745,47 +744,33 @@ def sample_ensembles(rep: Representation, starts, horizon: float, n: int,
 def ensemble_average(ensemble: TrajectoryEnsemble, t: float):
     """Mean conditional density matrix at a checkpoint with bootstrap errors.
 
-    Returns (mean, stderr) with stderr the entrywise bootstrap standard
-    error of the mean (absolute value per entry).  Only the upper
-    triangle of the states' outer products is formed, _AVERAGE_CHUNK
-    entries at a time: entry (b, a) of each pure state is entry (a, b)
-    conjugated, the real part bit for bit and the imaginary part exactly
-    negated, so the mean's lower triangle is its upper one conjugated and
-    has the same standard error.
-
-    The B = _BOOTSTRAP_RESAMPLES resampled means of a column x of the n
-    states' D = d(d+1) real upper-triangle entries are W x / n, for the
-    (B, n) multinomial weights W, drawn from seed _BOOTSTRAP_SEED.  Their
-    variance is x^T G x / n^2, where G is the covariance of W's columns
-    over the B resamples.  So the variance is taken in one of two product
-    orders, whichever costs fewer multiply-adds.  When n (B + D) < B D, G
-    is formed once (n x n) and each chunk takes G X and one column-wise
-    sum; at B = 200 that is
-    n <= 158 for d = 27, n <= 194 for d = 81 and n <= 5 for d = 2.
-    Otherwise each chunk resamples its B means in one GEMM and takes
-    their variance.  The mean is the same bit for bit in both; the
-    standard errors agree to rounding level between the orders, as they
-    do across BLAS thread counts.
+    Returns (mean, stderr) with stderr the entrywise ideal bootstrap
+    standard error of the mean (absolute value per entry): the B -> oo
+    limit of resampling the n states with replacement, whose variance of
+    the mean of a column x is sum_i |x_i - mean|^2 / n^2 in closed form
+    (Efron & Tibshirani, An Introduction to the Bootstrap, 1993), so no
+    resample is drawn.  The deviations are taken before they are squared:
+    sum |x|^2 - n |mean|^2 would cancel to a floor of sqrt(eps) on an
+    entry every state shares.  Only the upper triangle of the states'
+    outer products is formed, _AVERAGE_CHUNK entries at a time: entry
+    (b, a) of each pure state is entry (a, b) conjugated, the real part
+    bit for bit and the imaginary part exactly negated, so the mean's
+    lower triangle is its upper one conjugated and has the same standard
+    error.  No step calls BLAS, so neither output depends on its thread
+    count.
     """
     if float(t) not in ensemble.states:
         raise ValueError(f"time {t} was not recorded as a checkpoint")
     vecs = ensemble.states[float(t)]
     conj = vecs.conj()
     n, d = vecs.shape
-    nboot = _BOOTSTRAP_RESAMPLES
-    rng = np.random.default_rng(_BOOTSTRAP_SEED)
-    weights = rng.multinomial(n, np.full(n, 1.0 / n), size=nboot).astype(float)
-    covariance = n * (nboot + d * (d + 1)) < nboot * d * (d + 1)
-    if covariance:
-        centred = weights - weights.mean(axis=0)
-        gram = (centred.T @ centred) / ((nboot - 1) * n * n)
     rows, cols = np.triu_indices(d)
     mean = np.empty((d, d), dtype=complex)
     err = np.empty((d, d))
-    # a chunk's outer products and bootstrap means each hold about
-    # _AVERAGE_CHUNK complex entries, and at least two columns (the last
-    # chunk takes a lone last column), so no chunk's bootstrap goes to gemv
-    width = max(2, _AVERAGE_CHUNK // max(n, nboot))
+    # a chunk's outer products hold about _AVERAGE_CHUNK complex entries,
+    # and at least two columns (the last chunk takes a lone last column):
+    # numpy sums a lone column pairwise, not row by row as the full array
+    width = max(2, _AVERAGE_CHUNK // n)
     edges = [*range(0, max(len(rows) - 1, 1), width), len(rows)]
     for a, b in zip(edges, edges[1:]):
         r, c = rows[a:b], cols[a:b]
@@ -795,19 +780,11 @@ def ensemble_average(ensemble: TrajectoryEnsemble, t: float):
                           order="C")
         mean[r, c] = m = outer.mean(axis=0)
         mean[c, r] = m.conj()
-        # the real and imaginary parts in one real product; an entry's
-        # complex standard error is sqrt(var_re + var_im)
-        if covariance:
-            # every row of W sums to n, so G annihilates a constant column
-            # and x^T G x is that of x less its mean: centring keeps the
-            # rounding relative to the spread, not to the entry
-            outer -= m
-            real = outer.view(float)
-            var = np.maximum(np.einsum("ij,ij->j", real, gram @ real), 0.0)
-        else:
-            boots = (weights @ outer.view(float)) / n
-            var = boots.var(axis=0, ddof=1)
-        err[r, c] = err[c, r] = np.sqrt(var.reshape(-1, 2).sum(axis=1))
+        # an entry's complex standard error is sqrt(var_re + var_im)
+        outer -= m
+        real = outer.view(float)
+        squares = np.einsum("ij,ij->j", real, real).reshape(-1, 2).sum(axis=1)
+        err[r, c] = err[c, r] = np.sqrt(squares) / n
     return mean, err
 
 

@@ -685,6 +685,36 @@ def test_simulate_writes_exports(tmp_path, capsys):
     assert header == "n1,n2,occurrences"
 
 
+@pytest.mark.parametrize("model", ["qubit-III", "chain-L3"])
+def test_simulate_summary_is_recomputed_from_the_final_states(model, tmp_path, capsys):
+    # the mean and its stderr from ensemble.jsonl's final states alone, with
+    # plain numpy: the mean of the full n x d^2 outer products, and the
+    # population standard deviations of their real and imaginary parts
+    path = _chain_file(tmp_path) if model == "chain-L3" else model
+    out = tmp_path / "sim"
+    assert main(["simulate", path, "--level", "full", "--n", "300", "--seed", "7",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())["ensemble_average"]
+    rows = [json.loads(line)["finalState"]
+            for line in (out / "ensemble.jsonl").read_text().splitlines()]
+    vecs = np.array(rows).view(complex)[..., 0]
+    n, d = vecs.shape
+    mats = np.einsum("ia,ib->iab", vecs, vecs.conj()).reshape(n, d * d)
+    mean = mats.mean(axis=0).reshape(d, d)
+    # the summary's lower triangle, diagonal included, is its upper one
+    # conjugated, so a zero imaginary part there reads -0.0
+    lower = np.tril_indices(d)
+    mean[lower] = mean.T.conj()[lower]
+    assert np.stack([mean.real, mean.imag], -1).tobytes() == \
+        np.array(summary["mean"]).tobytes()
+    err = np.hypot(mats.real.std(axis=0, ddof=0),
+                   mats.imag.std(axis=0, ddof=0)).reshape(d, d) / np.sqrt(n)
+    stderr = np.array(summary["stderr"])
+    assert np.all(stderr[..., 1] == 0.0)
+    assert np.max(np.abs(stderr[..., 0] - err)) <= 1e-14 * np.max(err)
+
+
 def test_report_combined(capsys):
     assert main(["report", "qubit-III", "--n", "400", "--horizon", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -1234,6 +1264,17 @@ def test_simulate_horizon_beyond_the_grid_cap_prints_a_short_count(capsys):
                            ("1e308", "||H_eff|| * horizon = inf,")):
         _exits_2(["simulate", "qubit-weak", "--horizon", horizon], capsys, count,
                  "above the cap of 45000")
+
+
+def test_simulate_long_horizon_prints_no_warning():
+    # ||H_eff|| horizon = 2000: end norms and Newton slopes of subnormal
+    # size, whose quotients overflow before the crossing times clamp them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "weaksym.cli", "simulate", "qubit-weak",
+                           "--horizon", "1000", "--n", "200"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("length", ["0", "-1", "1.5"])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -1021,17 +1024,16 @@ def test_ensemble_average_matches_master_evolution():
         assert np.all(np.abs(mean - exact) <= 3 * err + 1e-12)
 
 
-def _complex_std_average(ensemble, t, n_bootstrap=200, seed=1):
-    """ensemble_average's reference form: the int64-by-complex bootstrap
-    product and the complex standard deviation of its entries."""
-    vecs = ensemble.states[float(t)]
+def _full_outer_average(vecs):
+    """ensemble_average's reference form over the full n x d^2 outer
+    products: their mean, and the ideal bootstrap standard error of it,
+    the population standard deviations (ddof=0) of the real and imaginary
+    parts over sqrt(n), joined as sqrt(var_re + var_im)."""
     n, d = vecs.shape
     mats = np.einsum("ia,ib->iab", vecs, vecs.conj()).reshape(n, d * d)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=n_bootstrap)
-    boots = (counts @ mats) / n
-    return (mats.mean(axis=0).reshape(d, d),
-            np.abs(boots.std(axis=0, ddof=1).reshape(d, d)))
+    err = np.hypot(np.std(mats.real, axis=0, ddof=0),
+                   np.std(mats.imag, axis=0, ddof=0)) / np.sqrt(n)
+    return mats.mean(axis=0).reshape(d, d), err.reshape(d, d)
 
 
 def _seeded_case(name):
@@ -1052,26 +1054,47 @@ def test_ensemble_average_matches_complex_std_oracle(name, n, seed):
     rep, psi0, horizon, _ = _seeded_case(name)
     ens = sample_one(rep, psi0, horizon, n, seed=seed, checkpoint_times=(horizon,))
     mean, err = ensemble_average(ens, horizon)
-    want_mean, want_err = _complex_std_average(ens, horizon)
+    want_mean, want_err = _full_outer_average(ens.states[horizon])
     assert np.array_equal(mean, want_mean)
-    # the real GEMM sums in another order: rounding level, relative to the
+    # np.std sums in another order: rounding level, relative to the
     # largest entry
     assert np.max(np.abs(err - want_err)) <= 1e-15 * np.max(want_err)
 
 
-def _full_outer_average(vecs, n_bootstrap=200, seed=1):
-    """ensemble_average as one n x d^2 array of outer products: the mean
-    of all of it, the bootstrap on the real view of its upper triangle."""
+def _resampled_stderr(vecs, resamples, seed, block=1000):
+    """The Monte Carlo bootstrap: the standard deviation (ddof=1) over
+    `resamples` multinomial resamples of the mean of each real
+    upper-triangle entry of the outer products, joined as sqrt(var_re +
+    var_im).  The columns are centred first (each resample's weights sum
+    to n, so that leaves the resampled means' spread as it is) and the
+    resamples are drawn in blocks, to hold one block's means at a time."""
     n, d = vecs.shape
-    mats = np.einsum("ia,ib->iab", vecs, vecs.conj()).reshape(n, d * d)
-    counts = np.random.default_rng(seed).multinomial(n, np.full(n, 1.0 / n),
-                                                     size=n_bootstrap)
     rows, cols = np.triu_indices(d)
-    boots = (counts.astype(float) @ mats.take(rows * d + cols, axis=1).view(float)) / n
+    x = np.ascontiguousarray(vecs[:, rows] * vecs[:, cols].conj()).view(float)
+    x = x - x.mean(axis=0)
+    rng = np.random.default_rng(seed)
+    total, squares = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+    for size in np.diff([*range(0, resamples, block), resamples]):
+        boots = rng.multinomial(n, np.full(n, 1.0 / n), size=size).astype(float) @ x / n
+        total += boots.sum(axis=0)
+        squares += (boots ** 2).sum(axis=0)
+    var = (squares - total ** 2 / resamples) / (resamples - 1)
     err = np.empty((d, d))
-    err[rows, cols] = err[cols, rows] = \
-        np.sqrt(boots.var(axis=0, ddof=1).reshape(-1, 2).sum(axis=1))
-    return mats.mean(axis=0).reshape(d, d), err
+    err[rows, cols] = err[cols, rows] = np.sqrt(var.reshape(-1, 2).sum(axis=1))
+    return err
+
+
+@pytest.mark.parametrize("name, n", [("qubit-weak", 500), ("qutrit-chain-3", 300)])
+def test_ensemble_average_is_the_resampling_limit(name, n):
+    # the closed form is the B -> oo limit of resampling: at B = 20000 the
+    # Monte Carlo standard error's own relative spread is about
+    # 1 / sqrt(2 B) = 0.5%, so 3% is six of it
+    rep, psi0, horizon, _ = _seeded_case(name)
+    ens = sample_one(rep, psi0, horizon, n, seed=1, checkpoint_times=(horizon,))
+    _, err = ensemble_average(ens, horizon)
+    resampled = _resampled_stderr(ens.states[horizon], 20000, seed=1)
+    # an entry every trajectory shares has rounding for its spread on both sides
+    assert np.all(np.abs(resampled - err) <= 0.03 * err + 1e-14 * np.max(err))
 
 
 def _ensemble_of(vecs):
@@ -1084,13 +1107,12 @@ def _ensemble_of(vecs):
     (27, 300, 300 * 7),              # 54 chunks, the last of 7 columns
     (27, 300, 300 * 29),             # a last chunk of one column joins the one before
     (5, 40, 1),                      # two columns a chunk, never one
-    # the weights' covariance: n (200 + d(d+1)) < 200 d(d+1)
     (27, 80, traj._AVERAGE_CHUNK),   # one chunk
-    (27, 80, 200 * 7),               # 54 chunks
+    (27, 80, 200 * 7),               # 23 chunks, the last of 4 columns
     (81, 100, traj._AVERAGE_CHUNK),
     (4, 10, traj._AVERAGE_CHUNK),
-    (27, 158, traj._AVERAGE_CHUNK),  # the last n on the covariance side at d = 27
-    (27, 159, traj._AVERAGE_CHUNK),  # the first n past it
+    (27, 158, traj._AVERAGE_CHUNK),
+    (27, 159, traj._AVERAGE_CHUNK),
 ])
 def test_ensemble_average_chunks_match_the_full_outer_products(monkeypatch, d, n, chunk):
     rng = np.random.default_rng(d + n)
@@ -1099,14 +1121,11 @@ def test_ensemble_average_chunks_match_the_full_outer_products(monkeypatch, d, n
     ens = _ensemble_of(vecs)
     monkeypatch.setattr(traj, "_AVERAGE_CHUNK", chunk)
     widths = []
-    quadratic_forms = []
     einsum = np.einsum
 
     def spy(subscripts, *operands, **kwargs):
         if subscripts == "ia,ia->ia":
             widths.append(operands[0].shape[1])
-        if subscripts == "ij,ij->j":
-            quadratic_forms.append(operands[0].shape)
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", spy)
@@ -1114,13 +1133,9 @@ def test_ensemble_average_chunks_match_the_full_outer_products(monkeypatch, d, n
     monkeypatch.undo()
     want_mean, want_err = _full_outer_average(vecs)
     assert sum(widths) == d * (d + 1) // 2 and min(widths) >= 2
-    assert max(widths) < 2 * max(2, chunk // max(n, 200))
-    # one quadratic form per chunk on the covariance side, none on the other
-    covariance = n * (200 + d * (d + 1)) < 200 * d * (d + 1)
-    assert len(quadratic_forms) == (len(widths) if covariance else 0)
+    assert max(widths) < 2 * max(2, chunk // n)
     assert np.array_equal(mean, want_mean)
-    # the bootstrap GEMMs sum in chunks, or in the other product order:
-    # rounding level
+    # np.std sums in another order: rounding level
     assert np.max(np.abs(err - want_err)) <= 1e-14 * np.max(want_err)
 
 
@@ -1140,7 +1155,7 @@ def test_ensemble_average_of_identical_states_has_a_valid_stderr(d, n):
     vecs = np.tile(v / np.linalg.norm(v), (n, 1))
     mean, err = ensemble_average(_ensemble_of(vecs), 1.0)
     assert np.all(np.isfinite(err)) and np.all(err >= 0.0)
-    # no spread to resample: the error is the mean's rounding
+    # no spread: the error is the rounding of the deviations from the mean
     assert np.max(err) <= 1e-14 * np.max(np.abs(mean))
 
 
@@ -1166,17 +1181,43 @@ def test_ensemble_average_of_a_large_ensemble_forms_no_full_outer_products():
     assert abs(np.trace(mean) - 1.0) < 1e-12
 
 
-def test_ensemble_average_on_the_covariance_side_forms_no_resampled_means():
-    # 200 resampled means of the 756 real upper-triangle columns take 1.2 MB,
-    # and their variance pass as much again; G and G X take 50 kB and 0.5 MB
-    n, d = 80, 27
+def test_ensemble_average_holds_a_few_chunks_at_a_time(monkeypatch):
+    # 12 chunks of 32 columns, 1 MB of outer products each, against 11.5 MB
+    # for the whole upper triangle: a chunk's two factors, its products and
+    # the last chunk's products, with the conjugated states (0.8 MB)
+    n, d, width = 2000, 27, 32
+    monkeypatch.setattr(traj, "_AVERAGE_CHUNK", n * width)
     rng = np.random.default_rng(2)
     vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     ens = _ensemble_of(vecs)
     (mean, _), peak = _traced_peak(lambda: ensemble_average(ens, 1.0))
-    assert peak < 2 * 2 ** 20
+    assert peak < 5 * n * width * 16
     assert abs(np.trace(mean) - 1.0) < 1e-12
+
+
+def test_ensemble_average_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the seeded L=4 chain's states at d = 81, averaged in two processes
+    # that differ only in OpenBLAS's thread count
+    m = models.qutrit_chain(4, thetas=np.random.default_rng(7).uniform(0.0, 2 * np.pi, 4))
+    ens = sample_one(m.rep, pure_state(np.ones(81)), 1.0, 200, seed=1,
+                     checkpoint_times=(1.0,))
+    np.save(tmp_path / "states.npy", ens.states[1.0])
+    script = ("import sys, numpy as np; from weaksym import trajectories as t; "
+              "v = np.load(sys.argv[1]); "
+              "e = t.TrajectoryEnsemble(np.empty(0), np.empty(0, dtype=int), "
+              "np.zeros(len(v) + 1, dtype=int), {1.0: v}, 1.0, 0, ''); "
+              "mean, err = t.ensemble_average(e, 1.0); "
+              "sys.stdout.write((mean.tobytes() + err.tobytes()).hex())")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "states.npy")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and len(outs[0]) == 2 * 81 * 81 * 24
 
 
 def _einsum_state_keys(vecs, nbins=6):

@@ -37,6 +37,9 @@ qubit-III's diagonal H_eff and on its Taylor table for qubit-II's),
 ``simulate --horizon 100 --n 200 --level full`` on qubit-I (a diagonal
 H_eff stepped from 0 to the horizon in one step, where a Taylor grid of
 0.45/||H_eff|| would take 445),
+``simulate --horizon 1000 --n 200`` on qubit-weak (end norms and Newton
+slopes of subnormal size, whose quotients overflow inside the crossing
+times: the run prints nothing to stderr),
 ``simulate --horizon 20 --n 300`` on twoqubit-weak (a jump rate that
 varies with the state, on the Taylor table, so each crossing takes 4-5
 root-finding trials), ``simulate --level full --n 200`` on the built-in
@@ -52,12 +55,11 @@ chunk only, whose empty event columns must join to the same
 ``simulate --level coarse`` on twoqubit-II (condition II holds with a
 two-set pi_c at d = 4), on twoqubit-I (condition II fails, so the identity
 permutation is used) and on the L=3 chain with ``--sym rotation`` (one
-named symmetry), ``simulate`` where ensemble_average takes the bootstrap
-variance from the resampling weights' n x n covariance: on the L=3 chain
-at ``--level full --n 80 --seed 3`` and at ``--level coarse`` with
-``--n 158`` (the last n on that side at d = 27) and ``--n 159`` (the
-first past it), and on the built-in ``qutrit-chain`` at ``--level coarse
---n 100 --seed 5`` (d = 81), and
+named symmetry), ``simulate`` at more ensemble sizes, for
+ensemble_average's stderr: on the L=3 chain at ``--level full --n 80
+--seed 3`` and at ``--level coarse`` with ``--n 158`` and ``--n 159``, and
+on the built-in ``qutrit-chain`` at ``--level coarse --n 100 --seed 5``
+(d = 81), and
 ``report`` on qubit-III, qubit-I and the L=3 chain (where ``check``,
 ``verify-joint`` and ``simulate`` share one analysis), and ``simulate
 --level coarse`` and ``--level full`` on the L=3 chain with the jumps of
@@ -75,6 +77,7 @@ BASE's: ``check`` at L=4, L=5 and L=6, ``verify-joint`` at L=3, L=4 and
 L=5, and ``simulate --level full`` at L=3.
 Exit codes, strings, booleans and integers (verdicts, permutations, event
 labels) must be identical; every other number must agree within atol.
+Each command's stderr text is compared as a string.
 ``simulate``'s export files (``summary.json``, ``ensemble.jsonl`` and
 ``counts.csv``) are parsed and compared so, and are also compared by
 bytes: files whose values agree to the last bit must be the same bytes,
@@ -188,6 +191,9 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     out += [["simulate", m, "--horizon", "20", "--n", "500"] for m in ("qubit-III", "qubit-II")]
     # a long horizon in one step of a diagonal H_eff: cells 1e-7 wide
     out += [["simulate", "qubit-I", "--horizon", "100", "--n", "200", "--level", "full"]]
+    # ||H_eff|| horizon = 2000: subnormal end norms and slopes, whose
+    # quotients overflow in the crossing times
+    out += [["simulate", "qubit-weak", "--horizon", "1000", "--n", "200"]]
     # a rate that varies with the state (sum_j J_j† J_j not a multiple of
     # 1), on the Taylor table: the log-norm secant start is not the root
     out += [["simulate", "twoqubit-weak", "--horizon", "20", "--n", "300"]]
@@ -205,9 +211,8 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
             for m in ("twoqubit-II", "twoqubit-I")]
     out += [["simulate", chain3, "--sym", "rotation", "--level", "coarse",
              "--n", "300", "--seed", "7"]]
-    # ensemble_average's bootstrap from the weights' n x n covariance
-    # (n (200 + d(d+1)) < 200 d(d+1)): n = 80 and 158 at d = 27, n = 100
-    # at d = 81; n = 159 at d = 27 is the first past it
+    # ensemble_average's stderr at more n: 80, 158 and 159 at d = 27, 100
+    # at d = 81
     out += [["simulate", chain3, "--level", "full", "--n", "80", "--seed", "3"]]
     out += [["simulate", chain3, "--level", "coarse", "--n", n] for n in ("158", "159")]
     out += [["simulate", "qutrit-chain", "--level", "coarse", "--n", "100", "--seed", "5"]]
@@ -222,9 +227,9 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
 
 
 def run(src, argv, out_dir):
-    """The command's exit code and parsed stdout; for simulate, the
-    bytes of each export file instead of stdout (None for a file the
-    run did not write)."""
+    """The command's exit code, stderr text and parsed stdout; for
+    simulate, the bytes of each export file instead of stdout (None for a
+    file the run did not write)."""
     env = dict(os.environ, PYTHONPATH=src)
     if argv[0] == "simulate":
         # a run that fails must not leave the last case's files to be read
@@ -232,7 +237,7 @@ def run(src, argv, out_dir):
         argv = argv + ["--out", out_dir]
     proc = subprocess.run([sys.executable, "-m", "weaksym.cli", *argv],
                           env=env, capture_output=True, text=True)
-    doc = {"exit": proc.returncode}
+    doc = {"exit": proc.returncode, "stderr": proc.stderr}
     if argv[0] == "simulate":
         for name in EXPORTS:
             path = os.path.join(out_dir, name)
