@@ -785,6 +785,8 @@ def ensemble_average(ensemble: TrajectoryEnsemble, t: float):
         real = outer.view(float)
         squares = np.einsum("ij,ij->j", real, real).reshape(-1, 2).sum(axis=1)
         err[r, c] = err[c, r] = np.sqrt(squares) / n
+        # freed before the next chunk's factors and products are allocated
+        del outer, real
     return mean, err
 
 

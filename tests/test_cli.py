@@ -715,6 +715,65 @@ def test_simulate_summary_is_recomputed_from_the_final_states(model, tmp_path, c
     assert np.max(np.abs(stderr[..., 0] - err)) <= 1e-14 * np.max(err)
 
 
+def _list_depth(value):
+    """How deeply lists nest in a JSON value: 3 for a d x d matrix of
+    [re, im] pairs, 1 for a permutation."""
+    if isinstance(value, dict):
+        return max(map(_list_depth, value.values()), default=0)
+    if isinstance(value, list):
+        return 1 + max(map(_list_depth, value), default=0)
+    return 0
+
+
+def test_simulate_prints_the_entry_that_decides_within_3_sigma(tmp_path, capsys):
+    # stdout carries no d x d matrix, only the entry of least margin, which
+    # plain numpy finds again from summary.json's matrices
+    argv = ["simulate", "twoqubit-II", "--level", "full", "--n", "300", "--seed", "7"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ""
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert _list_depth(printed) == 1
+    assert {k: v for k, v in printed.items() if k != "ensemble_average"} == \
+        {k: v for k, v in summary.items() if k != "ensemble_average"}
+    full = summary["ensemble_average"]
+    mean, stderr, exact = (np.array(full[k]) for k in ("mean", "stderr", "master_solution"))
+    deviation = np.abs((mean[..., 0] + 1j * mean[..., 1])
+                       - (exact[..., 0] + 1j * exact[..., 1]))
+    threshold = 3 * stderr[..., 0] + linalg.ROUNDING_FLOOR
+    margins = threshold - deviation
+    worst = np.unravel_index(np.argmin(margins), margins.shape)
+    assert printed["ensemble_average"] == {
+        "time": 1.0,
+        "worst_entry": [int(i) for i in worst],
+        "deviation": deviation[worst],
+        "threshold": threshold[worst],
+        "margin": margins[worst],
+        "within_3_sigma": full["within_3_sigma"],
+    }
+    assert (printed["ensemble_average"]["margin"] >= 0) == full["within_3_sigma"]
+    assert main(["report", "twoqubit-II", "--n", "300", "--seed", "7"]) == 0
+    block = json.loads(capsys.readouterr().out)["trajectories"]
+    assert _list_depth(block) == 1 and "margin" in block["ensemble_average"]
+
+
+def test_simulate_stdout_stays_small_at_large_d(tmp_path, capsys, monkeypatch):
+    # d = 81, above lindblad.MAX_SUPEROP_DIM: the mean and stderr of about
+    # half a megabyte of text stay off stdout, no master solution decides a
+    # margin, and so the average, which nothing reads, is not formed
+    calls = []
+    original = trajectories.ensemble_average
+    monkeypatch.setattr(trajectories, "ensemble_average",
+                        lambda *args: calls.append(args) or original(*args))
+    assert main(["simulate", _chain_file(tmp_path, 4), "--level", "full",
+                 "--n", "80"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 4096
+    assert json.loads(out)["ensemble_average"] == {"time": 1.0}
+    assert calls == []
+
+
 def test_report_combined(capsys):
     assert main(["report", "qubit-III", "--n", "400", "--horizon", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -979,7 +1038,9 @@ def test_check_and_simulate_form_no_kronecker_product(monkeypatch):
     for analysis in analyses.values():
         run_check(analysis)
     doc = cli.run_simulate(analyses["qubit-III"], "full", 50, 1.0, 7, 0.01, None)
-    assert "master_solution" in doc["ensemble_average"]
+    # only a master solution yields the numbers that decide within_3_sigma
+    assert {"worst_entry", "deviation", "threshold", "margin",
+            "within_3_sigma"} <= doc["ensemble_average"].keys()
 
 
 def test_verify_joint_forms_no_d2_qr_after_analyze(tmp_path, monkeypatch):

@@ -31,9 +31,10 @@ all three levels, ``simulate --level full --n 20000`` on qubit-III (the
 export path at scale), ``simulate --level full`` on twoqubit-II (the
 master solution at d = 4), ``simulate --threads 2`` on qubit-III,
 twoqubit-I and the L=3 chain, ``simulate --horizon 20 --n 500`` on
-qubit-III and qubit-II (many jumps per trajectory, refilled streams and
-re-crossings within a grid step, on the sampler's closed-form path for
-qubit-III's diagonal H_eff and on its Taylor table for qubit-II's),
+qubit-III, qubit-II and twoqubit-I (many jumps per trajectory, refilled
+streams and re-crossings: on the sampler's closed-form path for the
+diagonal H_eff of qubit-III and of qubit-II, which is diagonal at rounding
+level, and within a grid step of its Taylor table for twoqubit-I's),
 ``simulate --horizon 100 --n 200 --level full`` on qubit-I (a diagonal
 H_eff stepped from 0 to the horizon in one step, where a Taylor grid of
 0.45/||H_eff|| would take 445),
@@ -78,11 +79,16 @@ L=5, and ``simulate --level full`` at L=3.
 Exit codes, strings, booleans and integers (verdicts, permutations, event
 labels) must be identical; every other number must agree within atol.
 Each command's stderr text is compared as a string.
-``simulate``'s export files (``summary.json``, ``ensemble.jsonl`` and
-``counts.csv``) are parsed and compared so, and are also compared by
+Every ``simulate`` case runs with ``--out``, and its export files
+(``summary.json``, ``ensemble.jsonl`` and ``counts.csv``) take the place
+of its stdout; they are parsed and compared so, and are also compared by
 bytes: files whose values agree to the last bit must be the same bytes,
 so drift in spacing, key order or the spelling of a number is a
-difference at any atol.  Only the report's ``elapsed_seconds`` is not
+difference at any atol.  Two more ``simulate --level full`` cases run
+without ``--out`` and compare their stdout: on twoqubit-II at ``--n 300
+--seed 7`` (d = 4, where the master solution decides ``within_3_sigma``)
+and on the seeded L=3 chain at ``--n 80 --seed 3`` (d = 27, above it).
+Only the report's ``elapsed_seconds`` is not
 compared.  Prints one line
 per difference and the largest float deviation, and exits 1 if any case
 differs.  A command that prints nothing (an exit code of 2, say) is
@@ -153,8 +159,9 @@ DENSE = ("import numpy as np, sys; from weaksym import models, modelfile; "
 
 def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, jumps32,
           jumps33, dense40, remix3, own):
-    """(BASE argv, HEAD argv) pairs; own maps a chain file BASE wrote to
-    the copy HEAD wrote."""
+    """(BASE argv, HEAD argv, exports) triples, exports true where simulate
+    runs with --out; own maps a chain file BASE wrote to the copy HEAD
+    wrote."""
     out = [["check", m] for m in BUILTINS + ["qutrit-chain", chain3, chain4, chain5,
                                              chain6, chain7, jumps64, jumps256]]
     # a second tolerance moves the SJED isometries' rank cut
@@ -185,10 +192,11 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     # on twoqubit-I some crossing batches hold a single row
     out += [["simulate", m, "--level", "full", "--n", "300", "--seed", "7",
              "--threads", "2"] for m in ("qubit-III", chain3, "twoqubit-I")]
-    # many jumps per trajectory: refills and re-crossings within a grid step,
-    # on a diagonal H_eff (closed-form propagation) and a non-diagonal one
-    # (the Taylor table)
-    out += [["simulate", m, "--horizon", "20", "--n", "500"] for m in ("qubit-III", "qubit-II")]
+    # many jumps per trajectory: refills and re-crossings, on a diagonal
+    # H_eff (closed-form propagation; qubit-II's is diagonal at rounding
+    # level) and within a grid step of a non-diagonal one (the Taylor table)
+    out += [["simulate", m, "--horizon", "20", "--n", "500"]
+            for m in ("qubit-III", "qubit-II", "twoqubit-I")]
     # a long horizon in one step of a diagonal H_eff: cells 1e-7 wide
     out += [["simulate", "qubit-I", "--horizon", "100", "--n", "200", "--level", "full"]]
     # ||H_eff|| horizon = 2000: subnormal end norms and slopes, whose
@@ -223,22 +231,26 @@ def cases(chain4, chain3, chain5, chain6, chain7, jumps64, jumps128, jumps256, j
     cross = [["check", chain4], ["check", chain5], ["check", chain6]]
     cross += [["verify-joint", m] for m in (chain3, chain4, chain5)]
     cross += [["simulate", chain3, "--level", "full", "--n", "300", "--seed", "7"]]
-    return [(a, a) for a in out] + [(a, [own.get(x, x) for x in a]) for a in cross]
+    # simulate's stdout, with and without a master solution
+    printed = [["simulate", "twoqubit-II", "--level", "full", "--n", "300", "--seed", "7"],
+               ["simulate", chain3, "--level", "full", "--n", "80", "--seed", "3"]]
+    return ([(a, a, a[0] == "simulate") for a in out] + [(a, a, False) for a in printed]
+            + [(a, [own.get(x, x) for x in a], a[0] == "simulate") for a in cross])
 
 
-def run(src, argv, out_dir):
-    """The command's exit code, stderr text and parsed stdout; for
-    simulate, the bytes of each export file instead of stdout (None for a
-    file the run did not write)."""
+def run(src, argv, out_dir=None):
+    """The command's exit code, stderr text and parsed stdout; with an
+    out_dir (simulate's --out), the bytes of each export file instead of
+    stdout (None for a file the run did not write)."""
     env = dict(os.environ, PYTHONPATH=src)
-    if argv[0] == "simulate":
+    if out_dir:
         # a run that fails must not leave the last case's files to be read
         shutil.rmtree(out_dir, ignore_errors=True)
         argv = argv + ["--out", out_dir]
     proc = subprocess.run([sys.executable, "-m", "weaksym.cli", *argv],
                           env=env, capture_output=True, text=True)
     doc = {"exit": proc.returncode, "stderr": proc.stderr}
-    if argv[0] == "simulate":
+    if out_dir:
         for name in EXPORTS:
             path = os.path.join(out_dir, name)
             if os.path.exists(path):
@@ -332,11 +344,11 @@ def main(argv=None) -> int:
         failures = 0
         deviations = [0.0]
         pairs = cases(*chains, own)
-        for argv_a, argv_b in pairs:
-            a = run(base, argv_a, os.path.join(tmp, "base"))
-            b = run(head, argv_b, os.path.join(tmp, "head"))
+        for argv_a, argv_b, exports in pairs:
+            a = run(base, argv_a, os.path.join(tmp, "base") if exports else None)
+            b = run(head, argv_b, os.path.join(tmp, "head") if exports else None)
             problems = []
-            if argv_a[0] == "simulate":
+            if exports:
                 diff_exports(a, b, args.atol, problems, deviations)
             diff(a, b, args.atol, problems, deviations)
             name = " ".join(os.path.basename(x) for x in argv_a)
